@@ -9,20 +9,23 @@
 //! Appendix B configuration). Every timed prediction includes feature
 //! encoding, because that is what the scoring hot path pays.
 //!
-//! Three rows are reported (ns per prediction):
+//! Four rows are reported (ns per prediction):
 //!
 //! * **reference** — `GbdtPredictor::predict_spec` (enum-node tree walk);
 //! * **compiled** — `CompiledGbdtPredictor::predict_spec` (flat SoA arena,
 //!   interleaved traversal, allocation-free);
-//! * **batched** — `predict_remaining_batch` over whole hosts' worth of
-//!   VMs at a time (the entry point `Cluster::host_exit_time` uses), which
-//!   amortises setup and walks trees cache-hot across the batch.
+//! * **batched** — the schema's encoder plus `CompiledGbdt::predict_batch`
+//!   over the whole sample at once, which walks trees cache-hot across the
+//!   batch (the kernel that fills the step tables);
+//! * **specialised** — `predict_remaining_batch`, what the scheduler
+//!   calls: a per-spec uptime step table lookup, no tree walked. Its cost
+//!   does not depend on the ensemble's size.
 //!
-//! Before anything is timed, a bit-parity pass asserts the compiled engine
-//! (single-row *and* batched) agrees with the reference on every sampled
-//! row to exact `f64` equality. In full mode the bench then asserts the
-//! ≥ 5x compiled-vs-reference speedup this repo's Fig. 8 reproduction
-//! claims.
+//! Before anything is timed, a bit-parity pass asserts that all three
+//! compiled paths agree with the reference on every sampled row exactly.
+//! In full mode the bench then asserts the ≥ 5x compiled-vs-reference
+//! speedup this repo's Fig. 8 reproduction claims, and in both modes that
+//! the table lookup beats the tree walk it replaces.
 //!
 //! Flags (after `--`):
 //!
@@ -35,8 +38,10 @@
 use lava_core::time::{Duration, SimTime};
 use lava_core::vm::{Vm, VmId, VmSpec};
 use lava_model::dataset::DatasetBuilder;
+use lava_model::features::FeatureRow;
 use lava_model::gbdt::GbdtConfig;
-use lava_model::predictor::{GbdtPredictor, LifetimePredictor};
+use lava_model::predictor::{duration_from_log10, GbdtPredictor, LifetimePredictor};
+use lava_model::LIFETIME_CAP;
 use lava_sim::workload::{PoolConfig, WorkloadGenerator};
 use std::hint::black_box;
 use std::time::Instant;
@@ -177,18 +182,41 @@ fn main() {
             "compiled prediction diverged from reference for uptime {uptime:?}"
         );
     }
-    let mut batched: Vec<Duration> = Vec::new();
-    compiled.predict_remaining_batch(&mut vms.iter(), now, &mut |_, d| batched.push(d));
-    for (i, vm) in vms.iter().enumerate() {
-        let single = compiled.predict_spec(vm.spec(), vm.uptime(now));
+    // The tree-walk batch kernel: encode every row, one `predict_batch`.
+    let mut rows = vec![FeatureRow::ZERO; inputs.len()];
+    let mut log10_secs = vec![0.0f64; inputs.len()];
+    let mut batch_walk = |sink: &mut dyn FnMut(usize, Duration)| {
+        for (row, (spec, uptime)) in rows.iter_mut().zip(&inputs) {
+            compiled.schema().encode_into(spec, *uptime, row);
+        }
+        compiled.model().predict_batch(&rows, &mut log10_secs);
+        for (i, &out) in log10_secs.iter().enumerate() {
+            sink(i, duration_from_log10(out, LIFETIME_CAP));
+        }
+    };
+    batch_walk(&mut |i, batched| {
+        let (spec, uptime) = &inputs[i];
         assert_eq!(
-            batched[i], single,
+            batched,
+            compiled.predict_spec(spec, *uptime),
             "batched prediction diverged from single-row at row {i}"
+        );
+    });
+    let mut specialised: Vec<Duration> = Vec::new();
+    compiled.predict_remaining_batch(&mut vms.iter(), now, &mut |_, d| specialised.push(d));
+    for (i, vm) in vms.iter().enumerate() {
+        assert_eq!(
+            specialised[i],
+            compiled.predict_spec(vm.spec(), vm.uptime(now)),
+            "step-table prediction diverged from the tree walk at row {i}"
         );
     }
     println!(
-        "parity check passed: reference, compiled and batched agree bit-for-bit on {} rows",
-        inputs.len()
+        "parity check passed: reference, compiled, batched and specialised agree bit-for-bit \
+         on {} rows ({} step tables, {} uptime breaks)",
+        inputs.len(),
+        compiled.spec_tables(),
+        compiled.uptime_breaks().len(),
     );
 
     // --- timed rows ------------------------------------------------------
@@ -209,19 +237,35 @@ fn main() {
 
     let batched_ns = time_ns_per_prediction(target_secs, n, || {
         let mut latest = SimTime::ZERO;
+        batch_walk(&mut |_, remaining| latest = latest.max(now + remaining));
+        black_box(latest);
+    });
+    println!("model_latency[batched]:   {batched_ns:.0} ns/prediction");
+
+    let specialised_ns = time_ns_per_prediction(target_secs, n, || {
+        let mut latest = SimTime::ZERO;
         compiled.predict_remaining_batch(&mut vms.iter(), now, &mut |_, remaining| {
             latest = latest.max(now + remaining);
         });
         black_box(latest);
     });
-    println!("model_latency[batched]:   {batched_ns:.0} ns/prediction");
+    println!("model_latency[specialised]: {specialised_ns:.0} ns/prediction");
 
     let speedup_single = reference_ns / compiled_ns;
     let speedup_batched = reference_ns / batched_ns;
+    let speedup_specialised = reference_ns / specialised_ns;
     println!(
-        "model_latency: compiled is {speedup_single:.1}x, batched {speedup_batched:.1}x \
-         the reference engine"
+        "model_latency: compiled is {speedup_single:.1}x, batched {speedup_batched:.1}x, \
+         specialised {speedup_specialised:.1}x the reference engine"
     );
+    // A table lookup against a walk of every tree: if this ever fails the
+    // tables are not being hit. Loose enough for any runner.
+    assert!(
+        specialised_ns * 2.0 <= compiled_ns,
+        "step-table path ({specialised_ns:.0} ns) is not clearly faster than the tree walk \
+         ({compiled_ns:.0} ns)"
+    );
+    assert_eq!(compiled.table_overflows(), 0);
     if config.quick {
         // CI-scale sanity floor only, deliberately loose: the quick-mode
         // ensemble fits in cache (typical speedups are 3-4x here) and
@@ -253,8 +297,9 @@ fn main() {
              \"max_leaves\": {},\n    \"internal_nodes\": {},\n    \"leaves\": {},\n    \
              \"features\": {}\n  }},\n  \"reference_ns_per_prediction\": {:.1},\n  \
              \"compiled_ns_per_prediction\": {:.1},\n  \"batched_ns_per_prediction\": {:.1},\n  \
+             \"specialised_ns_per_prediction\": {:.1},\n  \
              \"speedup_compiled\": {:.2},\n  \"speedup_batched\": {:.2},\n  \
-             \"bit_parity\": \"ok\"\n}}\n",
+             \"speedup_specialised\": {:.2},\n  \"bit_parity\": \"ok\"\n}}\n",
             if config.quick { "quick" } else { "full" },
             compiled.model().tree_count(),
             reference.model().config().max_leaves,
@@ -264,8 +309,10 @@ fn main() {
             reference_ns,
             compiled_ns,
             batched_ns,
+            specialised_ns,
             speedup_single,
             speedup_batched,
+            speedup_specialised,
         );
         std::fs::write(path, json).expect("write bench artifact");
         println!("model_latency: wrote {path}");

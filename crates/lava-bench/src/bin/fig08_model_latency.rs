@@ -2,8 +2,10 @@
 //! GBDT predicts in ~9 µs median; we measure our from-scratch GBDT the same
 //! way (single prediction, wall clock) — the reference tree-walking engine
 //! next to the compiled flat engine (`CompiledGbdt`) that reproduces the
-//! paper's compile-into-the-binary step. The `model_latency` bench holds
-//! the two engines to bit-parity and measures the batched path as well.
+//! paper's compile-into-the-binary step, and next to what the scheduler
+//! actually calls: the compiled predictor specialised per spec, where a
+//! reprediction is an uptime step table lookup. The `model_latency` bench
+//! holds all of them to bit-parity and measures the batched paths as well.
 //!
 //! Latency aggregation uses the shared log-bucketed
 //! [`LatencyHistogram`](lava_core::latency::LatencyHistogram) — the same
@@ -13,8 +15,10 @@
 
 use lava_bench::ExperimentArgs;
 use lava_core::latency::LatencyHistogram;
-use lava_core::time::Duration;
+use lava_core::time::{Duration, SimTime};
+use lava_core::vm::{Vm, VmId};
 use lava_model::gbdt::GbdtConfig;
+use lava_model::predictor::LifetimePredictor;
 use lava_sim::experiment::{train_gbdt_predictor, Experiment};
 use lava_sim::workload::PoolConfig;
 use std::time::Instant;
@@ -32,24 +36,38 @@ fn main() {
     let trace = experiment.trace();
     let specs: Vec<_> = trace.observations().into_iter().take(20_000).collect();
 
-    let measure = |predict: &dyn Fn(&lava_core::vm::VmSpec, Duration) -> Duration| {
-        // Warm the caches, then measure individual predictions.
-        for (spec, _) in specs.iter().take(1000) {
-            let _ = predict(spec, Duration::from_hours(1));
+    // One VM per sampled spec, created so that at `now` it has been up
+    // for the uptime the tree-walk rows are timed at.
+    let now = SimTime::ZERO + Duration::from_hours(1);
+    let uptime_of = |i: usize| Duration::from_secs((i as u64 % 36) * 100);
+    let vms: Vec<Vm> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, (spec, lifetime))| {
+            let created = SimTime(now.0 - uptime_of(i).0);
+            Vm::new(VmId(i as u64), spec.clone(), created, *lifetime)
+        })
+        .collect();
+
+    let measure = |predict: &dyn Fn(usize) -> Duration| {
+        // Warm the caches (and the step tables), then measure individual
+        // predictions.
+        for i in 0..specs.len() {
+            let _ = predict(i);
         }
         let mut histogram = LatencyHistogram::new(); // microseconds
-        for (i, (spec, _)) in specs.iter().enumerate() {
-            let uptime = Duration::from_secs((i as u64 % 36) * 100);
+        for i in 0..specs.len() {
             let start = Instant::now();
-            let prediction = predict(spec, uptime);
+            let prediction = predict(i);
             histogram.record(start.elapsed().as_nanos() as f64 / 1000.0);
             std::hint::black_box(prediction);
         }
         histogram
     };
 
-    let histogram = measure(&|spec, uptime| predictor.predict_spec(spec, uptime));
-    let fast = measure(&|spec, uptime| compiled.predict_spec(spec, uptime));
+    let histogram = measure(&|i| predictor.predict_spec(&specs[i].0, uptime_of(i)));
+    let fast = measure(&|i| compiled.predict_spec(&specs[i].0, uptime_of(i)));
+    let specialised = measure(&|i| compiled.predict_remaining(&vms[i], now));
 
     println!(
         "# Figure 8: model execution latency ({} predictions, {} trees)",
@@ -68,6 +86,14 @@ fn main() {
         fast.quantile(0.5),
         fast.quantile(0.9),
         fast.quantile(0.99),
+    );
+    println!(
+        "specialised (tables):  median = {:.2} us   p90 = {:.2} us   p99 = {:.2} us   ({} specs, {} steps each)",
+        specialised.quantile(0.5),
+        specialised.quantile(0.9),
+        specialised.quantile(0.99),
+        compiled.spec_tables(),
+        compiled.uptime_breaks().len() + 1,
     );
     println!("\n{:<22} {:>10}", "bucket (us)", "count");
     for (lower, upper, count) in histogram.buckets() {

@@ -14,6 +14,7 @@
 
 use lava_core::arena::VmArena;
 use lava_core::events::{TraceEvent, TraceEventKind};
+use lava_core::hash::mix64;
 use lava_core::host::{HostId, HostSpec};
 use lava_core::pool::Pool;
 use lava_core::resources::Resources;
@@ -33,14 +34,6 @@ pub struct ReplayOutcome {
     /// host, rejections, exits). Two engines replaying the same stream
     /// with the same rule must produce the same digest.
     pub digest: u64,
-}
-
-fn mix64(mut x: u64) -> u64 {
-    // splitmix64 finalizer.
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 fn fold(digest: u64, value: u64) -> u64 {

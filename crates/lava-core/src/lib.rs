@@ -22,7 +22,9 @@
 //!   service ([`serve::PlaceRequest`], backpressure signals, the
 //!   microsecond [`serve::VirtualClock`]),
 //! * [`latency`] — the shared log-bucketed, mergeable
-//!   [`latency::LatencyHistogram`] every latency-reporting surface uses.
+//!   [`latency::LatencyHistogram`] every latency-reporting surface uses,
+//! * [`hash`] — [`hash::mix64`], the one 64-bit mixer behind routing,
+//!   digests and the lifetime model's per-spec tables.
 //!
 //! # Example
 //!
@@ -45,6 +47,7 @@ pub mod arena;
 pub mod cell;
 pub mod error;
 pub mod events;
+pub mod hash;
 pub mod host;
 pub mod latency;
 pub mod lifetime;

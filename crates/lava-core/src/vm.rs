@@ -334,6 +334,17 @@ impl Vm {
         self.initial_prediction
     }
 
+    /// The recorded prediction, if `now` is the instant it speaks for. The
+    /// initial prediction is the remaining lifetime predicted when the VM
+    /// was created (every consumer adds it to [`Vm::created_at`]), so at
+    /// exactly that instant it is what the predictor would answer again,
+    /// and a placement decision taken then need not ask. A migration or
+    /// any later decision gets `None` and repredicts.
+    #[inline]
+    pub fn initial_prediction_at(&self, now: SimTime) -> Option<Duration> {
+        self.initial_prediction.filter(|_| now == self.created_at)
+    }
+
     /// Record the scheduling-time prediction (first write wins).
     pub fn set_initial_prediction(&mut self, prediction: Duration) {
         if self.initial_prediction.is_none() {
@@ -411,6 +422,12 @@ mod tests {
         vm.set_initial_prediction(Duration::from_hours(2));
         vm.set_initial_prediction(Duration::from_hours(9));
         assert_eq!(vm.initial_prediction(), Some(Duration::from_hours(2)));
+        // Reusable only at the instant of creation.
+        assert_eq!(
+            vm.initial_prediction_at(vm.created_at()),
+            Some(Duration::from_hours(2))
+        );
+        assert_eq!(vm.initial_prediction_at(SimTime(1)), None);
     }
 
     #[test]

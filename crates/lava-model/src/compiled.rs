@@ -182,6 +182,23 @@ impl CompiledGbdt {
         self.leaf_value.len()
     }
 
+    /// The distinct thresholds the ensemble splits `feature` on,
+    /// ascending (by `f64::total_cmp`, so a NaN from a hand-edited model
+    /// has a place too). Between two neighbours, every split on
+    /// `feature` goes the same way.
+    pub fn thresholds_on(&self, feature: usize) -> Vec<f64> {
+        let mut thresholds: Vec<f64> = self
+            .feature
+            .iter()
+            .zip(&self.threshold)
+            .filter(|&(&f, _)| f as usize == feature)
+            .map(|(_, &t)| t)
+            .collect();
+        thresholds.sort_by(f64::total_cmp);
+        thresholds.dedup_by(|a, b| a.to_bits() == b.to_bits());
+        thresholds
+    }
+
     /// Step one lane: an internal reference loads its split and descends
     /// one level; a leaf reference is returned unchanged (self-loop), so
     /// lanes that finish early can keep "stepping" harmlessly while their

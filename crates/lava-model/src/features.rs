@@ -32,6 +32,10 @@ pub const FEATURE_NAMES: [&str; FEATURE_COUNT] = [
     "uptime_log",
 ];
 
+/// Index of `uptime_log`, the only feature that changes during a VM's
+/// life (every other one is a function of its [`VmSpec`] alone).
+pub const UPTIME_FEATURE: usize = FEATURE_COUNT - 1;
+
 /// The categorical code reserved for collapsed ("Other") categories.
 pub const OTHER_CATEGORY: u32 = u32::MAX;
 
@@ -64,6 +68,15 @@ impl FeatureRow {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.values
+    }
+
+    /// Re-encode the uptime feature in place, leaving the spec features
+    /// as they are: the row then equals what
+    /// [`FeatureSchema::encode_into`] writes for the same spec at
+    /// `uptime`.
+    #[inline]
+    pub fn set_uptime(&mut self, uptime: Duration) {
+        self.values[UPTIME_FEATURE] = uptime.log10_secs();
     }
 }
 
@@ -259,6 +272,25 @@ mod tests {
             let mut row = FeatureRow::ZERO;
             schema.encode_into(&s, uptime, &mut row);
             assert_eq!(vec.as_slice(), row.as_slice());
+        }
+    }
+
+    #[test]
+    fn set_uptime_matches_a_fresh_encode() {
+        let schema = FeatureSchema::new();
+        assert_eq!(FEATURE_NAMES[UPTIME_FEATURE], "uptime_log");
+        let mut patched = FeatureRow::ZERO;
+        schema.encode_into(&spec(3), Duration::ZERO, &mut patched);
+        for uptime in [
+            Duration::ZERO,
+            Duration(1),
+            Duration(86_399),
+            Duration(u64::MAX),
+        ] {
+            let mut fresh = FeatureRow::ZERO;
+            schema.encode_into(&spec(3), uptime, &mut fresh);
+            patched.set_uptime(uptime);
+            assert_eq!(patched, fresh);
         }
     }
 

@@ -14,6 +14,9 @@
 //! * [`compiled`] — the flat, structure-of-arrays inference engine the
 //!   paper compiles into the production binary (§5 / Fig. 8): bit-identical
 //!   to the reference trees, allocation-free, with batched prediction,
+//! * [`uptime_steps`] — the compiled predictor specialised per VM spec:
+//!   for a fixed spec the ensemble is a step function of integer uptime,
+//!   so a reprediction is a table lookup instead of a tree walk,
 //! * [`survival`] — Kaplan–Meier curves, empirical lifetime distributions
 //!   and conditional expectations `E(T_r | T_u)`, plus a linear Cox
 //!   proportional-hazards baseline,
@@ -52,6 +55,7 @@ pub mod metrics;
 pub mod nn;
 pub mod predictor;
 pub mod survival;
+pub mod uptime_steps;
 
 /// The 7-day lifetime cap applied to labels and predictions (Appendix B):
 /// "all VMs with a lifetime longer than 7 days are capped".

@@ -22,9 +22,10 @@
 
 use crate::compiled::CompiledGbdt;
 use crate::dataset::Dataset;
-use crate::features::{FeatureRow, FeatureSchema};
+use crate::features::{FeatureRow, FeatureSchema, UPTIME_FEATURE};
 use crate::gbdt::{GbdtConfig, GbdtRegressor};
 use crate::survival::EmpiricalDistribution;
+use crate::uptime_steps::{uptime_breaks, SpecTables};
 use crate::LIFETIME_CAP;
 use lava_core::time::{Duration, SimTime};
 use lava_core::vm::{Vm, VmSpec};
@@ -57,10 +58,12 @@ pub trait LifetimePredictor: Send + Sync {
     ///
     /// The default implementation is one virtual dispatch per VM and is
     /// exactly equivalent to calling [`predict_remaining`] in a loop.
-    /// Implementations with per-call setup cost (the compiled GBDT)
-    /// override it to amortise that cost across the batch — host
-    /// repredictions at scoring time go through this entry point. Every
-    /// override must produce bit-identical values to the per-VM path.
+    /// Implementations with per-call setup cost (the compiled GBDT takes
+    /// its table lock once) override it to amortise that cost across the
+    /// batch — the repredictions of a scoring pass go through this entry
+    /// point, every stale host's VMs in one call. An override may pull
+    /// any number of VMs before it reports the first, and must produce
+    /// bit-identical values to the per-VM path.
     ///
     /// [`predict_remaining`]: LifetimePredictor::predict_remaining
     fn predict_remaining_batch<'a>(
@@ -367,10 +370,14 @@ impl GbdtPredictor {
     /// (§5 / Fig. 8). The compiled predictor produces bit-identical
     /// predictions and reports as `"gbdt-fast"`.
     pub fn compile(&self) -> CompiledGbdtPredictor {
+        let model = CompiledGbdt::compile(&self.model);
+        let breaks = uptime_breaks(&model.thresholds_on(UPTIME_FEATURE));
         CompiledGbdtPredictor {
-            model: CompiledGbdt::compile(&self.model),
+            model,
             schema: self.schema.clone(),
             cap: self.cap,
+            tables: SpecTables::new(breaks.len() + 1),
+            breaks,
         }
     }
 }
@@ -385,20 +392,28 @@ impl LifetimePredictor for GbdtPredictor {
     }
 }
 
-/// Number of rows the compiled predictor's batch entry point encodes and
-/// predicts per chunk. The chunk buffers live on the stack, so batched
-/// host repredictions stay allocation-free at any host size.
-pub const COMPILED_BATCH_CHUNK: usize = 64;
-
 /// The compiled production predictor: a [`CompiledGbdt`] plus the feature
 /// schema, serving the same predictions as [`GbdtPredictor`] bit-for-bit
 /// at a fraction of the latency (Fig. 8). Build one with
 /// [`GbdtPredictor::compile`].
+///
+/// [`LifetimePredictor::predict_remaining`] and its batch form do not walk
+/// the trees: for a fixed [`VmSpec`] the ensemble is a step function of
+/// the integer uptime, so the predictor keeps one small table per spec
+/// (see [`crate::uptime_steps`]) and a prediction is a hash lookup plus a
+/// binary search over [`CompiledGbdtPredictor::uptime_breaks`]. The tree
+/// walk ([`CompiledGbdtPredictor::predict_spec`]) fills a spec's table the
+/// first time the spec is seen, and answers directly once
+/// [`SPEC_TABLE_CAPACITY`](crate::uptime_steps::SPEC_TABLE_CAPACITY) specs
+/// have tables.
 #[derive(Debug, Clone)]
 pub struct CompiledGbdtPredictor {
     model: CompiledGbdt,
     schema: FeatureSchema,
     cap: Duration,
+    /// First whole second of every uptime step but the first, ascending.
+    breaks: Vec<u64>,
+    tables: SpecTables,
 }
 
 impl CompiledGbdtPredictor {
@@ -412,58 +427,124 @@ impl CompiledGbdtPredictor {
         &self.schema
     }
 
-    /// Predict remaining lifetime for a raw spec + uptime. Allocation-free:
-    /// the feature row lives on the stack and the compiled traversal loop
-    /// never touches the heap.
+    /// Predict remaining lifetime for a raw spec + uptime by walking the
+    /// compiled trees (the Fig. 8 "compiled" row). Allocation-free: the
+    /// feature row lives on the stack and the traversal loop never touches
+    /// the heap.
     pub fn predict_spec(&self, spec: &VmSpec, uptime: Duration) -> Duration {
         let mut row = FeatureRow::ZERO;
         self.schema.encode_into(spec, uptime, &mut row);
         duration_from_log10(self.model.predict(row.as_slice()), self.cap)
     }
+
+    /// The uptimes, in whole seconds and ascending, at which some tree's
+    /// uptime test changes its answer. Between two neighbours (and before
+    /// the first, and from the last on) a spec's prediction is constant.
+    pub fn uptime_breaks(&self) -> &[u64] {
+        &self.breaks
+    }
+
+    /// Number of specs that have a step table.
+    pub fn spec_tables(&self) -> usize {
+        self.tables.len()
+    }
+
+    /// Predictions answered by the tree walk because
+    /// [`SPEC_TABLE_CAPACITY`](crate::uptime_steps::SPEC_TABLE_CAPACITY)
+    /// specs already had tables.
+    pub fn table_overflows(&self) -> u64 {
+        self.tables.overflows()
+    }
+
+    /// The step an uptime lies on.
+    #[inline]
+    fn step_of(&self, uptime: Duration) -> usize {
+        self.breaks.partition_point(|&b| b <= uptime.0)
+    }
+
+    /// Answer a prediction whose spec has no table: build and keep the
+    /// table if there is room (`full` is what the caller's read guard
+    /// saw), otherwise walk the trees for this one uptime.
+    #[cold]
+    fn predict_untabled(&self, spec: &VmSpec, uptime: Duration, full: bool) -> Duration {
+        if full {
+            self.tables.count_overflow();
+            return self.predict_spec(spec, uptime);
+        }
+        let row = self.tabulate(spec);
+        self.tables.insert(spec, &row);
+        row[self.step_of(uptime)]
+    }
+
+    /// One spec's table: the tree walk's answer at the first second of
+    /// every step, a stack-sized chunk of rows per
+    /// [`CompiledGbdt::predict_batch`] call.
+    fn tabulate(&self, spec: &VmSpec) -> Vec<Duration> {
+        const CHUNK: usize = 64;
+        let mut encoded = FeatureRow::ZERO;
+        self.schema.encode_into(spec, Duration::ZERO, &mut encoded);
+        let mut rows = [encoded; CHUNK];
+        let mut out = [0.0f64; CHUNK];
+        let starts: Vec<u64> = std::iter::once(0)
+            .chain(self.breaks.iter().copied())
+            .collect();
+        let mut table = Vec::with_capacity(starts.len());
+        for chunk in starts.chunks(CHUNK) {
+            for (row, &start) in rows.iter_mut().zip(chunk) {
+                row.set_uptime(Duration(start));
+            }
+            let n = chunk.len();
+            self.model.predict_batch(&rows[..n], &mut out[..n]);
+            table.extend(
+                out[..n]
+                    .iter()
+                    .map(|&log10_secs| duration_from_log10(log10_secs, self.cap)),
+            );
+        }
+        table
+    }
 }
 
 impl LifetimePredictor for CompiledGbdtPredictor {
     fn predict_remaining(&self, vm: &Vm, now: SimTime) -> Duration {
-        self.predict_spec(vm.spec(), vm.uptime(now))
+        let mut answer = Duration::ZERO;
+        self.predict_remaining_batch(&mut std::iter::once(vm), now, &mut |_, remaining| {
+            answer = remaining
+        });
+        answer
     }
 
     fn name(&self) -> &'static str {
         "gbdt-fast"
     }
 
-    /// Batched repredictions: encode up to [`COMPILED_BATCH_CHUNK`] VMs
-    /// into stack-resident rows, run one [`CompiledGbdt::predict_batch`]
-    /// per chunk, and emit results in iteration order. Zero heap
-    /// allocations, bit-identical to the per-VM path.
+    /// Batched repredictions: one read lock on the table store for the
+    /// whole batch, one table lookup per VM. A VM whose spec has a table
+    /// costs no heap allocation; results are bit-identical to
+    /// [`CompiledGbdtPredictor::predict_spec`].
     fn predict_remaining_batch<'a>(
         &self,
         vms: &mut dyn Iterator<Item = &'a Vm>,
         now: SimTime,
         sink: &mut dyn FnMut(&'a Vm, Duration),
     ) {
-        let mut rows = [FeatureRow::ZERO; COMPILED_BATCH_CHUNK];
-        let mut batch: [Option<&Vm>; COMPILED_BATCH_CHUNK] = [None; COMPILED_BATCH_CHUNK];
-        let mut out = [0.0f64; COMPILED_BATCH_CHUNK];
-        loop {
-            let mut n = 0;
-            while n < COMPILED_BATCH_CHUNK {
-                let Some(vm) = vms.next() else { break };
-                self.schema
-                    .encode_into(vm.spec(), vm.uptime(now), &mut rows[n]);
-                batch[n] = Some(vm);
-                n += 1;
-            }
-            if n == 0 {
-                return;
-            }
-            self.model.predict_batch(&rows[..n], &mut out[..n]);
-            for i in 0..n {
-                let vm = batch[i].take().expect("filled above");
-                sink(vm, duration_from_log10(out[i], self.cap));
-            }
-            if n < COMPILED_BATCH_CHUNK {
-                return;
-            }
+        let mut tables = self.tables.read();
+        for vm in vms {
+            let uptime = vm.uptime(now);
+            let remaining = match tables.get(vm.spec(), self.step_of(uptime)) {
+                Some(remaining) => remaining,
+                None => {
+                    // Filling needs the write lock; misses are rare enough
+                    // (once per spec) that re-taking the read lock after
+                    // each is not worth avoiding.
+                    let full = tables.is_full();
+                    drop(tables);
+                    let remaining = self.predict_untabled(vm.spec(), uptime, full);
+                    tables = self.tables.read();
+                    remaining
+                }
+            };
+            sink(vm, remaining);
         }
     }
 }

@@ -35,6 +35,7 @@ use lava_core::time::{Duration, SimTime};
 use lava_core::vm::{Vm, VmId};
 use lava_model::predictor::LifetimePredictor;
 use parking_lot::{Mutex, MutexGuard};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One cached host exit time.
@@ -71,6 +72,22 @@ pub(crate) struct ExitCache {
     /// mismatch at refresh time means occupancy changed behind the
     /// cluster's event feed (via `pool_mut`), and the cache flushes.
     synced_epoch: u64,
+    /// Buffers of the refresh pass, kept here so that a pass allocates
+    /// nothing once they have grown to the pool's working size.
+    scratch: RefreshScratch,
+}
+
+/// What one [`Cluster::refresh_exit_entries`] pass collects before it
+/// asks the predictor anything. Empty between passes.
+#[derive(Debug, Clone, Default)]
+struct RefreshScratch {
+    /// Hosts to recompute, in collection order.
+    hosts: Vec<HostId>,
+    /// Running max exit time per entry of `hosts`.
+    exits: Vec<SimTime>,
+    /// Per entry of `hosts`: how many VMs had been handed to the predictor
+    /// when the last VM of that host was (`u32::MAX` until then).
+    handed_by_end: Vec<u32>,
 }
 
 impl ExitCache {
@@ -87,19 +104,21 @@ impl ExitCache {
 
     /// Install a freshly computed entry.
     fn install(&mut self, id: HostId, exit: SimTime, now: SimTime, refresh: Duration) {
-        self.detach(id);
         let expires_at = (now + refresh).min(exit).max(now);
-        self.entries.insert(
-            id,
-            ExitEntry {
-                exit,
-                computed_at: now,
-                expires_at,
-                clean: true,
-                pending_places: 0,
-                hard_dirty: false,
-            },
-        );
+        let fresh = ExitEntry {
+            exit,
+            computed_at: now,
+            expires_at,
+            clean: true,
+            pending_places: 0,
+            hard_dirty: false,
+        };
+        // One descent swaps the entry in and hands back the old one, whose
+        // keys (if it was clean) leave the ordered indexes.
+        if let Some(old) = self.entries.insert(id, fresh).filter(|old| old.clean) {
+            self.by_exit.remove(&(old.exit, id));
+            self.by_expiry.remove(&(old.expires_at, id));
+        }
         self.by_exit.insert((exit, id));
         self.by_expiry.insert((expires_at, id));
         self.dirty.remove(&id);
@@ -348,10 +367,8 @@ impl Cluster {
     ///
     /// All of the host's VMs are repredicted through **one**
     /// [`LifetimePredictor::predict_remaining_batch`] call rather than N
-    /// virtual dispatches: the compiled GBDT amortises its setup (and runs
-    /// its cache-friendly batch kernel) across the whole host, while
-    /// scalar predictors fall back to the equivalent per-VM loop. Results
-    /// are bit-identical either way.
+    /// virtual dispatches; scalar predictors fall back to the equivalent
+    /// per-VM loop. Results are bit-identical either way.
     pub fn host_exit_time(
         &self,
         host: &Host,
@@ -382,10 +399,9 @@ impl Cluster {
 
     // --- exit-time cache operations --------------------------------------
 
-    /// Recompute one host's exit time for the cache. With repredictions
-    /// enabled this is the batched entry point of the scoring hot path:
-    /// every VM on the host goes through a single
-    /// `predict_remaining_batch` call (see [`Cluster::host_exit_time`]).
+    /// Recompute one host's exit time for the per-host lookup path
+    /// ([`Cluster::cached_exit_time`]; the refresh pass batches across
+    /// hosts instead).
     fn compute_exit(
         &self,
         host: &Host,
@@ -453,6 +469,14 @@ impl Cluster {
     /// comes along. This mirrors the lazy semantics of the per-host lookup
     /// path: only hosts that would actually be scored cost predictions.
     ///
+    /// The pass first collects every host to recompute, then repredicts
+    /// all of their VMs through **one**
+    /// [`LifetimePredictor::predict_remaining_batch`] call and installs the
+    /// per-host maxima: one virtual dispatch (and, for the compiled GBDT,
+    /// one table lock) per placement instead of one per stale host. The
+    /// entries, indexes and counters it leaves are those of recomputing
+    /// host by host.
+    ///
     /// After this returns, every occupied host that can fit `request` has
     /// a valid entry in `by_exit`. No-op when caching is disabled.
     pub(crate) fn refresh_exit_entries(
@@ -465,14 +489,14 @@ impl Cluster {
         counters: &mut CacheCounters,
     ) {
         let Some(refresh) = refresh else { return };
-        let mut cache = self.exit_cache.lock();
-        let recompute = |cache: &mut ExitCache, counters: &mut CacheCounters, h: &Host| {
+        let mut guard = self.exit_cache.lock();
+        let cache = &mut *guard;
+        let mut collect = |scratch: &mut RefreshScratch, h: &Host| {
             counters.misses += 1;
             if repredict {
                 counters.predictions += h.vm_count() as u64;
             }
-            let exit = self.compute_exit(h, predictor, now, repredict);
-            cache.install(h.id(), exit, now, refresh);
+            scratch.hosts.push(h.id());
         };
         // 1. Bypass detection: if the pool's occupancy changed without the
         //    cluster seeing it (mutations through `pool_mut`), no entry can
@@ -492,27 +516,32 @@ impl Cluster {
         }
         // 2. Dirty hosts (placements without hints, removals, migrations,
         //    hosts parked as infeasible by earlier passes). Feasible ones
-        //    are recomputed and leave the set; infeasible ones stay.
+        //    are collected and leave the set when their new entry is
+        //    installed; infeasible ones stay.
         let mut cursor = HostId(0);
         while let Some(&id) = cache.dirty.range(cursor..).next() {
             cursor = HostId(id.0 + 1);
             match self.pool.host(id) {
                 Some(h) if h.is_empty() => cache.forget(id),
-                Some(h) if h.can_fit(request) => recompute(&mut cache, counters, h),
+                Some(h) if h.can_fit(request) => collect(&mut cache.scratch, h),
                 Some(_) => {}
                 None => cache.forget(id),
             }
         }
         // 3. Expired entries, in expiry order: O(#expired), not O(hosts).
-        //    Infeasible expired hosts are parked in the dirty set instead
-        //    of being recomputed.
+        //    Every arm takes the entry out of `by_expiry`, which is what
+        //    advances the sweep. Infeasible expired hosts are parked in
+        //    the dirty set instead of being recomputed.
         while let Some(&(expires_at, id)) = cache.by_expiry.iter().next() {
             if expires_at >= now {
                 break;
             }
             match self.pool.host(id) {
                 Some(h) if h.is_empty() => cache.forget(id),
-                Some(h) if h.can_fit(request) => recompute(&mut cache, counters, h),
+                Some(h) if h.can_fit(request) => {
+                    cache.detach(id);
+                    collect(&mut cache.scratch, h);
+                }
                 Some(_) => {
                     cache.detach(id);
                     cache.dirty.insert(id);
@@ -520,6 +549,60 @@ impl Cluster {
                 None => cache.forget(id),
             }
         }
+        // 4. One predictor call over the VMs of every collected host. An
+        //    empty host exits "now" and `now + remaining >= now`, so the
+        //    running maxima start there.
+        let scratch = &mut cache.scratch;
+        if scratch.hosts.is_empty() {
+            return;
+        }
+        scratch.exits.resize(scratch.hosts.len(), now);
+        if !repredict {
+            for (&id, exit) in scratch.hosts.iter().zip(&mut scratch.exits) {
+                if let Some(h) = self.pool.host(id) {
+                    *exit = self.host_exit_time_initial(h, now);
+                }
+            }
+        } else {
+            // The sink is told VMs in hand-out order but not whose they
+            // are, and the predictor may pull any number of VMs before it
+            // reports the first. So the iterator notes, as it leaves each
+            // host, how many VMs it has handed out by then; the sink's
+            // n-th VM belongs to the first host whose note exceeds n (an
+            // unwritten note reads `u32::MAX`: still on that host).
+            scratch.handed_by_end.resize(scratch.hosts.len(), u32::MAX);
+            let handed_by_end = Cell::from_mut(&mut scratch.handed_by_end[..]).as_slice_of_cells();
+            let hosts = &scratch.hosts;
+            let exits = &mut scratch.exits;
+            let mut current = self.pool.host(hosts[0]).map(Host::vm_ids);
+            let (mut entered, mut handed) = (1, 0u32);
+            let mut vms = std::iter::from_fn(|| loop {
+                let ids = current.as_mut();
+                if let Some(vm) = ids.and_then(|ids| ids.find_map(|id| self.vm(id))) {
+                    handed += 1;
+                    return Some(vm);
+                }
+                handed_by_end[entered - 1].set(handed);
+                let &id = hosts.get(entered)?;
+                entered += 1;
+                current = self.pool.host(id).map(Host::vm_ids);
+            });
+            let (mut reported, mut slot) = (0u32, 0);
+            predictor.predict_remaining_batch(&mut vms, now, &mut |_, remaining| {
+                while reported >= handed_by_end[slot].get() {
+                    slot += 1;
+                }
+                reported += 1;
+                exits[slot] = exits[slot].max(now + remaining);
+            });
+        }
+        for i in 0..cache.scratch.hosts.len() {
+            let (id, exit) = (cache.scratch.hosts[i], cache.scratch.exits[i]);
+            cache.install(id, exit, now, refresh);
+        }
+        cache.scratch.hosts.clear();
+        cache.scratch.exits.clear();
+        cache.scratch.handed_by_end.clear();
     }
 
     /// Incremental max-exit maintenance: after a placement, raise the
@@ -813,6 +896,230 @@ mod tests {
             "the bypass-occupied host must be covered"
         );
         assert!(cache.valid_exit(HostId(1), SimTime::ZERO).is_some());
+    }
+
+    /// The refresh pass as it was before batching: every stale feasible
+    /// host recomputed on the spot through its own predictor call. Kept
+    /// as the oracle the batched pass must leave identical state to.
+    impl Cluster {
+        fn refresh_exit_entries_per_host(
+            &self,
+            predictor: &dyn LifetimePredictor,
+            now: SimTime,
+            refresh: Duration,
+            repredict: bool,
+            request: Resources,
+            counters: &mut CacheCounters,
+        ) {
+            let mut cache = self.exit_cache.lock();
+            let recompute = |cache: &mut ExitCache, counters: &mut CacheCounters, h: &Host| {
+                counters.misses += 1;
+                if repredict {
+                    counters.predictions += h.vm_count() as u64;
+                }
+                let exit = self.compute_exit(h, predictor, now, repredict);
+                cache.install(h.id(), exit, now, refresh);
+            };
+            if cache.synced_epoch != self.pool.mutation_epoch() {
+                let ids: Vec<HostId> = cache.entries.keys().copied().collect();
+                for id in ids {
+                    cache.mark_hard(id);
+                }
+                for h in self.pool.occupied_hosts() {
+                    if !cache.entries.contains_key(&h.id()) {
+                        cache.dirty.insert(h.id());
+                    }
+                }
+                cache.synced_epoch = self.pool.mutation_epoch();
+            }
+            let mut cursor = HostId(0);
+            while let Some(&id) = cache.dirty.range(cursor..).next() {
+                cursor = HostId(id.0 + 1);
+                match self.pool.host(id) {
+                    Some(h) if h.is_empty() => cache.forget(id),
+                    Some(h) if h.can_fit(request) => recompute(&mut cache, counters, h),
+                    Some(_) => {}
+                    None => cache.forget(id),
+                }
+            }
+            while let Some(&(expires_at, id)) = cache.by_expiry.iter().next() {
+                if expires_at >= now {
+                    break;
+                }
+                match self.pool.host(id) {
+                    Some(h) if h.is_empty() => cache.forget(id),
+                    Some(h) if h.can_fit(request) => recompute(&mut cache, counters, h),
+                    Some(_) => {
+                        cache.detach(id);
+                        cache.dirty.insert(id);
+                    }
+                    None => cache.forget(id),
+                }
+            }
+        }
+
+        /// Everything the exit cache holds, for comparing two clusters.
+        fn exit_cache_view(&self) -> String {
+            let cache = self.exit_cache.lock();
+            assert!(
+                cache.scratch.hosts.is_empty()
+                    && cache.scratch.exits.is_empty()
+                    && cache.scratch.handed_by_end.is_empty(),
+                "refresh scratch must be empty between passes"
+            );
+            format!(
+                "{:?} {:?} {:?} {:?} {}",
+                cache.entries, cache.by_exit, cache.by_expiry, cache.dirty, cache.synced_epoch
+            )
+        }
+    }
+
+    /// An oracle that pulls the whole batch before it reports the first
+    /// prediction — the opposite extreme from the default per-VM loop, and
+    /// what a vectorised predictor is free to do.
+    struct PullAheadOracle;
+
+    impl LifetimePredictor for PullAheadOracle {
+        fn predict_remaining(&self, vm: &Vm, now: SimTime) -> Duration {
+            OraclePredictor.predict_remaining(vm, now)
+        }
+        fn name(&self) -> &'static str {
+            "pull-ahead-oracle"
+        }
+        fn predict_remaining_batch<'a>(
+            &self,
+            vms: &mut dyn Iterator<Item = &'a Vm>,
+            now: SimTime,
+            sink: &mut dyn FnMut(&'a Vm, Duration),
+        ) {
+            let pulled: Vec<&Vm> = vms.collect();
+            for vm in pulled {
+                sink(vm, self.predict_remaining(vm, now));
+            }
+        }
+    }
+
+    mod refresh_parity {
+        use super::*;
+        use crate::nilas::NilasPolicy;
+        use crate::policy::PlacementPolicy;
+        use proptest::prelude::*;
+        use std::sync::Arc;
+
+        proptest! {
+            /// Over random placements, exits and clock advances (the grid
+            /// of `tests/scan_parity.rs`), the batched refresh pass leaves
+            /// the entries, both orderings, the dirty set and the counters
+            /// that recomputing host by host leaves — for requests that
+            /// fit everywhere, somewhere and nowhere, with and without
+            /// repredictions, whichever way the predictor drains a batch.
+            #[test]
+            fn batched_pass_matches_per_host_recompute(
+                ops in proptest::collection::vec((0u8..5, 0u64..600, 1u64..16, 1u64..8), 1..60),
+            ) {
+                let refresh = Duration::from_mins(1);
+                let mut policy = NilasPolicy::with_defaults(Arc::new(OraclePredictor::new()));
+                let mut c =
+                    Cluster::with_uniform_hosts(12, HostSpec::new(Resources::cores_gib(32, 128)));
+                let mut now = SimTime::ZERO;
+                let mut next_id = 0u64;
+                for (action, delay, hours, cores) in ops {
+                    now += Duration::from_secs(delay);
+                    if action < 3 {
+                        let v = Vm::new(
+                            VmId(next_id),
+                            VmSpec::builder(Resources::cores_gib(cores, cores * 4)).build(),
+                            now,
+                            Duration::from_hours(hours * hours),
+                        );
+                        next_id += 1;
+                        for request in [
+                            v.resources(),
+                            Resources::ZERO,
+                            Resources::cores_gib(16, 64),
+                            Resources::cores_gib(64, 256),
+                        ] {
+                            for repredict in [true, false] {
+                                let per_host = c.clone();
+                                let mut expected = CacheCounters::default();
+                                per_host.refresh_exit_entries_per_host(
+                                    &OraclePredictor, now, refresh, repredict, request, &mut expected,
+                                );
+                                let predictors: [&dyn LifetimePredictor; 2] =
+                                    [&OraclePredictor, &PullAheadOracle];
+                                for predictor in predictors {
+                                    let batched = c.clone();
+                                    let mut counters = CacheCounters::default();
+                                    batched.refresh_exit_entries(
+                                        predictor, now, Some(refresh), repredict, request, &mut counters,
+                                    );
+                                    prop_assert_eq!(counters, expected);
+                                    prop_assert_eq!(
+                                        batched.exit_cache_view(),
+                                        per_host.exit_cache_view(),
+                                        "{} at {:?}, request {:?}, repredict {}",
+                                        predictor.name(), now, request, repredict
+                                    );
+                                }
+                            }
+                        }
+                        if let Some(host) = policy.choose_host(&c, &v, now, None) {
+                            let id = v.id();
+                            c.place(v, host).unwrap();
+                            policy.on_vm_placed(&mut c, id, host, now);
+                        }
+                    } else {
+                        let live: Vec<VmId> = c.vms().map(|v| v.id()).collect();
+                        if !live.is_empty() {
+                            let victim = live[(hours as usize * 7 + cores as usize) % live.len()];
+                            let (_, host) = c.remove(victim).unwrap();
+                            policy.on_vm_exited(&mut c, host, now);
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn batched_pass_matches_after_a_pool_bypass() {
+            // A VM the pool holds but the arena does not (placed behind the
+            // cluster's back) is counted but never handed to the predictor:
+            // the per-host hand-out notes must not slip because of it.
+            let mut c = cluster();
+            c.place(vm(1, 10), HostId(0)).unwrap();
+            c.place(vm(2, 30), HostId(1)).unwrap();
+            c.pool_mut()
+                .place_vm(HostId(0), VmId(9), Resources::cores_gib(2, 8))
+                .unwrap();
+            c.place(vm(3, 20), HostId(0)).unwrap();
+            let refresh = Duration::from_mins(1);
+            let per_host = c.clone();
+            let mut expected = CacheCounters::default();
+            per_host.refresh_exit_entries_per_host(
+                &OraclePredictor,
+                SimTime::ZERO,
+                refresh,
+                true,
+                Resources::ZERO,
+                &mut expected,
+            );
+            let mut counters = CacheCounters::default();
+            c.refresh_exit_entries(
+                &PullAheadOracle,
+                SimTime::ZERO,
+                Some(refresh),
+                true,
+                Resources::ZERO,
+                &mut counters,
+            );
+            assert_eq!(counters, expected);
+            assert_eq!(counters.predictions, 4, "three records and the bypass VM");
+            assert_eq!(c.exit_cache_view(), per_host.exit_cache_view());
+            assert_eq!(
+                c.exit_cache_lock().valid_exit(HostId(0), SimTime::ZERO),
+                Some(SimTime::ZERO + Duration::from_hours(20))
+            );
+        }
     }
 
     #[test]

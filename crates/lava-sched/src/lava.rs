@@ -130,6 +130,15 @@ impl LavaPolicy {
         LifetimeClass::from_lifetime(self.predictor.predict_remaining(vm, now))
     }
 
+    /// The remaining lifetime of the VM being placed: the prediction the
+    /// scheduler recorded if `now` is the instant it was made for (the
+    /// VM's creation), a fresh one otherwise (migration targets, callers
+    /// that bypass the scheduler).
+    fn vm_remaining(&self, vm: &Vm, now: SimTime) -> Duration {
+        vm.initial_prediction_at(now)
+            .unwrap_or_else(|| self.predictor.predict_remaining(vm, now))
+    }
+
     fn deadline_for(&self, class: LifetimeClass, now: SimTime) -> SimTime {
         let horizon = class.upper_bound().as_secs() as f64 * self.config.deadline_slack;
         now + Duration::from_secs_f64(horizon)
@@ -170,7 +179,7 @@ impl LavaPolicy {
         now: SimTime,
         exclude: Option<HostId>,
     ) -> Option<HostId> {
-        let vm_remaining = self.predictor.predict_remaining(vm, now);
+        let vm_remaining = self.vm_remaining(vm, now);
         let vm_class = LifetimeClass::from_lifetime(vm_remaining);
         let vm_exit = now + vm_remaining;
         let request = vm.resources();
@@ -206,7 +215,7 @@ impl LavaPolicy {
         now: SimTime,
         exclude: Option<HostId>,
     ) -> Option<HostId> {
-        let vm_remaining = self.predictor.predict_remaining(vm, now);
+        let vm_remaining = self.vm_remaining(vm, now);
         let vm_class = LifetimeClass::from_lifetime(vm_remaining);
         let vm_exit = now + vm_remaining;
         let request = vm.resources();

@@ -223,11 +223,22 @@ impl NilasPolicy {
         self.quantised_cost(vm_exit, host_exit)
     }
 
+    /// `vm`'s predicted remaining lifetime at `now`. The scheduler predicts
+    /// an arriving VM at the instant it is created, so a decision taken at
+    /// that same instant reads the recorded answer instead of asking the
+    /// predictor for it again; anything later (a migration target, a
+    /// resident VM) is a counted reprediction.
+    fn repredict(&mut self, vm: &Vm, now: SimTime) -> Duration {
+        vm.initial_prediction_at(now).unwrap_or_else(|| {
+            self.stats.predictions += 1;
+            self.predictor.predict_remaining(vm, now)
+        })
+    }
+
     /// The predicted exit time of the VM being scheduled.
     fn vm_exit_time(&mut self, vm: &Vm, now: SimTime) -> SimTime {
         let remaining = if self.config.repredict || vm.initial_prediction().is_none() {
-            self.stats.predictions += 1;
-            self.predictor.predict_remaining(vm, now)
+            self.repredict(vm, now)
         } else {
             // One-shot view: remaining = initial prediction − uptime.
             vm.initial_prediction()
@@ -248,8 +259,7 @@ impl NilasPolicy {
     ) -> Option<SimTime> {
         let record = cluster.vm(vm)?;
         if self.config.repredict {
-            self.stats.predictions += 1;
-            Some(now + self.predictor.predict_remaining(record, now))
+            Some(now + self.repredict(record, now))
         } else {
             Some(record.created_at() + record.initial_prediction()?)
         }

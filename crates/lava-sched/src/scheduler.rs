@@ -177,7 +177,9 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Create a scheduler over a cluster with the given policy and
-    /// predictor.
+    /// predictor. A lifetime-aware policy should be built around the same
+    /// predictor: when it places an arriving VM it uses the prediction
+    /// this scheduler recorded for it rather than asking its own.
     pub fn new(
         cluster: Cluster,
         policy: Box<dyn PlacementPolicy>,
@@ -299,8 +301,11 @@ impl Scheduler {
 
     /// Schedule a new VM at `now`.
     ///
-    /// Records the initial prediction on the VM record, asks the policy for
-    /// a host, and applies the placement.
+    /// Predicts the VM once and records that on the VM record (a VM is
+    /// scheduled at the instant it is created, and lifetime-aware policies
+    /// deciding at that instant read the prediction back instead of asking
+    /// the predictor again), asks the policy for a host, and applies the
+    /// placement.
     ///
     /// # Errors
     ///

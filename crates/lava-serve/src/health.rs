@@ -27,6 +27,7 @@
 //! observed failure/success sequence, virtual time), so a chaos run
 //! replays bit-identically on any machine and thread count.
 
+use lava_core::hash::mix64;
 use lava_core::serve::Micros;
 use lava_sim::arrivals::BreakerConfig;
 use rand::{Rng, SeedableRng};
@@ -35,16 +36,6 @@ use rand_chacha::ChaCha8Rng;
 /// Domain-separation constant mixed into the run seed for the per-cell
 /// backoff-jitter streams.
 const HEALTH_SEED_SALT: u64 = 0xBEA7_0FF0_CE11_0001;
-
-/// splitmix64 finalizer — the same full-avalanche mix the fleet router
-/// hashes VM ids with, reused here so brownout's hash-over-healthy-cells
-/// routing spreads requests the same way.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// One cell's breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

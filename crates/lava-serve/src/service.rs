@@ -5,6 +5,7 @@ use crate::health::HealthTracker;
 use crate::queue::BoundedQueue;
 use lava_core::cell::CellId;
 use lava_core::events::TraceEvent;
+use lava_core::hash::mix64;
 use lava_core::latency::LatencyHistogram;
 use lava_core::serve::{
     Micros, PlaceOutcome, PlaceRequest, PlaceResponse, Rejected, ReleaseRequest, VirtualClock,
@@ -24,13 +25,6 @@ use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// One epoch's slice of the serving run, for SLO-recovery analysis: the
 /// chaos bench computes "epochs until p99 re-enters the steady band" over

@@ -79,6 +79,7 @@ use crate::workers::{on_pool_worker, panic_message, WorkerPool, PIPELINE_DEPTH};
 use crate::workload::PoolConfig;
 use lava_core::cell::{CellId, CellSummary};
 use lava_core::events::{TraceEvent, TraceEventKind};
+use lava_core::hash::mix64;
 use lava_core::host::HostSpec;
 use lava_core::pool::{Pool, PoolId};
 use lava_core::resources::Resources;
@@ -561,15 +562,8 @@ fn aggregate(cells: &[CellReport], algorithm: &str, predictor: &str) -> Simulati
 
 // --- the router ----------------------------------------------------------
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Hasher for [`Router::vm_cell`]: VM ids are single u64s, so one
-/// splitmix64 round (full-avalanche, ~4 arithmetic ops) replaces
+/// [`mix64`] round (full-avalanche, ~4 arithmetic ops) replaces
 /// SipHash on the busiest map in the routing hot path — stateful
 /// routers insert and remove every VM exactly once.
 #[derive(Default, Clone)]
@@ -583,12 +577,12 @@ impl std::hash::Hasher for VmIdHasher {
     fn write(&mut self, bytes: &[u8]) {
         // Unused by `VmId` (which hashes as a u64), kept total for safety.
         for &b in bytes {
-            self.0 = splitmix64(self.0 ^ u64::from(b));
+            self.0 = mix64(self.0 ^ u64::from(b));
         }
     }
 
     fn write_u64(&mut self, x: u64) {
-        self.0 = splitmix64(x);
+        self.0 = mix64(x);
     }
 }
 
@@ -715,7 +709,7 @@ impl Router {
                     .vm_cell
                     .remove(vm)
                     .map(|c| c as usize)
-                    .unwrap_or_else(|| (splitmix64(vm.0) % self.cells as u64) as usize),
+                    .unwrap_or_else(|| (mix64(vm.0) % self.cells as u64) as usize),
                 _ => self
                     .vm_cell
                     .remove(vm)
@@ -724,7 +718,7 @@ impl Router {
             },
             TraceEventKind::Create { vm, spec, lifetime } => {
                 let cell = match self.spec {
-                    RouterSpec::Hash => (splitmix64(vm.0) % self.cells as u64) as usize,
+                    RouterSpec::Hash => (mix64(vm.0) % self.cells as u64) as usize,
                     RouterSpec::RoundRobin => {
                         let c = self.cursor;
                         self.cursor = (self.cursor + 1) % self.cells;
@@ -1579,7 +1573,7 @@ mod tests {
         assert!(router.vm_cell.is_empty(), "hash router tracks nothing");
         // Spread: with 50 VMs over 5 cells, no cell should be empty.
         let counts = (0..50u64).fold(vec![0usize; 5], |mut acc, vm| {
-            acc[(splitmix64(vm) % 5) as usize] += 1;
+            acc[(mix64(vm) % 5) as usize] += 1;
             acc
         });
         assert!(

@@ -15,6 +15,13 @@
 //! live VMs both), since node splits allocate. One `#[test]` per file:
 //! the counter is process-global, so a parallel test would pollute the
 //! window.
+//!
+//! It runs twice: under best-fit, which never asks for a lifetime, and
+//! under LAVA, whose every placement finds the one-minute exit cache
+//! expired and so runs the batched refresh pass
+//! (`Cluster::refresh_exit_entries`) over every occupied host — that
+//! pass must reuse the cache's scratch buffers, not build a `Vec` per
+//! call.
 
 use lava_core::events::TraceEvent;
 use lava_core::host::{HostId, HostSpec};
@@ -26,6 +33,8 @@ use lava_core::vm::{VmId, VmSpec};
 use lava_model::predictor::OraclePredictor;
 use lava_sched::baseline::BestFitPolicy;
 use lava_sched::cluster::Cluster;
+use lava_sched::lava::LavaPolicy;
+use lava_sched::policy::PlacementPolicy;
 use lava_sched::scheduler::Scheduler;
 use lava_sim::experiment::{drive, DriveTiming};
 use lava_sim::observer::{ObserverContext, SimObserver};
@@ -120,8 +129,9 @@ impl SimObserver for AllocWindow {
     }
 }
 
-#[test]
-fn steady_state_drive_performs_zero_allocations() {
+/// Drive the scenario under `policy`; returns the allocation count of
+/// each window between consecutive milestones.
+fn allocations_per_window(policy: Box<dyn PlacementPolicy>) -> Vec<u64> {
     const VMS: u64 = 400;
     const HOSTS: usize = 6;
     // One arrival every 10 minutes, each living 50 minutes: five VMs live
@@ -154,11 +164,7 @@ fn steady_state_drive_performs_zero_allocations() {
     );
     let mut cluster = Cluster::new(pool);
     cluster.reserve_vm_capacity(VMS + 1, 16);
-    let mut scheduler = Scheduler::new(
-        cluster,
-        Box::new(BestFitPolicy::new()),
-        Arc::new(OraclePredictor::new()),
-    );
+    let mut scheduler = Scheduler::new(cluster, policy, Arc::new(OraclePredictor::new()));
 
     // Cadences pushed past the horizon: the window times only the event
     // hot path (a sample would grow a recorder's series mid-window in
@@ -189,14 +195,29 @@ fn steady_state_drive_performs_zero_allocations() {
         .iter()
         .map(|c| c.expect("milestone reached"))
         .collect();
-    // The test thread is the only one doing simulation work, but the
-    // harness's own threads may allocate at any moment — so require at
-    // least one fully clean window rather than all of them. An actual
-    // per-event allocation on the hot path dirties every window.
-    let deltas: Vec<u64> = counts.windows(2).map(|w| w[1] - w[0]).collect();
-    assert!(
-        deltas.contains(&0),
-        "every steady-state window between placements {MILESTONES:?} saw allocations \
-         ({deltas:?}): the event hot path is no longer allocation-free"
-    );
+    counts.windows(2).map(|w| w[1] - w[0]).collect()
+}
+
+#[test]
+fn steady_state_drive_performs_zero_allocations() {
+    let arms: [(&str, Box<dyn PlacementPolicy>); 2] = [
+        ("best-fit", Box::new(BestFitPolicy::new())),
+        (
+            "lava",
+            Box::new(LavaPolicy::with_defaults(Arc::new(OraclePredictor::new()))),
+        ),
+    ];
+    for (name, policy) in arms {
+        // The test thread is the only one doing simulation work, but the
+        // harness's own threads may allocate at any moment — so require
+        // at least one fully clean window rather than all of them. An
+        // actual per-event allocation on the hot path dirties every
+        // window.
+        let deltas = allocations_per_window(policy);
+        assert!(
+            deltas.contains(&0),
+            "{name}: every steady-state window between placements {MILESTONES:?} saw \
+             allocations ({deltas:?}): the event hot path is no longer allocation-free"
+        );
+    }
 }

@@ -4,10 +4,12 @@
 //! (§5 / Fig. 8); one heap allocation per prediction would dominate the
 //! compiled engine's latency and fragment the allocator under production
 //! traffic. This test swaps in a counting global allocator and asserts
-//! that the compiled path — **feature encoding included** — performs zero
-//! heap allocations per prediction, single-row and batched, while the
-//! legacy `FeatureSchema::encode` Vec path visibly does allocate (i.e. the
-//! counter works).
+//! that the compiled path performs zero heap allocations per prediction,
+//! single and batched, once every spec it is asked about has its uptime
+//! step table (building a table allocates; looking one up may not); that
+//! the tree walk behind those tables — **feature encoding included** —
+//! allocates nothing either; and that the legacy `FeatureSchema::encode`
+//! Vec path visibly does allocate (i.e. the counter works).
 //!
 //! The file intentionally holds a single `#[test]` so no concurrent test
 //! can perturb the allocation counter.
@@ -80,34 +82,41 @@ fn compiled_prediction_path_is_allocation_free() {
         })
         .collect();
 
-    // Warm up both paths (first calls may lazily touch allocator-backed
-    // state somewhere below; steady state is what the hot path pays).
+    // Warm up: the first prediction for a spec builds its step table,
+    // which allocates. Twelve distinct specs among the 64 VMs.
+    let before = allocations();
     for vm in &vms {
         let _ = compiled.predict_remaining(vm, now);
     }
+    assert_eq!(compiled.spec_tables(), 12);
+    assert!(allocations() > before, "table fills should allocate");
     let mut sink_count = 0usize;
     compiled.predict_remaining_batch(&mut vms.iter(), now, &mut |_, _| sink_count += 1);
     assert_eq!(sink_count, vms.len());
 
-    // --- single-row path: zero allocations per prediction ---------------
+    // --- single path (table hit): zero allocations per prediction -------
     let before = allocations();
     for _ in 0..10 {
         for vm in &vms {
             let _ = compiled.predict_remaining(vm, now);
         }
     }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "compiled single-row path allocated"
-    );
+    assert_eq!(allocations() - before, 0, "compiled single path allocated");
 
-    // --- batched path (chunked encode + predict_batch): also zero -------
+    // --- batched path (one lock, a table hit per VM): also zero ---------
     let before = allocations();
     for _ in 0..10 {
         compiled.predict_remaining_batch(&mut vms.iter(), now, &mut |_, _| {});
     }
     assert_eq!(allocations() - before, 0, "compiled batched path allocated");
+
+    // --- the tree walk that fills the tables: zero as well --------------
+    let before = allocations();
+    for vm in &vms {
+        let _ = compiled.predict_spec(vm.spec(), vm.uptime(now));
+    }
+    assert_eq!(allocations() - before, 0, "compiled tree walk allocated");
+    assert_eq!(compiled.table_overflows(), 0);
 
     // --- reference predictor's hot path is also allocation-free now -----
     // (`FeatureSchema::encode_into` killed its per-prediction Vec).
