@@ -24,6 +24,19 @@
 //! * clean entries are kept in an exit-time-ordered index so a scoring
 //!   pass can walk hosts from latest-exiting to earliest and stop at the
 //!   first temporal-cost bucket boundary it cannot improve on.
+//!
+//! A host awaiting a recompute is in one of two places. **Pending**: it
+//! changed since the last refresh pass (a placement no hint healed, a
+//! removal, a migration, a flush) and no pass has looked at it since.
+//! **Parked**: a pass looked at it and its request did not fit — an index
+//! ordered by free CPU, so a later pass range-scans only the hosts with
+//! at least its request's CPU free. Any change to a host's free capacity
+//! moves it back to pending (`place` / `remove` / `migrate` mark it; a
+//! mutation through `pool_mut` trips the epoch flush, which unparks every
+//! host); whether a host is withheld from scheduling is asked afresh by
+//! `can_fit` each time it is looked at. A pass therefore costs
+//! O(changed + expired + parked hosts with CPU room for the request),
+//! not O(every full host).
 
 use crate::policy::CacheCounters;
 use lava_core::arena::VmArena;
@@ -66,8 +79,17 @@ pub(crate) struct ExitCache {
     pub(crate) by_exit: BTreeSet<(SimTime, HostId)>,
     /// Clean entries ordered by expiry time, for O(#expired) staleness sweeps.
     by_expiry: BTreeSet<(SimTime, HostId)>,
-    /// Hosts needing recompute (or first-time computation).
-    dirty: BTreeSet<HostId>,
+    /// Hosts that changed since the last refresh pass and that no pass has
+    /// looked at since.
+    pending: BTreeSet<HostId>,
+    /// Hosts a pass looked at and could not fit its request on, keyed by
+    /// their free CPU: a later pass range-scans from its request's CPU
+    /// upward and never touches a host with less. The key is current
+    /// because every free-capacity change unparks the host.
+    parked: BTreeSet<(u64, HostId)>,
+    /// Per host, indexed by id: the free CPU it is parked under, or
+    /// [`NOT_PARKED`].
+    parked_cpu: Vec<u64>,
     /// The pool mutation epoch this cache last synchronized with. A
     /// mismatch at refresh time means occupancy changed behind the
     /// cluster's event feed (via `pool_mut`), and the cache flushes.
@@ -76,6 +98,9 @@ pub(crate) struct ExitCache {
     /// nothing once they have grown to the pool's working size.
     scratch: RefreshScratch,
 }
+
+/// No host has this much CPU free.
+const NOT_PARKED: u64 = u64::MAX;
 
 /// What one [`Cluster::refresh_exit_entries`] pass collects before it
 /// asks the predictor anything. Empty between passes.
@@ -90,7 +115,81 @@ struct RefreshScratch {
     handed_by_end: Vec<u32>,
 }
 
+impl RefreshScratch {
+    /// Queue `host` for recomputation and count the miss it is.
+    fn collect(&mut self, host: &Host, repredict: bool, counters: &mut CacheCounters) {
+        counters.misses += 1;
+        if repredict {
+            counters.predictions += host.vm_count() as u64;
+        }
+        self.hosts.push(host.id());
+    }
+}
+
 impl ExitCache {
+    /// Size the per-host state for `hosts` hosts. Hosts added to the pool
+    /// later grow it when they are first parked.
+    fn reserve_hosts(&mut self, hosts: usize) {
+        if self.parked_cpu.len() < hosts {
+            self.parked_cpu.resize(hosts, NOT_PARKED);
+        }
+    }
+
+    /// Take the host out of `parked`, if it is there.
+    fn unpark(&mut self, id: HostId) {
+        if let Some(cpu) = self.parked_cpu.get_mut(id.0 as usize) {
+            if *cpu != NOT_PARKED {
+                self.parked.remove(&(*cpu, id));
+                *cpu = NOT_PARKED;
+            }
+        }
+    }
+
+    /// The host changed: whatever a pass concluded about it is void, and
+    /// the next pass looks at it.
+    fn mark_dirty(&mut self, id: HostId) {
+        self.unpark(id);
+        self.pending.insert(id);
+    }
+
+    /// The host no longer awaits a recompute (fresh entry, or no entry
+    /// wanted).
+    fn clear_dirty(&mut self, id: HostId) {
+        self.unpark(id);
+        self.pending.remove(&id);
+    }
+
+    /// A pass looked at the host (not parked at that point) and its
+    /// request does not fit: park it under its free CPU.
+    fn park(&mut self, id: HostId, free_cpu: u64) {
+        let i = id.0 as usize;
+        self.reserve_hosts(i + 1);
+        debug_assert_eq!(self.parked_cpu[i], NOT_PARKED, "{id} parked twice");
+        self.parked.insert((free_cpu, id));
+        self.parked_cpu[i] = free_cpu;
+    }
+
+    /// Occupancy changed behind the cluster's event feed: no entry and no
+    /// parking key can be trusted. Every entry goes stale, empty and
+    /// vanished hosts are forgotten, and every occupied host is pending
+    /// for the pass that follows.
+    fn flush(&mut self, pool: &Pool) {
+        self.by_exit.clear();
+        self.by_expiry.clear();
+        self.entries.retain(|&id, e| {
+            e.clean = false;
+            e.hard_dirty = true;
+            pool.host(id).is_some_and(|h| !h.is_empty())
+        });
+        for &(_, id) in &self.parked {
+            self.parked_cpu[id.0 as usize] = NOT_PARKED;
+        }
+        self.parked.clear();
+        self.pending.clear();
+        self.pending.extend(pool.occupied_hosts().map(Host::id));
+        self.synced_epoch = pool.mutation_epoch();
+    }
+
     /// Drop a clean entry out of the ordered indexes (before mutating it).
     fn detach(&mut self, id: HostId) {
         if let Some(e) = self.entries.get_mut(&id) {
@@ -121,14 +220,14 @@ impl ExitCache {
         }
         self.by_exit.insert((exit, id));
         self.by_expiry.insert((expires_at, id));
-        self.dirty.remove(&id);
+        self.clear_dirty(id);
     }
 
     /// Remove all trace of a host (it became empty or disappeared).
     fn forget(&mut self, id: HostId) {
         self.detach(id);
         self.entries.remove(&id);
-        self.dirty.remove(&id);
+        self.clear_dirty(id);
     }
 
     /// A VM was placed on the host: the entry can be healed by a hint.
@@ -137,7 +236,7 @@ impl ExitCache {
         if let Some(e) = self.entries.get_mut(&id) {
             e.pending_places = e.pending_places.saturating_add(1);
         }
-        self.dirty.insert(id);
+        self.mark_dirty(id);
     }
 
     /// Something invalidating happened on the host: recompute required.
@@ -146,7 +245,7 @@ impl ExitCache {
         if let Some(e) = self.entries.get_mut(&id) {
             e.hard_dirty = true;
         }
-        self.dirty.insert(id);
+        self.mark_dirty(id);
     }
 
     /// The cached exit time of a host, if its entry is valid at `now`.
@@ -198,10 +297,12 @@ impl Clone for Cluster {
 impl Cluster {
     /// Create a cluster around an existing pool.
     pub fn new(pool: Pool) -> Cluster {
+        let mut exit_cache = ExitCache::default();
+        exit_cache.reserve_hosts(pool.host_count());
         Cluster {
             pool,
             vms: VmArena::new(),
-            exit_cache: Mutex::new(ExitCache::default()),
+            exit_cache: Mutex::new(exit_cache),
         }
     }
 
@@ -252,6 +353,9 @@ impl Cluster {
     pub fn reserve_vm_capacity(&mut self, max_id: u64, live: usize) {
         self.vms.reserve(max_id, live);
         self.pool.reserve_vm_index(max_id);
+        self.exit_cache
+            .get_mut()
+            .reserve_hosts(self.pool.host_count());
     }
 
     /// A bounded, deterministic sample of at most `cap` live VMs: every
@@ -462,12 +566,21 @@ impl Cluster {
     }
 
     /// Bring the cache up to date at `now` for a placement of `request`:
-    /// recompute dirty entries, restore coverage, and sweep entries whose
-    /// refresh interval or exit time has passed. Hosts that cannot fit
-    /// `request` are *not* recomputed — the scan skips them anyway — and
-    /// instead stay parked in the dirty set until a request they can fit
-    /// comes along. This mirrors the lazy semantics of the per-host lookup
-    /// path: only hosts that would actually be scored cost predictions.
+    /// recompute the entries of hosts that changed, restore coverage, and
+    /// sweep entries whose refresh interval or exit time has passed. Hosts
+    /// that cannot fit `request` are *not* recomputed — the scan skips
+    /// them anyway — and are parked under their free CPU instead, until a
+    /// request they can fit comes along. This mirrors the lazy semantics
+    /// of the per-host lookup path: only hosts that would actually be
+    /// scored cost predictions.
+    ///
+    /// A pass looks at the parked hosts with at least the request's CPU
+    /// free — one range scan; a host with less is never touched, a host
+    /// with the CPU but not the memory (or withheld from scheduling) is
+    /// looked at and left parked — at the hosts that changed since the
+    /// last pass (`pending`), and at the expired entries:
+    /// O(changed + expired + parked hosts with CPU room), counted in
+    /// [`CacheCounters::examined`].
     ///
     /// The pass first collects every host to recompute, then repredicts
     /// all of their VMs through **one**
@@ -475,7 +588,9 @@ impl Cluster {
     /// per-host maxima: one virtual dispatch (and, for the compiled GBDT,
     /// one table lock) per placement instead of one per stale host. The
     /// entries, indexes and counters it leaves are those of recomputing
-    /// host by host.
+    /// host by host, changed hosts in id order and then expired ones in
+    /// expiry order — which is also the order the predictor is handed
+    /// their VMs in.
     ///
     /// After this returns, every occupied host that can fit `request` has
     /// a valid entry in `by_exit`. No-op when caching is disabled.
@@ -491,65 +606,60 @@ impl Cluster {
         let Some(refresh) = refresh else { return };
         let mut guard = self.exit_cache.lock();
         let cache = &mut *guard;
-        let mut collect = |scratch: &mut RefreshScratch, h: &Host| {
-            counters.misses += 1;
-            if repredict {
-                counters.predictions += h.vm_count() as u64;
-            }
-            scratch.hosts.push(h.id());
-        };
         // 1. Bypass detection: if the pool's occupancy changed without the
         //    cluster seeing it (mutations through `pool_mut`), no entry can
         //    be trusted — flush everything and rebuild lazily. The epoch
         //    comparison is O(1) and never fires for cluster-routed events.
         if cache.synced_epoch != self.pool.mutation_epoch() {
-            let ids: Vec<HostId> = cache.entries.keys().copied().collect();
-            for id in ids {
-                cache.mark_hard(id);
-            }
-            for h in self.pool.occupied_hosts() {
-                if !cache.entries.contains_key(&h.id()) {
-                    cache.dirty.insert(h.id());
-                }
-            }
-            cache.synced_epoch = self.pool.mutation_epoch();
+            cache.flush(&self.pool);
         }
-        // 2. Dirty hosts (placements without hints, removals, migrations,
-        //    hosts parked as infeasible by earlier passes). Feasible ones
-        //    are collected and leave the set when their new entry is
-        //    installed; infeasible ones stay.
-        let mut cursor = HostId(0);
-        while let Some(&id) = cache.dirty.range(cursor..).next() {
-            cursor = HostId(id.0 + 1);
+        // 2. Parked hosts with the CPU for this request; the ones it fits
+        //    on altogether leave the index once the range borrow ends.
+        for &(_, id) in cache.parked.range((request.cpu_milli, HostId(0))..) {
+            counters.examined += 1;
+            if let Some(h) = self.pool.host(id).filter(|h| h.can_fit(request)) {
+                cache.scratch.collect(h, repredict, counters);
+            }
+        }
+        for i in 0..cache.scratch.hosts.len() {
+            cache.unpark(cache.scratch.hosts[i]);
+        }
+        // 3. Hosts that changed (placements without hints, removals,
+        //    migrations, a flush), in id order. Feasible ones are
+        //    collected, the rest parked.
+        while let Some(id) = cache.pending.pop_first() {
+            counters.examined += 1;
             match self.pool.host(id) {
                 Some(h) if h.is_empty() => cache.forget(id),
-                Some(h) if h.can_fit(request) => collect(&mut cache.scratch, h),
-                Some(_) => {}
+                Some(h) if h.can_fit(request) => cache.scratch.collect(h, repredict, counters),
+                Some(h) => cache.park(id, h.free().cpu_milli),
                 None => cache.forget(id),
             }
         }
-        // 3. Expired entries, in expiry order: O(#expired), not O(hosts).
+        cache.scratch.hosts.sort_unstable();
+        // 4. Expired entries, in expiry order: O(#expired), not O(hosts).
         //    Every arm takes the entry out of `by_expiry`, which is what
-        //    advances the sweep. Infeasible expired hosts are parked in
-        //    the dirty set instead of being recomputed.
+        //    advances the sweep. Infeasible expired hosts are parked
+        //    instead of being recomputed.
         while let Some(&(expires_at, id)) = cache.by_expiry.iter().next() {
             if expires_at >= now {
                 break;
             }
+            counters.examined += 1;
             match self.pool.host(id) {
                 Some(h) if h.is_empty() => cache.forget(id),
                 Some(h) if h.can_fit(request) => {
                     cache.detach(id);
-                    collect(&mut cache.scratch, h);
+                    cache.scratch.collect(h, repredict, counters);
                 }
-                Some(_) => {
+                Some(h) => {
                     cache.detach(id);
-                    cache.dirty.insert(id);
+                    cache.park(id, h.free().cpu_milli);
                 }
                 None => cache.forget(id),
             }
         }
-        // 4. One predictor call over the VMs of every collected host. An
+        // 5. One predictor call over the VMs of every collected host. An
         //    empty host exits "now" and `now + remaining >= now`, so the
         //    running maxima start there.
         let scratch = &mut cache.scratch;
@@ -644,7 +754,7 @@ impl Cluster {
                 );
                 cache.by_exit.insert((exit, host));
                 cache.by_expiry.insert((expires_at, host));
-                cache.dirty.remove(&host);
+                cache.clear_dirty(host);
             }
             None if single_vm => {
                 // First VM on the host: its exit *is* the host exit.
@@ -898,10 +1008,13 @@ mod tests {
         assert!(cache.valid_exit(HostId(1), SimTime::ZERO).is_some());
     }
 
-    /// The refresh pass as it was before batching: every stale feasible
-    /// host recomputed on the spot through its own predictor call. Kept
-    /// as the oracle the batched pass must leave identical state to.
+    /// The refresh pass as it was before batching and before the dirty
+    /// set was split: one ordered set of hosts awaiting a recompute,
+    /// walked whole on every pass, every stale feasible host recomputed
+    /// on the spot through its own predictor call. Kept as the oracle the
+    /// real pass must leave identical state to.
     impl Cluster {
+        /// Runs the oracle pass and returns the dirty set it leaves.
         fn refresh_exit_entries_per_host(
             &self,
             predictor: &dyn LifetimePredictor,
@@ -910,8 +1023,9 @@ mod tests {
             repredict: bool,
             request: Resources,
             counters: &mut CacheCounters,
-        ) {
+        ) -> BTreeSet<HostId> {
             let mut cache = self.exit_cache.lock();
+            let mut dirty = cache.dirty_set();
             let recompute = |cache: &mut ExitCache, counters: &mut CacheCounters, h: &Host| {
                 counters.misses += 1;
                 if repredict {
@@ -924,23 +1038,25 @@ mod tests {
                 let ids: Vec<HostId> = cache.entries.keys().copied().collect();
                 for id in ids {
                     cache.mark_hard(id);
+                    dirty.insert(id);
                 }
                 for h in self.pool.occupied_hosts() {
                     if !cache.entries.contains_key(&h.id()) {
-                        cache.dirty.insert(h.id());
+                        dirty.insert(h.id());
                     }
                 }
                 cache.synced_epoch = self.pool.mutation_epoch();
             }
             let mut cursor = HostId(0);
-            while let Some(&id) = cache.dirty.range(cursor..).next() {
+            while let Some(&id) = dirty.range(cursor..).next() {
                 cursor = HostId(id.0 + 1);
                 match self.pool.host(id) {
                     Some(h) if h.is_empty() => cache.forget(id),
                     Some(h) if h.can_fit(request) => recompute(&mut cache, counters, h),
-                    Some(_) => {}
+                    Some(_) => continue,
                     None => cache.forget(id),
                 }
+                dirty.remove(&id);
             }
             while let Some(&(expires_at, id)) = cache.by_expiry.iter().next() {
                 if expires_at >= now {
@@ -951,14 +1067,16 @@ mod tests {
                     Some(h) if h.can_fit(request) => recompute(&mut cache, counters, h),
                     Some(_) => {
                         cache.detach(id);
-                        cache.dirty.insert(id);
+                        dirty.insert(id);
                     }
                     None => cache.forget(id),
                 }
             }
+            dirty
         }
 
-        /// Everything the exit cache holds, for comparing two clusters.
+        /// The entries, both orderings and the epoch of the exit cache,
+        /// for comparing two clusters.
         fn exit_cache_view(&self) -> String {
             let cache = self.exit_cache.lock();
             assert!(
@@ -968,9 +1086,41 @@ mod tests {
                 "refresh scratch must be empty between passes"
             );
             format!(
-                "{:?} {:?} {:?} {:?} {}",
-                cache.entries, cache.by_exit, cache.by_expiry, cache.dirty, cache.synced_epoch
+                "{:?} {:?} {:?} {}",
+                cache.entries, cache.by_exit, cache.by_expiry, cache.synced_epoch
             )
+        }
+
+        /// The hosts awaiting a recompute after a pass (see
+        /// [`ExitCache::dirty_set`]); every parking key must be the
+        /// host's free CPU.
+        fn dirty_hosts(&self) -> BTreeSet<HostId> {
+            let cache = self.exit_cache.lock();
+            assert_eq!(cache.synced_epoch, self.pool.mutation_epoch());
+            for &(cpu, id) in &cache.parked {
+                assert_eq!(cpu, self.pool.host(id).unwrap().free().cpu_milli, "{id}");
+            }
+            cache.dirty_set()
+        }
+    }
+
+    impl ExitCache {
+        /// `pending ∪ parked` — what the oracle's one `dirty` set holds —
+        /// after checking that the two are disjoint and that the index
+        /// and the per-host keys tell the same story.
+        fn dirty_set(&self) -> BTreeSet<HostId> {
+            let mut dirty = self.pending.clone();
+            for &(cpu, id) in &self.parked {
+                assert_eq!(self.parked_cpu[id.0 as usize], cpu, "{id} key");
+                assert!(dirty.insert(id), "{id} pending and parked");
+            }
+            let keyed = self.parked_cpu.iter().filter(|&&cpu| cpu != NOT_PARKED);
+            assert_eq!(
+                keyed.count(),
+                self.parked.len(),
+                "keys without a parked host"
+            );
+            dirty
         }
     }
 
@@ -999,6 +1149,92 @@ mod tests {
         }
     }
 
+    /// Notes every VM the wrapped predictor is handed, in hand-out order.
+    struct HandOuts<'p> {
+        inner: &'p dyn LifetimePredictor,
+        seen: Mutex<Vec<VmId>>,
+    }
+
+    impl<'p> HandOuts<'p> {
+        fn of(inner: &'p dyn LifetimePredictor) -> HandOuts<'p> {
+            HandOuts {
+                inner,
+                seen: Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl LifetimePredictor for HandOuts<'_> {
+        fn predict_remaining(&self, vm: &Vm, now: SimTime) -> Duration {
+            self.seen.lock().push(vm.id());
+            self.inner.predict_remaining(vm, now)
+        }
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn predict_remaining_batch<'a>(
+            &self,
+            vms: &mut dyn Iterator<Item = &'a Vm>,
+            now: SimTime,
+            sink: &mut dyn FnMut(&'a Vm, Duration),
+        ) {
+            let mut noted = vms.inspect(|vm| self.seen.lock().push(vm.id()));
+            self.inner.predict_remaining_batch(&mut noted, now, sink);
+        }
+    }
+
+    /// Run the oracle pass on one clone of `c` and the real pass on
+    /// another, once per way of draining a batch, and require the same
+    /// counters, cache state, dirty set and VM hand-out sequence.
+    fn assert_pass_matches_oracle(
+        c: &Cluster,
+        now: SimTime,
+        refresh: Duration,
+        repredict: bool,
+        request: Resources,
+    ) {
+        let per_host = c.clone();
+        let mut expected = CacheCounters::default();
+        let spec = HandOuts::of(&OraclePredictor);
+        let expected_dirty = per_host.refresh_exit_entries_per_host(
+            &spec,
+            now,
+            refresh,
+            repredict,
+            request,
+            &mut expected,
+        );
+        let expected_handed = spec.seen.into_inner();
+        let predictors: [&dyn LifetimePredictor; 2] = [&OraclePredictor, &PullAheadOracle];
+        for predictor in predictors {
+            let context = format!(
+                "{} at {now:?}, request {request:?}, repredict {repredict}",
+                predictor.name()
+            );
+            let real = c.clone();
+            let mut counters = CacheCounters::default();
+            let noted = HandOuts::of(predictor);
+            real.refresh_exit_entries(
+                &noted,
+                now,
+                Some(refresh),
+                repredict,
+                request,
+                &mut counters,
+            );
+            // The oracle has no notion of hosts looked at.
+            counters.examined = 0;
+            assert_eq!(counters, expected, "{context}");
+            assert_eq!(
+                real.exit_cache_view(),
+                per_host.exit_cache_view(),
+                "{context}"
+            );
+            assert_eq!(real.dirty_hosts(), expected_dirty, "{context}");
+            assert_eq!(noted.seen.into_inner(), expected_handed, "{context}");
+        }
+    }
+
     mod refresh_parity {
         use super::*;
         use crate::nilas::NilasPolicy;
@@ -1006,16 +1242,25 @@ mod tests {
         use proptest::prelude::*;
         use std::sync::Arc;
 
+        /// First id of the VMs placed straight into the pool, which the
+        /// arena never hears of.
+        const BYPASS_ID_BASE: u64 = 1 << 20;
+
         proptest! {
             /// Over random placements, exits and clock advances (the grid
-            /// of `tests/scan_parity.rs`), the batched refresh pass leaves
-            /// the entries, both orderings, the dirty set and the counters
-            /// that recomputing host by host leaves — for requests that
-            /// fit everywhere, somewhere and nowhere, with and without
+            /// of `tests/scan_parity.rs`) plus hosts withheld and released
+            /// through `host_mut`, VMs placed and removed behind the
+            /// cluster's back, and hosts emptied outright — all with hosts
+            /// parked — the real refresh pass leaves the entries, both
+            /// orderings, the hosts awaiting a recompute and the counters
+            /// that walking one dirty set and recomputing host by host
+            /// leaves, and hands the predictor the same VMs in the same
+            /// order: for requests that fit everywhere, somewhere and
+            /// nowhere, short of CPU or only of memory, with and without
             /// repredictions, whichever way the predictor drains a batch.
             #[test]
-            fn batched_pass_matches_per_host_recompute(
-                ops in proptest::collection::vec((0u8..5, 0u64..600, 1u64..16, 1u64..8), 1..60),
+            fn pass_matches_per_host_recompute_of_one_dirty_set(
+                ops in proptest::collection::vec((0u8..9, 0u64..600, 1u64..16, 1u64..8), 1..60),
             ) {
                 let refresh = Duration::from_mins(1);
                 let mut policy = NilasPolicy::with_defaults(Arc::new(OraclePredictor::new()));
@@ -1023,57 +1268,91 @@ mod tests {
                     Cluster::with_uniform_hosts(12, HostSpec::new(Resources::cores_gib(32, 128)));
                 let mut now = SimTime::ZERO;
                 let mut next_id = 0u64;
+                let mut bypassed: Vec<VmId> = Vec::new();
                 for (action, delay, hours, cores) in ops {
                     now += Duration::from_secs(delay);
-                    if action < 3 {
-                        let v = Vm::new(
-                            VmId(next_id),
-                            VmSpec::builder(Resources::cores_gib(cores, cores * 4)).build(),
-                            now,
-                            Duration::from_hours(hours * hours),
-                        );
-                        next_id += 1;
-                        for request in [
-                            v.resources(),
-                            Resources::ZERO,
-                            Resources::cores_gib(16, 64),
-                            Resources::cores_gib(64, 256),
-                        ] {
-                            for repredict in [true, false] {
-                                let per_host = c.clone();
-                                let mut expected = CacheCounters::default();
-                                per_host.refresh_exit_entries_per_host(
-                                    &OraclePredictor, now, refresh, repredict, request, &mut expected,
-                                );
-                                let predictors: [&dyn LifetimePredictor; 2] =
-                                    [&OraclePredictor, &PullAheadOracle];
-                                for predictor in predictors {
-                                    let batched = c.clone();
-                                    let mut counters = CacheCounters::default();
-                                    batched.refresh_exit_entries(
-                                        predictor, now, Some(refresh), repredict, request, &mut counters,
-                                    );
-                                    prop_assert_eq!(counters, expected);
-                                    prop_assert_eq!(
-                                        batched.exit_cache_view(),
-                                        per_host.exit_cache_view(),
-                                        "{} at {:?}, request {:?}, repredict {}",
-                                        predictor.name(), now, request, repredict
-                                    );
+                    let pick = hours as usize * 7 + cores as usize;
+                    match action {
+                        0..=3 => {
+                            let v = Vm::new(
+                                VmId(next_id),
+                                VmSpec::builder(Resources::cores_gib(cores, cores * 4)).build(),
+                                now,
+                                Duration::from_hours(hours * hours),
+                            );
+                            next_id += 1;
+                            let requests = [
+                                v.resources(),
+                                Resources::ZERO,
+                                Resources::cores_gib(16, 64),
+                                Resources::cores_gib(64, 256),
+                                // CPU on most hosts, memory on few or none.
+                                Resources::cores_gib(1, 112),
+                                Resources::cores_gib(0, 256),
+                            ];
+                            for request in requests {
+                                for repredict in [true, false] {
+                                    assert_pass_matches_oracle(&c, now, refresh, repredict, request);
                                 }
                             }
+                            // A probe that finds no room leaves hosts
+                            // parked in the state the next steps start from.
+                            c.refresh_exit_entries(
+                                &OraclePredictor,
+                                now,
+                                Some(refresh),
+                                true,
+                                requests[2 + pick % 4],
+                                &mut CacheCounters::default(),
+                            );
+                            if let Some(host) = policy.choose_host(&c, &v, now, None) {
+                                let id = v.id();
+                                c.place(v, host).unwrap();
+                                policy.on_vm_placed(&mut c, id, host, now);
+                            }
                         }
-                        if let Some(host) = policy.choose_host(&c, &v, now, None) {
-                            let id = v.id();
-                            c.place(v, host).unwrap();
-                            policy.on_vm_placed(&mut c, id, host, now);
+                        4 | 5 => {
+                            let live: Vec<VmId> = c.vms().map(|v| v.id()).collect();
+                            if !live.is_empty() {
+                                let victim = live[pick % live.len()];
+                                let (_, host) = c.remove(victim).unwrap();
+                                policy.on_vm_exited(&mut c, host, now);
+                            }
                         }
-                    } else {
-                        let live: Vec<VmId> = c.vms().map(|v| v.id()).collect();
-                        if !live.is_empty() {
-                            let victim = live[(hours as usize * 7 + cores as usize) % live.len()];
-                            let (_, host) = c.remove(victim).unwrap();
-                            policy.on_vm_exited(&mut c, host, now);
+                        6 => {
+                            // Every VM the cluster knows of on one host.
+                            let host = HostId(pick as u64 % 12);
+                            let on_host: Vec<VmId> = c
+                                .vms()
+                                .filter(|v| v.host() == Some(host))
+                                .map(|v| v.id())
+                                .collect();
+                            for victim in on_host {
+                                c.remove(victim).unwrap();
+                                policy.on_vm_exited(&mut c, host, now);
+                            }
+                        }
+                        7 => {
+                            let mut host = c.host_mut(HostId(pick as u64 % 12)).unwrap();
+                            let withheld = host.is_unavailable();
+                            host.set_unavailable(!withheld);
+                        }
+                        _ => {
+                            if cores % 2 == 0 && !bypassed.is_empty() {
+                                let victim = bypassed.swap_remove(pick % bypassed.len());
+                                c.pool_mut().remove_vm(victim).unwrap();
+                            } else {
+                                let id = VmId(BYPASS_ID_BASE + next_id);
+                                next_id += 1;
+                                let placed = c.pool_mut().place_vm(
+                                    HostId(pick as u64 % 12),
+                                    id,
+                                    Resources::cores_gib(cores, cores * 4),
+                                );
+                                if placed.is_ok() {
+                                    bypassed.push(id);
+                                }
+                            }
                         }
                     }
                 }
@@ -1081,7 +1360,7 @@ mod tests {
         }
 
         #[test]
-        fn batched_pass_matches_after_a_pool_bypass() {
+        fn pass_matches_after_a_pool_bypass() {
             // A VM the pool holds but the arena does not (placed behind the
             // cluster's back) is counted but never handed to the predictor:
             // the per-host hand-out notes must not slip because of it.
@@ -1093,16 +1372,7 @@ mod tests {
                 .unwrap();
             c.place(vm(3, 20), HostId(0)).unwrap();
             let refresh = Duration::from_mins(1);
-            let per_host = c.clone();
-            let mut expected = CacheCounters::default();
-            per_host.refresh_exit_entries_per_host(
-                &OraclePredictor,
-                SimTime::ZERO,
-                refresh,
-                true,
-                Resources::ZERO,
-                &mut expected,
-            );
+            assert_pass_matches_oracle(&c, SimTime::ZERO, refresh, true, Resources::ZERO);
             let mut counters = CacheCounters::default();
             c.refresh_exit_entries(
                 &PullAheadOracle,
@@ -1112,14 +1382,187 @@ mod tests {
                 Resources::ZERO,
                 &mut counters,
             );
-            assert_eq!(counters, expected);
             assert_eq!(counters.predictions, 4, "three records and the bypass VM");
-            assert_eq!(c.exit_cache_view(), per_host.exit_cache_view());
+            assert_eq!(counters.examined, 2);
             assert_eq!(
                 c.exit_cache_lock().valid_exit(HostId(0), SimTime::ZERO),
                 Some(SimTime::ZERO + Duration::from_hours(20))
             );
         }
+    }
+
+    /// One refresh pass with default settings; returns its counters.
+    fn pass(c: &Cluster, now: SimTime, request: Resources) -> CacheCounters {
+        let mut counters = CacheCounters::default();
+        c.refresh_exit_entries(
+            &OraclePredictor,
+            now,
+            Some(Duration::from_mins(1)),
+            true,
+            request,
+            &mut counters,
+        );
+        counters
+    }
+
+    #[test]
+    fn parked_hosts_cost_nothing_until_a_request_has_their_cpu() {
+        use crate::nilas::NilasPolicy;
+        use crate::policy::PlacementPolicy;
+        use std::sync::Arc;
+
+        const FULL: u64 = 500;
+        const ROOMY: u64 = 12;
+        let mut policy = NilasPolicy::with_defaults(Arc::new(OraclePredictor::new()));
+        let mut c = Cluster::with_uniform_hosts(
+            (FULL + ROOMY) as usize,
+            HostSpec::new(Resources::cores_gib(32, 128)),
+        );
+        let resident = |id: u64, cores: u64| {
+            Vm::new(
+                VmId(id),
+                VmSpec::builder(Resources::cores_gib(cores, cores * 4)).build(),
+                SimTime::ZERO,
+                Duration::from_hours(1000),
+            )
+        };
+        for h in 0..FULL + ROOMY {
+            let cores = if h < FULL { 32 } else { 16 };
+            c.place(resident(h, cores), HostId(h)).unwrap();
+            policy.on_vm_placed(&mut c, VmId(h), HostId(h), SimTime::ZERO);
+        }
+
+        // 200 one-core arrivals, each leaving eight steps later: only the
+        // twelve half-full hosts ever have room.
+        let mut now = SimTime::ZERO;
+        let mut total = 0;
+        for i in 0..200u64 {
+            now += Duration::from_secs(20);
+            let v = Vm::new(
+                VmId(1000 + i),
+                VmSpec::builder(Resources::cores_gib(1, 4)).build(),
+                now,
+                Duration::from_mins(30),
+            );
+            let expired = {
+                let cache = c.exit_cache_lock();
+                cache.by_expiry.iter().take_while(|e| e.0 < now).count() as u64
+            };
+            // Since the last pass: one placement and at most one exit.
+            let changed = c.exit_cache_lock().pending.len() as u64;
+            assert!(changed <= 2, "step {i}: {changed} hosts changed");
+            let before = policy.stats().refresh_examined;
+            let host = policy.choose_host(&c, &v, now, None).expect("room");
+            let examined = policy.stats().refresh_examined - before;
+            assert!(host.0 >= FULL, "step {i}: placed on a full host");
+            assert!(
+                examined <= changed + expired + ROOMY,
+                "step {i}: looked at {examined} hosts ({changed} changed, {expired} expired)"
+            );
+            total += examined;
+            c.place(v, host).unwrap();
+            policy.on_vm_placed(&mut c, VmId(1000 + i), host, now);
+            if i >= 8 {
+                let (_, host) = c.remove(VmId(1000 + i - 8)).unwrap();
+                policy.on_vm_exited(&mut c, host, now);
+            }
+        }
+        // Each full host was looked at when its first entry expired, and
+        // has sat parked under zero free CPU since.
+        assert_eq!(c.exit_cache_lock().parked.len() as u64, FULL);
+        assert!(total <= FULL + 200 * (2 + ROOMY), "{total} hosts looked at");
+
+        // A request for more CPU than any host has free looks at the host
+        // that just changed, parks it, and then at nothing at all; one
+        // for no CPU has every parked host looked at, whatever else it
+        // asks for.
+        let huge = Resources::cores_gib(64, 256);
+        pass(&c, now, huge);
+        let parked = c.exit_cache_lock().parked.len() as u64;
+        assert!(parked >= FULL);
+        assert_eq!(pass(&c, now, huge), CacheCounters::default());
+        let memory_only = pass(&c, now, Resources::cores_gib(0, 256));
+        assert_eq!((memory_only.examined, memory_only.misses), (parked, 0));
+    }
+
+    #[test]
+    fn parked_host_lifecycle() {
+        let mut c = cluster();
+        let big = |id: u64, cores: u64, gib: u64| {
+            Vm::new(
+                VmId(id),
+                VmSpec::builder(Resources::cores_gib(cores, gib)).build(),
+                SimTime::ZERO,
+                Duration::from_hours(10),
+            )
+        };
+        // Host 0 keeps CPU but no memory, host 1 neither, host 2 both.
+        c.place(big(1, 4, 128), HostId(0)).unwrap();
+        c.place(big(2, 32, 128), HostId(1)).unwrap();
+        c.place(big(3, 4, 16), HostId(2)).unwrap();
+        let request = Resources::cores_gib(4, 16);
+        let now = SimTime::ZERO;
+        let first = pass(&c, now, request);
+        assert_eq!((first.examined, first.misses), (3, 1));
+        let parked = |c: &Cluster| -> Vec<(u64, HostId)> {
+            c.exit_cache_lock().parked.iter().copied().collect()
+        };
+        assert_eq!(parked(&c), [(0, HostId(1)), (28_000, HostId(0))]);
+
+        // Host 0 has the CPU, so it is looked at again and stays; host 1
+        // is below the range.
+        let second = pass(&c, now, request);
+        assert_eq!((second.examined, second.misses), (1, 0));
+        assert_eq!(parked(&c).len(), 2);
+
+        // Withholding and releasing a host moves no capacity, hence no
+        // key: feasibility is asked afresh each time.
+        c.place(big(4, 20, 16), HostId(2)).unwrap();
+        c.host_mut(HostId(2)).unwrap().set_unavailable(true);
+        let withheld = pass(&c, now, request);
+        assert_eq!((withheld.examined, withheld.misses), (2, 0));
+        assert_eq!(parked(&c).len(), 3);
+        c.host_mut(HostId(2)).unwrap().set_unavailable(false);
+        let released = pass(&c, now, request);
+        assert_eq!((released.examined, released.misses), (2, 1));
+        assert_eq!(parked(&c).len(), 2);
+
+        // A parked host that empties leaves the index and the cache.
+        c.remove(VmId(2)).unwrap();
+        assert_eq!(parked(&c), [(28_000, HostId(0))]);
+        assert!(c.exit_cache_lock().dirty_set().contains(&HostId(0)));
+        assert!(!c.exit_cache_lock().dirty_set().contains(&HostId(1)));
+
+        // A change behind the cluster's back unparks whatever is left.
+        c.pool_mut().remove_vm(VmId(1)).unwrap();
+        let flushed = pass(&c, now, request);
+        assert_eq!((flushed.examined, flushed.misses), (1, 1));
+        assert!(parked(&c).is_empty());
+        assert!(c.exit_cache_lock().dirty_set().is_empty());
+        assert!(c.exit_cache_lock().valid_exit(HostId(0), now).is_none());
+    }
+
+    #[test]
+    fn parking_keys_are_sized_to_the_pool() {
+        let keys = |c: &Cluster| c.exit_cache_lock().parked_cpu.len();
+        let mut c = cluster();
+        assert_eq!(keys(&c), 4);
+        // A host added through `pool_mut` gets its key when it is first
+        // parked, or when `reserve_vm_capacity` sizes for the pool again.
+        let spec = HostSpec::new(Resources::cores_gib(32, 128));
+        let added = c.pool_mut().add_host(spec);
+        c.place(vm(1, 5), added).unwrap();
+        pass(&c, SimTime::ZERO, Resources::cores_gib(64, 256));
+        assert_eq!(keys(&c), 5);
+        assert_eq!(c.exit_cache_lock().dirty_set(), BTreeSet::from([added]));
+        c.pool_mut().add_host(spec);
+        c.reserve_vm_capacity(16, 4);
+        assert_eq!(keys(&c), 6);
+        // A host the pool never had is forgotten by the next pass.
+        c.invalidate_exit(HostId(u64::MAX));
+        pass(&c, SimTime::ZERO, Resources::ZERO);
+        assert_eq!(keys(&c), 6);
+        assert!(c.exit_cache_lock().dirty_set().is_empty());
     }
 
     #[test]

@@ -79,6 +79,10 @@ pub struct NilasStats {
     pub cache_hits: u64,
     /// Number of host scores recomputed.
     pub cache_misses: u64,
+    /// Number of hosts the cache refresh passes looked at (changed, parked
+    /// with CPU room for the request, or expired) — the work a placement
+    /// pays before it scores anything.
+    pub refresh_examined: u64,
 }
 
 impl NilasStats {
@@ -87,6 +91,7 @@ impl NilasStats {
         self.predictions += counters.predictions;
         self.cache_hits += counters.hits;
         self.cache_misses += counters.misses;
+        self.refresh_examined += counters.examined;
     }
 }
 

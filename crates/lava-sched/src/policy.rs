@@ -65,6 +65,10 @@ pub struct CacheCounters {
     pub misses: u64,
     /// Individual VM lifetime predictions issued.
     pub predictions: u64,
+    /// Hosts a refresh pass looked at: the ones that changed since the
+    /// last pass, the parked ones with CPU room for the request, and the
+    /// ones whose entry expired.
+    pub examined: u64,
 }
 
 /// When a lifetime-aware policy should stop trusting its model: once the
