@@ -3,16 +3,10 @@
 //! standing population (Section 5 reports 10-100 requests/second per
 //! cluster with negligible added latency from lifetime scoring).
 //!
-//! For NILAS and LAVA two variants are measured:
-//!
-//! * `linear` — the seed implementation: score every feasible host;
-//! * `indexed` — the candidate-index path: walk Algorithm 3's preference
-//!   levels / the exit-time order and stop early.
-//!
-//! Both variants produce identical placement decisions (asserted here on
-//! sample requests and property-tested in `tests/scan_parity.rs`); the
-//! benchmark demonstrates the complexity difference. A speedup summary is
-//! printed at the end.
+//! NILAS and LAVA walk Algorithm 3's preference levels / the exit-time
+//! order through the candidate indexes and stop early; that the walk picks
+//! the host a brute-force scoring of every feasible host picks is
+//! property-tested in `tests/scan_parity.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lava_core::host::HostSpec;
@@ -21,41 +15,11 @@ use lava_core::time::{Duration, SimTime};
 use lava_core::vm::{Vm, VmId, VmSpec};
 use lava_model::predictor::{LifetimePredictor, OraclePredictor};
 use lava_sched::cluster::Cluster;
-use lava_sched::lava::{LavaConfig, LavaPolicy};
-use lava_sched::nilas::{NilasConfig, NilasPolicy};
-use lava_sched::policy::{CandidateScan, PlacementPolicy};
 use lava_sched::scheduler::Scheduler;
 use lava_sched::Algorithm;
 use std::sync::Arc;
 
 const SIZES: &[usize] = &[100, 1_000, 10_000];
-
-fn make_policy(
-    algorithm: Algorithm,
-    scan: CandidateScan,
-    predictor: Arc<dyn LifetimePredictor>,
-) -> Box<dyn PlacementPolicy> {
-    match algorithm {
-        Algorithm::Nilas => Box::new(NilasPolicy::new(
-            predictor,
-            NilasConfig {
-                scan,
-                ..NilasConfig::default()
-            },
-        )),
-        Algorithm::Lava => Box::new(LavaPolicy::new(
-            predictor,
-            LavaConfig {
-                nilas: NilasConfig {
-                    scan,
-                    ..NilasConfig::default()
-                },
-                ..LavaConfig::default()
-            },
-        )),
-        other => other.build_policy(predictor),
-    }
-}
 
 fn standing_vm(i: u64, now: SimTime) -> Vm {
     let cores = if i.is_multiple_of(3) { 2 } else { 4 };
@@ -69,23 +33,17 @@ fn standing_vm(i: u64, now: SimTime) -> Vm {
     )
 }
 
-/// Build a scheduler with a standing population of ~3 VMs per host,
-/// always placed through the indexed scan (placement decisions are
-/// identical in both modes, and building linearly at 10k hosts would
-/// dominate the benchmark's setup time).
-fn build_scheduler(algorithm: Algorithm, hosts: usize, scan: CandidateScan) -> Scheduler {
+/// Build a scheduler with a standing population of ~3 VMs per host.
+fn build_scheduler(algorithm: Algorithm, hosts: usize) -> Scheduler {
     let cluster = Cluster::with_uniform_hosts(hosts, HostSpec::new(Resources::cores_gib(64, 256)));
     let predictor: Arc<dyn LifetimePredictor> = Arc::new(OraclePredictor::new());
     let mut scheduler = Scheduler::new(
         cluster,
-        make_policy(algorithm, CandidateScan::Indexed, predictor.clone()),
-        predictor.clone(),
+        algorithm.build_policy(predictor.clone()),
+        predictor,
     );
     for i in 0..(hosts as u64 * 3) {
         let _ = scheduler.schedule(standing_vm(i, SimTime::ZERO), SimTime::ZERO);
-    }
-    if scan == CandidateScan::Linear {
-        scheduler.set_policy(make_policy(algorithm, scan, predictor));
     }
     scheduler
 }
@@ -101,43 +59,16 @@ fn bench_request(next_id: u64, now: SimTime) -> Vm {
     )
 }
 
-/// Assert that the indexed and linear scans agree on a handful of sample
-/// requests against the standing population.
-fn assert_parity(algorithm: Algorithm, hosts: usize) {
-    let scheduler = build_scheduler(algorithm, hosts, CandidateScan::Indexed);
-    let cluster = scheduler.cluster();
-    let predictor: Arc<dyn LifetimePredictor> = Arc::new(OraclePredictor::new());
-    let now = SimTime::ZERO + Duration::from_hours(1);
-    for (i, hours) in [(0u64, 1u64), (1, 8), (2, 40), (3, 400)] {
-        let vm = Vm::new(
-            VmId(1_000_000 + i),
-            VmSpec::builder(Resources::cores_gib(2, 8))
-                .category(2)
-                .build(),
-            now,
-            Duration::from_hours(hours),
-        );
-        let mut indexed = make_policy(algorithm, CandidateScan::Indexed, predictor.clone());
-        let mut linear = make_policy(algorithm, CandidateScan::Linear, predictor.clone());
-        let a = indexed.choose_host(cluster, &vm, now, None);
-        let b = linear.choose_host(cluster, &vm, now, None);
-        assert_eq!(
-            a, b,
-            "{algorithm} parity violated at {hosts} hosts ({hours}h vm)"
-        );
-    }
-}
-
 fn run_benches(c: &mut Criterion) {
-    for algorithm in [Algorithm::Nilas, Algorithm::Lava] {
-        assert_parity(algorithm, 1_000);
-    }
-    println!("parity check passed: indexed and linear scans choose identical hosts");
-
     let mut group = c.benchmark_group("scheduling_throughput");
     for &hosts in SIZES {
-        for algorithm in [Algorithm::Baseline, Algorithm::LaBinary] {
-            let mut scheduler = build_scheduler(algorithm, hosts, CandidateScan::Indexed);
+        for algorithm in [
+            Algorithm::Baseline,
+            Algorithm::LaBinary,
+            Algorithm::Nilas,
+            Algorithm::Lava,
+        ] {
+            let mut scheduler = build_scheduler(algorithm, hosts);
             let mut next_id = 10_000_000u64;
             let now = SimTime::ZERO + Duration::from_hours(1);
             group.bench_with_input(
@@ -154,53 +85,8 @@ fn run_benches(c: &mut Criterion) {
                 },
             );
         }
-        for algorithm in [Algorithm::Nilas, Algorithm::Lava] {
-            for scan in [CandidateScan::Linear, CandidateScan::Indexed] {
-                let label = match scan {
-                    CandidateScan::Linear => "linear",
-                    CandidateScan::Indexed => "indexed",
-                };
-                let mut scheduler = build_scheduler(algorithm, hosts, scan);
-                let mut next_id = 10_000_000u64;
-                let now = SimTime::ZERO + Duration::from_hours(1);
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{algorithm}-{label}"), hosts),
-                    &hosts,
-                    |b, _| {
-                        b.iter(|| {
-                            let placed = scheduler.schedule(bench_request(next_id, now), now);
-                            next_id += 1;
-                            if placed.is_ok() {
-                                let _ = scheduler.exit(VmId(next_id - 1), now);
-                            }
-                        });
-                    },
-                );
-            }
-        }
     }
     group.finish();
-
-    // Speedup summary: indexed vs linear per algorithm and size.
-    println!();
-    for algorithm in ["nilas", "lava"] {
-        for &hosts in SIZES {
-            let find = |label: &str| {
-                c.reports()
-                    .iter()
-                    .find(|r| r.id == format!("scheduling_throughput/{algorithm}-{label}/{hosts}"))
-                    .map(|r| r.median_ns)
-            };
-            if let (Some(linear), Some(indexed)) = (find("linear"), find("indexed")) {
-                println!(
-                    "speedup {algorithm:>6} @ {hosts:>6} hosts: {:>6.2}x  (linear {:.0} ns -> indexed {:.0} ns)",
-                    linear / indexed,
-                    linear,
-                    indexed
-                );
-            }
-        }
-    }
 }
 
 criterion_group!(benches, run_benches);

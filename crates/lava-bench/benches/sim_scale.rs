@@ -12,12 +12,6 @@
 //!   RSS is recorded for both; tripling the horizon must leave peak
 //!   memory flat (the O(read-buffer) guarantee). These rows run first
 //!   because peak RSS is process-monotonic.
-//! * **layout head-to-head** — the same materialised event stream is
-//!   replayed through the pre-refactor pointer-chasing layout
-//!   ([`lava_bench::ReferenceCluster`]: per-host `BTreeMap`s, `BTreeMap`
-//!   VM registry/index) and through the live arena/SoA state, with the
-//!   identical most-free first-fit rule. Decision digests must match
-//!   bit-for-bit and the SoA layout must win by >= 1.3x events/sec.
 //! * **engine** — placement is a trivial most-free-first walk of the
 //!   pool's free-capacity index (O(1) amortised), so the row isolates the
 //!   engine itself: source generation, timeline ordering, cluster
@@ -42,8 +36,7 @@
 //!
 //! Usage: `cargo bench -p lava-bench --bench sim_scale -- [--quick] [--json BENCH_sim_scale.json]`
 
-use lava_bench::{replay_soa, MostFreeFirstPolicy, ReferenceCluster};
-use lava_core::arena::VmArena;
+use lava_bench::MostFreeFirstPolicy;
 use lava_core::pool::Pool;
 use lava_core::source::EventSource;
 use lava_core::time::Duration;
@@ -276,61 +269,6 @@ fn run_streaming_binary_row(hosts: usize, days: u64, dir: &Path) -> StreamingTra
     row
 }
 
-struct CompareOutcome {
-    events: u64,
-    reference_events_per_sec: f64,
-    soa_events_per_sec: f64,
-    speedup: f64,
-}
-
-/// Replay one materialised event stream through the pre-refactor layout
-/// and the live arena/SoA layout; digests must match and SoA must win.
-fn run_layout_head_to_head(hosts: usize, target_events: u64) -> CompareOutcome {
-    let pool_config = scale_pool(hosts, target_events);
-    let trace = WorkloadGenerator::new(pool_config.clone()).generate();
-    let events = trace.events();
-
-    let mut reference = ReferenceCluster::new(pool_config.hosts, pool_config.host_spec());
-    let started = Instant::now();
-    let ref_outcome = reference.replay(events);
-    let ref_elapsed = started.elapsed().as_secs_f64();
-
-    let mut pool = Pool::with_uniform_hosts(
-        pool_config.pool_id,
-        pool_config.hosts,
-        pool_config.host_spec(),
-    );
-    let mut vms = VmArena::new();
-    pool.reserve_vm_index(trace.vm_count() as u64 + 1);
-    vms.reserve(trace.vm_count() as u64 + 1, reference.vm_count().max(1024));
-    let started = Instant::now();
-    let soa_outcome = replay_soa(&mut pool, &mut vms, events);
-    let soa_elapsed = started.elapsed().as_secs_f64();
-
-    assert_eq!(
-        ref_outcome, soa_outcome,
-        "pre-refactor and SoA layouts diverged on the same stream"
-    );
-    let reference_events_per_sec = ref_outcome.events as f64 / ref_elapsed.max(1e-9);
-    let soa_events_per_sec = soa_outcome.events as f64 / soa_elapsed.max(1e-9);
-    let speedup = soa_events_per_sec / reference_events_per_sec.max(1e-9);
-    println!(
-        "sim_scale[layout]: {hosts} hosts, {} events; reference {:.0} events/sec, SoA {:.0} \
-         events/sec -> {speedup:.2}x (digest {:#018x}, bit-identical)",
-        ref_outcome.events, reference_events_per_sec, soa_events_per_sec, soa_outcome.digest
-    );
-    assert!(
-        speedup >= 1.3,
-        "SoA layout must beat the pre-refactor layout by >= 1.3x (got {speedup:.2}x)"
-    );
-    CompareOutcome {
-        events: ref_outcome.events,
-        reference_events_per_sec,
-        soa_events_per_sec,
-        speedup,
-    }
-}
-
 /// In-bench parity assert: the two source modes must produce bit-identical
 /// results for the same spec before we bother timing anything.
 fn assert_source_parity() {
@@ -431,10 +369,6 @@ fn main() {
     assert_source_parity();
     assert_trace_format_parity();
 
-    // Layout head-to-head at the engine row's host count.
-    let compare_events = if config.quick { 300_000 } else { 1_200_000 };
-    let compare = run_layout_head_to_head(config.hosts, compare_events);
-
     // Engine row: full scale, trivial placement (10M+ events in full mode).
     let engine_pool = scale_pool(config.hosts, config.target_events);
     println!(
@@ -484,10 +418,7 @@ fn main() {
         let json = format!(
             "{{\n  \"mode\": \"{}\",\n  \"streaming_binary_trace\": {{\n    \"hosts\": {},\n    \
              \"rows\": [{}, {}],\n    \"peak_rss_delta_kb\": {},\n    \
-             \"peak_rss_slack_kb\": {}\n  }},\n  \"layout_head_to_head\": {{\n    \
-             \"hosts\": {},\n    \"events\": {},\n    \
-             \"reference_events_per_sec\": {:.0},\n    \"soa_events_per_sec\": {:.0},\n    \
-             \"speedup\": {:.3}\n  }},\n  \"engine\": {{\n    \"hosts\": {},\n    \
+             \"peak_rss_slack_kb\": {}\n  }},\n  \"engine\": {{\n    \"hosts\": {},\n    \
              \"events\": {},\n    \"elapsed_seconds\": {:.3},\n    \"events_per_sec\": {:.0},\n    \
              \"max_pending_events\": {},\n    \"placed\": {},\n    \"rejected\": {}\n  }},\n  \
              \"nilas\": {{\n    \"hosts\": {},\n    \"events\": {},\n    \
@@ -499,11 +430,6 @@ fn main() {
             streaming_row(&rss_90),
             rss_delta_kb,
             rss_slack_kb,
-            config.hosts,
-            compare.events,
-            compare.reference_events_per_sec,
-            compare.soa_events_per_sec,
-            compare.speedup,
             engine_pool.hosts,
             engine.events,
             engine.elapsed,

@@ -7,8 +7,6 @@
 //! * `--days N` — trace duration in days,
 //! * `--hosts N` — hosts per pool (overrides the fleet defaults),
 //! * `--seed N` — base RNG seed,
-//! * `--scan indexed|linear` — candidate-scan mode for the policies
-//!   (affects NILAS/LAVA; the baselines and LA-Binary have a single scan),
 //! * `--threads N` — worker threads for sweep suites and fleet cells
 //!   (0 = one per CPU); per-arm and per-cell results are bit-identical at
 //!   any thread count,
@@ -28,7 +26,6 @@
 //! * `--quick` — the smallest sensible settings (for CI smoke runs).
 
 use lava_core::time::Duration;
-use lava_sched::policy::CandidateScan;
 use lava_sim::fleet::RouterSpec;
 
 /// Parsed experiment arguments with scale-aware defaults.
@@ -42,9 +39,6 @@ pub struct ExperimentArgs {
     pub hosts: Option<usize>,
     /// Base RNG seed.
     pub seed: u64,
-    /// Candidate-scan mode for the placement policies (NILAS/LAVA only —
-    /// the lifetime-agnostic policies and LA-Binary ignore it).
-    pub scan: CandidateScan,
     /// Worker threads for sweep suites and fleet cells (0 = one per
     /// available CPU). Results are bit-identical per arm and per cell
     /// regardless of the thread count.
@@ -72,7 +66,6 @@ impl Default for ExperimentArgs {
             duration: Duration::from_days(14),
             hosts: None,
             seed: 1,
-            scan: CandidateScan::default(),
             threads: 0,
             cells: 1,
             router: RouterSpec::default(),
@@ -110,18 +103,14 @@ impl ExperimentArgs {
                     i += 1;
                 }
                 "--hosts" => {
-                    parsed.hosts = value(i).and_then(|v| v.parse().ok());
+                    if let Some(v) = value(i).and_then(|v| v.parse().ok()) {
+                        parsed.hosts = Some(v);
+                    }
                     i += 1;
                 }
                 "--seed" => {
                     if let Some(v) = value(i).and_then(|v| v.parse().ok()) {
                         parsed.seed = v;
-                    }
-                    i += 1;
-                }
-                "--scan" => {
-                    if let Some(v) = value(i).and_then(|v| v.parse().ok()) {
-                        parsed.scan = v;
                     }
                     i += 1;
                 }
@@ -182,7 +171,6 @@ mod tests {
     fn defaults_without_flags() {
         let args = ExperimentArgs::parse(Vec::<String>::new());
         assert_eq!(args, ExperimentArgs::default());
-        assert_eq!(args.scan, CandidateScan::Indexed);
         // The fleet flags default to the single-cluster engine, so every
         // pre-fleet binary invocation is unchanged.
         assert_eq!(args.cells, 1);
@@ -211,8 +199,6 @@ mod tests {
             "7",
             "--hosts",
             "50",
-            "--scan",
-            "linear",
             "--threads",
             "4",
         ]);
@@ -220,25 +206,7 @@ mod tests {
         assert_eq!(args.duration, Duration::from_days(3));
         assert_eq!(args.seed, 7);
         assert_eq!(args.hosts, Some(50));
-        assert_eq!(args.scan, CandidateScan::Linear);
         assert_eq!(args.threads, 4);
-    }
-
-    #[test]
-    fn scan_flag_accepts_both_modes_case_insensitively() {
-        assert_eq!(
-            ExperimentArgs::parse(["--scan", "Indexed"]).scan,
-            CandidateScan::Indexed
-        );
-        assert_eq!(
-            ExperimentArgs::parse(["--scan", "LINEAR"]).scan,
-            CandidateScan::Linear
-        );
-        // Malformed values keep the default.
-        assert_eq!(
-            ExperimentArgs::parse(["--scan", "quantum"]).scan,
-            CandidateScan::Indexed
-        );
     }
 
     #[test]
@@ -271,5 +239,9 @@ mod tests {
     fn malformed_values_fall_back_to_defaults() {
         let args = ExperimentArgs::parse(["--pools", "not-a-number"]);
         assert_eq!(args.pools, ExperimentArgs::default().pools);
+        // `--hosts` too keeps what it had: here the `--quick` preset.
+        let quick = ExperimentArgs::parse(["--quick", "--hosts", "abc"]);
+        assert_eq!(quick.hosts, Some(32));
+        assert_eq!(ExperimentArgs::parse(["--hosts", "abc"]).hosts, None);
     }
 }

@@ -191,7 +191,6 @@ fn main() {
                 .tick_interval(Duration::from_mins(30))
                 .predictor(PredictorSpec::Oracle)
                 .algorithm(Algorithm::Nilas)
-                .scan(args.scan)
                 .fleet(fleet(router))
                 .incidents(plan.clone())
                 .adaptation(*adaptation)

@@ -7,11 +7,11 @@
 //! out across `--threads` workers. Per-arm results are bit-identical to a
 //! serial run; same-pool experiments share one generated trace.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig06_empty_hosts -- [--pools N] [--days N] [--scan indexed|linear] [--threads N] [--full|--quick]`
+//! Usage: `cargo run --release -p lava-bench --bin fig06_empty_hosts -- [--pools N] [--days N] [--threads N] [--full|--quick]`
 
-use lava_bench::{improvement_pp, policy_spec, suite_from_specs, ExperimentArgs, PredictorKind};
+use lava_bench::{improvement_pp, suite_from_specs, ExperimentArgs, PredictorKind};
 use lava_sched::Algorithm;
-use lava_sim::experiment::Experiment;
+use lava_sim::experiment::{Experiment, PolicySpec};
 use lava_sim::workload::PoolConfig;
 
 fn main() {
@@ -30,11 +30,10 @@ fn main() {
 
     println!("# Figure 6: empty-host improvement over the production baseline (percentage points)");
     println!(
-        "# pools={} days={:.0} hosts={:?} scan={} threads={}",
+        "# pools={} days={:.0} hosts={:?} threads={}",
         pools.len(),
         args.duration.as_days(),
         args.hosts,
-        args.scan,
         args.threads
     );
     println!(
@@ -53,8 +52,8 @@ fn main() {
     // same pool adopt each other's trace automatically.
     let specs = pools.iter().flat_map(|pool| {
         predictors.map(|kind| {
-            let mut arms = vec![policy_spec(Algorithm::Baseline, &args)];
-            arms.extend(algorithms.iter().map(|&a| policy_spec(a, &args)));
+            let mut arms = vec![PolicySpec::new(Algorithm::Baseline)];
+            arms.extend(algorithms.iter().map(|&a| PolicySpec::new(a)));
             Experiment::builder()
                 .name(format!("fig06-pool{}-{}", pool.pool_id.0, kind.label()))
                 .workload(pool.clone())

@@ -2,9 +2,9 @@
 //! observed vs counterfactual empty hosts, point-wise effect and cumulative
 //! effect.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig07_causal_impact -- [--seed N] [--days N] [--scan indexed|linear]`
+//! Usage: `cargo run --release -p lava-bench --bin fig07_causal_impact -- [--seed N] [--days N]`
 
-use lava_bench::{policy_spec, ExperimentArgs};
+use lava_bench::ExperimentArgs;
 use lava_core::time::{Duration, SimTime};
 use lava_sched::Algorithm;
 use lava_sim::experiment::Experiment;
@@ -24,7 +24,7 @@ fn main() {
             seed: args.seed + 7,
             ..PoolConfig::default()
         })
-        .policy(policy_spec(Algorithm::Nilas, &args))
+        .algorithm(Algorithm::Nilas)
         .warmup(switch_at)
         .pre_post()
         .run()

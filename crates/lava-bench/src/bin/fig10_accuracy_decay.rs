@@ -89,7 +89,6 @@ fn main() {
             .warmup(Duration::from_hours(12))
             .tick_interval(Duration::from_mins(30))
             .predictor(PredictorSpec::Learned)
-            .scan(args.scan)
             .incidents(incidents.clone())
             .adaptation(adaptation)
             .build()

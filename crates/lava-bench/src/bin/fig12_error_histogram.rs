@@ -2,9 +2,9 @@
 //! the log10 domain, recorded while running NILAS against a trace, with and
 //! without repredictions.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig12_error_histogram -- [--seed N] [--days N] [--scan indexed|linear]`
+//! Usage: `cargo run --release -p lava-bench --bin fig12_error_histogram -- [--seed N] [--days N]`
 
-use lava_bench::{policy_spec, ExperimentArgs};
+use lava_bench::ExperimentArgs;
 use lava_model::metrics::Histogram;
 use lava_sched::Algorithm;
 use lava_sim::experiment::{Experiment, PredictorSpec};
@@ -24,7 +24,7 @@ fn main() {
             ..PoolConfig::default()
         })
         .predictor(PredictorSpec::Learned)
-        .policy(policy_spec(Algorithm::Nilas, &args))
+        .algorithm(Algorithm::Nilas)
         .record_predictions(true)
         .run()
         .expect("valid spec");

@@ -2,11 +2,11 @@
 //! empty-to-free ratio, packing density) move together — improvements are
 //! reported relative to LA-Binary as in the paper.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig13_metric_comparison -- [--seed N] [--days N] [--scan indexed|linear]`
+//! Usage: `cargo run --release -p lava-bench --bin fig13_metric_comparison -- [--seed N] [--days N]`
 
-use lava_bench::{policy_spec, ExperimentArgs};
+use lava_bench::ExperimentArgs;
 use lava_sched::Algorithm;
-use lava_sim::experiment::Experiment;
+use lava_sim::experiment::{Experiment, PolicySpec};
 use lava_sim::workload::PoolConfig;
 
 fn main() {
@@ -22,9 +22,9 @@ fn main() {
             ..PoolConfig::default()
         })
         .ab_arms(vec![
-            policy_spec(Algorithm::LaBinary, &args),
-            policy_spec(Algorithm::Nilas, &args),
-            policy_spec(Algorithm::Lava, &args),
+            PolicySpec::new(Algorithm::LaBinary),
+            PolicySpec::new(Algorithm::Nilas),
+            PolicySpec::new(Algorithm::Lava),
         ])
         .run()
         .expect("valid spec");

@@ -5,7 +5,7 @@
 //! [--trace-out PATH] [--trace-in PATH]`
 
 use lava_bench::harness::apply_trace_io;
-use lava_bench::{policy_spec, ExperimentArgs};
+use lava_bench::ExperimentArgs;
 use lava_sched::Algorithm;
 use lava_sim::experiment::Experiment;
 use lava_sim::validation::validate;
@@ -21,7 +21,7 @@ fn main() {
             seed: args.seed + 19,
             ..PoolConfig::default()
         })
-        .policy(policy_spec(Algorithm::Baseline, &args))
+        .algorithm(Algorithm::Baseline)
         .build()
         .and_then(Experiment::new)
         .expect("valid spec");

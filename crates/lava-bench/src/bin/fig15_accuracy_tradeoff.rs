@@ -6,11 +6,11 @@
 //! [`lava_sim::suite::ExperimentSuite`]; every level replays the identical
 //! workload, so all arms share one generated trace.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig15_accuracy_tradeoff -- [--seed N] [--days N] [--scan indexed|linear] [--threads N]`
+//! Usage: `cargo run --release -p lava-bench --bin fig15_accuracy_tradeoff -- [--seed N] [--days N] [--threads N]`
 
-use lava_bench::{improvement_pp, policy_spec, suite_from_specs, ExperimentArgs};
+use lava_bench::{improvement_pp, suite_from_specs, ExperimentArgs};
 use lava_sched::Algorithm;
-use lava_sim::experiment::{Experiment, PredictorSpec};
+use lava_sim::experiment::{Experiment, PolicySpec, PredictorSpec};
 use lava_sim::workload::PoolConfig;
 
 const ACCURACY_LEVELS: [u8; 8] = [50, 60, 70, 80, 90, 95, 99, 100];
@@ -35,9 +35,9 @@ fn main() {
                 bias_pct: 0,
             })
             .ab_arms(vec![
-                policy_spec(Algorithm::Baseline, &args),
-                policy_spec(Algorithm::Nilas, &args),
-                policy_spec(Algorithm::Lava, &args),
+                PolicySpec::new(Algorithm::Baseline),
+                PolicySpec::new(Algorithm::Nilas),
+                PolicySpec::new(Algorithm::Lava),
             ])
             .build()
             .expect("valid spec")

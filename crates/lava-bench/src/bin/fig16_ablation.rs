@@ -8,11 +8,11 @@
 //! workload, so one generated trace is shared, and the learned A/B's two
 //! arms share one trained model.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig16_ablation -- [--seed N] [--days N] [--scan indexed|linear] [--threads N]`
+//! Usage: `cargo run --release -p lava-bench --bin fig16_ablation -- [--seed N] [--days N] [--threads N]`
 
-use lava_bench::{policy_spec, suite_from_specs, ExperimentArgs};
+use lava_bench::{suite_from_specs, ExperimentArgs};
 use lava_sched::Algorithm;
-use lava_sim::experiment::{Experiment, PredictorSpec};
+use lava_sim::experiment::{Experiment, PolicySpec, PredictorSpec};
 use lava_sim::validation::trace_utilization;
 use lava_sim::workload::PoolConfig;
 
@@ -29,15 +29,15 @@ fn main() {
         .name("fig16-oracle-steady")
         .workload(pool.clone())
         .ab_arms(vec![
-            policy_spec(Algorithm::Baseline, &args),
-            policy_spec(Algorithm::Nilas, &args),
+            PolicySpec::new(Algorithm::Baseline),
+            PolicySpec::new(Algorithm::Nilas),
         ])
         .build()
         .expect("valid spec");
     let cold = Experiment::builder()
         .name("fig16-nilas-oracle-ideal")
         .workload(pool.clone())
-        .policy(policy_spec(Algorithm::Nilas, &args))
+        .algorithm(Algorithm::Nilas)
         .cold_start()
         .build()
         .expect("valid spec");
@@ -46,8 +46,8 @@ fn main() {
         .workload(pool.clone())
         .predictor(PredictorSpec::Learned)
         .ab_arms(vec![
-            policy_spec(Algorithm::Nilas, &args),
-            policy_spec(Algorithm::Nilas, &args)
+            PolicySpec::new(Algorithm::Nilas),
+            PolicySpec::new(Algorithm::Nilas)
                 .without_reprediction()
                 .labeled("nilas-no-reprediction"),
         ])

@@ -7,15 +7,23 @@
 //! clock of that suite — comparable across settings at a fixed
 //! `--threads`); all settings replay identical pre-generated traces.
 //!
+//! Exits non-zero unless each cached row's mean empty-host share is within
+//! 0.5 percentage points below the no-cache row's or above it (the paper's
+//! claim: caching does not hurt packing). The runtime column is not
+//! asserted.
+//!
 //! Usage: `cargo run --release -p lava-bench --bin fig17_cache_ablation -- [--seed N] [--days N] [--pools N] [--threads N]`
 
 use lava_bench::ExperimentArgs;
-use lava_sched::policy::CandidateScan;
 use lava_sched::Algorithm;
 use lava_sim::experiment::{CachePolicy, Experiment, PolicySpec};
 use lava_sim::suite::ExperimentSuite;
 use lava_sim::workload::PoolConfig;
 use std::time::Instant;
+
+/// How far below the no-cache row a cached row's mean empty-host share may
+/// fall, in percentage points.
+const TOLERANCE_PP: f64 = 0.5;
 
 fn main() {
     let args = ExperimentArgs::from_env();
@@ -58,17 +66,14 @@ fn main() {
         })
         .collect();
 
+    let mut empty_pct = Vec::new();
     for (label, cache) in settings {
-        // Pin the linear scan so the rows differ ONLY in caching: the
-        // default indexed scan would fall back to linear for the no-cache
-        // row and attribute its own speedup to the cache.
         let specs = pools.iter().map(|pool| {
             Experiment::builder()
                 .name(format!("fig17-{label}"))
                 .workload(pool.clone())
                 .policy(
                     PolicySpec::new(Algorithm::Nilas)
-                        .with_scan(CandidateScan::Linear)
                         .with_cache(cache)
                         .labeled(format!("nilas[{label}]")),
                 )
@@ -88,13 +93,20 @@ fn main() {
             .iter()
             .map(|r| r.result.mean_empty_host_fraction())
             .sum();
-        println!(
-            "{:<16} {:>18.2} {:>16.2}",
-            label,
-            100.0 * total_empty / pools.len() as f64,
-            elapsed
-        );
+        let mean_pct = 100.0 * total_empty / pools.len() as f64;
+        println!("{label:<16} {mean_pct:>18.2} {elapsed:>16.2}");
+        empty_pct.push(mean_pct);
     }
     println!();
     println!("# Paper: caching does not hurt packing quality (it can even help slightly) while removing the re-scoring bottleneck.");
+    let no_cache = empty_pct[0];
+    for ((label, _), &cached) in settings.iter().zip(&empty_pct).skip(1) {
+        if cached < no_cache - TOLERANCE_PP {
+            eprintln!(
+                "FAIL: `{label}` averages {cached:.2} % empty hosts, more than \
+                 {TOLERANCE_PP} pp below the no-cache row's {no_cache:.2} %"
+            );
+            std::process::exit(1);
+        }
+    }
 }

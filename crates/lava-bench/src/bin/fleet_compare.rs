@@ -72,7 +72,6 @@ fn main() {
                 .name(format!("fleet-{router}-{algorithm}"))
                 .workload(workload.clone())
                 .algorithm(algorithm)
-                .scan(args.scan)
                 .fleet(heterogeneity(base_fleet.clone()).with_router(router))
                 .build()
                 .expect("valid fleet spec");

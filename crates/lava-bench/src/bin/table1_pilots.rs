@@ -5,12 +5,12 @@
 //! [`lava_sim::suite::ExperimentSuite`] fanned out across `--threads`
 //! workers; per-pilot results are bit-identical to a serial run.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin table1_pilots -- [--days N] [--seed N] [--scan indexed|linear] [--threads N]`
+//! Usage: `cargo run --release -p lava-bench --bin table1_pilots -- [--days N] [--seed N] [--threads N]`
 
-use lava_bench::{policy_spec, suite_from_specs, ExperimentArgs};
+use lava_bench::{suite_from_specs, ExperimentArgs};
 use lava_core::vm::VmFamily;
 use lava_sched::Algorithm;
-use lava_sim::experiment::Experiment;
+use lava_sim::experiment::{Experiment, PolicySpec};
 use lava_sim::workload::PoolConfig;
 
 fn main() {
@@ -48,8 +48,8 @@ fn main() {
                 ..PoolConfig::default()
             })
             .ab_arms(vec![
-                policy_spec(Algorithm::Baseline, &args),
-                policy_spec(Algorithm::Nilas, &args),
+                PolicySpec::new(Algorithm::Baseline),
+                PolicySpec::new(Algorithm::Nilas),
             ])
             .build()
             .expect("valid spec")
@@ -64,7 +64,7 @@ fn main() {
                 seed: args.seed + seed,
                 ..PoolConfig::default()
             })
-            .policy(policy_spec(Algorithm::Nilas, &args))
+            .algorithm(Algorithm::Nilas)
             .warmup(switch_at)
             .pre_post()
             .build()

@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run --release -p lava-bench --bin table2_lars -- [--days N] [--seed N]`
 
-use lava_bench::{policy_spec, ExperimentArgs};
+use lava_bench::ExperimentArgs;
 use lava_core::time::Duration;
 use lava_sched::Algorithm;
 use lava_sim::experiment::{Experiment, Scenario};
@@ -26,7 +26,7 @@ fn main() {
                 seed: *seed,
                 ..PoolConfig::default()
             })
-            .policy(policy_spec(Algorithm::Baseline, &args))
+            .algorithm(Algorithm::Baseline)
             .scenario(Scenario::Defrag {
                 empty_host_threshold: 0.25,
                 hosts_per_trigger: 10,

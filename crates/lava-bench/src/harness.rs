@@ -4,9 +4,8 @@
 //! ([`Experiment`](lava_sim::experiment::Experiment)) and the parallel
 //! [`ExperimentSuite`](lava_sim::suite::ExperimentSuite); this module
 //! keeps the thin glue the binaries share — mapping the common CLI
-//! predictor choice onto [`PredictorSpec`], threading the `--scan` flag
-//! into policy specs, building suites with the CLI thread count, and
-//! report formatting.
+//! predictor choice onto [`PredictorSpec`], building suites with the CLI
+//! thread count, and report formatting.
 
 use crate::args::ExperimentArgs;
 use lava_core::host::HostId;
@@ -14,8 +13,7 @@ use lava_core::time::SimTime;
 use lava_core::vm::Vm;
 use lava_sched::cluster::Cluster;
 use lava_sched::policy::PlacementPolicy;
-use lava_sched::Algorithm;
-use lava_sim::experiment::{ExperimentSpec, PolicySpec, PredictorSpec};
+use lava_sim::experiment::{ExperimentSpec, PredictorSpec};
 use lava_sim::fleet::{CellOverride, FleetConfig};
 use lava_sim::simulator::SimulationResult;
 use lava_sim::suite::ExperimentSuite;
@@ -82,12 +80,6 @@ impl PredictorKind {
             },
         }
     }
-}
-
-/// A [`PolicySpec`] for `algorithm` with the CLI-selected scan mode — the
-/// uniform way binaries honour `--scan`.
-pub fn policy_spec(algorithm: Algorithm, args: &ExperimentArgs) -> PolicySpec {
-    PolicySpec::new(algorithm).with_scan(args.scan)
 }
 
 /// The [`FleetConfig`] the CLI fleet flags describe — the uniform way
@@ -210,8 +202,8 @@ mod tests {
     use super::*;
     use lava_core::time::Duration;
     use lava_model::gbdt::GbdtConfig;
-    use lava_sched::policy::CandidateScan;
-    use lava_sim::experiment::Experiment;
+    use lava_sched::Algorithm;
+    use lava_sim::experiment::{Experiment, PolicySpec};
     use lava_sim::workload::PoolConfig;
 
     fn tiny_pool() -> PoolConfig {
@@ -283,26 +275,14 @@ mod tests {
     }
 
     #[test]
-    fn policy_spec_threads_scan_flag() {
-        let args = ExperimentArgs {
-            scan: CandidateScan::Linear,
-            ..ExperimentArgs::default()
-        };
-        let spec = policy_spec(Algorithm::Nilas, &args);
-        assert_eq!(spec.scan, CandidateScan::Linear);
-        assert_eq!(spec.algorithm, Algorithm::Nilas);
-    }
-
-    #[test]
     fn ab_experiment_replaces_algorithm_sweep() {
         let pool = tiny_pool();
-        let args = ExperimentArgs::default();
         let report = Experiment::builder()
             .workload(pool)
             .warmup(Duration::from_hours(6))
             .ab_arms(vec![
-                policy_spec(Algorithm::Baseline, &args),
-                policy_spec(Algorithm::Nilas, &args),
+                PolicySpec::new(Algorithm::Baseline),
+                PolicySpec::new(Algorithm::Nilas),
             ])
             .run()
             .expect("valid spec");

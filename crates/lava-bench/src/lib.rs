@@ -12,11 +12,9 @@
 
 pub mod args;
 pub mod harness;
-pub mod reference;
 
 pub use args::ExperimentArgs;
 pub use harness::{
-    apply_trace_io, fleet_config, heterogeneous_overrides, improvement_pp, policy_spec,
-    suite_from_specs, MostFreeFirstPolicy, PredictorKind,
+    apply_trace_io, fleet_config, heterogeneous_overrides, improvement_pp, suite_from_specs,
+    MostFreeFirstPolicy, PredictorKind,
 };
-pub use reference::{replay_soa, ReferenceCluster, ReplayOutcome};

@@ -248,23 +248,15 @@ impl ExitCache {
         self.mark_dirty(id);
     }
 
-    /// The cached exit time of a host, if its entry is valid at `now`.
-    pub(crate) fn valid_exit(&self, id: HostId, now: SimTime) -> Option<SimTime> {
-        self.entries
-            .get(&id)
-            .filter(|e| e.clean && now <= e.expires_at)
-            .map(|e| e.exit)
-    }
-
     /// The cached exit of a host after a refresh pass (empty hosts exit
-    /// "now", mirroring `host_exit_time`'s `unwrap_or(now)`).
+    /// "now", as in [`Cluster::host_exit_time`]).
     pub(crate) fn exit_or_now(&self, id: HostId, now: SimTime) -> SimTime {
         self.entries.get(&id).map(|e| e.exit).unwrap_or(now)
     }
 
     /// True if the host's entry predates `now` — i.e. a lookup at `now`
     /// is genuinely answered from cache rather than from a recompute made
-    /// in the same pass. Used for honest hit accounting in indexed scans.
+    /// in the same pass. Used for honest hit accounting in the candidate walks.
     pub(crate) fn cached_before(&self, id: HostId, now: SimTime) -> bool {
         self.entries.get(&id).is_some_and(|e| e.computed_at < now)
     }
@@ -503,23 +495,6 @@ impl Cluster {
 
     // --- exit-time cache operations --------------------------------------
 
-    /// Recompute one host's exit time for the per-host lookup path
-    /// ([`Cluster::cached_exit_time`]; the refresh pass batches across
-    /// hosts instead).
-    fn compute_exit(
-        &self,
-        host: &Host,
-        predictor: &dyn LifetimePredictor,
-        now: SimTime,
-        repredict: bool,
-    ) -> SimTime {
-        if repredict {
-            self.host_exit_time(host, predictor, now)
-        } else {
-            self.host_exit_time_initial(host, now)
-        }
-    }
-
     /// Lock the exit cache for a read-mostly scan. Callers should run
     /// [`Cluster::refresh_exit_entries`] first so every occupied host has a
     /// valid entry.
@@ -527,51 +502,12 @@ impl Cluster {
         self.exit_cache.lock()
     }
 
-    /// The (possibly cached) exit time of one host, with seed-compatible
-    /// hit/miss semantics: a hit requires a clean entry whose refresh
-    /// interval has not lapsed and whose exit time has not passed.
-    pub(crate) fn cached_exit_time(
-        &self,
-        host: &Host,
-        predictor: &dyn LifetimePredictor,
-        now: SimTime,
-        refresh: Option<Duration>,
-        repredict: bool,
-        counters: &mut CacheCounters,
-    ) -> SimTime {
-        let Some(refresh) = refresh else {
-            // Caching disabled: every lookup recomputes.
-            counters.misses += 1;
-            if repredict {
-                counters.predictions += host.vm_count() as u64;
-            }
-            return self.compute_exit(host, predictor, now, repredict);
-        };
-        let mut cache = self.exit_cache.lock();
-        if let Some(exit) = cache.valid_exit(host.id(), now) {
-            counters.hits += 1;
-            return exit;
-        }
-        counters.misses += 1;
-        if repredict {
-            counters.predictions += host.vm_count() as u64;
-        }
-        let exit = self.compute_exit(host, predictor, now, repredict);
-        if host.is_empty() {
-            cache.forget(host.id());
-        } else {
-            cache.install(host.id(), exit, now, refresh);
-        }
-        exit
-    }
-
     /// Bring the cache up to date at `now` for a placement of `request`:
     /// recompute the entries of hosts that changed, restore coverage, and
     /// sweep entries whose refresh interval or exit time has passed. Hosts
     /// that cannot fit `request` are *not* recomputed — the scan skips
     /// them anyway — and are parked under their free CPU instead, until a
-    /// request they can fit comes along. This mirrors the lazy semantics
-    /// of the per-host lookup path: only hosts that would actually be
+    /// request they can fit comes along: only hosts that would actually be
     /// scored cost predictions.
     ///
     /// A pass looks at the parked hosts with at least the request's CPU
@@ -593,17 +529,18 @@ impl Cluster {
     /// their VMs in.
     ///
     /// After this returns, every occupied host that can fit `request` has
-    /// a valid entry in `by_exit`. No-op when caching is disabled.
+    /// a valid entry in `by_exit`. An entry stays valid for `refresh` after
+    /// it was computed, or until its own exit time if that comes first; with
+    /// a `refresh` of zero that is the instant it was computed and no later.
     pub(crate) fn refresh_exit_entries(
         &self,
         predictor: &dyn LifetimePredictor,
         now: SimTime,
-        refresh: Option<Duration>,
+        refresh: Duration,
         repredict: bool,
         request: Resources,
         counters: &mut CacheCounters,
     ) {
-        let Some(refresh) = refresh else { return };
         let mut guard = self.exit_cache.lock();
         let cache = &mut *guard;
         // 1. Bypass detection: if the pool's occupancy changed without the
@@ -725,9 +662,8 @@ impl Cluster {
         host: HostId,
         vm_exit: SimTime,
         now: SimTime,
-        refresh: Option<Duration>,
+        refresh: Duration,
     ) {
-        let Some(refresh) = refresh else { return };
         let Some(h) = self.pool.host(host) else {
             return;
         };
@@ -920,7 +856,7 @@ mod tests {
         c.refresh_exit_entries(
             &oracle,
             SimTime::ZERO,
-            Some(Duration::from_mins(1)),
+            Duration::from_mins(1),
             true,
             Resources::ZERO,
             &mut counters,
@@ -938,7 +874,7 @@ mod tests {
         c.place(vm(1, 10), HostId(0)).unwrap();
         let oracle = OraclePredictor::new();
         let mut counters = CacheCounters::default();
-        let refresh = Some(Duration::from_hours(1));
+        let refresh = Duration::from_hours(1);
         c.refresh_exit_entries(
             &oracle,
             SimTime::ZERO,
@@ -970,7 +906,7 @@ mod tests {
         let mut c = cluster();
         c.place(vm(1, 10), HostId(0)).unwrap();
         let oracle = OraclePredictor::new();
-        let refresh = Some(Duration::from_hours(1));
+        let refresh = Duration::from_hours(1);
         let mut counters = CacheCounters::default();
         c.refresh_exit_entries(
             &oracle,
@@ -1031,7 +967,11 @@ mod tests {
                 if repredict {
                     counters.predictions += h.vm_count() as u64;
                 }
-                let exit = self.compute_exit(h, predictor, now, repredict);
+                let exit = if repredict {
+                    self.host_exit_time(h, predictor, now)
+                } else {
+                    self.host_exit_time_initial(h, now)
+                };
                 cache.install(h.id(), exit, now, refresh);
             };
             if cache.synced_epoch != self.pool.mutation_epoch() {
@@ -1105,6 +1045,14 @@ mod tests {
     }
 
     impl ExitCache {
+        /// The cached exit time of a host, if its entry is valid at `now`.
+        fn valid_exit(&self, id: HostId, now: SimTime) -> Option<SimTime> {
+            self.entries
+                .get(&id)
+                .filter(|e| e.clean && now <= e.expires_at)
+                .map(|e| e.exit)
+        }
+
         /// `pending ∪ parked` — what the oracle's one `dirty` set holds —
         /// after checking that the two are disjoint and that the index
         /// and the per-host keys tell the same story.
@@ -1214,14 +1162,7 @@ mod tests {
             let real = c.clone();
             let mut counters = CacheCounters::default();
             let noted = HandOuts::of(predictor);
-            real.refresh_exit_entries(
-                &noted,
-                now,
-                Some(refresh),
-                repredict,
-                request,
-                &mut counters,
-            );
+            real.refresh_exit_entries(&noted, now, refresh, repredict, request, &mut counters);
             // The oracle has no notion of hosts looked at.
             counters.examined = 0;
             assert_eq!(counters, expected, "{context}");
@@ -1300,7 +1241,7 @@ mod tests {
                             c.refresh_exit_entries(
                                 &OraclePredictor,
                                 now,
-                                Some(refresh),
+                                refresh,
                                 true,
                                 requests[2 + pick % 4],
                                 &mut CacheCounters::default(),
@@ -1377,7 +1318,7 @@ mod tests {
             c.refresh_exit_entries(
                 &PullAheadOracle,
                 SimTime::ZERO,
-                Some(refresh),
+                refresh,
                 true,
                 Resources::ZERO,
                 &mut counters,
@@ -1397,7 +1338,7 @@ mod tests {
         c.refresh_exit_entries(
             &OraclePredictor,
             now,
-            Some(Duration::from_mins(1)),
+            Duration::from_mins(1),
             true,
             request,
             &mut counters,
@@ -1570,7 +1511,7 @@ mod tests {
         let mut c = cluster();
         c.place(vm(1, 5), HostId(0)).unwrap();
         let oracle = OraclePredictor::new();
-        let refresh = Some(Duration::from_hours(1));
+        let refresh = Duration::from_hours(1);
         let mut counters = CacheCounters::default();
         c.refresh_exit_entries(
             &oracle,
@@ -1612,7 +1553,7 @@ mod tests {
         c.place(vm(1, 5), HostId(0)).unwrap();
         c.place(vm(2, 20), HostId(0)).unwrap();
         let oracle = OraclePredictor::new();
-        let refresh = Some(Duration::from_hours(100));
+        let refresh = Duration::from_hours(100);
         let mut counters = CacheCounters::default();
         c.refresh_exit_entries(
             &oracle,

@@ -24,17 +24,16 @@
 //! (closest class first), then open hosts of the same class, then any
 //! non-empty host, then empty hosts — ties broken by NILAS.
 //!
-//! The default (indexed) scan walks those preference levels directly
-//! through the pool's `(state, class)` buckets and occupancy sets, and
-//! returns at the **first level containing a feasible host** — on a large
-//! pool a placement usually touches a handful of hosts instead of all of
-//! them. A linear reference scan replicating the seed's score-everything
-//! enumeration is kept for parity tests and benchmarks.
+//! The scan walks those preference levels directly through the pool's
+//! `(state, class)` buckets and occupancy sets, and returns at the **first
+//! level containing a feasible host** — on a large pool a placement usually
+//! touches a handful of hosts instead of all of them. The score-everything
+//! enumeration it must agree with is the oracle of `tests/scan_parity.rs`.
 
 use crate::cluster::Cluster;
 use crate::nilas::{consider, Candidate, NilasConfig, NilasPolicy, NilasStats};
-use crate::policy::{CandidateScan, PlacementPolicy};
-use crate::scoring::{waste_minimization_score, ScoreVector};
+use crate::policy::PlacementPolicy;
+use crate::scoring::waste_minimization_score;
 use lava_core::host::{Host, HostId, HostLifetimeState};
 use lava_core::lifetime::LifetimeClass;
 use lava_core::time::{Duration, SimTime};
@@ -51,10 +50,7 @@ pub struct LavaConfig {
     /// Slack multiplier applied to the class upper bound when setting host
     /// deadlines (paper: 1.1×).
     pub deadline_slack: f64,
-    /// Configuration of the embedded NILAS tie-breaker. Its `scan` field
-    /// governs LAVA's own candidate enumeration too (`Indexed` requires
-    /// the cache; with `cache_refresh: None` the policy falls back to
-    /// linear).
+    /// Configuration of the embedded NILAS tie-breaker.
     pub nilas: NilasConfig,
 }
 
@@ -143,72 +139,17 @@ impl LavaPolicy {
         let horizon = class.upper_bound().as_secs() as f64 * self.config.deadline_slack;
         now + Duration::from_secs_f64(horizon)
     }
+}
 
-    /// The Algorithm 3 preference level of a host for a VM of class
-    /// `vm_class`: `(rank, sub_rank)`, lower is better.
-    ///
-    /// While degraded, the class-based levels are suppressed: every
-    /// occupied host ranks 2 and every empty host ranks 3 (the only
-    /// lifetime-agnostic distinction), so with the temporal cost also
-    /// zeroed the score collapses to occupied-first waste minimisation.
-    fn preference(&self, host: &Host, vm_class: LifetimeClass) -> (f64, f64) {
-        if self.degraded {
-            return if !host.is_empty() {
-                (2.0, 0.0)
-            } else {
-                (3.0, 0.0)
-            };
-        }
-        match (host.lifetime_state(), host.lifetime_class()) {
-            (HostLifetimeState::Recycling, Some(host_class)) if host_class > vm_class => {
-                // Closest class is most preferred.
-                (0.0, host_class.distance(vm_class) as f64)
-            }
-            (HostLifetimeState::Open, Some(host_class)) if host_class == vm_class => (1.0, 0.0),
-            _ if !host.is_empty() => (2.0, 0.0),
-            _ => (3.0, 0.0),
-        }
+impl PlacementPolicy for LavaPolicy {
+    fn name(&self) -> &'static str {
+        "lava"
     }
 
-    /// Reference implementation: score every feasible host with the full
-    /// four-dimensional lexicographic score (the seed's enumeration).
-    pub fn choose_host_linear(
-        &mut self,
-        cluster: &Cluster,
-        vm: &Vm,
-        now: SimTime,
-        exclude: Option<HostId>,
-    ) -> Option<HostId> {
-        let vm_remaining = self.vm_remaining(vm, now);
-        let vm_class = LifetimeClass::from_lifetime(vm_remaining);
-        let vm_exit = now + vm_remaining;
-        let request = vm.resources();
-
-        let mut best: Option<(ScoreVector, HostId)> = None;
-        for host in cluster.hosts() {
-            if Some(host.id()) == exclude || !host.can_fit(request) {
-                continue;
-            }
-            let (rank, sub_rank) = self.preference(host, vm_class);
-            let temporal_cost = self.nilas.temporal_cost(cluster, host, vm_exit, now) as f64;
-            let score = ScoreVector::new([
-                rank,
-                sub_rank,
-                temporal_cost,
-                waste_minimization_score(host, request),
-            ]);
-            match &best {
-                Some((best_score, _)) if !score.is_better_than(best_score) => {}
-                _ => best = Some((score, host.id())),
-            }
-        }
-        best.map(|(_, id)| id)
-    }
-
-    /// Indexed scan: walk Algorithm 3's preference levels through the
-    /// pool's candidate indexes and return at the first level that
-    /// contains a feasible host.
-    fn choose_host_indexed(
+    /// Walk Algorithm 3's preference levels through the pool's candidate
+    /// indexes and return at the first level that contains a feasible
+    /// host.
+    fn choose_host(
         &mut self,
         cluster: &Cluster,
         vm: &Vm,
@@ -227,8 +168,8 @@ impl LavaPolicy {
         let mut hits = 0u64;
 
         // Score the candidates of one preference level; within a level the
-        // ordering is (temporal cost, waste, id), exactly the tail of the
-        // linear scan's lexicographic score.
+        // ordering is (temporal cost, waste, id), the tail of Algorithm 3's
+        // lexicographic score.
         let mut best_of = |hosts: &mut dyn Iterator<Item = &Host>| -> Option<HostId> {
             let mut best: Option<Candidate> = None;
             for host in hosts {
@@ -263,9 +204,11 @@ impl LavaPolicy {
         // Separate counter: `best_of` above holds the borrow on `hits`.
         let mut level2_hits = 0u64;
         let winner = 'levels: {
-            // While degraded the class-based levels 0/1 are suppressed
-            // (matching `preference`): fall straight through to the
-            // lifetime-agnostic occupied/empty levels.
+            // While degraded the class-based levels 0/1 are suppressed:
+            // every occupied host ranks 2 and every empty host 3 (the only
+            // lifetime-agnostic distinction), so with the temporal cost
+            // also zeroed the score collapses to occupied-first waste
+            // minimisation.
             if !degraded {
                 // Level 0: recycling hosts of a strictly higher class,
                 // closest class first. Each distance is its own sub-rank,
@@ -287,7 +230,7 @@ impl LavaPolicy {
             }
             // Level 2: any occupied host. Feasible hosts matching level
             // 0/1 would have been returned above, so every feasible host
-            // here scores rank 2 in the linear scan too. The level's
+            // here ranks 2. The level's
             // ordering is (temporal cost, waste, id) — the same as NILAS's
             // core scan — so instead of scoring all occupied hosts, walk
             // them latest-exiting first through the cache's exit order and
@@ -332,27 +275,6 @@ impl LavaPolicy {
         drop(cache);
         self.nilas.add_cache_hits(hits + level2_hits);
         winner
-    }
-}
-
-impl PlacementPolicy for LavaPolicy {
-    fn name(&self) -> &'static str {
-        "lava"
-    }
-
-    fn choose_host(
-        &mut self,
-        cluster: &Cluster,
-        vm: &Vm,
-        now: SimTime,
-        exclude: Option<HostId>,
-    ) -> Option<HostId> {
-        match self.config.nilas.scan {
-            CandidateScan::Indexed if self.config.nilas.cache_refresh.is_some() => {
-                self.choose_host_indexed(cluster, vm, now, exclude)
-            }
-            _ => self.choose_host_linear(cluster, vm, now, exclude),
-        }
     }
 
     fn on_vm_placed(&mut self, cluster: &mut Cluster, vm: VmId, host_id: HostId, now: SimTime) {
@@ -671,7 +593,7 @@ mod tests {
     #[test]
     fn degraded_lava_ignores_lifetime_classes() {
         use crate::policy::FallbackSpec;
-        let fallback_config = || LavaConfig {
+        let fallback_config = LavaConfig {
             nilas: NilasConfig {
                 fallback: Some(FallbackSpec {
                     threshold: 0.5,
@@ -682,7 +604,7 @@ mod tests {
             ..LavaConfig::default()
         };
         let mut c = cluster(3);
-        let mut p = LavaPolicy::new(Arc::new(OraclePredictor::new()), fallback_config());
+        let mut p = LavaPolicy::new(Arc::new(OraclePredictor::new()), fallback_config);
         // A recycling LC3 host that a healthy LAVA prefers for short VMs.
         let recycling = build_recycling_host(&mut p, &mut c);
         // A second occupied host with more free room, placed directly so
@@ -695,49 +617,25 @@ mod tests {
         c.place(second, other).unwrap();
         p.on_vm_placed(&mut c, VmId(20), other, SimTime::ZERO);
 
-        let request = vm_with(30, 0, 2, SimTime::ZERO);
-        assert_eq!(
-            p.choose_host(&c, &request, SimTime::ZERO, None),
-            Some(recycling),
-            "healthy LAVA gap-fills the recycling host"
-        );
+        // Healthy: a short VM gap-fills the recycling host (level 0) and a
+        // same-class VM joins the open LC3 host (level 1).
+        let short = vm_with(30, 0, 2, SimTime::ZERO);
+        let same_class = vm_with(31, 50, 2, SimTime::ZERO);
+        let choose = |p: &mut LavaPolicy, v: &Vm| p.choose_host(&c, v, SimTime::ZERO, None);
+        assert_eq!(choose(&mut p, &short), Some(recycling));
+        assert_eq!(choose(&mut p, &same_class), Some(other));
 
         // Cross the threshold: class preference and temporal cost are
-        // suppressed, so best-fit (least leftover waste) picks the fuller
-        // host — which is still the recycling one — but the *indexed and
-        // linear paths must agree* on the lifetime-agnostic decision.
+        // suppressed, so best-fit decides among the occupied hosts and the
+        // fuller (recycling) one wastes least, whatever the VM's class.
         p.on_model_health(0.9, 8);
         assert!(p.is_degraded());
-        let mut linear = LavaPolicy::new(
-            Arc::new(OraclePredictor::new()),
-            LavaConfig {
-                nilas: NilasConfig {
-                    scan: CandidateScan::Linear,
-                    fallback: Some(FallbackSpec {
-                        threshold: 0.5,
-                        min_samples: 1,
-                    }),
-                    ..NilasConfig::default()
-                },
-                ..LavaConfig::default()
-            },
-        );
-        linear.on_model_health(0.9, 8);
-        assert!(linear.is_degraded());
-        for (id, hours, cores) in [(40u64, 0u64, 2u64), (41, 5, 4), (42, 500, 8)] {
-            let request = vm_with(id, hours, cores, SimTime::ZERO);
-            let fast = p.choose_host(&c, &request, SimTime::ZERO, None);
-            let slow = linear.choose_host(&c, &request, SimTime::ZERO, None);
-            assert_eq!(fast, slow, "degraded parity for vm {id}");
-            assert!(fast.is_some(), "occupied hosts are still preferred");
-        }
+        assert_eq!(choose(&mut p, &short), Some(recycling));
+        assert_eq!(choose(&mut p, &same_class), Some(recycling));
         // Recovery below 80% of the threshold re-engages the classes.
         p.on_model_health(0.1, 8);
         assert!(!p.is_degraded());
-        assert_eq!(
-            p.choose_host(&c, &request, SimTime::ZERO, None),
-            Some(recycling)
-        );
+        assert_eq!(choose(&mut p, &same_class), Some(other));
     }
 
     mod properties {
@@ -831,44 +729,6 @@ mod tests {
                     "LA-Binary never corrects the stale one-shot prediction"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn indexed_and_linear_scans_agree_on_mixed_pool() {
-        let mut c = cluster(6);
-        let mut p = policy();
-        // Build a mixed pool: recycling LC3 host, open hosts, occupied and
-        // empty hosts.
-        build_recycling_host(&mut p, &mut c);
-        schedule(
-            &mut p,
-            &mut c,
-            vm_with(20, 5, 8, SimTime::ZERO),
-            SimTime::ZERO,
-        ); // LC2 open
-        schedule(
-            &mut p,
-            &mut c,
-            vm_with(21, 500, 8, SimTime::ZERO),
-            SimTime::ZERO,
-        ); // LC4 open
-
-        for (id, hours, cores) in [(30u64, 0u64, 2u64), (31, 5, 4), (32, 50, 4), (33, 500, 8)] {
-            let request = vm_with(id, hours, cores, SimTime::ZERO);
-            let mut linear = LavaPolicy::new(
-                Arc::new(OraclePredictor::new()),
-                LavaConfig {
-                    nilas: NilasConfig {
-                        scan: CandidateScan::Linear,
-                        ..NilasConfig::default()
-                    },
-                    ..LavaConfig::default()
-                },
-            );
-            let fast = p.choose_host(&c, &request, SimTime::ZERO, None);
-            let slow = linear.choose_host(&c, &request, SimTime::ZERO, None);
-            assert_eq!(fast, slow, "vm {id} ({hours}h, {cores} cores)");
         }
     }
 }

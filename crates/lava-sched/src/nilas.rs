@@ -15,18 +15,18 @@
 //! placement/removal/migration events, raised incrementally on placement,
 //! and refreshed when their interval or their own exit time passes.
 //!
-//! The default (indexed) candidate scan exploits that the temporal cost is
-//! monotone in the host exit time: hosts are visited from latest-exiting to
-//! earliest via the cache's exit-time order and the scan stops as soon as
-//! the cost bucket can no longer match the best candidate, instead of
-//! scoring all hosts. Empty hosts (exit time = now) are enumerated through
-//! the pool's occupancy index. A linear reference scan is retained for
-//! parity tests and benchmarks ([`CandidateScan::Linear`]).
+//! The candidate scan exploits that the temporal cost is monotone in the
+//! host exit time: hosts are visited from latest-exiting to earliest via
+//! the cache's exit-time order and the scan stops as soon as the cost
+//! bucket can no longer match the best candidate, instead of scoring all
+//! hosts. Empty hosts (exit time = now) are enumerated through the pool's
+//! occupancy index. The brute-force scoring of every feasible host it must
+//! agree with is the oracle of `tests/scan_parity.rs`.
 
 use crate::cluster::Cluster;
-use crate::policy::{CacheCounters, CandidateScan, FallbackSpec, PlacementPolicy};
-use crate::scoring::{waste_minimization_score, ScoreVector};
-use lava_core::host::{Host, HostId};
+use crate::policy::{CacheCounters, FallbackSpec, PlacementPolicy};
+use crate::scoring::waste_minimization_score;
+use lava_core::host::HostId;
 use lava_core::lifetime::TemporalCostBuckets;
 use lava_core::resources::Resources;
 use lava_core::time::{Duration, SimTime};
@@ -40,15 +40,13 @@ pub struct NilasConfig {
     /// Temporal-cost bucket boundaries (defaults to the paper's).
     pub buckets: TemporalCostBuckets,
     /// How long a cached host exit time stays valid when nothing changes on
-    /// the host. `None` disables caching (every scoring pass repredicts).
-    pub cache_refresh: Option<Duration>,
+    /// the host. [`Duration::ZERO`] is "no cache": an entry is valid only at
+    /// the instant it was computed, so every later decision repredicts.
+    pub cache_refresh: Duration,
     /// If `false`, use only the initial (scheduling-time) predictions — the
     /// "no reprediction" ablation of Fig. 16, which behaves like LA's
     /// one-shot view with NILAS's scoring.
     pub repredict: bool,
-    /// How candidates are enumerated. `Indexed` requires caching; with
-    /// `cache_refresh: None` the policy falls back to the linear scan.
-    pub scan: CandidateScan,
     /// When set, the policy listens to the scheduler's measured model
     /// health and — past the spec's misprediction threshold — zeroes its
     /// temporal cost term, degrading to pure waste-minimisation (the
@@ -61,9 +59,8 @@ impl Default for NilasConfig {
     fn default() -> Self {
         NilasConfig {
             buckets: TemporalCostBuckets::default(),
-            cache_refresh: Some(Duration::from_mins(1)),
+            cache_refresh: Duration::from_mins(1),
             repredict: true,
-            scan: CandidateScan::Indexed,
             fallback: None,
         }
     }
@@ -89,14 +86,13 @@ impl NilasStats {
     /// Fold cache-operation counters into the running totals.
     pub(crate) fn absorb(&mut self, counters: CacheCounters) {
         self.predictions += counters.predictions;
-        self.cache_hits += counters.hits;
         self.cache_misses += counters.misses;
         self.refresh_examined += counters.examined;
     }
 }
 
 /// A candidate under consideration: `(temporal cost, waste, id)`, compared
-/// with the same semantics as the lexicographic [`ScoreVector`] (NaN is
+/// with the same semantics as the lexicographic [`crate::scoring::ScoreVector`] (NaN is
 /// worst, lowest id wins ties).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Candidate {
@@ -171,11 +167,6 @@ impl NilasPolicy {
         &self.config.buckets
     }
 
-    /// The configured candidate scan mode.
-    pub fn scan_mode(&self) -> CandidateScan {
-        self.config.scan
-    }
-
     /// Whether the policy is currently degraded to the best-fit regime.
     pub fn is_degraded(&self) -> bool {
         self.degraded
@@ -198,34 +189,6 @@ impl NilasPolicy {
                 .buckets
                 .cost(vm_exit.saturating_since(host_exit))
         }
-    }
-
-    /// The (possibly cached) expected exit time of a host at `now`.
-    pub fn host_exit_time(&mut self, cluster: &Cluster, host: &Host, now: SimTime) -> SimTime {
-        let mut counters = CacheCounters::default();
-        let exit = cluster.cached_exit_time(
-            host,
-            self.predictor.as_ref(),
-            now,
-            self.config.cache_refresh,
-            self.config.repredict,
-            &mut counters,
-        );
-        self.stats.absorb(counters);
-        exit
-    }
-
-    /// The quantised temporal cost of placing a VM expected to exit at
-    /// `vm_exit` onto `host`.
-    pub fn temporal_cost(
-        &mut self,
-        cluster: &Cluster,
-        host: &Host,
-        vm_exit: SimTime,
-        now: SimTime,
-    ) -> usize {
-        let host_exit = self.host_exit_time(cluster, host, now);
-        self.quantised_cost(vm_exit, host_exit)
     }
 
     /// `vm`'s predicted remaining lifetime at `now`. The scheduler predicts
@@ -270,7 +233,7 @@ impl NilasPolicy {
         }
     }
 
-    /// Credit cache hits observed by an embedding policy's indexed scan.
+    /// Credit cache hits observed by an embedding policy's candidate walk.
     pub(crate) fn add_cache_hits(&mut self, hits: u64) {
         self.stats.cache_hits += hits;
     }
@@ -289,48 +252,17 @@ impl NilasPolicy {
         );
         self.stats.absorb(counters);
     }
+}
 
-    /// Reference implementation: score every feasible host (the seed's
-    /// enumeration, kept for parity tests and benchmarks). Exit times come
-    /// from the same shared cache as the indexed scan.
-    pub fn choose_host_linear(
-        &mut self,
-        cluster: &Cluster,
-        vm: &Vm,
-        now: SimTime,
-        exclude: Option<HostId>,
-    ) -> Option<HostId> {
-        let vm_exit = self.vm_exit_time(vm, now);
-        let request = vm.resources();
-        let mut best: Option<(ScoreVector, HostId)> = None;
-        let mut counters = CacheCounters::default();
-        for host in cluster.hosts() {
-            if Some(host.id()) == exclude || !host.can_fit(request) {
-                continue;
-            }
-            let host_exit = cluster.cached_exit_time(
-                host,
-                self.predictor.as_ref(),
-                now,
-                self.config.cache_refresh,
-                self.config.repredict,
-                &mut counters,
-            );
-            let cost = self.quantised_cost(vm_exit, host_exit);
-            let score = ScoreVector::new([cost as f64, waste_minimization_score(host, request)]);
-            match &best {
-                Some((best_score, _)) if !score.is_better_than(best_score) => {}
-                _ => best = Some((score, host.id())),
-            }
-        }
-        self.stats.absorb(counters);
-        best.map(|(_, id)| id)
+impl PlacementPolicy for NilasPolicy {
+    fn name(&self) -> &'static str {
+        "nilas"
     }
 
-    /// Indexed scan: walk occupied hosts in descending cached-exit order,
-    /// stopping at the first cost bucket that cannot beat the best
-    /// candidate, then consider empty hosts through the occupancy index.
-    fn choose_host_indexed(
+    /// Walk occupied hosts in descending cached-exit order, stopping at the
+    /// first cost bucket that cannot beat the best candidate, then consider
+    /// empty hosts through the occupancy index.
+    fn choose_host(
         &mut self,
         cluster: &Cluster,
         vm: &Vm,
@@ -394,27 +326,6 @@ impl NilasPolicy {
         }
         self.stats.cache_hits += hits;
         best.map(|b| b.id)
-    }
-}
-
-impl PlacementPolicy for NilasPolicy {
-    fn name(&self) -> &'static str {
-        "nilas"
-    }
-
-    fn choose_host(
-        &mut self,
-        cluster: &Cluster,
-        vm: &Vm,
-        now: SimTime,
-        exclude: Option<HostId>,
-    ) -> Option<HostId> {
-        match self.config.scan {
-            CandidateScan::Indexed if self.config.cache_refresh.is_some() => {
-                self.choose_host_indexed(cluster, vm, now, exclude)
-            }
-            _ => self.choose_host_linear(cluster, vm, now, exclude),
-        }
     }
 
     fn on_vm_placed(
@@ -534,24 +445,38 @@ mod tests {
         );
     }
 
+    /// One refresh pass for a request every host can fit; returns the
+    /// misses it added.
+    fn refresh_misses(p: &mut NilasPolicy, c: &Cluster, now: SimTime) -> u64 {
+        let before = p.stats().cache_misses;
+        p.refresh_cache(c, now, Resources::ZERO);
+        p.stats().cache_misses - before
+    }
+
+    fn cached_exit(c: &Cluster, host: HostId, now: SimTime) -> SimTime {
+        c.exit_cache_lock().exit_or_now(host, now)
+    }
+
     #[test]
     fn cache_avoids_recomputation_within_refresh() {
         let mut c = cluster();
         c.place(vm(1, 10), HostId(0)).unwrap();
         let mut p = oracle_policy(NilasConfig {
-            cache_refresh: Some(Duration::from_mins(15)),
+            cache_refresh: Duration::from_mins(15),
             ..NilasConfig::default()
         });
-        let host = c.host(HostId(0)).unwrap().clone();
         let t0 = SimTime::ZERO;
-        let _ = p.host_exit_time(&c, &host, t0);
+        assert_eq!(p.choose_host(&c, &vm(10, 5), t0, None), Some(HostId(0)));
         let misses_before = p.stats().cache_misses;
-        let _ = p.host_exit_time(&c, &host, t0 + Duration::from_mins(5));
+        let later = t0 + Duration::from_mins(5);
+        assert_eq!(
+            p.choose_host(&c, &vm_at(11, 5, later), later, None),
+            Some(HostId(0))
+        );
         assert_eq!(p.stats().cache_misses, misses_before);
         assert!(p.stats().cache_hits >= 1);
         // After the refresh interval the score is recomputed.
-        let _ = p.host_exit_time(&c, &host, t0 + Duration::from_mins(30));
-        assert_eq!(p.stats().cache_misses, misses_before + 1);
+        assert_eq!(refresh_misses(&mut p, &c, t0 + Duration::from_mins(30)), 1);
     }
 
     #[test]
@@ -559,23 +484,18 @@ mod tests {
         let mut c = cluster();
         c.place(vm(1, 10), HostId(0)).unwrap();
         let mut p = oracle_policy(NilasConfig {
-            cache_refresh: Some(Duration::from_hours(1)),
+            cache_refresh: Duration::from_hours(1),
             ..NilasConfig::default()
         });
-        let host = c.host(HostId(0)).unwrap().clone();
-        let _ = p.host_exit_time(&c, &host, SimTime::ZERO);
+        assert_eq!(refresh_misses(&mut p, &c, SimTime::ZERO), 1);
         // VM 2 has no record in the cluster, so no hint can be derived and
         // the entry must be invalidated outright.
         p.on_vm_placed(&mut c, VmId(2), HostId(0), SimTime::ZERO);
-        let misses_before = p.stats().cache_misses;
-        let _ = p.host_exit_time(&c, &host, SimTime(1));
-        assert_eq!(p.stats().cache_misses, misses_before + 1);
+        assert_eq!(refresh_misses(&mut p, &c, SimTime(1)), 1);
 
-        let _ = p.host_exit_time(&c, &host, SimTime(2));
+        assert_eq!(refresh_misses(&mut p, &c, SimTime(2)), 0);
         p.on_vm_exited(&mut c, HostId(0), SimTime(2));
-        let misses_before = p.stats().cache_misses;
-        let _ = p.host_exit_time(&c, &host, SimTime(3));
-        assert_eq!(p.stats().cache_misses, misses_before + 1);
+        assert_eq!(refresh_misses(&mut p, &c, SimTime(3)), 1);
     }
 
     #[test]
@@ -585,21 +505,25 @@ mod tests {
         let mut c = cluster();
         c.place(vm(1, 10), HostId(0)).unwrap();
         let mut p = oracle_policy(NilasConfig {
-            cache_refresh: Some(Duration::from_hours(1)),
+            cache_refresh: Duration::from_hours(1),
             ..NilasConfig::default()
         });
-        let host = c.host(HostId(0)).unwrap().clone();
-        let _ = p.host_exit_time(&c, &host, SimTime::ZERO);
+        assert_eq!(refresh_misses(&mut p, &c, SimTime::ZERO), 1);
 
         let mut v = vm(2, 20);
         v.set_initial_prediction(Duration::from_hours(20));
         c.place(v, HostId(0)).unwrap();
         p.on_vm_placed(&mut c, VmId(2), HostId(0), SimTime::ZERO);
 
-        let misses_before = p.stats().cache_misses;
-        let exit = p.host_exit_time(&c, &host, SimTime(1));
-        assert_eq!(p.stats().cache_misses, misses_before, "served from cache");
-        assert_eq!(exit, SimTime::ZERO + Duration::from_hours(20));
+        assert_eq!(
+            refresh_misses(&mut p, &c, SimTime(1)),
+            0,
+            "served from cache"
+        );
+        assert_eq!(
+            cached_exit(&c, HostId(0), SimTime(1)),
+            SimTime::ZERO + Duration::from_hours(20)
+        );
     }
 
     #[test]
@@ -607,17 +531,18 @@ mod tests {
         let mut c = cluster();
         c.place(vm(1, 1), HostId(0)).unwrap();
         let mut p = oracle_policy(NilasConfig {
-            cache_refresh: Some(Duration::from_hours(100)),
+            cache_refresh: Duration::from_hours(100),
             ..NilasConfig::default()
         });
-        let host = c.host(HostId(0)).unwrap().clone();
-        let exit = p.host_exit_time(&c, &host, SimTime::ZERO);
-        assert_eq!(exit, SimTime::ZERO + Duration::from_hours(1));
+        assert_eq!(refresh_misses(&mut p, &c, SimTime::ZERO), 1);
+        assert_eq!(
+            cached_exit(&c, HostId(0), SimTime::ZERO),
+            SimTime::ZERO + Duration::from_hours(1)
+        );
         // Past the cached exit time the entry must be recomputed even though
         // the refresh interval has not elapsed.
-        let misses_before = p.stats().cache_misses;
-        let _ = p.host_exit_time(&c, &host, SimTime::ZERO + Duration::from_hours(2));
-        assert_eq!(p.stats().cache_misses, misses_before + 1);
+        let later = SimTime::ZERO + Duration::from_hours(2);
+        assert_eq!(refresh_misses(&mut p, &c, later), 1);
     }
 
     #[test]
@@ -634,77 +559,32 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_linear_scans_agree() {
-        let mut c = cluster();
-        c.place(vm(1, 10), HostId(0)).unwrap();
-        c.place(vm(2, 2), HostId(1)).unwrap();
-        c.place(vm(3, 40), HostId(2)).unwrap();
-        for (id, hours) in [(10u64, 5u64), (11, 1), (12, 100), (13, 30)] {
-            let mut indexed = oracle_policy(NilasConfig::default());
-            let mut linear = oracle_policy(NilasConfig {
-                scan: CandidateScan::Linear,
-                ..NilasConfig::default()
-            });
-            let request = vm(id, hours);
-            assert_eq!(
-                indexed.choose_host(&c, &request, SimTime::ZERO, None),
-                linear.choose_host(&c, &request, SimTime::ZERO, None),
-                "vm {id} ({hours}h)"
-            );
-        }
-    }
-
-    #[test]
     fn fallback_degrades_to_best_fit_and_recovers() {
         let mut c = cluster();
-        c.place(vm(1, 10), HostId(0)).unwrap(); // exits at 10h
-        c.place(vm(2, 2), HostId(1)).unwrap(); // exits at 2h
-        let fallback = FallbackSpec {
-            threshold: 0.5,
-            min_samples: 4,
-        };
-        for scan in [CandidateScan::Indexed, CandidateScan::Linear] {
-            let mut p = oracle_policy(NilasConfig {
-                fallback: Some(fallback),
-                scan,
-                ..NilasConfig::default()
-            });
-            // Healthy: the temporal cost steers a 5h VM to the 10h host.
-            let request = vm(10, 5);
-            assert_eq!(
-                p.choose_host(&c, &request, SimTime::ZERO, None),
-                Some(HostId(0)),
-                "{scan}: healthy"
-            );
-            // Error crosses the threshold: cost zeroed, both occupied
-            // hosts tie on waste and the lowest id wins — but crucially
-            // the temporal term no longer differentiates them. Verify via
-            // the public temporal_cost figure.
-            p.on_model_health(0.9, 4);
-            assert!(p.is_degraded());
-            let host1 = c.host(HostId(1)).unwrap().clone();
-            assert_eq!(
-                p.temporal_cost(
-                    &c,
-                    &host1,
-                    SimTime::ZERO + Duration::from_hours(5),
-                    SimTime::ZERO
-                ),
-                0,
-                "{scan}: degraded cost is zero"
-            );
-            // Too few samples never degrade; recovery needs < 80% of the
-            // threshold.
-            p.on_model_health(0.45, 4);
-            assert!(p.is_degraded(), "{scan}: hysteresis holds at 0.45");
-            p.on_model_health(0.3, 4);
-            assert!(!p.is_degraded(), "{scan}: recovered below 0.4");
-            assert_eq!(
-                p.choose_host(&c, &vm(11, 5), SimTime::ZERO, None),
-                Some(HostId(0)),
-                "{scan}: model re-engaged"
-            );
-        }
+        c.place(vm(1, 2), HostId(0)).unwrap(); // exits at 2h
+        c.place(vm(2, 10), HostId(1)).unwrap(); // exits at 10h
+        let mut p = oracle_policy(NilasConfig {
+            fallback: Some(FallbackSpec {
+                threshold: 0.5,
+                min_samples: 4,
+            }),
+            ..NilasConfig::default()
+        });
+        // Healthy: the temporal cost steers a 5h VM to the 10h host.
+        let choose = |p: &mut NilasPolicy, id| p.choose_host(&c, &vm(id, 5), SimTime::ZERO, None);
+        assert_eq!(choose(&mut p, 10), Some(HostId(1)), "healthy");
+        // Error crosses the threshold: the cost is zeroed, both occupied
+        // hosts tie on waste and the lowest id wins.
+        p.on_model_health(0.9, 4);
+        assert!(p.is_degraded());
+        assert_eq!(choose(&mut p, 11), Some(HostId(0)), "degraded cost is zero");
+        // Too few samples never degrade; recovery needs < 80% of the
+        // threshold.
+        p.on_model_health(0.45, 4);
+        assert!(p.is_degraded(), "hysteresis holds at 0.45");
+        p.on_model_health(0.3, 4);
+        assert!(!p.is_degraded(), "recovered below 0.4");
+        assert_eq!(choose(&mut p, 12), Some(HostId(1)), "model re-engaged");
         // Without a fallback spec, model health is ignored entirely.
         let mut p = oracle_policy(NilasConfig::default());
         p.on_model_health(10.0, 1000);
@@ -712,16 +592,27 @@ mod tests {
     }
 
     #[test]
-    fn cache_disabled_falls_back_to_linear() {
+    fn zero_refresh_recomputes_at_every_new_instant() {
         let mut c = cluster();
         c.place(vm(1, 10), HostId(0)).unwrap();
         let mut p = oracle_policy(NilasConfig {
-            cache_refresh: None,
+            cache_refresh: Duration::ZERO,
             ..NilasConfig::default()
         });
-        let chosen = p.choose_host(&c, &vm(10, 5), SimTime::ZERO, None).unwrap();
-        assert_eq!(chosen, HostId(0));
+        let decide = |p: &mut NilasPolicy, id, now| {
+            let before = p.stats().cache_misses;
+            assert_eq!(
+                p.choose_host(&c, &vm_at(id, 5, now), now, None),
+                Some(HostId(0))
+            );
+            p.stats().cache_misses - before
+        };
+        assert_eq!(decide(&mut p, 10, SimTime::ZERO), 1);
+        // The entry is valid at the instant it was computed, and only then.
+        assert_eq!(decide(&mut p, 11, SimTime::ZERO), 0);
+        assert_eq!(decide(&mut p, 12, SimTime(1)), 1);
+        assert_eq!(decide(&mut p, 13, SimTime(2)), 1);
+        // An answer computed at the instant it is read is not a hit.
         assert_eq!(p.stats().cache_hits, 0);
-        assert!(p.stats().cache_misses > 0);
     }
 }

@@ -14,53 +14,12 @@ use lava_core::vm::{Vm, VmId};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
-use std::str::FromStr;
 
-/// How a policy enumerates candidate hosts in `choose_host`.
-///
-/// Both modes produce identical placement decisions (a property-based
-/// parity test enforces this); they differ only in cost. `Linear` is the
-/// seed implementation — score every feasible host. `Indexed` walks the
-/// pool's candidate indexes (state/class buckets, occupancy sets, the
-/// exit-time order) and early-exits at the first preference level or
-/// temporal-cost bucket that cannot be improved on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum CandidateScan {
-    /// Use the incremental candidate indexes (the default).
-    #[default]
-    Indexed,
-    /// Score every feasible host with a full linear scan (reference
-    /// implementation, kept for parity tests and benchmarks).
-    Linear,
-}
-
-impl FromStr for CandidateScan {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<CandidateScan, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "indexed" => Ok(CandidateScan::Indexed),
-            "linear" => Ok(CandidateScan::Linear),
-            other => Err(format!("unknown scan mode `{other}` (indexed|linear)")),
-        }
-    }
-}
-
-impl fmt::Display for CandidateScan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CandidateScan::Indexed => write!(f, "indexed"),
-            CandidateScan::Linear => write!(f, "linear"),
-        }
-    }
-}
-
-/// Cache-effort counters produced by exit-time cache operations, absorbed
-/// into [`crate::nilas::NilasStats`] by the policies.
+/// Cache-effort counters produced by an exit-time cache refresh pass,
+/// absorbed into [`crate::nilas::NilasStats`] by the policies (hits are
+/// counted by the candidate walk, which is what reads the entries).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Host exit times served from a valid cache entry.
-    pub hits: u64,
     /// Host exit times recomputed.
     pub misses: u64,
     /// Individual VM lifetime predictions issued.

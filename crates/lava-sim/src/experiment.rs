@@ -6,8 +6,8 @@
 //! loop declarative:
 //!
 //! * [`ExperimentSpec`] — a serde-serializable description of a run
-//!   (workload, predictor, policy incl. candidate-scan mode, scenario,
-//!   horizon/seed via the workload, sample cadence). Specs round-trip
+//!   (workload, predictor, policy, scenario, horizon/seed via the
+//!   workload, sample cadence). Specs round-trip
 //!   through JSON, so an experiment can be stored, diffed and replayed
 //!   bit-identically.
 //! * [`ExperimentBuilder`] — a fluent builder over the spec.
@@ -61,7 +61,7 @@ use lava_sched::cluster::Cluster;
 use lava_sched::la_binary::{LaBinaryConfig, LaBinaryPolicy};
 use lava_sched::lava::{LavaConfig, LavaPolicy};
 use lava_sched::nilas::{NilasConfig, NilasPolicy};
-use lava_sched::policy::{CandidateScan, FallbackSpec, PlacementPolicy};
+use lava_sched::policy::{FallbackSpec, PlacementPolicy};
 use lava_sched::scheduler::{Scheduler, SchedulerEvent};
 use lava_sched::Algorithm;
 use serde::{Deserialize, Serialize};
@@ -186,7 +186,9 @@ pub enum CachePolicy {
     /// The algorithm's default refresh interval.
     #[default]
     Default,
-    /// No caching: every scoring pass repredicts (forces the linear scan).
+    /// No caching: refresh interval zero, so a cached exit time is valid
+    /// only at the instant it was computed and every later decision
+    /// repredicts.
     Disabled,
     /// Refresh cached host exit times every N seconds.
     RefreshSecs(u64),
@@ -197,9 +199,6 @@ pub enum CachePolicy {
 pub struct PolicySpec {
     /// The algorithm family.
     pub algorithm: Algorithm,
-    /// Candidate enumeration mode (indexed vs reference linear scan;
-    /// NILAS/LAVA only — the baselines and LA-Binary have a single scan).
-    pub scan: CandidateScan,
     /// Exit-time cache configuration (NILAS/LAVA only).
     pub cache: CachePolicy,
     /// Whether repredictions are enabled (the Fig. 16 "no reprediction"
@@ -221,7 +220,6 @@ impl PolicySpec {
     pub fn new(algorithm: Algorithm) -> PolicySpec {
         PolicySpec {
             algorithm,
-            scan: CandidateScan::default(),
             cache: CachePolicy::Default,
             repredict: true,
             fallback: None,
@@ -232,12 +230,6 @@ impl PolicySpec {
     /// Enable misprediction-aware fallback toward best-fit.
     pub fn with_fallback(mut self, fallback: FallbackSpec) -> PolicySpec {
         self.fallback = Some(fallback);
-        self
-    }
-
-    /// Set the candidate scan mode.
-    pub fn with_scan(mut self, scan: CandidateScan) -> PolicySpec {
-        self.scan = scan;
         self
     }
 
@@ -271,11 +263,10 @@ impl PolicySpec {
         NilasConfig {
             cache_refresh: match self.cache {
                 CachePolicy::Default => defaults.cache_refresh,
-                CachePolicy::Disabled => None,
-                CachePolicy::RefreshSecs(secs) => Some(Duration::from_secs(secs)),
+                CachePolicy::Disabled => Duration::ZERO,
+                CachePolicy::RefreshSecs(secs) => Duration::from_secs(secs),
             },
             repredict: self.repredict,
-            scan: self.scan,
             fallback: self.fallback,
             ..defaults
         }
@@ -855,12 +846,6 @@ impl ExperimentBuilder {
     /// Replace the whole policy spec.
     pub fn policy(mut self, policy: PolicySpec) -> Self {
         self.spec.policy = policy;
-        self
-    }
-
-    /// Set the candidate-scan mode on the policy.
-    pub fn scan(mut self, scan: CandidateScan) -> Self {
-        self.spec.policy.scan = scan;
         self
     }
 
@@ -2376,7 +2361,6 @@ mod tests {
         let predictor: Arc<dyn LifetimePredictor> = Arc::new(OraclePredictor::new());
         for algorithm in Algorithm::ALL {
             let spec = PolicySpec::new(algorithm)
-                .with_scan(CandidateScan::Linear)
                 .with_cache(CachePolicy::Disabled)
                 .without_reprediction();
             let policy = spec.build(predictor.clone());

@@ -3,7 +3,6 @@
 //! reproduce-from-JSON guarantees.
 
 use lava::core::time::{Duration, SimTime};
-use lava::sched::policy::CandidateScan;
 use lava::sched::Algorithm;
 use lava::sim::experiment::{
     CachePolicy, Experiment, ExperimentSpec, PolicySpec, PredictorSpec, Scenario, SpecError,
@@ -38,9 +37,8 @@ fn spec_round_trips_through_json_for_every_scenario() {
             arms: vec![
                 PolicySpec::new(Algorithm::Baseline),
                 PolicySpec::new(Algorithm::Lava)
-                    .with_scan(CandidateScan::Linear)
                     .with_cache(CachePolicy::RefreshSecs(120))
-                    .labeled("lava-linear"),
+                    .labeled("lava-2m"),
             ],
         },
         Scenario::Defrag {
@@ -152,16 +150,19 @@ fn json_spec_reproduces_identical_results() {
 }
 
 #[test]
-fn scan_modes_agree_through_the_experiment_api() {
-    // The spec-level scan knob must not change placement decisions.
-    let mut indexed = tiny_spec(23);
-    indexed.policy = PolicySpec::new(Algorithm::Lava).with_scan(CandidateScan::Indexed);
-    let mut linear = indexed.clone();
-    linear.policy.scan = CandidateScan::Linear;
-    let a = Experiment::new(indexed).expect("valid").run();
-    let b = Experiment::new(linear).expect("valid").run();
-    assert_eq!(a.result.series, b.result.series);
-    assert_eq!(a.result.scheduler_stats, b.result.scheduler_stats);
+fn spec_json_from_before_the_scan_knob_was_removed_still_runs() {
+    // Specs written up to PR 16 carry `"scan"` in every policy; the key is
+    // ignored and the run is the default spec's.
+    let mut spec = tiny_spec(23);
+    spec.policy = PolicySpec::new(Algorithm::Lava);
+    let json = spec.to_json().expect("serializes");
+    let old_json = json.replace("\"cache\"", "\"scan\":\"Linear\",\"cache\"");
+    assert_ne!(old_json, json, "the policy's first kept key moved");
+    let parsed = ExperimentSpec::from_json(&old_json).expect("old spec parses");
+    assert_eq!(parsed, spec);
+    let old = Experiment::new(parsed).expect("valid").run();
+    let new = Experiment::new(spec).expect("valid").run();
+    assert_eq!(old.result, new.result);
 }
 
 #[test]

@@ -1,27 +1,36 @@
-//! Property-based parity tests for the indexed candidate scans.
+//! Property-based parity tests for the NILAS and LAVA candidate walks.
 //!
-//! The indexed `choose_host` paths (pool candidate indexes + exit-time
-//! order, see `lava-sched`) must return exactly the same winner as the
-//! brute-force linear scans across randomized workloads — placements,
-//! exits, time advancement, and LAVA's host state machine transitions all
-//! included. A second set of tests checks that the refactor did not
-//! inflate the `NilasStats` prediction/cache counters relative to the
-//! linear reference. A third counts the calls that reach the predictor:
-//! one batch per refresh pass, one prediction per arriving VM. (The
-//! state-level oracle for the batched refresh pass — identical cache
-//! entries, orderings and dirty set to a host-by-host recompute — needs
-//! the cache's private fields and lives in `lava-sched`'s `cluster.rs`.)
+//! `choose_host` (pool candidate indexes + exit-time order, see
+//! `lava-sched`) must return exactly the winner of a brute-force scoring
+//! of every feasible host across randomized workloads — placements, exits,
+//! time advancement, LAVA's host state machine transitions and the
+//! misprediction fallback all included. The brute force ([`brute_force`])
+//! is written on the public API only and recomputes every host exit time
+//! from scratch, so it also checks cached exit times against fresh ones:
+//! exactly at a zero refresh interval, where every entry is recomputed at
+//! each new instant, for any predictor; and at the default interval for
+//! the oracle predictor, whose answer for a live VM does not move between
+//! refreshes. A second set of tests bounds the `NilasStats`
+//! prediction/cache counters by what the brute force would have spent. A
+//! third counts the calls that reach the predictor: one batch per refresh
+//! pass, one prediction per arriving VM. (The state-level oracle for the
+//! batched refresh pass — identical cache entries, orderings and dirty set
+//! to a host-by-host recompute — needs the cache's private fields and
+//! lives in `lava-sched`'s `cluster.rs`.)
 
 use lava::core::prelude::*;
-use lava::model::predictor::{LifetimePredictor, OraclePredictor};
+use lava::model::dataset::DatasetBuilder;
+use lava::model::gbdt::GbdtConfig;
+use lava::model::predictor::{GbdtPredictor, LifetimePredictor, OraclePredictor};
 use lava::sched::cluster::Cluster;
 use lava::sched::lava::{LavaConfig, LavaPolicy};
 use lava::sched::nilas::{NilasConfig, NilasPolicy, NilasStats};
-use lava::sched::policy::{CandidateScan, PlacementPolicy};
+use lava::sched::policy::{FallbackSpec, PlacementPolicy};
 use lava::sched::scheduler::Scheduler;
+use lava::sched::scoring::{waste_minimization_score, ScoreVector};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const HOSTS: usize = 12;
 
@@ -29,15 +38,130 @@ fn cluster() -> Cluster {
     Cluster::with_uniform_hosts(HOSTS, HostSpec::new(Resources::cores_gib(32, 128)))
 }
 
+fn vm_spec(id: u64, cores: u64) -> VmSpec {
+    VmSpec::builder(Resources::cores_gib(cores, cores * 4))
+        .category((id % 5) as u32)
+        .build()
+}
+
 fn vm(id: u64, hours: u64, cores: u64, created: SimTime) -> Vm {
     Vm::new(
         VmId(id),
-        VmSpec::builder(Resources::cores_gib(cores, cores * 4))
-            .category((id % 5) as u32)
-            .build(),
+        vm_spec(id, cores),
         created,
         Duration::from_hours(hours),
     )
+}
+
+/// The policy under test, by its concrete type: the brute force has to
+/// know which score to build and whether the fallback has engaged.
+enum Subject {
+    Nilas(NilasPolicy),
+    Lava(LavaPolicy),
+}
+
+impl Subject {
+    fn nilas(predictor: Arc<dyn LifetimePredictor>, config: NilasConfig) -> Subject {
+        Subject::Nilas(NilasPolicy::new(predictor, config))
+    }
+
+    fn lava(predictor: Arc<dyn LifetimePredictor>, nilas: NilasConfig) -> Subject {
+        let config = LavaConfig {
+            nilas,
+            ..LavaConfig::default()
+        };
+        Subject::Lava(LavaPolicy::new(predictor, config))
+    }
+
+    fn policy(&mut self) -> &mut dyn PlacementPolicy {
+        match self {
+            Subject::Nilas(p) => p,
+            Subject::Lava(p) => p,
+        }
+    }
+
+    fn is_degraded(&self) -> bool {
+        match self {
+            Subject::Nilas(p) => p.is_degraded(),
+            Subject::Lava(p) => p.is_degraded(),
+        }
+    }
+
+    fn stats(&self) -> NilasStats {
+        match self {
+            Subject::Nilas(p) => p.stats(),
+            Subject::Lava(p) => p.nilas_stats(),
+        }
+    }
+}
+
+/// What scoring every feasible host came to.
+struct BruteForce {
+    winner: Option<HostId>,
+    /// Feasible occupied hosts: each one's exit time was recomputed.
+    occupied: u64,
+    /// The VMs on them: each one was repredicted.
+    repredicted: u64,
+}
+
+/// Algorithms 2 and 3 as written: the full lexicographic score of every
+/// feasible host — for LAVA `(preference level, class distance, temporal
+/// cost, waste)`, for NILAS the last two — from exit times repredicted on
+/// the spot, lowest id on ties. While the fallback is engaged the class
+/// levels collapse to occupied-before-empty and the temporal cost to zero.
+fn brute_force(
+    subject: &Subject,
+    c: &Cluster,
+    predictor: &dyn LifetimePredictor,
+    vm: &Vm,
+    now: SimTime,
+) -> BruteForce {
+    let degraded = subject.is_degraded();
+    let buckets = TemporalCostBuckets::default();
+    let request = vm.resources();
+    let remaining = predictor.predict_remaining(vm, now);
+    let vm_class = LifetimeClass::from_lifetime(remaining);
+    let vm_exit = now + remaining;
+    let mut found = BruteForce {
+        winner: None,
+        occupied: 0,
+        repredicted: 0,
+    };
+    let mut best: Option<ScoreVector> = None;
+    for host in c.hosts().filter(|h| h.can_fit(request)) {
+        if !host.is_empty() {
+            found.occupied += 1;
+            found.repredicted += host.vm_count() as u64;
+        }
+        let host_exit = c.host_exit_time(host, predictor, now);
+        let cost = if degraded {
+            0
+        } else {
+            buckets.cost(vm_exit.saturating_since(host_exit))
+        };
+        let tail = [cost as f64, waste_minimization_score(host, request)];
+        let score = match subject {
+            Subject::Nilas(_) => ScoreVector::new(tail),
+            Subject::Lava(_) => {
+                let (level, distance) = match (host.lifetime_state(), host.lifetime_class()) {
+                    _ if degraded => (if host.is_empty() { 3 } else { 2 }, 0),
+                    (HostLifetimeState::Recycling, Some(class)) if class > vm_class => {
+                        (0, class.distance(vm_class))
+                    }
+                    (HostLifetimeState::Open, Some(class)) if class == vm_class => (1, 0),
+                    _ if !host.is_empty() => (2, 0),
+                    _ => (3, 0),
+                };
+                ScoreVector::new([level as f64, distance as f64, tail[0], tail[1]])
+            }
+        };
+        // Hosts come in id order, so only a strictly better score displaces.
+        if best.as_ref().is_none_or(|b| score.is_better_than(b)) {
+            best = Some(score);
+            found.winner = Some(host.id());
+        }
+    }
+    found
 }
 
 /// One random workload step: schedule (actions 0-2) or exit (action 3+),
@@ -48,16 +172,23 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec((0u8..5, 0u64..600, 1u64..16, 1u64..8), 1..60)
 }
 
-/// Drive a workload applying decisions from `primary` (whose hooks also
+/// A fallback that any reported error of 0.5 engages, from the first exit.
+const EAGER_FALLBACK: FallbackSpec = FallbackSpec {
+    threshold: 0.5,
+    min_samples: 1,
+};
+
+/// Drive a workload applying the subject's decisions (its hooks also
 /// maintain LAVA's host state machine), checking before every placement
-/// that `reference` — sharing the same cluster and exit-time cache —
-/// picks the same host.
+/// that the brute force picks the same host. Every exit also reports a
+/// model health that is bad on even `cores` and good on odd, which moves a
+/// subject configured with a fallback in and out of its degraded regime
+/// and is ignored by one without.
 fn run_parity(
-    mut primary: Box<dyn PlacementPolicy>,
-    mut reference: Box<dyn PlacementPolicy>,
+    mut subject: Subject,
+    predictor: &dyn LifetimePredictor,
     ops: Vec<Op>,
 ) -> Result<(), proptest::TestCaseError> {
-    let predictor = OraclePredictor::new();
     let mut c = cluster();
     let mut now = SimTime::ZERO;
     let mut next_id = 0u64;
@@ -66,24 +197,23 @@ fn run_parity(
         if action < 3 {
             let mut v = vm(next_id, hours * hours, cores, now);
             next_id += 1;
-            let prediction =
-                lava::model::predictor::LifetimePredictor::predict_remaining(&predictor, &v, now);
-            v.set_initial_prediction(prediction);
-            let fast = primary.choose_host(&c, &v, now, None);
-            let slow = reference.choose_host(&c, &v, now, None);
+            v.set_initial_prediction(predictor.predict_remaining(&v, now));
+            let expected = brute_force(&subject, &c, predictor, &v, now).winner;
+            let chosen = subject.policy().choose_host(&c, &v, now, None);
             prop_assert_eq!(
-                fast,
-                slow,
-                "diverged at t={:?} for vm {:?} ({}h, {} cores)",
+                chosen,
+                expected,
+                "diverged at t={:?} for vm {:?} ({}h, {} cores), degraded: {}",
                 now,
                 v.id(),
                 hours * hours,
-                cores
+                cores,
+                subject.is_degraded()
             );
-            if let Some(host) = fast {
+            if let Some(host) = chosen {
                 let id = v.id();
                 c.place(v, host).unwrap();
-                primary.on_vm_placed(&mut c, id, host, now);
+                subject.policy().on_vm_placed(&mut c, id, host, now);
             }
         } else {
             // Exit a pseudo-random live VM.
@@ -91,121 +221,133 @@ fn run_parity(
             if !live.is_empty() {
                 let victim = live[(hours as usize * 7 + cores as usize) % live.len()];
                 let (_, host) = c.remove(victim).unwrap();
-                primary.on_vm_exited(&mut c, host, now);
+                subject.policy().on_vm_exited(&mut c, host, now);
             }
+            let error = if cores % 2 == 0 { 0.9 } else { 0.1 };
+            subject.policy().on_model_health(error, 8);
         }
-        primary.on_tick(&mut c, now);
+        subject.policy().on_tick(&mut c, now);
         prop_assert!(c.pool().validate_index().is_ok(), "index diverged");
     }
     Ok(())
 }
 
-fn lava_policy(scan: CandidateScan) -> Box<dyn PlacementPolicy> {
-    Box::new(LavaPolicy::new(
-        Arc::new(OraclePredictor::new()),
-        LavaConfig {
-            nilas: NilasConfig {
-                scan,
-                ..NilasConfig::default()
-            },
-            ..LavaConfig::default()
-        },
-    ))
+fn oracle() -> Arc<dyn LifetimePredictor> {
+    Arc::new(OraclePredictor::new())
 }
 
-fn nilas_policy(scan: CandidateScan) -> Box<dyn PlacementPolicy> {
-    Box::new(NilasPolicy::new(
-        Arc::new(OraclePredictor::new()),
-        NilasConfig {
-            scan,
-            ..NilasConfig::default()
-        },
-    ))
+/// A compiled GBDT trained once on lifetimes that depend on the features
+/// the grid varies, so that repredictions move as VMs age.
+fn compiled_gbdt() -> Arc<dyn LifetimePredictor> {
+    static MODEL: OnceLock<Arc<dyn LifetimePredictor>> = OnceLock::new();
+    MODEL
+        .get_or_init(|| {
+            let mut builder = DatasetBuilder::new();
+            for i in 0..400u64 {
+                let cores = 1 + i % 7;
+                let hours = (1 + i % 15).pow(2) * (1 + i % 5) / 3 + cores;
+                builder.push(vm_spec(i, cores), Duration::from_hours(hours));
+            }
+            Arc::new(GbdtPredictor::train(GbdtConfig::fast(), &builder.build()).compile())
+        })
+        .clone()
+}
+
+fn zero_refresh() -> NilasConfig {
+    NilasConfig {
+        cache_refresh: Duration::ZERO,
+        ..NilasConfig::default()
+    }
+}
+
+fn with_fallback() -> NilasConfig {
+    NilasConfig {
+        fallback: Some(EAGER_FALLBACK),
+        ..NilasConfig::default()
+    }
 }
 
 proptest! {
+    // The two grids below predate the brute force and keep their names:
+    // "linear" is now the scoring of every host in this file.
     #[test]
     fn lava_indexed_matches_linear(ops in ops_strategy()) {
-        run_parity(
-            lava_policy(CandidateScan::Indexed),
-            lava_policy(CandidateScan::Linear),
-            ops,
-        )?;
+        run_parity(Subject::lava(oracle(), NilasConfig::default()), &OraclePredictor, ops)?;
     }
 
     #[test]
     fn nilas_indexed_matches_linear(ops in ops_strategy()) {
-        run_parity(
-            nilas_policy(CandidateScan::Indexed),
-            nilas_policy(CandidateScan::Linear),
-            ops,
-        )?;
+        run_parity(Subject::nilas(oracle(), NilasConfig::default()), &OraclePredictor, ops)?;
+    }
+
+    #[test]
+    fn lava_matches_brute_force_at_zero_refresh_with_a_gbdt(ops in ops_strategy()) {
+        let gbdt = compiled_gbdt();
+        run_parity(Subject::lava(gbdt.clone(), zero_refresh()), gbdt.as_ref(), ops)?;
+    }
+
+    #[test]
+    fn nilas_matches_brute_force_at_zero_refresh_with_a_gbdt(ops in ops_strategy()) {
+        let gbdt = compiled_gbdt();
+        run_parity(Subject::nilas(gbdt.clone(), zero_refresh()), gbdt.as_ref(), ops)?;
+    }
+
+    #[test]
+    fn lava_matches_brute_force_in_and_out_of_fallback(ops in ops_strategy()) {
+        run_parity(Subject::lava(oracle(), with_fallback()), &OraclePredictor, ops)?;
+    }
+
+    #[test]
+    fn nilas_matches_brute_force_in_and_out_of_fallback(ops in ops_strategy()) {
+        run_parity(Subject::nilas(oracle(), with_fallback()), &OraclePredictor, ops)?;
     }
 }
 
-/// Run a fixed workload end to end with one policy, returning its stats.
-fn run_workload_nilas(scan: CandidateScan) -> (NilasStats, Vec<Option<HostId>>) {
-    let mut policy = NilasPolicy::new(
-        Arc::new(OraclePredictor::new()),
-        NilasConfig {
-            scan,
-            ..NilasConfig::default()
-        },
-    );
-    let predictor = OraclePredictor::new();
+#[test]
+fn nilas_stats_not_inflated_by_indexed_scan() {
+    let mut subject = Subject::nilas(oracle(), NilasConfig::default());
     let mut c = cluster();
-    let mut decisions = Vec::new();
     let mut now = SimTime::ZERO;
+    // What scoring every feasible host afresh would have recomputed and
+    // repredicted over the run.
+    let (mut occupied, mut repredicted) = (0u64, 0u64);
     for i in 0..120u64 {
         now += Duration::from_secs(20);
         let mut v = vm(i, 1 + (i % 50), 1 + (i % 6), now);
-        let prediction =
-            lava::model::predictor::LifetimePredictor::predict_remaining(&predictor, &v, now);
-        v.set_initial_prediction(prediction);
-        let choice = policy.choose_host(&c, &v, now, None);
-        decisions.push(choice);
+        v.set_initial_prediction(OraclePredictor.predict_remaining(&v, now));
+        let expected = brute_force(&subject, &c, &OraclePredictor, &v, now);
+        occupied += expected.occupied;
+        repredicted += expected.repredicted;
+        let choice = subject.policy().choose_host(&c, &v, now, None);
+        assert_eq!(choice, expected.winner, "vm {i}");
         if let Some(host) = choice {
             let id = v.id();
             c.place(v, host).unwrap();
-            policy.on_vm_placed(&mut c, id, host, now);
+            subject.policy().on_vm_placed(&mut c, id, host, now);
         }
         if i % 4 == 3 {
             let victim = VmId(i - 3);
             if c.vm(victim).is_some() {
                 let (_, host) = c.remove(victim).unwrap();
-                policy.on_vm_exited(&mut c, host, now);
+                subject.policy().on_vm_exited(&mut c, host, now);
             }
         }
     }
-    (policy.stats(), decisions)
-}
-
-#[test]
-fn nilas_stats_not_inflated_by_indexed_scan() {
-    let (indexed, indexed_decisions) = run_workload_nilas(CandidateScan::Indexed);
-    let (linear, linear_decisions) = run_workload_nilas(CandidateScan::Linear);
-    assert_eq!(indexed_decisions, linear_decisions, "decisions must match");
+    let stats = subject.stats();
+    // A walked host is a hit or a miss, never both, and the walk only
+    // looks at feasible occupied hosts — fewer than all of them when it
+    // stops early.
     assert!(
-        indexed.predictions <= linear.predictions,
-        "indexed scan issued more predictions ({} > {})",
-        indexed.predictions,
-        linear.predictions
+        stats.cache_hits + stats.cache_misses <= occupied,
+        "{stats:?}: more lookups than the {occupied} feasible occupied hosts"
     );
     assert!(
-        indexed.cache_misses <= linear.cache_misses,
-        "indexed scan recomputed more host scores ({} > {})",
-        indexed.cache_misses,
-        linear.cache_misses
-    );
-    assert!(
-        indexed.cache_hits <= linear.cache_hits,
-        "indexed scan consulted the cache more often ({} > {})",
-        indexed.cache_hits,
-        linear.cache_hits
+        stats.predictions <= repredicted,
+        "{stats:?}: more predictions than the {repredicted} VMs on those hosts"
     );
     // The cache and the incremental-hint machinery must actually be doing
     // work, not just disabled.
-    assert!(indexed.cache_hits > 0, "indexed scan never hit the cache");
+    assert!(stats.cache_hits > 0, "{stats:?}: never hit the cache");
 }
 
 /// An oracle that counts how it is called. With `batching` off it keeps
