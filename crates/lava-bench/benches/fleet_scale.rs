@@ -31,18 +31,19 @@
 //! the flat baseline. The configured (default least-loaded) row keeps
 //! its own regression floor against the same baseline, loose enough to
 //! absorb the concentration effect, tight enough to catch a real
-//! executor regression (say, falling back to spawn-per-epoch).
+//! executor regression (say, a thread spawned per epoch).
 //!
 //! Before the timed rows:
 //!
 //! * a **thread-parity assert** replays a small heterogeneous fleet at 1
-//!   worker and 2 workers through the full experiment path and requires
-//!   bit-identical reports (the CI smoke's determinism check);
+//!   worker (the coordinator's inline lane) and 2 workers (pooled lanes)
+//!   through the full experiment path and requires bit-identical reports
+//!   (the CI smoke's determinism check);
 //! * a **1-cell overhead pair** runs the identical workload through the
 //!   plain single-cluster engine (`drive()`, the `sim_scale` engine row)
-//!   and through a 1-cell Hash fleet, and asserts the fleet tier's
-//!   pass-through overhead stays under 5 % in full mode (a lenient bound
-//!   in quick mode — CI machines are noisy).
+//!   and through a 1-cell Hash fleet (inline lane), and asserts the
+//!   fleet tier's pass-through overhead stays under 5 % in full mode (a
+//!   lenient bound in quick mode — CI machines are noisy).
 //!
 //! After the fleet row, a **`serve_latency` arm** stands the online
 //! [`PlacementService`](lava_serve::PlacementService) up over the same

@@ -73,7 +73,7 @@ fn parse_args() -> Config {
     config
 }
 
-/// Train the predictor the same way `PredictorSpec::Learned*` does — on a
+/// Train the predictor the same way `PredictorSpec::Learned` does — on a
 /// 7-day "historical" trace with a shifted seed — but truncate the
 /// augmented dataset so the paper-scale (2000-tree) training pass stays
 /// bench-friendly. Inference cost depends on the ensemble shape, not the

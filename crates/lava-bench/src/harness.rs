@@ -15,7 +15,7 @@ use lava_sched::cluster::Cluster;
 use lava_sched::policy::PlacementPolicy;
 use lava_sim::experiment::{ExperimentSpec, PredictorSpec};
 use lava_sim::fleet::{CellOverride, FleetConfig};
-use lava_sim::simulator::SimulationResult;
+use lava_sim::metrics::SimulationResult;
 use lava_sim::suite::ExperimentSuite;
 
 /// Trivial O(1)-amortised placement: take the most-free host that fits,

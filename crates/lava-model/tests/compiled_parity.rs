@@ -5,8 +5,9 @@
 //! count — including more features than [`FEATURE_COUNT`], which forces
 //! the batch fallback), training data, full-length rows, short rows and
 //! the `predict` / `predict_batch` pair. "Bit-identical" means exact
-//! `f64::to_bits` equality, which is what lets `PredictorSpec::LearnedFast`
-//! replay any `Learned` experiment without changing a single decision.
+//! `f64::to_bits` equality, which is what lets `PredictorSpec::Learned`
+//! serve the compiled engine without changing a single decision the
+//! tree-walking model would have made.
 //!
 //! The second half holds the compiled *predictor* to the same standard:
 //! its per-spec uptime step tables (`lava_model::uptime_steps`) must

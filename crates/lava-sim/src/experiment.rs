@@ -38,9 +38,9 @@ use crate::causal::{causal_impact, CausalConfig, CausalImpactReport};
 use crate::chaos::{AdaptationSpec, ChaosController, ChaosSource, Incident, IncidentPlan};
 use crate::defrag::{simulate_migration_queue, EvacuationCollector, MigrationOrder};
 use crate::fleet::{self, FleetChaos, FleetConfig, FleetReport};
+use crate::metrics::SimulationResult;
 use crate::observer::{MetricRecorder, ObserverContext, SimObserver, StrandingProbe};
 use crate::recording::{PredictionRecord, RecordingPredictor};
-use crate::simulator::SimulationResult;
 use crate::stranding::InflationMix;
 use crate::timeline::{Timeline, TimelineAction, TimelineItem};
 use crate::trace::Trace;
@@ -86,16 +86,13 @@ pub enum PredictorSpec {
         bias_pct: i16,
     },
     /// The production-style GBDT, trained on a historical trace generated
-    /// from the same workload configuration with a shifted seed, served by
-    /// the reference tree-walking engine.
+    /// from the same workload configuration with a shifted seed
+    /// ([`train_gbdt_predictor`]) and compiled into the flat inference
+    /// engine ([`lava_model::compiled::CompiledGbdt`]) — the paper's §5 /
+    /// Fig. 8 production configuration. Predictions are bit-identical to
+    /// the tree-walking [`GbdtPredictor`] it was compiled from; only
+    /// inference latency differs. Reports as `"gbdt-fast"`.
     Learned,
-    /// The same trained model as [`PredictorSpec::Learned`], compiled into
-    /// the flat inference engine
-    /// ([`lava_model::compiled::CompiledGbdt`]) — the paper's §5 / Fig. 8
-    /// production configuration. Predictions are bit-identical to
-    /// `Learned`; only inference latency differs. Reports as
-    /// `"gbdt-fast"`.
-    LearnedFast,
 }
 
 impl PredictorSpec {
@@ -112,7 +109,6 @@ impl PredictorSpec {
                 bias_pct,
             } => format!("noisy-{accuracy_pct}-bias{bias_pct}"),
             PredictorSpec::Learned => "model".to_string(),
-            PredictorSpec::LearnedFast => "model-fast".to_string(),
         }
     }
 
@@ -120,9 +116,9 @@ impl PredictorSpec {
     /// oracle's seed and the GBDT's training trace derive from the
     /// workload's seed.
     ///
-    /// Stateless — the learned specs train from scratch on every call.
-    /// [`Experiment::predictor`] wraps the same constructors in memoising
-    /// cells, so experiment-driven runs (and sweeps) train at most once.
+    /// Stateless — the learned spec trains from scratch on every call.
+    /// [`Experiment::predictor`] wraps this in a memoising cell, so
+    /// experiment-driven runs (and sweeps) train at most once.
     pub fn build(&self, workload: &PoolConfig) -> Arc<dyn LifetimePredictor> {
         match self {
             PredictorSpec::Oracle => Arc::new(OraclePredictor::new()),
@@ -134,17 +130,10 @@ impl PredictorSpec {
                 *bias_pct,
                 workload.seed ^ 0xab,
             )),
-            PredictorSpec::Learned => Self::train_learned(workload),
-            PredictorSpec::LearnedFast => Arc::new(Self::train_learned(workload).compile()),
+            PredictorSpec::Learned => {
+                Arc::new(train_gbdt_predictor(workload, GbdtConfig::default()).compile())
+            }
         }
-    }
-
-    /// The one constructor behind the learned-predictor family: `Learned`
-    /// serves this model directly, `LearnedFast` compiles this exact
-    /// model. Keeping it single-sourced is what guarantees the two specs
-    /// can never drift onto differently-configured ensembles.
-    fn train_learned(workload: &PoolConfig) -> Arc<GbdtPredictor> {
-        Arc::new(train_gbdt_predictor(workload, GbdtConfig::default()))
     }
 }
 
@@ -1052,11 +1041,6 @@ pub struct Experiment {
     trace_cache: Arc<OnceLock<Arc<Trace>>>,
     /// Memoised predictor cell (GBDT training is the expensive case).
     predictor_cache: Arc<OnceLock<Arc<dyn LifetimePredictor>>>,
-    /// Memoised *trained* reference GBDT, shared across the `Learned` /
-    /// `LearnedFast` pair: both specs describe the same trained model
-    /// (they differ only in the serving engine), so a sweep comparing
-    /// them trains once and the fast arm compiles the shared ensemble.
-    gbdt_cache: Arc<OnceLock<Arc<GbdtPredictor>>>,
 }
 
 impl fmt::Debug for Experiment {
@@ -1075,7 +1059,6 @@ impl Experiment {
             spec,
             trace_cache: Arc::new(OnceLock::new()),
             predictor_cache: Arc::new(OnceLock::new()),
-            gbdt_cache: Arc::new(OnceLock::new()),
         })
     }
 
@@ -1106,25 +1089,11 @@ impl Experiment {
         self.trace_cache.set(Arc::new(trace)).is_ok()
     }
 
-    /// The experiment's predictor (built — and for the learned specs,
-    /// trained — at most once per shared cache cell). `Learned` and
-    /// `LearnedFast` draw the same trained model from the shared GBDT
-    /// cell; `LearnedFast` then compiles it.
+    /// The experiment's predictor (built — and for the learned spec,
+    /// trained — at most once per shared cache cell).
     pub fn predictor(&self) -> Arc<dyn LifetimePredictor> {
         self.predictor_cache
-            .get_or_init(|| match self.spec.predictor {
-                PredictorSpec::Learned => self.trained_gbdt(),
-                PredictorSpec::LearnedFast => Arc::new(self.trained_gbdt().compile()),
-                other => other.build(&self.spec.workload),
-            })
-            .clone()
-    }
-
-    /// The memoised reference GBDT behind the learned predictor specs
-    /// (trained at most once per shared cache cell).
-    fn trained_gbdt(&self) -> Arc<GbdtPredictor> {
-        self.gbdt_cache
-            .get_or_init(|| PredictorSpec::train_learned(&self.spec.workload))
+            .get_or_init(|| self.spec.predictor.build(&self.spec.workload))
             .clone()
     }
 
@@ -1141,14 +1110,6 @@ impl Experiment {
             return;
         }
         self.trace_cache = Arc::clone(&donor.trace_cache);
-        // `Learned` and `LearnedFast` differ only in the serving engine,
-        // so the trained-model cell is shared across the pair: comparing
-        // the two engines on one workload trains a single model.
-        let learned_family =
-            |p: &PredictorSpec| matches!(p, PredictorSpec::Learned | PredictorSpec::LearnedFast);
-        if learned_family(&self.spec.predictor) && learned_family(&donor.spec.predictor) {
-            self.gbdt_cache = Arc::clone(&donor.gbdt_cache);
-        }
         if self.spec.predictor == donor.spec.predictor {
             self.predictor_cache = Arc::clone(&donor.predictor_cache);
         }
@@ -2390,7 +2351,6 @@ mod tests {
             "noisy-80"
         );
         assert_eq!(PredictorSpec::Learned.label(), "model");
-        assert_eq!(PredictorSpec::LearnedFast.label(), "model-fast");
         assert_eq!(PredictorSpec::Oracle.build(&workload).name(), "oracle");
         assert_eq!(
             PredictorSpec::Noisy {
@@ -2401,11 +2361,86 @@ mod tests {
             .name(),
             "noisy-oracle"
         );
-        // The compiled predictor is distinguishable from the reference
-        // engine in reports.
-        assert_eq!(
-            PredictorSpec::LearnedFast.build(&workload).name(),
-            "gbdt-fast"
+        // The learned spec serves the compiled engine.
+        assert_eq!(PredictorSpec::Learned.build(&workload).name(), "gbdt-fast");
+    }
+
+    // --- whole-run behaviour on the small pool ------------------------------
+
+    fn run(algorithm: Algorithm, warmup_hours: u64) -> ExperimentReport {
+        Experiment::builder()
+            .workload(PoolConfig::small(3))
+            .warmup(Duration::from_hours(warmup_hours))
+            .algorithm(algorithm)
+            .run()
+            .expect("valid spec")
+    }
+
+    #[test]
+    fn baseline_run_produces_samples_and_places_vms() {
+        let result = run(Algorithm::Baseline, 6).result;
+        assert!(result.series.len() > 10, "samples: {}", result.series.len());
+        assert!(result.scheduler_stats.placed > 100);
+        assert_eq!(result.rejected_vms, 0, "small pool should fit everything");
+        let empty = result.mean_empty_host_fraction();
+        assert!(
+            (0.0..1.0).contains(&empty),
+            "empty host fraction {empty} out of range"
         );
+        assert_eq!(result.algorithm, "baseline");
+        assert_eq!(result.predictor, "oracle");
+    }
+
+    #[test]
+    fn lifetime_aware_algorithms_compete_with_best_fit_with_oracle() {
+        // On this deliberately tiny pool (24 hosts, 2 days) the absolute
+        // differences are small and occasional inversions are expected
+        // (§6.1); the large-scale comparison lives in the Fig. 6 bench and
+        // the integration tests. Here we only require that the
+        // lifetime-aware algorithms are not materially worse.
+        let best_fit = run(Algorithm::BestFit, 6).result;
+        let nilas = run(Algorithm::Nilas, 6).result;
+        let lava = run(Algorithm::Lava, 6).result;
+        let tolerance = 0.03;
+        assert!(
+            nilas.mean_empty_host_fraction() >= best_fit.mean_empty_host_fraction() - tolerance,
+            "nilas {} vs best-fit {}",
+            nilas.mean_empty_host_fraction(),
+            best_fit.mean_empty_host_fraction()
+        );
+        assert!(
+            lava.mean_empty_host_fraction() >= best_fit.mean_empty_host_fraction() - tolerance,
+            "lava {} vs best-fit {}",
+            lava.mean_empty_host_fraction(),
+            best_fit.mean_empty_host_fraction()
+        );
+    }
+
+    #[test]
+    fn deterministic_across_runs() {
+        let a = run(Algorithm::Lava, 48).result;
+        let b = run(Algorithm::Lava, 48).result;
+        assert_eq!(a.series.samples(), b.series.samples());
+        assert_eq!(a.scheduler_stats, b.scheduler_stats);
+    }
+
+    #[test]
+    fn cold_start_skips_warmup() {
+        let report = Experiment::builder()
+            .workload(PoolConfig::small(3))
+            .algorithm(Algorithm::Nilas)
+            .cold_start()
+            .run()
+            .expect("valid spec");
+        // Without warm-up, samples start at time zero.
+        assert_eq!(report.result.series.samples()[0].time, SimTime::ZERO);
+    }
+
+    #[test]
+    fn simulation_result_serde_round_trips() {
+        let result = run(Algorithm::Baseline, 6).result;
+        let json = serde_json::to_string(&result).expect("serializes");
+        let parsed: SimulationResult = serde_json::from_str(&json).expect("parses");
+        assert_eq!(parsed, result);
     }
 }

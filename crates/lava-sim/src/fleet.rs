@@ -36,7 +36,7 @@
 //! admission tier tracks its own in-flight placements against a stale
 //! capacity feed.
 //!
-//! # Deterministic parallelism on a persistent worker pool
+//! # Deterministic parallelism: one coordinator, pooled or inline lanes
 //!
 //! Cells are independent *given the routing decisions*, and routing
 //! decisions are made serially, in arrival order, on the coordinating
@@ -47,20 +47,29 @@
 //! `tests/fleet_tier.rs` replay randomized heterogeneous fleets at 1, 2
 //! and per-CPU threads and require identical reports for every router.
 //!
-//! Execution rides the persistent [`WorkerPool`](crate::workers): the
-//! coordinator pins one long-lived *session* job per worker, each owning
-//! its assigned cells' engines for the whole run (cell state never moves
-//! between threads mid-run), and feeds it per-epoch batches of routed
-//! events over a bounded channel. While workers step epoch *k*, the
-//! coordinator already drains the source for epoch *k+1* — and, for
-//! routers that never read summaries, routes and dispatches it too — so
-//! cells don't idle while the coordinator works. Summary-driven routers
-//! route epoch *k+1* only after the barrier delivers the summaries
-//! extracted at its start; either way every router observes the exact
-//! serial routing order and inputs, which is the whole bit-identity
-//! argument. [`run_fleet_reference`] keeps the original spawn-per-epoch
-//! loop alive as the executable specification the pooled engine is
-//! property-tested against.
+//! There is one epoch loop. The coordinator speaks a four-message
+//! protocol (`Prime` / `Step` down, `Summaries` / `Outcomes` back) to
+//! *sessions*, each owning its striped share of the cells' engines for
+//! the whole run, and drains the source for epoch *k+1* right after
+//! handing out epoch *k*. What differs is only where the sessions live:
+//!
+//! * **Pooled lanes** — two or more workers, caller not itself on a pool
+//!   worker: one session is pinned per worker of the persistent
+//!   [`WorkerPool`](crate::workers) (cell state never moves between
+//!   threads mid-run) and fed over a bounded channel, so the drain of
+//!   epoch *k+1* — and, for routers that never read summaries, its
+//!   routing and dispatch too — overlaps the workers stepping epoch *k*.
+//! * **The inline lane** — one worker, one cell, or a caller already on a
+//!   pool worker (a fleet started from a suite arm): a single session
+//!   owned by the coordinator answers each message synchronously on the
+//!   calling thread. No channel, no session lock, no thread.
+//!
+//! Summary-driven routers route epoch *k+1* only after the barrier
+//! delivers the summaries extracted at its start. Either way every lane
+//! sees the same source-operation order, router-call order and summary
+//! instants, which is the whole bit-identity argument. The plain serial
+//! loop the coordinator is property-tested against is test-only code in
+//! this module (`tests::reference_fleet`).
 //!
 //! A single-cell fleet degenerates to the plain single-cluster engine:
 //! every router sends everything to cell 0 and the per-cell loop is the
@@ -72,14 +81,13 @@
 
 use crate::chaos::{AdaptationSpec, ChaosController, IncidentPlan};
 use crate::experiment::{DriveLoop, DriveTiming};
-use crate::metrics::{MetricSample, MetricSeries};
+use crate::metrics::{MetricSample, MetricSeries, SimulationResult};
 use crate::observer::{MetricRecorder, SimObserver};
-use crate::simulator::SimulationResult;
 use crate::workers::{on_pool_worker, panic_message, WorkerPool, PIPELINE_DEPTH};
 use crate::workload::PoolConfig;
 use lava_core::cell::{CellId, CellSummary};
 use lava_core::events::{TraceEvent, TraceEventKind};
-use lava_core::hash::mix64;
+use lava_core::hash::{mix64, Mix64BuildHasher};
 use lava_core::host::HostSpec;
 use lava_core::pool::{Pool, PoolId};
 use lava_core::resources::Resources;
@@ -91,14 +99,12 @@ use lava_model::predictor::LifetimePredictor;
 use lava_sched::cluster::Cluster;
 use lava_sched::policy::PlacementPolicy;
 use lava_sched::scheduler::{Scheduler, SchedulerStats};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, MutexGuard};
 
 /// Maximum number of live VMs repredicted per cell when extracting a
 /// summary's exit-time profile (see
@@ -562,31 +568,11 @@ fn aggregate(cells: &[CellReport], algorithm: &str, predictor: &str) -> Simulati
 
 // --- the router ----------------------------------------------------------
 
-/// Hasher for [`Router::vm_cell`]: VM ids are single u64s, so one
-/// [`mix64`] round (full-avalanche, ~4 arithmetic ops) replaces
-/// SipHash on the busiest map in the routing hot path — stateful
-/// routers insert and remove every VM exactly once.
-#[derive(Default, Clone)]
-struct VmIdHasher(u64);
-
-impl std::hash::Hasher for VmIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Unused by `VmId` (which hashes as a u64), kept total for safety.
-        for &b in bytes {
-            self.0 = mix64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = mix64(x);
-    }
-}
-
-type VmCellMap = HashMap<VmId, u32, std::hash::BuildHasherDefault<VmIdHasher>>;
+/// [`Router::vm_cell`]: the busiest map in the routing hot path (stateful
+/// routers insert and remove every VM exactly once), so it hashes with the
+/// workspace mixer instead of SipHash. Looked up, inserted into and
+/// removed from, never iterated: the hasher cannot influence a route.
+type VmCellMap = HashMap<VmId, u32, Mix64BuildHasher>;
 
 /// The serial routing state: assigns every source event to a cell. Lives
 /// on the coordinating thread; never touched concurrently.
@@ -1017,66 +1003,29 @@ fn worker_count(threads: usize, cells: usize) -> usize {
     requested.clamp(1, cells.max(1))
 }
 
-/// Run `f` over every cell, distributing cells across `workers` scoped
-/// threads (serially in-place when one worker suffices). Each cell is
-/// visited exactly once per call; cells share no mutable state, so the
-/// outcome is independent of which worker runs which cell.
-///
-/// This is the **reference** executor only: it spawns scoped threads per
-/// call — i.e. per epoch — which profiles showed is ruinous at fleet
-/// scale (a run crosses thousands of epoch barriers). The production
-/// path, [`run_fleet`], keeps cell state resident in long-lived
-/// [`WorkerPool`] session jobs instead and pays only a bounded-channel
-/// hand-off per epoch; [`run_fleet_reference`] (and through it this
-/// function) survives as the executable specification the pooled engine
-/// is property-tested against, and as the fallback for nested fleet runs
-/// already executing on a pool worker.
-fn run_cells<F>(runners: &[Mutex<CellRunner>], workers: usize, f: F)
-where
-    F: Fn(&mut CellRunner) + Sync,
-{
-    if workers <= 1 || runners.len() <= 1 {
-        for runner in runners {
-            f(&mut runner.lock());
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= runners.len() {
-                    break;
-                }
-                f(&mut runners[i].lock());
-            });
-        }
-    });
-}
-
 /// Drive a whole fleet over one event source.
 ///
 /// The run alternates three phases per epoch of `summary_refresh`
 /// length:
 ///
-/// 1. **refresh** — extract every cell's [`CellSummary`] (skipped for
-///    routers that never read them) and hand the frozen snapshots to the
-///    router;
-/// 2. **route** — pull every source event due before the epoch end and
-///    assign it to a cell, serially, in arrival order;
+/// 1. **refresh** — hand the router every cell's [`CellSummary`] as
+///    extracted at the epoch's start (skipped for routers that never read
+///    them);
+/// 2. **route** — assign every source event due before the epoch end to a
+///    cell, serially, in arrival order;
 /// 3. **run** — step every cell's engine to the epoch end (the epoch
 ///    boundary is the barrier).
 ///
-/// With more than one worker this executes on the persistent
-/// [`WorkerPool`] (`pool`, or the process-wide [`WorkerPool::global`]
-/// when `None`): each worker owns its striped share of the cells for the
-/// whole run and the coordinator overlaps draining (and, for
-/// summary-free routers, routing) of the next epoch with execution of
-/// the current one — see the [module docs](self). One worker, or a call
-/// already executing on a pool worker (a nested fleet inside a suite
-/// arm), falls back to [`run_fleet_reference`]. Both paths produce
-/// bit-identical outcomes at any thread count.
+/// There is one coordinator loop; `threads` (0 = one per CPU, capped at
+/// the cell count) only decides where the cells' sessions live. With two
+/// or more workers they are pinned on the persistent [`WorkerPool`]
+/// (`pool`, or the process-wide [`WorkerPool::global`] when `None`) and
+/// the drain of the next epoch — for summary-free routers its routing
+/// too — overlaps execution of the current one. With one worker, one
+/// cell, or a caller already on a pool worker (a fleet started from a
+/// suite arm) a single session runs inline on the calling thread and
+/// `pool` is never touched. See the [module docs](self). Outcomes are
+/// bit-identical on every lane and at any thread count.
 ///
 /// Once the source is exhausted the cells run to completion and the
 /// per-cell outcomes are returned in cell order.
@@ -1099,42 +1048,85 @@ pub fn run_fleet(
     chaos: Option<&FleetChaos>,
     pool: Option<&WorkerPool>,
 ) -> FleetOutcome {
-    let workers = worker_count(threads, cells.len());
-    if workers <= 1 || on_pool_worker() {
-        return run_fleet_reference(
-            cells,
-            predictor,
-            router,
-            summary_refresh,
-            timing,
-            source,
-            threads,
-            chaos,
-        );
+    let runners = build_runners(cells, &predictor, summary_refresh, timing, chaos);
+    let cell_count = runners.len();
+    let mut router = Router::new(router, cell_count);
+    let workers = worker_count(threads, cell_count);
+    // A session pinned to the very worker this call occupies could never
+    // run, hence the inline lane for a caller that is on the pool.
+    let mut lanes = if workers <= 1 || on_pool_worker() {
+        Lanes::inline(runners)
+    } else {
+        Lanes::pooled(
+            runners,
+            workers,
+            pool.unwrap_or_else(|| WorkerPool::global()),
+        )
+    };
+    let lane_count = lanes.len();
+
+    let needs_summaries = router.needs_summaries();
+    if needs_summaries {
+        for lane in 0..lane_count {
+            lanes.send(lane, EpochMsg::Prime);
+        }
     }
-    check_fleet_args(&cells, summary_refresh, chaos);
-    let cell_count = cells.len();
-    let runners: Vec<CellRunner> = cells
-        .into_iter()
-        .enumerate()
-        .map(|(i, cell)| CellRunner::new(i, cell, predictor.clone(), timing, chaos))
-        .collect();
-    let router = Router::new(router, cell_count);
-    run_fleet_pooled(
-        runners,
-        predictor,
-        router,
-        summary_refresh,
-        source,
-        workers,
-        match pool {
-            Some(pool) => pool,
-            None => WorkerPool::global(),
-        },
-    )
+    let mut pending: Vec<TraceEvent> = Vec::new();
+    let mut epoch_end = SimTime::ZERO + summary_refresh;
+    let (mut closed, mut last_arrival) = drain_epoch(source, epoch_end, &mut pending);
+    if needs_summaries {
+        // Barrier zero: the untouched cells' summaries (on pooled lanes
+        // extracted while the drain above ran).
+        router.refresh(lanes.summaries());
+    }
+
+    let mut batches: Vec<Vec<(u32, TraceEvent)>> = (0..lane_count).map(|_| Vec::new()).collect();
+    loop {
+        // Route this epoch's events serially, in arrival order.
+        for event in pending.drain(..) {
+            let cell = router.route(&event, predictor.as_ref());
+            batches[cell % lane_count].push(((cell / lane_count) as u32, event));
+        }
+        let want_summaries = needs_summaries && !closed;
+        for (lane, batch) in batches.iter_mut().enumerate() {
+            let step = EpochMsg::Step {
+                batch: std::mem::take(batch),
+                limit: epoch_end,
+                closed,
+                last_arrival,
+                want_summaries,
+            };
+            lanes.send(lane, step);
+        }
+        if closed {
+            break;
+        }
+        // Drain the next epoch while pooled lanes step this one. For
+        // summary-free routers there is no barrier at all — the loop runs
+        // ahead until the bounded epoch channels push back.
+        let next_end = epoch_end + summary_refresh;
+        (closed, last_arrival) = drain_epoch(source, next_end, &mut pending);
+        if needs_summaries {
+            // Barrier: the summaries extracted at this epoch's limit are
+            // the next epoch's refresh.
+            router.refresh(lanes.summaries());
+        }
+        epoch_end = next_end;
+    }
+
+    FleetOutcome {
+        cells: lanes.outcomes(),
+    }
 }
 
-fn check_fleet_args(cells: &[FleetCell], summary_refresh: Duration, chaos: Option<&FleetChaos>) {
+/// Check [`run_fleet`]'s arguments and build one engine per cell.
+fn build_runners(
+    cells: Vec<FleetCell>,
+    predictor: &Arc<dyn LifetimePredictor>,
+    summary_refresh: Duration,
+    timing: &DriveTiming,
+    chaos: Option<&FleetChaos>,
+) -> Vec<CellRunner> {
     assert!(!cells.is_empty(), "fleet needs at least one cell");
     assert!(
         !summary_refresh.is_zero(),
@@ -1147,85 +1139,37 @@ fn check_fleet_args(cells: &[FleetCell], summary_refresh: Duration, chaos: Optio
             "fleet chaos needs one swappable predictor per cell"
         );
     }
-}
-
-/// The original spawn-per-epoch fleet loop, kept as the executable
-/// specification of fleet semantics: [`run_fleet`] must produce
-/// bit-identical outcomes (the property tests in `tests/fleet_tier.rs`
-/// enforce it). Also the execution path for one-worker runs and for
-/// fleet runs nested inside a pool worker.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fleet_reference(
-    cells: Vec<FleetCell>,
-    predictor: Arc<dyn LifetimePredictor>,
-    router: RouterSpec,
-    summary_refresh: Duration,
-    timing: &DriveTiming,
-    source: &mut dyn EventSource,
-    threads: usize,
-    chaos: Option<&FleetChaos>,
-) -> FleetOutcome {
-    check_fleet_args(&cells, summary_refresh, chaos);
-    let cell_count = cells.len();
-    let mut runners: Vec<Mutex<CellRunner>> = cells
+    cells
         .into_iter()
         .enumerate()
-        .map(|(i, cell)| Mutex::new(CellRunner::new(i, cell, predictor.clone(), timing, chaos)))
-        .collect();
-    let mut router = Router::new(router, cell_count);
-    let workers = worker_count(threads, cell_count);
-
-    let mut epoch_start = SimTime::ZERO;
-    loop {
-        if router.needs_summaries() {
-            let summaries: Vec<CellSummary> = runners
-                .iter_mut()
-                .map(|runner| runner.get_mut().summary(epoch_start))
-                .collect();
-            router.refresh(summaries);
-        }
-        let epoch_end = epoch_start + summary_refresh;
-        while source.peek().is_some_and(|event| event.time < epoch_end) {
-            let event = source.next_event().expect("peeked non-empty");
-            let cell = router.route(&event, predictor.as_ref());
-            runners[cell].get_mut().enqueue(event);
-        }
-        let closed = source.peek().is_none();
-        let last_arrival = source.last_arrival_time();
-        for runner in runners.iter_mut() {
-            runner.get_mut().source.last_arrival = last_arrival;
-        }
-        run_cells(&runners, workers, |runner| {
-            if closed {
-                runner.run_to_completion();
-            } else {
-                runner.step_epoch(epoch_end);
-            }
-        });
-        if closed {
-            break;
-        }
-        epoch_start = epoch_end;
-    }
-
-    FleetOutcome {
-        cells: runners
-            .into_iter()
-            .map(|runner| runner.into_inner().into_outcome())
-            .collect(),
-    }
+        .map(|(i, cell)| CellRunner::new(i, cell, predictor.clone(), timing, chaos))
+        .collect()
 }
 
-/// One epoch's worth of work for a fleet session worker.
+/// Pull every source event due before `until` into `pending`; returns
+/// whether the source is exhausted and its last arrival, read in that
+/// order once per epoch.
+fn drain_epoch(
+    source: &mut dyn EventSource,
+    until: SimTime,
+    pending: &mut Vec<TraceEvent>,
+) -> (bool, Option<SimTime>) {
+    while source.peek().is_some_and(|event| event.time < until) {
+        pending.push(source.next_event().expect("peeked non-empty"));
+    }
+    (source.peek().is_none(), source.last_arrival_time())
+}
+
+/// One epoch's worth of work for a fleet session.
 enum EpochMsg {
     /// Extract every owned cell's summary at `SimTime::ZERO` without
-    /// stepping — the pipelined equivalent of the serial loop's first
-    /// refresh, which reads untouched cells.
+    /// stepping: the summaries of the untouched cells, which the first
+    /// epoch is routed on.
     Prime,
     /// Enqueue the routed batch, step every owned cell to `limit` (or run
     /// to completion when `closed`), then extract summaries at `limit` if
     /// `want_summaries` — the snapshots the router needs for the *next*
-    /// epoch, taken at exactly the state and time the serial loop would.
+    /// epoch, taken at the barrier.
     Step {
         /// `(local slot, event)` in routing order.
         batch: Vec<(u32, TraceEvent)>,
@@ -1236,35 +1180,26 @@ enum EpochMsg {
     },
 }
 
-/// What a fleet session worker sends back to the coordinator.
+/// What a fleet session answers the coordinator, one item per owned
+/// cell (each names its cell).
 enum WorkerReply {
-    /// `(global cell index, summary)` for every owned cell.
-    Summaries(Vec<(usize, CellSummary)>),
-    /// `(global cell index, outcome)` for every owned cell; the session's
-    /// final reply.
-    Outcomes(Vec<(usize, CellOutcome)>),
+    Summaries(Vec<CellSummary>),
+    /// The session's final reply.
+    Outcomes(Vec<CellOutcome>),
 }
 
-/// The long-lived session job pinned to one pool worker: owns its cells'
-/// engines for the entire run and processes epoch messages until the
-/// closed epoch. Returning drops `reply`, which is how a panic anywhere
-/// in here surfaces to the coordinator (as a recv error).
-fn fleet_session(
-    mut owned: Vec<(usize, CellRunner)>,
-    epochs: mpsc::Receiver<EpochMsg>,
-    reply: mpsc::Sender<WorkerReply>,
-) {
-    while let Ok(msg) = epochs.recv() {
+/// The cells one lane owns for the entire run, in local-slot order, and
+/// the one handler of the epoch protocol: a pooled lane calls it from its
+/// pinned job, the inline lane from the coordinator itself.
+struct FleetSession(Vec<CellRunner>);
+
+impl FleetSession {
+    /// Apply one message. `Prime` and a `Step` that wants summaries answer
+    /// `Summaries`, the closed `Step` answers `Outcomes` and ends the
+    /// session, any other `Step` answers nothing.
+    fn handle(&mut self, msg: EpochMsg) -> Option<WorkerReply> {
         match msg {
-            EpochMsg::Prime => {
-                let summaries = owned
-                    .iter_mut()
-                    .map(|(index, runner)| (*index, runner.summary(SimTime::ZERO)))
-                    .collect();
-                if reply.send(WorkerReply::Summaries(summaries)).is_err() {
-                    return;
-                }
-            }
+            EpochMsg::Prime => Some(WorkerReply::Summaries(self.summaries(SimTime::ZERO))),
             EpochMsg::Step {
                 batch,
                 limit,
@@ -1273,9 +1208,9 @@ fn fleet_session(
                 want_summaries,
             } => {
                 for (slot, event) in batch {
-                    owned[slot as usize].1.enqueue(event);
+                    self.0[slot as usize].enqueue(event);
                 }
-                for (_, runner) in owned.iter_mut() {
+                for runner in self.0.iter_mut() {
                     runner.source.last_arrival = last_arrival;
                     if closed {
                         runner.run_to_completion();
@@ -1283,23 +1218,36 @@ fn fleet_session(
                         runner.step_epoch(limit);
                     }
                 }
-                if want_summaries {
-                    let summaries = owned
-                        .iter_mut()
-                        .map(|(index, runner)| (*index, runner.summary(limit)))
-                        .collect();
-                    if reply.send(WorkerReply::Summaries(summaries)).is_err() {
-                        return;
-                    }
-                }
                 if closed {
-                    let outcomes = owned
-                        .drain(..)
-                        .map(|(index, runner)| (index, runner.into_outcome()))
-                        .collect();
-                    let _ = reply.send(WorkerReply::Outcomes(outcomes));
-                    return;
+                    let outcomes = self.0.drain(..).map(CellRunner::into_outcome);
+                    Some(WorkerReply::Outcomes(outcomes.collect()))
+                } else if want_summaries {
+                    Some(WorkerReply::Summaries(self.summaries(limit)))
+                } else {
+                    None
                 }
+            }
+        }
+    }
+
+    fn summaries(&mut self, now: SimTime) -> Vec<CellSummary> {
+        self.0.iter_mut().map(|r| r.summary(now)).collect()
+    }
+}
+
+/// The long-lived job a pooled lane pins to its worker: answers epoch
+/// messages until the closed epoch. Returning drops `reply`, which is how
+/// a panic anywhere in here surfaces to the coordinator (as a recv error).
+fn fleet_session(
+    mut session: FleetSession,
+    epochs: mpsc::Receiver<EpochMsg>,
+    reply: mpsc::Sender<WorkerReply>,
+) {
+    while let Ok(msg) = epochs.recv() {
+        if let Some(answer) = session.handle(msg) {
+            let last = matches!(answer, WorkerReply::Outcomes(_));
+            if reply.send(answer).is_err() || last {
+                return;
             }
         }
     }
@@ -1309,7 +1257,9 @@ fn fleet_session(
 /// panicked). Raised by the coordinator via `std::panic::panic_any` in
 /// place of the bare "fleet worker died" channel hang-up, so the failure
 /// names **which** worker died, **which** cells it owned (their state is
-/// lost), and the original panic message.
+/// lost), and the original panic message. Pooled lanes only: a panic on
+/// the inline lane is already on the caller's thread and unwinds through
+/// [`run_fleet`] with its own payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetWorkerError {
     /// Pool worker index whose session job died.
@@ -1347,170 +1297,163 @@ fn fleet_worker_died(pool: &WorkerPool, worker: usize, cell_count: usize, worker
     });
 }
 
-/// The pooled fleet engine: pins one [`fleet_session`] per worker (cells
-/// striped `cell i → worker i % workers`), holds the pool's session lock
-/// for the whole run, and pipelines the coordinator's source draining
-/// against cell execution. See the [module docs](self) for the epoch
-/// protocol and the bit-parity argument against [`run_fleet_reference`].
-fn run_fleet_pooled(
-    runners: Vec<CellRunner>,
-    predictor: Arc<dyn LifetimePredictor>,
-    mut router: Router,
-    summary_refresh: Duration,
-    source: &mut dyn EventSource,
-    workers: usize,
-    pool: &WorkerPool,
-) -> FleetOutcome {
-    let cell_count = runners.len();
-    // Two concurrent fleet runs pinning sessions onto overlapping workers
-    // would deadlock on each other's bounded channels: one run at a time.
-    let _session = pool.session();
-    pool.ensure_workers(workers);
+/// Where a run's sessions live (see the [module docs](self)). Cells are
+/// striped `cell i → lane i % lanes`, local slot `i / lanes`.
+enum Lanes<'p> {
+    /// One session, owned by the coordinator and run on its thread;
+    /// `reply` keeps the answer to the last message until it is read.
+    Inline {
+        session: FleetSession,
+        reply: Option<WorkerReply>,
+    },
+    /// One session pinned per pool worker, each behind a bounded epoch
+    /// channel and a reply channel.
+    Pooled {
+        pool: &'p WorkerPool,
+        epochs: Vec<mpsc::SyncSender<EpochMsg>>,
+        replies: Vec<mpsc::Receiver<WorkerReply>>,
+        cell_count: usize,
+        /// Two concurrent fleet runs pinning sessions onto overlapping
+        /// workers would deadlock on each other's bounded channels: one
+        /// run at a time. Last field, so it is released only after the
+        /// channels above have closed.
+        _session: MutexGuard<'p, ()>,
+    },
+}
 
-    // Stripe cells across workers: cell i lives on worker i % workers at
-    // local slot i / workers (push order below guarantees the slot map).
-    let mut owned: Vec<Vec<(usize, CellRunner)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, runner) in runners.into_iter().enumerate() {
-        owned[i % workers].push((i, runner));
-    }
-    let mut epoch_txs = Vec::with_capacity(workers);
-    let mut reply_rxs = Vec::with_capacity(workers);
-    for owned in owned {
-        let (epoch_tx, epoch_rx) = mpsc::sync_channel::<EpochMsg>(PIPELINE_DEPTH);
-        let (reply_tx, reply_rx) = mpsc::channel::<WorkerReply>();
-        epoch_txs.push(epoch_tx);
-        reply_rxs.push(reply_rx);
-        let index = epoch_txs.len() - 1;
-        pool.submit_pinned(
-            index,
-            Box::new(move || fleet_session(owned, epoch_rx, reply_tx)),
-        );
+impl<'p> Lanes<'p> {
+    fn inline(runners: Vec<CellRunner>) -> Lanes<'p> {
+        Lanes::Inline {
+            session: FleetSession(runners),
+            reply: None,
+        }
     }
 
-    let needs_summaries = router.needs_summaries();
-    let collect_summaries = |reply_rxs: &[mpsc::Receiver<WorkerReply>]| -> Vec<CellSummary> {
-        let mut by_cell: Vec<Option<CellSummary>> = (0..cell_count).map(|_| None).collect();
-        for (worker, rx) in reply_rxs.iter().enumerate() {
-            match rx
-                .recv()
-                .unwrap_or_else(|_| fleet_worker_died(pool, worker, cell_count, workers))
-            {
-                WorkerReply::Summaries(summaries) => {
-                    for (index, summary) in summaries {
-                        by_cell[index] = Some(summary);
-                    }
+    fn pooled(runners: Vec<CellRunner>, workers: usize, pool: &'p WorkerPool) -> Lanes<'p> {
+        let cell_count = runners.len();
+        let _session = pool.session();
+        pool.ensure_workers(workers);
+        // Push order gives the slot map: cell i lands at slot i / workers.
+        let mut owned: Vec<Vec<CellRunner>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, runner) in runners.into_iter().enumerate() {
+            owned[i % workers].push(runner);
+        }
+        let mut epochs = Vec::with_capacity(workers);
+        let mut replies = Vec::with_capacity(workers);
+        for (worker, owned) in owned.into_iter().enumerate() {
+            let (epoch_tx, epoch_rx) = mpsc::sync_channel::<EpochMsg>(PIPELINE_DEPTH);
+            let (reply_tx, reply_rx) = mpsc::channel::<WorkerReply>();
+            epochs.push(epoch_tx);
+            replies.push(reply_rx);
+            let session = FleetSession(owned);
+            pool.submit_pinned(
+                worker,
+                Box::new(move || fleet_session(session, epoch_rx, reply_tx)),
+            );
+        }
+        Lanes::Pooled {
+            pool,
+            epochs,
+            replies,
+            cell_count,
+            _session,
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Lanes::Inline { .. } => 1,
+            Lanes::Pooled { epochs, .. } => epochs.len(),
+        }
+    }
+
+    fn send(&mut self, lane: usize, msg: EpochMsg) {
+        match self {
+            Lanes::Inline { session, reply } => {
+                debug_assert!(reply.is_none(), "the last answer was never read");
+                *reply = session.handle(msg);
+            }
+            Lanes::Pooled {
+                pool,
+                epochs,
+                cell_count,
+                ..
+            } => {
+                if epochs[lane].send(msg).is_err() {
+                    fleet_worker_died(pool, lane, *cell_count, epochs.len());
                 }
+            }
+        }
+    }
+
+    fn recv(&mut self, lane: usize) -> WorkerReply {
+        match self {
+            Lanes::Inline { reply, .. } => reply.take().expect("the inline lane answered"),
+            Lanes::Pooled {
+                pool,
+                replies,
+                cell_count,
+                ..
+            } => replies[lane]
+                .recv()
+                .unwrap_or_else(|_| fleet_worker_died(pool, lane, *cell_count, replies.len())),
+        }
+    }
+
+    /// One reply from every lane, as [`WorkerReply::Summaries`], in cell
+    /// order.
+    fn summaries(&mut self) -> Vec<CellSummary> {
+        let mut all: Vec<CellSummary> = (0..self.len())
+            .flat_map(|lane| match self.recv(lane) {
+                WorkerReply::Summaries(summaries) => summaries,
                 WorkerReply::Outcomes(_) => unreachable!("outcomes before the closed epoch"),
-            }
-        }
-        by_cell
-            .into_iter()
-            .map(|s| s.expect("every cell summarised"))
-            .collect()
-    };
-
-    // Drain the source for one epoch: identical source-operation order to
-    // the serial loop (drain, peek, last_arrival — per epoch, in order).
-    let drain_epoch =
-        |source: &mut dyn EventSource, until: SimTime, pending: &mut Vec<TraceEvent>| {
-            while source.peek().is_some_and(|event| event.time < until) {
-                pending.push(source.next_event().expect("peeked non-empty"));
-            }
-            (source.peek().is_none(), source.last_arrival_time())
-        };
-
-    if needs_summaries {
-        for (worker, tx) in epoch_txs.iter().enumerate() {
-            if tx.send(EpochMsg::Prime).is_err() {
-                fleet_worker_died(pool, worker, cell_count, workers);
-            }
-        }
-    }
-    let mut pending: Vec<TraceEvent> = Vec::new();
-    let mut epoch_end = SimTime::ZERO + summary_refresh;
-    let (mut closed, mut last_arrival) = drain_epoch(source, epoch_end, &mut pending);
-    if needs_summaries {
-        // Barrier zero: the untouched-cell summaries the serial loop's
-        // first refresh would extract (overlapped with the drain above).
-        router.refresh(collect_summaries(&reply_rxs));
+            })
+            .collect();
+        all.sort_unstable_by_key(|summary| summary.cell);
+        all
     }
 
-    let mut batches: Vec<Vec<(u32, TraceEvent)>> = (0..workers).map(|_| Vec::new()).collect();
-    loop {
-        // Route this epoch's events serially, in arrival order — same
-        // router-call sequence and summary inputs as the serial loop.
-        for event in pending.drain(..) {
-            let cell = router.route(&event, predictor.as_ref());
-            batches[cell % workers].push(((cell / workers) as u32, event));
-        }
-        let want_summaries = needs_summaries && !closed;
-        for (worker, tx) in epoch_txs.iter().enumerate() {
-            let step = EpochMsg::Step {
-                batch: std::mem::take(&mut batches[worker]),
-                limit: epoch_end,
-                closed,
-                last_arrival,
-                want_summaries,
-            };
-            if tx.send(step).is_err() {
-                fleet_worker_died(pool, worker, cell_count, workers);
-            }
-        }
-        if closed {
-            break;
-        }
-        // Overlap: drain the next epoch while workers step this one. For
-        // summary-free routers there is no barrier at all — the loop runs
-        // ahead until the bounded epoch channels push back.
-        let next_end = epoch_end + summary_refresh;
-        (closed, last_arrival) = drain_epoch(source, next_end, &mut pending);
-        if needs_summaries {
-            // Barrier: the summaries extracted at this epoch's limit are
-            // exactly the serial loop's refresh at the next epoch's start.
-            router.refresh(collect_summaries(&reply_rxs));
-        }
-        epoch_end = next_end;
-    }
-
-    let mut by_cell: Vec<Option<CellOutcome>> = (0..cell_count).map(|_| None).collect();
-    for (worker, rx) in reply_rxs.iter().enumerate() {
-        loop {
-            match rx
-                .recv()
-                .unwrap_or_else(|_| fleet_worker_died(pool, worker, cell_count, workers))
-            {
-                // A final want_summaries=false Step never replies with
-                // summaries, but a summary-free router's sessions send
-                // nothing until their Outcomes either — recv in a loop
-                // keeps the protocol honest if that ever changes.
-                WorkerReply::Summaries(_) => continue,
-                WorkerReply::Outcomes(outcomes) => {
-                    for (index, outcome) in outcomes {
-                        by_cell[index] = Some(outcome);
-                    }
-                    break;
-                }
-            }
-        }
-    }
-    FleetOutcome {
-        cells: by_cell
-            .into_iter()
-            .map(|outcome| outcome.expect("every cell reported"))
-            .collect(),
+    /// The final reply of every lane, in cell order.
+    fn outcomes(&mut self) -> Vec<CellOutcome> {
+        let mut all: Vec<CellOutcome> = (0..self.len())
+            .flat_map(|lane| match self.recv(lane) {
+                WorkerReply::Outcomes(outcomes) => outcomes,
+                WorkerReply::Summaries(_) => unreachable!("summaries after the closed epoch"),
+            })
+            .collect();
+        all.sort_unstable_by_key(|outcome| outcome.cell);
+        all
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{ChaosSource, DegradedPredictor, Incident, OutageMode, RecalibrationSpec};
+    use crate::workload::StreamingWorkload;
+    use lava_core::host::HostId;
     use lava_core::vm::VmSpec;
     use lava_model::predictor::OraclePredictor;
+    use lava_sched::baseline::BestFitPolicy;
+    use lava_sched::Algorithm;
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn base_pool(hosts: usize) -> PoolConfig {
         PoolConfig {
             hosts,
             ..PoolConfig::default()
+        }
+    }
+
+    fn test_timing(tick_interval: Duration) -> DriveTiming {
+        DriveTiming {
+            warmup: Duration::ZERO,
+            warmup_with_baseline: false,
+            tick_interval,
+            sample_interval: Duration::from_hours(1),
+            sample_during_warmup: false,
+            defrag_trigger: None,
         }
     }
 
@@ -1582,77 +1525,69 @@ mod tests {
         );
     }
 
-    #[test]
-    fn dead_session_worker_reports_structured_error() {
-        use crate::workload::StreamingWorkload;
-        use lava_core::host::HostId;
-        use lava_sched::baseline::BestFitPolicy;
-        use lava_sched::cluster::Cluster as SchedCluster;
-        use std::panic::{catch_unwind, AssertUnwindSafe};
+    /// Places best-fit until its fuse runs out, then panics — a stand-in
+    /// for a buggy policy blowing up inside a cell mid-run.
+    struct ExplodingPolicy {
+        fuse: usize,
+    }
 
-        /// Panics on its first placement decision — a stand-in for a
-        /// buggy policy blowing up inside a cell-owning session worker.
-        struct ExplodingPolicy;
-        impl PlacementPolicy for ExplodingPolicy {
-            fn name(&self) -> &'static str {
-                "exploding"
-            }
-            fn choose_host(
-                &mut self,
-                _cluster: &SchedCluster,
-                vm: &Vm,
-                _now: SimTime,
-                _exclude: Option<HostId>,
-            ) -> Option<HostId> {
-                panic!("policy exploded placing {:?}", vm.id());
-            }
+    impl PlacementPolicy for ExplodingPolicy {
+        fn name(&self) -> &'static str {
+            "exploding"
         }
+        fn choose_host(
+            &mut self,
+            cluster: &Cluster,
+            vm: &Vm,
+            now: SimTime,
+            exclude: Option<HostId>,
+        ) -> Option<HostId> {
+            assert!(self.fuse > 0, "policy exploded placing {:?}", vm.id());
+            self.fuse -= 1;
+            BestFitPolicy.choose_host(cluster, vm, now, exclude)
+        }
+    }
 
-        let config = FleetConfig {
-            cells: 4,
-            router: RouterSpec::RoundRobin,
-            summary_refresh: Duration::from_mins(15),
-            overrides: Vec::new(),
-            threads: 2,
-        };
+    /// A 4-cell round-robin fleet over 8 hosts whose cell 1 runs an
+    /// [`ExplodingPolicy`] with the given fuse, run at `threads` workers
+    /// on a pool of its own; returns the payload the run unwound with.
+    fn exploding_fleet_payload(fuse: usize, threads: usize) -> Box<dyn std::any::Any + Send> {
+        let config = FleetConfig::new(4)
+            .with_router(RouterSpec::RoundRobin)
+            .with_threads(threads);
         let base = base_pool(8);
-        // Cells 1 and 3 stripe onto worker 1 of a 2-worker pool; the
-        // round-robin router sends cell 1 traffic immediately, killing
-        // that worker's session mid-run.
         let cells = config.build_cells(&base, |id| {
             let policy: Box<dyn PlacementPolicy> = if id.0 == 1 {
-                Box::new(ExplodingPolicy)
+                Box::new(ExplodingPolicy { fuse })
             } else {
                 Box::new(BestFitPolicy)
             };
             (policy, None)
         });
-        let predictor: Arc<dyn LifetimePredictor> = Arc::new(OraclePredictor::new());
         let pool = WorkerPool::new(2);
         let mut source = StreamingWorkload::new(base);
-        let timing = DriveTiming {
-            warmup: Duration::ZERO,
-            warmup_with_baseline: false,
-            tick_interval: Duration::from_mins(5),
-            sample_interval: Duration::from_hours(1),
-            sample_during_warmup: false,
-            defrag_trigger: None,
-        };
-        let payload = catch_unwind(AssertUnwindSafe(|| {
+        catch_unwind(AssertUnwindSafe(|| {
             run_fleet(
                 cells,
-                predictor,
-                RouterSpec::RoundRobin,
+                Arc::new(OraclePredictor::new()),
+                config.router,
                 config.summary_refresh,
-                &timing,
+                &test_timing(Duration::from_mins(5)),
                 &mut source,
                 config.threads,
                 None,
                 Some(&pool),
             )
         }))
-        .expect_err("a dead session worker must abort the run");
-        let err = payload
+        .expect_err("a panicking cell must abort the run")
+    }
+
+    #[test]
+    fn dead_session_worker_reports_structured_error() {
+        // Cells 1 and 3 stripe onto worker 1 of a 2-worker pool; the
+        // round-robin router sends cell 1 traffic immediately, killing
+        // that worker's session mid-run.
+        let err = exploding_fleet_payload(0, 2)
             .downcast::<FleetWorkerError>()
             .expect("the abort payload is the structured error");
         assert_eq!(err.worker, 1);
@@ -1665,6 +1600,20 @@ mod tests {
         let shown = err.to_string();
         assert!(shown.contains("fleet worker 1"), "display: {shown}");
         assert!(shown.contains("[1, 3]"), "display: {shown}");
+    }
+
+    #[test]
+    fn inline_lane_panic_unwinds_with_its_own_payload() {
+        // One worker: the session runs on the calling thread, so there is
+        // no dead worker to report — the policy's own panic (here on its
+        // fourth placement) comes out of `run_fleet`.
+        let payload = exploding_fleet_payload(3, 1);
+        assert!(
+            !payload.is::<FleetWorkerError>(),
+            "the inline lane has no dead-worker translation"
+        );
+        let message = panic_message(payload.as_ref());
+        assert!(message.contains("policy exploded"), "payload: {message}");
     }
 
     #[test]
@@ -1847,5 +1796,218 @@ mod tests {
         let json = serde_json::to_string(&config).unwrap();
         let back: FleetConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(config, back);
+    }
+
+    // --- the executable specification ------------------------------------
+
+    /// The plain fleet loop — refresh, route, run, once per epoch, nothing
+    /// overlapped, no messages — that [`run_fleet`]'s coordinator must
+    /// reproduce bit for bit on every lane. With `threads > 1` an epoch's
+    /// cells run on that many scoped threads, spawned per epoch.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_fleet(
+        cells: Vec<FleetCell>,
+        predictor: Arc<dyn LifetimePredictor>,
+        router: RouterSpec,
+        summary_refresh: Duration,
+        timing: &DriveTiming,
+        source: &mut dyn EventSource,
+        threads: usize,
+        chaos: Option<&FleetChaos>,
+    ) -> FleetOutcome {
+        let mut runners = build_runners(cells, &predictor, summary_refresh, timing, chaos);
+        let mut router = Router::new(router, runners.len());
+        let mut epoch_start = SimTime::ZERO;
+        loop {
+            if router.needs_summaries() {
+                let summaries = runners.iter_mut().map(|r| r.summary(epoch_start));
+                router.refresh(summaries.collect());
+            }
+            let epoch_end = epoch_start + summary_refresh;
+            while source.peek().is_some_and(|event| event.time < epoch_end) {
+                let event = source.next_event().expect("peeked non-empty");
+                let cell = router.route(&event, predictor.as_ref());
+                runners[cell].enqueue(event);
+            }
+            let closed = source.peek().is_none();
+            let last_arrival = source.last_arrival_time();
+            let run = |runner: &mut CellRunner| {
+                runner.source.last_arrival = last_arrival;
+                if closed {
+                    runner.run_to_completion();
+                } else {
+                    runner.step_epoch(epoch_end);
+                }
+            };
+            if threads <= 1 {
+                runners.iter_mut().for_each(run);
+            } else {
+                let per_thread = runners.len().div_ceil(threads);
+                std::thread::scope(|scope| {
+                    for chunk in runners.chunks_mut(per_thread) {
+                        scope.spawn(|| chunk.iter_mut().for_each(run));
+                    }
+                });
+            }
+            if closed {
+                break;
+            }
+            epoch_start = epoch_end;
+        }
+        FleetOutcome {
+            cells: runners.into_iter().map(CellRunner::into_outcome).collect(),
+        }
+    }
+
+    /// Which fleet executor to drive in [`run_fleet_engine`].
+    enum Engine<'p> {
+        /// [`reference_fleet`].
+        Reference { threads: usize },
+        /// [`run_fleet`]; `None` uses the process-global pool.
+        Coordinator {
+            threads: usize,
+            pool: Option<&'p WorkerPool>,
+        },
+    }
+
+    /// Drive one fleet configuration through the chosen executor, building
+    /// fresh cells, predictor seams and event source each time (the chaos
+    /// swaps and the chaos source are stateful, so comparison runs must not
+    /// share them). Mirrors the wiring `Experiment::run_fleet` does.
+    fn run_fleet_engine(
+        engine: Engine<'_>,
+        base: &PoolConfig,
+        fleet: &FleetConfig,
+        incidents: &IncidentPlan,
+        adaptation: AdaptationSpec,
+        algorithm: Algorithm,
+    ) -> FleetOutcome {
+        let predictor: Arc<dyn LifetimePredictor> = Arc::new(OraclePredictor::new());
+        let chaos_active = !incidents.is_empty() || !adaptation.is_empty();
+        let chaos = chaos_active.then(|| FleetChaos {
+            incidents: incidents.clone(),
+            adaptation,
+            swaps: (0..fleet.cells)
+                .map(|_| SwappablePredictor::new(predictor.clone()))
+                .collect(),
+        });
+        let cells = fleet.build_cells(base, |cell| {
+            let cell_predictor: Arc<dyn LifetimePredictor> = match &chaos {
+                Some(chaos) => chaos.swaps[cell.0 as usize].clone(),
+                None => predictor.clone(),
+            };
+            (algorithm.build_policy(cell_predictor), None)
+        });
+        let timing = test_timing(Duration::from_mins(30));
+        let mut source: Box<dyn EventSource + '_> = Box::new(StreamingWorkload::new(base.clone()));
+        if incidents.needs_source() {
+            source = Box::new(ChaosSource::new(source, incidents));
+        }
+        match engine {
+            Engine::Reference { threads } => reference_fleet(
+                cells,
+                predictor,
+                fleet.router,
+                fleet.summary_refresh,
+                &timing,
+                source.as_mut(),
+                threads,
+                chaos.as_ref(),
+            ),
+            Engine::Coordinator { threads, pool } => run_fleet(
+                cells,
+                predictor,
+                fleet.router,
+                fleet.summary_refresh,
+                &timing,
+                source.as_mut(),
+                threads,
+                chaos.as_ref(),
+                pool,
+            ),
+        }
+    }
+
+    proptest! {
+        /// The coordinator against the plain loop it replaced, compared
+        /// *directly* (no experiment plumbing): on randomized
+        /// heterogeneous fleets with a cell outage, a predictor
+        /// degradation and the recalibrator all active, [`run_fleet`] on
+        /// the inline lane (1 thread) and on pooled lanes ({2, per-CPU}
+        /// threads, process-global pool and an explicit caller pool) must
+        /// produce the same bits as the reference loop, itself run
+        /// serially and on scoped threads.
+        #[test]
+        fn pooled_engine_matches_scoped_reference_loop(
+            seed in 0u64..100_000,
+            cells in 2usize..5,
+            hosts in 16usize..26,
+            refresh_mins in 20u64..90,
+            hetero_hosts in 3usize..9,
+        ) {
+            // Derive the remaining knobs from the seed (the vendored
+            // proptest supports at most 6 strategy bindings).
+            let router = RouterSpec::ALL[seed as usize % RouterSpec::ALL.len()];
+            let algorithm = if seed % 2 == 0 { Algorithm::Baseline } else { Algorithm::Nilas };
+            let outage_at = 3 + seed % 6;
+            let base = PoolConfig {
+                hosts,
+                duration: Duration::from_hours(18),
+                ..PoolConfig::small(seed)
+            };
+            let fleet = FleetConfig::new(cells)
+                .with_router(router)
+                .with_summary_refresh(Duration::from_mins(refresh_mins))
+                .with_override(CellOverride::new(0).with_hosts(hetero_hosts))
+                .with_override(CellOverride::new(cells as u32 - 1).with_host_shape(96, 384));
+            let incidents = IncidentPlan {
+                seed,
+                incidents: vec![
+                    Incident::CellOutage {
+                        cell: (seed % cells as u64) as u32,
+                        hosts: Some(2),
+                        mode: if seed % 3 == 0 { OutageMode::HardKill } else { OutageMode::Drain },
+                        at: Duration::from_hours(outage_at),
+                        recovery: Some(Duration::from_hours(4)),
+                    },
+                    Incident::PredictorDegradation {
+                        degraded: DegradedPredictor::Biased { bias_pct: -80 },
+                        at: Duration::from_hours(outage_at + 1),
+                        recovery: Some(Duration::from_hours(3)),
+                    },
+                ],
+            };
+            let adaptation = AdaptationSpec {
+                recalibration: Some(RecalibrationSpec {
+                    cadence: Duration::from_hours(2),
+                    min_samples: 8,
+                }),
+            };
+
+            let scoped_two = run_fleet_engine(
+                Engine::Reference { threads: 2 },
+                &base, &fleet, &incidents, adaptation, algorithm,
+            );
+            let own_pool = WorkerPool::new(2);
+            let contenders = [
+                ("serial reference", Engine::Reference { threads: 1 }),
+                ("coordinator at 1 thread", Engine::Coordinator { threads: 1, pool: None }),
+                ("global pool at 2 threads", Engine::Coordinator { threads: 2, pool: None }),
+                (
+                    "explicit pool at 2 threads",
+                    Engine::Coordinator { threads: 2, pool: Some(&own_pool) },
+                ),
+                ("global pool at per-CPU threads", Engine::Coordinator { threads: 0, pool: None }),
+            ];
+            for (label, engine) in contenders {
+                let outcome = run_fleet_engine(
+                    engine, &base, &fleet, &incidents, adaptation, algorithm,
+                );
+                prop_assert_eq!(
+                    &scoped_two, &outcome,
+                    "router {}: {} diverged from the scoped 2-thread loop", router, label
+                );
+            }
+        }
     }
 }

@@ -38,10 +38,8 @@
 //!   [`workload::StreamingWorkload`] event source,
 //! * [`trace`] — trace containers, training-data extraction and the
 //!   replaying [`trace::TraceSource`],
-//! * [`simulator`] — the [`simulator::SimulationResult`] type runs
-//!   produce,
 //! * [`metrics`] — empty hosts, empty-to-free ratio, packing density,
-//!   utilisation,
+//!   utilisation, and the [`metrics::SimulationResult`] runs produce,
 //! * [`stranding`] — the inflation-simulation stranding pipeline,
 //! * [`defrag`] — defragmentation / maintenance migration modelling and the
 //!   LARS comparison,
@@ -83,7 +81,6 @@ pub mod fleet;
 pub mod metrics;
 pub mod observer;
 pub mod recording;
-pub mod simulator;
 pub mod stranding;
 pub mod suite;
 pub mod timeline;

@@ -8,10 +8,15 @@
 //!   total cores on non-empty hosts (the metric used by Barbalho et al.).
 //! * **Utilisation** — allocated CPU over total CPU, used for simulator
 //!   validation (Fig. 14).
+//!
+//! [`SimulationResult`] is what one run hands back: its [`MetricSeries`]
+//! plus the scheduler's counters.
 
+use crate::stranding::StrandingReport;
 use lava_core::pool::Pool;
 use lava_core::resources::ResourceKind;
 use lava_core::time::SimTime;
+use lava_sched::scheduler::SchedulerStats;
 use serde::{Deserialize, Serialize};
 
 /// A snapshot of the bin-packing metrics at one point in time.
@@ -187,6 +192,55 @@ impl MetricSeries {
     /// A/B analyses).
     pub fn empty_host_series(&self) -> Vec<f64> {
         self.samples.iter().map(|s| s.empty_host_fraction).collect()
+    }
+}
+
+/// The outcome of one simulation run, assembled from the run's observers.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SimulationResult {
+    /// Name of the placement algorithm that was evaluated.
+    pub algorithm: String,
+    /// Name of the predictor that was used.
+    pub predictor: String,
+    /// Metric samples taken after warm-up, up to the last arrival.
+    pub series: MetricSeries,
+    /// Scheduler counters (placements, failures, exits, migrations).
+    pub scheduler_stats: SchedulerStats,
+    /// Average stranding report, if stranding measurement was enabled.
+    pub stranding: Option<StrandingReport>,
+    /// Number of creation events that could not be placed.
+    pub rejected_vms: u64,
+}
+
+impl SimulationResult {
+    /// An empty placeholder result (no samples, zero counters).
+    pub fn empty() -> SimulationResult {
+        SimulationResult {
+            algorithm: String::new(),
+            predictor: String::new(),
+            series: MetricSeries::new(),
+            scheduler_stats: SchedulerStats::default(),
+            stranding: None,
+            rejected_vms: 0,
+        }
+    }
+
+    /// Mean post-warm-up empty-host fraction (the paper's headline metric).
+    ///
+    /// Delegates to [`MetricSeries::mean_empty_host_fraction`] — the series
+    /// is the single source of truth for per-sample summary statistics.
+    pub fn mean_empty_host_fraction(&self) -> f64 {
+        self.series.mean_empty_host_fraction()
+    }
+
+    /// Mean packing density over the series (delegates to the series).
+    pub fn mean_packing_density(&self) -> f64 {
+        self.series.mean_packing_density()
+    }
+
+    /// Mean CPU utilisation over the series (delegates to the series).
+    pub fn mean_cpu_utilization(&self) -> f64 {
+        self.series.mean_cpu_utilization()
     }
 }
 

@@ -20,8 +20,9 @@
 //! * **Scheduling** — arms go to the pool's shared queue, which any
 //!   worker (and the submitting thread) drains, so a long arm does not
 //!   hold up the remaining work. An arm that itself starts a fleet run
-//!   detects it is on a pool worker and uses the serial fleet path —
-//!   same results, no pinned-session deadlock.
+//!   is on a pool worker, so the fleet coordinator keeps its one session
+//!   on the inline lane ([`crate::fleet`]) — same epoch loop, same
+//!   results, nothing pinned, so no pinned-session deadlock.
 //!
 //! ```
 //! use lava_core::time::Duration;

@@ -8,9 +8,10 @@
 //! workers *per epoch* — fine at production summary cadences, ruinous at
 //! fleet scale where a run crosses thousands of epoch barriers. The pool
 //! replaces that with the classic sharded-allocator recipe: long-lived
-//! workers that own their shard of the state for a whole run, a cheap
-//! cross-epoch hand-off instead of thread creation, and a cold path
-//! (serial in-place execution) when one worker suffices.
+//! workers that own their shard of the state for a whole run and a cheap
+//! cross-epoch hand-off instead of thread creation. When one worker
+//! suffices the fleet coordinator does not come here at all: it runs its
+//! one session inline on the calling thread.
 //!
 //! # Two kinds of work
 //!
@@ -32,13 +33,14 @@
 //!
 //! # Sessions and nesting
 //!
-//! Fleet sessions hold the pool's **session lock** for the whole run: two
-//! concurrent fleet runs pinning long-lived jobs onto overlapping workers
-//! would otherwise deadlock on each other's bounded channels. Suite arms
-//! executing *on* a pool worker that themselves start a fleet run detect
-//! it via [`on_pool_worker`] and fall back to the scoped reference path —
-//! a session pinned to the very worker the coordinator occupies could
-//! never run.
+//! A fleet run on pooled lanes holds the pool's **session lock** from
+//! start to finish: two concurrent fleet runs pinning long-lived jobs onto
+//! overlapping workers would otherwise deadlock on each other's bounded
+//! channels. A suite arm executing *on* a pool worker that itself starts
+//! a fleet run is detected via [`on_pool_worker`], and the fleet
+//! coordinator — the same epoch loop — keeps its single session on the
+//! inline lane: a session pinned to the very worker the coordinator
+//! occupies could never run. Nothing is pinned, locked or spawned for it.
 //!
 //! Determinism is unaffected by any of this: work distribution never
 //! influences results (cells are independent given routing, arms are
@@ -74,9 +76,9 @@ thread_local! {
 
 /// Whether the current thread is a pool worker executing a job (or the
 /// submitting thread of [`WorkerPool::run_indexed`] helping to drain the
-/// shared queue). Parallel constructs use this to fall back to their
-/// serial path instead of submitting work they would then occupy a worker
-/// waiting for.
+/// shared queue). Parallel constructs use this to keep their work on the
+/// calling thread instead of submitting jobs they would then occupy a
+/// worker waiting for.
 pub fn on_pool_worker() -> bool {
     IN_POOL_WORKER.with(|flag| flag.get())
 }

@@ -153,7 +153,7 @@ fn chaos_runs_are_deterministic_and_injections_perturb_the_run() {
     );
     // The storm's extra creations flow through the scheduler: strictly
     // more placement work than the incident-free run.
-    let attempts = |r: &lava::sim::simulator::SimulationResult| {
+    let attempts = |r: &lava::sim::metrics::SimulationResult| {
         r.scheduler_stats.placed + r.scheduler_stats.failed + r.rejected_vms
     };
     assert!(

@@ -166,6 +166,27 @@ fn spec_json_from_before_the_scan_knob_was_removed_still_runs() {
 }
 
 #[test]
+fn spec_json_naming_the_removed_learned_fast_variant_is_rejected() {
+    // `Learned` is the one spelling of the learned model (and serves the
+    // compiled engine `LearnedFast` used to select); the old name is an
+    // unknown variant, not an alias.
+    let mut spec = tiny_spec(23);
+    spec.predictor = PredictorSpec::Learned;
+    let json = spec.to_json().expect("serializes");
+    assert_eq!(ExperimentSpec::from_json(&json).expect("parses"), spec);
+    let old_json = json.replace("\"Learned\"", "\"LearnedFast\"");
+    assert_ne!(
+        old_json, json,
+        "the predictor is no longer a bare variant name"
+    );
+    let error = ExperimentSpec::from_json(&old_json).expect_err("removed variant");
+    assert!(
+        error.to_string().contains("unknown variant `LearnedFast`"),
+        "unexpected error: {error}"
+    );
+}
+
+#[test]
 fn cold_start_and_steady_state_differ_only_in_warmup() {
     let mut spec = tiny_spec(29);
     spec.scenario = Scenario::ColdStart;

@@ -14,27 +14,23 @@
 //!   in parallel between summary-refresh barriers);
 //! * the fleet-wide aggregate is consistent with the per-cell results
 //!   (counters sum, every arrival is routed exactly once);
-//! * the persistent-pool executor (`run_fleet`) is bit-identical to the
-//!   scoped spawn-per-epoch reference loop (`run_fleet_reference`) —
-//!   on the process-global pool and on explicit caller pools — and a
-//!   reused pool leaks no state between back-to-back runs.
+//! * a fleet started from a suite arm (the coordinator's inline lane)
+//!   reports what the same spec reports at top level (pooled lanes), and
+//!   a reused pool leaks no state between back-to-back runs. The
+//!   coordinator-vs-plain-loop property test needs `lava-sim`'s private
+//!   cell engine and lives in `lava-sim/src/fleet.rs`.
 
-use lava::core::source::EventSource;
 use lava::core::time::Duration;
-use lava::model::adaptive::SwappablePredictor;
-use lava::model::predictor::{LifetimePredictor, OraclePredictor};
 use lava::sched::Algorithm;
-use lava::sim::chaos::{ChaosSource, DegradedPredictor};
-use lava::sim::experiment::{DriveTiming, Experiment, ExperimentSpec, Scenario, SpecError};
-use lava::sim::fleet::{
-    run_fleet, run_fleet_reference, CellOverride, FleetChaos, FleetConfig, FleetOutcome, RouterSpec,
-};
-use lava::sim::workload::{PoolConfig, StreamingWorkload};
+use lava::sim::chaos::DegradedPredictor;
+use lava::sim::experiment::{Experiment, ExperimentSpec, Scenario, SpecError};
+use lava::sim::fleet::{CellOverride, FleetConfig, RouterSpec};
+use lava::sim::workload::PoolConfig;
 use lava::sim::{
-    AdaptationSpec, Incident, IncidentPlan, OutageMode, RecalibrationSpec, WorkerPool,
+    AdaptationSpec, ExperimentSuite, Incident, IncidentPlan, OutageMode, RecalibrationSpec,
+    WorkerPool,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn base_spec(seed: u64, hosts: usize, hours: u64) -> ExperimentSpec {
     Experiment::builder()
@@ -228,82 +224,6 @@ fn fleet_validation_rejects_degenerate_configs() {
     cold.validate().expect("cold-start fleet is valid");
 }
 
-/// Which fleet executor to drive in [`run_fleet_engine`].
-enum Engine<'p> {
-    /// The spawn-per-epoch scoped loop kept as the executable spec.
-    ScopedReference { threads: usize },
-    /// The persistent-pool engine; `None` uses the process-global pool.
-    Pooled {
-        threads: usize,
-        pool: Option<&'p WorkerPool>,
-    },
-}
-
-/// Drive one fleet configuration through the chosen executor, building
-/// fresh cells, predictor seams and event source each time (the chaos
-/// swaps and the chaos source are stateful, so comparison runs must not
-/// share them). Mirrors the wiring `Experiment::run_fleet` does.
-fn run_fleet_engine(
-    engine: Engine<'_>,
-    base: &PoolConfig,
-    fleet: &FleetConfig,
-    incidents: &IncidentPlan,
-    adaptation: AdaptationSpec,
-    algorithm: Algorithm,
-) -> FleetOutcome {
-    let predictor: Arc<dyn LifetimePredictor> = Arc::new(OraclePredictor::new());
-    let chaos_active = !incidents.is_empty() || !adaptation.is_empty();
-    let chaos = chaos_active.then(|| FleetChaos {
-        incidents: incidents.clone(),
-        adaptation,
-        swaps: (0..fleet.cells)
-            .map(|_| SwappablePredictor::new(predictor.clone()))
-            .collect(),
-    });
-    let cells = fleet.build_cells(base, |cell| {
-        let cell_predictor: Arc<dyn LifetimePredictor> = match &chaos {
-            Some(chaos) => chaos.swaps[cell.0 as usize].clone(),
-            None => predictor.clone(),
-        };
-        (algorithm.build_policy(cell_predictor), None)
-    });
-    let timing = DriveTiming {
-        warmup: Duration::ZERO,
-        warmup_with_baseline: false,
-        tick_interval: Duration::from_mins(30),
-        sample_interval: Duration::from_hours(1),
-        sample_during_warmup: false,
-        defrag_trigger: None,
-    };
-    let mut source: Box<dyn EventSource + '_> = Box::new(StreamingWorkload::new(base.clone()));
-    if incidents.needs_source() {
-        source = Box::new(ChaosSource::new(source, incidents));
-    }
-    match engine {
-        Engine::ScopedReference { threads } => run_fleet_reference(
-            cells,
-            predictor,
-            fleet.router,
-            fleet.summary_refresh,
-            &timing,
-            source.as_mut(),
-            threads,
-            chaos.as_ref(),
-        ),
-        Engine::Pooled { threads, pool } => run_fleet(
-            cells,
-            predictor,
-            fleet.router,
-            fleet.summary_refresh,
-            &timing,
-            source.as_mut(),
-            threads,
-            chaos.as_ref(),
-            pool,
-        ),
-    }
-}
-
 /// A long-lived pool must not leak fleet-session state between runs:
 /// back-to-back [`Experiment::run_on`] calls against one explicit
 /// [`WorkerPool`] — interleaved with a *different* fleet spec on the
@@ -345,6 +265,66 @@ fn pool_reuse_leaks_no_state_between_runs() {
         other.run_on(&pool),
         "a reused pool changed the interleaved spec's result"
     );
+}
+
+/// A fleet started from an arm of a parallel suite finds itself on a pool
+/// worker, so its coordinator takes the inline lane whatever `threads`
+/// says. The report must be the one the same spec gives at top level,
+/// where `threads: 2` means pooled lanes — summary-free and summary-driven
+/// router, with and without incidents in flight.
+#[test]
+fn fleet_arm_of_a_parallel_suite_matches_its_top_level_run() {
+    for router in [RouterSpec::RoundRobin, RouterSpec::LifetimeAware] {
+        for chaotic in [false, true] {
+            let arm = |seed: u64| {
+                let mut spec = base_spec(seed, 20, 24);
+                if chaotic {
+                    spec.incidents = IncidentPlan {
+                        seed,
+                        incidents: vec![
+                            Incident::CellOutage {
+                                cell: 1,
+                                hosts: Some(2),
+                                mode: OutageMode::HardKill,
+                                at: Duration::from_hours(6),
+                                recovery: Some(Duration::from_hours(6)),
+                            },
+                            Incident::PredictorDegradation {
+                                degraded: DegradedPredictor::Biased { bias_pct: -80 },
+                                at: Duration::from_hours(8),
+                                recovery: Some(Duration::from_hours(5)),
+                            },
+                        ],
+                    };
+                    spec.adaptation = AdaptationSpec {
+                        recalibration: Some(RecalibrationSpec {
+                            cadence: Duration::from_hours(2),
+                            min_samples: 8,
+                        }),
+                    };
+                }
+                let fleet = FleetConfig::new(3)
+                    .with_router(router)
+                    .with_summary_refresh(Duration::from_mins(45))
+                    .with_override(CellOverride::new(0).with_hosts(5))
+                    .with_threads(2);
+                with_fleet(spec, fleet)
+            };
+            // Two arms: a one-arm suite runs its arm on the caller.
+            let specs = [arm(31), arm(32)];
+            let nested = ExperimentSuite::from_specs(specs.clone())
+                .expect("valid specs")
+                .with_threads(2)
+                .run();
+            for (spec, nested) in specs.into_iter().zip(nested) {
+                let top_level = Experiment::new(spec).expect("valid").run();
+                assert_eq!(
+                    nested, top_level,
+                    "router {router} (incidents: {chaotic}): a suite arm's fleet diverged"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -459,81 +439,5 @@ proptest! {
             serial.fleet.as_ref(), per_cpu.fleet.as_ref(),
             "chaos fleet ({}) diverged between 1 and per-CPU threads", router
         );
-    }
-
-    /// The persistent-pool executor against the scoped spawn-per-epoch
-    /// loop it replaced, compared *directly* (no experiment plumbing):
-    /// on randomized heterogeneous fleets with a cell outage, a
-    /// predictor degradation and the recalibrator all active, the
-    /// pooled engine at {1, 2, per-CPU} threads — on the process-global
-    /// pool and on an explicit caller pool — must produce the same
-    /// bits as the reference loop.
-    #[test]
-    fn pooled_engine_matches_scoped_reference_loop(
-        seed in 0u64..100_000,
-        cells in 2usize..5,
-        hosts in 16usize..26,
-        refresh_mins in 20u64..90,
-        hetero_hosts in 3usize..9,
-    ) {
-        // Derive the remaining knobs from the seed (the vendored
-        // proptest supports at most 6 strategy bindings).
-        let router = RouterSpec::ALL[seed as usize % RouterSpec::ALL.len()];
-        let algorithm = if seed % 2 == 0 { Algorithm::Baseline } else { Algorithm::Nilas };
-        let outage_at = 3 + seed % 6;
-        let base = PoolConfig {
-            hosts,
-            duration: Duration::from_hours(18),
-            ..PoolConfig::small(seed)
-        };
-        let fleet = FleetConfig::new(cells)
-            .with_router(router)
-            .with_summary_refresh(Duration::from_mins(refresh_mins))
-            .with_override(CellOverride::new(0).with_hosts(hetero_hosts))
-            .with_override(CellOverride::new(cells as u32 - 1).with_host_shape(96, 384));
-        let incidents = IncidentPlan {
-            seed,
-            incidents: vec![
-                Incident::CellOutage {
-                    cell: (seed % cells as u64) as u32,
-                    hosts: Some(2),
-                    mode: if seed % 3 == 0 { OutageMode::HardKill } else { OutageMode::Drain },
-                    at: Duration::from_hours(outage_at),
-                    recovery: Some(Duration::from_hours(4)),
-                },
-                Incident::PredictorDegradation {
-                    degraded: DegradedPredictor::Biased { bias_pct: -80 },
-                    at: Duration::from_hours(outage_at + 1),
-                    recovery: Some(Duration::from_hours(3)),
-                },
-            ],
-        };
-        let adaptation = AdaptationSpec {
-            recalibration: Some(RecalibrationSpec {
-                cadence: Duration::from_hours(2),
-                min_samples: 8,
-            }),
-        };
-
-        let scoped_two = run_fleet_engine(
-            Engine::ScopedReference { threads: 2 },
-            &base, &fleet, &incidents, adaptation, algorithm,
-        );
-        let own_pool = WorkerPool::new(2);
-        let contenders = [
-            ("serial reference", Engine::ScopedReference { threads: 1 }),
-            ("global pool at 2 threads", Engine::Pooled { threads: 2, pool: None }),
-            ("explicit pool at 2 threads", Engine::Pooled { threads: 2, pool: Some(&own_pool) }),
-            ("global pool at per-CPU threads", Engine::Pooled { threads: 0, pool: None }),
-        ];
-        for (label, engine) in contenders {
-            let outcome = run_fleet_engine(
-                engine, &base, &fleet, &incidents, adaptation, algorithm,
-            );
-            prop_assert_eq!(
-                &scoped_two, &outcome,
-                "router {}: {} diverged from the scoped 2-thread loop", router, label
-            );
-        }
     }
 }

@@ -1,58 +1,89 @@
-//! End-to-end guarantee behind `PredictorSpec::LearnedFast`: compiling the
-//! learned model changes *latency only*. A full `Experiment::run` driven
-//! by the compiled engine must reproduce the reference-engine run
-//! bit-for-bit — every placement, rejection, migration and metric sample —
-//! because the two engines return bit-identical predictions for every
-//! (VM, uptime) the scheduler asks about.
+//! End-to-end guarantee behind `PredictorSpec::Learned` serving the
+//! compiled engine: compiling the learned model changes *latency only*. A
+//! full replay scheduled through `GbdtPredictor::compile()` must reproduce
+//! the replay scheduled through the tree-walking `GbdtPredictor` it was
+//! compiled from bit-for-bit — every placement, rejection and metric
+//! sample — because the two engines return bit-identical predictions for
+//! every (VM, uptime) the scheduler asks about.
 //!
-//! The pair shares artifacts the way a sweep would
-//! (`Experiment::share_artifacts_from`), which also exercises the shared
-//! trained-GBDT cell: one training run feeds both engines.
+//! The tree walk is no longer reachable through an `ExperimentSpec`, so
+//! this drives the public pieces directly: one trained model, one
+//! generated trace, `Scheduler` + `drive` once per engine.
 
+use lava::core::pool::{Pool, PoolId};
 use lava::core::time::Duration;
+use lava::model::gbdt::GbdtConfig;
+use lava::model::predictor::LifetimePredictor;
+use lava::sched::cluster::Cluster;
+use lava::sched::scheduler::{Scheduler, SchedulerStats};
 use lava::sched::Algorithm;
-use lava::sim::experiment::{Experiment, PredictorSpec};
-use lava::sim::simulator::SimulationResult;
-use lava::sim::workload::PoolConfig;
+use lava::sim::experiment::{drive, train_gbdt_predictor, DriveTiming};
+use lava::sim::metrics::MetricSeries;
+use lava::sim::observer::MetricRecorder;
+use lava::sim::trace::{Trace, TraceSource};
+use lava::sim::workload::{PoolConfig, WorkloadGenerator};
+use std::sync::Arc;
 
-fn run_pair(algorithm: Algorithm, seed: u64) -> (SimulationResult, SimulationResult) {
-    let spec = |predictor: PredictorSpec| {
-        Experiment::builder()
-            .workload(PoolConfig {
-                hosts: 24,
-                duration: Duration::from_days(2),
-                seed,
-                ..PoolConfig::default()
-            })
-            .warmup(Duration::from_hours(6))
-            .algorithm(algorithm)
-            .predictor(predictor)
-            .build()
-            .expect("valid spec")
+fn replay(
+    workload: &PoolConfig,
+    trace: &Trace,
+    algorithm: Algorithm,
+    predictor: Arc<dyn LifetimePredictor>,
+) -> (SchedulerStats, u64, MetricSeries) {
+    let pool = Pool::with_uniform_hosts(PoolId(0), workload.hosts, workload.host_spec());
+    let mut scheduler = Scheduler::new(
+        Cluster::new(pool),
+        algorithm.build_policy(predictor.clone()),
+        predictor,
+    );
+    let timing = DriveTiming {
+        warmup: Duration::from_hours(6),
+        warmup_with_baseline: false,
+        tick_interval: Duration::from_mins(5),
+        sample_interval: Duration::from_hours(1),
+        sample_during_warmup: false,
+        defrag_trigger: None,
     };
-    let learned = Experiment::new(spec(PredictorSpec::Learned)).expect("valid spec");
-    let mut fast = Experiment::new(spec(PredictorSpec::LearnedFast)).expect("valid spec");
-    // Same workload, both learned-family: the trained model is shared and
-    // trained exactly once for the pair.
-    fast.share_artifacts_from(&learned);
-    (learned.run().result, fast.run().result)
+    let mut metrics = MetricRecorder::new();
+    let rejected = drive(
+        &mut TraceSource::new(trace),
+        &mut scheduler,
+        None,
+        &timing,
+        &mut [&mut metrics],
+    );
+    (scheduler.stats(), rejected, metrics.into_series())
 }
 
 #[test]
 fn learned_fast_replays_learned_bit_identically() {
+    let workload = PoolConfig {
+        hosts: 24,
+        duration: Duration::from_days(2),
+        seed: 21,
+        ..PoolConfig::default()
+    };
+    let trace = WorkloadGenerator::new(workload.clone()).generate();
+    let learned = train_gbdt_predictor(&workload, GbdtConfig::default());
+    let fast = Arc::new(learned.compile());
+    let learned = Arc::new(learned);
+    // The engines are distinguishable by name...
+    assert_eq!(learned.name(), "gbdt");
+    assert_eq!(fast.name(), "gbdt-fast");
+
     for algorithm in [Algorithm::Nilas, Algorithm::Lava] {
-        let (learned, mut fast) = run_pair(algorithm, 21);
-
-        // The engines are distinguishable in reports...
-        assert_eq!(learned.predictor, "gbdt");
-        assert_eq!(fast.predictor, "gbdt-fast");
-
-        // ...and identical in every decision and metric: normalise the
-        // name, then demand full structural equality.
-        fast.predictor = learned.predictor.clone();
+        // ...and identical in every decision and metric.
+        let (stats, rejected, series) = replay(&workload, &trace, algorithm, learned.clone());
+        let (fast_stats, fast_rejected, fast_series) =
+            replay(&workload, &trace, algorithm, fast.clone());
+        assert!(stats.placed > 100, "{algorithm:?} placed {}", stats.placed);
+        assert!(!series.is_empty());
+        assert_eq!(stats, fast_stats, "{algorithm:?}: scheduler counters");
+        assert_eq!(rejected, fast_rejected, "{algorithm:?}: rejections");
         assert_eq!(
-            learned, fast,
-            "compiled predictor changed a {algorithm:?} run's outcome"
+            series.samples(),
+            fast_series.samples(),
+            "compiled predictor changed a {algorithm:?} run's metric samples"
         );
     }
 }
