@@ -21,11 +21,11 @@
 //!   for context (per-placement policy cost is measured in detail by the
 //!   `scheduling_throughput` bench).
 //!
-//! Before the timed rows, parity checks assert that (a) a `TraceSource`
-//! replay and a `StreamingWorkload` run of the same spec produce
-//! bit-identical `SimulationResult`s, and (b) an experiment replaying a
-//! binary-round-tripped trace matches one replaying the JSON round-trip
-//! bit-for-bit.
+//! Before the timed rows, a parity check asserts that an experiment
+//! replaying a binary-round-tripped trace matches one replaying the JSON
+//! round-trip bit-for-bit. (That a `TraceSource` replay and a
+//! `StreamingWorkload` run agree is a tier-1 property test,
+//! `tests/streaming_engine.rs`.)
 //!
 //! Flags (after `--`):
 //!
@@ -45,7 +45,7 @@ use lava_sched::cluster::Cluster;
 use lava_sched::policy::PlacementPolicy;
 use lava_sched::scheduler::Scheduler;
 use lava_sched::Algorithm;
-use lava_sim::experiment::{drive, DriveTiming, Experiment, SourceMode};
+use lava_sim::experiment::{drive, DriveTiming, Experiment};
 use lava_sim::observer::SimObserver;
 use lava_sim::trace::{BinaryTraceSource, BinaryTraceWriter, Trace};
 use lava_sim::workload::{PoolConfig, StreamingWorkload, WorkloadGenerator};
@@ -269,33 +269,6 @@ fn run_streaming_binary_row(hosts: usize, days: u64, dir: &Path) -> StreamingTra
     row
 }
 
-/// In-bench parity assert: the two source modes must produce bit-identical
-/// results for the same spec before we bother timing anything.
-fn assert_source_parity() {
-    let workload = PoolConfig {
-        hosts: 64,
-        duration: Duration::from_days(4),
-        seed: 77,
-        ..PoolConfig::default()
-    };
-    let run = |source: SourceMode| {
-        Experiment::builder()
-            .workload(workload.clone())
-            .warmup(Duration::from_hours(6))
-            .algorithm(Algorithm::Nilas)
-            .source_mode(source)
-            .run()
-            .expect("valid spec")
-    };
-    let materialized = run(SourceMode::Materialized);
-    let streaming = run(SourceMode::Streaming);
-    assert_eq!(
-        materialized.result, streaming.result,
-        "TraceSource and StreamingWorkload diverged"
-    );
-    println!("parity check passed: TraceSource and StreamingWorkload runs are bit-identical");
-}
-
 /// In-bench parity assert: running an experiment on a binary-round-tripped
 /// trace matches the JSON round-trip bit-for-bit.
 fn assert_trace_format_parity() {
@@ -366,7 +339,6 @@ fn main() {
          (<= {rss_slack_kb} KiB slack)"
     );
 
-    assert_source_parity();
     assert_trace_format_parity();
 
     // Engine row: full scale, trivial placement (10M+ events in full mode).

@@ -19,9 +19,10 @@
 //!   (`hash|round-robin|least-loaded|lifetime-aware`; only meaningful with
 //!   `--cells > 1`),
 //! * `--trace-out PATH` / `--trace-in PATH` — persist or replay the
-//!   experiment's workload trace (`.json` writes streamed JSON, any other
+//!   experiment's workload trace (`.json` writes JSON, any other
 //!   extension the compact binary format; reads sniff the format from the
-//!   magic bytes) — see [`crate::harness::apply_trace_io`],
+//!   magic bytes; binary streams, JSON is held whole; a trace recorded for
+//!   another pool id is refused) — see [`crate::harness::apply_trace_io`],
 //! * `--full` — paper-scale settings (24 pools, 7-day traces),
 //! * `--quick` — the smallest sensible settings (for CI smoke runs).
 
@@ -51,7 +52,7 @@ pub struct ExperimentArgs {
     /// True when `--full` was passed.
     pub full: bool,
     /// Write the experiment's trace to this path after generating it
-    /// (`.json` = streamed JSON, anything else = compact binary).
+    /// (`.json` = JSON, anything else = compact binary).
     pub trace_out: Option<String>,
     /// Load the experiment's trace from this path instead of generating
     /// it (format sniffed from the `LVTR` magic, so either format works

@@ -9,9 +9,9 @@
 //!
 //! Usage: `cargo run --release -p lava-bench --bin fig06_empty_hosts -- [--pools N] [--days N] [--threads N] [--full|--quick]`
 
-use lava_bench::{improvement_pp, suite_from_specs, ExperimentArgs, PredictorKind};
+use lava_bench::{improvement_pp, suite_from_specs, ExperimentArgs};
 use lava_sched::Algorithm;
-use lava_sim::experiment::{Experiment, PolicySpec};
+use lava_sim::experiment::{Experiment, PolicySpec, PredictorSpec};
 use lava_sim::workload::PoolConfig;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
         pool.pool_id = lava_core::pool::PoolId(i as u32);
     }
     let algorithms = [Algorithm::LaBinary, Algorithm::Nilas, Algorithm::Lava];
-    let predictors = [PredictorKind::Learned, PredictorKind::Oracle];
+    let predictors = [PredictorSpec::Learned, PredictorSpec::Oracle];
 
     println!("# Figure 6: empty-host improvement over the production baseline (percentage points)");
     println!(
@@ -51,13 +51,17 @@ fn main() {
     // algorithm is a treatment arm on the same trace. Suite arms over the
     // same pool adopt each other's trace automatically.
     let specs = pools.iter().flat_map(|pool| {
-        predictors.map(|kind| {
+        predictors.map(|predictor| {
             let mut arms = vec![PolicySpec::new(Algorithm::Baseline)];
             arms.extend(algorithms.iter().map(|&a| PolicySpec::new(a)));
             Experiment::builder()
-                .name(format!("fig06-pool{}-{}", pool.pool_id.0, kind.label()))
+                .name(format!(
+                    "fig06-pool{}-{}",
+                    pool.pool_id.0,
+                    predictor.label()
+                ))
                 .workload(pool.clone())
-                .predictor(kind.spec())
+                .predictor(predictor)
                 .ab_arms(arms)
                 .build()
                 .expect("valid spec")

@@ -3,9 +3,9 @@
 //! The heavy lifting lives in `lava-sim`'s declarative experiment API
 //! ([`Experiment`](lava_sim::experiment::Experiment)) and the parallel
 //! [`ExperimentSuite`](lava_sim::suite::ExperimentSuite); this module
-//! keeps the thin glue the binaries share — mapping the common CLI
-//! predictor choice onto [`PredictorSpec`], building suites with the CLI
-//! thread count, and report formatting.
+//! keeps the thin glue the binaries share — building suites with the CLI
+//! thread count, honouring the fleet and trace-file flags, and report
+//! formatting.
 
 use crate::args::ExperimentArgs;
 use lava_core::host::HostId;
@@ -13,7 +13,7 @@ use lava_core::time::SimTime;
 use lava_core::vm::Vm;
 use lava_sched::cluster::Cluster;
 use lava_sched::policy::PlacementPolicy;
-use lava_sim::experiment::{ExperimentSpec, PredictorSpec};
+use lava_sim::experiment::ExperimentSpec;
 use lava_sim::fleet::{CellOverride, FleetConfig};
 use lava_sim::metrics::SimulationResult;
 use lava_sim::suite::ExperimentSuite;
@@ -45,40 +45,6 @@ impl PlacementPolicy for MostFreeFirstPolicy {
             .filter(|h| Some(h.id()) != exclude && !h.is_unavailable())
             .find(|h| h.can_fit(vm.resources()))
             .map(|h| h.id())
-    }
-}
-
-/// Which predictor drives the lifetime-aware algorithms in a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredictorKind {
-    /// The learned GBDT model, trained on a separate historical trace.
-    Learned,
-    /// Perfect (oracular) lifetimes.
-    Oracle,
-    /// The accuracy-dial noisy oracle of Appendix G.1 (accuracy in percent).
-    Noisy(u8),
-}
-
-impl PredictorKind {
-    /// Short label used in report rows.
-    pub fn label(&self) -> String {
-        match self {
-            PredictorKind::Learned => "model".to_string(),
-            PredictorKind::Oracle => "oracle".to_string(),
-            PredictorKind::Noisy(acc) => format!("noisy-{acc}"),
-        }
-    }
-
-    /// The declarative predictor spec this CLI choice maps to.
-    pub fn spec(&self) -> PredictorSpec {
-        match self {
-            PredictorKind::Learned => PredictorSpec::Learned,
-            PredictorKind::Oracle => PredictorSpec::Oracle,
-            PredictorKind::Noisy(accuracy_pct) => PredictorSpec::Noisy {
-                accuracy_pct: *accuracy_pct,
-                bias_pct: 0,
-            },
-        }
     }
 }
 
@@ -135,8 +101,9 @@ pub fn heterogeneous_overrides(cells: usize, hosts: usize) -> Vec<CellOverride> 
 /// persist the trace it will run.
 ///
 /// Formats: reads sniff the `LVTR` magic, so either format loads
-/// regardless of extension; writes pick by extension (`.json` = streamed
-/// JSON, anything else = compact binary). Returns an error string suitable
+/// regardless of extension; writes pick by extension (`.json` = JSON,
+/// anything else = compact binary). Binary traces stream through the
+/// codec; JSON is read and written whole. Returns an error string suitable
 /// for a binary's `main` to print and exit on.
 ///
 /// # Errors
@@ -155,12 +122,22 @@ pub fn apply_trace_io(
         let mut magic = [0u8; 4];
         std::io::Read::read_exact(&mut reader, &mut magic)
             .map_err(|e| format!("read {path}: {e}"))?;
+        let mut reader = std::io::Read::chain(&magic[..], reader);
         let trace = if magic == lava_sim::trace::MAGIC {
-            Trace::read_binary(std::io::Read::chain(&magic[..], reader))
+            Trace::read_binary(reader).map_err(|e| format!("parse {path}: {e}"))?
         } else {
-            Trace::from_reader(std::io::Read::chain(&magic[..], reader))
+            let mut json = String::new();
+            std::io::Read::read_to_string(&mut reader, &mut json)
+                .map_err(|e| format!("read {path}: {e}"))?;
+            Trace::from_json(&json).map_err(|e| format!("parse {path}: {e}"))?
+        };
+        let expected = experiment.spec().workload.pool_id;
+        if trace.pool() != expected {
+            return Err(format!(
+                "--trace-in {path}: trace targets {}, the experiment expects {expected}",
+                trace.pool()
+            ));
         }
-        .map_err(|e| format!("parse {path}: {e}"))?;
         if !experiment.set_trace(trace) {
             return Err(format!(
                 "--trace-in {path}: experiment trace already materialised"
@@ -169,15 +146,17 @@ pub fn apply_trace_io(
     }
     if let Some(path) = &args.trace_out {
         let trace = experiment.trace();
-        let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        let mut writer = std::io::BufWriter::new(file);
         if path.ends_with(".json") {
-            trace.to_writer(&mut writer)
+            let json = trace.to_json().map_err(|e| format!("write {path}: {e}"))?;
+            std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
         } else {
-            trace.write_binary(&mut writer)
+            let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
+            let mut writer = std::io::BufWriter::new(file);
+            trace
+                .write_binary(&mut writer)
+                .map_err(|e| format!("write {path}: {e}"))?;
+            std::io::Write::flush(&mut writer).map_err(|e| format!("flush {path}: {e}"))?;
         }
-        .map_err(|e| format!("write {path}: {e}"))?;
-        std::io::Write::flush(&mut writer).map_err(|e| format!("flush {path}: {e}"))?;
     }
     Ok(())
 }
@@ -200,6 +179,7 @@ pub fn report_row(label: &str, values: &[(&str, f64)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lava_core::pool::PoolId;
     use lava_core::time::Duration;
     use lava_model::gbdt::GbdtConfig;
     use lava_sched::Algorithm;
@@ -212,28 +192,6 @@ mod tests {
             duration: Duration::from_days(1),
             ..PoolConfig::small(3)
         }
-    }
-
-    #[test]
-    fn predictor_kinds_map_to_specs() {
-        let pool = tiny_pool();
-        assert_eq!(PredictorKind::Learned.label(), "model");
-        assert_eq!(PredictorKind::Oracle.label(), "oracle");
-        assert_eq!(PredictorKind::Noisy(80).label(), "noisy-80");
-        assert_eq!(PredictorKind::Learned.spec(), PredictorSpec::Learned);
-        assert_eq!(PredictorKind::Oracle.spec(), PredictorSpec::Oracle);
-        assert_eq!(
-            PredictorKind::Noisy(50).spec(),
-            PredictorSpec::Noisy {
-                accuracy_pct: 50,
-                bias_pct: 0
-            }
-        );
-        assert_eq!(PredictorKind::Oracle.spec().build(&pool).name(), "oracle");
-        assert_eq!(
-            PredictorKind::Noisy(50).spec().build(&pool).name(),
-            "noisy-oracle"
-        );
     }
 
     #[test]
@@ -330,6 +288,22 @@ mod tests {
             assert_eq!(writer_exp.trace(), reader_exp.trace(), "{name}");
             // A second --trace-in must fail: the cell is already set.
             assert!(apply_trace_io(&in_args, &reader_exp).is_err());
+            // So must a trace recorded for another pool, naming both ids.
+            let other_pool = Experiment::builder()
+                .workload(PoolConfig {
+                    pool_id: PoolId(7),
+                    ..tiny_pool()
+                })
+                .build()
+                .and_then(Experiment::new)
+                .expect("valid spec");
+            let err = apply_trace_io(&in_args, &other_pool).unwrap_err();
+            assert!(
+                err.contains("pool-0") && err.contains("pool-7"),
+                "{name}: {err}"
+            );
+            // The refused trace was not injected.
+            assert_eq!(other_pool.trace().pool(), PoolId(7), "{name}");
         }
         assert!(apply_trace_io(
             &ExperimentArgs {

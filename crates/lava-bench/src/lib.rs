@@ -16,5 +16,5 @@ pub mod harness;
 pub use args::ExperimentArgs;
 pub use harness::{
     apply_trace_io, fleet_config, heterogeneous_overrides, improvement_pp, suite_from_specs,
-    MostFreeFirstPolicy, PredictorKind,
+    MostFreeFirstPolicy,
 };

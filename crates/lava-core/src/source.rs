@@ -13,10 +13,18 @@
 //! Implementations live where their data lives:
 //!
 //! * `lava_sim::trace::TraceSource` — replays a recorded/materialised
-//!   trace (preserving the legacy semantics exactly);
+//!   trace (preserving the legacy semantics exactly); the one feed of every
+//!   `lava_sim::experiment::Experiment` run, so all arms of a comparison
+//!   see the same recorded trace;
+//! * `lava_sim::trace::BinaryTraceSource` — decodes a binary trace file on
+//!   demand in O(read-buffer) memory;
 //! * `lava_sim::workload::StreamingWorkload` — generates arrivals lazily
 //!   from the seeded workload distributions, emitting event-for-event the
 //!   same stream as the materialised generator for the same seed.
+//!
+//! The lazy sources are not a spec option: a caller that needs their
+//! footprint passes one to `lava_sim::experiment::drive` or
+//! `lava_sim::fleet::run_fleet` itself.
 //!
 //! # Contract
 //!

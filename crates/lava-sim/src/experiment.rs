@@ -44,7 +44,7 @@ use crate::recording::{PredictionRecord, RecordingPredictor};
 use crate::stranding::InflationMix;
 use crate::timeline::{Timeline, TimelineAction, TimelineItem};
 use crate::trace::Trace;
-use crate::workload::{PoolConfig, StreamingWorkload, WorkloadGenerator};
+use crate::workload::{PoolConfig, WorkloadGenerator};
 use lava_core::events::TraceEventKind;
 use lava_core::pool::Pool;
 use lava_core::serve::Micros;
@@ -149,24 +149,6 @@ pub fn train_gbdt_predictor(workload: &PoolConfig, gbdt: GbdtConfig) -> GbdtPred
     let mut builder = DatasetBuilder::new();
     builder.extend(trace.observations());
     GbdtPredictor::train(gbdt, &builder.build())
-}
-
-/// How the event stream is fed to the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SourceMode {
-    /// Materialise the whole workload as a [`Trace`] and replay it through
-    /// a [`TraceSource`](crate::trace::TraceSource). Memory is O(total
-    /// events); the trace is memoised
-    /// on the experiment and can be shared across arms/sweeps.
-    #[default]
-    Materialized,
-    /// Stream arrivals lazily through a
-    /// [`StreamingWorkload`]: memory is
-    /// O(pending VMs), independent of the horizon. Produces bit-identical
-    /// results to [`SourceMode::Materialized`] for the same spec (the
-    /// emitted event stream is identical; property-tested in
-    /// `tests/streaming_engine.rs`).
-    Streaming,
 }
 
 /// How the NILAS/LAVA host exit-time cache is configured.
@@ -368,11 +350,6 @@ pub struct ExperimentSpec {
     pub scenario: Scenario,
     /// Warm-up / tick / sample cadence.
     pub cadence: Cadence,
-    /// How the event stream is produced (materialised trace replay vs lazy
-    /// streaming generation). Results are identical either way; the choice
-    /// trades memory against trace reuse.
-    #[serde(default)]
-    pub source: SourceMode,
     /// The optional fleet tier: shard the workload into cells behind a
     /// [`RouterSpec`](crate::fleet::RouterSpec). `None` (the default —
     /// and what pre-fleet spec JSON parses to) runs the single-cluster
@@ -413,7 +390,6 @@ impl Default for ExperimentSpec {
             policy: PolicySpec::new(Algorithm::Baseline),
             scenario: Scenario::SteadyState,
             cadence: Cadence::default(),
-            source: SourceMode::default(),
             fleet: None,
             incidents: IncidentPlan::default(),
             adaptation: AdaptationSpec::default(),
@@ -814,12 +790,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Set the target steady-state utilisation.
-    pub fn target_utilization(mut self, target: f64) -> Self {
-        self.spec.workload.target_utilization = target;
-        self
-    }
-
     /// Choose the predictor.
     pub fn predictor(mut self, predictor: PredictorSpec) -> Self {
         self.spec.predictor = predictor;
@@ -835,12 +805,6 @@ impl ExperimentBuilder {
     /// Replace the whole policy spec.
     pub fn policy(mut self, policy: PolicySpec) -> Self {
         self.spec.policy = policy;
-        self
-    }
-
-    /// Set the cache policy on the policy.
-    pub fn cache(mut self, cache: CachePolicy) -> Self {
-        self.spec.policy.cache = cache;
         self
     }
 
@@ -895,18 +859,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Choose how the event stream is produced.
-    pub fn source_mode(mut self, source: SourceMode) -> Self {
-        self.spec.source = source;
-        self
-    }
-
-    /// Stream the workload lazily instead of materialising the trace
-    /// (shorthand for [`SourceMode::Streaming`]).
-    pub fn streaming(self) -> Self {
-        self.source_mode(SourceMode::Streaming)
-    }
-
     /// Shard the workload into a fleet of cells behind a router.
     pub fn fleet(mut self, fleet: FleetConfig) -> Self {
         self.spec.fleet = Some(fleet);
@@ -928,12 +880,6 @@ impl ExperimentBuilder {
     /// Attach a serving-tier configuration (online placement service).
     pub fn serve(mut self, serve: ServeConfig) -> Self {
         self.spec.serve = Some(serve);
-        self
-    }
-
-    /// Enable misprediction-aware fallback toward best-fit on the policy.
-    pub fn fallback(mut self, fallback: FallbackSpec) -> Self {
-        self.spec.policy.fallback = Some(fallback);
         self
     }
 
@@ -1073,8 +1019,10 @@ impl Experiment {
     }
 
     /// The experiment's workload trace (generated at most once per shared
-    /// cache cell). Note that [`SourceMode::Streaming`] runs never call
-    /// this — they stream the workload instead of materialising it.
+    /// cache cell) — the one event feed of every run the experiment
+    /// performs. Runs that must not materialise their workload hand a
+    /// [`StreamingWorkload`](crate::workload::StreamingWorkload) to
+    /// [`drive`] or [`fleet::run_fleet`] directly.
     pub fn trace(&self) -> &Trace {
         self.trace_cache
             .get_or_init(|| Arc::new(self.spec.generate_trace()))
@@ -1380,7 +1328,8 @@ impl Experiment {
     /// ([`FleetConfig::build_cells`]), each cell gets its own policy
     /// instance (with the same warm-up deferral contract as the
     /// single-cluster path), and [`fleet::run_fleet`] drives them over
-    /// the spec's event source behind the configured router.
+    /// the experiment's [event feed](Experiment::event_source) behind the
+    /// configured router.
     fn run_fleet(
         &self,
         fleet_config: &FleetConfig,
@@ -1406,25 +1355,9 @@ impl Experiment {
                 Some(chaos) => chaos.swaps[cell.0 as usize].clone(),
                 None => predictor.clone(),
             };
-            let evaluated = spec.policy.build(cell_predictor.clone());
-            if timing.warmup_with_baseline && !timing.warmup.is_zero() {
-                (
-                    Algorithm::Baseline.build_policy(cell_predictor),
-                    Some(evaluated),
-                )
-            } else {
-                (evaluated, None)
-            }
+            phase_policies(&spec.policy, cell_predictor, timing)
         });
-        let mut source: Box<dyn EventSource + '_> = match spec.source {
-            SourceMode::Materialized => Box::new(self.trace().source()),
-            SourceMode::Streaming => Box::new(StreamingWorkload::new(spec.workload.clone())),
-        };
-        // Drift shifts and arrival storms rewrite the event stream itself,
-        // fleet-wide, before routing — wrap the coordinator source.
-        if spec.incidents.needs_source() {
-            source = Box::new(ChaosSource::new(source, &spec.incidents));
-        }
+        let mut source = self.event_source();
         let outcome = fleet::run_fleet(
             cells,
             predictor.clone(),
@@ -1444,12 +1377,22 @@ impl Experiment {
         )
     }
 
+    /// The event feed of one run: a fresh
+    /// [`TraceSource`](crate::trace::TraceSource) over the memoised trace.
+    /// Drift shifts and arrival storms rewrite the stream itself (for a
+    /// fleet: fleet-wide, before routing), so a plan that schedules any
+    /// wraps the replay in a [`ChaosSource`].
+    fn event_source(&self) -> Box<dyn EventSource + '_> {
+        let replay = Box::new(self.trace().source());
+        if self.spec.incidents.needs_source() {
+            Box::new(ChaosSource::new(replay, &self.spec.incidents))
+        } else {
+            replay
+        }
+    }
+
     /// One full replay of the workload under one policy: the primitive
-    /// every scenario composes. The event stream comes from the spec's
-    /// [`SourceMode`]: a fresh [`TraceSource`](crate::trace::TraceSource)
-    /// over the memoised trace, or
-    /// a fresh [`StreamingWorkload`] generating the identical stream
-    /// lazily.
+    /// every scenario composes, fed by [`Experiment::event_source`].
     #[allow(clippy::too_many_arguments)]
     fn run_one(
         &self,
@@ -1488,15 +1431,7 @@ impl Experiment {
             self.spec.workload.host_spec(),
         );
         let cluster = Cluster::new(pool);
-        let evaluated = policy.build(run_predictor.clone());
-        let (initial, deferred) = if timing.warmup_with_baseline && !timing.warmup.is_zero() {
-            (
-                Algorithm::Baseline.build_policy(run_predictor.clone()),
-                Some(evaluated),
-            )
-        } else {
-            (evaluated, None)
-        };
+        let (initial, deferred) = phase_policies(policy, run_predictor.clone(), timing);
         let mut scheduler = Scheduler::new(cluster, initial, run_predictor);
 
         let mut metrics = if chaos_active {
@@ -1518,15 +1453,7 @@ impl Experiment {
             for o in extra.iter_mut() {
                 observers.push(&mut **o);
             }
-            let mut source: Box<dyn EventSource + '_> = match self.spec.source {
-                SourceMode::Materialized => Box::new(self.trace().source()),
-                SourceMode::Streaming => {
-                    Box::new(StreamingWorkload::new(self.spec.workload.clone()))
-                }
-            };
-            if self.spec.incidents.needs_source() {
-                source = Box::new(ChaosSource::new(source, &self.spec.incidents));
-            }
+            let mut source = self.event_source();
             let mut driver = DriveLoop::new(&mut scheduler, deferred, timing);
             if chaos_active {
                 driver.attach_chaos(ChaosController::new(
@@ -1550,6 +1477,23 @@ impl Experiment {
         };
         let predictions = recorder.map(|r| r.records()).unwrap_or_default();
         (result, predictions)
+    }
+}
+
+/// The policy a cluster starts under and the one it switches to at the
+/// warm-up boundary: the production baseline with `policy` deferred when
+/// `timing` warms up under the baseline, else `policy` from the first
+/// placement. Both are built over `predictor`.
+fn phase_policies(
+    policy: &PolicySpec,
+    predictor: Arc<dyn LifetimePredictor>,
+    timing: &DriveTiming,
+) -> (Box<dyn PlacementPolicy>, Option<Box<dyn PlacementPolicy>>) {
+    let evaluated = policy.build(predictor.clone());
+    if timing.warmup_with_baseline && !timing.warmup.is_zero() {
+        (Algorithm::Baseline.build_policy(predictor), Some(evaluated))
+    } else {
+        (evaluated, None)
     }
 }
 

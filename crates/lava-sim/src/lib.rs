@@ -4,10 +4,10 @@
 //! scheduler:
 //!
 //! * [`experiment`] — **the declarative experiment API**: a serializable
-//!   [`ExperimentSpec`] (workload × predictor × policy × scenario ×
-//!   source mode), a fluent [`ExperimentBuilder`] and the single
-//!   [`Experiment::run`] entry point with the streaming event loop
-//!   ([`experiment::drive`]),
+//!   [`ExperimentSpec`] (workload × predictor × policy × scenario), a
+//!   fluent [`ExperimentBuilder`] and the single [`Experiment::run`]
+//!   entry point, which replays the experiment's memoised trace through
+//!   the streaming event loop ([`experiment::drive`]),
 //! * [`timeline`] — the unified [`timeline::Timeline`]: one
 //!   `BinaryHeap`-ordered queue merging source events, dynamically
 //!   scheduled VM exits, tick/sample cadences and defrag triggers,
@@ -93,7 +93,7 @@ pub use arrivals::{AdmissionPolicy, ArrivalGenerator, ArrivalProcess, ServeConfi
 pub use chaos::{AdaptationSpec, Incident, IncidentPlan, OutageMode, RecalibrationSpec};
 pub use experiment::{
     Experiment, ExperimentBuilder, ExperimentReport, ExperimentSpec, PolicySpec, PredictorSpec,
-    Scenario, SourceMode,
+    Scenario,
 };
 pub use fleet::{
     CellOverride, FleetChaos, FleetConfig, FleetReport, FleetWorkerError, Router, RouterSpec,

@@ -24,8 +24,10 @@
 //! canonical order, so deltas are non-negative); `dvm` is the zigzag-coded
 //! signed delta from the previous event's VM id. Varints are LEB128
 //! (7 bits per byte, high bit = continuation). JSON remains the debug and
-//! interchange format; the binary format is the at-scale one — a 10M-event
-//! trace is a few hundred MB of JSON but tens of MB of binary, and
+//! interchange format, read and written whole through the serde derive
+//! ([`Trace::to_json`] / [`Trace::from_json`]); the binary format is the
+//! at-scale one and the only codec written by hand — a 10M-event trace is
+//! a few hundred MB of JSON but tens of MB of binary, and
 //! [`BinaryTraceSource`] replays it in O(read-buffer) memory.
 
 use lava_core::events::{TraceEvent, TraceEventKind};
@@ -157,13 +159,15 @@ impl Trace {
         serde_json::to_string(self)
     }
 
-    /// Deserialise from a JSON string.
+    /// Deserialise from a JSON string; the events are sorted into
+    /// canonical order, so a hand-edited document replays like any other.
     ///
     /// # Errors
     ///
     /// Returns the underlying `serde_json` error on failure.
     pub fn from_json(json: &str) -> Result<Trace, serde_json::Error> {
-        serde_json::from_str(json)
+        let parsed: Trace = serde_json::from_str(json)?;
+        Ok(Trace::new(parsed.pool, parsed.events))
     }
 
     /// A pull-based [`EventSource`] replaying this trace.
@@ -235,38 +239,6 @@ impl Trace {
         }
         Ok(Trace::new(source.pool(), events))
     }
-
-    /// Stream the JSON encoding to a writer without building the full
-    /// document in memory — byte-identical to [`Trace::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceCodecError::Io`] if the writer fails.
-    pub fn to_writer<W: Write>(&self, writer: &mut W) -> Result<(), TraceCodecError> {
-        writer.write_all(b"{\"pool\":")?;
-        writer.write_all(serde_json::to_string(&self.pool)?.as_bytes())?;
-        writer.write_all(b",\"events\":[")?;
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                writer.write_all(b",")?;
-            }
-            writer.write_all(serde_json::to_string(event)?.as_bytes())?;
-        }
-        writer.write_all(b"]}")?;
-        Ok(())
-    }
-
-    /// Parse a JSON trace from a reader, holding only one event's text in
-    /// memory at a time (the decoded events are still materialised).
-    ///
-    /// Accepts anything [`Trace::to_json`] / [`Trace::to_writer`] produce.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceCodecError`] on I/O failure or malformed JSON.
-    pub fn from_reader<R: Read>(reader: R) -> Result<Trace, TraceCodecError> {
-        json_from_reader(reader)
-    }
 }
 
 /// Replays a materialised [`Trace`] as a pull-based
@@ -336,13 +308,11 @@ const PRIORITY_MASK: u8 = 0b11;
 const FLAG_BYPASS: u8 = 1 << 4;
 const FLAG_E2: u8 = 1 << 5;
 
-/// Error raised by the binary and streaming-JSON trace codecs.
+/// Error raised by the binary trace codec.
 #[derive(Debug)]
 pub enum TraceCodecError {
     /// Underlying reader/writer failure.
     Io(std::io::Error),
-    /// JSON (de)serialisation failure on the streaming JSON path.
-    Json(serde_json::Error),
     /// The input does not start with the `LVTR` magic.
     BadMagic,
     /// The version byte is not one this build understands.
@@ -355,7 +325,6 @@ impl std::fmt::Display for TraceCodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceCodecError::Io(e) => write!(f, "trace I/O error: {e}"),
-            TraceCodecError::Json(e) => write!(f, "trace JSON error: {e}"),
             TraceCodecError::BadMagic => write!(f, "not a binary trace (bad magic)"),
             TraceCodecError::UnsupportedVersion(v) => {
                 write!(f, "unsupported binary trace version {v}")
@@ -370,12 +339,6 @@ impl std::error::Error for TraceCodecError {}
 impl From<std::io::Error> for TraceCodecError {
     fn from(e: std::io::Error) -> TraceCodecError {
         TraceCodecError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for TraceCodecError {
-    fn from(e: serde_json::Error) -> TraceCodecError {
-        TraceCodecError::Json(e)
     }
 }
 
@@ -768,126 +731,6 @@ impl<W: Write + Seek> BinaryTraceWriter<W> {
     }
 }
 
-/// Streaming JSON reader: scans the document byte-by-byte, parsing each
-/// element of the top-level `"events"` array individually so only one
-/// event's text is resident at a time; everything outside the array is
-/// collected into a skeleton (`…"events":[]…`) and parsed as the trace
-/// envelope at the end.
-fn json_from_reader<R: Read>(mut reader: R) -> Result<Trace, TraceCodecError> {
-    let mut skeleton: Vec<u8> = Vec::new();
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let mut event_buf: Vec<u8> = Vec::new();
-
-    // Envelope scanner state.
-    let mut depth = 0i64;
-    let mut in_string = false;
-    let mut escape = false;
-    let mut string_buf = String::new();
-    let mut last_key = String::new();
-    let mut in_events = false;
-    // Event capture state.
-    let mut event_active = false;
-    let mut evt_depth = 0i64;
-    let mut evt_in_string = false;
-    let mut evt_escape = false;
-
-    let mut chunk = [0u8; 8192];
-    loop {
-        let n = reader.read(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        for &byte in &chunk[..n] {
-            if event_active {
-                event_buf.push(byte);
-                if evt_in_string {
-                    if evt_escape {
-                        evt_escape = false;
-                    } else if byte == b'\\' {
-                        evt_escape = true;
-                    } else if byte == b'"' {
-                        evt_in_string = false;
-                    }
-                } else {
-                    match byte {
-                        b'"' => evt_in_string = true,
-                        b'{' | b'[' => evt_depth += 1,
-                        b'}' | b']' => {
-                            evt_depth -= 1;
-                            if evt_depth == 0 {
-                                let text = std::str::from_utf8(&event_buf)
-                                    .map_err(|_| TraceCodecError::Corrupt("invalid UTF-8"))?;
-                                events.push(serde_json::from_str::<TraceEvent>(text)?);
-                                event_buf.clear();
-                                event_active = false;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                continue;
-            }
-            if in_events {
-                match byte {
-                    b'{' => {
-                        event_active = true;
-                        evt_depth = 1;
-                        evt_in_string = false;
-                        evt_escape = false;
-                        event_buf.push(byte);
-                    }
-                    b']' => {
-                        in_events = false;
-                        skeleton.push(byte);
-                        depth -= 1;
-                    }
-                    b',' | b' ' | b'\t' | b'\n' | b'\r' => {}
-                    _ => return Err(TraceCodecError::Corrupt("expected object in events array")),
-                }
-                continue;
-            }
-            skeleton.push(byte);
-            if in_string {
-                if escape {
-                    escape = false;
-                } else if byte == b'\\' {
-                    escape = true;
-                } else if byte == b'"' {
-                    in_string = false;
-                    if depth == 1 {
-                        last_key = std::mem::take(&mut string_buf);
-                    }
-                } else if depth == 1 {
-                    string_buf.push(byte as char);
-                }
-                continue;
-            }
-            match byte {
-                b'"' => {
-                    in_string = true;
-                    string_buf.clear();
-                }
-                b'{' => depth += 1,
-                b'[' => {
-                    depth += 1;
-                    if depth == 2 && last_key == "events" {
-                        in_events = true;
-                    }
-                }
-                b'}' | b']' => depth -= 1,
-                _ => {}
-            }
-        }
-    }
-    if event_active || in_events || depth != 0 {
-        return Err(TraceCodecError::Corrupt("truncated JSON trace"));
-    }
-    let skeleton =
-        String::from_utf8(skeleton).map_err(|_| TraceCodecError::Corrupt("invalid UTF-8"))?;
-    let envelope: Trace = serde_json::from_str(&skeleton)?;
-    Ok(Trace::new(envelope.pool, events))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1088,27 +931,5 @@ mod tests {
         ));
 
         assert!(Trace::from_binary(&[]).is_err());
-    }
-
-    #[test]
-    fn streaming_json_matches_to_json_exactly() {
-        for t in [sample_trace(), fancy_trace(), Trace::new(PoolId(4), vec![])] {
-            let mut streamed = Vec::new();
-            t.to_writer(&mut streamed).unwrap();
-            assert_eq!(
-                String::from_utf8(streamed.clone()).unwrap(),
-                t.to_json().unwrap()
-            );
-            let back = Trace::from_reader(&streamed[..]).unwrap();
-            assert_eq!(t, back);
-        }
-    }
-
-    #[test]
-    fn json_reader_rejects_truncated_documents() {
-        let json = sample_trace().to_json().unwrap();
-        let cut = &json.as_bytes()[..json.len() / 2];
-        assert!(Trace::from_reader(cut).is_err());
-        assert!(Trace::from_reader(&b"not json at all"[..]).is_err());
     }
 }

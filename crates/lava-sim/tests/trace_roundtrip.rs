@@ -6,15 +6,19 @@
 //!
 //! * binary round-trip: `to_binary` → `from_binary` reproduces every
 //!   event exactly (`Trace: PartialEq` covers each field);
-//! * JSON round-trip: `to_json` → `from_json` ditto;
+//! * JSON round-trip: `to_json` → `from_json` ditto, and re-serialising
+//!   the decoded trace reproduces the document byte for byte;
 //! * cross-format: the JSON of a binary-round-tripped trace equals the
 //!   JSON of the original, byte for byte — replaying either encoding
 //!   can never diverge;
-//! * streaming writers match their one-shot counterparts byte for byte.
+//! * the streaming binary writer matches the one-shot encoder byte for
+//!   byte;
+//! * `from_json` canonicalises: a document whose events are out of order
+//!   parses to the canonical trace.
 //!
-//! Plus the failure side: corrupt or truncated binary headers/bodies and
-//! truncated JSON documents must produce clean [`TraceCodecError`]s, not
-//! panics or silently short traces.
+//! Plus the failure side: corrupt or truncated binary headers/bodies must
+//! produce clean [`TraceCodecError`]s, and truncated or non-JSON documents
+//! a `serde_json` error — never a panic or a silently short trace.
 
 use lava_core::time::{Duration, SimTime};
 use lava_core::vm::VmId;
@@ -77,10 +81,13 @@ fn binary_and_json_codecs_are_lossless_and_bit_identical() {
             "case {case}: binary-decoded trace diverges from JSON"
         );
 
-        // Streaming writers are byte-identical to the one-shot encoders.
-        let mut streamed_json = Vec::new();
-        trace.to_writer(&mut streamed_json).expect("writes");
-        assert_eq!(streamed_json, json.as_bytes(), "case {case}");
+        assert_eq!(
+            via_json.to_json().expect("serializes"),
+            json,
+            "case {case}: JSON-decoded trace re-serializes differently"
+        );
+
+        // The streaming writer is byte-identical to the one-shot encoder.
         let mut streamed_binary = Vec::new();
         trace.write_binary(&mut streamed_binary).expect("writes");
         assert_eq!(streamed_binary, binary, "case {case}");
@@ -124,11 +131,26 @@ fn corrupt_and_truncated_inputs_error_cleanly() {
         "truncated body must error"
     );
 
-    // Truncated JSON document.
+    // Truncated JSON document, and something that is not JSON at all.
     let json = trace.to_json().expect("serializes");
     let cut = json.len() / 2;
     assert!(
-        Trace::from_reader(&json.as_bytes()[..cut]).is_err(),
+        Trace::from_json(&json[..cut]).is_err(),
         "truncated JSON must error"
     );
+    assert!(Trace::from_json("not json at all").is_err());
+}
+
+#[test]
+fn json_with_out_of_order_events_parses_to_the_canonical_trace() {
+    let trace = WorkloadGenerator::new(workload(5)).generate();
+    assert!(trace.events().len() > 100);
+    let mut reversed = trace.events().to_vec();
+    reversed.reverse();
+    let pool = serde_json::to_string(&trace.pool()).expect("serializes");
+    let events = serde_json::to_string(&reversed).expect("serializes");
+    let json = format!("{{\"pool\":{pool},\"events\":{events}}}");
+    assert_ne!(json, trace.to_json().expect("serializes"));
+    let parsed = Trace::from_json(&json).expect("parses");
+    assert_eq!(parsed, trace, "from_json left the events unsorted");
 }

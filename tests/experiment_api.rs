@@ -156,13 +156,20 @@ fn spec_json_from_before_the_scan_knob_was_removed_still_runs() {
     let mut spec = tiny_spec(23);
     spec.policy = PolicySpec::new(Algorithm::Lava);
     let json = spec.to_json().expect("serializes");
-    let old_json = json.replace("\"cache\"", "\"scan\":\"Linear\",\"cache\"");
-    assert_ne!(old_json, json, "the policy's first kept key moved");
-    let parsed = ExperimentSpec::from_json(&old_json).expect("old spec parses");
-    assert_eq!(parsed, spec);
-    let old = Experiment::new(parsed).expect("valid").run();
-    let new = Experiment::new(spec).expect("valid").run();
-    assert_eq!(old.result, new.result);
+    let with_scan = json.replace("\"cache\"", "\"scan\":\"Linear\",\"cache\"");
+    assert_ne!(with_scan, json, "the policy's first kept key moved");
+    // Specs written up to PR 18 may also carry the removed `"source"` mode;
+    // a spec that asked for `Streaming` now replays its trace, to the same
+    // result.
+    let with_source = json.replace("\"fleet\"", "\"source\":\"Streaming\",\"fleet\"");
+    assert_ne!(with_source, json, "the key after `cadence` moved");
+    let new = Experiment::new(spec.clone()).expect("valid").run();
+    for old_json in [with_scan, with_source] {
+        let parsed = ExperimentSpec::from_json(&old_json).expect("old spec parses");
+        assert_eq!(parsed, spec);
+        let old = Experiment::new(parsed).expect("valid").run();
+        assert_eq!(old.result, new.result);
+    }
 }
 
 #[test]

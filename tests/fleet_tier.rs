@@ -20,17 +20,20 @@
 //!   coordinator-vs-plain-loop property test needs `lava-sim`'s private
 //!   cell engine and lives in `lava-sim/src/fleet.rs`.
 
+use lava::core::source::EventSource;
 use lava::core::time::Duration;
+use lava::model::predictor::{LifetimePredictor, OraclePredictor};
 use lava::sched::Algorithm;
 use lava::sim::chaos::DegradedPredictor;
-use lava::sim::experiment::{Experiment, ExperimentSpec, Scenario, SpecError};
-use lava::sim::fleet::{CellOverride, FleetConfig, RouterSpec};
-use lava::sim::workload::PoolConfig;
+use lava::sim::experiment::{DriveTiming, Experiment, ExperimentSpec, Scenario, SpecError};
+use lava::sim::fleet::{run_fleet, CellOverride, FleetConfig, RouterSpec};
+use lava::sim::workload::{PoolConfig, StreamingWorkload, WorkloadGenerator};
 use lava::sim::{
     AdaptationSpec, ExperimentSuite, Incident, IncidentPlan, OutageMode, RecalibrationSpec,
     WorkerPool,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn base_spec(seed: u64, hosts: usize, hours: u64) -> ExperimentSpec {
     Experiment::builder()
@@ -87,24 +90,61 @@ fn pre_fleet_spec_json_round_trips_and_matches_one_cell_hash_fleet() {
 
 #[test]
 fn one_cell_fleet_matches_plain_run_for_every_router_and_source_mode() {
-    use lava::sim::experiment::SourceMode;
-    for source in [SourceMode::Materialized, SourceMode::Streaming] {
-        let mut plain_spec = base_spec(7, 16, 30);
-        plain_spec.source = source;
-        let plain = Experiment::new(plain_spec).expect("valid").run();
-        for router in RouterSpec::ALL {
-            let mut spec = base_spec(7, 16, 30);
-            spec.source = source;
-            let spec = with_fleet(
-                spec,
-                FleetConfig::new(1).with_router(router).with_threads(1),
-            );
-            let report = Experiment::new(spec).expect("valid").run();
-            assert_eq!(
-                plain.result, report.result,
-                "router {router} diverged on a 1-cell fleet ({source:?})"
-            );
-        }
+    let plain = Experiment::new(base_spec(7, 16, 30)).expect("valid").run();
+    // What `base_spec` runs, spelled out for direct `run_fleet` calls.
+    let workload = base_spec(7, 16, 30).workload;
+    let trace = WorkloadGenerator::new(workload.clone()).generate();
+    let predictor: Arc<dyn LifetimePredictor> = Arc::new(OraclePredictor::new());
+    let timing = DriveTiming {
+        warmup: Duration::from_hours(3),
+        warmup_with_baseline: true,
+        tick_interval: Duration::from_mins(30),
+        sample_interval: Duration::from_hours(1),
+        sample_during_warmup: false,
+        defrag_trigger: None,
+    };
+    for router in RouterSpec::ALL {
+        let fleet = FleetConfig::new(1).with_router(router).with_threads(1);
+        let spec = with_fleet(base_spec(7, 16, 30), fleet.clone());
+        let report = Experiment::new(spec).expect("valid").run();
+        assert_eq!(
+            plain.result, report.result,
+            "router {router} diverged on a 1-cell fleet"
+        );
+
+        // The spec API always replays its trace; `run_fleet` itself also
+        // takes a lazy source, whose last arrival becomes known only
+        // epochs into the run. Both feeds must give the same outcome.
+        let run = |source: &mut dyn EventSource| {
+            let cells = fleet.build_cells(&workload, |_| {
+                (
+                    Algorithm::Baseline.build_policy(predictor.clone()),
+                    Some(Algorithm::Nilas.build_policy(predictor.clone())),
+                )
+            });
+            run_fleet(
+                cells,
+                predictor.clone(),
+                router,
+                fleet.summary_refresh,
+                &timing,
+                source,
+                1,
+                None,
+                None,
+            )
+        };
+        let replayed = run(&mut trace.source());
+        let streamed = run(&mut StreamingWorkload::new(workload.clone()));
+        assert_eq!(
+            replayed, streamed,
+            "router {router}: lazy and replay sources diverged"
+        );
+        assert_eq!(
+            (&replayed.cells[0].stats, &replayed.cells[0].series),
+            (&plain.result.scheduler_stats, &plain.result.series),
+            "router {router}: the direct run is not the spec's run"
+        );
     }
 }
 

@@ -6,9 +6,11 @@
 //!
 //! * `StreamingWorkload` emits event-for-event the same stream as the
 //!   materialised `WorkloadGenerator` for the same seed (property test);
-//! * a `SourceMode::Streaming` experiment produces a bit-identical
-//!   `SimulationResult` to a `SourceMode::Materialized` one (property
-//!   test over seeds/pool shapes/algorithms);
+//! * the engine (`drive`) fed by a `StreamingWorkload` — last arrival
+//!   unknown until the generator crosses the horizon — produces
+//!   bit-identical scheduler counters, rejections and metric samples to
+//!   the same run fed by a `TraceSource`, which knows it up front
+//!   (property test over seeds/pool shapes/algorithms);
 //! * the streaming source's pending-event buffer is bounded by the live
 //!   VM population, independent of the horizon length;
 //! * defrag triggers routed through the unified timeline drain the same
@@ -20,10 +22,12 @@
 use lava::core::prelude::*;
 use lava::model::predictor::OraclePredictor;
 use lava::sched::cluster::Cluster;
-use lava::sched::scheduler::Scheduler;
+use lava::sched::scheduler::{Scheduler, SchedulerStats};
 use lava::sched::Algorithm;
 use lava::sim::defrag::EvacuationCollector;
-use lava::sim::experiment::{Experiment, Scenario, SourceMode};
+use lava::sim::experiment::{drive, DriveTiming, Experiment, Scenario};
+use lava::sim::metrics::MetricSeries;
+use lava::sim::observer::MetricRecorder;
 use lava::sim::suite::ExperimentSuite;
 use lava::sim::workload::{PoolConfig, StreamingWorkload, WorkloadGenerator};
 use lava::sim::SimObserver;
@@ -38,6 +42,40 @@ fn config(seed: u64, hosts: usize, hours: u64, utilization: f64) -> PoolConfig {
         seed,
         ..PoolConfig::default()
     }
+}
+
+/// One steady-state pass of the engine over `source`, set up the way
+/// `Experiment::run` sets up a default spec: baseline during a 4 h
+/// warm-up, `algorithm` switched in at the boundary, oracle lifetimes.
+fn steady_state_drive(
+    workload: &PoolConfig,
+    algorithm: Algorithm,
+    source: &mut dyn EventSource,
+) -> (SchedulerStats, u64, MetricSeries) {
+    let predictor = Arc::new(OraclePredictor::new());
+    let pool = Pool::with_uniform_hosts(workload.pool_id, workload.hosts, workload.host_spec());
+    let mut scheduler = Scheduler::new(
+        Cluster::new(pool),
+        Algorithm::Baseline.build_policy(predictor.clone()),
+        predictor.clone(),
+    );
+    let timing = DriveTiming {
+        warmup: Duration::from_hours(4),
+        warmup_with_baseline: true,
+        tick_interval: Duration::from_mins(5),
+        sample_interval: Duration::from_hours(1),
+        sample_during_warmup: false,
+        defrag_trigger: None,
+    };
+    let mut metrics = MetricRecorder::new();
+    let rejected = drive(
+        source,
+        &mut scheduler,
+        Some(algorithm.build_policy(predictor)),
+        &timing,
+        &mut [&mut metrics],
+    );
+    (scheduler.stats(), rejected, metrics.into_series())
 }
 
 proptest! {
@@ -72,21 +110,21 @@ proptest! {
     ) {
         let algorithm = Algorithm::ALL[algorithm_idx % Algorithm::ALL.len()];
         let workload = config(seed, hosts, hours, 0.75);
-        let run = |source: SourceMode| {
-            Experiment::builder()
-                .workload(workload.clone())
-                .warmup(Duration::from_hours(4))
-                .algorithm(algorithm)
-                .source_mode(source)
-                .run()
-                .expect("valid spec")
-        };
-        let materialized = run(SourceMode::Materialized);
-        let streaming = run(SourceMode::Streaming);
+        let trace = WorkloadGenerator::new(workload.clone()).generate();
+        let (stats, rejected, series) =
+            steady_state_drive(&workload, algorithm, &mut trace.source());
+        let (lazy_stats, lazy_rejected, lazy_series) = steady_state_drive(
+            &workload,
+            algorithm,
+            &mut StreamingWorkload::new(workload.clone()),
+        );
+        prop_assert!(stats.placed > 0 && !series.is_empty());
+        prop_assert_eq!(stats, lazy_stats, "{}: scheduler counters", algorithm);
+        prop_assert_eq!(rejected, lazy_rejected, "{}: rejections", algorithm);
         prop_assert_eq!(
-            &materialized.result,
-            &streaming.result,
-            "{} diverged between source modes",
+            series.samples(),
+            lazy_series.samples(),
+            "{}: metric samples diverged between sources",
             algorithm
         );
     }
@@ -312,12 +350,12 @@ fn timeline_defrag_cadence_matches_the_legacy_per_event_collector() {
 fn suite_is_bit_identical_per_arm_across_thread_counts() {
     let arms = || {
         let specs = [
-            (1u64, Algorithm::Nilas, SourceMode::Materialized),
-            (1, Algorithm::Lava, SourceMode::Streaming),
-            (2, Algorithm::Baseline, SourceMode::Materialized),
-            (3, Algorithm::Nilas, SourceMode::Streaming),
+            (1u64, Algorithm::Nilas),
+            (1, Algorithm::Lava),
+            (2, Algorithm::Baseline),
+            (3, Algorithm::Nilas),
         ]
-        .map(|(seed, algorithm, source)| {
+        .map(|(seed, algorithm)| {
             Experiment::builder()
                 .workload(PoolConfig {
                     hosts: 16,
@@ -326,7 +364,6 @@ fn suite_is_bit_identical_per_arm_across_thread_counts() {
                 })
                 .warmup(Duration::from_hours(6))
                 .algorithm(algorithm)
-                .source_mode(source)
                 .build()
                 .expect("valid spec")
         });
@@ -335,7 +372,7 @@ fn suite_is_bit_identical_per_arm_across_thread_counts() {
     let serial = arms().with_threads(1).run();
     let parallel = arms().with_threads(4).run();
     assert_eq!(serial, parallel, "thread count changed a result");
-    // Arms over the same workload share one trace even across modes.
+    // Arms over the same workload share one trace cell.
     let suite = arms();
     assert!(std::ptr::eq(
         suite.experiments()[0].trace(),
