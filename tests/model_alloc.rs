@@ -11,6 +11,13 @@
 //! allocates nothing either; and that the legacy `FeatureSchema::encode`
 //! Vec path visibly does allocate (i.e. the counter works).
 //!
+//! Training is held to a budget too: `GbdtRegressor::fit` allocates its
+//! working set once (flat binned matrix, index array, partition scratch,
+//! histogram, growth heap) and then one node `Vec` per tree, so a fit makes
+//! a handful of allocations per tree and the same number whatever the
+//! example count — a retrain inside a running fleet does not churn the
+//! allocator the cell workers share.
+//!
 //! The file intentionally holds a single `#[test]` so no concurrent test
 //! can perturb the allocation counter.
 
@@ -18,7 +25,7 @@ use lava::core::resources::Resources;
 use lava::core::time::{Duration, SimTime};
 use lava::core::vm::{Vm, VmId, VmSpec};
 use lava::model::dataset::DatasetBuilder;
-use lava::model::gbdt::GbdtConfig;
+use lava::model::gbdt::{GbdtConfig, GbdtRegressor};
 use lava::model::predictor::{GbdtPredictor, LifetimePredictor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,6 +135,35 @@ fn compiled_prediction_path_is_allocation_free() {
         allocations() - before,
         0,
         "reference predictor's encode_into path allocated"
+    );
+
+    // --- training: a fixed working set plus one node Vec per tree --------
+    let fit_allocations = |examples: u64| {
+        let mut builder = DatasetBuilder::new().augment(false);
+        for i in 0..examples {
+            let spec = VmSpec::builder(Resources::cores_gib(2 + (i % 4), 8))
+                .category((i % 3) as u32)
+                .build();
+            builder.push(spec, Duration::from_secs(600 + 37 * i));
+        }
+        let dataset = builder.build();
+        let (rows, labels) = (dataset.feature_rows(), dataset.labels());
+        let config = GbdtConfig::fast();
+        let budget = 8 * config.num_trees as u64 + 64;
+        let before = allocations();
+        let model = GbdtRegressor::fit(config, &rows, &labels);
+        let spent = allocations() - before;
+        assert!(
+            spent <= budget,
+            "fit on {examples} examples made {spent} allocations (budget {budget})"
+        );
+        assert!(model.feature_importance().iter().any(|&g| g > 0.0));
+        spent
+    };
+    assert_eq!(
+        fit_allocations(2_000),
+        fit_allocations(8_000),
+        "fit's allocation count depends on the example count"
     );
 
     // --- sanity: the counter actually counts ----------------------------
