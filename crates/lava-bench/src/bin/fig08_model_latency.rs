@@ -4,8 +4,8 @@
 //! next to the compiled flat engine (`CompiledGbdt`) that reproduces the
 //! paper's compile-into-the-binary step, and next to what the scheduler
 //! actually calls: the compiled predictor specialised per spec, where a
-//! reprediction is an uptime step table lookup. The `model_latency` bench
-//! holds all of them to bit-parity and measures the batched paths as well.
+//! reprediction is an uptime step table lookup. Their bit-parity is a
+//! tier-1 property test (`lava-model/tests/compiled_parity.rs`).
 //!
 //! Latency aggregation uses the shared log-bucketed
 //! [`LatencyHistogram`](lava_core::latency::LatencyHistogram) — the same
@@ -106,5 +106,5 @@ fn main() {
     }
     println!();
     println!("# Paper: most predictions complete in under 10 us (median ~9 us), 780x faster than LA's remote inference.");
-    println!("# This repo's compiled engine reproduces that step: see `cargo bench -p lava-bench --bench model_latency`.");
+    println!("# This repo's compiled engine reproduces that step: compare the reference, compiled and specialised rows above.");
 }

@@ -46,8 +46,7 @@ fn main() {
         seed: args.seed,
         ..PoolConfig::default()
     };
-    // The shared mixed-generation fleet shape (same recipe as the
-    // fleet_scale bench).
+    // The mixed-generation fleet shape (`harness::heterogeneous_overrides`).
     let heterogeneity = |config: FleetConfig| {
         heterogeneous_overrides(cells, hosts)
             .into_iter()

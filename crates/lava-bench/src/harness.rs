@@ -8,45 +8,10 @@
 //! formatting.
 
 use crate::args::ExperimentArgs;
-use lava_core::host::HostId;
-use lava_core::time::SimTime;
-use lava_core::vm::Vm;
-use lava_sched::cluster::Cluster;
-use lava_sched::policy::PlacementPolicy;
 use lava_sim::experiment::ExperimentSpec;
 use lava_sim::fleet::{CellOverride, FleetConfig};
 use lava_sim::metrics::SimulationResult;
 use lava_sim::suite::ExperimentSuite;
-
-/// Trivial O(1)-amortised placement: take the most-free host that fits,
-/// straight off the pool's free-capacity index. The `sim_scale` and
-/// `fleet_scale` benches both run it to isolate *engine* throughput from
-/// policy scoring cost — sharing one definition keeps their rows
-/// comparable (the fleet bench's 1-cell overhead bound measures the same
-/// policy the single-cluster engine row does).
-pub struct MostFreeFirstPolicy;
-
-impl PlacementPolicy for MostFreeFirstPolicy {
-    fn name(&self) -> &'static str {
-        "most-free-first"
-    }
-
-    fn choose_host(
-        &mut self,
-        cluster: &Cluster,
-        vm: &Vm,
-        _now: SimTime,
-        exclude: Option<HostId>,
-    ) -> Option<HostId> {
-        cluster
-            .pool()
-            .hosts_by_free()
-            .rev()
-            .filter(|h| Some(h.id()) != exclude && !h.is_unavailable())
-            .find(|h| h.can_fit(vm.resources()))
-            .map(|h| h.id())
-    }
-}
 
 /// The [`FleetConfig`] the CLI fleet flags describe — the uniform way
 /// binaries honour `--cells` / `--router` / `--threads`. `None` when
@@ -75,11 +40,12 @@ pub fn suite_from_specs(
         .with_threads(args.threads)
 }
 
-/// The shared heterogeneous-fleet recipe: every fourth cell gets a
+/// The heterogeneous-fleet recipe: every fourth cell gets a
 /// bigger SKU shape (96 cores / 384 GiB) and every third cell a third
-/// more hosts than its even share of `hosts`. Single-sourced so the
-/// `fleet_compare` binary and the `fleet_scale` bench describe the same
-/// fleet shape (mirroring the mixed-generation cells of a real fleet).
+/// more hosts than its even share of `hosts`, mirroring the
+/// mixed-generation cells of a real fleet. `fleet_compare` sweeps its
+/// routers over this shape; the repo benchmark's `fleet_pooled` workload
+/// keeps a copy of the recipe of its own.
 pub fn heterogeneous_overrides(cells: usize, hosts: usize) -> Vec<CellOverride> {
     let per_cell = hosts / cells.max(1);
     (0..cells as u32)

@@ -26,8 +26,8 @@
 //! [`CompiledGbdt::predict_batch`] walks trees in the outer loop so each
 //! tree's nodes stay cache-hot across all rows of a batch. Every path
 //! produces **bit-identical** predictions to the reference engine — the
-//! property tests in `tests/compiled_parity.rs` and the in-bench assert in
-//! `model_latency` hold both engines to exact `f64` equality.
+//! property tests in `tests/compiled_parity.rs` hold both engines to
+//! exact `f64` equality.
 
 use crate::features::FeatureRow;
 use crate::gbdt::{GbdtRegressor, Node};

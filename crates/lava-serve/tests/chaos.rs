@@ -6,14 +6,20 @@
 //! over the extended outcome set (placed + no_capacity + shed +
 //! queue_full + deadline_exceeded == offered) with retries and failovers
 //! in play.
+//!
+//! Beside the grid, one pinned outage scenario asserts that the breaker
+//! layer earns its keep: with breakers the service places more during a
+//! cell outage and recovers its p99 SLO sooner than without.
 
+use lava_core::latency::LatencyHistogram;
 use lava_core::serve::Micros;
 use lava_core::time::Duration;
 use lava_sched::Algorithm;
-use lava_serve::{run_serve, ServeReport};
+use lava_serve::{run_serve, EpochStats, ServeReport};
 use lava_sim::arrivals::{BreakerConfig, ServeConfig, ServiceModel};
 use lava_sim::chaos::{DegradedPredictor, Incident, IncidentPlan, OutageMode};
 use lava_sim::experiment::{Experiment, ExperimentSpec, PredictorSpec};
+use lava_sim::workload::{LifetimeMode, VmCategory};
 use lava_sim::{FleetConfig, RouterSpec, WorkerPool};
 use std::sync::Mutex;
 
@@ -191,6 +197,171 @@ fn chaos_digests_are_identical_across_worker_thread_counts() {
             }
         }
     }
+}
+
+/// The outage scenario's epoch windows (1 epoch = 1 virtual second):
+/// `[0, OUTAGE)` steady, `[OUTAGE, RECOVER)` the incident, `[RECOVER,
+/// HORIZON)` recovery.
+const HORIZON_SECS: u64 = 45;
+const OUTAGE_SECS: u64 = 15;
+const RECOVER_SECS: u64 = 30;
+
+/// 768 hosts in 4 hash-routed cells at 0.7× a fixed 2 ms decision server
+/// (500/s, independent of fleet size), with deadlines and a retry budget,
+/// on a short-lived mix (45 s median lifetimes, 2-core shapes) so the pool
+/// reaches equilibrium inside the horizon. Cell 1 drains at 15 s and
+/// recovers at 30 s while a 500-VM storm lands on the freshly dead cell.
+/// The hash router keeps sending cell-1 traffic there, so without breakers
+/// the service burns its retry budget against the dead cell.
+fn outage_spec(breakers: bool) -> ExperimentSpec {
+    let service = ServiceModel {
+        base_decision_us: 2000,
+        per_host_ns: 0,
+        per_vm_ns: 0,
+    };
+    let mut serve = ServeConfig::at_rate(service.capacity_per_sec(768 / 4, 0) * 0.7)
+        .with_service(service)
+        .with_queue_bound(4096)
+        .with_deadline(Micros::from_secs(2))
+        .with_retry_budget(2)
+        .with_epoch(Micros::from_secs(1));
+    if breakers {
+        serve = serve.with_breakers(BreakerConfig::default());
+    }
+    let seed = 42;
+    let mut spec = Experiment::builder()
+        .name("serve-chaos")
+        .hosts(768)
+        .duration(Duration::from_secs(HORIZON_SECS))
+        .seed(seed)
+        .predictor(PredictorSpec::Oracle)
+        .algorithm(Algorithm::Nilas)
+        .fleet(FleetConfig::new(4).with_router(RouterSpec::Hash))
+        .serve(serve)
+        .build()
+        .expect("valid serve spec");
+    spec.workload.categories = vec![VmCategory {
+        category_id: 1,
+        arrival_weight: 1.0,
+        lifetime_modes: vec![LifetimeMode {
+            weight: 1.0,
+            median_hours: 45.0 / 3600.0,
+            sigma_log10: 0.15,
+        }],
+        shapes: vec![(2, 8)],
+        ssd_probability: 0.0,
+        spot: false,
+    }];
+    spec.workload.initial_fill_fraction = 0.0;
+    spec.incidents = IncidentPlan {
+        seed: seed ^ 0x0bad_ce11,
+        incidents: vec![
+            Incident::CellOutage {
+                cell: 1,
+                hosts: None,
+                mode: OutageMode::Drain,
+                at: Duration::from_secs(OUTAGE_SECS),
+                recovery: Some(Duration::from_secs(RECOVER_SECS - OUTAGE_SECS)),
+            },
+            Incident::ArrivalStorm {
+                at: Duration::from_secs(OUTAGE_SECS),
+                duration: Duration::from_secs(5),
+                vms: 500,
+                cores: None,
+                lifetime: Some(Duration::from_secs(45)),
+            },
+        ],
+    };
+    spec.validate().expect("chaos spec validates");
+    spec
+}
+
+fn epoch_index(epoch: &EpochStats) -> u64 {
+    epoch.start.0 / Micros::PER_SEC
+}
+
+/// p99 placement latency over the merged epochs in `[from, to)`.
+fn phase_p99(report: &ServeReport, from: u64, to: u64) -> f64 {
+    let mut merged = LatencyHistogram::new();
+    for epoch in &report.epochs {
+        if (from..to).contains(&epoch_index(epoch)) {
+            merged.merge(&epoch.latency);
+        }
+    }
+    merged.quantile(0.99)
+}
+
+/// SLO-recovery accounting for one arm.
+struct Recovery {
+    /// Requests placed during the incident window.
+    outage_placed: u64,
+    /// Epochs after the cell recovers until an epoch's p99 re-enters the
+    /// steady band (1.5× the pre-incident p99, at least 5 ms above it);
+    /// the whole recovery window if none does.
+    recovery_epochs: u64,
+}
+
+fn recovery_stats(report: &ServeReport) -> Recovery {
+    let outage_placed = report
+        .epochs
+        .iter()
+        .filter(|e| (OUTAGE_SECS..RECOVER_SECS).contains(&epoch_index(e)))
+        .map(|e| e.placed)
+        .sum();
+    let pre_p99 = phase_p99(report, 0, OUTAGE_SECS);
+    let band_us = (1.5 * pre_p99).max(pre_p99 + 5_000.0);
+    let recovery_epochs = report
+        .epochs
+        .iter()
+        .find(|e| epoch_index(e) >= RECOVER_SECS && e.latency.quantile(0.99) <= band_us)
+        .map_or(HORIZON_SECS - RECOVER_SECS, |e| {
+            epoch_index(e) - RECOVER_SECS
+        });
+    Recovery {
+        outage_placed,
+        recovery_epochs,
+    }
+}
+
+#[test]
+fn breakers_beat_breakerless_through_a_cell_outage() {
+    let breakerless = run_serve(&outage_spec(false)).expect("breaker-less run");
+    let breakers = run_serve(&outage_spec(true)).expect("breaker run");
+    for (arm, r) in [("breaker-less", &breakerless), ("breakers", &breakers)] {
+        assert!(
+            r.conservation_holds(),
+            "{arm}: {} != {} + {} + {} + {} + {}",
+            r.offered,
+            r.placed,
+            r.no_capacity,
+            r.shed,
+            r.queue_full,
+            r.deadline_exceeded
+        );
+        assert_eq!(r.latency.count(), r.placed + r.no_capacity, "{arm}");
+    }
+    assert!(
+        breakers.breaker_trips > 0 && breakers.failovers > 0,
+        "the outage must trip breakers and drive failovers"
+    );
+    let (with, without) = (recovery_stats(&breakers), recovery_stats(&breakerless));
+    assert!(
+        with.outage_placed > without.outage_placed,
+        "failover must place more during the outage: {} vs {}",
+        with.outage_placed,
+        without.outage_placed
+    );
+    assert!(
+        with.recovery_epochs < without.recovery_epochs,
+        "failover must recover the p99 SLO sooner: {} vs {} epochs",
+        with.recovery_epochs,
+        without.recovery_epochs
+    );
+    assert!(
+        with.recovery_epochs <= 4,
+        "the breaker arm took {} epochs to recover its p99 SLO (ceiling 4)",
+        with.recovery_epochs
+    );
 }
 
 #[test]

@@ -635,8 +635,8 @@ impl StreamingWorkload {
 
     /// High-water mark of the pending-event buffer — the source's peak
     /// memory footprint in events. Stays O(live VMs) regardless of the
-    /// horizon (asserted in the memory-bound tests and the `sim_scale`
-    /// bench).
+    /// horizon (asserted by `pending_buffer_is_bounded_and_horizon_independent`
+    /// in `tests/streaming_engine.rs`).
     pub fn max_pending_len(&self) -> usize {
         self.max_pending
     }
