@@ -8,7 +8,7 @@
 //! tier-1 property test (`lava-model/tests/compiled_parity.rs`).
 //!
 //! Latency aggregation uses the shared log-bucketed
-//! [`LatencyHistogram`](lava_core::latency::LatencyHistogram) — the same
+//! [`LatencyHistogram`] — the same
 //! percentile machinery the serving tier's SLO reporting uses.
 //!
 //! Usage: `cargo run --release -p lava-bench --bin fig08_model_latency -- [--seed N]`

@@ -28,7 +28,7 @@ const TOLERANCE_PP: f64 = 0.5;
 fn main() {
     let args = ExperimentArgs::from_env();
     let settings: [(&str, CachePolicy); 3] = [
-        ("no cache", CachePolicy::Disabled),
+        ("no cache", CachePolicy::RefreshSecs(0)),
         ("1 min refresh", CachePolicy::RefreshSecs(60)),
         ("15 min refresh", CachePolicy::RefreshSecs(15 * 60)),
     ];

@@ -2,7 +2,7 @@
 //!
 //! The heavy lifting lives in `lava-sim`'s declarative experiment API
 //! ([`Experiment`](lava_sim::experiment::Experiment)) and the parallel
-//! [`ExperimentSuite`](lava_sim::suite::ExperimentSuite); this module
+//! [`ExperimentSuite`]; this module
 //! keeps the thin glue the binaries share — building suites with the CLI
 //! thread count, honouring the fleet and trace-file flags, and report
 //! formatting.

@@ -1,5 +1,5 @@
 //! Arena-backed storage for the simulation hot path: a flat vm→value
-//! table and a generational slab arena for live VM records.
+//! table and a slab arena for live VM records.
 //!
 //! The original state layout paid a `BTreeMap` pointer-chase per VM on
 //! every placement (`Pool::vm_index`, `Cluster::vms`) and re-allocated a
@@ -16,21 +16,13 @@
 //!   is removed, so a multi-month streaming replay — where ids grow
 //!   without bound but the *live* id window does not — holds memory
 //!   proportional to the live window, not the total id space.
-//! * [`VmArena`] — a generational slab of [`VmSlot`]s holding the live
-//!   [`Vm`] records. Slots are recycled through a LIFO free list, so a
+//! * [`VmArena`] — a slab of `Option<Vm>` slots holding the live [`Vm`]
+//!   records. Slots are recycled through a LIFO free list, so a
 //!   steady-state create/exit churn re-uses the same few cache-warm
-//!   slots and never allocates. Each slot carries a generation counter
-//!   bumped on every release; a [`VmHandle`] captured before a release
-//!   therefore *fails to resolve* instead of silently reading a
-//!   recycled record.
-//!
-//! Host records use the same recipe via [`HostSlot`] (see
-//! `pool::Pool`): hosts are never deallocated mid-run today, but the
-//! generation counter gives decommissioning a safe seam — a stale
-//! handle is detected, not dereferenced.
+//!   slots and never allocates. Every lookup goes through the id index;
+//!   nothing outside the arena holds a slot number.
 
 use crate::vm::{Vm, VmId};
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
 /// Ids below this limit live in the dense array of a [`VmTable`]; ids at
@@ -68,10 +60,8 @@ impl<T> Page<T> {
 /// Dense pages are allocated on first touch and freed when their last
 /// entry leaves (unless covered by [`VmTable::reserve_dense`], which pins
 /// its pages so steady-state churn inside the reservation never touches
-/// the allocator). Logical equality ignores page layout, and
-/// serialization emits only the occupied `(id, value)` pairs, so two
-/// tables with identical contents compare and serialize identically
-/// regardless of growth history.
+/// the allocator). Logical equality ignores page layout, so two tables
+/// with identical contents compare equal regardless of growth history.
 #[derive(Debug, Clone)]
 pub struct VmTable<T> {
     pages: Vec<Option<Page<T>>>,
@@ -254,69 +244,8 @@ impl<T: PartialEq> PartialEq for VmTable<T> {
     }
 }
 
-impl<T: Serialize> Serialize for VmTable<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(id, v)| Value::Array(vec![Value::U64(id.0), v.to_value()]))
-                .collect(),
-        )
-    }
-}
-
-impl<T: Deserialize> Deserialize for VmTable<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let mut table = VmTable::new();
-        for pair in v.items()? {
-            let id = u64::from_value(pair.item(0)?)?;
-            let value = T::from_value(pair.item(1)?)?;
-            table.insert(VmId(id), value);
-        }
-        Ok(table)
-    }
-}
-
-/// A slot in a generational slab: the generation counter is bumped every
-/// time the slot's occupant is released, invalidating old handles.
-#[derive(Debug, Clone)]
-pub struct VmSlot {
-    gen: u32,
-    vm: Option<Vm>,
-}
-
-/// The host-side twin of [`VmSlot`]: `pool::Pool` stores its host
-/// records in these so a retired host's stale handles are detectable
-/// rather than dereferenceable. (Concrete rather than generic because
-/// the vendored `serde_derive` does not support generics.)
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HostSlot {
-    /// Generation counter, bumped when the host is retired.
-    pub gen: u32,
-    /// The host record.
-    pub host: crate::host::Host,
-}
-
-/// A stable, generation-checked reference to a host record in a pool.
-/// Resolving it after the host was retired returns `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HostHandle {
-    /// The host id (also its dense slot index).
-    pub id: crate::host::HostId,
-    /// The slot generation when the handle was taken.
-    pub gen: u32,
-}
-
-/// A stable, generation-checked reference to a VM record in a
-/// [`VmArena`]. Resolving a handle after the VM exited returns `None`
-/// (the slot's generation has moved on) instead of another VM's record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct VmHandle {
-    slot: u32,
-    gen: u32,
-}
-
-/// Generational slab arena of live [`Vm`] records with id-ordered
-/// iteration and O(1) placement-order sampling.
+/// Slab arena of live [`Vm`] records with id-ordered iteration and O(1)
+/// placement-order sampling.
 ///
 /// Invariants:
 /// * `index` maps every live id to its slot; `iter` walks it in id order.
@@ -326,7 +255,7 @@ pub struct VmHandle {
 /// * released slots join a LIFO `free` list, so churn re-uses warm slots.
 #[derive(Debug, Clone, Default)]
 pub struct VmArena {
-    slots: Vec<VmSlot>,
+    slots: Vec<Option<Vm>>,
     free: Vec<u32>,
     index: VmTable<u32>,
     live: Vec<u32>,
@@ -363,28 +292,24 @@ impl VmArena {
         self.live.reserve(live.saturating_sub(self.live.len()));
     }
 
-    /// Insert a VM record, returning a generation-checked handle.
+    /// Insert a VM record.
     ///
     /// Inserting an id that is already live replaces the record in its
     /// existing slot and keeps its placement-order position (mirroring
     /// the legacy `BTreeMap::insert` overwrite semantics).
-    pub fn insert(&mut self, vm: Vm) -> VmHandle {
+    pub fn insert(&mut self, vm: Vm) {
         let id = vm.id();
         if let Some(&slot) = self.index.get(id) {
-            let s = &mut self.slots[slot as usize];
-            s.vm = Some(vm);
-            return VmHandle { slot, gen: s.gen };
+            self.slots[slot as usize] = Some(vm);
+            return;
         }
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize].vm = Some(vm);
+                self.slots[slot as usize] = Some(vm);
                 slot
             }
             None => {
-                self.slots.push(VmSlot {
-                    gen: 0,
-                    vm: Some(vm),
-                });
+                self.slots.push(Some(vm));
                 self.pos.push(NOT_LIVE);
                 (self.slots.len() - 1) as u32
             }
@@ -392,19 +317,12 @@ impl VmArena {
         self.index.insert(id, slot);
         self.pos[slot as usize] = self.live.len() as u32;
         self.live.push(slot);
-        VmHandle {
-            slot,
-            gen: self.slots[slot as usize].gen,
-        }
     }
 
-    /// Remove a VM record by id, releasing its slot (generation bumps,
-    /// so outstanding handles go stale).
+    /// Remove a VM record by id, releasing its slot to the free list.
     pub fn remove(&mut self, id: VmId) -> Option<Vm> {
         let slot = self.index.remove(id)?;
-        let s = &mut self.slots[slot as usize];
-        let vm = s.vm.take();
-        s.gen = s.gen.wrapping_add(1);
+        let vm = self.slots[slot as usize].take();
         let p = self.pos[slot as usize] as usize;
         self.live.swap_remove(p);
         if p < self.live.len() {
@@ -419,14 +337,15 @@ impl VmArena {
     #[inline]
     pub fn get(&self, id: VmId) -> Option<&Vm> {
         let &slot = self.index.get(id)?;
-        self.slots[slot as usize].vm.as_ref()
+        self.slots[slot as usize].as_ref()
     }
 
-    /// Look up a live VM mutably by id.
+    /// Look up a live VM mutably by id (`Cluster::migrate` re-points its
+    /// host through this; the record keeps its slot and sample position).
     #[inline]
     pub fn get_mut(&mut self, id: VmId) -> Option<&mut Vm> {
         let &slot = self.index.get(id)?;
-        self.slots[slot as usize].vm.as_mut()
+        self.slots[slot as usize].as_mut()
     }
 
     /// Whether a VM with this id is live.
@@ -435,30 +354,11 @@ impl VmArena {
         self.index.contains(id)
     }
 
-    /// The current handle for a live id.
-    pub fn handle_of(&self, id: VmId) -> Option<VmHandle> {
-        let &slot = self.index.get(id)?;
-        Some(VmHandle {
-            slot,
-            gen: self.slots[slot as usize].gen,
-        })
-    }
-
-    /// Resolve a handle: `None` if the slot was released (or re-used)
-    /// since the handle was taken.
-    pub fn resolve(&self, handle: VmHandle) -> Option<&Vm> {
-        let s = self.slots.get(handle.slot as usize)?;
-        if s.gen != handle.gen {
-            return None;
-        }
-        s.vm.as_ref()
-    }
-
     /// Iterate live VMs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = &Vm> + '_ {
         self.index
             .iter()
-            .map(|(_, &slot)| self.slots[slot as usize].vm.as_ref().unwrap())
+            .map(|(_, &slot)| self.slots[slot as usize].as_ref().unwrap())
     }
 
     /// Every ⌈n/cap⌉-th live VM in placement order — the O(cap) sampling
@@ -469,7 +369,7 @@ impl VmArena {
         self.live
             .iter()
             .step_by(step)
-            .map(|&slot| self.slots[slot as usize].vm.as_ref().unwrap())
+            .map(|&slot| self.slots[slot as usize].as_ref().unwrap())
     }
 }
 
@@ -529,19 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn table_serde_roundtrip_is_content_only() {
-        let mut t: VmTable<u64> = VmTable::new();
-        t.reserve_dense(4096);
-        t.insert(VmId(2), 20);
-        t.insert(VmId(DENSE_ID_LIMIT + 1), 40);
-        let v = t.to_value();
-        let back = VmTable::<u64>::from_value(&v).unwrap();
-        assert_eq!(t, back);
-        // Serialized form lists only occupied pairs.
-        assert_eq!(v.items().unwrap().len(), 2);
-    }
-
-    #[test]
     fn table_pages_allocate_on_touch_and_free_on_empty() {
         let mut t: VmTable<u64> = VmTable::new();
         assert_eq!(t.allocated_pages(), 0);
@@ -582,26 +469,26 @@ mod tests {
     #[test]
     fn arena_insert_remove_and_slot_reuse() {
         let mut a = VmArena::new();
-        let h1 = a.insert(vm(1));
-        let _h2 = a.insert(vm(2));
+        a.insert(vm(1));
+        a.insert(vm(2));
         assert_eq!(a.len(), 2);
         assert_eq!(a.get(VmId(1)).unwrap().id(), VmId(1));
         assert!(a.contains(VmId(2)));
-        assert_eq!(a.resolve(h1).unwrap().id(), VmId(1));
 
         let out = a.remove(VmId(1)).unwrap();
         assert_eq!(out.id(), VmId(1));
         assert_eq!(a.len(), 1);
-        // Stale handle is detected, not dereferenced.
-        assert!(a.resolve(h1).is_none());
+        assert!(a.get(VmId(1)).is_none());
+        assert!(!a.contains(VmId(1)));
 
-        // The freed slot is re-used (LIFO) for the next insert, with a
-        // fresh generation.
-        let h3 = a.insert(vm(3));
+        // The freed slot is re-used (LIFO) for the next insert: the slab
+        // does not grow across a remove + insert.
+        let slots = a.slots.len();
+        a.insert(vm(3));
         assert_eq!(a.len(), 2);
-        assert!(a.resolve(h1).is_none());
-        assert_eq!(a.resolve(h3).unwrap().id(), VmId(3));
-        assert_eq!(a.handle_of(VmId(3)), Some(h3));
+        assert_eq!(a.slots.len(), slots);
+        assert!(a.get(VmId(1)).is_none());
+        assert_eq!(a.get(VmId(3)).unwrap().id(), VmId(3));
     }
 
     #[test]

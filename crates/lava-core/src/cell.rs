@@ -38,7 +38,7 @@ impl fmt::Display for CellId {
 /// (`as_of` records the snapshot time). Everything a summary carries is
 /// cheap to compute from the cell's pool plus a *sampled* reprediction
 /// pass; nothing requires walking per-host state at routing time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellSummary {
     /// Which cell this summarises.
     pub cell: CellId,
@@ -63,9 +63,6 @@ pub struct CellSummary {
     /// absolute log10 error between the scheduling-time lifetime
     /// prediction and the observed lifetime, over a bounded window of the
     /// cell's most recent VM exits. Zero until the first exit is observed.
-    /// Serde-defaulted so summaries serialized before this field existed
-    /// still parse.
-    #[serde(default)]
     pub misprediction_log10: f64,
 }
 
@@ -121,25 +118,5 @@ mod tests {
     fn free_fraction_handles_zero_capacity() {
         let s = CellSummary::empty(CellId(0), SimTime::ZERO, 0, Resources::ZERO);
         assert_eq!(s.free_cpu_fraction(), 1.0);
-    }
-
-    #[test]
-    fn serde_round_trips() {
-        let s = CellSummary::empty(CellId(7), SimTime(42), 4, Resources::cores_gib(32, 128));
-        let json = serde_json::to_string(&s).unwrap();
-        let back: CellSummary = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
-    }
-
-    #[test]
-    fn summaries_without_misprediction_field_parse_to_zero() {
-        let s = CellSummary::empty(CellId(7), SimTime(42), 4, Resources::cores_gib(32, 128));
-        let json = serde_json::to_string(&s)
-            .unwrap()
-            .replace(",\"misprediction_log10\":0.0", "");
-        assert!(!json.contains("misprediction_log10"), "field stripped");
-        let back: CellSummary = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.misprediction_log10, 0.0);
-        assert_eq!(back, s);
     }
 }

@@ -71,7 +71,7 @@ impl fmt::Display for HostLifetimeState {
 }
 
 /// A host with occupancy bookkeeping and LAVA state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Host {
     id: HostId,
     spec: HostSpec,

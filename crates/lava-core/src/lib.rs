@@ -5,7 +5,7 @@
 //!
 //! * [`resources::Resources`] — multi-dimensional resource vectors (CPU,
 //!   memory, SSD) with fit/arithmetic helpers,
-//! * [`arena`] — the flat [`arena::VmTable`] and generational
+//! * [`arena`] — the flat [`arena::VmTable`] and the
 //!   [`arena::VmArena`] slab backing the simulation hot path,
 //! * [`vm`] — VM specifications and runtime records,
 //! * [`host`] — host specifications, occupancy bookkeeping and the LAVA host
@@ -60,7 +60,7 @@ pub mod vm;
 
 /// Convenient glob import of the most commonly used types.
 pub mod prelude {
-    pub use crate::arena::{HostHandle, VmArena, VmHandle, VmTable};
+    pub use crate::arena::{VmArena, VmTable};
     pub use crate::cell::{CellId, CellSummary};
     pub use crate::error::CoreError;
     pub use crate::events::{TraceEvent, TraceEventKind};

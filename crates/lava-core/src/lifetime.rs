@@ -112,7 +112,7 @@ impl fmt::Display for LifetimeClass {
 /// fixes the convention: the boundaries are the left edges of the buckets
 /// `[0, 30m) [30m, 60m) [60m, 90m) ...` and the cost is the index of the
 /// bucket containing `ΔT`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemporalCostBuckets {
     /// Left edges of the buckets, strictly increasing and starting at zero.
     boundaries: Vec<Duration>,

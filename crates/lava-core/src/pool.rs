@@ -23,7 +23,7 @@
 //! re-indexes the host when dropped. There is deliberately no unguarded
 //! `&mut Host` access.
 
-use crate::arena::{HostHandle, HostSlot, VmTable};
+use crate::arena::VmTable;
 use crate::host::{Host, HostId, HostLifetimeState, HostSpec};
 use crate::lifetime::LifetimeClass;
 use crate::resources::Resources;
@@ -82,7 +82,7 @@ fn free_key(free: Resources, id: HostId) -> (u64, u64, u64, HostId) {
 }
 
 /// Incrementally-maintained secondary indexes over the hosts of a pool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct HostIndex {
     /// `(state, class)` buckets, indexed by [`bucket_slot`].
     buckets: Vec<BTreeSet<HostId>>,
@@ -149,7 +149,7 @@ impl HostIndex {
 /// on every mutation. Pool-wide walks that only need these fields —
 /// metric sampling, capacity profiling, state/class censuses — touch
 /// four dense arrays instead of striding through full [`Host`] records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 struct HostHot {
     /// Free (unreserved) resources per host.
     free: Vec<Resources>,
@@ -198,16 +198,14 @@ pub struct CapacityProfile<'a> {
 }
 
 /// A pool of hosts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pool {
     id: PoolId,
-    /// Hosts stored densely in generational slots:
-    /// `hosts[i].host.id() == HostId(i)`. Host ids are assigned
-    /// sequentially by [`Pool::add_host`] and slots are never deleted, so
-    /// every host lookup on the placement hot path is O(1); retiring a
-    /// host ([`Pool::retire_host`]) bumps the slot generation so stale
-    /// [`HostHandle`]s are detected rather than dereferenced.
-    hosts: Vec<HostSlot>,
+    /// Hosts stored densely: `hosts[i].id() == HostId(i)`. Host ids are
+    /// assigned sequentially by [`Pool::add_host`] and hosts are never
+    /// deleted, so every host lookup on the placement hot path is one
+    /// bounds-checked index.
+    hosts: Vec<Host>,
     /// Reverse index from VM to host: a flat dense table for the
     /// sequential ids real workloads use (one array read per lookup),
     /// with an ordered spill for sparse synthetic ids.
@@ -222,15 +220,11 @@ pub struct Pool {
     /// compare epochs to detect mutations that bypassed their event feed.
     mutation_epoch: u64,
     /// Pool-wide capacity, maintained by [`Pool::add_host`] so
-    /// [`Pool::total_capacity`] is O(1). `serde(default)` keeps old
-    /// serialized pools readable (they re-aggregate to zero; no current
-    /// consumer round-trips pools through serde).
-    #[serde(default)]
+    /// [`Pool::total_capacity`] is O(1).
     agg_capacity: Resources,
     /// Pool-wide free capacity, maintained on every mutation so
     /// [`Pool::total_free`] / [`Pool::total_used`] are O(1) — they sit on
     /// the fleet tier's per-epoch `CellSummary` extraction hot path.
-    #[serde(default)]
     agg_free: Resources,
 }
 
@@ -279,7 +273,7 @@ impl Pool {
         self.agg_capacity += host.capacity();
         self.agg_free += host.free();
         self.hot.push(&host);
-        self.hosts.push(HostSlot { gen: 0, host });
+        self.hosts.push(host);
         id
     }
 
@@ -292,53 +286,14 @@ impl Pool {
     /// A host by id.
     #[inline]
     pub fn host(&self, id: HostId) -> Option<&Host> {
-        self.hosts.get(id.0 as usize).map(|s| &s.host)
-    }
-
-    /// A generation-checked handle to a host. The handle keeps resolving
-    /// until the host is retired; after that, [`Pool::resolve_host`]
-    /// returns `None` instead of the retired record.
-    pub fn host_handle(&self, id: HostId) -> Option<HostHandle> {
-        let slot = self.hosts.get(id.0 as usize)?;
-        Some(HostHandle { id, gen: slot.gen })
-    }
-
-    /// Resolve a [`HostHandle`] taken earlier; `None` if the host has been
-    /// retired since (stale handles are detected, not dereferenced).
-    pub fn resolve_host(&self, handle: HostHandle) -> Option<&Host> {
-        let slot = self.hosts.get(handle.id.0 as usize)?;
-        if slot.gen != handle.gen {
-            return None;
-        }
-        Some(&slot.host)
-    }
-
-    /// Retire an *empty* host: it is withheld from scheduling permanently
-    /// and its slot generation is bumped, so handles taken before the
-    /// retirement go stale. Returns `false` (and does nothing) if the
-    /// host is unknown or still has VMs.
-    pub fn retire_host(&mut self, id: HostId) -> bool {
-        let Some(slot) = self.hosts.get_mut(id.0 as usize) else {
-            return false;
-        };
-        if !slot.host.is_empty() {
-            return false;
-        }
-        let before = key_of(&slot.host);
-        slot.host.set_unavailable(true);
-        slot.gen = slot.gen.wrapping_add(1);
-        let after = key_of(&slot.host);
-        self.index.update(id, before, after);
-        self.hot
-            .sync(id.0 as usize, &self.hosts[id.0 as usize].host);
-        true
+        self.hosts.get(id.0 as usize)
     }
 
     /// A mutable host by id, behind a guard that re-indexes the host when
     /// dropped (state, class, occupancy or free-capacity changes all move
     /// the host between index buckets).
     pub fn host_mut(&mut self, id: HostId) -> Option<HostMut<'_>> {
-        let before = key_of(&self.hosts.get(id.0 as usize)?.host);
+        let before = key_of(self.hosts.get(id.0 as usize)?);
         Some(HostMut {
             pool: self,
             id,
@@ -348,7 +303,7 @@ impl Pool {
 
     /// Iterator over all hosts in deterministic (id) order.
     pub fn hosts(&self) -> impl Iterator<Item = &Host> + '_ {
-        self.hosts.iter().map(|s| &s.host)
+        self.hosts.iter()
     }
 
     /// The structure-of-arrays view of the hot host fields (free,
@@ -389,14 +344,14 @@ impl Pool {
         vm: VmId,
         request: Resources,
     ) -> Result<(), crate::error::CoreError> {
-        let slot = self
+        let record = self
             .hosts
             .get_mut(host.0 as usize)
             .ok_or(crate::error::CoreError::HostNotFound { host })?;
-        let before = key_of(&slot.host);
-        slot.host.place(vm, request)?;
-        let after = key_of(&slot.host);
-        self.hot.sync(host.0 as usize, &slot.host);
+        let before = key_of(record);
+        record.place(vm, request)?;
+        let after = key_of(record);
+        self.hot.sync(host.0 as usize, record);
         self.index.update(host, before, after);
         self.agg_free -= before.free;
         self.agg_free += after.free;
@@ -417,14 +372,14 @@ impl Pool {
             .vm_index
             .remove(vm)
             .ok_or(crate::error::CoreError::VmNotFound { vm })?;
-        let slot = self
+        let record = self
             .hosts
             .get_mut(host_id.0 as usize)
             .ok_or(crate::error::CoreError::HostNotFound { host: host_id })?;
-        let before = key_of(&slot.host);
-        let released = slot.host.remove(vm)?;
-        let after = key_of(&slot.host);
-        self.hot.sync(host_id.0 as usize, &slot.host);
+        let before = key_of(record);
+        let released = record.remove(vm)?;
+        let after = key_of(record);
+        self.hot.sync(host_id.0 as usize, record);
         self.index.update(host_id, before, after);
         self.agg_free -= before.free;
         self.agg_free += after.free;
@@ -606,27 +561,24 @@ impl Deref for HostMut<'_> {
 
 impl DerefMut for HostMut<'_> {
     fn deref_mut(&mut self) -> &mut Host {
-        &mut self
-            .pool
+        self.pool
             .hosts
             .get_mut(self.id.0 as usize)
             .expect("guarded host exists")
-            .host
     }
 }
 
 impl Drop for HostMut<'_> {
     fn drop(&mut self) {
         let idx = self.id.0 as usize;
-        let host = &self.pool.hosts.get(idx).expect("guarded host exists").host;
+        let host = self.pool.hosts.get(idx).expect("guarded host exists");
         let after = key_of(host);
         if after.is_empty != self.before.is_empty || after.free != self.before.free {
             self.pool.mutation_epoch += 1;
         }
         self.pool.agg_free -= self.before.free;
         self.pool.agg_free += after.free;
-        let host = &self.pool.hosts[idx].host;
-        self.pool.hot.sync(idx, host);
+        self.pool.hot.sync(idx, &self.pool.hosts[idx]);
         self.pool.index.update(self.id, self.before, after);
     }
 }

@@ -251,7 +251,7 @@ impl VmSpecBuilder {
 }
 
 /// Runtime record of a VM, as tracked by the scheduler/simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vm {
     id: VmId,
     spec: VmSpec,

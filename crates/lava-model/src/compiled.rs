@@ -1,7 +1,7 @@
 //! Compiled flat-GBDT inference (the paper's §5 "compile the model into
 //! the binary" production story, Fig. 8).
 //!
-//! The reference [`GbdtRegressor`](crate::gbdt::GbdtRegressor) walks a
+//! The reference [`GbdtRegressor`] walks a
 //! `Vec` of enum nodes per tree: every step pattern-matches a 40-byte
 //! variant, bounds-checks the node index and bounds-checks the feature
 //! lookup. That is fine for training but dominates the placement hot path,

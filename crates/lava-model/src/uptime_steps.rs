@@ -7,8 +7,8 @@
 //! (63 for a 64-bin model, whatever the tree count). Repredicting a
 //! resident VM by walking every tree recomputes a constant.
 //!
-//! [`uptime_breaks`] turns the thresholds into integer seconds once per
-//! model; [`SpecTables`] then keeps, per spec, the prediction on each
+//! `uptime_breaks` turns the thresholds into integer seconds once per
+//! model; `SpecTables` then keeps, per spec, the prediction on each
 //! step. Every stored value comes out of the ordinary tree walk at the
 //! step's first second, so a table answer is the tree walk's answer bit
 //! for bit — provided `Duration::log10_secs` is monotone on integers,
@@ -24,7 +24,7 @@ use std::sync::{RwLock, RwLockReadGuard};
 /// How many specs a predictor keeps tables for. A table is at most a few
 /// hundred bytes (one `Duration` per step), so a full store is a few MiB.
 /// Specs beyond the limit are answered by the tree walk and counted in
-/// [`SpecTables::overflows`]; nothing is ever evicted, so an answer never
+/// `SpecTables::overflows`; nothing is ever evicted, so an answer never
 /// depends on arrival order.
 pub const SPEC_TABLE_CAPACITY: usize = 4096;
 

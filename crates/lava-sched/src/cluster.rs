@@ -264,10 +264,10 @@ impl ExitCache {
 
 /// A pool of hosts together with the live VM records.
 ///
-/// VM records live in a generational slab arena ([`VmArena`]): lookups
-/// are one flat-table read plus one slot read, iteration is id-ordered,
-/// and steady-state create/exit churn re-uses warm slots with zero heap
-/// allocations (see the arena's placement-order live list, which also
+/// VM records live in a slab arena ([`VmArena`]) with LIFO slot reuse:
+/// lookups are one flat-table read plus one slot read, iteration is
+/// id-ordered, and steady-state create/exit churn re-uses warm slots with
+/// zero heap allocations (see the arena's placement-order live list, which also
 /// backs [`Cluster::sampled_vms`]).
 #[derive(Debug)]
 pub struct Cluster {
@@ -320,11 +320,6 @@ impl Cluster {
     /// A live VM record by id.
     pub fn vm(&self, id: VmId) -> Option<&Vm> {
         self.vms.get(id)
-    }
-
-    /// A mutable live VM record by id.
-    pub fn vm_mut(&mut self, id: VmId) -> Option<&mut Vm> {
-        self.vms.get_mut(id)
     }
 
     /// Iterator over the live VM records in id order.

@@ -38,7 +38,7 @@ pub struct SchedulerStats {
 /// model): using measured wall-clock time would make replays
 /// machine-dependent, while host and live-VM counts are bit-reproducible
 /// and are what candidate generation and scoring actually scale with.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecisionCost {
     /// Hosts in the cluster at decision time.
     pub hosts: usize,
@@ -53,7 +53,7 @@ pub struct DecisionCost {
 /// `SimObserver`s) learn about placements, rejections, exits and live
 /// migrations without the scheduler knowing anything about metric
 /// collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerEvent {
     /// A VM was placed on a host.
     Placed {

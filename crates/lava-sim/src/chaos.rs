@@ -7,7 +7,7 @@
 //! timeline-scheduled injections that perturb a run at exact simulation
 //! times — plus the **adaptation loop** that reacts to them (online
 //! quantile recalibration through the
-//! [`SwappablePredictor`](lava_model::adaptive::SwappablePredictor) seam).
+//! [`SwappablePredictor`] seam).
 //!
 //! # Incident kinds
 //!
@@ -33,7 +33,7 @@
 //! [`ChaCha8Rng`] stream and merged in canonical
 //! [`TraceEvent::sort_key`] order, outage host/VM selections iterate in
 //! sorted-id order, and incident start/end actions are scheduled on the
-//! per-cell [`Timeline`](crate::timeline::Timeline) with a documented
+//! per-cell [`Timeline`] with a documented
 //! tiebreak (ends before starts, then plan order). Fleet runs with active
 //! incidents therefore stay bit-identical at any worker-thread count —
 //! enforced by the property tests in `tests/fleet_tier.rs`.
@@ -46,7 +46,7 @@
 //! [`Scheduler::take_model_residuals`]) and, given at least `min_samples`
 //! observations, nudges the live predictor by the **damped median
 //! residual** — the quantile-recalibration fit of
-//! [`median_log10_residual`](lava_model::adaptive::median_log10_residual),
+//! [`median_log10_residual`],
 //! scaled by [`ChaosController::RECAL_GAIN`] and clamped per round.
 //! Damping matters because residuals are recorded against placement-time
 //! predictions: right after a correction the window still holds exits
@@ -913,16 +913,6 @@ impl ChaosController {
             let step = (median * Self::RECAL_GAIN)
                 .clamp(-Self::RECAL_MAX_STEP_LOG10, Self::RECAL_MAX_STEP_LOG10);
             adaptive.apply_offset(step);
-            if std::env::var("CHAOS_DEBUG").is_ok() {
-                eprintln!(
-                    "recal cell={} n={} median={:+.3} step={:+.3} offset={:+.3}",
-                    self.cell,
-                    residuals.len(),
-                    median,
-                    step,
-                    adaptive.offset_log10()
-                );
-            }
         }
     }
 }

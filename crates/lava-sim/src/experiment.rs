@@ -157,11 +157,9 @@ pub enum CachePolicy {
     /// The algorithm's default refresh interval.
     #[default]
     Default,
-    /// No caching: refresh interval zero, so a cached exit time is valid
-    /// only at the instant it was computed and every later decision
-    /// repredicts.
-    Disabled,
-    /// Refresh cached host exit times every N seconds.
+    /// Refresh cached host exit times every N seconds. `RefreshSecs(0)`
+    /// disables caching: a cached exit time is valid only at the instant
+    /// it was computed, so every later decision repredicts.
     RefreshSecs(u64),
 }
 
@@ -234,7 +232,6 @@ impl PolicySpec {
         NilasConfig {
             cache_refresh: match self.cache {
                 CachePolicy::Default => defaults.cache_refresh,
-                CachePolicy::Disabled => Duration::ZERO,
                 CachePolicy::RefreshSecs(secs) => Duration::from_secs(secs),
             },
             repredict: self.repredict,
@@ -371,7 +368,7 @@ pub struct ExperimentSpec {
     pub adaptation: AdaptationSpec,
     /// The optional serving tier: run this spec's workload/fleet as an
     /// online placement service under an open-loop arrival process (see
-    /// [`ServeConfig`](crate::arrivals::ServeConfig)). `None` — what
+    /// [`ServeConfig`]). `None` — what
     /// pre-serve spec JSON parses to — means batch simulation.
     #[serde(default)]
     pub serve: Option<ServeConfig>,
@@ -1069,7 +1066,7 @@ impl Experiment {
     }
 
     /// Run the experiment with any fleet tier executing on `pool` instead
-    /// of the process-wide [`WorkerPool::global`]. Results are
+    /// of the process-wide [`crate::workers::WorkerPool::global`]. Results are
     /// bit-identical to [`Experiment::run`] — explicit pools exist so
     /// tests can prove back-to-back runs on a shared pool leak no state
     /// into each other.
@@ -1587,7 +1584,7 @@ fn drain_scheduler_events(
 /// Returns the number of creation events that could not be placed. All
 /// higher-level entry points ([`Experiment::run`] and the scenarios it
 /// composes) drive the simulation through this single function — a thin
-/// wrapper over [`DriveLoop`], which the fleet tier
+/// wrapper over `DriveLoop`, which the fleet tier
 /// ([`crate::fleet`]) also uses to step per-cell engines in bounded
 /// epochs.
 pub fn drive(
@@ -1848,7 +1845,6 @@ impl DriveLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::PolicyStatsCollector;
 
     fn tiny_builder() -> ExperimentBuilder {
         Experiment::builder()
@@ -2180,28 +2176,6 @@ mod tests {
     }
 
     #[test]
-    fn extra_observers_see_the_run() {
-        let experiment = Experiment::new(
-            tiny_builder()
-                .algorithm(Algorithm::Nilas)
-                .build()
-                .expect("valid"),
-        )
-        .expect("valid");
-        let mut stats = PolicyStatsCollector::new();
-        let mut observers: Vec<&mut dyn SimObserver> = vec![&mut stats];
-        let report = experiment.run_with_observers(&mut observers);
-        let warmup_placed = stats.stats_for("waste-min").expect("warm-up segment");
-        let nilas_placed = stats.stats_for("nilas").expect("evaluated segment");
-        assert!(warmup_placed.placed > 0);
-        assert!(nilas_placed.placed > 0);
-        assert_eq!(
-            warmup_placed.placed + nilas_placed.placed,
-            report.result.scheduler_stats.placed
-        );
-    }
-
-    #[test]
     fn share_artifacts_reuses_trace_and_predictor_only_when_specs_match() {
         let donor = Experiment::new(tiny_builder().build().expect("valid")).expect("valid");
 
@@ -2266,7 +2240,7 @@ mod tests {
         let predictor: Arc<dyn LifetimePredictor> = Arc::new(OraclePredictor::new());
         for algorithm in Algorithm::ALL {
             let spec = PolicySpec::new(algorithm)
-                .with_cache(CachePolicy::Disabled)
+                .with_cache(CachePolicy::RefreshSecs(0))
                 .without_reprediction();
             let policy = spec.build(predictor.clone());
             assert!(!policy.name().is_empty());

@@ -30,8 +30,10 @@
 //!   and suite execute on: long-lived threads with per-worker pinned
 //!   mailboxes (cell-owning fleet sessions) plus a shared helping queue
 //!   (suite arms), grown on demand and shared process-wide,
-//! * [`observer`] — the [`SimObserver`] trait and the provided observers
-//!   metric collection is composed from,
+//! * [`observer`] — the [`SimObserver`] trait, the [`ObserverContext`]
+//!   every hook reads, and the two provided observers metric collection
+//!   is composed from ([`observer::MetricRecorder`],
+//!   [`observer::StrandingProbe`]),
 //! * [`workload`] — synthetic production-like workload generation (the
 //!   substitute for Google's C2/E2 production traces): the materialising
 //!   [`workload::WorkloadGenerator`] and the lazy, O(pending VMs)

@@ -14,22 +14,16 @@
 //! * [`MetricRecorder`] — records the [`MetricSeries`] the paper's
 //!   evaluation is built on (the component `SimulationResult` is
 //!   assembled from),
-//! * [`EmptyHostTracker`] — summary statistics of the empty-host fraction,
-//! * [`PolicyStatsCollector`] — per-policy event counters (splits counts at
-//!   warm-up policy switches),
-//! * [`JsonlRecorder`] — serialises every event as a JSON line for offline
-//!   analysis,
 //! * [`StrandingProbe`] — runs the inflation-simulation stranding pipeline
 //!   every N samples and averages the reports.
 
-use crate::metrics::{sample_pool, MetricSample, MetricSeries};
+use crate::metrics::{sample_pool, MetricSeries};
 use crate::stranding::{measure_stranding, InflationMix, StrandingReport};
 use lava_core::host::HostId;
 use lava_core::time::SimTime;
 use lava_core::vm::VmId;
 use lava_model::predictor::LifetimePredictor;
 use lava_sched::cluster::Cluster;
-use serde::{Deserialize, Serialize};
 
 /// Read-only view of the running simulation handed to every observer hook.
 pub struct ObserverContext<'a> {
@@ -100,8 +94,8 @@ impl MetricRecorder {
 
     /// A recorder that additionally measures live prediction accuracy at
     /// every sample: the mean |log10 predicted − log10 actual| remaining
-    /// lifetime over a strided sample of at most [`ACCURACY_PROBE_CAP`]
-    /// live VMs, stored in [`MetricSample::mean_abs_log10_error`].
+    /// lifetime over a strided sample of at most `ACCURACY_PROBE_CAP`
+    /// live VMs, stored in [`crate::metrics::MetricSample::mean_abs_log10_error`].
     ///
     /// Off by default because the probe issues extra predictor calls,
     /// which would perturb prediction-recording runs; the experiment
@@ -151,320 +145,6 @@ impl SimObserver for MetricRecorder {
             sample.mean_abs_log10_error = live_prediction_error(ctx);
         }
         self.series.push(sample);
-    }
-}
-
-/// Summary statistics of the empty-host fraction over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct EmptyHostSummary {
-    /// Number of samples observed.
-    pub samples: usize,
-    /// Minimum empty-host fraction seen.
-    pub min: f64,
-    /// Maximum empty-host fraction seen.
-    pub max: f64,
-    /// Mean empty-host fraction.
-    pub mean: f64,
-}
-
-/// Tracks min/max/mean of the empty-host fraction without storing the full
-/// series (cheap enough to attach to every run).
-#[derive(Debug, Clone, Default)]
-pub struct EmptyHostTracker {
-    count: usize,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl EmptyHostTracker {
-    /// Create an empty tracker.
-    pub fn new() -> EmptyHostTracker {
-        EmptyHostTracker::default()
-    }
-
-    /// The summary accumulated so far.
-    pub fn summary(&self) -> EmptyHostSummary {
-        EmptyHostSummary {
-            samples: self.count,
-            min: if self.count == 0 { 0.0 } else { self.min },
-            max: self.max,
-            mean: if self.count == 0 {
-                0.0
-            } else {
-                self.sum / self.count as f64
-            },
-        }
-    }
-}
-
-impl SimObserver for EmptyHostTracker {
-    fn on_sample(&mut self, ctx: &ObserverContext<'_>) {
-        let fraction = ctx.cluster.pool().empty_host_fraction();
-        if self.count == 0 {
-            self.min = fraction;
-            self.max = fraction;
-        } else {
-            self.min = self.min.min(fraction);
-            self.max = self.max.max(fraction);
-        }
-        self.count += 1;
-        self.sum += fraction;
-    }
-}
-
-/// Event counters attributed to one policy segment of a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PolicySegmentStats {
-    /// VMs placed while this policy was in control.
-    pub placed: u64,
-    /// Placement requests rejected.
-    pub rejected: u64,
-    /// VM exits processed.
-    pub exited: u64,
-    /// Live migrations performed.
-    pub migrated: u64,
-    /// Policy ticks run.
-    pub ticks: u64,
-}
-
-/// Splits scheduler event counts per controlling policy, so warm-up
-/// (baseline) activity is separated from the evaluated algorithm's.
-#[derive(Debug, Clone, Default)]
-pub struct PolicyStatsCollector {
-    segments: Vec<(String, PolicySegmentStats)>,
-}
-
-impl PolicyStatsCollector {
-    /// Create an empty collector.
-    pub fn new() -> PolicyStatsCollector {
-        PolicyStatsCollector::default()
-    }
-
-    /// `(policy name, counters)` per policy segment, in activation order.
-    pub fn segments(&self) -> &[(String, PolicySegmentStats)] {
-        &self.segments
-    }
-
-    /// Total counters for the named policy, summed over every segment in
-    /// which it was in control (a policy can run in several segments when
-    /// the collector observes multiple runs, e.g. the arms of an A/B
-    /// experiment). `None` if it never ran.
-    pub fn stats_for(&self, policy: &str) -> Option<PolicySegmentStats> {
-        let mut total: Option<PolicySegmentStats> = None;
-        for (_, s) in self.segments.iter().filter(|(name, _)| name == policy) {
-            let acc = total.get_or_insert_with(PolicySegmentStats::default);
-            acc.placed += s.placed;
-            acc.rejected += s.rejected;
-            acc.exited += s.exited;
-            acc.migrated += s.migrated;
-            acc.ticks += s.ticks;
-        }
-        total
-    }
-
-    fn segment(&mut self, policy: &str) -> &mut PolicySegmentStats {
-        if self.segments.last().map(|(name, _)| name.as_str()) != Some(policy) {
-            self.segments
-                .push((policy.to_string(), PolicySegmentStats::default()));
-        }
-        &mut self
-            .segments
-            .last_mut()
-            .expect("segment was just ensured")
-            .1
-    }
-}
-
-impl SimObserver for PolicyStatsCollector {
-    fn on_placed(&mut self, ctx: &ObserverContext<'_>, _vm: VmId, _host: HostId) {
-        self.segment(ctx.policy).placed += 1;
-    }
-
-    fn on_rejected(&mut self, ctx: &ObserverContext<'_>, _vm: VmId) {
-        self.segment(ctx.policy).rejected += 1;
-    }
-
-    fn on_exited(&mut self, ctx: &ObserverContext<'_>, _vm: VmId, _host: HostId) {
-        self.segment(ctx.policy).exited += 1;
-    }
-
-    fn on_migrated(&mut self, ctx: &ObserverContext<'_>, _vm: VmId, _from: HostId, _to: HostId) {
-        self.segment(ctx.policy).migrated += 1;
-    }
-
-    fn on_tick(&mut self, ctx: &ObserverContext<'_>) {
-        self.segment(ctx.policy).ticks += 1;
-    }
-}
-
-/// One simulation event as written by [`JsonlRecorder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum RecordedEvent {
-    /// A VM placement.
-    Placed {
-        /// The placed VM.
-        vm: VmId,
-        /// The chosen host.
-        host: HostId,
-        /// Event time.
-        at: SimTime,
-    },
-    /// A rejected placement request.
-    Rejected {
-        /// The rejected VM.
-        vm: VmId,
-        /// Event time.
-        at: SimTime,
-    },
-    /// A VM exit.
-    Exited {
-        /// The exited VM.
-        vm: VmId,
-        /// The host it was on.
-        host: HostId,
-        /// Event time.
-        at: SimTime,
-    },
-    /// A live migration.
-    Migrated {
-        /// The migrated VM.
-        vm: VmId,
-        /// Source host.
-        from: HostId,
-        /// Target host.
-        to: HostId,
-        /// Event time.
-        at: SimTime,
-    },
-    /// A periodic metric sample.
-    Sample {
-        /// The metric snapshot.
-        metrics: MetricSample,
-    },
-    /// The controlling policy changed.
-    PolicySwitched {
-        /// Name of the policy that took over.
-        policy: String,
-        /// Event time.
-        at: SimTime,
-    },
-}
-
-/// Serialises the run's event stream as JSON lines (one event per line),
-/// the machine-readable counterpart of the figure binaries' text output.
-///
-/// Lines accumulate in memory up to `capacity`; callers write them to disk
-/// (or a pipe) after the run. Sample events can be disabled when only the
-/// placement stream is wanted.
-#[derive(Debug, Clone)]
-pub struct JsonlRecorder {
-    lines: Vec<String>,
-    capacity: usize,
-    include_samples: bool,
-}
-
-impl Default for JsonlRecorder {
-    fn default() -> Self {
-        JsonlRecorder::new()
-    }
-}
-
-impl JsonlRecorder {
-    /// Default maximum number of recorded lines.
-    pub const DEFAULT_CAPACITY: usize = 4_000_000;
-
-    /// Create a recorder with the default capacity, including samples.
-    pub fn new() -> JsonlRecorder {
-        JsonlRecorder {
-            lines: Vec::new(),
-            capacity: Self::DEFAULT_CAPACITY,
-            include_samples: true,
-        }
-    }
-
-    /// Cap the number of recorded lines.
-    pub fn with_capacity(capacity: usize) -> JsonlRecorder {
-        JsonlRecorder {
-            capacity,
-            ..JsonlRecorder::new()
-        }
-    }
-
-    /// Skip `Sample` events (placement stream only).
-    pub fn without_samples(mut self) -> JsonlRecorder {
-        self.include_samples = false;
-        self
-    }
-
-    /// The recorded JSON lines.
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-
-    /// The full JSONL document (newline-joined lines plus trailing newline;
-    /// empty string when nothing was recorded).
-    pub fn to_jsonl(&self) -> String {
-        if self.lines.is_empty() {
-            return String::new();
-        }
-        let mut doc = self.lines.join("\n");
-        doc.push('\n');
-        doc
-    }
-
-    fn record(&mut self, event: &RecordedEvent) {
-        if self.lines.len() >= self.capacity {
-            return;
-        }
-        if let Ok(line) = serde_json::to_string(event) {
-            self.lines.push(line);
-        }
-    }
-}
-
-impl SimObserver for JsonlRecorder {
-    fn on_placed(&mut self, ctx: &ObserverContext<'_>, vm: VmId, host: HostId) {
-        self.record(&RecordedEvent::Placed {
-            vm,
-            host,
-            at: ctx.now,
-        });
-    }
-
-    fn on_rejected(&mut self, ctx: &ObserverContext<'_>, vm: VmId) {
-        self.record(&RecordedEvent::Rejected { vm, at: ctx.now });
-    }
-
-    fn on_exited(&mut self, ctx: &ObserverContext<'_>, vm: VmId, host: HostId) {
-        self.record(&RecordedEvent::Exited {
-            vm,
-            host,
-            at: ctx.now,
-        });
-    }
-
-    fn on_migrated(&mut self, ctx: &ObserverContext<'_>, vm: VmId, from: HostId, to: HostId) {
-        self.record(&RecordedEvent::Migrated {
-            vm,
-            from,
-            to,
-            at: ctx.now,
-        });
-    }
-
-    fn on_sample(&mut self, ctx: &ObserverContext<'_>) {
-        if self.include_samples {
-            let metrics = sample_pool(ctx.cluster.pool(), ctx.now);
-            self.record(&RecordedEvent::Sample { metrics });
-        }
-    }
-
-    fn on_policy_switched(&mut self, ctx: &ObserverContext<'_>) {
-        self.record(&RecordedEvent::PolicySwitched {
-            policy: ctx.policy.to_string(),
-            at: ctx.now,
-        });
     }
 }
 
@@ -563,107 +243,6 @@ mod tests {
         assert_eq!(recorder.series().samples()[0].time, SimTime(100));
         let series = recorder.into_series();
         assert_eq!(series.mean_empty_host_fraction(), 1.0);
-    }
-
-    #[test]
-    fn empty_host_tracker_summarises() {
-        let mut cluster = ctx_cluster();
-        let mut tracker = EmptyHostTracker::new();
-        assert_eq!(tracker.summary(), EmptyHostSummary::default());
-        with_ctx(&cluster, 0, |ctx| tracker.on_sample(ctx));
-        cluster
-            .pool_mut()
-            .place_vm(
-                lava_core::host::HostId(0),
-                VmId(1),
-                Resources::cores_gib(2, 8),
-            )
-            .unwrap();
-        with_ctx(&cluster, 1, |ctx| tracker.on_sample(ctx));
-        let summary = tracker.summary();
-        assert_eq!(summary.samples, 2);
-        assert_eq!(summary.max, 1.0);
-        assert_eq!(summary.min, 0.75);
-        assert!((summary.mean - 0.875).abs() < 1e-12);
-    }
-
-    #[test]
-    fn policy_stats_split_by_policy_name() {
-        let cluster = ctx_cluster();
-        let mut collector = PolicyStatsCollector::new();
-        let predictor = OraclePredictor::new();
-        let mut at =
-            |policy: &str, f: &mut dyn FnMut(&mut PolicyStatsCollector, &ObserverContext<'_>)| {
-                let ctx = ObserverContext {
-                    cluster: &cluster,
-                    predictor: &predictor,
-                    policy,
-                    now: SimTime::ZERO,
-                };
-                f(&mut collector, &ctx);
-            };
-        at("baseline", &mut |c, ctx| {
-            c.on_placed(ctx, VmId(1), HostId(0));
-            c.on_tick(ctx);
-        });
-        at("nilas", &mut |c, ctx| {
-            c.on_placed(ctx, VmId(2), HostId(1));
-            c.on_exited(ctx, VmId(1), HostId(0));
-            c.on_rejected(ctx, VmId(3));
-            c.on_migrated(ctx, VmId(2), HostId(1), HostId(2));
-        });
-        // The baseline takes over again (e.g. the next A/B arm's warm-up):
-        // stats_for must aggregate both baseline segments.
-        at("baseline", &mut |c, ctx| {
-            c.on_placed(ctx, VmId(4), HostId(2));
-        });
-        assert_eq!(collector.segments().len(), 3);
-        let baseline = collector.stats_for("baseline").unwrap();
-        assert_eq!(baseline.placed, 2, "summed across both segments");
-        assert_eq!(baseline.ticks, 1);
-        let nilas = collector.stats_for("nilas").unwrap();
-        assert_eq!(nilas.placed, 1);
-        assert_eq!(nilas.exited, 1);
-        assert_eq!(nilas.rejected, 1);
-        assert_eq!(nilas.migrated, 1);
-        assert!(collector.stats_for("lava").is_none());
-    }
-
-    #[test]
-    fn jsonl_recorder_round_trips_events() {
-        let cluster = ctx_cluster();
-        let mut recorder = JsonlRecorder::new();
-        with_ctx(&cluster, 7, |ctx| {
-            recorder.on_placed(ctx, VmId(1), HostId(2));
-            recorder.on_sample(ctx);
-            recorder.on_policy_switched(ctx);
-        });
-        assert_eq!(recorder.lines().len(), 3);
-        let parsed: RecordedEvent = serde_json::from_str(&recorder.lines()[0]).unwrap();
-        assert_eq!(
-            parsed,
-            RecordedEvent::Placed {
-                vm: VmId(1),
-                host: HostId(2),
-                at: SimTime(7)
-            }
-        );
-        assert!(recorder.to_jsonl().ends_with('\n'));
-        assert_eq!(recorder.to_jsonl().lines().count(), 3);
-    }
-
-    #[test]
-    fn jsonl_recorder_capacity_and_sample_filter() {
-        let cluster = ctx_cluster();
-        let mut recorder = JsonlRecorder::with_capacity(1).without_samples();
-        with_ctx(&cluster, 0, |ctx| {
-            recorder.on_sample(ctx); // filtered
-            recorder.on_placed(ctx, VmId(1), HostId(0));
-            recorder.on_placed(ctx, VmId(2), HostId(1)); // over capacity
-        });
-        assert_eq!(recorder.lines().len(), 1);
-        let empty = JsonlRecorder::new();
-        assert_eq!(empty.to_jsonl(), "");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! A sweep (Fig. 6's fleet, Fig. 15's accuracy dial, Table 1's pilots…)
 //! is a list of independent [`Experiment`]s. [`ExperimentSuite`] runs them
-//! across the persistent [`WorkerPool`](crate::workers::WorkerPool)
+//! across the persistent [`WorkerPool`]
 //! (the same primitive the fleet tier executes on — one pool, not two
 //! threading schemes):
 //!

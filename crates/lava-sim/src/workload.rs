@@ -545,8 +545,8 @@ impl WorkloadGenerator {
     }
 
     /// Turn the generator into a lazy, pull-based [`StreamingWorkload`]
-    /// emitting event-for-event the same stream as [`generate`]
-    /// (see [`WorkloadGenerator::generate`]) for the same seed.
+    /// emitting event-for-event the same stream as
+    /// [`WorkloadGenerator::generate`] for the same seed.
     pub fn stream(self) -> StreamingWorkload {
         StreamingWorkload::from_generator(self)
     }

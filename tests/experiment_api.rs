@@ -2,14 +2,14 @@
 //! serialisation and validation, observer composition, and
 //! reproduce-from-JSON guarantees.
 
+use lava::core::host::HostId;
 use lava::core::time::{Duration, SimTime};
+use lava::core::vm::VmId;
 use lava::sched::Algorithm;
 use lava::sim::experiment::{
     CachePolicy, Experiment, ExperimentSpec, PolicySpec, PredictorSpec, Scenario, SpecError,
 };
-use lava::sim::observer::{
-    EmptyHostTracker, JsonlRecorder, MetricRecorder, PolicyStatsCollector, SimObserver,
-};
+use lava::sim::observer::{MetricRecorder, ObserverContext, SimObserver};
 use lava::sim::workload::PoolConfig;
 
 fn tiny_spec(seed: u64) -> ExperimentSpec {
@@ -25,6 +25,35 @@ fn tiny_spec(seed: u64) -> ExperimentSpec {
         .algorithm(Algorithm::Nilas)
         .build()
         .expect("valid spec")
+}
+
+/// A test-local observer: placements per controlling-policy segment (a
+/// new segment starts whenever `ctx.policy` changes) and every sample's
+/// `(time, empty_host_fraction)`.
+#[derive(Debug, Default, PartialEq)]
+struct PlacementTally {
+    segments: Vec<(String, u64)>,
+    samples: Vec<(SimTime, f64)>,
+}
+
+impl PlacementTally {
+    fn placed(&self) -> u64 {
+        self.segments.iter().map(|(_, placed)| placed).sum()
+    }
+}
+
+impl SimObserver for PlacementTally {
+    fn on_placed(&mut self, ctx: &ObserverContext<'_>, _vm: VmId, _host: HostId) {
+        match self.segments.last_mut() {
+            Some((policy, placed)) if policy == ctx.policy => *placed += 1,
+            _ => self.segments.push((ctx.policy.to_string(), 1)),
+        }
+    }
+
+    fn on_sample(&mut self, ctx: &ObserverContext<'_>) {
+        self.samples
+            .push((ctx.now, ctx.cluster.pool().empty_host_fraction()));
+    }
 }
 
 #[test]
@@ -90,51 +119,50 @@ fn validation_rejects_degenerate_specs() {
 #[test]
 fn two_observers_see_identical_event_streams() {
     let experiment = Experiment::new(tiny_spec(11)).expect("valid spec");
-    let mut first = JsonlRecorder::new();
-    let mut second = JsonlRecorder::new();
+    let mut first = PlacementTally::default();
+    let mut second = PlacementTally::default();
     let mut observers: Vec<&mut dyn SimObserver> = vec![&mut first, &mut second];
     let report = experiment.run_with_observers(&mut observers);
-    assert!(!first.lines().is_empty(), "observers saw no events");
-    assert_eq!(
-        first.lines(),
-        second.lines(),
-        "composed observers diverged on the same run"
-    );
-    // The stream agrees with the built-in collection: one Placed line per
-    // placement, one Sample line per metric sample.
-    let placed = first
-        .lines()
-        .iter()
-        .filter(|l| l.contains("\"Placed\""))
-        .count() as u64;
-    let samples = first
-        .lines()
-        .iter()
-        .filter(|l| l.contains("\"Sample\""))
-        .count();
-    assert_eq!(placed, report.result.scheduler_stats.placed);
-    assert_eq!(samples, report.result.series.len());
+    assert!(!first.segments.is_empty(), "observers saw no events");
+    assert_eq!(first, second, "composed observers diverged on the same run");
+    // The stream agrees with the built-in collection: every placement and
+    // every metric sample was seen once.
+    assert_eq!(first.placed(), report.result.scheduler_stats.placed);
+    assert_eq!(first.samples.len(), report.result.series.len());
 }
 
 #[test]
 fn heterogeneous_observers_agree_with_builtin_series() {
     let experiment = Experiment::new(tiny_spec(13)).expect("valid spec");
     let mut series = MetricRecorder::new();
-    let mut tracker = EmptyHostTracker::new();
-    let mut stats = PolicyStatsCollector::new();
-    let mut observers: Vec<&mut dyn SimObserver> = vec![&mut series, &mut tracker, &mut stats];
+    let mut tally = PlacementTally::default();
+    let mut observers: Vec<&mut dyn SimObserver> = vec![&mut series, &mut tally];
     let report = experiment.run_with_observers(&mut observers);
 
     // The extra MetricRecorder saw exactly the samples the built-in one did.
     assert_eq!(series.series(), &report.result.series);
-    // The cheap tracker summarises the same series.
-    let summary = tracker.summary();
-    assert_eq!(summary.samples, report.result.series.len());
-    assert!((summary.mean - report.result.mean_empty_host_fraction()).abs() < 1e-12);
+    // The tally sampled the same points and read the same fractions.
+    assert_eq!(tally.samples.len(), report.result.series.len());
+    for (&(at, fraction), sample) in tally.samples.iter().zip(report.result.series.samples()) {
+        assert_eq!(at, sample.time);
+        assert_eq!(fraction, sample.empty_host_fraction);
+    }
     // Per-policy counters add up to the scheduler totals.
-    let total: u64 = stats.segments().iter().map(|(_, s)| s.placed).sum();
-    assert_eq!(total, report.result.scheduler_stats.placed);
-    assert_eq!(stats.segments().len(), 2, "warm-up + evaluated policy");
+    assert_eq!(tally.placed(), report.result.scheduler_stats.placed);
+    assert_eq!(tally.segments.len(), 2, "warm-up + evaluated policy");
+}
+
+#[test]
+fn extra_observers_see_the_run() {
+    let experiment = Experiment::new(tiny_spec(3)).expect("valid spec");
+    let mut tally = PlacementTally::default();
+    let mut observers: Vec<&mut dyn SimObserver> = vec![&mut tally];
+    let report = experiment.run_with_observers(&mut observers);
+    // The warm-up policy places first, then the evaluated one takes over
+    // (a segment opens only on a placement, so both placed at least once).
+    let policies: Vec<&str> = tally.segments.iter().map(|(p, _)| p.as_str()).collect();
+    assert_eq!(policies, ["waste-min", "nilas"]);
+    assert_eq!(tally.placed(), report.result.scheduler_stats.placed);
 }
 
 #[test]
@@ -176,21 +204,30 @@ fn spec_json_from_before_the_scan_knob_was_removed_still_runs() {
 fn spec_json_naming_the_removed_learned_fast_variant_is_rejected() {
     // `Learned` is the one spelling of the learned model (and serves the
     // compiled engine `LearnedFast` used to select); the old name is an
-    // unknown variant, not an alias.
+    // unknown variant, not an alias. Likewise `RefreshSecs(0)` is the one
+    // spelling of "no exit-time cache": the removed `Disabled` is unknown.
     let mut spec = tiny_spec(23);
     spec.predictor = PredictorSpec::Learned;
     let json = spec.to_json().expect("serializes");
     assert_eq!(ExperimentSpec::from_json(&json).expect("parses"), spec);
-    let old_json = json.replace("\"Learned\"", "\"LearnedFast\"");
-    assert_ne!(
-        old_json, json,
-        "the predictor is no longer a bare variant name"
-    );
-    let error = ExperimentSpec::from_json(&old_json).expect_err("removed variant");
-    assert!(
-        error.to_string().contains("unknown variant `LearnedFast`"),
-        "unexpected error: {error}"
-    );
+    for (current, removed, old) in [
+        ("\"Learned\"", "LearnedFast", "\"LearnedFast\""),
+        (
+            "\"cache\":\"Default\"",
+            "Disabled",
+            "\"cache\":\"Disabled\"",
+        ),
+    ] {
+        let old_json = json.replace(current, old);
+        assert_ne!(old_json, json, "{current} is no longer in the spec JSON");
+        let error = ExperimentSpec::from_json(&old_json).expect_err("removed variant");
+        assert!(
+            error
+                .to_string()
+                .contains(&format!("unknown variant `{removed}`")),
+            "unexpected error: {error}"
+        );
+    }
 }
 
 #[test]
