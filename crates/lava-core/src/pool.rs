@@ -14,8 +14,11 @@
 //!
 //! * hosts bucketed by `(HostLifetimeState, Option<LifetimeClass>)`, so a
 //!   scheduler can walk exactly the preference level it needs;
-//! * the sets of occupied and empty hosts (also powering O(1)
-//!   [`Pool::empty_host_count`]);
+//! * the set of occupied hosts, and the set of empty hosts grouped by
+//!   capacity shape (also powering O(1) [`Pool::empty_host_count`]). An
+//!   empty host's free capacity is its capacity, so empty hosts of one
+//!   shape score alike and [`Pool::empty_leaders`] hands a scheduler one
+//!   candidate per shape: O(shapes), not O(empty hosts);
 //! * an ordering by free capacity (CPU, then memory, then SSD).
 //!
 //! Mutations flow through [`Pool::place_vm`] / [`Pool::remove_vm`] or
@@ -88,8 +91,15 @@ struct HostIndex {
     buckets: Vec<BTreeSet<HostId>>,
     /// Hosts with at least one VM.
     occupied: BTreeSet<HostId>,
-    /// Hosts with no VMs.
-    empty: BTreeSet<HostId>,
+    /// Hosts with no VMs, keyed `(shape, id)`: grouped by capacity shape,
+    /// in id order within a shape. The id is narrowed to `u32` (see
+    /// [`HostIndex::add`]) so the key is no larger than a bare [`HostId`].
+    empty: BTreeSet<(u32, u32)>,
+    /// The distinct host capacities, in order of first appearance.
+    shapes: Vec<Resources>,
+    /// Each host's index into `shapes`, by `HostId.0` (static after
+    /// [`Pool::add_host`]).
+    shape_of: Vec<u32>,
     /// Hosts ordered by ascending free capacity (CPU, memory, SSD, id).
     by_free: BTreeSet<(u64, u64, u64, HostId)>,
 }
@@ -106,18 +116,40 @@ impl HostIndex {
             buckets: vec![BTreeSet::new(); BUCKET_COUNT],
             occupied: BTreeSet::new(),
             empty: BTreeSet::new(),
+            shapes: Vec::new(),
+            shape_of: Vec::new(),
             by_free: BTreeSet::new(),
         }
     }
 
-    fn insert(&mut self, id: HostId, key: IndexKey) {
+    /// Index a newly added host, recording its shape.
+    fn add(&mut self, host: &Host) {
+        assert!(
+            u32::try_from(host.id().0).is_ok(),
+            "a pool holds fewer than 2^32 hosts"
+        );
+        let capacity = host.capacity();
+        let shape = match self.shapes.iter().position(|&s| s == capacity) {
+            Some(shape) => shape,
+            None => {
+                self.shapes.push(capacity);
+                self.shapes.len() - 1
+            }
+        };
+        self.shape_of.push(shape as u32);
+        let (id, key) = (host.id(), key_of(host));
         self.buckets[key.bucket].insert(id);
         if key.is_empty {
-            self.empty.insert(id);
+            self.empty.insert(self.empty_key(id));
         } else {
             self.occupied.insert(id);
         }
         self.by_free.insert(free_key(key.free, id));
+    }
+
+    /// The host's key in the empty set.
+    fn empty_key(&self, id: HostId) -> (u32, u32) {
+        (self.shape_of[id.0 as usize], id.0 as u32)
     }
 
     fn update(&mut self, id: HostId, before: IndexKey, after: IndexKey) {
@@ -129,12 +161,13 @@ impl HostIndex {
             self.buckets[after.bucket].insert(id);
         }
         if before.is_empty != after.is_empty {
+            let empty_key = self.empty_key(id);
             if before.is_empty {
-                self.empty.remove(&id);
+                self.empty.remove(&empty_key);
                 self.occupied.insert(id);
             } else {
                 self.occupied.remove(&id);
-                self.empty.insert(id);
+                self.empty.insert(empty_key);
             }
         }
         if before.free != after.free {
@@ -153,8 +186,6 @@ impl HostIndex {
 struct HostHot {
     /// Free (unreserved) resources per host.
     free: Vec<Resources>,
-    /// Total capacity per host (static after [`Pool::add_host`]).
-    capacity: Vec<Resources>,
     /// LAVA lifetime state per host.
     state: Vec<HostLifetimeState>,
     /// LAVA lifetime class per host.
@@ -166,7 +197,6 @@ struct HostHot {
 impl HostHot {
     fn push(&mut self, host: &Host) {
         self.free.push(host.free());
-        self.capacity.push(host.capacity());
         self.state.push(host.lifetime_state());
         self.class.push(host.lifetime_class());
         self.vm_count.push(host.vm_count() as u32);
@@ -181,14 +211,17 @@ impl HostHot {
 }
 
 /// A read-only view over the pool's structure-of-arrays hot fields: the
-/// cache-dense way to walk per-host capacity state. All slices are
-/// indexed by `HostId.0` and have length [`Pool::host_count`].
+/// cache-dense way to walk per-host capacity state. All slices but
+/// `shapes` are indexed by `HostId.0` and have length
+/// [`Pool::host_count`].
 #[derive(Debug, Clone, Copy)]
 pub struct CapacityProfile<'a> {
     /// Free resources per host.
     pub free: &'a [Resources],
-    /// Total capacity per host.
-    pub capacity: &'a [Resources],
+    /// Capacity shape per host: its total capacity is `shapes[shape]`.
+    pub shape: &'a [u32],
+    /// The pool's distinct host capacities, in order of first appearance.
+    pub shapes: &'a [Resources],
     /// Lifetime state per host.
     pub state: &'a [HostLifetimeState],
     /// Lifetime class per host.
@@ -269,7 +302,7 @@ impl Pool {
     pub fn add_host(&mut self, spec: HostSpec) -> HostId {
         let id = HostId(self.hosts.len() as u64);
         let host = Host::new(id, spec);
-        self.index.insert(id, key_of(&host));
+        self.index.add(&host);
         self.agg_capacity += host.capacity();
         self.agg_free += host.free();
         self.hot.push(&host);
@@ -307,12 +340,13 @@ impl Pool {
     }
 
     /// The structure-of-arrays view of the hot host fields (free,
-    /// capacity, state, class, VM count), indexed by `HostId.0` — the
-    /// cache-dense input for pool-wide capacity walks.
+    /// capacity shape, state, class, VM count), indexed by `HostId.0` —
+    /// the cache-dense input for pool-wide capacity walks.
     pub fn capacity_profile(&self) -> CapacityProfile<'_> {
         CapacityProfile {
             free: &self.hot.free,
-            capacity: &self.hot.capacity,
+            shape: &self.index.shape_of,
+            shapes: &self.index.shapes,
             state: &self.hot.state,
             class: &self.hot.class,
             vm_count: &self.hot.vm_count,
@@ -425,9 +459,24 @@ impl Pool {
             .filter_map(move |id| self.host(*id))
     }
 
-    /// Hosts with no VMs, in id order.
-    pub fn empty_hosts(&self) -> impl Iterator<Item = &Host> + '_ {
-        self.index.empty.iter().filter_map(move |id| self.host(*id))
+    /// Per capacity shape that can hold `request`, in order of the shapes'
+    /// first appearance: the lowest-id empty host of that shape that can
+    /// fit `request` and is not `exclude`. Unavailable and excluded hosts
+    /// are walked past within their shape.
+    ///
+    /// An empty host's free capacity is its capacity and it has no VMs, so
+    /// any score built from those — and a host's id, on ties — ranks the
+    /// empty hosts of one shape by id: the winner among all empty hosts is
+    /// one of these leaders. [`EmptyLeaders::examined`] counts the hosts
+    /// the walk looked at.
+    pub fn empty_leaders(&self, request: Resources, exclude: Option<HostId>) -> EmptyLeaders<'_> {
+        EmptyLeaders {
+            pool: self,
+            request,
+            exclude,
+            next_shape: 0,
+            examined: 0,
+        }
     }
 
     /// Number of hosts with at least one VM.
@@ -471,9 +520,31 @@ impl Pool {
                 self.hosts.len()
             ));
         }
+        for (i, shape) in self.index.shapes.iter().enumerate() {
+            if self.index.shapes[..i].contains(shape) {
+                return Err(format!("shape {shape:?} is listed twice"));
+            }
+        }
+        if self.index.shape_of.len() != self.hosts.len() {
+            return Err("shape_of has the wrong length".to_string());
+        }
+        for &(shape, id) in &self.index.empty {
+            if self.index.shape_of.get(id as usize) != Some(&shape) {
+                return Err(format!(
+                    "host {id} is keyed under shape {shape} in the empty set"
+                ));
+            }
+        }
         for host in self.hosts() {
             let key = key_of(host);
-            let in_empty = self.index.empty.contains(&host.id());
+            let shape = self.index.shape_of[host.id().0 as usize];
+            if self.index.shapes.get(shape as usize) != Some(&host.capacity()) {
+                return Err(format!(
+                    "host {} has shape {shape}, not its capacity",
+                    host.id()
+                ));
+            }
+            let in_empty = self.index.empty.contains(&self.index.empty_key(host.id()));
             let in_occupied = self.index.occupied.contains(&host.id());
             if key.is_empty != in_empty || key.is_empty == in_occupied {
                 return Err(format!("host {} occupancy sets inconsistent", host.id()));
@@ -483,7 +554,6 @@ impl Pool {
             }
             let idx = host.id().0 as usize;
             if self.hot.free[idx] != host.free()
-                || self.hot.capacity[idx] != host.capacity()
                 || self.hot.state[idx] != host.lifetime_state()
                 || self.hot.class[idx] != host.lifetime_class()
                 || self.hot.vm_count[idx] != host.vm_count() as u32
@@ -539,6 +609,48 @@ impl Pool {
     /// maintained on every placement, removal and [`HostMut`] mutation).
     pub fn total_free(&self) -> Resources {
         self.agg_free
+    }
+}
+
+/// The per-shape leaders of a pool's empty hosts for one request, from
+/// [`Pool::empty_leaders`].
+pub struct EmptyLeaders<'a> {
+    pool: &'a Pool,
+    request: Resources,
+    exclude: Option<HostId>,
+    next_shape: usize,
+    examined: u64,
+}
+
+impl EmptyLeaders<'_> {
+    /// The hosts looked at so far: each leader yielded, plus each
+    /// unavailable or excluded empty host walked past. Shapes too small
+    /// for the request cost nothing.
+    pub fn examined(&self) -> u64 {
+        self.examined
+    }
+}
+
+impl<'a> Iterator for EmptyLeaders<'a> {
+    type Item = &'a Host;
+
+    fn next(&mut self) -> Option<&'a Host> {
+        let (pool, index) = (self.pool, &self.pool.index);
+        while let Some(capacity) = index.shapes.get(self.next_shape) {
+            let shape = self.next_shape as u32;
+            self.next_shape += 1;
+            if !capacity.fits(&self.request) {
+                continue;
+            }
+            for &(_, id) in index.empty.range((shape, 0)..=(shape, u32::MAX)) {
+                self.examined += 1;
+                let host = &pool.hosts[id as usize];
+                if Some(host.id()) != self.exclude && host.can_fit(self.request) {
+                    return Some(host);
+                }
+            }
+        }
+        None
     }
 }
 
@@ -701,17 +813,58 @@ mod tests {
         assert_eq!(order, vec![HostId(1), HostId(2), HostId(0)]);
     }
 
+    /// Three shapes, two of them with the same CPU: `[A, B, A, C, B, A]`
+    /// for `n = 6`, A = 32 cores / 128 GiB, B = 32 / 256, C = 16 / 64.
+    fn mixed_pool(n: usize) -> Pool {
+        let shapes = [
+            Resources::cores_gib(32, 128),
+            Resources::cores_gib(32, 256),
+            Resources::cores_gib(16, 64),
+        ];
+        let mut p = Pool::new(PoolId(0));
+        for i in 0..n {
+            p.add_host(HostSpec::new(shapes[[0, 1, 0, 2, 1][i % 5]]));
+        }
+        p
+    }
+
+    /// `(leaders, hosts examined)` of [`Pool::empty_leaders`].
+    fn leaders(p: &Pool, request: Resources, exclude: Option<HostId>) -> (Vec<HostId>, u64) {
+        let mut walk = p.empty_leaders(request, exclude);
+        let ids = walk.by_ref().map(|h| h.id()).collect();
+        (ids, walk.examined())
+    }
+
     #[test]
-    fn empty_hosts_iterator_matches_scan() {
-        let mut p = pool(4);
-        p.place_vm(HostId(1), VmId(1), Resources::cores_gib(4, 16))
+    fn empty_leaders_pick_one_host_per_shape() {
+        let mut p = mixed_pool(6);
+        p.place_vm(HostId(0), VmId(1), Resources::cores_gib(4, 16))
             .unwrap();
-        p.place_vm(HostId(3), VmId(2), Resources::cores_gib(4, 16))
-            .unwrap();
-        let empties: Vec<HostId> = p.empty_hosts().map(|h| h.id()).collect();
-        assert_eq!(empties, vec![HostId(0), HostId(2)]);
         let occupied: Vec<HostId> = p.occupied_hosts().map(|h| h.id()).collect();
-        assert_eq!(occupied, vec![HostId(1), HostId(3)]);
+        assert_eq!(occupied, vec![HostId(0)]);
+        let small = Resources::cores_gib(4, 16);
+        // One leader per shape, in shape order: A, B, C.
+        assert_eq!(
+            leaders(&p, small, None),
+            (vec![HostId(2), HostId(1), HostId(3)], 3)
+        );
+        // An excluded or unavailable leader is walked past within its shape.
+        assert_eq!(
+            leaders(&p, small, Some(HostId(2))),
+            (vec![HostId(5), HostId(1), HostId(3)], 4)
+        );
+        p.host_mut(HostId(1)).unwrap().set_unavailable(true);
+        assert_eq!(
+            leaders(&p, small, None),
+            (vec![HostId(2), HostId(4), HostId(3)], 4)
+        );
+        // A shape the request does not fit costs nothing; a shape with no
+        // eligible empty host yields nothing.
+        assert_eq!(
+            leaders(&p, Resources::cores_gib(20, 80), Some(HostId(4))),
+            (vec![HostId(2)], 3)
+        );
+        p.validate_index().unwrap();
     }
 
     proptest! {
@@ -744,64 +897,129 @@ mod tests {
         fn prop_candidate_index_consistency(
             ops in proptest::collection::vec((0u64..6, 0u64..30, 1u64..8, 0u8..6), 1..120)
         ) {
-            let mut p = pool(6);
-            for (host, vm, cores, action) in ops {
-                let host = HostId(host);
-                let vm = VmId(vm);
-                let r = Resources::cores_gib(cores, cores * 4);
-                match action {
-                    0..=2 => {
-                        if p.host_of(vm).is_some() {
-                            p.remove_vm(vm).unwrap();
-                        } else if p.host(host).map(|h| h.can_fit(r)).unwrap_or(false) {
-                            p.place_vm(host, vm, r).unwrap();
-                        }
+            check_candidate_index(pool(6), ops)?;
+        }
+
+        /// The same on a pool of three capacity shapes, with hosts also
+        /// withheld from and returned to scheduling.
+        #[test]
+        fn prop_candidate_index_consistency_mixed_shapes(
+            ops in proptest::collection::vec((0u64..6, 0u64..30, 1u64..8, 0u8..7), 1..120)
+        ) {
+            check_candidate_index(mixed_pool(6), ops)?;
+        }
+    }
+
+    /// Apply `(host, vm, cores, action)` steps to `p`, validating the
+    /// indexes after each, then check the indexed enumerations against
+    /// brute-force scans.
+    fn check_candidate_index(
+        mut p: Pool,
+        ops: Vec<(u64, u64, u64, u8)>,
+    ) -> Result<(), proptest::TestCaseError> {
+        for (host, vm, cores, action) in ops {
+            let host = HostId(host);
+            let vm = VmId(vm);
+            let r = Resources::cores_gib(cores, cores * 4);
+            match action {
+                0..=2 => {
+                    if p.host_of(vm).is_some() {
+                        p.remove_vm(vm).unwrap();
+                    } else if p.host(host).map(|h| h.can_fit(r)).unwrap_or(false) {
+                        p.place_vm(host, vm, r).unwrap();
                     }
-                    3 => {
-                        if let Some(mut h) = p.host_mut(host) {
-                            let class = LifetimeClass::from_index_clamped(cores as i32 % 5);
-                            h.open_with_class(class, SimTime(cores * 100));
-                        }
+                }
+                3 => {
+                    if let Some(mut h) = p.host_mut(host) {
+                        let class = LifetimeClass::from_index_clamped(cores as i32 % 5);
+                        h.open_with_class(class, SimTime(cores * 100));
                     }
-                    4 => {
-                        if let Some(mut h) = p.host_mut(host) {
-                            h.start_recycling();
-                        }
+                }
+                4 => {
+                    if let Some(mut h) = p.host_mut(host) {
+                        h.start_recycling();
                     }
-                    _ => {
-                        if let Some(mut h) = p.host_mut(host) {
-                            if h.is_empty() {
-                                h.reset_lifetime_state();
-                            } else {
-                                h.step_class_down(SimTime(cores * 50));
-                            }
+                }
+                5 => {
+                    if let Some(mut h) = p.host_mut(host) {
+                        if h.is_empty() {
+                            h.reset_lifetime_state();
+                        } else {
+                            h.step_class_down(SimTime(cores * 50));
                         }
                     }
                 }
-                prop_assert!(p.validate_index().is_ok(), "{:?}", p.validate_index());
+                _ => {
+                    if let Some(mut h) = p.host_mut(host) {
+                        let withheld = h.is_unavailable();
+                        h.set_unavailable(!withheld);
+                    }
+                }
             }
-            // The indexed enumerations agree with brute-force scans.
-            let brute_empty: Vec<HostId> =
-                p.hosts().filter(|h| h.is_empty()).map(|h| h.id()).collect();
-            let indexed_empty: Vec<HostId> = p.empty_hosts().map(|h| h.id()).collect();
-            prop_assert_eq!(brute_empty, indexed_empty);
-            for state in [
-                HostLifetimeState::Empty,
-                HostLifetimeState::Open,
-                HostLifetimeState::Recycling,
+            prop_assert!(p.validate_index().is_ok(), "{:?}", p.validate_index());
+        }
+        // The indexed enumerations agree with brute-force scans.
+        let exclusions = std::iter::once(None).chain(p.hosts().map(|h| Some(h.id())));
+        for exclude in exclusions {
+            for cores in [1, 4, 16, 20, 32, 40] {
+                let request = Resources::cores_gib(cores, cores * 4);
+                prop_assert_eq!(
+                    leaders(&p, request, exclude),
+                    brute_leaders(&p, request, exclude)
+                );
+            }
+        }
+        for state in [
+            HostLifetimeState::Empty,
+            HostLifetimeState::Open,
+            HostLifetimeState::Recycling,
+        ] {
+            for class in [
+                None,
+                Some(LifetimeClass::Lc1),
+                Some(LifetimeClass::Lc2),
+                Some(LifetimeClass::Lc3),
+                Some(LifetimeClass::Lc4),
             ] {
-                for class in [None, Some(LifetimeClass::Lc1), Some(LifetimeClass::Lc2),
-                              Some(LifetimeClass::Lc3), Some(LifetimeClass::Lc4)] {
-                    let brute: Vec<HostId> = p
-                        .hosts()
-                        .filter(|h| h.lifetime_state() == state && h.lifetime_class() == class)
-                        .map(|h| h.id())
-                        .collect();
-                    let indexed: Vec<HostId> =
-                        p.hosts_in_state_class(state, class).map(|h| h.id()).collect();
-                    prop_assert_eq!(brute, indexed);
+                let brute: Vec<HostId> = p
+                    .hosts()
+                    .filter(|h| h.lifetime_state() == state && h.lifetime_class() == class)
+                    .map(|h| h.id())
+                    .collect();
+                let indexed: Vec<HostId> = p
+                    .hosts_in_state_class(state, class)
+                    .map(|h| h.id())
+                    .collect();
+                prop_assert_eq!(brute, indexed);
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Pool::empty_leaders`] by scanning: group `hosts().filter(is_empty)`
+    /// by capacity, shapes in order of first appearance among all hosts,
+    /// and walk each fitting group in id order to its first eligible host.
+    fn brute_leaders(p: &Pool, request: Resources, exclude: Option<HostId>) -> (Vec<HostId>, u64) {
+        let mut shapes: Vec<Resources> = Vec::new();
+        for h in p.hosts() {
+            if !shapes.contains(&h.capacity()) {
+                shapes.push(h.capacity());
+            }
+        }
+        let (mut ids, mut examined) = (Vec::new(), 0);
+        for shape in shapes.into_iter().filter(|s| s.fits(&request)) {
+            let group = p
+                .hosts()
+                .filter(|h| h.is_empty())
+                .filter(|h| h.capacity() == shape);
+            for h in group {
+                examined += 1;
+                if Some(h.id()) != exclude && h.can_fit(request) {
+                    ids.push(h.id());
+                    break;
                 }
             }
         }
+        (ids, examined)
     }
 }

@@ -27,8 +27,11 @@
 //! The scan walks those preference levels directly through the pool's
 //! `(state, class)` buckets and occupancy sets, and returns at the **first
 //! level containing a feasible host** — on a large pool a placement usually
-//! touches a handful of hosts instead of all of them. The score-everything
-//! enumeration it must agree with is the oracle of `tests/scan_parity.rs`.
+//! touches a handful of hosts instead of all of them. The last level
+//! scores one empty host per capacity shape, through the pool's
+//! shape-grouped empty index ([`NilasStats::empty_examined`] counts them).
+//! The score-everything enumeration it must agree with is the oracle of
+//! `tests/scan_parity.rs`.
 
 use crate::cluster::Cluster;
 use crate::nilas::{consider, Candidate, NilasConfig, NilasPolicy, NilasStats};
@@ -203,6 +206,7 @@ impl PlacementPolicy for LavaPolicy {
         let pool = cluster.pool();
         // Separate counter: `best_of` above holds the borrow on `hits`.
         let mut level2_hits = 0u64;
+        let mut empty_examined = 0u64;
         let winner = 'levels: {
             // While degraded the class-based levels 0/1 are suppressed:
             // every occupied host ranks 2 and every empty host 3 (the only
@@ -269,11 +273,17 @@ impl PlacementPolicy for LavaPolicy {
             if let Some(found) = best {
                 break 'levels Some(found.id);
             }
-            // Level 3: empty hosts, the last resort.
-            best_of(&mut pool.empty_hosts())
+            // Level 3: empty hosts, the last resort. They all exit now
+            // and have their capacity free, so only the leader of each
+            // capacity shape can win.
+            let mut leaders = pool.empty_leaders(request, exclude);
+            let found = best_of(&mut leaders);
+            empty_examined = leaders.examined();
+            found
         };
         drop(cache);
-        self.nilas.add_cache_hits(hits + level2_hits);
+        self.nilas
+            .add_walk_counts(hits + level2_hits, empty_examined);
         winner
     }
 

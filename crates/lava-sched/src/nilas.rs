@@ -19,9 +19,11 @@
 //! host exit time: hosts are visited from latest-exiting to earliest via
 //! the cache's exit-time order and the scan stops as soon as the cost
 //! bucket can no longer match the best candidate, instead of scoring all
-//! hosts. Empty hosts (exit time = now) are enumerated through the pool's
-//! occupancy index. The brute-force scoring of every feasible host it must
-//! agree with is the oracle of `tests/scan_parity.rs`.
+//! hosts. Empty hosts (exit time = now, free = capacity) tie on everything
+//! but id within a capacity shape, so the empty tail scores one leader per
+//! shape from the pool's shape-grouped empty index: O(shapes), counted in
+//! [`NilasStats::empty_examined`]. The brute-force scoring of every
+//! feasible host it must agree with is the oracle of `tests/scan_parity.rs`.
 
 use crate::cluster::Cluster;
 use crate::policy::{CacheCounters, FallbackSpec, PlacementPolicy};
@@ -80,6 +82,11 @@ pub struct NilasStats {
     /// with CPU room for the request, or expired) — the work a placement
     /// pays before it scores anything.
     pub refresh_examined: u64,
+    /// Number of empty hosts the empty-host level looked at (NILAS's empty
+    /// tail, LAVA's last level): one leader per capacity shape that can
+    /// hold the request, plus each unavailable or excluded empty host
+    /// walked past — not every empty host.
+    pub empty_examined: u64,
 }
 
 impl NilasStats {
@@ -233,9 +240,11 @@ impl NilasPolicy {
         }
     }
 
-    /// Credit cache hits observed by an embedding policy's candidate walk.
-    pub(crate) fn add_cache_hits(&mut self, hits: u64) {
-        self.stats.cache_hits += hits;
+    /// Credit the cache hits and empty hosts examined by an embedding
+    /// policy's candidate walk.
+    pub(crate) fn add_walk_counts(&mut self, cache_hits: u64, empty_examined: u64) {
+        self.stats.cache_hits += cache_hits;
+        self.stats.empty_examined += empty_examined;
     }
 
     /// Bring the cluster exit cache up to date for a placement of
@@ -307,13 +316,12 @@ impl PlacementPolicy for NilasPolicy {
                 );
             }
         }
-        // Empty hosts all share exit == now.
+        // Empty hosts all share exit == now, so only the leader of each
+        // capacity shape can win.
         let empty_cost = self.quantised_cost(vm_exit, now);
         if best.as_ref().is_none_or(|b| empty_cost <= b.cost) {
-            for host in cluster.pool().empty_hosts() {
-                if Some(host.id()) == exclude || !host.can_fit(request) {
-                    continue;
-                }
+            let mut leaders = cluster.pool().empty_leaders(request, exclude);
+            for host in leaders.by_ref() {
                 consider(
                     &mut best,
                     Candidate {
@@ -323,6 +331,7 @@ impl PlacementPolicy for NilasPolicy {
                     },
                 );
             }
+            self.stats.empty_examined += leaders.examined();
         }
         self.stats.cache_hits += hits;
         best.map(|b| b.id)

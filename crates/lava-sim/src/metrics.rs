@@ -56,10 +56,10 @@ pub fn sample_pool(pool: &Pool, time: SimTime) -> MetricSample {
     let mut nonempty_alloc_cpu = 0u64;
     let mut nonempty_total_cpu = 0u64;
     let profile = pool.capacity_profile();
-    for ((free, capacity), vm_count) in profile
+    for ((free, &shape), vm_count) in profile
         .free
         .iter()
-        .zip(profile.capacity.iter())
+        .zip(profile.shape.iter())
         .zip(profile.vm_count.iter())
     {
         let free_cpu = free.get(ResourceKind::Cpu);
@@ -67,7 +67,7 @@ pub fn sample_pool(pool: &Pool, time: SimTime) -> MetricSample {
         if *vm_count == 0 {
             empty_free_cpu += free_cpu;
         } else {
-            let capacity_cpu = capacity.get(ResourceKind::Cpu);
+            let capacity_cpu = profile.shapes[shape as usize].get(ResourceKind::Cpu);
             nonempty_alloc_cpu += capacity_cpu - free_cpu;
             nonempty_total_cpu += capacity_cpu;
         }

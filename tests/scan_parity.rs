@@ -4,7 +4,11 @@
 //! `lava-sched`) must return exactly the winner of a brute-force scoring
 //! of every feasible host across randomized workloads — placements, exits,
 //! time advancement, LAVA's host state machine transitions and the
-//! misprediction fallback all included. The brute force ([`brute_force`])
+//! misprediction fallback all included. Every grid runs on two pools (see
+//! [`Grid`]): identical hosts, and hosts of three capacity shapes with
+//! random hosts withheld from scheduling and a random excluded host — the
+//! pool where picking one empty host per shape differs from scoring them
+//! all. The brute force ([`brute_force`])
 //! is written on the public API only and recomputes every host exit time
 //! from scratch, so it also checks cached exit times against fresh ones:
 //! exactly at a zero refresh interval, where every entry is recomputed at
@@ -36,6 +40,26 @@ const HOSTS: usize = 12;
 
 fn cluster() -> Cluster {
     Cluster::with_uniform_hosts(HOSTS, HostSpec::new(Resources::cores_gib(32, 128)))
+}
+
+/// Shape `i % 3` of a mixed pool: two shapes with the same CPU and
+/// different memory, and one too small for the largest requests.
+fn mixed_shape(i: usize) -> HostSpec {
+    HostSpec::new(match i % 3 {
+        0 => Resources::cores_gib(32, 128),
+        1 => Resources::cores_gib(32, 256),
+        _ => Resources::cores_gib(6, 24),
+    })
+}
+
+/// `hosts` hosts whose shapes follow `shape_of` (an index into
+/// [`mixed_shape`] per host).
+fn mixed_cluster(hosts: usize, shape_of: impl Fn(usize) -> usize) -> Cluster {
+    let mut pool = Pool::new(PoolId(0));
+    for i in 0..hosts {
+        pool.add_host(mixed_shape(shape_of(i)));
+    }
+    Cluster::new(pool)
 }
 
 fn vm_spec(id: u64, cores: u64) -> VmSpec {
@@ -107,14 +131,16 @@ struct BruteForce {
 /// Algorithms 2 and 3 as written: the full lexicographic score of every
 /// feasible host — for LAVA `(preference level, class distance, temporal
 /// cost, waste)`, for NILAS the last two — from exit times repredicted on
-/// the spot, lowest id on ties. While the fallback is engaged the class
-/// levels collapse to occupied-before-empty and the temporal cost to zero.
+/// the spot, lowest id on ties, `exclude` left out. While the fallback is
+/// engaged the class levels collapse to occupied-before-empty and the
+/// temporal cost to zero.
 fn brute_force(
     subject: &Subject,
     c: &Cluster,
     predictor: &dyn LifetimePredictor,
     vm: &Vm,
     now: SimTime,
+    exclude: Option<HostId>,
 ) -> BruteForce {
     let degraded = subject.is_degraded();
     let buckets = TemporalCostBuckets::default();
@@ -128,7 +154,10 @@ fn brute_force(
         repredicted: 0,
     };
     let mut best: Option<ScoreVector> = None;
-    for host in c.hosts().filter(|h| h.can_fit(request)) {
+    let eligible = c
+        .hosts()
+        .filter(|h| h.can_fit(request) && Some(h.id()) != exclude);
+    for host in eligible {
         if !host.is_empty() {
             found.occupied += 1;
             found.repredicted += host.vm_count() as u64;
@@ -165,11 +194,34 @@ fn brute_force(
 }
 
 /// One random workload step: schedule (actions 0-2) or exit (action 3+),
-/// then advance time.
-type Op = (u8, u64, u64, u64);
+/// then advance time. The last field picks the host a [`Grid::Mixed`] step
+/// excludes and withholds or returns.
+type Op = (u8, u64, u64, u64, u64);
 
 fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0u8..5, 0u64..600, 1u64..16, 1u64..8), 1..60)
+    let pick = 0..2 * HOSTS as u64;
+    proptest::collection::vec((0u8..5, 0u64..600, 1u64..16, 1u64..8, pick), 1..60)
+}
+
+/// The pools every parity grid runs on.
+#[derive(Debug, Clone, Copy)]
+enum Grid {
+    /// [`HOSTS`] identical hosts; no host withheld or excluded.
+    Uniform,
+    /// [`HOSTS`] hosts of the three [`mixed_shape`]s, not in shape order.
+    /// A step whose pick is below [`HOSTS`] excludes that host from its
+    /// decision, and a step whose pick is a multiple of 3 withholds the
+    /// picked empty host from scheduling or returns it.
+    Mixed,
+}
+
+impl Grid {
+    fn cluster(self) -> Cluster {
+        match self {
+            Grid::Uniform => cluster(),
+            Grid::Mixed => mixed_cluster(HOSTS, |i| [0, 1, 0, 2, 1, 0, 2, 2, 1, 0, 0, 1][i]),
+        }
+    }
 }
 
 /// A fallback that any reported error of 0.5 engages, from the first exit.
@@ -178,36 +230,66 @@ const EAGER_FALLBACK: FallbackSpec = FallbackSpec {
     min_samples: 1,
 };
 
+/// Run the workload on every [`Grid`] pool, each with a fresh subject.
+fn run_parity(
+    subject: impl Fn() -> Subject,
+    predictor: &dyn LifetimePredictor,
+    ops: Vec<Op>,
+) -> Result<(), proptest::TestCaseError> {
+    for grid in [Grid::Uniform, Grid::Mixed] {
+        run_grid(subject(), grid, predictor, &ops)?;
+    }
+    Ok(())
+}
+
 /// Drive a workload applying the subject's decisions (its hooks also
 /// maintain LAVA's host state machine), checking before every placement
 /// that the brute force picks the same host. Every exit also reports a
 /// model health that is bad on even `cores` and good on odd, which moves a
 /// subject configured with a fallback in and out of its degraded regime
 /// and is ignored by one without.
-fn run_parity(
+fn run_grid(
     mut subject: Subject,
+    grid: Grid,
     predictor: &dyn LifetimePredictor,
-    ops: Vec<Op>,
+    ops: &[Op],
 ) -> Result<(), proptest::TestCaseError> {
-    let mut c = cluster();
+    let mut c = grid.cluster();
     let mut now = SimTime::ZERO;
     let mut next_id = 0u64;
-    for (action, delay, hours, cores) in ops {
+    for &(action, delay, hours, cores, pick) in ops {
         now += Duration::from_secs(delay);
+        let (exclude, toggled) = match grid {
+            Grid::Uniform => (None, None),
+            Grid::Mixed => (
+                (pick < HOSTS as u64).then_some(HostId(pick)),
+                (pick % 3 == 0).then_some(HostId(pick % HOSTS as u64)),
+            ),
+        };
+        if let Some(mut host) = toggled.and_then(|id| c.host_mut(id)) {
+            // Only empty hosts are withheld, so a withheld host is empty.
+            if host.is_empty() {
+                let withheld = host.is_unavailable();
+                host.set_unavailable(!withheld);
+            }
+        }
         if action < 3 {
             let mut v = vm(next_id, hours * hours, cores, now);
             next_id += 1;
             v.set_initial_prediction(predictor.predict_remaining(&v, now));
-            let expected = brute_force(&subject, &c, predictor, &v, now).winner;
-            let chosen = subject.policy().choose_host(&c, &v, now, None);
+            let expected = brute_force(&subject, &c, predictor, &v, now, exclude).winner;
+            let chosen = subject.policy().choose_host(&c, &v, now, exclude);
             prop_assert_eq!(
                 chosen,
                 expected,
-                "diverged at t={:?} for vm {:?} ({}h, {} cores), degraded: {}",
+                "{:?} pool diverged at t={:?} for vm {:?} ({}h, {} cores), \
+                 excluding {:?}, degraded: {}",
+                grid,
                 now,
                 v.id(),
                 hours * hours,
                 cores,
+                exclude,
                 subject.is_degraded()
             );
             if let Some(host) = chosen {
@@ -272,34 +354,34 @@ proptest! {
     // "linear" is now the scoring of every host in this file.
     #[test]
     fn lava_indexed_matches_linear(ops in ops_strategy()) {
-        run_parity(Subject::lava(oracle(), NilasConfig::default()), &OraclePredictor, ops)?;
+        run_parity(|| Subject::lava(oracle(), NilasConfig::default()), &OraclePredictor, ops)?;
     }
 
     #[test]
     fn nilas_indexed_matches_linear(ops in ops_strategy()) {
-        run_parity(Subject::nilas(oracle(), NilasConfig::default()), &OraclePredictor, ops)?;
+        run_parity(|| Subject::nilas(oracle(), NilasConfig::default()), &OraclePredictor, ops)?;
     }
 
     #[test]
     fn lava_matches_brute_force_at_zero_refresh_with_a_gbdt(ops in ops_strategy()) {
         let gbdt = compiled_gbdt();
-        run_parity(Subject::lava(gbdt.clone(), zero_refresh()), gbdt.as_ref(), ops)?;
+        run_parity(|| Subject::lava(gbdt.clone(), zero_refresh()), gbdt.as_ref(), ops)?;
     }
 
     #[test]
     fn nilas_matches_brute_force_at_zero_refresh_with_a_gbdt(ops in ops_strategy()) {
         let gbdt = compiled_gbdt();
-        run_parity(Subject::nilas(gbdt.clone(), zero_refresh()), gbdt.as_ref(), ops)?;
+        run_parity(|| Subject::nilas(gbdt.clone(), zero_refresh()), gbdt.as_ref(), ops)?;
     }
 
     #[test]
     fn lava_matches_brute_force_in_and_out_of_fallback(ops in ops_strategy()) {
-        run_parity(Subject::lava(oracle(), with_fallback()), &OraclePredictor, ops)?;
+        run_parity(|| Subject::lava(oracle(), with_fallback()), &OraclePredictor, ops)?;
     }
 
     #[test]
     fn nilas_matches_brute_force_in_and_out_of_fallback(ops in ops_strategy()) {
-        run_parity(Subject::nilas(oracle(), with_fallback()), &OraclePredictor, ops)?;
+        run_parity(|| Subject::nilas(oracle(), with_fallback()), &OraclePredictor, ops)?;
     }
 }
 
@@ -315,7 +397,7 @@ fn nilas_stats_not_inflated_by_indexed_scan() {
         now += Duration::from_secs(20);
         let mut v = vm(i, 1 + (i % 50), 1 + (i % 6), now);
         v.set_initial_prediction(OraclePredictor.predict_remaining(&v, now));
-        let expected = brute_force(&subject, &c, &OraclePredictor, &v, now);
+        let expected = brute_force(&subject, &c, &OraclePredictor, &v, now, None);
         occupied += expected.occupied;
         repredicted += expected.repredicted;
         let choice = subject.policy().choose_host(&c, &v, now, None);
@@ -348,6 +430,66 @@ fn nilas_stats_not_inflated_by_indexed_scan() {
     // The cache and the incremental-hint machinery must actually be doing
     // work, not just disabled.
     assert!(stats.cache_hits > 0, "{stats:?}: never hit the cache");
+}
+
+/// One decision for a fresh `cores`-core VM at time zero, checked against
+/// the brute force: the host chosen and the empty hosts examined.
+fn decide_counting(
+    subject: &mut Subject,
+    c: &Cluster,
+    cores: u64,
+    exclude: Option<HostId>,
+) -> (Option<HostId>, u64) {
+    let now = SimTime::ZERO;
+    let mut v = vm(0, 5, cores, now);
+    v.set_initial_prediction(OraclePredictor.predict_remaining(&v, now));
+    let expected = brute_force(subject, c, &OraclePredictor, &v, now, exclude).winner;
+    let before = subject.stats().empty_examined;
+    let chosen = subject.policy().choose_host(c, &v, now, exclude);
+    assert_eq!(chosen, expected, "{cores} cores, excluding {exclude:?}");
+    (chosen, subject.stats().empty_examined - before)
+}
+
+/// The empty-host level looks at one host per capacity shape that can
+/// hold the request, plus one per unavailable or excluded empty host it
+/// walks past — not at every empty host.
+#[test]
+fn empty_level_examines_one_host_per_shape() {
+    let subjects: [fn() -> Subject; 2] = [
+        || Subject::nilas(oracle(), NilasConfig::default()),
+        || Subject::lava(oracle(), NilasConfig::default()),
+    ];
+    for make in subjects {
+        // 512 identical hosts; host 0 is full, so every decision falls
+        // through to the empty hosts.
+        let mut subject = make();
+        let mut c = Cluster::with_uniform_hosts(512, HostSpec::new(Resources::cores_gib(32, 128)));
+        c.place(vm(1000, 5, 32, SimTime::ZERO), HostId(0)).unwrap();
+        let mut decide = |c: &Cluster, exclude| decide_counting(&mut subject, c, 4, exclude);
+        assert_eq!(decide(&c, None), (Some(HostId(1)), 1));
+        assert_eq!(decide(&c, Some(HostId(1))), (Some(HostId(2)), 2));
+        for id in [2, 3] {
+            c.host_mut(HostId(id)).unwrap().set_unavailable(true);
+        }
+        assert_eq!(decide(&c, Some(HostId(1))), (Some(HostId(4)), 4));
+
+        // 512 empty hosts of the three mixed shapes, host i of shape i % 3.
+        let mut subject = make();
+        let mut c = mixed_cluster(512, |i| i % 3);
+        let mut decide = |c: &Cluster, cores, exclude| {
+            let (chosen, examined) = decide_counting(&mut subject, c, cores, exclude);
+            assert!(chosen.is_some(), "{cores} cores, excluding {exclude:?}");
+            examined
+        };
+        assert_eq!(decide(&c, 4, None), 3);
+        assert_eq!(decide(&c, 4, Some(HostId(0))), 4);
+        // A 7-core VM does not fit the 6-core shape: none of its hosts is
+        // looked at.
+        assert_eq!(decide(&c, 7, None), 2);
+        c.host_mut(HostId(1)).unwrap().set_unavailable(true);
+        assert_eq!(decide(&c, 4, Some(HostId(0))), 5);
+        assert_eq!(decide(&c, 7, Some(HostId(0))), 4);
+    }
 }
 
 /// An oracle that counts how it is called. With `batching` off it keeps
