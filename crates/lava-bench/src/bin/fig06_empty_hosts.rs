@@ -3,15 +3,15 @@
 //! and oracular lifetimes.
 //!
 //! The whole fleet runs as one [`lava_sim::suite::ExperimentSuite`]: one
-//! experiment per (pool, predictor) with the algorithms as A/B arms, fanned
-//! out across `--threads` workers. Per-arm results are bit-identical to a
-//! serial run; same-pool experiments share one generated trace.
+//! arm per (pool, predictor, algorithm), fanned out across `--threads`
+//! workers. Per-arm results are bit-identical to a serial run; same-pool
+//! arms share one generated trace.
 //!
 //! Usage: `cargo run --release -p lava-bench --bin fig06_empty_hosts -- [--pools N] [--days N] [--threads N] [--full|--quick]`
 
 use lava_bench::{improvement_pp, suite_from_specs, ExperimentArgs};
 use lava_sched::Algorithm;
-use lava_sim::experiment::{Experiment, PolicySpec, PredictorSpec};
+use lava_sim::experiment::{Experiment, PredictorSpec};
 use lava_sim::workload::PoolConfig;
 
 fn main() {
@@ -47,34 +47,37 @@ fn main() {
         "lava(oracle)"
     );
 
-    // One experiment per (pool, predictor): the baseline is arm 0 and each
-    // algorithm is a treatment arm on the same trace. Suite arms over the
-    // same pool adopt each other's trace automatically.
-    let specs = pools.iter().flat_map(|pool| {
-        predictors.map(|predictor| {
-            let mut arms = vec![PolicySpec::new(Algorithm::Baseline)];
-            arms.extend(algorithms.iter().map(|&a| PolicySpec::new(a)));
-            Experiment::builder()
-                .name(format!(
-                    "fig06-pool{}-{}",
-                    pool.pool_id.0,
-                    predictor.label()
-                ))
-                .workload(pool.clone())
-                .predictor(predictor)
-                .ab_arms(arms)
-                .build()
-                .expect("valid spec")
-        })
-    });
+    // One arm per (pool, predictor, algorithm), the baseline first in each
+    // (pool, predictor) group. Suite arms over the same pool adopt each
+    // other's trace, and those with the same predictor its model too.
+    let mut specs = Vec::new();
+    for pool in &pools {
+        for predictor in predictors {
+            for algorithm in [Algorithm::Baseline].into_iter().chain(algorithms) {
+                let spec = Experiment::builder()
+                    .name(format!(
+                        "fig06-pool{}-{}",
+                        pool.pool_id.0,
+                        predictor.label()
+                    ))
+                    .workload(pool.clone())
+                    .predictor(predictor)
+                    .algorithm(algorithm)
+                    .build()
+                    .expect("valid spec");
+                specs.push(spec);
+            }
+        }
+    }
     let reports = suite_from_specs(specs, &args).run();
 
+    let group = 1 + algorithms.len();
     let mut totals = vec![0.0f64; algorithms.len() * predictors.len()];
-    for (pool, pool_reports) in pools.iter().zip(reports.chunks(predictors.len())) {
+    for (pool, pool_reports) in pools.iter().zip(reports.chunks(group * predictors.len())) {
         let mut row = vec![];
-        for report in pool_reports {
-            let baseline = &report.arms[0].result;
-            for arm in &report.arms[1..] {
+        for arms in pool_reports.chunks(group) {
+            let baseline = &arms[0].result;
+            for arm in &arms[1..] {
                 row.push(improvement_pp(&arm.result, baseline));
             }
         }

@@ -2,33 +2,33 @@
 //! empty-to-free ratio, packing density) move together — improvements are
 //! reported relative to LA-Binary as in the paper.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig13_metric_comparison -- [--seed N] [--days N]`
+//! Usage: `cargo run --release -p lava-bench --bin fig13_metric_comparison -- [--seed N] [--days N] [--threads N]`
 
-use lava_bench::ExperimentArgs;
+use lava_bench::{suite_from_specs, ExperimentArgs};
 use lava_sched::Algorithm;
-use lava_sim::experiment::{Experiment, PolicySpec};
+use lava_sim::experiment::Experiment;
 use lava_sim::workload::PoolConfig;
 
 fn main() {
     let args = ExperimentArgs::from_env();
     // LA-Binary is the reference (arm 0); NILAS and LAVA are treatments on
     // the same trace.
-    let report = Experiment::builder()
-        .name("fig13-metric-comparison")
-        .workload(PoolConfig {
-            hosts: args.hosts.unwrap_or(100),
-            duration: args.duration,
-            seed: args.seed + 17,
-            ..PoolConfig::default()
-        })
-        .ab_arms(vec![
-            PolicySpec::new(Algorithm::LaBinary),
-            PolicySpec::new(Algorithm::Nilas),
-            PolicySpec::new(Algorithm::Lava),
-        ])
-        .run()
-        .expect("valid spec");
-    let la = &report.arms[0].result;
+    let algorithms = [Algorithm::LaBinary, Algorithm::Nilas, Algorithm::Lava];
+    let specs = algorithms.map(|algorithm| {
+        Experiment::builder()
+            .name("fig13-metric-comparison")
+            .workload(PoolConfig {
+                hosts: args.hosts.unwrap_or(100),
+                duration: args.duration,
+                seed: args.seed + 17,
+                ..PoolConfig::default()
+            })
+            .algorithm(algorithm)
+            .build()
+            .expect("valid spec")
+    });
+    let reports = suite_from_specs(specs, &args).run();
+    let la = &reports[0].result;
 
     println!(
         "# Figure 13: relative improvement over LA-Binary for three equivalent bin-packing metrics"
@@ -37,7 +37,7 @@ fn main() {
         "{:<10} {:>16} {:>18} {:>18}",
         "algorithm", "empty hosts (pp)", "empty-to-free (pp)", "packing density (pp)"
     );
-    for arm in &report.arms[1..] {
+    for (algorithm, arm) in algorithms.iter().zip(&reports).skip(1) {
         let empty = (arm.result.series.mean_empty_host_fraction()
             - la.series.mean_empty_host_fraction())
             * 100.0;
@@ -46,7 +46,10 @@ fn main() {
             (arm.result.series.mean_packing_density() - la.series.mean_packing_density()) * 100.0;
         println!(
             "{:<10} {:>16.2} {:>18.2} {:>18.2}",
-            arm.label, empty, etf, density
+            algorithm.to_string(),
+            empty,
+            etf,
+            density
         );
     }
     println!();

@@ -4,13 +4,14 @@
 //!
 //! The accuracy sweep runs as one parallel
 //! [`lava_sim::suite::ExperimentSuite`]; every level replays the identical
-//! workload, so all arms share one generated trace.
+//! workload, so all arms share one generated trace, and the three
+//! algorithms at one level share its noisy predictor.
 //!
 //! Usage: `cargo run --release -p lava-bench --bin fig15_accuracy_tradeoff -- [--seed N] [--days N] [--threads N]`
 
 use lava_bench::{improvement_pp, suite_from_specs, ExperimentArgs};
 use lava_sched::Algorithm;
-use lava_sim::experiment::{Experiment, PolicySpec, PredictorSpec};
+use lava_sim::experiment::{Experiment, PredictorSpec};
 use lava_sim::workload::PoolConfig;
 
 const ACCURACY_LEVELS: [u8; 8] = [50, 60, 70, 80, 90, 95, 99, 100];
@@ -26,30 +27,30 @@ fn main() {
 
     println!("# Figure 15: empty-host improvement (pp over baseline) vs prediction accuracy");
     println!("{:<10} {:>10} {:>10}", "accuracy", "nilas", "lava");
-    let specs = ACCURACY_LEVELS.map(|accuracy_pct| {
-        Experiment::builder()
-            .name(format!("fig15-accuracy-{accuracy_pct}"))
-            .workload(pool.clone())
-            .predictor(PredictorSpec::Noisy {
-                accuracy_pct,
-                bias_pct: 0,
-            })
-            .ab_arms(vec![
-                PolicySpec::new(Algorithm::Baseline),
-                PolicySpec::new(Algorithm::Nilas),
-                PolicySpec::new(Algorithm::Lava),
-            ])
-            .build()
-            .expect("valid spec")
+    let algorithms = [Algorithm::Baseline, Algorithm::Nilas, Algorithm::Lava];
+    let specs = ACCURACY_LEVELS.iter().flat_map(|&accuracy_pct| {
+        let pool = &pool;
+        algorithms.map(move |algorithm| {
+            Experiment::builder()
+                .name(format!("fig15-accuracy-{accuracy_pct}"))
+                .workload(pool.clone())
+                .predictor(PredictorSpec::Noisy {
+                    accuracy_pct,
+                    bias_pct: 0,
+                })
+                .algorithm(algorithm)
+                .build()
+                .expect("valid spec")
+        })
     });
     let reports = suite_from_specs(specs, &args).run();
-    for (accuracy_pct, report) in ACCURACY_LEVELS.iter().zip(&reports) {
-        let baseline = &report.arms[0].result;
+    for (accuracy_pct, arms) in ACCURACY_LEVELS.iter().zip(reports.chunks(algorithms.len())) {
+        let baseline = &arms[0].result;
         println!(
             "{:<10} {:>10.2} {:>10.2}",
             format!("{}%", accuracy_pct),
-            improvement_pp(&report.arms[1].result, baseline),
-            improvement_pp(&report.arms[2].result, baseline)
+            improvement_pp(&arms[1].result, baseline),
+            improvement_pp(&arms[2].result, baseline)
         );
     }
     println!();

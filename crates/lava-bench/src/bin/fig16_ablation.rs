@@ -2,11 +2,11 @@
 //! empty-host optimum, and what each factor costs — warm-up (gradual
 //! rollout), model accuracy and repredictions.
 //!
-//! The three experiments (oracle steady-state A/B, oracle cold start,
-//! learned-model A/B) run as one parallel
-//! [`lava_sim::suite::ExperimentSuite`]; they all describe the identical
-//! workload, so one generated trace is shared, and the learned A/B's two
-//! arms share one trained model.
+//! The five arms (oracle steady-state baseline and NILAS, oracle cold
+//! start, learned-model NILAS with and without repredictions) run as one
+//! parallel [`lava_sim::suite::ExperimentSuite`]; they all describe the
+//! identical workload, so one generated trace is shared, and the two
+//! learned arms share one trained model.
 //!
 //! Usage: `cargo run --release -p lava-bench --bin fig16_ablation -- [--seed N] [--days N] [--threads N]`
 
@@ -25,39 +25,59 @@ fn main() {
         ..PoolConfig::default()
     };
 
-    let oracle_steady = Experiment::builder()
-        .name("fig16-oracle-steady")
-        .workload(pool.clone())
-        .ab_arms(vec![
-            PolicySpec::new(Algorithm::Baseline),
-            PolicySpec::new(Algorithm::Nilas),
-        ])
-        .build()
-        .expect("valid spec");
-    let cold = Experiment::builder()
-        .name("fig16-nilas-oracle-ideal")
-        .workload(pool.clone())
-        .algorithm(Algorithm::Nilas)
-        .cold_start()
-        .build()
-        .expect("valid spec");
-    let learned = Experiment::builder()
-        .name("fig16-learned")
-        .workload(pool.clone())
-        .predictor(PredictorSpec::Learned)
-        .ab_arms(vec![
-            PolicySpec::new(Algorithm::Nilas),
-            PolicySpec::new(Algorithm::Nilas)
-                .without_reprediction()
-                .labeled("nilas-no-reprediction"),
-        ])
-        .build()
-        .expect("valid spec");
+    let arm = |name: &str, predictor: PredictorSpec, policy: PolicySpec| {
+        Experiment::builder()
+            .name(name)
+            .workload(pool.clone())
+            .predictor(predictor)
+            .policy(policy)
+    };
+    let oracle_baseline = arm(
+        "fig16-oracle-steady",
+        PredictorSpec::Oracle,
+        PolicySpec::new(Algorithm::Baseline),
+    );
+    let oracle_nilas = arm(
+        "fig16-oracle-steady",
+        PredictorSpec::Oracle,
+        PolicySpec::new(Algorithm::Nilas),
+    );
+    let cold = arm(
+        "fig16-nilas-oracle-ideal",
+        PredictorSpec::Oracle,
+        PolicySpec::new(Algorithm::Nilas),
+    )
+    .cold_start();
+    let learned = arm(
+        "fig16-learned",
+        PredictorSpec::Learned,
+        PolicySpec::new(Algorithm::Nilas),
+    );
+    let learned_no_repredict = arm(
+        "fig16-learned",
+        PredictorSpec::Learned,
+        PolicySpec::new(Algorithm::Nilas)
+            .without_reprediction()
+            .labeled("nilas-no-reprediction"),
+    );
 
-    let suite = suite_from_specs([oracle_steady, cold, learned], &args);
+    let suite = suite_from_specs(
+        [
+            oracle_baseline,
+            oracle_nilas,
+            cold,
+            learned,
+            learned_no_repredict,
+        ]
+        .map(|builder| builder.build().expect("valid spec")),
+        &args,
+    );
     let reports = suite.run();
-    let (oracle_steady_report, nilas_oracle_ideal, learned_report) =
-        (&reports[0], &reports[1], &reports[2]);
+    let [baseline, nilas_oracle, nilas_oracle_ideal, nilas_learned, nilas_no_repredict] =
+        &reports[..]
+    else {
+        unreachable!("the suite has five arms");
+    };
 
     // Theoretical optimum: at each sample time, the minimum number of hosts
     // able to hold the trace-implied utilisation; the rest could be empty.
@@ -88,28 +108,22 @@ fn main() {
     println!(
         "{:<40} {:>14.1}",
         "NILAS oracle (with warm-up)",
-        oracle_steady_report.arms[1]
-            .result
-            .mean_empty_host_fraction()
-            * 100.0
+        nilas_oracle.result.mean_empty_host_fraction() * 100.0
     );
     println!(
         "{:<40} {:>14.1}",
         "NILAS learned model",
-        learned_report.arms[0].result.mean_empty_host_fraction() * 100.0
+        nilas_learned.result.mean_empty_host_fraction() * 100.0
     );
     println!(
         "{:<40} {:>14.1}",
         "NILAS model, no repredictions",
-        learned_report.arms[1].result.mean_empty_host_fraction() * 100.0
+        nilas_no_repredict.result.mean_empty_host_fraction() * 100.0
     );
     println!(
         "{:<40} {:>14.1}",
         "production baseline",
-        oracle_steady_report.arms[0]
-            .result
-            .mean_empty_host_fraction()
-            * 100.0
+        baseline.result.mean_empty_host_fraction() * 100.0
     );
     println!();
     println!("# Paper: ideal NILAS with oracle lifetimes approaches the optimum; warm-up, model error and");

@@ -1,7 +1,7 @@
 //! Table 1: NILAS empty-host improvements in pilot pools — A/B experiments
 //! plus whole-pool pre/post (CausalImpact-style) pilots for C2 and E2.
 //!
-//! All five pilots run as one parallel
+//! All five pilots (the A/B ones as two arms each) run as one parallel
 //! [`lava_sim::suite::ExperimentSuite`] fanned out across `--threads`
 //! workers; per-pilot results are bit-identical to a serial run.
 //!
@@ -10,7 +10,8 @@
 use lava_bench::{suite_from_specs, ExperimentArgs};
 use lava_core::vm::VmFamily;
 use lava_sched::Algorithm;
-use lava_sim::experiment::{Experiment, PolicySpec};
+use lava_sim::ab::paired_comparison;
+use lava_sim::experiment::Experiment;
 use lava_sim::workload::PoolConfig;
 
 fn main() {
@@ -21,8 +22,8 @@ fn main() {
         "pilot pool", "type", "change (pp)", "significance"
     );
 
-    // A/B pilots: baseline and NILAS replay the same trace; the paired
-    // post-warm-up series comparison comes straight from the report.
+    // A/B pilots: baseline and NILAS arms replay the same trace; their
+    // post-warm-up series are compared with a paired test.
     let ab_pools = [
         ("C2 Wave 1 pool", 1u64, 100usize),
         ("C2 Wave 2 pool 1", 2, 140),
@@ -38,21 +39,21 @@ fn main() {
     ];
 
     let switch_at = lava_core::time::Duration::from_secs(args.duration.as_secs() / 2);
-    let ab_specs = ab_pools.iter().map(|(name, seed, hosts)| {
-        Experiment::builder()
-            .name(format!("table1-ab-{name}"))
-            .workload(PoolConfig {
-                hosts: *hosts,
-                duration: args.duration,
-                seed: args.seed + seed,
-                ..PoolConfig::default()
-            })
-            .ab_arms(vec![
-                PolicySpec::new(Algorithm::Baseline),
-                PolicySpec::new(Algorithm::Nilas),
-            ])
-            .build()
-            .expect("valid spec")
+    let ab_algorithms = [Algorithm::Baseline, Algorithm::Nilas];
+    let ab_specs = ab_pools.iter().flat_map(|(name, seed, hosts)| {
+        ab_algorithms.map(|algorithm| {
+            Experiment::builder()
+                .name(format!("table1-ab-{name}"))
+                .workload(PoolConfig {
+                    hosts: *hosts,
+                    duration: args.duration,
+                    seed: args.seed + seed,
+                    ..PoolConfig::default()
+                })
+                .algorithm(algorithm)
+                .build()
+                .expect("valid spec")
+        })
     });
     let prepost_specs = prepost_pools.iter().map(|(name, family, seed)| {
         Experiment::builder()
@@ -72,8 +73,12 @@ fn main() {
     });
     let reports = suite_from_specs(ab_specs.chain(prepost_specs), &args).run();
 
-    for ((name, _, _), report) in ab_pools.iter().zip(&reports) {
-        let ab = report.arms[1].vs_control.expect("treatment arm compared");
+    let (ab_reports, prepost_reports) = reports.split_at(ab_pools.len() * ab_algorithms.len());
+    for ((name, _, _), arms) in ab_pools.iter().zip(ab_reports.chunks(ab_algorithms.len())) {
+        let ab = paired_comparison(
+            &arms[1].result.series.empty_host_series(),
+            &arms[0].result.series.empty_host_series(),
+        );
         println!(
             "{:<22} {:<6} {:>13.2}  {:>22}",
             name,
@@ -82,7 +87,7 @@ fn main() {
             format!("p-value = {:.3}", ab.p_value)
         );
     }
-    for ((name, _, _), report) in prepost_pools.iter().zip(&reports[ab_pools.len()..]) {
+    for ((name, _, _), report) in prepost_pools.iter().zip(prepost_reports) {
         let causal = report
             .causal
             .as_ref()

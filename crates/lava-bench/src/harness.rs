@@ -133,15 +133,6 @@ pub fn improvement_pp(treatment: &SimulationResult, baseline: &SimulationResult)
     (treatment.mean_empty_host_fraction() - baseline.mean_empty_host_fraction()) * 100.0
 }
 
-/// Format a row of `name: value` pairs as an aligned report line.
-pub fn report_row(label: &str, values: &[(&str, f64)]) -> String {
-    let mut row = format!("{label:<28}");
-    for (name, value) in values {
-        row.push_str(&format!(" {name}={value:+.2}"));
-    }
-    row
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,28 +191,19 @@ mod tests {
 
     #[test]
     fn ab_experiment_replaces_algorithm_sweep() {
-        let pool = tiny_pool();
-        let report = Experiment::builder()
-            .workload(pool)
-            .warmup(Duration::from_hours(6))
-            .ab_arms(vec![
-                PolicySpec::new(Algorithm::Baseline),
-                PolicySpec::new(Algorithm::Nilas),
-            ])
-            .run()
-            .expect("valid spec");
-        let pp = improvement_pp(&report.result, &report.arms[0].result);
+        let arms = [Algorithm::Baseline, Algorithm::Nilas].map(|algorithm| {
+            Experiment::builder()
+                .workload(tiny_pool())
+                .warmup(Duration::from_hours(6))
+                .policy(PolicySpec::new(algorithm))
+                .build()
+                .expect("valid spec")
+        });
+        let reports = suite_from_specs(arms, &ExperimentArgs::default()).run();
+        let pp = improvement_pp(&reports[1].result, &reports[0].result);
         assert!(pp.is_finite());
-        assert_eq!(report.arms[1].label, "nilas");
-        assert_eq!(report.result.predictor, "oracle");
-    }
-
-    #[test]
-    fn report_row_formats() {
-        let row = report_row("pool-3", &[("nilas", 1.234), ("lava", -0.5)]);
-        assert!(row.contains("pool-3"));
-        assert!(row.contains("nilas=+1.23"));
-        assert!(row.contains("lava=-0.50"));
+        assert_eq!(reports[1].result.algorithm, "nilas");
+        assert_eq!(reports[1].result.predictor, "oracle");
     }
 
     #[test]

@@ -479,12 +479,6 @@ impl Pool {
         }
     }
 
-    /// Number of hosts with at least one VM.
-    #[inline]
-    pub fn occupied_host_count(&self) -> usize {
-        self.index.occupied.len()
-    }
-
     /// Hosts ordered by ascending free capacity (CPU, then memory, then
     /// SSD, then id) — the natural scan order for tight-fit placement;
     /// reverse it for emptiest-first (drain candidate selection).
@@ -726,7 +720,6 @@ mod tests {
         assert_eq!(p.host_of(VmId(7)), Some(host));
         assert_eq!(p.vm_count(), 1);
         assert_eq!(p.empty_host_count(), 2);
-        assert_eq!(p.occupied_host_count(), 1);
         p.validate_index().unwrap();
 
         let (h, released) = p.remove_vm(VmId(7)).unwrap();

@@ -47,12 +47,6 @@ impl Micros {
     /// Microseconds per simulated second.
     pub const PER_SEC: u64 = 1_000_000;
 
-    /// Construct from whole microseconds.
-    #[inline]
-    pub fn from_micros(us: u64) -> Micros {
-        Micros(us)
-    }
-
     /// Construct from whole milliseconds.
     #[inline]
     pub fn from_millis(ms: u64) -> Micros {
@@ -65,12 +59,6 @@ impl Micros {
         Micros(secs.saturating_mul(Self::PER_SEC))
     }
 
-    /// The instant of a coarse simulation timestamp.
-    #[inline]
-    pub fn from_sim_time(t: SimTime) -> Micros {
-        Micros::from_secs(t.as_secs())
-    }
-
     /// The microsecond span of a coarse simulation duration.
     #[inline]
     pub fn from_duration(d: Duration) -> Micros {
@@ -81,12 +69,6 @@ impl Micros {
     #[inline]
     pub fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// Fractional milliseconds since service start.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1000.0
     }
 
     /// Fractional seconds since service start.
@@ -311,13 +293,11 @@ mod tests {
     fn micros_conversions_and_arithmetic() {
         assert_eq!(Micros::from_secs(2), Micros(2_000_000));
         assert_eq!(Micros::from_millis(3), Micros(3000));
-        assert_eq!(Micros::from_sim_time(SimTime(5)), Micros(5_000_000));
         assert_eq!(
             Micros::from_duration(Duration::from_mins(1)),
             Micros(60_000_000)
         );
         assert_eq!(Micros(2_500_000).to_sim_time(), SimTime(2));
-        assert_eq!(Micros(1500).as_millis_f64(), 1.5);
         assert!((Micros(250_000).as_secs_f64() - 0.25).abs() < 1e-12);
         assert_eq!(Micros(10) + Micros(5), Micros(15));
         assert_eq!(Micros(10) - Micros(15), Micros::ZERO);

@@ -756,11 +756,6 @@ impl PlacementService {
         );
     }
 
-    /// Current place-queue depth (admitted, not yet decided).
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Pre-size every cell's VM bookkeeping for a run of ids up to
     /// `max_id` with at most `live` concurrently-live VMs (see
     /// [`Cluster::reserve_vm_capacity`]). With this done up front,

@@ -1,8 +1,8 @@
 //! Property tests for the fault-tolerant serving tier: 64 chaos-enabled
 //! configurations, each asserting (a) the decision digest is bit-identical
-//! across reruns, (b) it is bit-identical when the run executes inside
-//! worker-pool threads at different pool widths (thread scheduling can
-//! never leak into results), and (c) terminal-outcome conservation holds
+//! across reruns, (b) it is bit-identical when runs execute concurrently
+//! on different numbers of threads (thread scheduling can never leak into
+//! results), and (c) terminal-outcome conservation holds
 //! over the extended outcome set (placed + no_capacity + shed +
 //! queue_full + deadline_exceeded == offered) with retries and failovers
 //! in play.
@@ -20,7 +20,7 @@ use lava_sim::arrivals::{BreakerConfig, ServeConfig, ServiceModel};
 use lava_sim::chaos::{DegradedPredictor, Incident, IncidentPlan, OutageMode};
 use lava_sim::experiment::{Experiment, ExperimentSpec, PredictorSpec};
 use lava_sim::workload::{LifetimeMode, VmCategory};
-use lava_sim::{FleetConfig, RouterSpec, WorkerPool};
+use lava_sim::{FleetConfig, RouterSpec};
 use std::sync::Mutex;
 
 const SEEDS: u64 = 16;
@@ -170,28 +170,32 @@ fn chaos_digests_replay_across_reruns_and_conservation_holds() {
 #[test]
 fn chaos_digests_are_identical_across_worker_thread_counts() {
     // Sample one seed per variant (the rerun test above covers the full
-    // grid serially); here the same case runs inside worker pools of
-    // width 2 and 4 plus the calling thread, and every execution context
-    // must produce the identical digest.
+    // grid serially); here the same case runs concurrently on 2 and 4
+    // threads, twice per thread, and every execution context must produce
+    // the identical digest.
     for variant in 0..VARIANTS {
         let seed = 41 + variant;
         let serial = run_case(seed, variant);
         for workers in [2usize, 4] {
-            let pool = WorkerPool::new(workers);
             let digests: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
-            pool.run_indexed(workers * 2, |i| {
-                let report = run_case(seed, variant);
-                digests
-                    .lock()
-                    .unwrap()
-                    .push((i as u64, report.decision_digest));
+            std::thread::scope(|scope| {
+                for thread in 0..workers {
+                    let digests = &digests;
+                    scope.spawn(move || {
+                        for round in 0..2 {
+                            let report = run_case(seed, variant);
+                            let job = (thread * 2 + round) as u64;
+                            digests.lock().unwrap().push((job, report.decision_digest));
+                        }
+                    });
+                }
             });
             let digests = digests.into_inner().unwrap();
             assert_eq!(digests.len(), workers * 2);
             for (job, digest) in digests {
                 assert_eq!(
                     digest, serial.decision_digest,
-                    "variant {variant}, {workers}-worker pool, job {job}: \
+                    "variant {variant}, {workers} threads, job {job}: \
                      digest diverged from the serial run"
                 );
             }

@@ -21,14 +21,6 @@ pub struct AbResult {
     pub samples: usize,
 }
 
-impl AbResult {
-    /// Whether the improvement is statistically significant at the given
-    /// level (e.g. 0.05) *and* positive.
-    pub fn is_significant_improvement(&self, alpha: f64) -> bool {
-        self.mean_difference_pp > 0.0 && self.p_value < alpha
-    }
-}
-
 /// Paired comparison of two equally sampled fraction series (values in
 /// `[0, 1]`); the difference is reported in percentage points.
 ///
@@ -101,7 +93,6 @@ mod tests {
         let result = paired_comparison(&treatment, &control);
         assert!((result.mean_difference_pp - 5.0).abs() < 0.2);
         assert!(result.p_value < 0.01);
-        assert!(result.is_significant_improvement(0.05));
         assert_eq!(result.samples, 100);
     }
 
@@ -111,7 +102,6 @@ mod tests {
         let result = paired_comparison(&series, &series);
         assert_eq!(result.mean_difference_pp, 0.0);
         assert!(result.p_value > 0.9);
-        assert!(!result.is_significant_improvement(0.05));
     }
 
     #[test]

@@ -32,7 +32,6 @@
 //! assert!(report.result.mean_empty_host_fraction() >= 0.0);
 //! ```
 
-use crate::ab::{paired_comparison, AbResult};
 use crate::arrivals::{ArrivalProcess, ServeConfig};
 use crate::causal::{causal_impact, CausalConfig, CausalImpactReport};
 use crate::chaos::{AdaptationSpec, ChaosController, ChaosSource, Incident, IncidentPlan};
@@ -274,13 +273,6 @@ pub enum Scenario {
     /// control run and a CausalImpact-style analysis on the
     /// treated-minus-control series are produced (Fig. 7 / Table 1 "All").
     PrePost,
-    /// A/B split: every arm replays the same trace steady-state style; arm
-    /// 0 is the control and each later arm is compared against it with a
-    /// paired test (Table 1 "A/B").
-    AbSplit {
-        /// The arms; must not be empty. Arm 0 is the control.
-        arms: Vec<PolicySpec>,
-    },
     /// Defragmentation / maintenance (§4.4, Table 2): replay with the
     /// evaluated policy, record the evacuation tasks a drain-based
     /// defragmenter would generate and evaluate baseline vs LARS migration
@@ -340,8 +332,7 @@ pub struct ExperimentSpec {
     pub workload: PoolConfig,
     /// The lifetime predictor.
     pub predictor: PredictorSpec,
-    /// The evaluated policy. Under [`Scenario::AbSplit`] the arms replace
-    /// this field.
+    /// The evaluated policy.
     pub policy: PolicySpec,
     /// The experiment shape.
     pub scenario: Scenario,
@@ -374,7 +365,7 @@ pub struct ExperimentSpec {
     pub serve: Option<ServeConfig>,
     /// Record every lifetime prediction (with ground truth) made during the
     /// primary run and return them in the report (Fig. 12's error
-    /// analysis). Under `AbSplit` only the final arm records.
+    /// analysis).
     pub record_predictions: bool,
 }
 
@@ -406,8 +397,6 @@ pub enum SpecError {
     ZeroHorizon,
     /// The workload has no VM categories.
     EmptyWorkloadMix,
-    /// The A/B scenario has no arms.
-    EmptyAbArms,
     /// The tick interval is zero.
     ZeroTickInterval,
     /// The sample interval is zero.
@@ -502,7 +491,6 @@ impl fmt::Display for SpecError {
             SpecError::EmptyWorkloadMix => {
                 write!(f, "workload must have at least one VM category")
             }
-            SpecError::EmptyAbArms => write!(f, "A/B scenario needs at least one arm"),
             SpecError::ZeroTickInterval => write!(f, "tick interval must be non-zero"),
             SpecError::ZeroSampleInterval => write!(f, "sample interval must be non-zero"),
             SpecError::AccuracyOutOfRange => {
@@ -624,7 +612,6 @@ impl ExperimentSpec {
             }
         }
         match &self.scenario {
-            Scenario::AbSplit { arms } if arms.is_empty() => return Err(SpecError::EmptyAbArms),
             Scenario::Defrag {
                 concurrent_slots, ..
             } if *concurrent_slots == 0 => return Err(SpecError::ZeroMigrationSlots),
@@ -828,11 +815,6 @@ impl ExperimentBuilder {
         self.scenario(Scenario::PrePost)
     }
 
-    /// Use the A/B scenario with the given arms (arm 0 is the control).
-    pub fn ab_arms(self, arms: Vec<PolicySpec>) -> Self {
-        self.scenario(Scenario::AbSplit { arms })
-    }
-
     /// Enable stranding probes every `every_samples` samples.
     pub fn stranding_every(self, every_samples: usize) -> Self {
         self.scenario(Scenario::Stranding { every_samples })
@@ -898,17 +880,6 @@ impl ExperimentBuilder {
     }
 }
 
-/// One A/B arm's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ArmReport {
-    /// The arm's display label.
-    pub label: String,
-    /// The arm's simulation result.
-    pub result: SimulationResult,
-    /// Paired comparison against arm 0 (`None` for the control itself).
-    pub vs_control: Option<AbResult>,
-}
-
 /// Defragmentation scenario outcome.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DefragReport {
@@ -934,13 +905,10 @@ impl DefragReport {
 pub struct ExperimentReport {
     /// The spec's name.
     pub name: String,
-    /// The primary run's result (under `AbSplit`, the final arm's).
+    /// The primary run's result.
     pub result: SimulationResult,
-    /// The control run's result (`PrePost` control, or arm 0 when the
-    /// scenario has more than one arm).
+    /// The baseline control run's result (`PrePost` only).
     pub control: Option<SimulationResult>,
-    /// Per-arm outcomes (`AbSplit` only; empty otherwise).
-    pub arms: Vec<ArmReport>,
     /// Causal analysis of the pre/post rollout (`PrePost` only).
     pub causal: Option<CausalImpactReport>,
     /// Defragmentation outcome (`Defrag` only).
@@ -955,11 +923,6 @@ pub struct ExperimentReport {
 }
 
 impl ExperimentReport {
-    /// Look up an arm by label.
-    pub fn arm(&self, label: &str) -> Option<&ArmReport> {
-        self.arms.iter().find(|a| a.label == label)
-    }
-
     /// Empty-host improvement of the primary result over the control, in
     /// percentage points (positive = primary leaves more empty hosts).
     pub fn improvement_pp(&self) -> Option<f64> {
@@ -1075,8 +1038,8 @@ impl Experiment {
     }
 
     /// Run the experiment with additional observers attached. Extra
-    /// observers are attached to **every** run the scenario performs (all
-    /// A/B arms and the pre/post control), in run order.
+    /// observers are attached to **every** run the scenario performs (the
+    /// pre/post control included), in run order.
     ///
     /// # Panics
     ///
@@ -1107,7 +1070,6 @@ impl Experiment {
             name: spec.name.clone(),
             result: SimulationResult::empty(),
             control: None,
-            arms: Vec::new(),
             causal: None,
             defrag: None,
             fleet: None,
@@ -1227,39 +1189,6 @@ impl Experiment {
                 report.result = treated;
                 report.control = Some(control);
                 report.predictions = predictions;
-            }
-            Scenario::AbSplit { arms } => {
-                let mut arm_reports: Vec<ArmReport> = Vec::with_capacity(arms.len());
-                for (i, arm) in arms.iter().enumerate() {
-                    let record = spec.record_predictions && i + 1 == arms.len();
-                    let (result, predictions) =
-                        self.run_one(arm, &predictor, &steady, None, record, extra);
-                    if record {
-                        report.predictions = predictions;
-                    }
-                    let vs_control = if i == 0 {
-                        None
-                    } else {
-                        Some(paired_comparison(
-                            &result.series.empty_host_series(),
-                            &arm_reports[0].result.series.empty_host_series(),
-                        ))
-                    };
-                    arm_reports.push(ArmReport {
-                        label: arm.display_name(),
-                        result,
-                        vs_control,
-                    });
-                }
-                report.result = arm_reports
-                    .last()
-                    .expect("validated: at least one arm")
-                    .result
-                    .clone();
-                if arm_reports.len() > 1 {
-                    report.control = Some(arm_reports[0].result.clone());
-                }
-                report.arms = arm_reports;
             }
             Scenario::Defrag {
                 empty_host_threshold,
@@ -1878,13 +1807,6 @@ mod tests {
         );
         assert_eq!(
             ExperimentBuilder::new()
-                .ab_arms(vec![])
-                .build()
-                .unwrap_err(),
-            SpecError::EmptyAbArms
-        );
-        assert_eq!(
-            ExperimentBuilder::new()
                 .tick_interval(Duration::ZERO)
                 .build()
                 .unwrap_err(),
@@ -2105,7 +2027,6 @@ mod tests {
         assert!(report.result.series.len() > 10);
         assert!(report.result.scheduler_stats.placed > 100);
         assert!(report.control.is_none());
-        assert!(report.arms.is_empty());
         assert!(report.improvement_pp().is_none());
     }
 
@@ -2121,22 +2042,26 @@ mod tests {
 
     #[test]
     fn ab_split_compares_arms_against_control() {
-        let report = tiny_builder()
-            .ab_arms(vec![
-                PolicySpec::new(Algorithm::Baseline),
-                PolicySpec::new(Algorithm::Nilas),
-            ])
-            .run()
-            .expect("valid spec");
-        assert_eq!(report.arms.len(), 2);
-        assert!(report.arms[0].vs_control.is_none());
-        let ab = report.arms[1].vs_control.expect("treatment compared");
+        // An A/B split is a suite of single-policy arms over one workload;
+        // arm 0 is the control.
+        let suite = crate::suite::ExperimentSuite::from_specs(
+            [Algorithm::Baseline, Algorithm::Nilas]
+                .map(|algorithm| tiny_builder().algorithm(algorithm).build().expect("valid")),
+        )
+        .expect("valid specs");
+        let arms = suite.experiments();
+        assert!(std::ptr::eq(arms[0].trace(), arms[1].trace()));
+        let reports = suite.run();
+        assert_eq!(reports.len(), 2);
+        let (control, treated) = (&reports[0].result, &reports[1].result);
+        let ab = crate::ab::paired_comparison(
+            &treated.series.empty_host_series(),
+            &control.series.empty_host_series(),
+        );
         assert!(ab.samples > 10);
-        assert_eq!(report.result.algorithm, "nilas");
-        assert_eq!(report.control.as_ref().unwrap().algorithm, "baseline");
-        assert!(report.improvement_pp().is_some());
-        assert!(report.arm("nilas").is_some());
-        assert!(report.arm("missing").is_none());
+        assert_eq!(treated.algorithm, "nilas");
+        assert_eq!(control.algorithm, "baseline");
+        assert!(reports.iter().all(|r| r.control.is_none()));
     }
 
     #[test]

@@ -53,14 +53,15 @@
 //! the whole run, and drains the source for epoch *k+1* right after
 //! handing out epoch *k*. What differs is only where the sessions live:
 //!
-//! * **Pooled lanes** — two or more workers, caller not itself on a pool
-//!   worker: one session is pinned per worker of the persistent
-//!   [`WorkerPool`](crate::workers) (cell state never moves between
-//!   threads mid-run) and fed over a bounded channel, so the drain of
-//!   epoch *k+1* — and, for routers that never read summaries, its
-//!   routing and dispatch too — overlaps the workers stepping epoch *k*.
-//! * **The inline lane** — one worker, one cell, or a caller already on a
-//!   pool worker (a fleet started from a suite arm): a single session
+//! * **Pooled lanes** — two or more workers: one session is pinned per
+//!   worker of the persistent [`WorkerPool`](crate::workers) (cell state
+//!   never moves between threads mid-run) and fed over a bounded channel,
+//!   so the drain of epoch *k+1* — and, for routers that never read
+//!   summaries, its routing and dispatch too — overlaps the workers
+//!   stepping epoch *k*. The run holds the pool's session lock, so
+//!   concurrent fleet runs (fleet arms of a parallel suite) take turns.
+//!   A session that panics sends its payload back as its last reply.
+//! * **The inline lane** — one worker or one cell: a single session
 //!   owned by the coordinator answers each message synchronously on the
 //!   calling thread. No channel, no session lock, no thread.
 //!
@@ -83,7 +84,7 @@ use crate::chaos::{AdaptationSpec, ChaosController, IncidentPlan};
 use crate::experiment::{DriveLoop, DriveTiming};
 use crate::metrics::{MetricSample, MetricSeries, SimulationResult};
 use crate::observer::{MetricRecorder, SimObserver};
-use crate::workers::{on_pool_worker, panic_message, WorkerPool, PIPELINE_DEPTH};
+use crate::workers::{panic_message, WorkerPool, PIPELINE_DEPTH};
 use crate::workload::PoolConfig;
 use lava_core::cell::{CellId, CellSummary};
 use lava_core::events::{TraceEvent, TraceEventKind};
@@ -100,11 +101,14 @@ use lava_sched::cluster::Cluster;
 use lava_sched::policy::PlacementPolicy;
 use lava_sched::scheduler::{Scheduler, SchedulerStats};
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 use std::sync::{mpsc, Arc, MutexGuard};
+use std::thread;
 
 /// Maximum number of live VMs repredicted per cell when extracting a
 /// summary's exit-time profile (see
@@ -1021,11 +1025,10 @@ fn worker_count(threads: usize, cells: usize) -> usize {
 /// or more workers they are pinned on the persistent [`WorkerPool`]
 /// (`pool`, or the process-wide [`WorkerPool::global`] when `None`) and
 /// the drain of the next epoch — for summary-free routers its routing
-/// too — overlaps execution of the current one. With one worker, one
-/// cell, or a caller already on a pool worker (a fleet started from a
-/// suite arm) a single session runs inline on the calling thread and
-/// `pool` is never touched. See the [module docs](self). Outcomes are
-/// bit-identical on every lane and at any thread count.
+/// too — overlaps execution of the current one. With one worker or one
+/// cell a single session runs inline on the calling thread and `pool` is
+/// never touched. See the [module docs](self). Outcomes are bit-identical
+/// on every lane and at any thread count.
 ///
 /// Once the source is exhausted the cells run to completion and the
 /// per-cell outcomes are returned in cell order.
@@ -1052,9 +1055,7 @@ pub fn run_fleet(
     let cell_count = runners.len();
     let mut router = Router::new(router, cell_count);
     let workers = worker_count(threads, cell_count);
-    // A session pinned to the very worker this call occupies could never
-    // run, hence the inline lane for a caller that is on the pool.
-    let mut lanes = if workers <= 1 || on_pool_worker() {
+    let mut lanes = if workers <= 1 {
         Lanes::inline(runners)
     } else {
         Lanes::pooled(
@@ -1236,20 +1237,26 @@ impl FleetSession {
 }
 
 /// The long-lived job a pooled lane pins to its worker: answers epoch
-/// messages until the closed epoch. Returning drops `reply`, which is how
-/// a panic anywhere in here surfaces to the coordinator (as a recv error).
+/// messages until the closed epoch. A panic anywhere in here is caught and
+/// sent back as the session's last reply, so the coordinator can name what
+/// died.
 fn fleet_session(
     mut session: FleetSession,
     epochs: mpsc::Receiver<EpochMsg>,
-    reply: mpsc::Sender<WorkerReply>,
+    reply: mpsc::Sender<thread::Result<WorkerReply>>,
 ) {
-    while let Ok(msg) = epochs.recv() {
-        if let Some(answer) = session.handle(msg) {
-            let last = matches!(answer, WorkerReply::Outcomes(_));
-            if reply.send(answer).is_err() || last {
-                return;
+    let served = catch_unwind(AssertUnwindSafe(|| {
+        while let Ok(msg) = epochs.recv() {
+            if let Some(answer) = session.handle(msg) {
+                let last = matches!(answer, WorkerReply::Outcomes(_));
+                if reply.send(Ok(answer)).is_err() || last {
+                    return;
+                }
             }
         }
+    }));
+    if let Err(payload) = served {
+        let _ = reply.send(Err(payload));
     }
 }
 
@@ -1282,11 +1289,15 @@ impl fmt::Display for FleetWorkerError {
 
 impl std::error::Error for FleetWorkerError {}
 
-/// Abort the run with a [`FleetWorkerError`] for worker `worker`,
-/// harvesting the panic payload its session job left in the pool.
-fn fleet_worker_died(pool: &WorkerPool, worker: usize, cell_count: usize, workers: usize) -> ! {
-    let panic = pool
-        .take_panic(worker)
+/// Abort the run with a [`FleetWorkerError`] for worker `worker`, whose
+/// session sent back `payload` (`None`: its channel closed without one).
+fn fleet_worker_died(
+    worker: usize,
+    payload: Option<Box<dyn Any + Send>>,
+    cell_count: usize,
+    workers: usize,
+) -> ! {
+    let panic = payload
         .map(|payload| panic_message(payload.as_ref()))
         .unwrap_or_else(|| "worker channel closed without a captured panic".to_string());
     let cells = (0..cell_count).filter(|c| c % workers == worker).collect();
@@ -1309,9 +1320,8 @@ enum Lanes<'p> {
     /// One session pinned per pool worker, each behind a bounded epoch
     /// channel and a reply channel.
     Pooled {
-        pool: &'p WorkerPool,
         epochs: Vec<mpsc::SyncSender<EpochMsg>>,
-        replies: Vec<mpsc::Receiver<WorkerReply>>,
+        replies: Vec<mpsc::Receiver<thread::Result<WorkerReply>>>,
         cell_count: usize,
         /// Two concurrent fleet runs pinning sessions onto overlapping
         /// workers would deadlock on each other's bounded channels: one
@@ -1342,7 +1352,7 @@ impl<'p> Lanes<'p> {
         let mut replies = Vec::with_capacity(workers);
         for (worker, owned) in owned.into_iter().enumerate() {
             let (epoch_tx, epoch_rx) = mpsc::sync_channel::<EpochMsg>(PIPELINE_DEPTH);
-            let (reply_tx, reply_rx) = mpsc::channel::<WorkerReply>();
+            let (reply_tx, reply_rx) = mpsc::channel();
             epochs.push(epoch_tx);
             replies.push(reply_rx);
             let session = FleetSession(owned);
@@ -1352,7 +1362,6 @@ impl<'p> Lanes<'p> {
             );
         }
         Lanes::Pooled {
-            pool,
             epochs,
             replies,
             cell_count,
@@ -1374,13 +1383,15 @@ impl<'p> Lanes<'p> {
                 *reply = session.handle(msg);
             }
             Lanes::Pooled {
-                pool,
                 epochs,
+                replies,
                 cell_count,
                 ..
             } => {
                 if epochs[lane].send(msg).is_err() {
-                    fleet_worker_died(pool, lane, *cell_count, epochs.len());
+                    // The session is gone; its last reply says why.
+                    let payload = replies[lane].iter().find_map(Result::err);
+                    fleet_worker_died(lane, payload, *cell_count, epochs.len());
                 }
             }
         }
@@ -1390,13 +1401,16 @@ impl<'p> Lanes<'p> {
         match self {
             Lanes::Inline { reply, .. } => reply.take().expect("the inline lane answered"),
             Lanes::Pooled {
-                pool,
                 replies,
                 cell_count,
                 ..
-            } => replies[lane]
-                .recv()
-                .unwrap_or_else(|_| fleet_worker_died(pool, lane, *cell_count, replies.len())),
+            } => match replies[lane].recv() {
+                Ok(Ok(answer)) => answer,
+                Ok(Err(payload)) => {
+                    fleet_worker_died(lane, Some(payload), *cell_count, replies.len())
+                }
+                Err(_) => fleet_worker_died(lane, None, *cell_count, replies.len()),
+            },
         }
     }
 

@@ -25,11 +25,11 @@
 //!   (Poisson / burst / diurnal, mean-rate normalised) and the
 //!   declarative [`arrivals::ServeConfig`] riding on the spec,
 //! * [`suite`] — [`suite::ExperimentSuite`], parallel multi-arm sweeps
-//!   with bit-identical per-arm results,
-//! * [`workers`] — the persistent [`workers::WorkerPool`] the fleet tier
-//!   and suite execute on: long-lived threads with per-worker pinned
-//!   mailboxes (cell-owning fleet sessions) plus a shared helping queue
-//!   (suite arms), grown on demand and shared process-wide,
+//!   and A/B splits on scoped threads, with bit-identical per-arm results,
+//! * [`workers`] — the persistent [`workers::WorkerPool`] the fleet tier's
+//!   pooled lanes execute on: long-lived threads with per-worker pinned
+//!   mailboxes (cell-owning fleet sessions), grown on demand and shared
+//!   process-wide,
 //! * [`observer`] — the [`SimObserver`] trait, the [`ObserverContext`]
 //!   every hook reads, and the two provided observers metric collection
 //!   is composed from ([`observer::MetricRecorder`],
@@ -45,7 +45,7 @@
 //! * [`stranding`] — the inflation-simulation stranding pipeline,
 //! * [`defrag`] — defragmentation / maintenance migration modelling and the
 //!   LARS comparison,
-//! * [`ab`] — A/B experiment statistics,
+//! * [`ab`] — A/B statistics: the paired comparison of two suite arms,
 //! * [`causal`] — CausalImpact-style pre/post counterfactual analysis,
 //! * [`validation`] — simulator-vs-trace consistency checking,
 //! * [`recording`] — a predictor wrapper that records predictions for error

@@ -40,7 +40,6 @@ pub struct RecordingPredictor {
     inner: Arc<dyn LifetimePredictor>,
     records: Mutex<Vec<PredictionRecord>>,
     capacity: usize,
-    total_calls: Mutex<u64>,
 }
 
 impl RecordingPredictor {
@@ -62,7 +61,6 @@ impl RecordingPredictor {
             inner,
             records: Mutex::new(Vec::new()),
             capacity,
-            total_calls: Mutex::new(0),
         })
     }
 
@@ -70,17 +68,11 @@ impl RecordingPredictor {
     pub fn records(&self) -> Vec<PredictionRecord> {
         self.records.lock().clone()
     }
-
-    /// Total number of prediction calls (including ones past the cap).
-    pub fn call_count(&self) -> u64 {
-        *self.total_calls.lock()
-    }
 }
 
 impl LifetimePredictor for RecordingPredictor {
     fn predict_remaining(&self, vm: &Vm, now: SimTime) -> Duration {
         let predicted = self.inner.predict_remaining(vm, now);
-        *self.total_calls.lock() += 1;
         let mut records = self.records.lock();
         if records.len() < self.capacity {
             records.push(PredictionRecord {
@@ -125,7 +117,6 @@ mod tests {
         assert_eq!(records[0].uptime, Duration::from_hours(4));
         assert!(records[0].is_reprediction());
         assert_eq!(records[0].log10_error(), 0.0);
-        assert_eq!(rec.call_count(), 1);
         assert_eq!(rec.name(), "oracle");
     }
 
@@ -136,6 +127,5 @@ mod tests {
             let _ = rec.predict_remaining(&vm(i, 1), SimTime::ZERO);
         }
         assert_eq!(rec.records().len(), 2);
-        assert_eq!(rec.call_count(), 5);
     }
 }

@@ -2,10 +2,10 @@
 //! threads with bit-identical per-arm results.
 //!
 //! A sweep (Fig. 6's fleet, Fig. 15's accuracy dial, Table 1's pilots…)
-//! is a list of independent [`Experiment`]s. [`ExperimentSuite`] runs them
-//! across the persistent [`WorkerPool`]
-//! (the same primitive the fleet tier executes on — one pool, not two
-//! threading schemes):
+//! is a list of independent [`Experiment`]s, and an A/B split is such a
+//! list over one workload (arm 0 the control, compared with
+//! [`paired_comparison`](crate::ab::paired_comparison)).
+//! [`ExperimentSuite`] runs them on scoped threads:
 //!
 //! * **Determinism** — every arm is fully determined by its own spec
 //!   (workload seed included), so an arm's [`ExperimentReport`] is
@@ -17,12 +17,11 @@
 //!   predictor) specs agree. The cells are thread-safe, so whichever
 //!   worker needs a shared artifact first materialises it exactly once
 //!   for every arm.
-//! * **Scheduling** — arms go to the pool's shared queue, which any
-//!   worker (and the submitting thread) drains, so a long arm does not
-//!   hold up the remaining work. An arm that itself starts a fleet run
-//!   is on a pool worker, so the fleet coordinator keeps its one session
-//!   on the inline lane ([`crate::fleet`]) — same epoch loop, same
-//!   results, nothing pinned, so no pinned-session deadlock.
+//! * **Scheduling** — each thread takes the next arm index from a shared
+//!   counter, so a long arm does not hold up the remaining work. An arm
+//!   that starts a fleet run is an ordinary caller of
+//!   [`run_fleet`](crate::fleet::run_fleet): concurrent fleet arms take
+//!   turns on the worker pool's pooled lanes ([`crate::fleet`]).
 //!
 //! ```
 //! use lava_core::time::Duration;
@@ -49,8 +48,9 @@
 //! ```
 
 use crate::experiment::{Experiment, ExperimentReport, ExperimentSpec, SpecError};
-use crate::workers::WorkerPool;
 use parking_lot::Mutex;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A set of experiment arms executed across worker threads.
 #[derive(Debug, Default)]
@@ -139,27 +139,49 @@ impl ExperimentSuite {
 
     /// Run every arm and return the reports in arm order.
     ///
-    /// With one worker this is a plain serial loop; with more, arms go to
-    /// the shared queue of the process-wide [`WorkerPool`] (grown to the
-    /// requested width first). Either way each report is bit-identical to
-    /// a serial [`Experiment::run`] of that arm.
+    /// With one worker this is a plain serial loop; with more, scoped
+    /// threads take arm indices from a shared counter until none are left.
+    /// Either way each report is bit-identical to a serial
+    /// [`Experiment::run`] of that arm.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panicking arm's payload once every thread has
+    /// finished; the other arms still run to completion first.
     pub fn run(&self) -> Vec<ExperimentReport> {
-        let n = self.experiments.len();
         let workers = self.worker_count();
-        if n == 0 {
-            return Vec::new();
-        }
         if workers <= 1 {
             return self.experiments.iter().map(Experiment::run).collect();
         }
-
-        let pool = WorkerPool::global();
-        pool.ensure_workers(workers);
+        let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<ExperimentReport>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        pool.run_indexed(n, |i| {
-            *slots[i].lock() = Some(self.experiments[i].run());
+            self.experiments.iter().map(|_| Mutex::new(None)).collect();
+        let first_panic = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut panic = None;
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(arm) = self.experiments.get(i) else {
+                                return panic;
+                            };
+                            match catch_unwind(AssertUnwindSafe(|| arm.run())) {
+                                Ok(report) => *slots[i].lock() = Some(report),
+                                Err(payload) => panic = panic.or(Some(payload)),
+                            }
+                        }
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .filter_map(|thread| thread.join().expect("arm panics are caught"))
+                .next()
         });
+        if let Some(payload) = first_panic {
+            resume_unwind(payload);
+        }
         slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("every arm was run"))
@@ -170,7 +192,7 @@ impl ExperimentSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{PolicySpec, PredictorSpec};
+    use crate::experiment::PredictorSpec;
     use crate::workload::PoolConfig;
     use lava_core::time::Duration;
     use lava_sched::Algorithm;
@@ -251,23 +273,59 @@ mod tests {
 
     #[test]
     fn suite_handles_heterogeneous_scenarios() {
-        let mut ab = arm_spec(5, Algorithm::Nilas);
-        ab.scenario = crate::experiment::Scenario::AbSplit {
-            arms: vec![
-                PolicySpec::new(Algorithm::Baseline),
-                PolicySpec::new(Algorithm::Nilas),
-            ],
-        };
+        let mut pre_post = arm_spec(5, Algorithm::Nilas);
+        pre_post.scenario = crate::experiment::Scenario::PrePost;
         let mut noisy = arm_spec(5, Algorithm::Lava);
         noisy.predictor = PredictorSpec::Noisy {
             accuracy_pct: 80,
             bias_pct: 0,
         };
-        let suite = ExperimentSuite::from_specs([ab, noisy])
+        let suite = ExperimentSuite::from_specs([pre_post, noisy])
             .expect("valid specs")
             .with_threads(2);
         let reports = suite.run();
-        assert_eq!(reports[0].arms.len(), 2);
+        assert_eq!(reports[0].control.as_ref().unwrap().algorithm, "baseline");
+        assert!(reports[0].causal.is_some());
         assert_eq!(reports[1].result.predictor, "noisy-oracle");
+    }
+
+    #[test]
+    fn a_panicking_arm_reraises_after_the_other_arms_finish() {
+        use crate::fleet::{FleetConfig, RouterSpec};
+        use crate::trace::Trace;
+        use lava_core::events::TraceEvent;
+        use lava_core::time::SimTime;
+        use lava_core::vm::VmId;
+
+        // A round-robin router panics on an exit for a VM it never placed.
+        let mut doomed = arm_spec(9, Algorithm::Baseline);
+        doomed.fleet = Some(
+            FleetConfig::new(2)
+                .with_router(RouterSpec::RoundRobin)
+                .with_threads(1),
+        );
+        let doomed = Experiment::new(doomed).expect("valid spec");
+        let pool = doomed.spec().workload.pool_id;
+        assert!(doomed.set_trace(Trace::new(
+            pool,
+            vec![TraceEvent::exit(SimTime::ZERO, VmId(1))]
+        )));
+        let mut suite = ExperimentSuite::new().with_threads(2);
+        suite.push(doomed);
+        for seed in [2, 3, 4] {
+            suite
+                .push_spec(arm_spec(seed, Algorithm::Nilas))
+                .expect("valid spec");
+        }
+
+        let result = catch_unwind(AssertUnwindSafe(|| suite.run()));
+        let payload = result.expect_err("the arm's panic propagates");
+        assert!(crate::workers::panic_message(payload.as_ref())
+            .contains("exit routed for a VM the router never placed"));
+        // Every other arm was still run (each generated its own trace, so
+        // the cell refuses an injection) before the panic was re-raised.
+        for arm in &suite.experiments()[1..] {
+            assert!(!arm.set_trace(Trace::new(pool, Vec::new())));
+        }
     }
 }

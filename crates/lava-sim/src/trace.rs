@@ -100,20 +100,6 @@ impl Trace {
             .collect()
     }
 
-    /// Observations whose VM was created before `cutoff` — "historical" data
-    /// available for training a model that is then evaluated on the rest of
-    /// the trace.
-    pub fn observations_before(&self, cutoff: SimTime) -> Vec<(VmSpec, Duration)> {
-        self.events
-            .iter()
-            .take_while(|e| e.time < cutoff)
-            .filter_map(|e| match &e.kind {
-                TraceEventKind::Create { spec, lifetime, .. } => Some((spec.clone(), *lifetime)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The creation records (id, spec, lifetime, created_at) of all VMs in
     /// the trace, keyed by id.
     pub fn creations(&self) -> BTreeMap<VmId, (VmSpec, Duration, SimTime)> {
@@ -770,8 +756,6 @@ mod tests {
         let obs = t.observations();
         assert_eq!(obs.len(), 3);
         assert_eq!(obs[0].1, Duration::from_hours(1));
-        let early = t.observations_before(SimTime(300));
-        assert_eq!(early.len(), 2);
         let creations = t.creations();
         assert_eq!(creations.len(), 3);
         assert_eq!(creations[&VmId(2)].2, SimTime(200));

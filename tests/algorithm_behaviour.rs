@@ -4,7 +4,10 @@
 
 use lava::core::time::Duration;
 use lava::sched::Algorithm;
-use lava::sim::experiment::{Experiment, PolicySpec, PredictorSpec, Scenario};
+use lava::sim::ab::paired_comparison;
+use lava::sim::experiment::{Experiment, ExperimentBuilder, PredictorSpec, Scenario};
+use lava::sim::metrics::SimulationResult;
+use lava::sim::suite::ExperimentSuite;
 use lava::sim::workload::PoolConfig;
 
 fn pool(seed: u64, hosts: usize, utilization: f64, days: u64) -> PoolConfig {
@@ -17,17 +20,33 @@ fn pool(seed: u64, hosts: usize, utilization: f64, days: u64) -> PoolConfig {
     }
 }
 
+/// An A/B split: the baseline (control) and `treatment` as two suite arms
+/// replaying the same trace. Returns `(control, treatment)`.
+fn ab(base: ExperimentBuilder, treatment: Algorithm) -> (SimulationResult, SimulationResult) {
+    let arms = [Algorithm::Baseline, treatment].map(|algorithm| {
+        base.clone()
+            .algorithm(algorithm)
+            .build()
+            .expect("valid spec")
+    });
+    let [control, treated] = ExperimentSuite::from_specs(arms)
+        .expect("valid specs")
+        .run()
+        .try_into()
+        .expect("two arms");
+    (control.result, treated.result)
+}
+
 #[test]
 fn nilas_with_oracle_beats_the_baseline_on_a_churning_pool() {
-    let report = Experiment::builder()
-        .workload(pool(11, 60, 0.8, 10))
-        .ab_arms(vec![
-            PolicySpec::new(Algorithm::Baseline),
-            PolicySpec::new(Algorithm::Nilas),
-        ])
-        .run()
-        .expect("valid spec");
-    let ab = report.arms[1].vs_control.expect("treatment arm compared");
+    let (baseline, nilas) = ab(
+        Experiment::builder().workload(pool(11, 60, 0.8, 10)),
+        Algorithm::Nilas,
+    );
+    let ab = paired_comparison(
+        &nilas.series.empty_host_series(),
+        &baseline.series.empty_host_series(),
+    );
     assert!(
         ab.mean_difference_pp > 0.0,
         "expected NILAS to free hosts vs baseline, got {:+.2} pp",
@@ -40,20 +59,15 @@ fn lava_tolerates_low_accuracy_better_than_it_degrades() {
     // Appendix G.1: improvements persist across accuracy levels. At 60%
     // accuracy the lifetime-aware algorithms must not collapse below the
     // baseline by more than noise.
-    let report = Experiment::builder()
-        .workload(pool(13, 60, 0.8, 8))
-        .predictor(PredictorSpec::Noisy {
-            accuracy_pct: 60,
-            bias_pct: 0,
-        })
-        .ab_arms(vec![
-            PolicySpec::new(Algorithm::Baseline),
-            PolicySpec::new(Algorithm::Lava),
-        ])
-        .run()
-        .expect("valid spec");
-    let baseline = &report.arms[0].result;
-    let lava = &report.arms[1].result;
+    let (baseline, lava) = ab(
+        Experiment::builder()
+            .workload(pool(13, 60, 0.8, 8))
+            .predictor(PredictorSpec::Noisy {
+                accuracy_pct: 60,
+                bias_pct: 0,
+            }),
+        Algorithm::Lava,
+    );
     assert!(
         lava.mean_empty_host_fraction() > baseline.mean_empty_host_fraction() - 0.02,
         "lava {} vs baseline {}",
@@ -90,16 +104,10 @@ fn lars_reduces_migrations_on_a_real_defrag_workload() {
 fn empty_host_and_packing_density_metrics_agree_on_the_winner() {
     // Appendix D: the bin-packing metrics are interchangeable. Whatever
     // algorithm wins on empty hosts must not lose on packing density.
-    let report = Experiment::builder()
-        .workload(pool(19, 60, 0.8, 8))
-        .ab_arms(vec![
-            PolicySpec::new(Algorithm::Baseline),
-            PolicySpec::new(Algorithm::Nilas),
-        ])
-        .run()
-        .expect("valid spec");
-    let baseline = &report.arms[0].result;
-    let nilas = &report.arms[1].result;
+    let (baseline, nilas) = ab(
+        Experiment::builder().workload(pool(19, 60, 0.8, 8)),
+        Algorithm::Nilas,
+    );
     let empty_delta =
         nilas.series.mean_empty_host_fraction() - baseline.series.mean_empty_host_fraction();
     let density_delta =

@@ -62,14 +62,6 @@ fn spec_round_trips_through_json_for_every_scenario() {
         Scenario::SteadyState,
         Scenario::ColdStart,
         Scenario::PrePost,
-        Scenario::AbSplit {
-            arms: vec![
-                PolicySpec::new(Algorithm::Baseline),
-                PolicySpec::new(Algorithm::Lava)
-                    .with_cache(CachePolicy::RefreshSecs(120))
-                    .labeled("lava-2m"),
-            ],
-        },
         Scenario::Defrag {
             empty_host_threshold: 0.2,
             hosts_per_trigger: 3,
@@ -82,6 +74,9 @@ fn spec_round_trips_through_json_for_every_scenario() {
     for scenario in scenarios {
         let mut spec = tiny_spec(5);
         spec.scenario = scenario;
+        spec.policy = PolicySpec::new(Algorithm::Lava)
+            .with_cache(CachePolicy::RefreshSecs(120))
+            .labeled("lava-2m");
         spec.predictor = PredictorSpec::Noisy {
             accuracy_pct: 85,
             bias_pct: 0,
@@ -103,10 +98,6 @@ fn validation_rejects_degenerate_specs() {
     let mut zero_horizon = tiny_spec(1);
     zero_horizon.workload.duration = Duration::ZERO;
     assert_eq!(zero_horizon.validate().unwrap_err(), SpecError::ZeroHorizon);
-
-    let mut empty_arms = tiny_spec(1);
-    empty_arms.scenario = Scenario::AbSplit { arms: vec![] };
-    assert_eq!(empty_arms.validate().unwrap_err(), SpecError::EmptyAbArms);
 
     // A degenerate spec parsed from JSON is still rejected at run time.
     let mut from_json = tiny_spec(1);

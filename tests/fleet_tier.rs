@@ -239,13 +239,11 @@ fn fleet_validation_rejects_degenerate_configs() {
     // More cells than hosts leaves empty cells.
     reject(FleetConfig::new(64), SpecError::FleetEmptyCell);
 
-    let mut ab = base_spec(1, 12, 24);
-    ab.scenario = Scenario::AbSplit {
-        arms: vec![lava::sim::experiment::PolicySpec::new(Algorithm::Baseline)],
-    };
-    ab.fleet = Some(FleetConfig::new(2));
+    let mut pre_post = base_spec(1, 12, 24);
+    pre_post.scenario = Scenario::PrePost;
+    pre_post.fleet = Some(FleetConfig::new(2));
     assert_eq!(
-        ab.validate().unwrap_err(),
+        pre_post.validate().unwrap_err(),
         SpecError::FleetUnsupportedScenario
     );
 
@@ -307,11 +305,10 @@ fn pool_reuse_leaks_no_state_between_runs() {
     );
 }
 
-/// A fleet started from an arm of a parallel suite finds itself on a pool
-/// worker, so its coordinator takes the inline lane whatever `threads`
-/// says. The report must be the one the same spec gives at top level,
-/// where `threads: 2` means pooled lanes — summary-free and summary-driven
-/// router, with and without incidents in flight.
+/// Fleets started from the arms of a parallel suite run concurrently on
+/// pooled lanes, taking turns on the pool's session lock. Each report must
+/// be the one the same spec gives at top level — summary-free and
+/// summary-driven router, with and without incidents in flight.
 #[test]
 fn fleet_arm_of_a_parallel_suite_matches_its_top_level_run() {
     for router in [RouterSpec::RoundRobin, RouterSpec::LifetimeAware] {
