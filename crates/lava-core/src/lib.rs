@@ -19,8 +19,8 @@
 //! * [`source`] — the pull-based [`source::EventSource`] abstraction the
 //!   streaming discrete-event engine consumes events through,
 //! * [`serve`] — the request/response vocabulary of the online placement
-//!   service ([`serve::PlaceRequest`], backpressure signals, the
-//!   microsecond [`serve::VirtualClock`]),
+//!   service ([`serve::PlaceRequest`], backpressure signals, microsecond
+//!   [`serve::Micros`] virtual time),
 //! * [`latency`] — the shared log-bucketed, mergeable
 //!   [`latency::LatencyHistogram`] every latency-reporting surface uses,
 //! * [`hash`] — [`hash::mix64`], the one 64-bit mixer behind routing,
@@ -69,10 +69,7 @@ pub mod prelude {
     pub use crate::lifetime::{LifetimeClass, TemporalCostBuckets};
     pub use crate::pool::{Pool, PoolId};
     pub use crate::resources::Resources;
-    pub use crate::serve::{
-        Micros, PlaceOutcome, PlaceRequest, PlaceResponse, Rejected, ReleaseRequest, RequestId,
-        VirtualClock,
-    };
+    pub use crate::serve::{Micros, PlaceOutcome, PlaceRequest, Rejected, RequestId};
     pub use crate::source::EventSource;
     pub use crate::time::{Duration, SimTime};
     pub use crate::vm::{ProvisioningModel, Vm, VmFamily, VmId, VmPriority, VmSpec};

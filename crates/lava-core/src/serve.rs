@@ -1,5 +1,5 @@
-//! Request/response vocabulary for the online placement service, and the
-//! microsecond-resolution virtual clock it runs on.
+//! Request vocabulary for the online placement service, and the
+//! microsecond-resolution virtual time it runs on.
 //!
 //! Batch simulation ([`crate::time::SimTime`]) uses whole seconds: event
 //! *ordering* is what matters and second granularity keeps the timeline
@@ -7,23 +7,21 @@
 //! latency**, the time from a request entering the admission queue to the
 //! placement decision, and meaningful latency SLOs live in the
 //! microsecond-to-millisecond range. This module therefore introduces a
-//! second, finer time domain:
-//!
-//! * [`Micros`] — a virtual timestamp in whole microseconds since service
-//!   start. Integer, so request ordering and latency arithmetic are exact
-//!   and replays are bit-reproducible (the same reason `SimTime` is
-//!   integer seconds).
-//! * [`VirtualClock`] — the monotonic clock a deterministic serving engine
-//!   advances as it processes arrivals; never wall clock, so the same
-//!   request stream always produces the same decision sequence.
+//! second, finer time domain: [`Micros`], a virtual timestamp in whole
+//! microseconds since service start. It is an integer, so request ordering
+//! and latency arithmetic are exact and replays are bit-reproducible (the
+//! same reason `SimTime` is integer seconds). A serving engine advances it
+//! as it processes arrivals, never by wall clock, so the same request
+//! stream always produces the same decision sequence.
 //!
 //! The message types mirror a production allocator front-end:
-//! [`PlaceRequest`] and [`ReleaseRequest`] are the inbound messages,
-//! [`PlaceResponse`] the outcome of a decision, and [`Rejected`] the
-//! backpressure signal returned when admission control refuses to queue a
-//! request ([`Rejected::QueueFull`] when the bounded queue is at capacity,
+//! [`PlaceRequest`] is the inbound message, [`PlaceOutcome`] what a
+//! decision concluded, and [`Rejected`] the backpressure signal returned
+//! when admission control refuses to queue a request
+//! ([`Rejected::QueueFull`] when the bounded queue is at capacity,
 //! [`Rejected::Shed`] when a shedding policy drops the request with a
-//! retry-after hint).
+//! retry-after hint). A placed VM's exit is scheduled by the service when
+//! it places the VM, so there is no inbound release message.
 
 use crate::cell::CellId;
 use crate::host::HostId;
@@ -129,42 +127,8 @@ impl fmt::Display for Micros {
     }
 }
 
-/// The monotonic virtual clock a serving engine runs on.
-///
-/// The engine advances it explicitly as it consumes the open-loop arrival
-/// stream; it never reads wall clock, so a seeded run is bit-reproducible.
-/// Advancing to a time in the past is a no-op (monotonicity is part of the
-/// determinism contract).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct VirtualClock {
-    now: Micros,
-}
-
-impl VirtualClock {
-    /// A clock at service start.
-    pub fn new() -> VirtualClock {
-        VirtualClock::default()
-    }
-
-    /// The current virtual time.
-    #[inline]
-    pub fn now(&self) -> Micros {
-        self.now
-    }
-
-    /// Advance to `t` if it is in the future; a past `t` leaves the clock
-    /// unchanged. Returns the (possibly unchanged) current time.
-    #[inline]
-    pub fn advance_to(&mut self, t: Micros) -> Micros {
-        self.now = self.now.max(t);
-        self.now
-    }
-}
-
 /// Identifier of one placement request, unique within a service run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RequestId(pub u64);
 
 impl fmt::Display for RequestId {
@@ -179,7 +143,7 @@ impl fmt::Display for RequestId {
 /// evaluation, mirroring the convention of
 /// [`TraceEvent`](crate::events::TraceEvent) — learned predictors must only
 /// look at the spec.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlaceRequest {
     /// Request id (assigned by the arrival source, strictly increasing).
     pub id: RequestId,
@@ -192,28 +156,18 @@ pub struct PlaceRequest {
     /// When the request arrived at the service, in virtual time.
     pub submitted: Micros,
     /// Optional absolute deadline: the decision is worthless after this
-    /// instant, so the service resolves an expired entry to
-    /// [`Rejected::DeadlineExceeded`] instead of placing it late.
-    #[serde(default)]
+    /// instant, so the service resolves an entry whose decision would
+    /// start later to a `deadline_exceeded` outcome instead of placing it
+    /// late.
     pub deadline: Option<Micros>,
     /// How many times the service may re-queue this request after a
     /// `no_capacity` decision before the outcome becomes terminal.
-    #[serde(default)]
     pub retries: u32,
-}
-
-/// An inbound release request: "this VM is gone, free its capacity".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReleaseRequest {
-    /// The VM to release.
-    pub vm: VmId,
-    /// When the release arrived at the service, in virtual time.
-    pub submitted: Micros,
 }
 
 /// Why admission control refused to queue a request — the backpressure
 /// signal a caller sees instead of a decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rejected {
     /// The bounded request queue is at capacity. The caller should back
     /// off; there is no useful retry hint because the queue is already
@@ -226,10 +180,6 @@ pub enum Rejected {
         /// to drain back below its shed threshold.
         retry_after: Micros,
     },
-    /// The request's deadline passed before a decision could start. The
-    /// caller should re-submit with a fresh deadline (a late placement is
-    /// worthless, so the service never delivers one).
-    DeadlineExceeded,
 }
 
 impl fmt::Display for Rejected {
@@ -237,13 +187,12 @@ impl fmt::Display for Rejected {
         match self {
             Rejected::QueueFull => write!(f, "queue full"),
             Rejected::Shed { retry_after } => write!(f, "shed (retry after {retry_after})"),
-            Rejected::DeadlineExceeded => write!(f, "deadline exceeded"),
         }
     }
 }
 
 /// What a placement decision concluded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlaceOutcome {
     /// The VM was placed.
     Placed {
@@ -259,35 +208,9 @@ pub enum PlaceOutcome {
     },
 }
 
-/// The outcome of one admitted request, with the timestamps the latency
-/// SLO is computed from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PlaceResponse {
-    /// The request this responds to.
-    pub request: RequestId,
-    /// The VM the request was for.
-    pub vm: VmId,
-    /// What the decision concluded.
-    pub outcome: PlaceOutcome,
-    /// When the request entered the queue.
-    pub enqueued: Micros,
-    /// When the placement decision completed.
-    pub decided: Micros,
-}
-
-impl PlaceResponse {
-    /// Enqueue-to-decision latency — the quantity the serving tier's
-    /// p50/p99/p999 SLOs are defined over.
-    #[inline]
-    pub fn latency(&self) -> Micros {
-        self.decided.saturating_since(self.enqueued)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resources::Resources;
 
     #[test]
     fn micros_conversions_and_arithmetic() {
@@ -310,69 +233,5 @@ mod tests {
         assert_eq!(Micros(500).to_string(), "500us");
         assert_eq!(Micros(1500).to_string(), "1.5ms");
         assert_eq!(Micros(2_500_000).to_string(), "2.50s");
-    }
-
-    #[test]
-    fn virtual_clock_is_monotonic() {
-        let mut clock = VirtualClock::new();
-        assert_eq!(clock.now(), Micros::ZERO);
-        assert_eq!(clock.advance_to(Micros(100)), Micros(100));
-        // A past timestamp never rewinds the clock.
-        assert_eq!(clock.advance_to(Micros(50)), Micros(100));
-        assert_eq!(clock.now(), Micros(100));
-    }
-
-    #[test]
-    fn response_latency_is_enqueue_to_decision() {
-        let response = PlaceResponse {
-            request: RequestId(7),
-            vm: VmId(7),
-            outcome: PlaceOutcome::Placed {
-                cell: CellId(1),
-                host: HostId(3),
-            },
-            enqueued: Micros(1000),
-            decided: Micros(3500),
-        };
-        assert_eq!(response.latency(), Micros(2500));
-    }
-
-    #[test]
-    fn serde_round_trips() {
-        let request = PlaceRequest {
-            id: RequestId(1),
-            vm: VmId(9),
-            spec: VmSpec::builder(Resources::cores_gib(2, 8)).build(),
-            lifetime: Duration::from_hours(2),
-            submitted: Micros(42),
-            deadline: Some(Micros(5042)),
-            retries: 2,
-        };
-        let json = serde_json::to_string(&request).unwrap();
-        let back: PlaceRequest = serde_json::from_str(&json).unwrap();
-        assert_eq!(request, back);
-
-        // Pre-deadline wire format (no `deadline`/`retries` fields) still
-        // deserializes: both default off.
-        let legacy: PlaceRequest = serde_json::from_str(
-            &json
-                .replace(",\"deadline\":5042", "")
-                .replace(",\"retries\":2", ""),
-        )
-        .unwrap();
-        assert_eq!(legacy.deadline, None);
-        assert_eq!(legacy.retries, 0);
-
-        for rejected in [
-            Rejected::QueueFull,
-            Rejected::Shed {
-                retry_after: Micros(100),
-            },
-            Rejected::DeadlineExceeded,
-        ] {
-            let json = serde_json::to_string(&rejected).unwrap();
-            let back: Rejected = serde_json::from_str(&json).unwrap();
-            assert_eq!(rejected, back);
-        }
     }
 }

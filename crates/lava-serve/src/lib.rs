@@ -16,9 +16,10 @@
 //!        │ Rejected::        │    ▼                             ▼    │
 //!        │ {QueueFull, Shed} │  shed /                    cell 0..N  │
 //!        ◀───────────────────│  queue-full                (Scheduler)│
-//!  ReleaseRequest ──────────▶│ releases ──────────────────────▶ exits│
+//!                            │ one timeline: incidents, refreshes,   │
+//!                            │ VM exits, retries in (due, rank) order│
 //!                            └───────────────────────────────────────┘
-//!                                     PlaceResponse (latency = decided − enqueued)
+//!                                ServeReport (latency = decided − enqueued)
 //! ```
 //!
 //! * **Admission control** ([`lava_sim::arrivals::AdmissionPolicy`]) runs
@@ -47,8 +48,8 @@
 //!   seeded exponential backoff, and a tripped majority puts the fleet
 //!   in *brownout* (conservative routing, tighter shedding). Requests
 //!   carry optional deadlines and retry budgets; an expired request
-//!   resolves to [`Rejected::DeadlineExceeded`](lava_core::serve::Rejected)
-//!   rather than consuming decision capacity.
+//!   resolves to the [`ServeReport::deadline_exceeded`] outcome rather
+//!   than consuming decision capacity.
 //!
 //! The entry point is [`run_serve`], which runs the serving scenario an
 //! [`ExperimentSpec`](lava_sim::experiment::ExperimentSpec) declares
@@ -85,6 +86,7 @@
 
 pub mod health;
 pub mod queue;
+mod report;
 pub mod service;
 
 pub use health::{BreakerState, HealthTracker};

@@ -7,9 +7,7 @@ use lava_core::cell::CellId;
 use lava_core::events::TraceEvent;
 use lava_core::hash::mix64;
 use lava_core::latency::LatencyHistogram;
-use lava_core::serve::{
-    Micros, PlaceOutcome, PlaceRequest, PlaceResponse, Rejected, ReleaseRequest, VirtualClock,
-};
+use lava_core::serve::{Micros, PlaceOutcome, PlaceRequest, Rejected};
 use lava_core::time::Duration;
 use lava_core::vm::{Vm, VmId};
 use lava_model::adaptive::SwappablePredictor;
@@ -21,141 +19,42 @@ use lava_sim::chaos::{AdaptationSpec, ChaosArrivals, ChaosController, Incident, 
 use lava_sim::experiment::{ExperimentSpec, SpecError};
 use lava_sim::fleet::{FleetConfig, Router, SUMMARY_SAMPLE_CAP};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::error::Error;
-use std::fmt;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
-/// One epoch's slice of the serving run, for SLO-recovery analysis: the
-/// chaos bench computes "epochs until p99 re-enters the steady band" over
-/// this series.
-#[derive(Debug, Clone)]
-pub struct EpochStats {
-    /// The epoch's start instant.
-    pub start: Micros,
-    /// Requests offered during the epoch (by arrival time).
-    pub offered: u64,
-    /// Requests placed during the epoch (by decision time).
-    pub placed: u64,
-    /// Requests that expired during the epoch (by expiry time).
-    pub deadline_exceeded: u64,
-    /// Latency of every terminal decision landing in the epoch.
-    pub latency: LatencyHistogram,
+pub use crate::report::{EpochStats, ServeError, ServeReport};
+
+/// What a timeline entry does when it comes due. The declaration order is
+/// the tiebreak between entries due at the same instant; the `u64` beside
+/// each rank in a timeline key is noted per variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum ServeRank {
+    /// An incident recovers (plan index). Ends precede starts, so a
+    /// recovery due with the next incident's start applies first.
+    IncidentEnd,
+    /// An incident starts (plan index).
+    IncidentStart,
+    /// The router's cell summaries refresh (always 0).
+    Refresh,
+    /// A placed VM exits (VM id), freeing capacity before a decision at
+    /// the same instant could use it.
+    Release,
+    /// A retry's backoff ends and it re-enters the queue (park sequence
+    /// number), before the decision at the same instant takes the head.
+    Retry,
+    /// The queue head's decision starts. Never pushed: it is the
+    /// candidate `(max(server free, head arrival), Decide, 0)`.
+    Decide,
 }
 
-/// Aggregate outcome of one serving run.
-#[derive(Debug, Clone)]
-pub struct ServeReport {
-    /// Requests offered (admitted + rejected).
-    pub offered: u64,
-    /// Requests placed on a host.
-    pub placed: u64,
-    /// Admitted requests that terminally failed for capacity: the routed
-    /// cell had no feasible host and the retry budget was exhausted (or
-    /// the retry could not be re-queued).
-    pub no_capacity: u64,
-    /// Requests shed by the admission policy.
-    pub shed: u64,
-    /// Requests rejected because the queue was physically full.
-    pub queue_full: u64,
-    /// Admitted requests whose deadline passed before their decision
-    /// could start.
-    pub deadline_exceeded: u64,
-    /// Failed decisions that were re-queued under a retry budget
-    /// (non-terminal; each re-queue counts once).
-    pub retried: u64,
-    /// Decisions redirected away from their primary cell by the health
-    /// layer (breaker failover or brownout routing).
-    pub failovers: u64,
-    /// Circuit-breaker trips over the run.
-    pub breaker_trips: u64,
-    /// VM exits applied (internally scheduled ones plus external
-    /// releases).
-    pub released: u64,
-    /// Enqueue-to-decision latency of every admitted request, in
-    /// microseconds.
-    pub latency: LatencyHistogram,
-    /// Deepest the place queue ever was.
-    pub queue_high_water: usize,
-    /// Largest backlog of pending releases/exits.
-    pub release_backlog_high_water: usize,
-    /// Rolling hash over the full decision sequence (request id, outcome,
-    /// cell/host, decision time — including expiries, retries and
-    /// failover placements). Two runs of the same seed must produce the
-    /// same digest — the deterministic-replay contract, incidents and all.
-    pub decision_digest: u64,
-    /// The offered-arrival horizon the run covered.
-    pub horizon: Micros,
-    /// Virtual time of the last decision.
-    pub finished_at: Micros,
-    /// Per-epoch series (empty unless [`ServeConfig::epoch`] is set).
-    pub epochs: Vec<EpochStats>,
-}
-
-impl ServeReport {
-    /// Successfully placed requests per offered second — the "useful work"
-    /// rate the saturation sweep watches for collapse.
-    pub fn goodput_per_sec(&self) -> f64 {
-        let secs = self.horizon.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.placed as f64 / secs
-        }
-    }
-
-    /// Fraction of offered requests rejected before placement (shed or
-    /// queue-full).
-    pub fn shed_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            (self.shed + self.queue_full) as f64 / self.offered as f64
-        }
-    }
-
-    /// The terminal-outcome conservation law: every offered request ends
-    /// in exactly one of the five terminal buckets. Retries and failovers
-    /// are non-terminal and deliberately absent.
-    pub fn conservation_holds(&self) -> bool {
-        self.offered
-            == self.placed + self.no_capacity + self.shed + self.queue_full + self.deadline_exceeded
-    }
-}
-
-/// Errors a serving run can fail with.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServeError {
-    /// The spec has no `serve` section.
-    MissingServeConfig,
-    /// The spec failed validation.
-    Spec(SpecError),
-}
-
-impl fmt::Display for ServeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::MissingServeConfig => {
-                write!(f, "experiment spec has no serve configuration")
-            }
-            ServeError::Spec(e) => write!(f, "invalid spec: {e}"),
-        }
-    }
-}
-
-impl Error for ServeError {}
-
-impl From<SpecError> for ServeError {
-    fn from(e: SpecError) -> ServeError {
-        ServeError::Spec(e)
-    }
-}
+/// A timeline key: due instant, rank, and the rank's `u64`.
+type Entry = (Micros, ServeRank, u64);
 
 /// The request-driven placement engine.
 ///
 /// One `PlacementService` wraps a fleet — a [`Router`] and one
 /// [`Scheduler`] per cell — behind a bounded place queue and runs it as a
-/// single-server queueing system on a microsecond [`VirtualClock`]:
+/// single-server queueing system in microsecond virtual time ([`Micros`]):
 ///
 /// 1. **Admission** happens at arrival time: a physically full queue
 ///    rejects with [`Rejected::QueueFull`]; otherwise the configured
@@ -166,9 +65,22 @@ impl From<SpecError> for ServeError {
 ///    ([`Scheduler::schedule_costed`]) and completes after the virtual
 ///    service time the [`ServiceModel`](lava_sim::arrivals::ServiceModel)
 ///    assigns to that decision's cost.
-/// 3. **Releases** (internally scheduled VM exits, plus any external
-///    [`ReleaseRequest`]s) are merged into the same virtual timeline, so
-///    capacity frees exactly when it should relative to decisions.
+/// 3. **Releases** — each placed VM's exit, scheduled when it is placed —
+///    share one virtual timeline with decisions, so capacity frees exactly
+///    when it should relative to them.
+///
+/// The timeline is one min-heap of `(due, rank, u64)` keys plus the queue
+/// head's decision candidate; the engine always takes the smaller of the
+/// two. Entries due at the same instant run in rank order:
+///
+/// | rank | `u64` | notes |
+/// |---|---|---|
+/// | incident end | plan index | a recovery precedes a start at the same instant |
+/// | incident start | plan index | every later entry sees the new fault state |
+/// | refresh | 0 | fires only while another entry or a queued request is pending |
+/// | release | VM id | capacity frees before the decision that could use it |
+/// | retry | park sequence number | re-enters the queue before the decision takes the head |
+/// | decide | — | never pushed: `max(server free, head arrival)` |
 ///
 /// Everything is a pure function of (config, seed): no wall clock, no
 /// thread scheduling, no hashing nondeterminism — the decision digest of
@@ -181,7 +93,8 @@ impl From<SpecError> for ServeError {
 /// per-cell circuit breakers, failover and brownout over the router.
 pub struct PlacementService {
     config: ServeConfig,
-    clock: VirtualClock,
+    /// The latest arrival instant offered so far.
+    now: Micros,
     /// When the decision server frees up.
     busy_until: Micros,
     /// Virtual service time of the most recent decision (retry-after
@@ -196,24 +109,19 @@ pub struct PlacementService {
     chaos: Option<ChaosController>,
     /// The attached plan's incidents, for target-cell lookup.
     incidents: Vec<Incident>,
-    /// Pending incident actions as `(due, phase, index)`; phase 0 = end,
-    /// 1 = start, so a recovery due at the same instant as the next
-    /// incident's start applies first (plans forbid true overlap).
-    incident_events: BinaryHeap<Reverse<(Micros, u8, u32)>>,
     /// Shared by the router and the admission policy (the cells predict
     /// through their policies' own clones).
     predictor: Arc<dyn LifetimePredictor>,
-    /// Pending capacity releases: internally scheduled exits of placed
-    /// VMs plus external release requests, ordered by due time then VM id.
-    releases: BinaryHeap<Reverse<(Micros, VmId)>>,
-    /// Retries sitting out their backoff, re-injected into the queue when
-    /// due (see [`ParkedRetry`]).
-    parked: BinaryHeap<Reverse<ParkedRetry>>,
-    parked_seq: u64,
-    release_backlog_high_water: usize,
-    /// Next summary-refresh boundary (`Micros::MAX`-like sentinel when the
-    /// router does not consume summaries).
-    next_refresh: Option<Micros>,
+    /// Every pending entry but the queue head's decision (see the rank
+    /// table above).
+    timeline: BinaryHeap<Reverse<Entry>>,
+    /// Retries sitting out their backoff, by park sequence number, with
+    /// the cell whose failure parked them. They live outside the FIFO
+    /// queue so a delayed retry never head-of-line blocks ready requests
+    /// behind it — the server stays work-conserving through breaker
+    /// cooldowns.
+    backoff: BTreeMap<u64, (usize, Queued)>,
+    retry_seq: u64,
     refresh_every: Micros,
     offered: u64,
     placed: u64,
@@ -227,7 +135,6 @@ pub struct PlacementService {
     latency: LatencyHistogram,
     epochs: Vec<EpochStats>,
     digest: u64,
-    finished_at: Micros,
 }
 
 /// A queue entry: the (possibly re-queued) request plus its *original*
@@ -239,45 +146,6 @@ struct Queued {
     request: PlaceRequest,
     enqueued: Micros,
 }
-
-/// A retry waiting out its backoff before re-entering the decision
-/// queue. Parked retries live outside the FIFO queue so a delayed retry
-/// can never head-of-line block ready requests behind it — the server
-/// stays work-conserving through breaker cooldowns. Ordered by due time,
-/// with a parking sequence number breaking ties deterministically.
-#[derive(Debug)]
-struct ParkedRetry {
-    due: Micros,
-    seq: u64,
-    /// The cell whose failure parked the retry (digest attribution if the
-    /// queue is full at re-injection).
-    cell: usize,
-    queued: Queued,
-}
-
-impl PartialEq for ParkedRetry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-
-impl Eq for ParkedRetry {}
-
-impl PartialOrd for ParkedRetry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ParkedRetry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
-
-/// Incident-action phases in [`PlacementService::incident_events`].
-const INCIDENT_END: u8 = 0;
-const INCIDENT_START: u8 = 1;
 
 /// Hard cap on the per-epoch series; later activity is attributed to the
 /// final epoch so a pathological drain can't balloon the report.
@@ -306,17 +174,19 @@ impl PlacementService {
             .into_iter()
             .map(|cell| Scheduler::new(Cluster::new(cell.pool), cell.policy, predictor.clone()))
             .collect();
-        let refresh_every = Micros::from_duration(fleet.summary_refresh);
+        let mut timeline = BinaryHeap::new();
         // Summary routers get their first snapshot before the first
         // decision, mirroring the batch fleet engine's epoch-start refresh.
-        let next_refresh = router.needs_summaries().then_some(Micros::ZERO);
+        if router.needs_summaries() {
+            timeline.push(Reverse((Micros::ZERO, ServeRank::Refresh, 0)));
+        }
         let queue = BoundedQueue::new(config.queue_bound);
         let health = config
             .breakers
             .map(|breakers| HealthTracker::new(breakers, schedulers.len(), seed));
         PlacementService {
             config,
-            clock: VirtualClock::new(),
+            now: Micros::ZERO,
             busy_until: Micros::ZERO,
             last_service: Micros::ZERO,
             queue,
@@ -325,14 +195,11 @@ impl PlacementService {
             health,
             chaos: None,
             incidents: Vec::new(),
-            incident_events: BinaryHeap::new(),
             predictor,
-            releases: BinaryHeap::new(),
-            parked: BinaryHeap::new(),
-            parked_seq: 0,
-            release_backlog_high_water: 0,
-            next_refresh,
-            refresh_every,
+            timeline,
+            backoff: BTreeMap::new(),
+            retry_seq: 0,
+            refresh_every: Micros::from_duration(fleet.summary_refresh),
             offered: 0,
             placed: 0,
             no_capacity: 0,
@@ -345,7 +212,6 @@ impl PlacementService {
             latency: LatencyHistogram::new(),
             epochs: Vec::new(),
             digest: 0,
-            finished_at: Micros::ZERO,
         }
     }
 
@@ -368,21 +234,17 @@ impl PlacementService {
         adaptive: Option<Arc<SwappablePredictor>>,
     ) -> Result<(), SpecError> {
         plan.validate(self.cells.len())?;
-        for (index, incident) in plan.incidents.iter().enumerate() {
+        for (index, incident) in (0u64..).zip(&plan.incidents) {
             if !incident.is_runtime() {
                 continue;
             }
-            self.incident_events.push(Reverse((
-                Micros::from_duration(incident.start_offset()),
-                INCIDENT_START,
-                index as u32,
-            )));
+            let start = Micros::from_duration(incident.start_offset());
+            self.timeline
+                .push(Reverse((start, ServeRank::IncidentStart, index)));
             if let Some(end) = incident.end_offset() {
-                self.incident_events.push(Reverse((
-                    Micros::from_duration(end),
-                    INCIDENT_END,
-                    index as u32,
-                )));
+                let end = Micros::from_duration(end);
+                self.timeline
+                    .push(Reverse((end, ServeRank::IncidentEnd, index)));
             }
         }
         self.incidents = plan.incidents.clone();
@@ -398,7 +260,8 @@ impl PlacementService {
     /// Offer one placement request. Returns `Ok(())` if it was admitted to
     /// the queue, or the backpressure signal if it was rejected.
     pub fn offer(&mut self, request: PlaceRequest) -> Result<(), Rejected> {
-        let now = self.clock.advance_to(request.submitted);
+        self.now = self.now.max(request.submitted);
+        let now = self.now;
         self.drain_until(now);
         self.offered += 1;
         if let Some(epoch) = self.epoch_mut(now) {
@@ -452,71 +315,44 @@ impl PlacementService {
         }
     }
 
-    /// Submit an external release (VM exit). Releases are merged into the
-    /// virtual timeline and applied at their submission time; they must
-    /// name a VM this service placed.
-    pub fn release(&mut self, release: ReleaseRequest) {
-        let now = self.clock.advance_to(release.submitted);
-        self.schedule_release(release.submitted.max(now), release.vm);
-        self.drain_until(now);
-    }
-
-    fn schedule_release(&mut self, due: Micros, vm: VmId) {
-        self.releases.push(Reverse((due, vm)));
-        self.release_backlog_high_water = self.release_backlog_high_water.max(self.releases.len());
-    }
-
-    /// Process every incident action, release, refresh and queued decision
-    /// due up to `now`, in virtual-timestamp order.
+    /// Run every timeline entry and queued decision due up to `now`, in
+    /// `(due, rank, u64)` order.
     fn drain_until(&mut self, now: Micros) {
         loop {
-            // Next decision start, if the server could begin one.
-            let decision_start = self
-                .queue
+            let decide = self.queue.peek().map(|head| {
+                let start = self.busy_until.max(head.request.submitted);
+                (start, ServeRank::Decide, 0)
+            });
+            let Some((at, rank, key)) = self
+                .timeline
                 .peek()
-                .map(|head| self.busy_until.max(head.request.submitted));
-            let release_due = self.releases.peek().map(|Reverse((due, _))| *due);
-            let retry_due = self.parked.peek().map(|Reverse(parked)| parked.due);
-            // The earliest actionable service event; releases break ties
-            // so capacity frees before the decision that could use it, and
-            // parked retries re-enter the queue before the decision at the
-            // same instant picks its next request.
-            let next = [decision_start, release_due, retry_due]
+                .map(|e| e.0)
                 .into_iter()
-                .flatten()
-                .min();
-            // Incident actions fire before any service event due at the
-            // same instant (and fire up to `now` even when the service is
-            // otherwise idle), so every decision sees the current fault
-            // state.
-            let bound = next.map_or(now, |n| n.min(now));
-            if let Some(&Reverse((due, phase, index))) = self.incident_events.peek() {
-                if due <= bound {
-                    self.incident_events.pop();
-                    self.apply_incident(due, phase, index);
-                    continue;
-                }
-            }
-            let Some(next) = next else { break };
-            if next > now {
+                .chain(decide)
+                .min()
+            else {
+                break;
+            };
+            // A refresh only matters to a later entry or decision; alone,
+            // it would keep an idle service (and `finish`) looping.
+            let idle = self.timeline.len() == 1 && self.queue.is_empty();
+            if at > now || (rank == ServeRank::Refresh && idle) {
                 break;
             }
-            if let Some(refresh_at) = self.next_refresh {
-                if refresh_at <= next {
-                    self.refresh_summaries(refresh_at);
-                    continue;
-                }
+            if rank != ServeRank::Decide {
+                self.timeline.pop();
             }
-            if release_due.is_some_and(|e| e <= next) {
-                let Reverse((due, vm)) = self.releases.pop().expect("peeked above");
-                self.apply_release(due, vm);
-            } else if retry_due.is_some_and(|d| d <= next) {
-                let Reverse(parked) = self.parked.pop().expect("peeked above");
-                self.unpark(parked);
-            } else {
-                let start = next;
-                let queued = self.queue.pop().expect("peeked above");
-                self.decide(queued, start);
+            match rank {
+                ServeRank::IncidentEnd | ServeRank::IncidentStart => {
+                    self.apply_incident(at, rank, key)
+                }
+                ServeRank::Refresh => self.refresh_summaries(at),
+                ServeRank::Release => self.apply_release(at, VmId(key)),
+                ServeRank::Retry => self.unpark(at, key),
+                ServeRank::Decide => {
+                    let queued = self.queue.pop().expect("the candidate is the queue head");
+                    self.decide(queued, at);
+                }
             }
         }
     }
@@ -524,7 +360,7 @@ impl PlacementService {
     /// Execute one incident action through the attached controller,
     /// against the incident's target cell (degradations act through the
     /// predictor seam; the scheduler argument is inert for them).
-    fn apply_incident(&mut self, at: Micros, phase: u8, index: u32) {
+    fn apply_incident(&mut self, at: Micros, rank: ServeRank, index: u64) {
         let Some(chaos) = self.chaos.as_mut() else {
             return;
         };
@@ -532,10 +368,10 @@ impl PlacementService {
             Some(Incident::CellOutage { cell, .. }) => *cell as usize,
             _ => 0,
         };
-        if phase == INCIDENT_START {
-            chaos.start(index, &mut self.cells[cell], at.to_sim_time());
+        if rank == ServeRank::IncidentStart {
+            chaos.start(index as u32, &mut self.cells[cell], at.to_sim_time());
         } else {
-            chaos.end(index, &mut self.cells[cell]);
+            chaos.end(index as u32, &mut self.cells[cell]);
         }
     }
 
@@ -557,7 +393,8 @@ impl PlacementService {
         Some(&mut self.epochs[idx])
     }
 
-    /// Refresh the router's frozen cell summaries at an epoch boundary.
+    /// Refresh the router's frozen cell summaries at an epoch boundary,
+    /// and schedule the next boundary.
     fn refresh_summaries(&mut self, at: Micros) {
         let sim_now = at.to_sim_time();
         let summaries = self
@@ -567,17 +404,19 @@ impl PlacementService {
             .map(|(i, cell)| cell.cell_summary(CellId(i as u32), sim_now, SUMMARY_SAMPLE_CAP))
             .collect();
         self.router.refresh(summaries);
-        self.next_refresh = Some(at + self.refresh_every);
+        let next = at + self.refresh_every;
+        self.timeline.push(Reverse((next, ServeRank::Refresh, 0)));
     }
 
     /// Re-inject a parked retry whose backoff has elapsed. If the queue
     /// filled while the retry waited, it resolves terminally instead —
     /// NoCapacity against the cell whose failure parked it — so parked
     /// work can never be lost or overflow the bound.
-    fn unpark(&mut self, parked: ParkedRetry) {
-        let ParkedRetry {
-            due, cell, queued, ..
-        } = parked;
+    fn unpark(&mut self, due: Micros, seq: u64) {
+        let (cell, queued) = self
+            .backoff
+            .remove(&seq)
+            .expect("a retry entry has a parked request");
         if let Err(queued) = self.queue.push(queued) {
             let Queued { request, enqueued } = queued;
             self.no_capacity += 1;
@@ -613,7 +452,7 @@ impl PlacementService {
     fn decide(&mut self, queued: Queued, start: Micros) {
         let Queued { request, enqueued } = queued;
         // A request whose deadline passed before its decision could start
-        // resolves to DeadlineExceeded without consuming the server — the
+        // resolves to `deadline_exceeded` without consuming the server — the
         // caller is gone, so burning a decision slot would only delay live
         // requests. The same rule governs the final drain in `finish`: a
         // still-queued request past its deadline is never silently placed
@@ -664,7 +503,6 @@ impl PlacementService {
         let decided = start + service_time;
         self.busy_until = decided;
         self.last_service = service_time;
-        self.finished_at = decided;
 
         let outcome = match placed {
             Ok(host) => {
@@ -674,10 +512,10 @@ impl PlacementService {
                 self.placed += 1;
                 // Schedule the VM's own exit so capacity frees itself —
                 // the internal half of the release stream.
-                self.schedule_release(
-                    decided + Micros::from_duration(request.lifetime.max(Duration::from_secs(1))),
-                    request.vm,
-                );
+                let exit =
+                    decided + Micros::from_duration(request.lifetime.max(Duration::from_secs(1)));
+                self.timeline
+                    .push(Reverse((exit, ServeRank::Release, request.vm.0)));
                 PlaceOutcome::Placed {
                     cell: CellId(cell as u32),
                     host,
@@ -710,16 +548,14 @@ impl PlacementService {
                             ^ mix64(decided.as_micros())
                             ^ mix64(4 ^ ((cell as u64) << 8)),
                     );
-                    self.parked_seq += 1;
-                    self.parked.push(Reverse(ParkedRetry {
-                        due: retry.submitted,
-                        seq: self.parked_seq,
-                        cell,
-                        queued: Queued {
-                            request: retry,
-                            enqueued,
-                        },
-                    }));
+                    self.retry_seq += 1;
+                    let entry = (retry.submitted, ServeRank::Retry, self.retry_seq);
+                    self.timeline.push(Reverse(entry));
+                    let queued = Queued {
+                        request: retry,
+                        enqueued,
+                    };
+                    self.backoff.insert(self.retry_seq, (cell, queued));
                     return;
                 }
                 self.no_capacity += 1;
@@ -728,14 +564,7 @@ impl PlacementService {
                 }
             }
         };
-        let response = PlaceResponse {
-            request: request.id,
-            vm: request.vm,
-            outcome,
-            enqueued,
-            decided,
-        };
-        let latency_us = response.latency().as_micros() as f64;
+        let latency_us = decided.saturating_since(enqueued).as_micros() as f64;
         self.latency.record(latency_us);
         if let Some(epoch) = self.epoch_mut(decided) {
             if matches!(outcome, PlaceOutcome::Placed { .. }) {
@@ -773,7 +602,7 @@ impl PlacementService {
     pub fn finish(mut self, horizon: Micros) -> ServeReport {
         // Everything still queued gets served — except requests whose
         // deadline has already passed by the time their decision could
-        // start, which `decide` resolves to DeadlineExceeded; releases
+        // start, which `decide` resolves to `deadline_exceeded`; releases
         // beyond the horizon just unwind bookkeeping.
         self.drain_until(Micros(u64::MAX));
         ServeReport {
@@ -789,10 +618,8 @@ impl PlacementService {
             released: self.released,
             latency: self.latency,
             queue_high_water: self.queue.high_water(),
-            release_backlog_high_water: self.release_backlog_high_water,
             decision_digest: self.digest,
             horizon,
-            finished_at: self.finished_at,
             epochs: self.epochs,
         }
     }
@@ -874,6 +701,44 @@ mod tests {
             per_vm_ns: 100,
         });
         (spec, serve)
+    }
+
+    #[test]
+    fn documented_tiebreak_order_at_equal_timestamps() {
+        let t = Micros(100);
+        // Pushed in reverse rank order, with keys that would invert the
+        // order if they, rather than the rank, broke the tie.
+        let mut timeline: BinaryHeap<Reverse<Entry>> = [
+            (ServeRank::Retry, 0),
+            (ServeRank::Release, 1),
+            (ServeRank::Refresh, 0),
+            (ServeRank::IncidentStart, 2),
+            (ServeRank::IncidentEnd, 3),
+        ]
+        .into_iter()
+        .map(|(rank, key)| Reverse((t, rank, key)))
+        .collect();
+        let decide = (t, ServeRank::Decide, 0);
+        let order: Vec<ServeRank> = std::iter::from_fn(|| timeline.pop())
+            .map(|Reverse(entry)| {
+                assert!(entry < decide, "{entry:?} must precede the decision");
+                entry.1
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [
+                ServeRank::IncidentEnd,
+                ServeRank::IncidentStart,
+                ServeRank::Refresh,
+                ServeRank::Release,
+                ServeRank::Retry,
+            ]
+        );
+        // Within one rank the key orders: releases by VM id.
+        timeline.push(Reverse((t, ServeRank::Release, 9)));
+        timeline.push(Reverse((t, ServeRank::Release, 4)));
+        assert_eq!(timeline.pop(), Some(Reverse((t, ServeRank::Release, 4))));
     }
 
     #[test]
@@ -1029,7 +894,7 @@ mod tests {
 
         // A 1s-per-decision server offered 5 requests at ~t=0 with 5ms
         // deadlines: the first decision starts on time, the rest are still
-        // queued when the run finishes and must resolve DeadlineExceeded —
+        // queued when the run finishes and must resolve `deadline_exceeded` —
         // not be silently placed long past their deadline.
         let config = ServeConfig::at_rate(10.0)
             .with_service(lava_sim::arrivals::ServiceModel {
