@@ -2,21 +2,22 @@
 //! observed vs counterfactual empty hosts, point-wise effect and cumulative
 //! effect.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig07_causal_impact -- [--seed N] [--days N]`
+//! Usage: `cargo run --release -p lava-bench --bin fig07_causal_impact -- [--seed N] [--days N] [--threads N]`
 
-use lava_bench::ExperimentArgs;
+use lava_bench::{suite_from_specs, ExperimentArgs};
 use lava_core::time::{Duration, SimTime};
 use lava_sched::Algorithm;
+use lava_sim::causal::{pre_post_arms, pre_post_impact};
 use lava_sim::experiment::Experiment;
 use lava_sim::workload::PoolConfig;
 
 fn main() {
     let args = ExperimentArgs::from_env();
     let switch_at = Duration::from_secs(args.duration.as_secs() / 2);
-    // The pre/post scenario runs the baseline until the warm-up boundary,
-    // switches to NILAS, replays a baseline control on the same trace and
-    // performs the causal analysis on the treated-minus-control series.
-    let report = Experiment::builder()
+    // The treated arm runs the baseline until the warm-up boundary, then
+    // NILAS; the control arm replays the baseline on the same trace; the
+    // causal analysis runs on the treated-minus-control series.
+    let treated = Experiment::builder()
         .name("fig07-causal-impact")
         .workload(PoolConfig {
             hosts: args.hosts.unwrap_or(120),
@@ -26,11 +27,12 @@ fn main() {
         })
         .algorithm(Algorithm::Nilas)
         .warmup(switch_at)
-        .pre_post()
-        .run()
+        .build()
         .expect("valid spec");
-    let causal = report.causal.as_ref().expect("pre/post produces causal");
-    let control = report.control.as_ref().expect("pre/post produces control");
+    let arms = suite_from_specs(pre_post_arms(treated), &args).run();
+    let (observed, control) = (&arms[0].result, &arms[1].result);
+    let boundary = SimTime::ZERO + switch_at;
+    let causal = pre_post_impact(observed, control, boundary);
 
     println!("# Figure 7: whole-pool rollout causal analysis (policy switches from baseline to NILAS at mid-trace)");
     println!(
@@ -43,8 +45,7 @@ fn main() {
 
     // The post-switch (treatment) portion of both series, aligned with the
     // causal report's point-wise and cumulative effects.
-    let boundary = SimTime::ZERO + switch_at;
-    let observed: Vec<f64> = report.result.series.since(boundary).empty_host_series();
+    let observed: Vec<f64> = observed.series.since(boundary).empty_host_series();
     let control_series: Vec<f64> = control.series.since(boundary).empty_host_series();
     println!(
         "\n{:<8} {:>10} {:>16} {:>12} {:>12}",

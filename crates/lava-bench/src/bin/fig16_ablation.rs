@@ -11,6 +11,7 @@
 //! Usage: `cargo run --release -p lava-bench --bin fig16_ablation -- [--seed N] [--days N] [--threads N]`
 
 use lava_bench::{suite_from_specs, ExperimentArgs};
+use lava_core::time::Duration;
 use lava_sched::Algorithm;
 use lava_sim::experiment::{Experiment, PolicySpec, PredictorSpec};
 use lava_sim::validation::trace_utilization;
@@ -47,7 +48,7 @@ fn main() {
         PredictorSpec::Oracle,
         PolicySpec::new(Algorithm::Nilas),
     )
-    .cold_start();
+    .warmup(Duration::ZERO);
     let learned = arm(
         "fig16-learned",
         PredictorSpec::Learned,

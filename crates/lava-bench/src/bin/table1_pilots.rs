@@ -1,7 +1,8 @@
 //! Table 1: NILAS empty-host improvements in pilot pools — A/B experiments
 //! plus whole-pool pre/post (CausalImpact-style) pilots for C2 and E2.
 //!
-//! All five pilots (the A/B ones as two arms each) run as one parallel
+//! All five pilots run as two arms each (A/B: baseline and NILAS;
+//! whole-pool: the rollout and its baseline control) in one parallel
 //! [`lava_sim::suite::ExperimentSuite`] fanned out across `--threads`
 //! workers; per-pilot results are bit-identical to a serial run.
 //!
@@ -11,6 +12,7 @@ use lava_bench::{suite_from_specs, ExperimentArgs};
 use lava_core::vm::VmFamily;
 use lava_sched::Algorithm;
 use lava_sim::ab::paired_comparison;
+use lava_sim::causal::{pre_post_arms, pre_post_impact};
 use lava_sim::experiment::Experiment;
 use lava_sim::workload::PoolConfig;
 
@@ -29,10 +31,9 @@ fn main() {
         ("C2 Wave 2 pool 1", 2, 140),
         ("C2 Wave 2 pool 2", 3, 80),
     ];
-    // Whole-pool pilots: one run whose policy switches from the baseline to
-    // NILAS halfway through; the pre/post scenario replays a baseline
-    // control on the same trace and runs the causal analysis on the
-    // treated-minus-control difference.
+    // Whole-pool pilots: one arm whose policy switches from the baseline to
+    // NILAS halfway through, and a baseline control arm on the same trace;
+    // the causal analysis runs on the treated-minus-control difference.
     let prepost_pools = [
         ("C2 Wave 3 pool", VmFamily::C2, 7u64),
         ("E2 Wave 1 pool", VmFamily::E2, 8),
@@ -55,8 +56,8 @@ fn main() {
                 .expect("valid spec")
         })
     });
-    let prepost_specs = prepost_pools.iter().map(|(name, family, seed)| {
-        Experiment::builder()
+    let prepost_specs = prepost_pools.iter().flat_map(|(name, family, seed)| {
+        let treated = Experiment::builder()
             .name(format!("table1-prepost-{name}"))
             .workload(PoolConfig {
                 hosts: 120,
@@ -67,9 +68,9 @@ fn main() {
             })
             .algorithm(Algorithm::Nilas)
             .warmup(switch_at)
-            .pre_post()
             .build()
-            .expect("valid spec")
+            .expect("valid spec");
+        pre_post_arms(treated)
     });
     let reports = suite_from_specs(ab_specs.chain(prepost_specs), &args).run();
 
@@ -87,11 +88,12 @@ fn main() {
             format!("p-value = {:.3}", ab.p_value)
         );
     }
-    for ((name, _, _), report) in prepost_pools.iter().zip(prepost_reports) {
-        let causal = report
-            .causal
-            .as_ref()
-            .expect("pre/post produces causal report");
+    for ((name, _, _), arms) in prepost_pools.iter().zip(prepost_reports.chunks(2)) {
+        let causal = pre_post_impact(
+            &arms[0].result,
+            &arms[1].result,
+            lava_core::time::SimTime::ZERO + switch_at,
+        );
         println!(
             "{:<22} {:<6} {:>13.2}  {:>22}",
             name,

@@ -5,7 +5,8 @@
 use lava_bench::ExperimentArgs;
 use lava_core::time::Duration;
 use lava_sched::Algorithm;
-use lava_sim::experiment::{Experiment, Scenario};
+use lava_sim::defrag::{DefragReport, EvacuationCollector};
+use lava_sim::experiment::Experiment;
 use lava_sim::workload::PoolConfig;
 
 fn main() {
@@ -17,7 +18,9 @@ fn main() {
     );
 
     for (i, seed) in [args.seed + 11, args.seed + 23].iter().enumerate() {
-        let report = Experiment::builder()
+        // The baseline places every VM from the start; drains are recorded
+        // at each trigger and both migration orderings replayed on them.
+        let experiment = Experiment::builder()
             .name(format!("table2-trace{}", i + 1))
             .workload(PoolConfig {
                 hosts: args.hosts.unwrap_or(80),
@@ -27,16 +30,14 @@ fn main() {
                 ..PoolConfig::default()
             })
             .algorithm(Algorithm::Baseline)
-            .scenario(Scenario::Defrag {
-                empty_host_threshold: 0.25,
-                hosts_per_trigger: 10,
-                trigger_interval: Duration::from_hours(6),
-                concurrent_slots: 3,
-                migration_duration: Duration::from_mins(20),
-            })
-            .run()
+            .warmup(Duration::ZERO)
+            .defrag_every(Duration::from_hours(6))
+            .build()
+            .and_then(Experiment::new)
             .expect("valid spec");
-        let defrag = report.defrag.expect("defrag scenario produces report");
+        let mut collector = EvacuationCollector::new(0.25, 10);
+        experiment.run_with_observers(&mut [&mut collector]);
+        let defrag = DefragReport::evaluate(collector.tasks(), 3, Duration::from_mins(20));
         println!(
             "{:<8} {:>12} {:>12} {:>12} {:>11.2}%",
             i + 1,

@@ -8,8 +8,19 @@
 //! residuals via a normal approximation. The output mirrors CausalImpact's
 //! three panels: observed vs counterfactual, point-wise effect and
 //! cumulative effect, plus an average effect with a confidence interval.
+//!
+//! A whole-pool rollout is two suite arms over one workload
+//! ([`pre_post_arms`]): the treated arm switches from the baseline to the
+//! evaluated policy at its warm-up boundary, the control arm runs the
+//! baseline throughout, and both sample from time zero. [`pre_post_impact`]
+//! analyses the treated-minus-control series, which removes the pool's
+//! background occupancy trend.
 
 use crate::ab::standard_normal_cdf;
+use crate::experiment::{ExperimentSpec, PolicySpec};
+use crate::metrics::SimulationResult;
+use lava_core::time::SimTime;
+use lava_sched::Algorithm;
 use serde::{Deserialize, Serialize};
 
 /// The result of a pre/post causal analysis.
@@ -151,6 +162,52 @@ pub fn causal_impact(pre: &[f64], post: &[f64], config: CausalConfig) -> CausalI
         ci_high,
         p_value,
     }
+}
+
+/// The two arms of a whole-pool rollout of `treated`: the treated spec and
+/// its control, which runs the production baseline throughout and records
+/// no predictions. Both sample from time zero.
+pub fn pre_post_arms(mut treated: ExperimentSpec) -> [ExperimentSpec; 2] {
+    treated.cadence.sample_during_warmup = true;
+    let control = ExperimentSpec {
+        policy: PolicySpec::new(Algorithm::Baseline),
+        record_predictions: false,
+        ..treated.clone()
+    };
+    [treated, control]
+}
+
+/// The causal effect of a policy switch at `switch_at`: the empty-host
+/// difference `treated − control`, sample by sample, split into the
+/// samples before the switch and those at or after it, analysed with a
+/// flat (no-trend) counterfactual.
+pub fn pre_post_impact(
+    treated: &SimulationResult,
+    control: &SimulationResult,
+    switch_at: SimTime,
+) -> CausalImpactReport {
+    let (mut pre, mut post) = (Vec::new(), Vec::new());
+    for (t, c) in treated
+        .series
+        .samples()
+        .iter()
+        .zip(control.series.samples())
+    {
+        let diff = t.empty_host_fraction - c.empty_host_fraction;
+        if t.time < switch_at {
+            pre.push(diff);
+        } else {
+            post.push(diff);
+        }
+    }
+    causal_impact(
+        &pre,
+        &post,
+        CausalConfig {
+            fit_trend: false,
+            ..CausalConfig::default()
+        },
+    )
 }
 
 /// Two-sided critical value of the standard normal for a given alpha

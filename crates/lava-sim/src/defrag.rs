@@ -9,7 +9,7 @@
 //! migrations are saved. LARS maximises the savings by migrating the VMs
 //! with the longest predicted remaining lifetime first.
 //!
-//! This module has two parts:
+//! This module has three parts:
 //!
 //! * [`EvacuationCollector`] — a [`SimObserver`] that records the hosts a
 //!   drain-based defragmenter would evacuate (with each VM's remaining
@@ -23,11 +23,15 @@
 //!   tick-quantised collector had;
 //! * [`simulate_migration_queue`] — evaluates a migration *ordering*
 //!   against the recorded evacuation tasks and counts how many migrations
-//!   actually had to be performed.
+//!   actually had to be performed;
+//! * [`DefragReport::evaluate`] — both orderings over one task set.
 //!
-//! Runs are driven through
-//! [`Scenario::Defrag`](crate::experiment::Scenario) via
-//! [`Experiment::run`](crate::experiment::Experiment::run).
+//! A study is one run: set
+//! [`Cadence::defrag_trigger`](crate::experiment::Cadence::defrag_trigger)
+//! (and a zero warm-up, so the evaluated policy places every VM), pass the
+//! collector to
+//! [`Experiment::run_with_observers`](crate::experiment::Experiment::run_with_observers)
+//! and evaluate its tasks.
 
 use crate::observer::{ObserverContext, SimObserver};
 use lava_core::host::HostId;
@@ -60,7 +64,7 @@ pub struct EvacuationTask {
 /// defragmenter would generate.
 ///
 /// At every defrag trigger point (scheduled on the unified timeline at
-/// the scenario's exact cadence) it checks the pool's empty-host
+/// the run's exact trigger cadence) it checks the pool's empty-host
 /// fraction; below the threshold it picks the non-empty hosts with the
 /// most excess (free) resources as drain candidates (§4.4) and records
 /// each candidate's VMs with their actual and predicted remaining
@@ -78,7 +82,7 @@ impl EvacuationCollector {
     /// trigger fires while the empty-host fraction is below
     /// `empty_host_threshold`. The trigger cadence itself belongs to the
     /// timeline (see
-    /// [`DriveTiming::defrag_trigger`](crate::experiment::DriveTiming)).
+    /// [`Cadence::defrag_trigger`](crate::experiment::Cadence::defrag_trigger)).
     pub fn new(empty_host_threshold: f64, hosts_per_trigger: usize) -> EvacuationCollector {
         EvacuationCollector {
             empty_host_threshold,
@@ -90,11 +94,6 @@ impl EvacuationCollector {
     /// The tasks recorded so far.
     pub fn tasks(&self) -> &[EvacuationTask] {
         &self.tasks
-    }
-
-    /// Consume the collector, yielding the recorded tasks.
-    pub fn into_tasks(self) -> Vec<EvacuationTask> {
-        self.tasks
     }
 }
 
@@ -178,6 +177,46 @@ impl MigrationOutcome {
         } else {
             1.0 - self.performed as f64 / baseline.performed as f64
         }
+    }
+}
+
+/// Both migration orderings evaluated over one set of evacuation tasks.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DefragReport {
+    /// Number of host-drain events recorded.
+    pub drain_events: usize,
+    /// Total VM evacuations scheduled across all drains.
+    pub evacuated_vms: usize,
+    /// Migration-queue outcome with the production (host) ordering.
+    pub baseline: MigrationOutcome,
+    /// Migration-queue outcome with LARS ordering.
+    pub lars: MigrationOutcome,
+}
+
+impl DefragReport {
+    /// Run [`simulate_migration_queue`] over `tasks` with both orderings.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `concurrent_slots` is zero.
+    pub fn evaluate(
+        tasks: &[EvacuationTask],
+        concurrent_slots: usize,
+        migration_duration: Duration,
+    ) -> DefragReport {
+        let queue =
+            |order| simulate_migration_queue(tasks, order, concurrent_slots, migration_duration);
+        DefragReport {
+            drain_events: tasks.len(),
+            evacuated_vms: tasks.iter().map(|t| t.vms.len()).sum(),
+            baseline: queue(MigrationOrder::Baseline),
+            lars: queue(MigrationOrder::Lars),
+        }
+    }
+
+    /// Fraction of baseline migrations LARS avoided.
+    pub fn reduction(&self) -> f64 {
+        self.lars.reduction_vs(&self.baseline)
     }
 }
 
@@ -306,27 +345,25 @@ mod tests {
     #[test]
     fn defrag_scenario_produces_tasks_on_a_busy_pool() {
         // A small, highly utilised pool dips below the empty-host threshold
-        // quickly, triggering drains. The Defrag scenario routes the
-        // triggers through the unified timeline at their exact cadence.
-        use crate::experiment::{Experiment, Scenario};
+        // quickly, triggering drains. The triggers fire on the unified
+        // timeline at their exact cadence.
+        use crate::experiment::Experiment;
         let config = PoolConfig {
             hosts: 16,
             target_utilization: 0.85,
             duration: Duration::from_days(2),
             ..PoolConfig::small(5)
         };
-        let report = Experiment::builder()
+        let experiment = Experiment::builder()
             .workload(config)
-            .scenario(Scenario::Defrag {
-                empty_host_threshold: 0.5,
-                hosts_per_trigger: 2,
-                trigger_interval: Duration::from_hours(3),
-                concurrent_slots: 3,
-                migration_duration: Duration::from_mins(20),
-            })
-            .run()
+            .warmup(Duration::ZERO)
+            .defrag_every(Duration::from_hours(3))
+            .build()
+            .and_then(Experiment::new)
             .expect("valid spec");
-        let defrag = report.defrag.expect("defrag scenario reports");
+        let mut collector = EvacuationCollector::new(0.5, 2);
+        experiment.run_with_observers(&mut [&mut collector]);
+        let defrag = DefragReport::evaluate(collector.tasks(), 3, Duration::from_mins(20));
         assert!(defrag.drain_events > 0, "expected at least one drain");
         assert!(defrag.evacuated_vms > 0);
         // Evaluating both orderings on the same tasks must keep the number

@@ -1,20 +1,26 @@
 //! The declarative experiment API.
 //!
 //! Every result in the paper is a variation of one loop: a **workload**
-//! replayed against a **policy** driven by a **predictor** under some
-//! **scenario**, with metrics sampled on a cadence. This module makes that
-//! loop declarative:
+//! replayed against a **policy** driven by a **predictor**, with metrics
+//! sampled on a [`Cadence`]. This module makes that loop declarative:
 //!
-//! * [`ExperimentSpec`] — a serde-serializable description of a run
-//!   (workload, predictor, policy, scenario, horizon/seed via the
-//!   workload, sample cadence). Specs round-trip
-//!   through JSON, so an experiment can be stored, diffed and replayed
-//!   bit-identically.
+//! * [`ExperimentSpec`] — a serde-serializable description of one run
+//!   (workload, predictor, policy, horizon/seed via the workload,
+//!   cadence). Specs round-trip through JSON, so an experiment can be
+//!   stored, diffed and replayed bit-identically.
 //! * [`ExperimentBuilder`] — a fluent builder over the spec.
-//! * [`Experiment::run`] — the single entry point that subsumes the former
-//!   ad-hoc drivers (`Simulator::run`, `run_with_policy` and the per-module
-//!   A/B / causal / defrag / stranding wiring). Metric collection is
-//!   composed from [`SimObserver`]s; the loop itself lives in [`drive`].
+//! * [`Experiment::run`] — the single entry point: one replay, through
+//!   [`drive`] for a single cluster or [`fleet::run_fleet`] for a fleet.
+//!   Metric collection is composed from [`SimObserver`]s.
+//!
+//! A study that needs more than one replay is built from those pieces: a
+//! cold start is `warmup = 0`; a pre/post rollout is a treated arm and a
+//! baseline control arm of one [`ExperimentSuite`](crate::suite::ExperimentSuite)
+//! fed to [`causal::pre_post_impact`](crate::causal::pre_post_impact);
+//! defragmentation and stranding are observers
+//! ([`EvacuationCollector`](crate::defrag::EvacuationCollector),
+//! [`StrandingProbe`](crate::observer::StrandingProbe)) passed to
+//! [`Experiment::run_with_observers`].
 //!
 //! # Example
 //!
@@ -32,24 +38,21 @@
 //! assert!(report.result.mean_empty_host_fraction() >= 0.0);
 //! ```
 
+pub use crate::drive::{drive, DriveTiming};
+
 use crate::arrivals::{ArrivalProcess, ServeConfig};
-use crate::causal::{causal_impact, CausalConfig, CausalImpactReport};
 use crate::chaos::{AdaptationSpec, ChaosController, ChaosSource, Incident, IncidentPlan};
-use crate::defrag::{simulate_migration_queue, EvacuationCollector, MigrationOrder};
+use crate::drive::DriveLoop;
 use crate::fleet::{self, FleetChaos, FleetConfig, FleetReport};
 use crate::metrics::SimulationResult;
-use crate::observer::{MetricRecorder, ObserverContext, SimObserver, StrandingProbe};
+use crate::observer::{MetricRecorder, SimObserver};
 use crate::recording::{PredictionRecord, RecordingPredictor};
-use crate::stranding::InflationMix;
-use crate::timeline::{Timeline, TimelineAction, TimelineItem};
 use crate::trace::Trace;
 use crate::workload::{PoolConfig, WorkloadGenerator};
-use lava_core::events::TraceEventKind;
 use lava_core::pool::Pool;
 use lava_core::serve::Micros;
 use lava_core::source::EventSource;
-use lava_core::time::{Duration, SimTime};
-use lava_core::vm::{Vm, VmId};
+use lava_core::time::Duration;
 use lava_model::adaptive::SwappablePredictor;
 use lava_model::dataset::DatasetBuilder;
 use lava_model::gbdt::GbdtConfig;
@@ -61,10 +64,9 @@ use lava_sched::la_binary::{LaBinaryConfig, LaBinaryPolicy};
 use lava_sched::lava::{LavaConfig, LavaPolicy};
 use lava_sched::nilas::{NilasConfig, NilasPolicy};
 use lava_sched::policy::{FallbackSpec, PlacementPolicy};
-use lava_sched::scheduler::{Scheduler, SchedulerEvent};
+use lava_sched::scheduler::Scheduler;
 use lava_sched::Algorithm;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -259,54 +261,50 @@ impl PolicySpec {
     }
 }
 
-/// Which experiment shape a run follows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Scenario {
-    /// Steady state: warm-up under the production baseline, then the
-    /// evaluated policy; metrics sampled post-warm-up (the Fig. 6 setting).
-    SteadyState,
-    /// Cold start (Appendix G.2): the evaluated policy controls every
-    /// placement from the first VM; no warm-up.
-    ColdStart,
-    /// Whole-pool pre/post rollout: the pool runs the baseline until the
-    /// warm-up boundary, then switches to the evaluated policy; a baseline
-    /// control run and a CausalImpact-style analysis on the
-    /// treated-minus-control series are produced (Fig. 7 / Table 1 "All").
-    PrePost,
-    /// Defragmentation / maintenance (§4.4, Table 2): replay with the
-    /// evaluated policy, record the evacuation tasks a drain-based
-    /// defragmenter would generate and evaluate baseline vs LARS migration
-    /// orderings on them.
-    Defrag {
-        /// Drain hosts when the empty-host fraction falls below this.
-        empty_host_threshold: f64,
-        /// Hosts drained per trigger.
-        hosts_per_trigger: usize,
-        /// Minimum interval between triggers.
-        trigger_interval: Duration,
-        /// Pool-wide concurrent live-migration slots.
-        concurrent_slots: usize,
-        /// Duration of one live migration.
-        migration_duration: Duration,
-    },
-    /// Steady state plus the stranding inflation pipeline every N samples
-    /// (§2.3).
-    Stranding {
-        /// Probe cadence in samples; must be non-zero (validated).
-        every_samples: usize,
-    },
-}
-
-/// The sampling cadence of a run.
+/// The timeline of a run: when the evaluated policy takes over, how often
+/// the policy ticks and metrics are sampled, and the optional
+/// defragmentation trigger cadence.
+///
+/// The run starts under the production baseline and switches to the
+/// evaluated policy at `warmup`, the steady-state setting of Fig. 6. A
+/// cold start (Appendix G.2) is `warmup = 0`: the evaluated policy places
+/// every VM. The pre/post arms of Fig. 7 / Table 1 set
+/// `sample_during_warmup` so their series cover the pre-switch period;
+/// the defragmentation study of Table 2 sets `defrag_trigger` and passes
+/// an [`EvacuationCollector`](crate::defrag::EvacuationCollector) to
+/// [`Experiment::run_with_observers`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Cadence {
-    /// Length of the warm-up phase (also the switch point of
-    /// [`Scenario::PrePost`]). Ignored by [`Scenario::ColdStart`].
+    /// Length of the warm-up phase under the baseline (the policy-switch
+    /// time); zero for a cold start.
     pub warmup: Duration,
     /// Interval between policy ticks (deadline checks).
     pub tick_interval: Duration,
     /// Interval between metric samples.
     pub sample_interval: Duration,
+    /// Sample during warm-up too, from time zero (pre/post analyses need
+    /// the pre-switch series); otherwise sampling starts at `warmup`.
+    #[serde(default)]
+    pub sample_during_warmup: bool,
+    /// When set, defragmentation triggers fire at this exact cadence
+    /// (first one interval in), dispatched to
+    /// [`SimObserver::on_defrag_trigger`]. Must be non-zero.
+    #[serde(default)]
+    pub defrag_trigger: Option<Duration>,
+}
+
+impl Cadence {
+    /// The drive-loop timing of this cadence.
+    fn timing(&self) -> DriveTiming {
+        DriveTiming {
+            warmup: self.warmup,
+            warmup_with_baseline: true,
+            tick_interval: self.tick_interval,
+            sample_interval: self.sample_interval,
+            sample_during_warmup: self.sample_during_warmup,
+            defrag_trigger: self.defrag_trigger,
+        }
+    }
 }
 
 impl Default for Cadence {
@@ -315,6 +313,8 @@ impl Default for Cadence {
             warmup: Duration::from_days(2),
             tick_interval: Duration::from_mins(5),
             sample_interval: Duration::from_hours(1),
+            sample_during_warmup: false,
+            defrag_trigger: None,
         }
     }
 }
@@ -334,16 +334,12 @@ pub struct ExperimentSpec {
     pub predictor: PredictorSpec,
     /// The evaluated policy.
     pub policy: PolicySpec,
-    /// The experiment shape.
-    pub scenario: Scenario,
-    /// Warm-up / tick / sample cadence.
+    /// Warm-up / tick / sample / defrag-trigger cadence.
     pub cadence: Cadence,
     /// The optional fleet tier: shard the workload into cells behind a
     /// [`RouterSpec`](crate::fleet::RouterSpec). `None` (the default —
     /// and what pre-fleet spec JSON parses to) runs the single-cluster
     /// engine; a 1-cell fleet produces bit-identical results to `None`.
-    /// Fleet runs support the [`Scenario::SteadyState`] and
-    /// [`Scenario::ColdStart`] shapes.
     #[serde(default)]
     pub fleet: Option<FleetConfig>,
     /// Deterministic fault injection: seeded incidents (cell outages,
@@ -376,7 +372,6 @@ impl Default for ExperimentSpec {
             workload: PoolConfig::default(),
             predictor: PredictorSpec::Oracle,
             policy: PolicySpec::new(Algorithm::Baseline),
-            scenario: Scenario::SteadyState,
             cadence: Cadence::default(),
             fleet: None,
             incidents: IncidentPlan::default(),
@@ -403,14 +398,12 @@ pub enum SpecError {
     ZeroSampleInterval,
     /// The noisy-oracle accuracy is above 100 %.
     AccuracyOutOfRange,
-    /// The defrag scenario has no migration slots.
-    ZeroMigrationSlots,
-    /// The defrag scenario drains zero hosts per trigger (it would run the
-    /// whole simulation and record no evacuations).
-    ZeroDrainHosts,
-    /// The stranding scenario has a zero probe cadence (it would run the
-    /// whole simulation and measure nothing).
-    ZeroStrandingCadence,
+    /// The defragmentation trigger interval is zero (the trigger would
+    /// reschedule itself at the same instant forever).
+    ZeroDefragInterval,
+    /// The recalibration cadence is zero (the recalibrator would
+    /// reschedule itself at the same instant forever).
+    ZeroRecalibrationCadence,
     /// The fleet tier has zero cells.
     FleetZeroCells,
     /// The fleet tier has a zero summary-refresh cadence (the bounded
@@ -422,9 +415,6 @@ pub enum SpecError {
     /// The fleet layout leaves a cell with zero hosts (too many cells for
     /// the workload's host count, or a zero-host override).
     FleetEmptyCell,
-    /// The fleet tier only supports the steady-state and cold-start
-    /// scenarios.
-    FleetUnsupportedScenario,
     /// Prediction recording is not supported on fleet runs (cells record
     /// in parallel; a shared recorder would not be deterministic).
     FleetRecordingUnsupported,
@@ -496,17 +486,11 @@ impl fmt::Display for SpecError {
             SpecError::AccuracyOutOfRange => {
                 write!(f, "noisy-oracle accuracy must be at most 100 %")
             }
-            SpecError::ZeroMigrationSlots => {
-                write!(f, "defrag scenario needs at least one migration slot")
+            SpecError::ZeroDefragInterval => {
+                write!(f, "defrag trigger interval must be non-zero")
             }
-            SpecError::ZeroDrainHosts => {
-                write!(
-                    f,
-                    "defrag scenario must drain at least one host per trigger"
-                )
-            }
-            SpecError::ZeroStrandingCadence => {
-                write!(f, "stranding scenario needs a non-zero probe cadence")
+            SpecError::ZeroRecalibrationCadence => {
+                write!(f, "recalibration cadence must be non-zero")
             }
             SpecError::FleetZeroCells => write!(f, "fleet must have at least one cell"),
             SpecError::FleetZeroSummaryRefresh => {
@@ -517,12 +501,6 @@ impl fmt::Display for SpecError {
             }
             SpecError::FleetEmptyCell => {
                 write!(f, "fleet layout leaves a cell with zero hosts")
-            }
-            SpecError::FleetUnsupportedScenario => {
-                write!(
-                    f,
-                    "fleet runs support only the steady-state and cold-start scenarios"
-                )
             }
             SpecError::FleetRecordingUnsupported => {
                 write!(f, "prediction recording is not supported on fleet runs")
@@ -611,17 +589,15 @@ impl ExperimentSpec {
                 return Err(SpecError::AccuracyOutOfRange);
             }
         }
-        match &self.scenario {
-            Scenario::Defrag {
-                concurrent_slots, ..
-            } if *concurrent_slots == 0 => return Err(SpecError::ZeroMigrationSlots),
-            Scenario::Defrag {
-                hosts_per_trigger, ..
-            } if *hosts_per_trigger == 0 => return Err(SpecError::ZeroDrainHosts),
-            Scenario::Stranding { every_samples } if *every_samples == 0 => {
-                return Err(SpecError::ZeroStrandingCadence)
-            }
-            _ => {}
+        if self.cadence.defrag_trigger.is_some_and(|d| d.is_zero()) {
+            return Err(SpecError::ZeroDefragInterval);
+        }
+        if self
+            .adaptation
+            .recalibration
+            .is_some_and(|r| r.cadence.is_zero())
+        {
+            return Err(SpecError::ZeroRecalibrationCadence);
         }
         if let Some(fleet) = &self.fleet {
             if fleet.cells == 0 {
@@ -643,9 +619,6 @@ impl ExperimentSpec {
                 .any(|(_, hosts, _)| *hosts == 0)
             {
                 return Err(SpecError::FleetEmptyCell);
-            }
-            if !matches!(self.scenario, Scenario::SteadyState | Scenario::ColdStart) {
-                return Err(SpecError::FleetUnsupportedScenario);
             }
             if self.record_predictions {
                 return Err(SpecError::FleetRecordingUnsupported);
@@ -739,7 +712,7 @@ pub struct ExperimentBuilder {
 
 impl ExperimentBuilder {
     /// Start from the default spec (default workload, oracle predictor,
-    /// baseline policy, steady-state scenario).
+    /// baseline policy, default cadence).
     pub fn new() -> ExperimentBuilder {
         ExperimentBuilder::default()
     }
@@ -798,29 +771,7 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Set the scenario directly.
-    pub fn scenario(mut self, scenario: Scenario) -> Self {
-        self.spec.scenario = scenario;
-        self
-    }
-
-    /// Use the cold-start scenario (no warm-up).
-    pub fn cold_start(self) -> Self {
-        self.scenario(Scenario::ColdStart)
-    }
-
-    /// Use the whole-pool pre/post rollout scenario, switching policies at
-    /// the warm-up boundary.
-    pub fn pre_post(self) -> Self {
-        self.scenario(Scenario::PrePost)
-    }
-
-    /// Enable stranding probes every `every_samples` samples.
-    pub fn stranding_every(self, every_samples: usize) -> Self {
-        self.scenario(Scenario::Stranding { every_samples })
-    }
-
-    /// Set the warm-up duration.
+    /// Set the warm-up duration (zero for a cold start).
     pub fn warmup(mut self, warmup: Duration) -> Self {
         self.spec.cadence.warmup = warmup;
         self
@@ -835,6 +786,12 @@ impl ExperimentBuilder {
     /// Set the metric sample interval.
     pub fn sample_interval(mut self, interval: Duration) -> Self {
         self.spec.cadence.sample_interval = interval;
+        self
+    }
+
+    /// Fire defragmentation triggers every `interval`.
+    pub fn defrag_every(mut self, interval: Duration) -> Self {
+        self.spec.cadence.defrag_trigger = Some(interval);
         self
     }
 
@@ -880,39 +837,13 @@ impl ExperimentBuilder {
     }
 }
 
-/// Defragmentation scenario outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DefragReport {
-    /// Number of host-drain events recorded.
-    pub drain_events: usize,
-    /// Total VM evacuations scheduled across all drains.
-    pub evacuated_vms: usize,
-    /// Migration-queue outcome with the production (host) ordering.
-    pub baseline: crate::defrag::MigrationOutcome,
-    /// Migration-queue outcome with LARS ordering.
-    pub lars: crate::defrag::MigrationOutcome,
-}
-
-impl DefragReport {
-    /// Fraction of baseline migrations LARS avoided.
-    pub fn reduction(&self) -> f64 {
-        self.lars.reduction_vs(&self.baseline)
-    }
-}
-
 /// Everything an experiment produced, assembled from observers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentReport {
     /// The spec's name.
     pub name: String,
-    /// The primary run's result.
+    /// The run's result.
     pub result: SimulationResult,
-    /// The baseline control run's result (`PrePost` only).
-    pub control: Option<SimulationResult>,
-    /// Causal analysis of the pre/post rollout (`PrePost` only).
-    pub causal: Option<CausalImpactReport>,
-    /// Defragmentation outcome (`Defrag` only).
-    pub defrag: Option<DefragReport>,
     /// Fleet-tier outcome (specs with a [`FleetConfig`] only): per-cell
     /// results plus the router that made the assignments. The fleet-wide
     /// aggregate is also surfaced as [`ExperimentReport::result`].
@@ -920,16 +851,6 @@ pub struct ExperimentReport {
     pub fleet: Option<FleetReport>,
     /// Recorded predictions, when `record_predictions` was set.
     pub predictions: Vec<PredictionRecord>,
-}
-
-impl ExperimentReport {
-    /// Empty-host improvement of the primary result over the control, in
-    /// percentage points (positive = primary leaves more empty hosts).
-    pub fn improvement_pp(&self) -> Option<f64> {
-        self.control.as_ref().map(|control| {
-            (self.result.mean_empty_host_fraction() - control.mean_empty_host_fraction()) * 100.0
-        })
-    }
 }
 
 /// A validated, runnable experiment.
@@ -1025,7 +946,7 @@ impl Experiment {
 
     /// Run the experiment with the built-in observers only.
     pub fn run(&self) -> ExperimentReport {
-        self.run_scenarios(&mut [], None)
+        self.run_once(&mut [], None)
     }
 
     /// Run the experiment with any fleet tier executing on `pool` instead
@@ -1034,12 +955,16 @@ impl Experiment {
     /// tests can prove back-to-back runs on a shared pool leak no state
     /// into each other.
     pub fn run_on(&self, pool: &crate::workers::WorkerPool) -> ExperimentReport {
-        self.run_scenarios(&mut [], Some(pool))
+        self.run_once(&mut [], Some(pool))
     }
 
-    /// Run the experiment with additional observers attached. Extra
-    /// observers are attached to **every** run the scenario performs (the
-    /// pre/post control included), in run order.
+    /// Run the experiment with additional observers attached after the
+    /// built-in metric recorder, in slice order. This is how a run is
+    /// measured beyond its metric series: a
+    /// [`StrandingProbe`](crate::observer::StrandingProbe) for the §2.3
+    /// stranding numbers, an
+    /// [`EvacuationCollector`](crate::defrag::EvacuationCollector) (with
+    /// [`Cadence::defrag_trigger`] set) for the Table 2 migration study.
     ///
     /// # Panics
     ///
@@ -1048,205 +973,41 @@ impl Experiment {
     /// deterministic event order. Fleet runs report through the per-cell
     /// results on [`ExperimentReport::fleet`] instead.
     pub fn run_with_observers(&self, extra: &mut [&mut dyn SimObserver]) -> ExperimentReport {
-        self.run_scenarios(extra, None)
+        self.run_once(extra, None)
     }
 
-    fn run_scenarios(
+    fn run_once(
         &self,
         extra: &mut [&mut dyn SimObserver],
         pool: Option<&crate::workers::WorkerPool>,
     ) -> ExperimentReport {
-        let spec = &self.spec;
         let predictor = self.predictor();
-        let steady = DriveTiming {
-            warmup: spec.cadence.warmup,
-            warmup_with_baseline: true,
-            tick_interval: spec.cadence.tick_interval,
-            sample_interval: spec.cadence.sample_interval,
-            sample_during_warmup: false,
-            defrag_trigger: None,
+        let timing = self.spec.cadence.timing();
+        // Fleet cells compose their own metric recorders. Extra observers
+        // cannot observe N cells running in parallel deterministically, so
+        // attaching any is a caller error (loud, not a silent no-op — same
+        // policy as the FleetRecordingUnsupported validation rule).
+        let (result, fleet, predictions) = match &self.spec.fleet {
+            Some(fleet) => {
+                assert!(
+                    extra.is_empty(),
+                    "extra observers are not supported on fleet runs (cells run in parallel); \
+                     use the per-cell results on ExperimentReport::fleet instead"
+                );
+                let report = self.run_fleet(fleet, &predictor, &timing, pool);
+                (report.fleet.clone(), Some(report), Vec::new())
+            }
+            None => {
+                let (result, predictions) = self.run_one(&predictor, &timing, extra);
+                (result, None, predictions)
+            }
         };
-        let mut report = ExperimentReport {
-            name: spec.name.clone(),
-            result: SimulationResult::empty(),
-            control: None,
-            causal: None,
-            defrag: None,
-            fleet: None,
-            predictions: Vec::new(),
-        };
-
-        // Fleet runs take the sharded path: cells compose their own
-        // metric recorders. Extra observers cannot observe N cells
-        // running in parallel deterministically, so attaching any is a
-        // caller error (loud, not a silent no-op — same policy as the
-        // FleetRecordingUnsupported validation rule).
-        if let Some(fleet) = &spec.fleet {
-            assert!(
-                extra.is_empty(),
-                "extra observers are not supported on fleet runs (cells run in parallel); \
-                 use the per-cell results on ExperimentReport::fleet instead"
-            );
-            let timing = match spec.scenario {
-                Scenario::ColdStart => DriveTiming {
-                    warmup: Duration::ZERO,
-                    warmup_with_baseline: false,
-                    ..steady
-                },
-                // Validation restricts fleet specs to SteadyState and
-                // ColdStart.
-                _ => steady,
-            };
-            let fleet_report = self.run_fleet(fleet, &predictor, &timing, pool);
-            report.result = fleet_report.fleet.clone();
-            report.fleet = Some(fleet_report);
-            return report;
+        ExperimentReport {
+            name: self.spec.name.clone(),
+            result,
+            fleet,
+            predictions,
         }
-
-        match &spec.scenario {
-            Scenario::SteadyState => {
-                let (result, predictions) = self.run_one(
-                    &spec.policy,
-                    &predictor,
-                    &steady,
-                    None,
-                    spec.record_predictions,
-                    extra,
-                );
-                report.result = result;
-                report.predictions = predictions;
-            }
-            Scenario::ColdStart => {
-                let timing = DriveTiming {
-                    warmup: Duration::ZERO,
-                    warmup_with_baseline: false,
-                    ..steady
-                };
-                let (result, predictions) = self.run_one(
-                    &spec.policy,
-                    &predictor,
-                    &timing,
-                    None,
-                    spec.record_predictions,
-                    extra,
-                );
-                report.result = result;
-                report.predictions = predictions;
-            }
-            Scenario::Stranding { every_samples } => {
-                let (result, predictions) = self.run_one(
-                    &spec.policy,
-                    &predictor,
-                    &steady,
-                    Some(*every_samples),
-                    spec.record_predictions,
-                    extra,
-                );
-                report.result = result;
-                report.predictions = predictions;
-            }
-            Scenario::PrePost => {
-                let timing = DriveTiming {
-                    sample_during_warmup: true,
-                    ..steady
-                };
-                let (treated, predictions) = self.run_one(
-                    &spec.policy,
-                    &predictor,
-                    &timing,
-                    None,
-                    spec.record_predictions,
-                    extra,
-                );
-                let control_policy = PolicySpec::new(Algorithm::Baseline);
-                let (control, _) =
-                    self.run_one(&control_policy, &predictor, &timing, None, false, extra);
-                // Causal analysis on the treated-minus-control difference,
-                // which removes the pool's background occupancy trend; the
-                // pre/post split is the policy-switch (warm-up) boundary.
-                let switch_at = SimTime::ZERO + spec.cadence.warmup;
-                let treated_samples = treated.series.samples();
-                let control_samples = control.series.samples();
-                let n = treated_samples.len().min(control_samples.len());
-                let (mut pre, mut post) = (Vec::new(), Vec::new());
-                for i in 0..n {
-                    let diff = treated_samples[i].empty_host_fraction
-                        - control_samples[i].empty_host_fraction;
-                    if treated_samples[i].time < switch_at {
-                        pre.push(diff);
-                    } else {
-                        post.push(diff);
-                    }
-                }
-                report.causal = Some(causal_impact(
-                    &pre,
-                    &post,
-                    CausalConfig {
-                        fit_trend: false,
-                        ..CausalConfig::default()
-                    },
-                ));
-                report.result = treated;
-                report.control = Some(control);
-                report.predictions = predictions;
-            }
-            Scenario::Defrag {
-                empty_host_threshold,
-                hosts_per_trigger,
-                trigger_interval,
-                concurrent_slots,
-                migration_duration,
-            } => {
-                // Like the legacy collector, the evaluated policy controls
-                // the pool from the first placement (no baseline warm-up).
-                let timing = DriveTiming {
-                    warmup: Duration::ZERO,
-                    warmup_with_baseline: false,
-                    defrag_trigger: Some(*trigger_interval),
-                    ..steady
-                };
-                let mut collector =
-                    EvacuationCollector::new(*empty_host_threshold, *hosts_per_trigger);
-                let (result, predictions) = {
-                    let mut combined: Vec<&mut dyn SimObserver> =
-                        Vec::with_capacity(1 + extra.len());
-                    combined.push(&mut collector);
-                    for o in extra.iter_mut() {
-                        combined.push(&mut **o);
-                    }
-                    self.run_one(
-                        &spec.policy,
-                        &predictor,
-                        &timing,
-                        None,
-                        spec.record_predictions,
-                        &mut combined,
-                    )
-                };
-                let tasks = collector.into_tasks();
-                let baseline = simulate_migration_queue(
-                    &tasks,
-                    MigrationOrder::Baseline,
-                    *concurrent_slots,
-                    *migration_duration,
-                );
-                let lars = simulate_migration_queue(
-                    &tasks,
-                    MigrationOrder::Lars,
-                    *concurrent_slots,
-                    *migration_duration,
-                );
-                report.defrag = Some(DefragReport {
-                    drain_events: tasks.len(),
-                    evacuated_vms: tasks.iter().map(|t| t.vms.len()).sum(),
-                    baseline,
-                    lars,
-                });
-                report.result = result;
-                report.predictions = predictions;
-            }
-        }
-        report
     }
 
     /// One full replay of the workload through the fleet tier: the
@@ -1317,23 +1078,19 @@ impl Experiment {
         }
     }
 
-    /// One full replay of the workload under one policy: the primitive
-    /// every scenario composes, fed by [`Experiment::event_source`].
-    #[allow(clippy::too_many_arguments)]
+    /// One full replay of the workload on a single cluster, fed by
+    /// [`Experiment::event_source`].
     fn run_one(
         &self,
-        policy: &PolicySpec,
         predictor: &Arc<dyn LifetimePredictor>,
         timing: &DriveTiming,
-        stranding_every: Option<usize>,
-        record_predictions: bool,
         extra: &mut [&mut dyn SimObserver],
     ) -> (SimulationResult, Vec<PredictionRecord>) {
         let predictor_name = predictor.name().to_string();
         let (base_predictor, recorder): (
             Arc<dyn LifetimePredictor>,
             Option<Arc<RecordingPredictor>>,
-        ) = if record_predictions {
+        ) = if self.spec.record_predictions {
             let rec = RecordingPredictor::new(predictor.clone());
             (rec.clone(), Some(rec))
         } else {
@@ -1357,7 +1114,7 @@ impl Experiment {
             self.spec.workload.host_spec(),
         );
         let cluster = Cluster::new(pool);
-        let (initial, deferred) = phase_policies(policy, run_predictor.clone(), timing);
+        let (initial, deferred) = phase_policies(&self.spec.policy, run_predictor.clone(), timing);
         let mut scheduler = Scheduler::new(cluster, initial, run_predictor);
 
         let mut metrics = if chaos_active {
@@ -1368,14 +1125,9 @@ impl Experiment {
         } else {
             MetricRecorder::new()
         };
-        let mut stranding =
-            stranding_every.map(|every| StrandingProbe::new(every, InflationMix::default()));
         let rejected = {
-            let mut observers: Vec<&mut dyn SimObserver> = Vec::with_capacity(2 + extra.len());
+            let mut observers: Vec<&mut dyn SimObserver> = Vec::with_capacity(1 + extra.len());
             observers.push(&mut metrics);
-            if let Some(probe) = stranding.as_mut() {
-                observers.push(probe);
-            }
             for o in extra.iter_mut() {
                 observers.push(&mut **o);
             }
@@ -1394,11 +1146,10 @@ impl Experiment {
         };
 
         let result = SimulationResult {
-            algorithm: policy.display_name(),
+            algorithm: self.spec.policy.display_name(),
             predictor: predictor_name,
             series: metrics.into_series(),
             scheduler_stats: scheduler.stats(),
-            stranding: stranding.as_ref().and_then(|p| p.average()),
             rejected_vms: rejected,
         };
         let predictions = recorder.map(|r| r.records()).unwrap_or_default();
@@ -1423,357 +1174,10 @@ fn phase_policies(
     }
 }
 
-/// Timing parameters of one [`drive`] pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DriveTiming {
-    /// Length of the warm-up phase.
-    pub warmup: Duration,
-    /// Whether warm-up placements use the lifetime-agnostic baseline (the
-    /// caller swaps in the evaluated policy via `deferred_policy`).
-    pub warmup_with_baseline: bool,
-    /// Interval between policy ticks.
-    pub tick_interval: Duration,
-    /// Interval between metric samples.
-    pub sample_interval: Duration,
-    /// Record samples during warm-up too (pre/post analyses need the
-    /// pre-intervention series).
-    pub sample_during_warmup: bool,
-    /// When set, schedule defragmentation trigger checks on the timeline
-    /// at this exact cadence (first trigger one interval in), dispatched
-    /// to [`SimObserver::on_defrag_trigger`].
-    pub defrag_trigger: Option<Duration>,
-}
-
-fn dispatch<F>(
-    scheduler: &Scheduler,
-    now: SimTime,
-    observers: &mut [&mut dyn SimObserver],
-    mut hook: F,
-) where
-    F: FnMut(&mut dyn SimObserver, &ObserverContext<'_>),
-{
-    let ctx = ObserverContext {
-        cluster: scheduler.cluster(),
-        predictor: scheduler.predictor().as_ref(),
-        policy: scheduler.policy_name(),
-        now,
-    };
-    for observer in observers.iter_mut() {
-        hook(&mut **observer, &ctx);
-    }
-}
-
-/// Fan the scheduler's event stream out to the observers; the scratch
-/// buffer is swapped (not taken) so the steady-state loop performs no
-/// per-event allocation.
-fn drain_scheduler_events(
-    scheduler: &mut Scheduler,
-    scratch: &mut Vec<SchedulerEvent>,
-    observers: &mut [&mut dyn SimObserver],
-) {
-    scheduler.swap_events(scratch);
-    for sched_event in scratch.drain(..) {
-        match sched_event {
-            SchedulerEvent::Placed { vm, host, at } => {
-                dispatch(scheduler, at, observers, |o, ctx| {
-                    o.on_placed(ctx, vm, host)
-                });
-            }
-            SchedulerEvent::Rejected { vm, at } => {
-                dispatch(scheduler, at, observers, |o, ctx| o.on_rejected(ctx, vm));
-            }
-            SchedulerEvent::Exited { vm, host, at } => {
-                dispatch(scheduler, at, observers, |o, ctx| {
-                    o.on_exited(ctx, vm, host)
-                });
-            }
-            SchedulerEvent::Migrated { vm, from, to, at } => {
-                dispatch(scheduler, at, observers, |o, ctx| {
-                    o.on_migrated(ctx, vm, from, to)
-                });
-            }
-        }
-    }
-}
-
-/// The unified, streaming event loop: pull events from `source`, merge
-/// them with the tick/sample cadences, defragmentation triggers and the
-/// warm-up policy switch on one [`Timeline`], and fan everything out to
-/// `observers`.
-///
-/// The loop keeps exactly one source event buffered on the timeline (the
-/// source cursor), so total memory is the source's pending buffer plus a
-/// handful of cadence entries — O(pending VMs) with a streaming source.
-/// Cadence entries fire only up to the time of the source's last event;
-/// metric samples additionally stop at the source's last arrival. The
-/// tiebreak at equal timestamps is the timeline's documented order
-/// (policy switch, defrag triggers, exits, creates, ticks, samples — see
-/// [`crate::timeline`]).
-///
-/// Returns the number of creation events that could not be placed. All
-/// higher-level entry points ([`Experiment::run`] and the scenarios it
-/// composes) drive the simulation through this single function — a thin
-/// wrapper over `DriveLoop`, which the fleet tier
-/// ([`crate::fleet`]) also uses to step per-cell engines in bounded
-/// epochs.
-pub fn drive(
-    source: &mut dyn EventSource,
-    scheduler: &mut Scheduler,
-    deferred_policy: Option<Box<dyn PlacementPolicy>>,
-    timing: &DriveTiming,
-    observers: &mut [&mut dyn SimObserver],
-) -> u64 {
-    let mut driver = DriveLoop::new(scheduler, deferred_policy, timing);
-    driver.step(source, scheduler, observers, None, false);
-    driver.finish(scheduler, observers)
-}
-
-/// The resumable state of one [`drive`] pass.
-///
-/// [`drive`] runs a loop to completion over one source; the fleet tier
-/// needs the *same* loop but stepped in bounded time slices, so the loop
-/// state (timeline, rejected set, source cursor, deferred policy) lives in
-/// this struct and [`DriveLoop::step`] processes items due before a limit.
-/// A full run is `new` → `step(.., None, false)` → `finish`, which is
-/// exactly what [`drive`] does; a fleet cell interleaves
-/// `step(.., Some(epoch_end), true)` calls with router epochs and ends
-/// with the same final step + `finish`.
-pub(crate) struct DriveLoop {
-    timing: DriveTiming,
-    timeline: Timeline,
-    deferred_policy: Option<Box<dyn PlacementPolicy>>,
-    rejected: BTreeSet<VmId>,
-    rejected_count: u64,
-    event_scratch: Vec<SchedulerEvent>,
-    cursor_buffered: bool,
-    source_exhausted: bool,
-    last_event_time: Option<SimTime>,
-    /// Run the cadence at least until this time, even past the source's
-    /// final event. A fleet cell sets this to the *fleet-wide* last
-    /// arrival so every cell samples the identical grid regardless of
-    /// when its own routed events end; `None` (the plain [`drive`] path)
-    /// keeps the classic stop-at-last-event behaviour.
-    cadence_horizon: Option<SimTime>,
-    /// The cell's incident controller, when the spec schedules chaos.
-    chaos: Option<ChaosController>,
-}
-
-impl DriveLoop {
-    /// Set up the loop: enable the scheduler's event log and schedule the
-    /// initial cadence entries (tick, sample, defrag trigger, policy
-    /// switch).
-    pub(crate) fn new(
-        scheduler: &mut Scheduler,
-        deferred_policy: Option<Box<dyn PlacementPolicy>>,
-        timing: &DriveTiming,
-    ) -> DriveLoop {
-        scheduler.enable_event_log();
-        let warmup_end = SimTime::ZERO + timing.warmup;
-        let sample_start = if timing.sample_during_warmup {
-            SimTime::ZERO
-        } else {
-            warmup_end
-        };
-
-        let mut timeline = Timeline::new();
-        timeline.schedule(TimelineAction::Tick, SimTime::ZERO);
-        timeline.schedule(TimelineAction::Sample, sample_start);
-        if let Some(interval) = timing.defrag_trigger {
-            timeline.schedule(TimelineAction::DefragTrigger, SimTime::ZERO + interval);
-        }
-        if deferred_policy.is_some() {
-            timeline.schedule(TimelineAction::PolicySwitch, warmup_end);
-        }
-        DriveLoop {
-            timing: *timing,
-            timeline,
-            deferred_policy,
-            rejected: BTreeSet::new(),
-            rejected_count: 0,
-            event_scratch: Vec::new(),
-            cursor_buffered: false,
-            source_exhausted: false,
-            last_event_time: None,
-            cadence_horizon: None,
-            chaos: None,
-        }
-    }
-
-    /// Attach an incident controller: its start/end actions (and the
-    /// recalibration cadence, when enabled) are scheduled on this loop's
-    /// timeline and executed by [`DriveLoop::step`].
-    pub(crate) fn attach_chaos(&mut self, controller: ChaosController) {
-        controller.schedule(&mut self.timeline);
-        self.chaos = Some(controller);
-    }
-
-    /// Extend the cadence window to at least `horizon` (see
-    /// [`DriveLoop::cadence_horizon`]). A no-op when the source's own
-    /// final event is later — for a single-cell fleet the cell's last
-    /// event *is* the fleet's, so this never changes the 1-cell runs.
-    pub(crate) fn set_cadence_horizon(&mut self, horizon: Option<SimTime>) {
-        self.cadence_horizon = horizon;
-    }
-
-    /// Process every timeline item due strictly before `limit` (all items
-    /// when `None`).
-    ///
-    /// `stream_open` declares whether more events may still be *fed into*
-    /// `source` later (the fleet router appends to a cell's queue between
-    /// epochs): when `true`, a `None` from the source means "nothing more
-    /// yet" rather than end-of-stream, so the loop keeps processing cadence
-    /// entries up to the limit and resumes cleanly on the next call. When
-    /// `false`, a `None` latches exhaustion and the loop stops once every
-    /// item at or before the final event has been processed — the classic
-    /// [`drive`] behaviour.
-    pub(crate) fn step(
-        &mut self,
-        source: &mut dyn EventSource,
-        scheduler: &mut Scheduler,
-        observers: &mut [&mut dyn SimObserver],
-        limit: Option<SimTime>,
-        stream_open: bool,
-    ) {
-        loop {
-            // Keep the source cursor (its next event) on the timeline.
-            if !self.cursor_buffered && !self.source_exhausted {
-                match source.next_event() {
-                    Some(event) => {
-                        self.last_event_time = Some(event.time);
-                        self.timeline.schedule_event(event);
-                        self.cursor_buffered = true;
-                    }
-                    None if !stream_open => self.source_exhausted = true,
-                    None => {}
-                }
-            }
-            let Some(next_time) = self.timeline.next_time() else {
-                break;
-            };
-            // Items at or past the limit belong to a later epoch.
-            if limit.is_some_and(|l| next_time >= l) {
-                break;
-            }
-            // Cadence entries do not outlive the event stream: once the
-            // source is exhausted, anything scheduled past its final event
-            // (or past the fleet-wide cadence horizon, whichever is later)
-            // is moot. `Option`'s ordering makes `None` earlier than any
-            // time, so the plain path reduces to the classic
-            // stop-at-last-event rule.
-            let cadence_end = self.last_event_time.max(self.cadence_horizon);
-            if !stream_open
-                && self.source_exhausted
-                && cadence_end.is_none_or(|last| next_time > last)
-            {
-                break;
-            }
-
-            match self.timeline.pop().expect("peeked non-empty") {
-                TimelineItem::Action(TimelineAction::PolicySwitch, at) => {
-                    if let Some(policy) = self.deferred_policy.take() {
-                        scheduler.set_policy(policy);
-                        dispatch(scheduler, at, observers, |o, ctx| o.on_policy_switched(ctx));
-                    }
-                }
-                TimelineItem::Action(TimelineAction::IncidentStart(index), at) => {
-                    if let Some(chaos) = &mut self.chaos {
-                        chaos.start(index, scheduler, at);
-                        // Hard-kill outages exit VMs; surface those events.
-                        drain_scheduler_events(scheduler, &mut self.event_scratch, observers);
-                    }
-                }
-                TimelineItem::Action(TimelineAction::IncidentEnd(index), _) => {
-                    if let Some(chaos) = &mut self.chaos {
-                        chaos.end(index, scheduler);
-                    }
-                }
-                TimelineItem::Action(TimelineAction::Recalibrate, at) => {
-                    if let Some(chaos) = &mut self.chaos {
-                        chaos.recalibrate(scheduler);
-                        let cadence = chaos
-                            .recalibration()
-                            .expect("recalibrations are scheduled only with a cadence")
-                            .cadence;
-                        self.timeline
-                            .schedule(TimelineAction::Recalibrate, at + cadence);
-                    }
-                }
-                TimelineItem::Action(TimelineAction::DefragTrigger, at) => {
-                    dispatch(scheduler, at, observers, |o, ctx| o.on_defrag_trigger(ctx));
-                    let interval = self
-                        .timing
-                        .defrag_trigger
-                        .expect("defrag triggers are scheduled only when an interval is set");
-                    self.timeline
-                        .schedule(TimelineAction::DefragTrigger, at + interval);
-                }
-                TimelineItem::Action(TimelineAction::Tick, at) => {
-                    scheduler.tick(at);
-                    dispatch(scheduler, at, observers, |o, ctx| o.on_tick(ctx));
-                    self.timeline
-                        .schedule(TimelineAction::Tick, at + self.timing.tick_interval);
-                }
-                TimelineItem::Action(TimelineAction::Sample, at) => {
-                    // Samples stop at the last arrival. When the source
-                    // cannot know its final arrival yet (`None`), at least
-                    // one more create is coming — necessarily at a time ≥
-                    // this sample (the stream is ordered and everything
-                    // before this sample has already been delivered), so
-                    // the sample is inside the arrival window.
-                    let in_window = match source.last_arrival_time() {
-                        Some(last_arrival) => at <= last_arrival,
-                        None => true,
-                    };
-                    if in_window {
-                        dispatch(scheduler, at, observers, |o, ctx| o.on_sample(ctx));
-                        self.timeline
-                            .schedule(TimelineAction::Sample, at + self.timing.sample_interval);
-                    }
-                }
-                TimelineItem::Event(event) => {
-                    self.cursor_buffered = false;
-                    match &event.kind {
-                        TraceEventKind::Create { vm, spec, lifetime } => {
-                            let record = Vm::new(*vm, spec.clone(), event.time, *lifetime);
-                            if scheduler.schedule(record, event.time).is_err() {
-                                self.rejected.insert(*vm);
-                                self.rejected_count += 1;
-                            }
-                        }
-                        TraceEventKind::Exit { vm } => {
-                            if !self.rejected.remove(vm) {
-                                // Ignore exits of VMs that were never placed.
-                                let _ = scheduler.exit(*vm, event.time);
-                            }
-                        }
-                    }
-                    drain_scheduler_events(scheduler, &mut self.event_scratch, observers);
-                }
-            }
-        }
-    }
-
-    /// Final drain and `on_finish` dispatch; returns the number of
-    /// creation events that could not be placed.
-    pub(crate) fn finish(
-        &mut self,
-        scheduler: &mut Scheduler,
-        observers: &mut [&mut dyn SimObserver],
-    ) -> u64 {
-        drain_scheduler_events(scheduler, &mut self.event_scratch, observers);
-        dispatch(
-            scheduler,
-            self.last_event_time.unwrap_or(SimTime::ZERO),
-            observers,
-            |o, ctx| o.on_finish(ctx),
-        );
-        self.rejected_count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lava_core::time::SimTime;
 
     fn tiny_builder() -> ExperimentBuilder {
         Experiment::builder()
@@ -1789,7 +1193,7 @@ mod tests {
         let spec = ExperimentBuilder::new().build().expect("defaults valid");
         assert_eq!(spec.name, "experiment");
         assert_eq!(spec.policy.algorithm, Algorithm::Baseline);
-        assert_eq!(spec.scenario, Scenario::SteadyState);
+        assert_eq!(spec.cadence, Cadence::default());
     }
 
     #[test]
@@ -1831,23 +1235,22 @@ mod tests {
         );
         assert_eq!(
             ExperimentBuilder::new()
-                .stranding_every(0)
+                .defrag_every(Duration::ZERO)
                 .build()
                 .unwrap_err(),
-            SpecError::ZeroStrandingCadence
+            SpecError::ZeroDefragInterval
         );
         assert_eq!(
             ExperimentBuilder::new()
-                .scenario(Scenario::Defrag {
-                    empty_host_threshold: 0.2,
-                    hosts_per_trigger: 0,
-                    trigger_interval: Duration::from_hours(4),
-                    concurrent_slots: 3,
-                    migration_duration: Duration::from_mins(20),
+                .adaptation(AdaptationSpec {
+                    recalibration: Some(crate::chaos::RecalibrationSpec {
+                        cadence: Duration::ZERO,
+                        min_samples: 16,
+                    }),
                 })
                 .build()
                 .unwrap_err(),
-            SpecError::ZeroDrainHosts
+            SpecError::ZeroRecalibrationCadence
         );
         let mut spec = ExperimentSpec::default();
         spec.workload.categories.clear();
@@ -2026,15 +1429,13 @@ mod tests {
         assert_eq!(report.result.predictor, "oracle");
         assert!(report.result.series.len() > 10);
         assert!(report.result.scheduler_stats.placed > 100);
-        assert!(report.control.is_none());
-        assert!(report.improvement_pp().is_none());
     }
 
     #[test]
     fn cold_start_samples_from_time_zero() {
         let report = tiny_builder()
             .algorithm(Algorithm::Nilas)
-            .cold_start()
+            .warmup(Duration::ZERO)
             .run()
             .expect("valid spec");
         assert_eq!(report.result.series.samples()[0].time, SimTime::ZERO);
@@ -2061,31 +1462,40 @@ mod tests {
         assert!(ab.samples > 10);
         assert_eq!(treated.algorithm, "nilas");
         assert_eq!(control.algorithm, "baseline");
-        assert!(reports.iter().all(|r| r.control.is_none()));
     }
 
     #[test]
     fn pre_post_produces_causal_report() {
-        let report = tiny_builder()
+        // A rollout is a treated arm and a baseline control arm over one
+        // workload, both sampling from time zero.
+        let warmup = Duration::from_days(1);
+        let treated = tiny_builder()
             .algorithm(Algorithm::Nilas)
-            .warmup(Duration::from_days(1))
-            .pre_post()
-            .run()
-            .expect("valid spec");
-        let causal = report.causal.expect("causal analysis");
+            .warmup(warmup)
+            .build()
+            .expect("valid");
+        let suite =
+            crate::suite::ExperimentSuite::from_specs(crate::causal::pre_post_arms(treated))
+                .expect("valid specs");
+        let reports = suite.run();
+        let (treated, control) = (&reports[0].result, &reports[1].result);
+        assert_eq!(treated.series.samples()[0].time, SimTime::ZERO);
+        assert_eq!(control.series.samples()[0].time, SimTime::ZERO);
+        let causal = crate::causal::pre_post_impact(treated, control, SimTime::ZERO + warmup);
         assert!(!causal.counterfactual.is_empty());
-        assert!(report.control.is_some());
-        // Samples start at time zero in the pre/post scenario.
-        assert_eq!(report.result.series.samples()[0].time, SimTime::ZERO);
+        // The counterfactual covers the post-switch samples.
+        let switch = treated.series.since(SimTime::ZERO + warmup).len();
+        assert_eq!(causal.counterfactual.len(), switch);
     }
 
     #[test]
     fn stranding_scenario_attaches_report() {
-        let report = tiny_builder()
-            .stranding_every(12)
-            .run()
-            .expect("valid spec");
-        let stranding = report.result.stranding.expect("stranding measured");
+        let experiment = Experiment::new(tiny_builder().build().expect("valid")).expect("valid");
+        let mut probe =
+            crate::observer::StrandingProbe::new(12, crate::stranding::InflationMix::default());
+        experiment.run_with_observers(&mut [&mut probe]);
+        assert!(probe.measurements() > 0);
+        let stranding = probe.average().expect("stranding measured");
         assert!(stranding.stranded_cpu_fraction >= 0.0);
     }
 
@@ -2272,7 +1682,7 @@ mod tests {
         let report = Experiment::builder()
             .workload(PoolConfig::small(3))
             .algorithm(Algorithm::Nilas)
-            .cold_start()
+            .warmup(Duration::ZERO)
             .run()
             .expect("valid spec");
         // Without warm-up, samples start at time zero.

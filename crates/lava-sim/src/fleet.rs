@@ -81,7 +81,7 @@
 //! [`Experiment`]: crate::experiment::Experiment
 
 use crate::chaos::{AdaptationSpec, ChaosController, IncidentPlan};
-use crate::experiment::{DriveLoop, DriveTiming};
+use crate::drive::{DriveLoop, DriveTiming};
 use crate::metrics::{MetricSample, MetricSeries, SimulationResult};
 use crate::observer::{MetricRecorder, SimObserver};
 use crate::workers::{panic_message, WorkerPool, PIPELINE_DEPTH};
@@ -480,7 +480,6 @@ impl FleetReport {
                     predictor: predictor.to_string(),
                     series: c.series,
                     scheduler_stats: c.stats,
-                    stranding: None,
                     rejected_vms: c.rejected_vms,
                 },
             })
@@ -565,7 +564,6 @@ fn aggregate(cells: &[CellReport], algorithm: &str, predictor: &str) -> Simulati
         predictor: predictor.to_string(),
         series,
         scheduler_stats: stats,
-        stranding: None,
         rejected_vms: rejected,
     }
 }

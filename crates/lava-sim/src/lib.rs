@@ -4,10 +4,11 @@
 //! scheduler:
 //!
 //! * [`experiment`] — **the declarative experiment API**: a serializable
-//!   [`ExperimentSpec`] (workload × predictor × policy × scenario), a
-//!   fluent [`ExperimentBuilder`] and the single [`Experiment::run`]
-//!   entry point, which replays the experiment's memoised trace through
-//!   the streaming event loop ([`experiment::drive`]),
+//!   [`ExperimentSpec`] of one run (workload × predictor × policy ×
+//!   [`Cadence`]), a fluent [`ExperimentBuilder`] and the single
+//!   [`Experiment::run`] entry point, which replays the experiment's
+//!   memoised trace through the streaming event loop
+//!   ([`experiment::drive`], kept in `drive.rs`) or the fleet tier,
 //! * [`timeline`] — the unified [`timeline::Timeline`]: one
 //!   `BinaryHeap`-ordered queue merging source events, dynamically
 //!   scheduled VM exits, tick/sample cadences and defrag triggers,
@@ -24,15 +25,16 @@
 //!   tier**: seeded, deterministic [`arrivals::ArrivalProcess`]es
 //!   (Poisson / burst / diurnal, mean-rate normalised) and the
 //!   declarative [`arrivals::ServeConfig`] riding on the spec,
-//! * [`suite`] — [`suite::ExperimentSuite`], parallel multi-arm sweeps
-//!   and A/B splits on scoped threads, with bit-identical per-arm results,
+//! * [`suite`] — [`suite::ExperimentSuite`], parallel multi-arm sweeps,
+//!   A/B splits and pre/post arm pairs on scoped threads, with
+//!   bit-identical per-arm results,
 //! * [`workers`] — the persistent [`workers::WorkerPool`] the fleet tier's
 //!   pooled lanes execute on: long-lived threads with per-worker pinned
 //!   mailboxes (cell-owning fleet sessions), grown on demand and shared
 //!   process-wide,
 //! * [`observer`] — the [`SimObserver`] trait, the [`ObserverContext`]
-//!   every hook reads, and the two provided observers metric collection
-//!   is composed from ([`observer::MetricRecorder`],
+//!   every hook reads, and the provided observers measurement is
+//!   composed from ([`observer::MetricRecorder`],
 //!   [`observer::StrandingProbe`]),
 //! * [`workload`] — synthetic production-like workload generation (the
 //!   substitute for Google's C2/E2 production traces): the materialising
@@ -43,10 +45,12 @@
 //! * [`metrics`] — empty hosts, empty-to-free ratio, packing density,
 //!   utilisation, and the [`metrics::SimulationResult`] runs produce,
 //! * [`stranding`] — the inflation-simulation stranding pipeline,
-//! * [`defrag`] — defragmentation / maintenance migration modelling and the
-//!   LARS comparison,
+//! * [`defrag`] — defragmentation / maintenance: the drain-recording
+//!   [`defrag::EvacuationCollector`] observer and the LARS comparison
+//!   ([`defrag::DefragReport`]),
 //! * [`ab`] — A/B statistics: the paired comparison of two suite arms,
-//! * [`causal`] — CausalImpact-style pre/post counterfactual analysis,
+//! * [`causal`] — CausalImpact-style pre/post counterfactual analysis of a
+//!   treated arm against its baseline control ([`causal::pre_post_impact`]),
 //! * [`validation`] — simulator-vs-trace consistency checking,
 //! * [`recording`] — a predictor wrapper that records predictions for error
 //!   analysis (driven by `ExperimentSpec::record_predictions`).
@@ -78,6 +82,7 @@ pub mod arrivals;
 pub mod causal;
 pub mod chaos;
 pub mod defrag;
+mod drive;
 pub mod experiment;
 pub mod fleet;
 pub mod metrics;
@@ -94,8 +99,8 @@ pub mod workload;
 pub use arrivals::{AdmissionPolicy, ArrivalGenerator, ArrivalProcess, ServeConfig, ServiceModel};
 pub use chaos::{AdaptationSpec, Incident, IncidentPlan, OutageMode, RecalibrationSpec};
 pub use experiment::{
-    Experiment, ExperimentBuilder, ExperimentReport, ExperimentSpec, PolicySpec, PredictorSpec,
-    Scenario,
+    Cadence, Experiment, ExperimentBuilder, ExperimentReport, ExperimentSpec, PolicySpec,
+    PredictorSpec,
 };
 pub use fleet::{
     CellOverride, FleetChaos, FleetConfig, FleetReport, FleetWorkerError, Router, RouterSpec,

@@ -12,7 +12,6 @@
 //! [`SimulationResult`] is what one run hands back: its [`MetricSeries`]
 //! plus the scheduler's counters.
 
-use crate::stranding::StrandingReport;
 use lava_core::pool::Pool;
 use lava_core::resources::ResourceKind;
 use lava_core::time::SimTime;
@@ -202,29 +201,16 @@ pub struct SimulationResult {
     pub algorithm: String,
     /// Name of the predictor that was used.
     pub predictor: String,
-    /// Metric samples taken after warm-up, up to the last arrival.
+    /// Metric samples from the end of warm-up (from time zero with
+    /// `sample_during_warmup`), up to the last arrival.
     pub series: MetricSeries,
     /// Scheduler counters (placements, failures, exits, migrations).
     pub scheduler_stats: SchedulerStats,
-    /// Average stranding report, if stranding measurement was enabled.
-    pub stranding: Option<StrandingReport>,
     /// Number of creation events that could not be placed.
     pub rejected_vms: u64,
 }
 
 impl SimulationResult {
-    /// An empty placeholder result (no samples, zero counters).
-    pub fn empty() -> SimulationResult {
-        SimulationResult {
-            algorithm: String::new(),
-            predictor: String::new(),
-            series: MetricSeries::new(),
-            scheduler_stats: SchedulerStats::default(),
-            stranding: None,
-            rejected_vms: 0,
-        }
-    }
-
     /// Mean post-warm-up empty-host fraction (the paper's headline metric).
     ///
     /// Delegates to [`MetricSeries::mean_empty_host_fraction`] — the series

@@ -13,9 +13,15 @@
 //!
 //! * [`MetricRecorder`] — records the [`MetricSeries`] the paper's
 //!   evaluation is built on (the component `SimulationResult` is
-//!   assembled from),
+//!   assembled from); every run attaches one first,
 //! * [`StrandingProbe`] — runs the inflation-simulation stranding pipeline
-//!   every N samples and averages the reports.
+//!   every N samples and averages the reports: the §2.3 stranding study
+//!   is a run with a probe passed to
+//!   [`Experiment::run_with_observers`](crate::experiment::Experiment::run_with_observers),
+//!   read back with [`StrandingProbe::average`],
+//! * [`EvacuationCollector`](crate::defrag::EvacuationCollector) (in
+//!   [`crate::defrag`]) — records defragmentation drains at the run's
+//!   trigger cadence.
 
 use crate::metrics::{sample_pool, MetricSeries};
 use crate::stranding::{measure_stranding, InflationMix, StrandingReport};
@@ -160,8 +166,7 @@ pub struct StrandingProbe {
 
 impl StrandingProbe {
     /// Probe every `every` samples with the given VM mix. `every == 0`
-    /// disables probing (mirrors the legacy `stranding_every_samples`
-    /// semantics).
+    /// disables probing.
     pub fn new(every: usize, mix: InflationMix) -> StrandingProbe {
         StrandingProbe {
             every,

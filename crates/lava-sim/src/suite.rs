@@ -273,20 +273,38 @@ mod tests {
 
     #[test]
     fn suite_handles_heterogeneous_scenarios() {
-        let mut pre_post = arm_spec(5, Algorithm::Nilas);
-        pre_post.scenario = crate::experiment::Scenario::PrePost;
-        let mut noisy = arm_spec(5, Algorithm::Lava);
-        noisy.predictor = PredictorSpec::Noisy {
+        use lava_core::time::SimTime;
+        // A pre/post rollout (treated + baseline control, both sampling
+        // through warm-up) beside a cold-start arm under another predictor.
+        let pre_post = |algorithm| {
+            let mut spec = arm_spec(5, algorithm);
+            spec.cadence.sample_during_warmup = true;
+            spec
+        };
+        let mut cold = arm_spec(5, Algorithm::Lava);
+        cold.cadence.warmup = Duration::ZERO;
+        cold.predictor = PredictorSpec::Noisy {
             accuracy_pct: 80,
             bias_pct: 0,
         };
-        let suite = ExperimentSuite::from_specs([pre_post, noisy])
-            .expect("valid specs")
-            .with_threads(2);
+        let suite = ExperimentSuite::from_specs([
+            pre_post(Algorithm::Nilas),
+            pre_post(Algorithm::Baseline),
+            cold,
+        ])
+        .expect("valid specs")
+        .with_threads(2);
         let reports = suite.run();
-        assert_eq!(reports[0].control.as_ref().unwrap().algorithm, "baseline");
-        assert!(reports[0].causal.is_some());
-        assert_eq!(reports[1].result.predictor, "noisy-oracle");
+        let (treated, control) = (&reports[0].result, &reports[1].result);
+        assert_eq!(control.algorithm, "baseline");
+        let switch_at = SimTime::ZERO + Duration::from_hours(6);
+        let causal = crate::causal::pre_post_impact(treated, control, switch_at);
+        assert_eq!(
+            causal.counterfactual.len(),
+            treated.series.since(switch_at).len()
+        );
+        assert_eq!(reports[2].result.predictor, "noisy-oracle");
+        assert_eq!(reports[2].result.series.samples()[0].time, SimTime::ZERO);
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Capacity-planning scenario: how much stranding does each scheduling
-//! policy leave behind, and how many more VMs would fit? Uses the paper's
-//! inflation-simulation methodology (§2.3) via the experiment API's
-//! stranding scenario, with every policy's run fanned out across threads
-//! by an [`ExperimentSuite`] — all four replay the identical shared trace.
+//! Capacity planning: how much stranding does each scheduling policy
+//! leave behind, and how many more VMs would fit? Uses the paper's
+//! inflation-simulation methodology (§2.3): each policy's run carries a
+//! `StrandingProbe` observer. The arms come from an [`ExperimentSuite`],
+//! so all four replay the identical shared trace.
 //!
 //! Run with: `cargo run --release --example capacity_planning`
 
 use lava::sched::Algorithm;
 use lava::sim::experiment::{Experiment, PredictorSpec};
+use lava::sim::observer::StrandingProbe;
+use lava::sim::stranding::InflationMix;
 use lava::sim::suite::ExperimentSuite;
 use lava::sim::workload::PoolConfig;
 
@@ -26,16 +28,14 @@ fn main() {
         Algorithm::Nilas,
         Algorithm::Lava,
     ];
-    // The stranding scenario runs the inflation pipeline every 24 samples
-    // and averages the reports into `result.stranding`. All arms share one
-    // generated trace (the suite links same-workload arms automatically).
+    // All arms share one generated trace (the suite links same-workload
+    // arms automatically).
     let suite = ExperimentSuite::from_specs(algorithms.map(|algorithm| {
         Experiment::builder()
             .name(format!("capacity-planning-{algorithm}"))
             .workload(workload.clone())
             .predictor(PredictorSpec::Oracle)
             .algorithm(algorithm)
-            .stranding_every(24)
             .build()
             .expect("valid spec")
     }))
@@ -45,11 +45,12 @@ fn main() {
         "{:<10} {:>14} {:>16} {:>16}",
         "policy", "empty hosts", "stranded CPU", "stranded memory"
     );
-    for (algorithm, report) in algorithms.iter().zip(suite.run()) {
-        let stranding = report
-            .result
-            .stranding
-            .expect("stranding measurement enabled");
+    for (algorithm, arm) in algorithms.iter().zip(suite.experiments()) {
+        // The probe runs the inflation pipeline every 24 samples and
+        // averages the reports.
+        let mut probe = StrandingProbe::new(24, InflationMix::default());
+        let report = arm.run_with_observers(&mut [&mut probe]);
+        let stranding = probe.average().expect("stranding measured");
         println!(
             "{:<10} {:>13.1}% {:>15.1}% {:>15.1}%",
             algorithm.to_string(),

@@ -1,20 +1,22 @@
-//! Defragmentation / maintenance scenario: when empty hosts run low, hosts
-//! are drained via live migration. LARS orders the migrations by predicted
+//! Defragmentation / maintenance: when empty hosts run low, hosts are
+//! drained via live migration. LARS orders the migrations by predicted
 //! remaining lifetime so short-lived VMs exit before their turn, saving
-//! migrations (§4.4 / Table 2 of the paper).
+//! migrations (§4.4 / Table 2 of the paper). The study is one run with a
+//! defrag-trigger cadence and an `EvacuationCollector` observer.
 //!
 //! Run with: `cargo run --release --example defrag_maintenance`
 
 use lava::core::time::Duration;
 use lava::sched::Algorithm;
-use lava::sim::experiment::{Experiment, Scenario};
+use lava::sim::defrag::{DefragReport, EvacuationCollector};
+use lava::sim::experiment::Experiment;
 use lava::sim::workload::PoolConfig;
 
 fn main() {
-    // The defrag scenario replays the trace, records the drain events a
-    // defragmenter would trigger, and evaluates both migration orderings
+    // Replay the trace, record the drain events a defragmenter would
+    // trigger every four hours, and evaluate both migration orderings
     // (production host-order vs LARS) on the recorded evacuation tasks.
-    let report = Experiment::builder()
+    let experiment = Experiment::builder()
         .name("defrag-maintenance")
         .workload(PoolConfig {
             hosts: 80,
@@ -24,21 +26,19 @@ fn main() {
             ..PoolConfig::default()
         })
         .algorithm(Algorithm::Baseline)
-        .scenario(Scenario::Defrag {
-            empty_host_threshold: 0.2,
-            hosts_per_trigger: 3,
-            trigger_interval: Duration::from_hours(4),
-            concurrent_slots: 3,
-            migration_duration: Duration::from_mins(20),
-        })
-        .run()
+        .warmup(Duration::ZERO)
+        .defrag_every(Duration::from_hours(4))
+        .build()
+        .and_then(Experiment::new)
         .expect("valid spec");
+    let mut collector = EvacuationCollector::new(0.2, 3);
+    let report = experiment.run_with_observers(&mut [&mut collector]);
 
     println!(
         "replayed {} placements and recorded defragmentation drains...",
         report.result.scheduler_stats.placed
     );
-    let defrag = report.defrag.expect("defrag scenario produces report");
+    let defrag = DefragReport::evaluate(collector.tasks(), 3, Duration::from_mins(20));
     println!(
         "{} drain events covering {} VM evacuations",
         defrag.drain_events, defrag.evacuated_vms

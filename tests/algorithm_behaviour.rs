@@ -5,7 +5,8 @@
 use lava::core::time::Duration;
 use lava::sched::Algorithm;
 use lava::sim::ab::paired_comparison;
-use lava::sim::experiment::{Experiment, ExperimentBuilder, PredictorSpec, Scenario};
+use lava::sim::defrag::{DefragReport, EvacuationCollector};
+use lava::sim::experiment::{Experiment, ExperimentBuilder, PredictorSpec};
 use lava::sim::metrics::SimulationResult;
 use lava::sim::suite::ExperimentSuite;
 use lava::sim::workload::PoolConfig;
@@ -78,18 +79,16 @@ fn lava_tolerates_low_accuracy_better_than_it_degrades() {
 
 #[test]
 fn lars_reduces_migrations_on_a_real_defrag_workload() {
-    let report = Experiment::builder()
+    let experiment = Experiment::builder()
         .workload(pool(17, 48, 0.85, 6))
-        .scenario(Scenario::Defrag {
-            empty_host_threshold: 0.25,
-            hosts_per_trigger: 3,
-            trigger_interval: Duration::from_hours(4),
-            concurrent_slots: 3,
-            migration_duration: Duration::from_mins(20),
-        })
-        .run()
+        .warmup(Duration::ZERO)
+        .defrag_every(Duration::from_hours(4))
+        .build()
+        .and_then(Experiment::new)
         .expect("valid spec");
-    let defrag = report.defrag.expect("defrag scenario reports");
+    let mut collector = EvacuationCollector::new(0.25, 3);
+    experiment.run_with_observers(&mut [&mut collector]);
+    let defrag = DefragReport::evaluate(collector.tasks(), 3, Duration::from_mins(20));
     assert!(defrag.drain_events > 0, "no defragmentation was triggered");
     assert_eq!(defrag.baseline.scheduled, defrag.lars.scheduled);
     assert!(

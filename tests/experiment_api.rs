@@ -7,7 +7,7 @@ use lava::core::time::{Duration, SimTime};
 use lava::core::vm::VmId;
 use lava::sched::Algorithm;
 use lava::sim::experiment::{
-    CachePolicy, Experiment, ExperimentSpec, PolicySpec, PredictorSpec, Scenario, SpecError,
+    CachePolicy, Cadence, Experiment, ExperimentSpec, PolicySpec, PredictorSpec, SpecError,
 };
 use lava::sim::observer::{MetricRecorder, ObserverContext, SimObserver};
 use lava::sim::workload::PoolConfig;
@@ -57,23 +57,30 @@ impl SimObserver for PlacementTally {
 }
 
 #[test]
-fn spec_round_trips_through_json_for_every_scenario() {
-    let scenarios = vec![
-        Scenario::SteadyState,
-        Scenario::ColdStart,
-        Scenario::PrePost,
-        Scenario::Defrag {
-            empty_host_threshold: 0.2,
-            hosts_per_trigger: 3,
-            trigger_interval: Duration::from_hours(4),
-            concurrent_slots: 3,
-            migration_duration: Duration::from_mins(20),
+fn spec_round_trips_through_json_for_every_cadence_setting() {
+    let steady = Cadence::default();
+    let cadences = [
+        steady,
+        // Cold start.
+        Cadence {
+            warmup: Duration::ZERO,
+            ..steady
         },
-        Scenario::Stranding { every_samples: 12 },
+        // A pre/post arm.
+        Cadence {
+            sample_during_warmup: true,
+            ..steady
+        },
+        // A defragmentation study.
+        Cadence {
+            warmup: Duration::ZERO,
+            defrag_trigger: Some(Duration::from_hours(4)),
+            ..steady
+        },
     ];
-    for scenario in scenarios {
+    for cadence in cadences {
         let mut spec = tiny_spec(5);
-        spec.scenario = scenario;
+        spec.cadence = cadence;
         spec.policy = PolicySpec::new(Algorithm::Lava)
             .with_cache(CachePolicy::RefreshSecs(120))
             .labeled("lava-2m");
@@ -86,6 +93,17 @@ fn spec_round_trips_through_json_for_every_scenario() {
         let parsed = ExperimentSpec::from_json(&json).expect("spec parses");
         assert_eq!(parsed, spec, "round-trip changed the spec");
     }
+    // Spec JSON from before the two timeline settings parses to defaults.
+    let json = tiny_spec(5).to_json().expect("spec serializes");
+    let older = json.replace(
+        ",\"sample_during_warmup\":false,\"defrag_trigger\":null",
+        "",
+    );
+    assert_ne!(older, json, "test setup failed to strip the cadence fields");
+    assert_eq!(
+        ExperimentSpec::from_json(&older).expect("parses"),
+        tiny_spec(5)
+    );
 }
 
 #[test]
@@ -224,10 +242,10 @@ fn spec_json_naming_the_removed_learned_fast_variant_is_rejected() {
 #[test]
 fn cold_start_and_steady_state_differ_only_in_warmup() {
     let mut spec = tiny_spec(29);
-    spec.scenario = Scenario::ColdStart;
+    spec.cadence.warmup = Duration::ZERO;
     let cold = Experiment::new(spec.clone()).expect("valid").run();
     assert_eq!(cold.result.series.samples()[0].time, SimTime::ZERO);
-    spec.scenario = Scenario::SteadyState;
+    spec.cadence.warmup = Duration::from_hours(6);
     let steady = Experiment::new(spec).expect("valid").run();
     assert!(
         steady.result.series.samples()[0].time >= SimTime::ZERO + Duration::from_hours(6),

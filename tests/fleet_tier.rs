@@ -25,7 +25,7 @@ use lava::core::time::Duration;
 use lava::model::predictor::{LifetimePredictor, OraclePredictor};
 use lava::sched::Algorithm;
 use lava::sim::chaos::DegradedPredictor;
-use lava::sim::experiment::{DriveTiming, Experiment, ExperimentSpec, Scenario, SpecError};
+use lava::sim::experiment::{DriveTiming, Experiment, ExperimentSpec, SpecError};
 use lava::sim::fleet::{run_fleet, CellOverride, FleetConfig, RouterSpec};
 use lava::sim::workload::{PoolConfig, StreamingWorkload, WorkloadGenerator};
 use lava::sim::{
@@ -239,13 +239,17 @@ fn fleet_validation_rejects_degenerate_configs() {
     // More cells than hosts leaves empty cells.
     reject(FleetConfig::new(64), SpecError::FleetEmptyCell);
 
-    let mut pre_post = base_spec(1, 12, 24);
-    pre_post.scenario = Scenario::PrePost;
-    pre_post.fleet = Some(FleetConfig::new(2));
-    assert_eq!(
-        pre_post.validate().unwrap_err(),
-        SpecError::FleetUnsupportedScenario
-    );
+    // A pre/post arm is a fleet spec like any other: it samples through
+    // warm-up, identically at one and two worker threads.
+    let pre_post = |threads| {
+        let mut spec = base_spec(1, 12, 24);
+        spec.cadence.sample_during_warmup = true;
+        let spec = with_fleet(spec, FleetConfig::new(2).with_threads(threads));
+        Experiment::new(spec).expect("valid").run()
+    };
+    let serial = pre_post(1);
+    assert_eq!(serial.result.series.samples()[0].time.as_secs(), 0);
+    assert_eq!(serial, pre_post(2), "threads changed a pre/post fleet arm");
 
     let mut recording = base_spec(1, 12, 24);
     recording.record_predictions = true;
@@ -257,7 +261,7 @@ fn fleet_validation_rejects_degenerate_configs() {
 
     // Cold start is supported.
     let mut cold = base_spec(1, 12, 24);
-    cold.scenario = Scenario::ColdStart;
+    cold.cadence.warmup = Duration::ZERO;
     cold.fleet = Some(FleetConfig::new(2));
     cold.validate().expect("cold-start fleet is valid");
 }

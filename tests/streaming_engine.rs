@@ -25,7 +25,7 @@ use lava::sched::cluster::Cluster;
 use lava::sched::scheduler::{Scheduler, SchedulerStats};
 use lava::sched::Algorithm;
 use lava::sim::defrag::EvacuationCollector;
-use lava::sim::experiment::{drive, DriveTiming, Experiment, Scenario};
+use lava::sim::experiment::{drive, DriveTiming, Experiment};
 use lava::sim::metrics::MetricSeries;
 use lava::sim::observer::MetricRecorder;
 use lava::sim::suite::ExperimentSuite;
@@ -250,25 +250,20 @@ fn timeline_defrag_cadence_matches_the_legacy_per_event_collector() {
 
     let legacy = legacy_defrag_reference(&workload, threshold, hosts_per_trigger, interval);
 
-    // An extra EvacuationCollector observer sees the same timeline
-    // triggers the scenario's internal collector does.
+    // Two collectors on one run see the same timeline triggers.
     let experiment = Experiment::new(
         Experiment::builder()
             .workload(workload)
-            .scenario(Scenario::Defrag {
-                empty_host_threshold: threshold,
-                hosts_per_trigger,
-                trigger_interval: interval,
-                concurrent_slots: 3,
-                migration_duration: Duration::from_mins(20),
-            })
+            .warmup(Duration::ZERO)
+            .defrag_every(interval)
             .build()
             .expect("valid spec"),
     )
     .expect("valid spec");
     let mut probe = EvacuationCollector::new(threshold, hosts_per_trigger);
-    let mut observers: Vec<&mut dyn SimObserver> = vec![&mut probe];
-    let report = experiment.run_with_observers(&mut observers);
+    let mut twin = EvacuationCollector::new(threshold, hosts_per_trigger);
+    let mut observers: Vec<&mut dyn SimObserver> = vec![&mut probe, &mut twin];
+    experiment.run_with_observers(&mut observers);
 
     let timeline: Vec<(SimTime, Vec<VmId>)> = probe
         .tasks()
@@ -276,11 +271,7 @@ fn timeline_defrag_cadence_matches_the_legacy_per_event_collector() {
         .map(|t| (t.start, t.vms.iter().map(|v| v.vm).collect()))
         .collect();
     assert!(!timeline.is_empty(), "no drains triggered");
-    assert_eq!(
-        report.defrag.expect("defrag report").drain_events,
-        timeline.len(),
-        "probe and scenario collector diverged"
-    );
+    assert_eq!(probe.tasks(), twin.tasks(), "two collectors diverged");
 
     // The cadence comparison is meaningful inside the arrival window,
     // where trace events are seconds apart. (Past the last arrival only
