@@ -1,6 +1,6 @@
 //! Chaos suite: incident scenarios × model management on a sharded fleet.
 //!
-//! Every figure binary measures the steady state; this one measures what
+//! Every other figure measures the steady state; this one measures what
 //! happens when things go wrong. A fixed incident plan — a hard-kill cell
 //! outage with recovery, plus a fleet-wide predictor degradation (every
 //! prediction biased an order of magnitude *long*, never repaired — the
@@ -30,7 +30,8 @@
 //! asserted: over the after-window the adaptive arm must win back at
 //! least half of the empty-host percentage the frozen arm loses against
 //! the incident-free baseline. A regression in the recalibration loop
-//! fails the binary (and the CI `chaos-smoke` job), not just a chart.
+//! fails the figure (`repro` exits 1, and so does the CI `chaos-smoke`
+//! job), not just a chart.
 //!
 //! `--full` honours `--seed`/`--hosts`/`--days`/`--cells` for sweeps.
 //! Packing is chaotic in the small: across arbitrary seeds the *sign* of
@@ -40,13 +41,10 @@
 //! error of both adaptive arms must re-centre well below the frozen
 //! arm's, which stays pinned at the injected bias.
 //!
-//! Flags: the uniform experiment flags plus `--json PATH` to write the
-//! measurements as a JSON artifact (`BENCH_chaos.json` in CI).
-//!
-//! Usage: `cargo run --release -p lava-bench --bin chaos_suite --
-//! [--quick|--full] [--json BENCH_chaos.json]`
+//! Usage: `repro chaos_suite [--quick|--full] [--json BENCH_chaos.json]`
+//! (`--json` writes the measurements as a JSON artifact).
 
-use lava_bench::ExperimentArgs;
+use crate::{args::ExperimentArgs, harness::ensure};
 use lava_core::time::{Duration, SimTime};
 use lava_sched::Algorithm;
 use lava_sim::chaos::DegradedPredictor;
@@ -105,14 +103,7 @@ fn run_arm(name: &'static str, spec: ExperimentSpec, windows: &Windows) -> ArmRo
     }
 }
 
-fn main() {
-    let args = ExperimentArgs::from_env();
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = raw
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| raw.get(i + 1).cloned());
-
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     // The whole five-arm suite takes well under a second at demo scale,
     // so `--quick` and the default both run the *pinned* configuration
     // the recovery assertions are validated against — seed included,
@@ -285,12 +276,12 @@ fn main() {
     // `--full` the gap's sign is at the mercy of the sweep's seed and
     // scale, so it is reported, not asserted.
     if !args.full {
-        assert!(
+        ensure!(
             gap > 2.0,
             "the pinned incident must measurably hurt the frozen arm, \
              got a {gap:.2} pp gap"
         );
-        assert!(
+        ensure!(
             recovered >= gap * 0.5,
             "recalibration recovered only {recovered:.2} pp of a {gap:.2} pp loss \
              (needs >= 50%)"
@@ -312,12 +303,12 @@ fn main() {
     let frozen_probe = probe("frozen+static");
     let adaptive_probe = probe("adaptive+static");
     let penalty_probe = probe("adaptive+penalty");
-    assert!(
+    ensure!(
         frozen_probe.err_after > 0.3,
         "a 10x bias must keep the frozen probe hot, got {:.3}",
         frozen_probe.err_after
     );
-    assert!(
+    ensure!(
         adaptive_probe.err_after < frozen_probe.err_after * 0.75,
         "recalibration must pull the live model back: adaptive {:.3} vs frozen {:.3}",
         adaptive_probe.err_after,
@@ -327,7 +318,7 @@ fn main() {
     // sweep seeds the penalty arm sometimes lands near the static arm's
     // partial re-centre instead of beating it outright.
     let penalty_bound = if args.full { 0.75 } else { 0.5 };
-    assert!(
+    ensure!(
         penalty_probe.err_after < frozen_probe.err_after * penalty_bound,
         "the penalty router keeps starved cells' recalibration fed; adaptive+penalty \
          {:.3} must re-centre below {penalty_bound} of frozen {:.3}",
@@ -336,7 +327,7 @@ fn main() {
     );
     println!("# recovery assertions passed: adaptive arms recover the frozen arm's loss");
 
-    if let Some(path) = &json_path {
+    if let Some(path) = &args.json {
         let arm_json: Vec<String> = arms
             .iter()
             .map(|a| {
@@ -362,7 +353,8 @@ fn main() {
             recovered,
             arm_json.join(",\n")
         );
-        std::fs::write(path, json).expect("write bench artifact");
+        std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
         println!("chaos_suite: wrote {path}");
     }
+    Ok(())
 }

@@ -1,17 +1,14 @@
 //! Figure 1: distribution of VM lifetimes of scheduled VMs vs. their
 //! resource consumption (CDF by VM count and by CPU·time).
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig01_lifetime_cdf -- [--days N] [--seed N]
-//! [--trace-out PATH] [--trace-in PATH]`
+//! Usage: `repro fig01_lifetime_cdf [--days N] [--seed N] [--trace-out PATH] [--trace-in PATH]`
 
-use lava_bench::harness::apply_trace_io;
-use lava_bench::ExperimentArgs;
+use crate::{args::ExperimentArgs, harness::apply_trace_io};
 use lava_core::time::Duration;
 use lava_sim::experiment::Experiment;
 use lava_sim::workload::PoolConfig;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     let experiment = Experiment::builder()
         .name("fig01-lifetime-cdf")
         .workload(PoolConfig {
@@ -23,10 +20,7 @@ fn main() {
         .build()
         .and_then(Experiment::new)
         .expect("valid spec");
-    if let Err(err) = apply_trace_io(&args, &experiment) {
-        eprintln!("fig01_lifetime_cdf: {err}");
-        std::process::exit(1);
-    }
+    apply_trace_io(args, &experiment)?;
     let trace = experiment.trace();
     let obs = trace.observations();
 
@@ -75,4 +69,5 @@ fn main() {
     println!(
         "# Paper: 88% of VMs live < 1 hour; 98% of resources are consumed by VMs living >= 1 hour."
     );
+    Ok(())
 }

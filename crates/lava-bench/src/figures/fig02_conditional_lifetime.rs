@@ -1,16 +1,15 @@
 //! Figure 2: lifetime distribution (PDF) of a hard-to-predict VM category
 //! and the conditional expected remaining lifetime E(T_r | T_u).
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig02_conditional_lifetime -- [--seed N]`
+//! Usage: `repro fig02_conditional_lifetime [--seed N]`
 
-use lava_bench::ExperimentArgs;
+use crate::args::ExperimentArgs;
 use lava_core::time::Duration;
 use lava_model::survival::EmpiricalDistribution;
 use lava_sim::experiment::Experiment;
 use lava_sim::workload::PoolConfig;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     let experiment = Experiment::builder()
         .name("fig02-conditional-lifetime")
         .workload(PoolConfig {
@@ -71,4 +70,5 @@ fn main() {
     println!();
     println!("# Paper: expected lifetime at schedule 0.2 days; after surviving 1 day -> ~4 days remaining;");
     println!("#        after 7 days -> ~10 days remaining. The shape (expectation grows with uptime) is the point.");
+    Ok(())
 }

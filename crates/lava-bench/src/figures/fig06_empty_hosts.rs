@@ -7,15 +7,15 @@
 //! workers. Per-arm results are bit-identical to a serial run; same-pool
 //! arms share one generated trace.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig06_empty_hosts -- [--pools N] [--days N] [--threads N] [--full|--quick]`
+//! Usage: `repro fig06_empty_hosts [--pools N] [--days N] [--threads N] [--full|--quick]`
 
-use lava_bench::{improvement_pp, suite_from_specs, ExperimentArgs};
+use crate::args::ExperimentArgs;
+use crate::harness::{improvement_pp, suite_from_specs};
 use lava_sched::Algorithm;
 use lava_sim::experiment::{Experiment, PredictorSpec};
 use lava_sim::workload::PoolConfig;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     let mut pools = PoolConfig::fleet(args.pools);
     for (i, pool) in pools.iter_mut().enumerate() {
         pool.duration = args.duration;
@@ -69,7 +69,7 @@ fn main() {
             }
         }
     }
-    let reports = suite_from_specs(specs, &args).run();
+    let reports = suite_from_specs(specs, args).run();
 
     let group = 1 + algorithms.len();
     let mut totals = vec![0.0f64; algorithms.len() * predictors.len()];
@@ -111,4 +111,5 @@ fn main() {
         "# Paper (Fig. 6, 24 C2 pools): LA-Binary +5.0 pp, NILAS +6.1 pp, LAVA +6.5 pp (model);"
     );
     println!("#                              LA oracle +7.5 pp, NILAS oracle +9.5 pp.");
+    Ok(())
 }

@@ -2,17 +2,16 @@
 //! observed vs counterfactual empty hosts, point-wise effect and cumulative
 //! effect.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig07_causal_impact -- [--seed N] [--days N] [--threads N]`
+//! Usage: `repro fig07_causal_impact [--seed N] [--days N] [--threads N]`
 
-use lava_bench::{suite_from_specs, ExperimentArgs};
+use crate::{args::ExperimentArgs, harness::suite_from_specs};
 use lava_core::time::{Duration, SimTime};
 use lava_sched::Algorithm;
 use lava_sim::causal::{pre_post_arms, pre_post_impact};
 use lava_sim::experiment::Experiment;
 use lava_sim::workload::PoolConfig;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     let switch_at = Duration::from_secs(args.duration.as_secs() / 2);
     // The treated arm runs the baseline until the warm-up boundary, then
     // NILAS; the control arm replays the baseline on the same trace; the
@@ -29,7 +28,7 @@ fn main() {
         .warmup(switch_at)
         .build()
         .expect("valid spec");
-    let arms = suite_from_specs(pre_post_arms(treated), &args).run();
+    let arms = suite_from_specs(pre_post_arms(treated), args).run();
     let (observed, control) = (&arms[0].result, &arms[1].result);
     let boundary = SimTime::ZERO + switch_at;
     let causal = pre_post_impact(observed, control, boundary);
@@ -77,4 +76,5 @@ fn main() {
     println!(
         "#        the cumulative effect grows steadily (Wave 3: +4.9 pp, 95% CI [0.54, 9.2])."
     );
+    Ok(())
 }

@@ -11,9 +11,9 @@
 //! [`LatencyHistogram`] — the same
 //! percentile machinery the serving tier's SLO reporting uses.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig08_model_latency -- [--seed N]`
+//! Usage: `repro fig08_model_latency [--seed N]`
 
-use lava_bench::ExperimentArgs;
+use crate::args::ExperimentArgs;
 use lava_core::latency::LatencyHistogram;
 use lava_core::time::{Duration, SimTime};
 use lava_core::vm::{Vm, VmId};
@@ -23,8 +23,7 @@ use lava_sim::experiment::{train_gbdt_predictor, Experiment};
 use lava_sim::workload::PoolConfig;
 use std::time::Instant;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     let experiment = Experiment::builder()
         .name("fig08-model-latency")
         .workload(PoolConfig::small(args.seed + 5))
@@ -107,4 +106,5 @@ fn main() {
     println!();
     println!("# Paper: most predictions complete in under 10 us (median ~9 us), 780x faster than LA's remote inference.");
     println!("# This repo's compiled engine reproduces that step: compare the reference, compiled and specialised rows above.");
+    Ok(())
 }

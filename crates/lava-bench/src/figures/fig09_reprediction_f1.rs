@@ -1,9 +1,9 @@
 //! Figure 9: model accuracy (F1 for the 168-hour long-lived classification)
 //! as a function of the uptime quantile used for reprediction.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig09_reprediction_f1 -- [--seed N]`
+//! Usage: `repro fig09_reprediction_f1 [--seed N]`
 
-use lava_bench::ExperimentArgs;
+use crate::args::ExperimentArgs;
 use lava_core::time::Duration;
 use lava_model::gbdt::GbdtConfig;
 use lava_model::metrics::classify_at_threshold;
@@ -11,8 +11,7 @@ use lava_model::LONG_LIVED_THRESHOLD;
 use lava_sim::experiment::{train_gbdt_predictor, Experiment};
 use lava_sim::workload::PoolConfig;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     let pool = PoolConfig {
         initial_fill_fraction: 0.0,
         seed: args.seed + 31,
@@ -50,4 +49,5 @@ fn main() {
     }
     println!();
     println!("# Paper: F1 ~0.8 without uptime (quantile 0), dips slightly for tiny uptimes, rises above 0.9 from ~quantile 8.");
+    Ok(())
 }

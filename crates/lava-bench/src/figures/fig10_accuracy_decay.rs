@@ -23,13 +23,12 @@
 //!
 //! The weekly table (and the `BENCH_accuracy_decay.json` artifact under
 //! `--json`) reports both arms' probe error per week after training; the
-//! binary asserts the recalibrating arm ends the run with materially
+//! figure fails unless the recalibrating arm ends the run with materially
 //! lower error than the frozen arm.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig10_accuracy_decay
-//! -- [--full] [--seed N] [--json BENCH_accuracy_decay.json]`
+//! Usage: `repro fig10_accuracy_decay [--full] [--seed N] [--json BENCH_accuracy_decay.json]`
 
-use lava_bench::ExperimentArgs;
+use crate::{args::ExperimentArgs, harness::ensure};
 use lava_core::time::{Duration, SimTime};
 use lava_sim::experiment::{Experiment, PredictorSpec};
 use lava_sim::metrics::MetricSeries;
@@ -50,14 +49,7 @@ fn weekly_errors(series: &MetricSeries, weeks: u64) -> Vec<f64> {
         .collect()
 }
 
-fn main() {
-    let args = ExperimentArgs::from_env();
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = raw
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| raw.get(i + 1).cloned());
-
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     // Week 1 matches the training distribution; the shift lands at its
     // end, leaving `weeks - 1` drifted weeks to watch the two arms
     // diverge. `--full` runs the original figure's eight-week horizon.
@@ -132,7 +124,7 @@ fn main() {
     // The decay and the recovery, asserted: the shift must register on
     // the frozen arm, and the recalibrator must win back a material part
     // of it by the final week.
-    assert!(
+    ensure!(
         frozen_err[last] > frozen_err[0] + 0.1,
         "a x{LIFETIME_SCALE} drift must degrade the frozen model: week 0 {:.3}, \
          final week {:.3}",
@@ -144,13 +136,13 @@ fn main() {
     // drift-induced *rise* above that floor.
     let rise = frozen_err[last] - frozen_err[0];
     let recovered = frozen_err[last] - adaptive_err[last];
-    assert!(
+    ensure!(
         recovered > rise * 0.25,
         "recalibration must win back a material part of the drift-induced rise: \
          recovered {recovered:.3} of {rise:.3} (needs > 25%)"
     );
 
-    if let Some(path) = &json_path {
+    if let Some(path) = &args.json {
         let week_rows: Vec<String> = (0..weeks as usize)
             .map(|w| {
                 format!(
@@ -171,7 +163,8 @@ fn main() {
             adaptive_err[last],
             week_rows.join(",\n")
         );
-        std::fs::write(path, json).expect("write bench artifact");
+        std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
         println!("fig10_accuracy_decay: wrote {path}");
     }
+    Ok(())
 }

@@ -1,16 +1,15 @@
 //! Figure 11 (Appendix A): impact of model features on prediction accuracy,
 //! using the GBDT split-score importance.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig11_feature_importance -- [--seed N]`
+//! Usage: `repro fig11_feature_importance [--seed N]`
 
-use lava_bench::ExperimentArgs;
+use crate::args::ExperimentArgs;
 use lava_model::features::FEATURE_NAMES;
 use lava_model::gbdt::GbdtConfig;
 use lava_sim::experiment::train_gbdt_predictor;
 use lava_sim::workload::PoolConfig;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     let pool = PoolConfig {
         initial_fill_fraction: 0.0,
         seed: args.seed + 41,
@@ -32,4 +31,5 @@ fn main() {
     }
     println!();
     println!("# Paper: admission policy, host pool (zone) and VM shape are the most influential features.");
+    Ok(())
 }

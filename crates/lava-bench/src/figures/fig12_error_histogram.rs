@@ -2,16 +2,15 @@
 //! the log10 domain, recorded while running NILAS against a trace, with and
 //! without repredictions.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig12_error_histogram -- [--seed N] [--days N]`
+//! Usage: `repro fig12_error_histogram [--seed N] [--days N]`
 
-use lava_bench::ExperimentArgs;
+use crate::args::ExperimentArgs;
 use lava_model::metrics::Histogram;
 use lava_sched::Algorithm;
 use lava_sim::experiment::{Experiment, PredictorSpec};
 use lava_sim::workload::PoolConfig;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     // `record_predictions` wraps the learned predictor in the recording
     // layer for the whole run, so every scheduling-time prediction and
     // reprediction lands in the report with its ground truth.
@@ -61,4 +60,5 @@ fn main() {
     );
     println!();
     println!("# Paper: the error distribution including repredictions skews markedly toward lower errors than one-shot predictions.");
+    Ok(())
 }

@@ -2,15 +2,14 @@
 //! empty-to-free ratio, packing density) move together — improvements are
 //! reported relative to LA-Binary as in the paper.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig13_metric_comparison -- [--seed N] [--days N] [--threads N]`
+//! Usage: `repro fig13_metric_comparison [--seed N] [--days N] [--threads N]`
 
-use lava_bench::{suite_from_specs, ExperimentArgs};
+use crate::{args::ExperimentArgs, harness::suite_from_specs};
 use lava_sched::Algorithm;
 use lava_sim::experiment::Experiment;
 use lava_sim::workload::PoolConfig;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     // LA-Binary is the reference (arm 0); NILAS and LAVA are treatments on
     // the same trace.
     let algorithms = [Algorithm::LaBinary, Algorithm::Nilas, Algorithm::Lava];
@@ -27,7 +26,7 @@ fn main() {
             .build()
             .expect("valid spec")
     });
-    let reports = suite_from_specs(specs, &args).run();
+    let reports = suite_from_specs(specs, args).run();
     let la = &reports[0].result;
 
     println!(
@@ -54,4 +53,5 @@ fn main() {
     }
     println!();
     println!("# Paper: all three metrics are correlated; improving one improves the others.");
+    Ok(())
 }

@@ -1,18 +1,15 @@
 //! Figure 14 (Appendix F): simulator validation — simulated CPU utilisation
 //! tracks the trace-implied utilisation closely.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig14_validation -- [--seed N] [--days N]
-//! [--trace-out PATH] [--trace-in PATH]`
+//! Usage: `repro fig14_validation [--seed N] [--days N] [--trace-out PATH] [--trace-in PATH]`
 
-use lava_bench::harness::apply_trace_io;
-use lava_bench::ExperimentArgs;
+use crate::{args::ExperimentArgs, harness::apply_trace_io};
 use lava_sched::Algorithm;
 use lava_sim::experiment::Experiment;
 use lava_sim::validation::validate;
 use lava_sim::workload::PoolConfig;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     let experiment = Experiment::builder()
         .name("fig14-validation")
         .workload(PoolConfig {
@@ -25,10 +22,7 @@ fn main() {
         .build()
         .and_then(Experiment::new)
         .expect("valid spec");
-    if let Err(err) = apply_trace_io(&args, &experiment) {
-        eprintln!("fig14_validation: {err}");
-        std::process::exit(1);
-    }
+    apply_trace_io(args, &experiment)?;
     let trace = experiment.trace();
     let result = experiment.run().result;
     let report = validate(
@@ -60,4 +54,5 @@ fn main() {
     println!(
         "# Paper: simulated CPU utilisation within ~1.6% of production ground truth on average."
     );
+    Ok(())
 }

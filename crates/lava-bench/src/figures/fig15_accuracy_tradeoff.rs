@@ -7,17 +7,17 @@
 //! workload, so all arms share one generated trace, and the three
 //! algorithms at one level share its noisy predictor.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig15_accuracy_tradeoff -- [--seed N] [--days N] [--threads N]`
+//! Usage: `repro fig15_accuracy_tradeoff [--seed N] [--days N] [--threads N]`
 
-use lava_bench::{improvement_pp, suite_from_specs, ExperimentArgs};
+use crate::args::ExperimentArgs;
+use crate::harness::{improvement_pp, suite_from_specs};
 use lava_sched::Algorithm;
 use lava_sim::experiment::{Experiment, PredictorSpec};
 use lava_sim::workload::PoolConfig;
 
 const ACCURACY_LEVELS: [u8; 8] = [50, 60, 70, 80, 90, 95, 99, 100];
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     let pool = PoolConfig {
         hosts: args.hosts.unwrap_or(100),
         duration: args.duration,
@@ -43,7 +43,7 @@ fn main() {
                 .expect("valid spec")
         })
     });
-    let reports = suite_from_specs(specs, &args).run();
+    let reports = suite_from_specs(specs, args).run();
     for (accuracy_pct, arms) in ACCURACY_LEVELS.iter().zip(reports.chunks(algorithms.len())) {
         let baseline = &arms[0].result;
         println!(
@@ -55,4 +55,5 @@ fn main() {
     }
     println!();
     println!("# Paper: improvements persist across accuracy levels; LAVA tolerates high misprediction rates better than NILAS.");
+    Ok(())
 }

@@ -8,17 +8,16 @@
 //! identical workload, so one generated trace is shared, and the two
 //! learned arms share one trained model.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig16_ablation -- [--seed N] [--days N] [--threads N]`
+//! Usage: `repro fig16_ablation [--seed N] [--days N] [--threads N]`
 
-use lava_bench::{suite_from_specs, ExperimentArgs};
+use crate::{args::ExperimentArgs, harness::suite_from_specs};
 use lava_core::time::Duration;
 use lava_sched::Algorithm;
 use lava_sim::experiment::{Experiment, PolicySpec, PredictorSpec};
 use lava_sim::validation::trace_utilization;
 use lava_sim::workload::PoolConfig;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     let pool = PoolConfig {
         hosts: args.hosts.unwrap_or(100),
         duration: args.duration,
@@ -71,7 +70,7 @@ fn main() {
             learned_no_repredict,
         ]
         .map(|builder| builder.build().expect("valid spec")),
-        &args,
+        args,
     );
     let reports = suite.run();
     let [baseline, nilas_oracle, nilas_oracle_ideal, nilas_learned, nilas_no_repredict] =
@@ -129,4 +128,5 @@ fn main() {
     println!();
     println!("# Paper: ideal NILAS with oracle lifetimes approaches the optimum; warm-up, model error and");
     println!("#        disabling repredictions each remove part of the gain (no-reprediction is markedly worse).");
+    Ok(())
 }

@@ -7,14 +7,14 @@
 //! clock of that suite — comparable across settings at a fixed
 //! `--threads`); all settings replay identical pre-generated traces.
 //!
-//! Exits non-zero unless each cached row's mean empty-host share is within
-//! 0.5 percentage points below the no-cache row's or above it (the paper's
-//! claim: caching does not hurt packing). The runtime column is not
-//! asserted.
+//! Fails (`repro` exits 1) unless each cached row's mean empty-host share
+//! is within 0.5 percentage points below the no-cache row's or above it
+//! (the paper's claim: caching does not hurt packing). The runtime column
+//! is not checked.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fig17_cache_ablation -- [--seed N] [--days N] [--pools N] [--threads N]`
+//! Usage: `repro fig17_cache_ablation [--seed N] [--days N] [--pools N] [--threads N]`
 
-use lava_bench::ExperimentArgs;
+use crate::args::ExperimentArgs;
 use lava_sched::Algorithm;
 use lava_sim::experiment::{CachePolicy, Experiment, PolicySpec};
 use lava_sim::suite::ExperimentSuite;
@@ -25,8 +25,7 @@ use std::time::Instant;
 /// fall, in percentage points.
 const TOLERANCE_PP: f64 = 0.5;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     let settings: [(&str, CachePolicy); 3] = [
         ("no cache", CachePolicy::RefreshSecs(0)),
         ("1 min refresh", CachePolicy::RefreshSecs(60)),
@@ -102,11 +101,11 @@ fn main() {
     let no_cache = empty_pct[0];
     for ((label, _), &cached) in settings.iter().zip(&empty_pct).skip(1) {
         if cached < no_cache - TOLERANCE_PP {
-            eprintln!(
-                "FAIL: `{label}` averages {cached:.2} % empty hosts, more than \
+            return Err(format!(
+                "`{label}` averages {cached:.2} % empty hosts, more than \
                  {TOLERANCE_PP} pp below the no-cache row's {no_cache:.2} %"
-            );
-            std::process::exit(1);
+            ));
         }
     }
+    Ok(())
 }

@@ -1,7 +1,7 @@
 //! Fleet comparison: routers × {NILAS, LAVA} on a sharded, heterogeneous
 //! fleet.
 //!
-//! The single-cluster figures evaluate the per-cell allocator; this binary
+//! The single-cluster figures evaluate the per-cell allocator; this figure
 //! evaluates the **fleet tier** above it — the same workload routed into
 //! many heterogeneous cells by each `RouterSpec`, under both NILAS and
 //! LAVA per-cell policies. Reported per combination: fleet-wide mean
@@ -13,27 +13,24 @@
 //! bigger SKU shape and every third cell a larger host count, mirroring
 //! the mixed-generation cells of a real fleet.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin fleet_compare --
-//! [--cells N] [--hosts N] [--days N] [--seed N] [--threads N]
+//! Usage: `repro fleet_compare [--cells N] [--hosts N] [--days N] [--seed N] [--threads N]
 //! [--full|--quick]`
 //!
 //! `--cells` defaults to 8 here (a 1-cell fleet makes every router
-//! identical); `--router` is ignored because the sweep covers all of them.
+//! identical); the sweep covers every router.
 
-use lava_bench::{fleet_config, heterogeneous_overrides, ExperimentArgs};
+use crate::{args::ExperimentArgs, harness::heterogeneous_overrides};
 use lava_core::time::Duration;
 use lava_sched::Algorithm;
 use lava_sim::experiment::Experiment;
 use lava_sim::fleet::{FleetConfig, RouterSpec};
 use lava_sim::workload::PoolConfig;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
-    // The uniform CLI fleet flags; a router comparison on 1 cell is
-    // meaningless, so an unset --cells defaults to 8 here.
-    let base_fleet =
-        fleet_config(&args).unwrap_or_else(|| FleetConfig::new(8).with_threads(args.threads));
-    let cells = base_fleet.cells;
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
+    // A router comparison on 1 cell is meaningless, so an unset --cells
+    // defaults to 8 here.
+    let cells = if args.cells > 1 { args.cells } else { 8 };
+    let base_fleet = FleetConfig::new(cells).with_threads(args.threads);
     let hosts = args.hosts.unwrap_or(1024).max(cells);
     let duration = if args.full {
         args.duration
@@ -96,4 +93,5 @@ fn main() {
     println!();
     println!("# Routers read bounded-staleness cell summaries (15-min refresh), never live state;");
     println!("# lifetime-aware routing extends NILAS's exit-time packing to fleet granularity.");
+    Ok(())
 }

@@ -6,9 +6,9 @@
 //! [`lava_sim::suite::ExperimentSuite`] fanned out across `--threads`
 //! workers; per-pilot results are bit-identical to a serial run.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin table1_pilots -- [--days N] [--seed N] [--threads N]`
+//! Usage: `repro table1_pilots [--days N] [--seed N] [--threads N]`
 
-use lava_bench::{suite_from_specs, ExperimentArgs};
+use crate::{args::ExperimentArgs, harness::suite_from_specs};
 use lava_core::vm::VmFamily;
 use lava_sched::Algorithm;
 use lava_sim::ab::paired_comparison;
@@ -16,8 +16,7 @@ use lava_sim::causal::{pre_post_arms, pre_post_impact};
 use lava_sim::experiment::Experiment;
 use lava_sim::workload::PoolConfig;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     println!("# Table 1: NILAS empty-host improvements in pilot pools");
     println!(
         "{:<22} {:<6} {:>14} {:>22}",
@@ -72,7 +71,7 @@ fn main() {
             .expect("valid spec");
         pre_post_arms(treated)
     });
-    let reports = suite_from_specs(ab_specs.chain(prepost_specs), &args).run();
+    let reports = suite_from_specs(ab_specs.chain(prepost_specs), args).run();
 
     let (ab_reports, prepost_reports) = reports.split_at(ab_pools.len() * ab_algorithms.len());
     for ((name, _, _), arms) in ab_pools.iter().zip(ab_reports.chunks(ab_algorithms.len())) {
@@ -109,4 +108,5 @@ fn main() {
     println!();
     println!("# Paper: +2.3 pp (p=0.01), +2.7 pp (p<0.01), +9.2 pp (p<0.01) A/B;");
     println!("#        C2 whole-pool +4.9 pp (95% CI [0.54, 9.2]); E2 whole-pool +6.1 pp (95% CI [1.9, 10.0]).");
+    Ok(())
 }

@@ -1,16 +1,15 @@
 //! Table 2: VM live-migration reductions from LARS on two traces.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin table2_lars -- [--days N] [--seed N]`
+//! Usage: `repro table2_lars [--days N] [--seed N]`
 
-use lava_bench::ExperimentArgs;
+use crate::args::ExperimentArgs;
 use lava_core::time::Duration;
 use lava_sched::Algorithm;
 use lava_sim::defrag::{DefragReport, EvacuationCollector};
 use lava_sim::experiment::Experiment;
 use lava_sim::workload::PoolConfig;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     println!("# Table 2: VM migration reductions using LARS (oracle lifetimes, 3 slots, 20-minute migrations)");
     println!(
         "{:<8} {:>12} {:>12} {:>12} {:>12}",
@@ -50,4 +49,5 @@ fn main() {
     println!();
     println!("# Paper: trace 1: 48,239 scheduled, 37,108 baseline, 35,505 LARS (-4.32%);");
     println!("#        trace 2: 53,597 scheduled, 36,307 baseline, 34,655 LARS (-4.55%).");
+    Ok(())
 }

@@ -2,9 +2,9 @@
 //! stratified Kaplan-Meier, neural-network regression and GBDT regression —
 //! on C-index and precision/recall/F1 at the 7-day threshold.
 //!
-//! Usage: `cargo run --release -p lava-bench --bin table4_model_comparison -- [--seed N]`
+//! Usage: `repro table4_model_comparison [--seed N]`
 
-use lava_bench::ExperimentArgs;
+use crate::args::ExperimentArgs;
 use lava_core::time::Duration;
 use lava_model::dataset::DatasetBuilder;
 use lava_model::gbdt::{GbdtConfig, GbdtRegressor};
@@ -16,8 +16,7 @@ use lava_model::{LIFETIME_CAP, LONG_LIVED_THRESHOLD};
 use lava_sim::experiment::Experiment;
 use lava_sim::workload::PoolConfig;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     let experiment = Experiment::builder()
         .name("table4-model-comparison")
         .workload(PoolConfig {
@@ -80,6 +79,7 @@ fn main() {
     println!();
     println!("# Paper: Linear Cox C=0.52 P=0.97 R=0.64; Stratified KM C=0.73 P/R=0.38;");
     println!("#        NN C=0.73 P=0.99 R=0.58; GBDT C=0.84 P=0.99 R=0.70 F1=0.8 (best).");
+    Ok(())
 }
 
 fn report_risk_model(

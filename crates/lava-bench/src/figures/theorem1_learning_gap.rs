@@ -16,9 +16,9 @@
 //!   back to an empty host (the host supply is unbounded, so "hosts
 //!   required" is simply the number of occupied hosts).
 //!
-//! Usage: `cargo run --release -p lava-bench --bin theorem1_learning_gap -- [--seed N]`
+//! Usage: `repro theorem1_learning_gap [--seed N]`
 
-use lava_bench::ExperimentArgs;
+use crate::args::ExperimentArgs;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -125,8 +125,7 @@ fn simulate(m: usize, k: usize, epsilon: f64, rho: f64, learning: bool, seed: u6
     (occupied_integral / last_t, contaminated_integral / last_t)
 }
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+pub fn run(args: &ExperimentArgs) -> Result<(), String> {
     let epsilon = 0.05;
     let rho = 0.10;
     let k = 8;
@@ -151,4 +150,5 @@ fn main() {
     println!("# long-lived jobs and can never drain — their number grows linearly with m (constant final column).");
     println!("# With learning (repredicting after S time units) such hosts are reclassified almost immediately,");
     println!("# so the scheduler stops treating them as about-to-free capacity. This is the Omega(m) advantage.");
+    Ok(())
 }

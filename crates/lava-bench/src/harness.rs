@@ -1,36 +1,16 @@
-//! Experiment harness helpers shared by the figure/table binaries.
-//!
-//! The heavy lifting lives in `lava-sim`'s declarative experiment API
-//! ([`Experiment`](lava_sim::experiment::Experiment)) and the parallel
-//! [`ExperimentSuite`]; this module
-//! keeps the thin glue the binaries share — building suites with the CLI
-//! thread count, honouring the fleet and trace-file flags, and report
-//! formatting.
+//! The thin glue the figures share on top of `lava-sim`'s experiment API:
+//! suites with the CLI thread count, the trace-file flags, failing on a
+//! checked claim, and report formatting.
 
 use crate::args::ExperimentArgs;
 use lava_sim::experiment::ExperimentSpec;
-use lava_sim::fleet::{CellOverride, FleetConfig};
+use lava_sim::fleet::CellOverride;
 use lava_sim::metrics::SimulationResult;
 use lava_sim::suite::ExperimentSuite;
 
-/// The [`FleetConfig`] the CLI fleet flags describe — the uniform way
-/// binaries honour `--cells` / `--router` / `--threads`. `None` when
-/// `--cells` is 1 (the default): the spec then runs the single-cluster
-/// engine, exactly as before the fleet tier existed.
-pub fn fleet_config(args: &ExperimentArgs) -> Option<FleetConfig> {
-    if args.cells <= 1 {
-        return None;
-    }
-    Some(
-        FleetConfig::new(args.cells)
-            .with_router(args.router)
-            .with_threads(args.threads),
-    )
-}
-
 /// An [`ExperimentSuite`] over `specs` using the CLI-selected thread
-/// count — the uniform way sweep binaries honour `--threads`. Panics on an
-/// invalid spec (sweep binaries construct their specs programmatically).
+/// count — the uniform way sweep figures honour `--threads`. Panics on an
+/// invalid spec (sweep figures construct their specs programmatically).
 pub fn suite_from_specs(
     specs: impl IntoIterator<Item = ExperimentSpec>,
     args: &ExperimentArgs,
@@ -69,8 +49,8 @@ pub fn heterogeneous_overrides(cells: usize, hosts: usize) -> Vec<CellOverride> 
 /// Formats: reads sniff the `LVTR` magic, so either format loads
 /// regardless of extension; writes pick by extension (`.json` = JSON,
 /// anything else = compact binary). Binary traces stream through the
-/// codec; JSON is read and written whole. Returns an error string suitable
-/// for a binary's `main` to print and exit on.
+/// codec; JSON is read and written whole. Returns an error string for the
+/// figure to pass up to `repro`, which prints it and exits 1.
 ///
 /// # Errors
 ///
@@ -127,6 +107,18 @@ pub fn apply_trace_io(
     Ok(())
 }
 
+/// `assert!` for a figure: when the claim does not hold, return the
+/// formatted message as the figure's `Err` (`repro` prints it and exits 1).
+macro_rules! ensure {
+    ($claim:expr, $($message:tt)+) => {
+        let holds: bool = $claim;
+        if !holds {
+            return Err(format!($($message)+));
+        }
+    };
+}
+pub(crate) use ensure;
+
 /// Empty-host improvement of `treatment` over `baseline`, in percentage
 /// points (the unit of Fig. 6 and Table 1).
 pub fn improvement_pp(treatment: &SimulationResult, baseline: &SimulationResult) -> f64 {
@@ -170,23 +162,6 @@ mod tests {
         let reports = suite.run();
         assert_eq!(reports[0].result.algorithm, "baseline");
         assert_eq!(reports[1].result.algorithm, "nilas");
-    }
-
-    #[test]
-    fn fleet_config_follows_cli_flags() {
-        use lava_sim::fleet::RouterSpec;
-        let default_args = ExperimentArgs::default();
-        assert!(fleet_config(&default_args).is_none(), "1 cell = no fleet");
-        let args = ExperimentArgs {
-            cells: 8,
-            router: RouterSpec::LeastLoaded,
-            threads: 2,
-            ..ExperimentArgs::default()
-        };
-        let fleet = fleet_config(&args).expect("fleet configured");
-        assert_eq!(fleet.cells, 8);
-        assert_eq!(fleet.router, RouterSpec::LeastLoaded);
-        assert_eq!(fleet.threads, 2);
     }
 
     #[test]
