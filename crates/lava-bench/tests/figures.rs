@@ -16,7 +16,8 @@ use std::process::{Command, Output};
 
 /// The figures pinned here. The wall-clock ones (`fig08_model_latency`,
 /// `fig17_cache_ablation`) cannot be; `fig06`, `fig09`, `fig10`, `fig11`,
-/// `table4` and `theorem1` are deterministic but too slow in debug.
+/// `table4` and `theorem1` are deterministic but too slow in debug, so
+/// their snapshots in `tests/figures/` are diffed by CI's release loop.
 const SNAPSHOTS: [&str; 12] = [
     "chaos_suite",
     "fig01_lifetime_cdf",

@@ -182,17 +182,6 @@ impl<T> VmTable<T> {
         }
     }
 
-    /// Look up an entry mutably.
-    #[inline]
-    pub fn get_mut(&mut self, id: VmId) -> Option<&mut T> {
-        if id.0 < DENSE_ID_LIMIT {
-            let idx = id.0 as usize;
-            self.pages.get_mut(idx / PAGE_IDS)?.as_mut()?.slots[idx % PAGE_IDS].as_mut()
-        } else {
-            self.spill.get_mut(&id.0)
-        }
-    }
-
     /// Whether the table holds an entry for `id`.
     #[inline]
     pub fn contains(&self, id: VmId) -> bool {
@@ -338,14 +327,6 @@ impl VmArena {
     pub fn get(&self, id: VmId) -> Option<&Vm> {
         let &slot = self.index.get(id)?;
         self.slots[slot as usize].as_ref()
-    }
-
-    /// Look up a live VM mutably by id (`Cluster::migrate` re-points its
-    /// host through this; the record keeps its slot and sample position).
-    #[inline]
-    pub fn get_mut(&mut self, id: VmId) -> Option<&mut Vm> {
-        let &slot = self.index.get(id)?;
-        self.slots[slot as usize].as_mut()
     }
 
     /// Whether a VM with this id is live.

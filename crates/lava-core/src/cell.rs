@@ -81,16 +81,6 @@ impl CellSummary {
             misprediction_log10: 0.0,
         }
     }
-
-    /// Fraction of the cell's CPU capacity that is free, in `[0, 1]`
-    /// (1 for a cell with no capacity).
-    pub fn free_cpu_fraction(&self) -> f64 {
-        if self.capacity.cpu_milli == 0 {
-            1.0
-        } else {
-            self.free.cpu_milli as f64 / self.capacity.cpu_milli as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -111,12 +101,5 @@ mod tests {
         assert_eq!(s.empty_hosts, 8);
         assert_eq!(s.live_vms, 0);
         assert_eq!(s.mean_predicted_exit, SimTime(100));
-        assert!((s.free_cpu_fraction() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn free_fraction_handles_zero_capacity() {
-        let s = CellSummary::empty(CellId(0), SimTime::ZERO, 0, Resources::ZERO);
-        assert_eq!(s.free_cpu_fraction(), 1.0);
     }
 }

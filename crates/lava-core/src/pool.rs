@@ -442,15 +442,6 @@ impl Pool {
             .filter_map(move |id| self.host(*id))
     }
 
-    /// Number of hosts currently in `(state, class)`.
-    pub fn state_class_count(
-        &self,
-        state: HostLifetimeState,
-        class: Option<LifetimeClass>,
-    ) -> usize {
-        self.index.buckets[bucket_slot(state, class)].len()
-    }
-
     /// Hosts with at least one VM, in id order.
     pub fn occupied_hosts(&self) -> impl Iterator<Item = &Host> + '_ {
         self.index
@@ -777,19 +768,26 @@ mod tests {
             vec![HostId(0)]
         );
         assert_eq!(
-            p.state_class_count(HostLifetimeState::Open, Some(LifetimeClass::Lc2)),
+            p.hosts_in_state_class(HostLifetimeState::Open, Some(LifetimeClass::Lc2))
+                .count(),
             1
         );
-        assert_eq!(p.state_class_count(HostLifetimeState::Empty, None), 1);
+        assert_eq!(
+            p.hosts_in_state_class(HostLifetimeState::Empty, None)
+                .count(),
+            1
+        );
 
         p.host_mut(HostId(0)).unwrap().start_recycling();
         p.validate_index().unwrap();
         assert_eq!(
-            p.state_class_count(HostLifetimeState::Recycling, Some(LifetimeClass::Lc2)),
+            p.hosts_in_state_class(HostLifetimeState::Recycling, Some(LifetimeClass::Lc2))
+                .count(),
             1
         );
         assert_eq!(
-            p.state_class_count(HostLifetimeState::Open, Some(LifetimeClass::Lc2)),
+            p.hosts_in_state_class(HostLifetimeState::Open, Some(LifetimeClass::Lc2))
+                .count(),
             0
         );
     }

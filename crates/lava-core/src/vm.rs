@@ -338,8 +338,8 @@ impl Vm {
     /// initial prediction is the remaining lifetime predicted when the VM
     /// was created (every consumer adds it to [`Vm::created_at`]), so at
     /// exactly that instant it is what the predictor would answer again,
-    /// and a placement decision taken then need not ask. A migration or
-    /// any later decision gets `None` and repredicts.
+    /// and a placement decision taken then need not ask. Any later
+    /// decision gets `None` and repredicts.
     #[inline]
     pub fn initial_prediction_at(&self, now: SimTime) -> Option<Duration> {
         self.initial_prediction.filter(|_| now == self.created_at)
@@ -363,7 +363,7 @@ impl Vm {
         self.host = Some(host);
     }
 
-    /// Clear the host assignment (VM exited or is mid-migration).
+    /// Clear the host assignment (the VM exited).
     pub fn clear_host(&mut self) {
         self.host = None;
     }

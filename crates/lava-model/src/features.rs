@@ -159,14 +159,6 @@ impl FeatureSchema {
         Self::collapse(&self.metadata_counts, spec.metadata_id())
     }
 
-    /// Number of distinct (non-collapsed) category values seen in training.
-    pub fn distinct_categories(&self) -> usize {
-        self.category_counts
-            .values()
-            .filter(|&&n| n >= Self::MIN_CATEGORY_EXAMPLES)
-            .count()
-    }
-
     /// Encode a VM spec plus uptime into a fixed-length numeric feature
     /// vector (see [`FEATURE_NAMES`] for the layout).
     ///
@@ -244,7 +236,6 @@ mod tests {
         assert_eq!(schema.category_code(&spec(1)), 1);
         assert_eq!(schema.category_code(&spec(2)), OTHER_CATEGORY);
         assert_eq!(schema.category_code(&spec(99)), OTHER_CATEGORY);
-        assert_eq!(schema.distinct_categories(), 1);
     }
 
     #[test]

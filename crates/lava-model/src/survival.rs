@@ -238,11 +238,6 @@ impl StratifiedKaplanMeier {
         self.curves.get(&stratum).unwrap_or(&self.overall)
     }
 
-    /// Number of strata with a dedicated curve.
-    pub fn stratum_count(&self) -> usize {
-        self.curves.len()
-    }
-
     /// Expected remaining lifetime for a stratum at the given uptime.
     pub fn expected_remaining(&self, stratum: u64, uptime: Duration) -> Duration {
         self.curve(stratum).expected_remaining(uptime)
@@ -470,7 +465,7 @@ mod tests {
             (2, hours(100), true),
             (2, hours(120), true),
         ]);
-        assert_eq!(model.stratum_count(), 2);
+        assert_eq!(model.curves.len(), 2);
         assert!(model.expected_remaining(1, Duration::ZERO) < hours(5));
         assert!(model.expected_remaining(2, Duration::ZERO) > hours(50));
         // Unknown stratum uses the overall curve.

@@ -17,7 +17,7 @@
 //! * placing a VM marks the host entry pending; the policy's placement
 //!   hook then *raises* the cached max with the new VM's predicted exit
 //!   instead of recomputing the whole host (incremental max maintenance);
-//! * removing or migrating a VM invalidates the entry (the removed VM may
+//! * removing a VM invalidates the entry (the removed VM may
 //!   have been the max);
 //! * entries expire when their refresh interval lapses or the cached exit
 //!   time itself passes (`exit < now` means the prediction was wrong);
@@ -27,11 +27,11 @@
 //!
 //! A host awaiting a recompute is in one of two places. **Pending**: it
 //! changed since the last refresh pass (a placement no hint healed, a
-//! removal, a migration, a flush) and no pass has looked at it since.
+//! removal, a flush) and no pass has looked at it since.
 //! **Parked**: a pass looked at it and its request did not fit — an index
 //! ordered by free CPU, so a later pass range-scans only the hosts with
 //! at least its request's CPU free. Any change to a host's free capacity
-//! moves it back to pending (`place` / `remove` / `migrate` mark it; a
+//! moves it back to pending (`place` / `remove` mark it; a
 //! mutation through `pool_mut` trips the epoch flush, which unparks every
 //! host); whether a host is withheld from scheduling is asked afresh by
 //! `can_fit` each time it is looked at. A pass therefore costs
@@ -407,46 +407,6 @@ impl Cluster {
         Ok((record, host))
     }
 
-    /// Move a VM from its current host to `target` (a live migration from
-    /// the bookkeeping perspective — both reservations are never held
-    /// simultaneously here; the simulator models the 20-minute dual-busy
-    /// window separately).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the VM is not live or the target host cannot fit it; in the
-    /// failure case the VM stays on its original host.
-    pub fn migrate(&mut self, vm: VmId, target: HostId) -> Result<HostId, CoreError> {
-        let record = self.vms.get(vm).ok_or(CoreError::VmNotFound { vm })?;
-        let request = record.resources();
-        let source = record.host().ok_or(CoreError::VmNotFound { vm })?;
-        // Check the target can fit before removing from the source.
-        {
-            let target_host = self
-                .pool
-                .host(target)
-                .ok_or(CoreError::HostNotFound { host: target })?;
-            if !target_host.can_fit(request) {
-                return Err(CoreError::InsufficientCapacity { host: target, vm });
-            }
-        }
-        self.pool.remove_vm(vm)?;
-        self.pool.place_vm(target, vm, request)?;
-        if let Some(record) = self.vms.get_mut(vm) {
-            record.assign_host(target);
-        }
-        let cache = self.exit_cache.get_mut();
-        if self.pool.host(source).is_none_or(|h| h.is_empty()) {
-            cache.forget(source);
-        } else {
-            cache.mark_hard(source);
-        }
-        cache.mark_placement(target);
-        // remove_vm + place_vm above: two pool mutations.
-        cache.synced_epoch += 2;
-        Ok(source)
-    }
-
     /// The feasible hosts for a request: available hosts with enough free
     /// resources, in deterministic id order.
     pub fn feasible_hosts(&self, request: Resources) -> impl Iterator<Item = &Host> + '_ {
@@ -556,8 +516,8 @@ impl Cluster {
         for i in 0..cache.scratch.hosts.len() {
             cache.unpark(cache.scratch.hosts[i]);
         }
-        // 3. Hosts that changed (placements without hints, removals,
-        //    migrations, a flush), in id order. Feasible ones are
+        // 3. Hosts that changed (placements without hints, removals, a
+        //    flush), in id order. Feasible ones are
         //    collected, the rest parked.
         while let Some(id) = cache.pending.pop_first() {
             counters.examined += 1;
@@ -732,34 +692,6 @@ mod tests {
         assert_eq!(record.host(), None);
         assert_eq!(c.vm_count(), 0);
         assert!(c.host(HostId(0)).unwrap().is_empty());
-    }
-
-    #[test]
-    fn migrate_moves_reservation() {
-        let mut c = cluster();
-        c.place(vm(1, 5), HostId(0)).unwrap();
-        let source = c.migrate(VmId(1), HostId(2)).unwrap();
-        assert_eq!(source, HostId(0));
-        assert!(c.host(HostId(0)).unwrap().is_empty());
-        assert!(c.host(HostId(2)).unwrap().contains(VmId(1)));
-        assert_eq!(c.vm(VmId(1)).unwrap().host(), Some(HostId(2)));
-    }
-
-    #[test]
-    fn migrate_to_full_host_fails_and_keeps_vm() {
-        let mut c = cluster();
-        c.place(vm(1, 5), HostId(0)).unwrap();
-        // Fill host 1 completely.
-        let big = Vm::new(
-            VmId(2),
-            VmSpec::builder(Resources::cores_gib(32, 128)).build(),
-            SimTime::ZERO,
-            Duration::from_hours(1),
-        );
-        c.place(big, HostId(1)).unwrap();
-        let err = c.migrate(VmId(1), HostId(1)).unwrap_err();
-        assert!(matches!(err, CoreError::InsufficientCapacity { .. }));
-        assert!(c.host(HostId(0)).unwrap().contains(VmId(1)));
     }
 
     #[test]

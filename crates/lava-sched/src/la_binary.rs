@@ -74,8 +74,8 @@ impl PlacementPolicy for LaBinaryPolicy {
         exclude: Option<HostId>,
     ) -> Option<HostId> {
         // One-shot prediction: reuse the initial prediction if the VM has
-        // one (e.g. when picking a migration target), otherwise predict now
-        // and treat it as the VM's fixed lifetime.
+        // one, otherwise predict now and treat it as the VM's fixed
+        // lifetime.
         let predicted = vm
             .initial_prediction()
             .unwrap_or_else(|| self.predictor.predict_remaining(vm, now));

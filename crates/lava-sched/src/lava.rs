@@ -131,8 +131,8 @@ impl LavaPolicy {
 
     /// The remaining lifetime of the VM being placed: the prediction the
     /// scheduler recorded if `now` is the instant it was made for (the
-    /// VM's creation), a fresh one otherwise (migration targets, callers
-    /// that bypass the scheduler).
+    /// VM's creation), a fresh one otherwise (callers that bypass the
+    /// scheduler).
     fn vm_remaining(&self, vm: &Vm, now: SimTime) -> Duration {
         vm.initial_prediction_at(now)
             .unwrap_or_else(|| self.predictor.predict_remaining(vm, now))

@@ -11,8 +11,6 @@
 //!   host score cache,
 //! * [`lava`] — LAVA, the host lifetime-class state machine with
 //!   misprediction correction,
-//! * [`lars`] — LARS, lifetime-aware migration ordering for
-//!   defragmentation and maintenance,
 //! * [`cluster`], [`scheduler`], [`policy`], [`scoring`] — the shared
 //!   substrate (cluster state, driver loop, policy trait, lexicographic
 //!   scoring). A fleet deployment runs one [`scheduler::Scheduler`]
@@ -53,7 +51,6 @@
 pub mod baseline;
 pub mod cluster;
 pub mod la_binary;
-pub mod lars;
 pub mod lava;
 pub mod nilas;
 pub mod policy;

@@ -12,7 +12,7 @@
 //! Because repredicting every VM on every host can become a bottleneck in
 //! very large pools, host exit times come from the cluster-level cache of
 //! Appendix G.3 (see [`crate::cluster`]): entries are invalidated by
-//! placement/removal/migration events, raised incrementally on placement,
+//! placement/removal events, raised incrementally on placement,
 //! and refreshed when their interval or their own exit time passes.
 //!
 //! The candidate scan exploits that the temporal cost is monotone in the
@@ -201,8 +201,8 @@ impl NilasPolicy {
     /// `vm`'s predicted remaining lifetime at `now`. The scheduler predicts
     /// an arriving VM at the instant it is created, so a decision taken at
     /// that same instant reads the recorded answer instead of asking the
-    /// predictor for it again; anything later (a migration target, a
-    /// resident VM) is a counted reprediction.
+    /// predictor for it again; anything later (a resident VM) is a counted
+    /// reprediction.
     fn repredict(&mut self, vm: &Vm, now: SimTime) -> Duration {
         vm.initial_prediction_at(now).unwrap_or_else(|| {
             self.stats.predictions += 1;

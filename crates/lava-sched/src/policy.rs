@@ -79,9 +79,9 @@ pub trait PlacementPolicy: Send {
     fn name(&self) -> &'static str;
 
     /// Choose a host for `vm` among the feasible hosts of `cluster`,
-    /// excluding `exclude` (used when picking a live-migration target so the
-    /// current host is not chosen). Returns `None` if no feasible host
-    /// exists.
+    /// excluding `exclude`. Returns `None` if no feasible host exists.
+    /// (Every shipped caller passes `None`; `exclude` stays because
+    /// `bench/` implements this method, until ROADMAP item (f).)
     fn choose_host(
         &mut self,
         cluster: &Cluster,
@@ -93,7 +93,7 @@ pub trait PlacementPolicy: Send {
     /// Called after `vm` has been placed on `host`.
     fn on_vm_placed(&mut self, _cluster: &mut Cluster, _vm: VmId, _host: HostId, _now: SimTime) {}
 
-    /// Called after a VM has exited from (or migrated away from) `host`.
+    /// Called after a VM has exited from `host`.
     fn on_vm_exited(&mut self, _cluster: &mut Cluster, _host: HostId, _now: SimTime) {}
 
     /// Called periodically by the simulator so that deadline-based state

@@ -3,8 +3,7 @@
 //!
 //! The driver is what the simulator (and the examples) talk to: it records
 //! the initial prediction on every VM, asks the policy for a host, applies
-//! the placement, routes exit events and periodic ticks to the policy, and
-//! implements live migration (used by defragmentation and maintenance).
+//! the placement, and routes exit events and periodic ticks to the policy.
 
 use crate::cluster::Cluster;
 use crate::policy::{PlacementPolicy, ScheduleError};
@@ -27,7 +26,9 @@ pub struct SchedulerStats {
     pub failed: u64,
     /// VM exits processed.
     pub exited: u64,
-    /// Live migrations performed.
+    /// Live migrations performed (always 0: nothing migrates). Stays
+    /// because `bench/` reads it and the golden digests fold it, until
+    /// ROADMAP item (f) shrinks the benchmark's frozen surface.
     pub migrations: u64,
 }
 
@@ -50,9 +51,8 @@ pub struct DecisionCost {
 /// logging is enabled (see [`Scheduler::enable_event_log`]).
 ///
 /// The stream is how external observers (the `lava-sim` experiment loop's
-/// `SimObserver`s) learn about placements, rejections, exits and live
-/// migrations without the scheduler knowing anything about metric
-/// collection.
+/// `SimObserver`s) learn about placements, rejections and exits without
+/// the scheduler knowing anything about metric collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerEvent {
     /// A VM was placed on a host.
@@ -78,17 +78,6 @@ pub enum SchedulerEvent {
         /// The host it was on.
         host: HostId,
         /// When the exit was processed.
-        at: SimTime,
-    },
-    /// A VM was live-migrated between hosts.
-    Migrated {
-        /// The migrated VM.
-        vm: VmId,
-        /// The source host.
-        from: HostId,
-        /// The target host.
-        to: HostId,
-        /// When the migration happened.
         at: SimTime,
     },
 }
@@ -197,22 +186,16 @@ impl Scheduler {
     }
 
     /// Start recording [`SchedulerEvent`]s. Events accumulate until drained
-    /// with [`Scheduler::take_events`]; logging is off by default so plain
+    /// with [`Scheduler::swap_events`]; logging is off by default so plain
     /// scheduling pays no bookkeeping cost.
     pub fn enable_event_log(&mut self) {
         self.log_events = true;
     }
 
-    /// Drain and return the events recorded since the last call.
-    pub fn take_events(&mut self) -> Vec<SchedulerEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Drain the recorded events by swapping them into `buffer` (which must
     /// be empty). Callers that drain once per trace event reuse one scratch
     /// buffer this way, keeping the replay loop allocation-free in steady
-    /// state — `take_events` would leave a zero-capacity `Vec` behind and
-    /// force a reallocation on the next push.
+    /// state.
     pub fn swap_events(&mut self, buffer: &mut Vec<SchedulerEvent>) {
         debug_assert!(buffer.is_empty(), "swap_events expects a drained buffer");
         std::mem::swap(&mut self.events, buffer);
@@ -399,42 +382,12 @@ impl Scheduler {
     pub fn tick(&mut self, now: SimTime) {
         self.policy.on_tick(&mut self.cluster, now);
     }
-
-    /// Choose a live-migration target for a VM (excluding its current
-    /// host), using the same policy as initial placement (§4.4).
-    pub fn choose_migration_target(&mut self, vm: VmId, now: SimTime) -> Option<HostId> {
-        let record = self.cluster.vm(vm)?.clone();
-        let exclude = record.host();
-        self.policy
-            .choose_host(&self.cluster, &record, now, exclude)
-    }
-
-    /// Live-migrate a VM to `target`. Returns the source host.
-    ///
-    /// # Errors
-    ///
-    /// Fails (leaving the VM in place) if the VM is unknown or the target
-    /// cannot fit it.
-    pub fn migrate(&mut self, vm: VmId, target: HostId, now: SimTime) -> Result<HostId, CoreError> {
-        let source = self.cluster.migrate(vm, target)?;
-        self.policy.on_vm_exited(&mut self.cluster, source, now);
-        self.policy.on_vm_placed(&mut self.cluster, vm, target, now);
-        self.stats.migrations += 1;
-        self.record(SchedulerEvent::Migrated {
-            vm,
-            from: source,
-            to: target,
-            at: now,
-        });
-        Ok(source)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline::WasteMinimizationPolicy;
-    use crate::nilas::NilasPolicy;
     use lava_core::host::HostSpec;
     use lava_core::resources::Resources;
     use lava_core::time::Duration;
@@ -497,31 +450,13 @@ mod tests {
     }
 
     #[test]
-    fn migration_uses_policy_and_counts() {
-        let predictor = Arc::new(OraclePredictor::new());
-        let mut s = scheduler(Box::new(NilasPolicy::with_defaults(predictor)));
-        s.schedule(vm(1, 10), SimTime::ZERO).unwrap();
-        s.schedule(vm(2, 10), SimTime::ZERO).unwrap();
-        let source = s.cluster().vm(VmId(2)).unwrap().host().unwrap();
-        // Drain the source host: mark it unavailable and move VM 2 off it.
-        s.cluster_mut()
-            .host_mut(source)
-            .unwrap()
-            .set_unavailable(true);
-        let target = s.choose_migration_target(VmId(2), SimTime::ZERO).unwrap();
-        assert_ne!(target, source);
-        let from = s.migrate(VmId(2), target, SimTime::ZERO).unwrap();
-        assert_eq!(from, source);
-        assert_eq!(s.stats().migrations, 1);
-        assert_eq!(s.cluster().vm(VmId(2)).unwrap().host(), Some(target));
-    }
-
-    #[test]
     fn event_log_records_lifecycle_when_enabled() {
         let mut s = scheduler(Box::new(WasteMinimizationPolicy::new()));
+        let mut events = Vec::new();
         // Disabled by default: nothing is recorded.
         s.schedule(vm(1, 5), SimTime::ZERO).unwrap();
-        assert!(s.take_events().is_empty());
+        s.swap_events(&mut events);
+        assert!(events.is_empty());
 
         s.enable_event_log();
         let host = s.schedule(vm(2, 5), SimTime::ZERO).unwrap();
@@ -534,7 +469,7 @@ mod tests {
             Duration::from_hours(1),
         );
         let _ = s.schedule(huge, exit_at);
-        let events = s.take_events();
+        s.swap_events(&mut events);
         assert_eq!(
             events,
             vec![
@@ -555,7 +490,9 @@ mod tests {
             ]
         );
         // Draining resets the buffer.
-        assert!(s.take_events().is_empty());
+        events.clear();
+        s.swap_events(&mut events);
+        assert!(events.is_empty());
     }
 
     #[test]

@@ -43,13 +43,6 @@ pub struct CausalImpactReport {
     pub p_value: f64,
 }
 
-impl CausalImpactReport {
-    /// Whether the estimated effect is significant at the chosen level.
-    pub fn is_significant(&self) -> bool {
-        self.ci_low > 0.0 || self.ci_high < 0.0
-    }
-}
-
 /// Configuration for [`causal_impact`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CausalConfig {
@@ -242,7 +235,7 @@ mod tests {
         let post = noisy_series(0.26, 80, 0.005);
         let report = causal_impact(&pre, &post, CausalConfig::default());
         assert!((report.average_effect - 0.06).abs() < 0.01, "{report:?}");
-        assert!(report.is_significant());
+        assert!(report.ci_low > 0.0, "the interval excludes zero");
         assert!(report.p_value < 0.01);
         assert_eq!(report.counterfactual.len(), 80);
         assert_eq!(report.cumulative_effect.len(), 80);
@@ -256,7 +249,7 @@ mod tests {
         let post = noisy_series(0.3, 60, 0.01);
         let report = causal_impact(&pre, &post, CausalConfig::default());
         assert!(report.average_effect.abs() < 0.01);
-        assert!(!report.is_significant());
+        assert!(report.ci_low <= 0.0 && report.ci_high >= 0.0);
         assert!(report.p_value > 0.05);
     }
 
@@ -284,6 +277,6 @@ mod tests {
         let report = causal_impact(&[0.5], &[0.9, 0.9], CausalConfig::default());
         assert_eq!(report.average_effect, 0.0);
         assert_eq!(report.p_value, 1.0);
-        assert!(!report.is_significant());
+        assert!(report.ci_low <= 0.0 && report.ci_high >= 0.0);
     }
 }

@@ -83,7 +83,8 @@ use std::sync::Arc;
 
 /// Base of the VM-id range synthesized arrivals (storm VMs) draw from —
 /// far above anything the workload generator produces, so storm ids never
-/// collide with trace ids. The incident's plan index occupies bits 32+.
+/// collide with trace ids. The incident's plan index occupies bits 32–47
+/// and the VM's number within its storm bits 0–31.
 pub const STORM_VM_ID_BASE: u64 = 1 << 48;
 
 /// How a cell outage removes capacity.
@@ -325,6 +326,7 @@ impl IncidentPlan {
                     lifetime,
                     ..
                 } => {
+                    check_storm_index(index)?;
                     if duration.is_zero()
                         || *vms == 0
                         || cores == &Some(0)
@@ -386,6 +388,99 @@ impl AdaptationSpec {
     }
 }
 
+// --- stream-level incidents, shared by both stream wrappers --------------
+
+/// The id of VM `i` of the storm at plan `index`.
+fn storm_vm_id(index: usize, i: u32) -> VmId {
+    VmId(STORM_VM_ID_BASE | ((index as u64) << 32) | i as u64)
+}
+
+/// [`storm_vm_id`] has 16 bits for the plan index; a storm past them
+/// would reuse the ids of the storm 65 536 places before it.
+fn check_storm_index(index: usize) -> Result<(), SpecError> {
+    if index < 1 << 16 {
+        Ok(())
+    } else {
+        Err(SpecError::StormIndexOutOfRange { index })
+    }
+}
+
+/// One storm VM: its id, arrival (at the wrapper's clock resolution) and
+/// shape.
+struct StormVm<T> {
+    vm: VmId,
+    arrival: T,
+    spec: VmSpec,
+    lifetime: Duration,
+}
+
+/// Every storm VM of `plan`, storm by storm in plan order. Each storm
+/// draws from its own stream, seeded by the plan seed and the storm's plan
+/// index, so reordering the plan never changes any single storm's draws.
+/// `arrival(rng, at, duration)` draws one VM's arrival inside the storm
+/// window.
+fn storm_vms<T>(
+    plan: &IncidentPlan,
+    mut arrival: impl FnMut(&mut ChaCha8Rng, Duration, Duration) -> T,
+) -> Vec<StormVm<T>> {
+    let mut storm = Vec::new();
+    for (index, incident) in plan.incidents.iter().enumerate() {
+        let Incident::ArrivalStorm {
+            at,
+            duration,
+            vms,
+            cores,
+            lifetime,
+        } = incident
+        else {
+            continue;
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(
+            plan.seed ^ 0x57a2_0000_0000 ^ (index as u64).wrapping_mul(0x9e37_79b9),
+        );
+        let cores = cores.unwrap_or(STORM_DEFAULT_CORES);
+        let lifetime = lifetime.unwrap_or(STORM_DEFAULT_LIFETIME);
+        let spec = VmSpec::builder(Resources::cores_gib(cores, cores * 4)).build();
+        storm.extend((0..*vms).map(|i| StormVm {
+            vm: storm_vm_id(index, i),
+            arrival: arrival(&mut rng, *at, *duration),
+            spec: spec.clone(),
+            lifetime,
+        }));
+    }
+    storm
+}
+
+/// The plan's drift shifts as `(shift time, scale)` in time order; the
+/// latest at or before a create applies.
+struct DriftShifts(Vec<(SimTime, f64)>);
+
+impl DriftShifts {
+    fn new(plan: &IncidentPlan) -> DriftShifts {
+        let mut shifts: Vec<(SimTime, f64)> = plan
+            .incidents
+            .iter()
+            .filter_map(|i| match i {
+                Incident::DriftShift { at, lifetime_scale } => {
+                    Some((SimTime::ZERO + *at, *lifetime_scale))
+                }
+                _ => None,
+            })
+            .collect();
+        shifts.sort_by_key(|(at, _)| *at);
+        DriftShifts(shifts)
+    }
+
+    /// `lifetime` scaled by the shift in force at `t`, or `None` before
+    /// the first shift.
+    fn rescale(&self, t: SimTime, lifetime: Duration) -> Option<Duration> {
+        let (_, scale) = self.0.iter().rev().find(|(at, _)| *at <= t)?;
+        Some(Duration::from_secs_f64(
+            (lifetime.as_secs() as f64 * scale).max(1.0),
+        ))
+    }
+}
+
 // --- the chaos event source ----------------------------------------------
 
 /// Entry of the synthesized-exit queue: `(exit time, vm id)`, min-ordered.
@@ -407,9 +502,7 @@ type PendingExit = Reverse<(SimTime, u64)>;
 /// do not involve the source — they are executed by [`ChaosController`].
 pub struct ChaosSource<'a> {
     inner: Box<dyn EventSource + 'a>,
-    /// `(shift time, scale)` in time order; the latest at or before a
-    /// create applies.
-    shifts: Vec<(SimTime, f64)>,
+    shifts: DriftShifts,
     /// VMs whose lifetime was rescaled; their inner exit is suppressed.
     drifted: HashSet<u64>,
     /// Synthesized (re-timed) exits for drifted VMs.
@@ -428,53 +521,24 @@ pub struct ChaosSource<'a> {
 impl<'a> ChaosSource<'a> {
     /// Wrap `inner` with the plan's stream-level incidents.
     pub fn new(inner: Box<dyn EventSource + 'a>, plan: &IncidentPlan) -> ChaosSource<'a> {
-        let mut shifts: Vec<(SimTime, f64)> = plan
-            .incidents
-            .iter()
-            .filter_map(|i| match i {
-                Incident::DriftShift { at, lifetime_scale } => {
-                    Some((SimTime::ZERO + *at, *lifetime_scale))
-                }
-                _ => None,
+        let storm_vms = storm_vms(plan, |rng, at, duration| {
+            SimTime::ZERO + at + Duration(rng.gen_range(0..duration.as_secs().max(1)))
+        });
+        let storm_last_arrival = storm_vms.iter().map(|v| v.arrival).max();
+        let mut storm: Vec<TraceEvent> = storm_vms
+            .into_iter()
+            .flat_map(|v| {
+                [
+                    TraceEvent::create(v.arrival, v.vm, v.spec, v.lifetime),
+                    TraceEvent::exit(v.arrival + v.lifetime, v.vm),
+                ]
             })
             .collect();
-        shifts.sort_by_key(|(at, _)| *at);
-
-        let mut storm: Vec<TraceEvent> = Vec::new();
-        let mut storm_last_arrival: Option<SimTime> = None;
-        for (index, incident) in plan.incidents.iter().enumerate() {
-            let Incident::ArrivalStorm {
-                at,
-                duration,
-                vms,
-                cores,
-                lifetime,
-            } = incident
-            else {
-                continue;
-            };
-            // One dedicated stream per storm, so reordering storms in the
-            // plan never changes any single storm's draws.
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                plan.seed ^ 0x57a2_0000_0000 ^ (index as u64).wrapping_mul(0x9e37_79b9),
-            );
-            let window = duration.as_secs().max(1);
-            let cores = cores.unwrap_or(STORM_DEFAULT_CORES);
-            let lifetime = lifetime.unwrap_or(STORM_DEFAULT_LIFETIME);
-            let spec = VmSpec::builder(Resources::cores_gib(cores, cores * 4)).build();
-            for i in 0..*vms {
-                let arrival = SimTime::ZERO + *at + Duration(rng.gen_range(0..window));
-                let id = VmId(STORM_VM_ID_BASE | ((index as u64) << 32) | i as u64);
-                storm.push(TraceEvent::create(arrival, id, spec.clone(), lifetime));
-                storm.push(TraceEvent::exit(arrival + lifetime, id));
-                storm_last_arrival = Some(storm_last_arrival.map_or(arrival, |t| t.max(arrival)));
-            }
-        }
         storm.sort_by_key(|e| e.sort_key());
 
         ChaosSource {
             inner,
-            shifts,
+            shifts: DriftShifts::new(plan),
             drifted: HashSet::new(),
             scaled_exits: BinaryHeap::new(),
             storm,
@@ -483,15 +547,6 @@ impl<'a> ChaosSource<'a> {
             current: None,
             inner_buffered: None,
         }
-    }
-
-    /// The drift scale in force at `t` (the latest shift at or before it).
-    fn scale_at(&self, t: SimTime) -> Option<f64> {
-        self.shifts
-            .iter()
-            .rev()
-            .find(|(at, _)| *at <= t)
-            .map(|(_, scale)| *scale)
     }
 
     /// Pull inner events until one survives transformation (suppressed
@@ -508,9 +563,7 @@ impl<'a> ChaosSource<'a> {
                     ref spec,
                     lifetime,
                 } => {
-                    if let Some(scale) = self.scale_at(event.time) {
-                        let scaled =
-                            Duration::from_secs_f64((lifetime.as_secs() as f64 * scale).max(1.0));
+                    if let Some(scaled) = self.shifts.rescale(event.time, lifetime) {
                         self.drifted.insert(vm.0);
                         self.scaled_exits.push(Reverse((event.time + scaled, vm.0)));
                         self.inner_buffered =
@@ -613,9 +666,7 @@ pub struct ChaosArrivals {
     /// Pre-generated storm requests in `(submitted, vm)` order.
     storm: Vec<PlaceRequest>,
     storm_next: usize,
-    /// `(shift time, scale)` in time order; the latest at or before an
-    /// arrival applies.
-    shifts: Vec<(Micros, f64)>,
+    shifts: DriftShifts,
     /// The generator's head, buffered (post-drift).
     buffered: Option<PlaceRequest>,
 }
@@ -628,74 +679,38 @@ impl ChaosArrivals {
         plan: &IncidentPlan,
         config: &ServeConfig,
     ) -> ChaosArrivals {
-        let mut shifts: Vec<(Micros, f64)> = plan
-            .incidents
-            .iter()
-            .filter_map(|i| match i {
-                Incident::DriftShift { at, lifetime_scale } => {
-                    Some((Micros::from_duration(*at), *lifetime_scale))
-                }
-                _ => None,
-            })
-            .collect();
-        shifts.sort_by_key(|(at, _)| *at);
-
-        let mut storm: Vec<PlaceRequest> = Vec::new();
-        for (index, incident) in plan.incidents.iter().enumerate() {
-            let Incident::ArrivalStorm {
-                at,
-                duration,
-                vms,
-                cores,
-                lifetime,
-            } = incident
-            else {
-                continue;
-            };
-            // Same per-storm stream derivation as ChaosSource, so plan
-            // reordering never changes any single storm's draws.
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                plan.seed ^ 0x57a2_0000_0000 ^ (index as u64).wrapping_mul(0x9e37_79b9),
-            );
-            let window_us = Micros::from_duration(*duration).as_micros().max(1);
-            let cores = cores.unwrap_or(STORM_DEFAULT_CORES);
-            let lifetime = lifetime.unwrap_or(STORM_DEFAULT_LIFETIME);
-            let spec = VmSpec::builder(Resources::cores_gib(cores, cores * 4)).build();
-            for i in 0..*vms {
-                let arrival = Micros::from_duration(*at) + Micros(rng.gen_range(0..window_us));
-                let id = STORM_VM_ID_BASE | ((index as u64) << 32) | i as u64;
-                storm.push(PlaceRequest {
-                    id: RequestId(id),
-                    vm: VmId(id),
-                    spec: spec.clone(),
-                    lifetime,
-                    submitted: arrival,
-                    deadline: config.deadline.map(|d| arrival + d),
-                    retries: config.retry_budget,
-                });
-            }
-        }
+        let mut storm: Vec<PlaceRequest> = storm_vms(plan, |rng, at, duration| {
+            let window_us = Micros::from_duration(duration).as_micros().max(1);
+            Micros::from_duration(at) + Micros(rng.gen_range(0..window_us))
+        })
+        .into_iter()
+        .map(|v| PlaceRequest {
+            id: RequestId(v.vm.0),
+            vm: v.vm,
+            spec: v.spec,
+            lifetime: v.lifetime,
+            submitted: v.arrival,
+            deadline: config.deadline.map(|d| v.arrival + d),
+            retries: config.retry_budget,
+        })
+        .collect();
         storm.sort_by_key(|r| (r.submitted, r.vm.0));
 
         ChaosArrivals {
             inner,
             storm,
             storm_next: 0,
-            shifts,
+            shifts: DriftShifts::new(plan),
             buffered: None,
         }
     }
 
-    /// Apply the drift scale in force at the request's arrival.
+    /// Apply the drift scale in force at the request's arrival (shifts
+    /// start on whole seconds, so the arrival's second decides).
     fn drift(&self, mut request: PlaceRequest) -> PlaceRequest {
-        if let Some((_, scale)) = self
-            .shifts
-            .iter()
-            .rev()
-            .find(|(at, _)| *at <= request.submitted)
-        {
-            request.lifetime =
-                Duration::from_secs_f64((request.lifetime.as_secs() as f64 * scale).max(1.0));
+        let submitted = request.submitted.to_sim_time();
+        if let Some(scaled) = self.shifts.rescale(submitted, request.lifetime) {
+            request.lifetime = scaled;
         }
         request
     }
@@ -1040,6 +1055,31 @@ mod tests {
             }])
             .validate(1),
             Err(SpecError::ZeroDurationIncident { index: 0 })
+        );
+        // Storm ids hold the plan index in 16 bits: drift shifts pad a
+        // storm to index 65 535 (the last that fits) and 65 536 (which
+        // would reuse the ids of a storm at index 0).
+        let storm_at = |index: usize| {
+            let mut incidents = vec![
+                Incident::DriftShift {
+                    at: Duration::ZERO,
+                    lifetime_scale: 1.0,
+                };
+                index
+            ];
+            incidents.push(Incident::ArrivalStorm {
+                at: Duration::ZERO,
+                duration: Duration::from_secs(1),
+                vms: 1,
+                cores: None,
+                lifetime: None,
+            });
+            plan(incidents)
+        };
+        assert_eq!(storm_at(65_535).validate(1), Ok(()));
+        assert_eq!(
+            storm_at(65_536).validate(1),
+            Err(SpecError::StormIndexOutOfRange { index: 65_536 })
         );
         let degradations = plan(vec![
             Incident::PredictorDegradation {

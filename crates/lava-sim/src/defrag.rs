@@ -241,18 +241,7 @@ pub fn simulate_migration_queue(
     let mut tasks: Vec<&EvacuationTask> = tasks.iter().collect();
     tasks.sort_by_key(|t| t.start);
     for task in tasks {
-        let mut vms = task.vms.clone();
-        match order {
-            MigrationOrder::Baseline => {}
-            MigrationOrder::Lars => {
-                vms.sort_by(|a, b| {
-                    b.predicted_remaining
-                        .cmp(&a.predicted_remaining)
-                        .then(a.vm.cmp(&b.vm))
-                });
-            }
-        }
-        for vm in &vms {
+        for vm in &migration_order(&task.vms, order) {
             outcome.scheduled += 1;
             // The migration starts when the earliest slot frees up, but not
             // before the drain begins.
@@ -273,6 +262,21 @@ pub fn simulate_migration_queue(
         }
     }
     outcome
+}
+
+/// One task's VMs in migration order: task order for the baseline;
+/// descending predicted remaining lifetime, ties by ascending VM id, for
+/// LARS.
+fn migration_order(vms: &[EvacuationVm], order: MigrationOrder) -> Vec<EvacuationVm> {
+    let mut vms = vms.to_vec();
+    if order == MigrationOrder::Lars {
+        vms.sort_by(|a, b| {
+            b.predicted_remaining
+                .cmp(&a.predicted_remaining)
+                .then(a.vm.cmp(&b.vm))
+        });
+    }
+    vms
 }
 
 #[cfg(test)]
@@ -334,6 +338,88 @@ mod tests {
         assert!(one_slot.avoided >= many_slots.avoided);
         // With a slot per VM every migration starts immediately.
         assert_eq!(many_slots.avoided, 0);
+    }
+
+    fn order_ids(remainings_minutes: &[u64], order: MigrationOrder) -> Vec<VmId> {
+        let task = task(remainings_minutes);
+        migration_order(&task.vms, order)
+            .iter()
+            .map(|v| v.vm)
+            .collect()
+    }
+
+    #[test]
+    fn lars_orders_longest_first() {
+        assert_eq!(
+            order_ids(&[2, 50, 10, 1], MigrationOrder::Lars),
+            vec![VmId(1), VmId(2), VmId(0), VmId(3)]
+        );
+    }
+
+    #[test]
+    fn baseline_keeps_task_order() {
+        assert_eq!(
+            order_ids(&[2, 50, 10, 1], MigrationOrder::Baseline),
+            vec![VmId(0), VmId(1), VmId(2), VmId(3)]
+        );
+    }
+
+    #[test]
+    fn ties_broken_by_vm_id() {
+        assert_eq!(
+            order_ids(&[5, 5, 5], MigrationOrder::Lars),
+            vec![VmId(0), VmId(1), VmId(2)]
+        );
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        proptest! {
+            /// Both orderings enumerate exactly the task's VM set; LARS
+            /// sorts by descending predicted remaining lifetime with an
+            /// ascending VM-id tiebreak; the baseline keeps task order.
+            #[test]
+            fn lars_and_baseline_orders_agree_with_their_specifications(
+                // Few distinct predictions, so ties are common.
+                predicted_hours in proptest::collection::vec(0u64..6, 1..30),
+            ) {
+                // Ids descend along the task, so neither task order nor a
+                // stable sort can pass for the id tiebreak.
+                let vms: Vec<EvacuationVm> = predicted_hours
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &h)| EvacuationVm {
+                        vm: VmId(1_000 - i as u64),
+                        actual_remaining: Duration::from_hours(h),
+                        predicted_remaining: Duration::from_hours(h),
+                    })
+                    .collect();
+                let lars = migration_order(&vms, MigrationOrder::Lars);
+                let baseline = migration_order(&vms, MigrationOrder::Baseline);
+
+                let ids = |order: &[EvacuationVm]| -> BTreeSet<VmId> {
+                    order.iter().map(|v| v.vm).collect()
+                };
+                prop_assert_eq!(lars.len(), vms.len());
+                prop_assert_eq!(ids(&lars).len(), lars.len(), "duplicate VM in LARS order");
+                prop_assert_eq!(ids(&lars), ids(&baseline), "orders cover different VM sets");
+                prop_assert_eq!(&baseline, &vms);
+
+                for (i, pair) in lars.windows(2).enumerate() {
+                    let (a, b) = (&pair[0], &pair[1]);
+                    prop_assert!(
+                        a.predicted_remaining >= b.predicted_remaining,
+                        "prediction increased at {}", i
+                    );
+                    if a.predicted_remaining == b.predicted_remaining {
+                        prop_assert!(a.vm < b.vm, "tie not broken by ascending id at {}", i);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -80,11 +80,6 @@ fn drain_scheduler_events(
                     o.on_exited(ctx, vm, host)
                 });
             }
-            SchedulerEvent::Migrated { vm, from, to, at } => {
-                dispatch(scheduler, at, observers, |o, ctx| {
-                    o.on_migrated(ctx, vm, from, to)
-                });
-            }
         }
     }
 }

@@ -197,12 +197,6 @@ impl PolicySpec {
         }
     }
 
-    /// Enable misprediction-aware fallback toward best-fit.
-    pub fn with_fallback(mut self, fallback: FallbackSpec) -> PolicySpec {
-        self.fallback = Some(fallback);
-        self
-    }
-
     /// Set the cache policy.
     pub fn with_cache(mut self, cache: CachePolicy) -> PolicySpec {
         self.cache = cache;
@@ -442,6 +436,13 @@ pub enum SpecError {
         /// Index of the offending incident in the plan.
         index: usize,
     },
+    /// An arrival storm sits at plan index 65 536 or later: storm VM ids
+    /// hold the plan index in 16 bits, so its ids would repeat an earlier
+    /// storm's.
+    StormIndexOutOfRange {
+        /// Index of the offending incident in the plan.
+        index: usize,
+    },
     /// The serving tier has a zero request-queue bound (every request
     /// would be rejected `QueueFull`; nothing would ever be served).
     ServeZeroQueueBound,
@@ -521,6 +522,12 @@ impl fmt::Display for SpecError {
                 write!(
                     f,
                     "incident {index} has a non-finite or non-positive lifetime scale"
+                )
+            }
+            SpecError::StormIndexOutOfRange { index } => {
+                write!(
+                    f,
+                    "incident {index}: an arrival storm's plan index must be below 65536"
                 )
             }
             SpecError::ServeZeroQueueBound => {

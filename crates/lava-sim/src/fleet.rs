@@ -511,7 +511,6 @@ fn aggregate(cells: &[CellReport], algorithm: &str, predictor: &str) -> Simulati
         stats.placed += c.result.scheduler_stats.placed;
         stats.failed += c.result.scheduler_stats.failed;
         stats.exited += c.result.scheduler_stats.exited;
-        stats.migrations += c.result.scheduler_stats.migrations;
         rejected += c.result.rejected_vms;
     }
     let max_len = cells

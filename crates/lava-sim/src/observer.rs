@@ -3,7 +3,7 @@
 //! The experiment loop ([`crate::experiment::drive`]) owns the event-driven
 //! replay; everything that *measures* a run is an observer implementing
 //! [`SimObserver`]. Observers receive the scheduler's event stream
-//! (placements, rejections, exits, migrations — see
+//! (placements, rejections, exits — see
 //! [`lava_sched::scheduler::SchedulerEvent`]) plus the loop's own cadence
 //! hooks (ticks, periodic samples, warm-up end, finish), so metric
 //! collection is *composed into* a run instead of hard-coded in the
@@ -58,7 +58,9 @@ pub trait SimObserver {
     /// A VM exited from a host.
     fn on_exited(&mut self, _ctx: &ObserverContext<'_>, _vm: VmId, _host: HostId) {}
 
-    /// A VM was live-migrated between hosts.
+    /// A VM was live-migrated between hosts. Never called (nothing
+    /// migrates); stays because `bench/` implements it, until ROADMAP
+    /// item (f) shrinks the benchmark's frozen surface.
     fn on_migrated(&mut self, _ctx: &ObserverContext<'_>, _vm: VmId, _from: HostId, _to: HostId) {}
 
     /// A periodic policy tick ran.

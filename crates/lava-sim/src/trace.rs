@@ -72,11 +72,6 @@ impl Trace {
             .count()
     }
 
-    /// The time of the last event (zero for an empty trace).
-    pub fn end_time(&self) -> SimTime {
-        self.events.last().map(|e| e.time).unwrap_or(SimTime::ZERO)
-    }
-
     /// The time of the last *creation* event (zero if there are none); used
     /// as the effective end of the arrival window.
     pub fn last_arrival_time(&self) -> SimTime {
@@ -216,7 +211,9 @@ impl Trace {
     /// Returns a [`TraceCodecError`] on I/O failure or malformed input.
     pub fn read_binary<R: Read>(reader: R) -> Result<Trace, TraceCodecError> {
         let mut source = BinaryTraceSource::new(reader)?;
-        let mut events = Vec::with_capacity(source.event_count().min(1 << 24) as usize);
+        // The header's count is untrusted: reserve at most 4096 events
+        // (288 KiB) up front and let the rest grow as events decode.
+        let mut events = Vec::with_capacity(source.event_count().min(1 << 12) as usize);
         while let Some(event) = source.next_event() {
             events.push(event);
         }
@@ -745,7 +742,7 @@ mod tests {
         let t = sample_trace();
         assert_eq!(t.pool(), PoolId(3));
         assert_eq!(t.vm_count(), 3);
-        assert_eq!(t.end_time(), SimTime(200 + 36_000));
+        assert_eq!(t.events().last().unwrap().time, SimTime(200 + 36_000));
         assert_eq!(t.last_arrival_time(), SimTime(5000));
         assert_eq!(t.events().len(), 6);
     }
@@ -797,7 +794,6 @@ mod tests {
     fn empty_trace_defaults() {
         let t = Trace::new(PoolId(0), vec![]);
         assert_eq!(t.vm_count(), 0);
-        assert_eq!(t.end_time(), SimTime::ZERO);
         assert_eq!(t.last_arrival_time(), SimTime::ZERO);
         assert!(t.observations().is_empty());
     }

@@ -500,8 +500,7 @@ impl WorkloadGenerator {
     /// exponential inter-arrival gap and, if the clock stays inside the
     /// horizon, the arrival's category, lifetime and spec. Returns the
     /// `(create, exit)` event pair, or `None` once the clock crosses the
-    /// horizon — in which case no further RNG draws are made, so the
-    /// materialised and streaming paths consume the RNG identically.
+    /// horizon (after which no further RNG draws are made).
     fn next_arrival(
         &self,
         rng: &mut ChaCha8Rng,
@@ -529,31 +528,22 @@ impl WorkloadGenerator {
     }
 
     /// Generate a trace covering `[0, duration)` (plus exits that may fall
-    /// after the end of the arrival window).
+    /// after the end of the arrival window): the whole
+    /// [`WorkloadGenerator::stream`], collected.
     pub fn generate(&self) -> Trace {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let rate = self.arrival_rate();
-        let mut next_id = 0u64;
-        let mut events = self.standing_population(&mut rng, &mut next_id);
-        let mut clock = 0.0f64;
-        while let Some((create, exit)) = self.next_arrival(&mut rng, &mut clock, rate, &mut next_id)
-        {
-            events.push(create);
-            events.push(exit);
-        }
+        let mut stream = self.clone().stream();
+        let events = std::iter::from_fn(|| stream.next_event()).collect();
         Trace::new(self.config.pool_id, events)
     }
 
-    /// Turn the generator into a lazy, pull-based [`StreamingWorkload`]
-    /// emitting event-for-event the same stream as
-    /// [`WorkloadGenerator::generate`] for the same seed.
+    /// Turn the generator into a lazy, pull-based [`StreamingWorkload`].
     pub fn stream(self) -> StreamingWorkload {
         StreamingWorkload::from_generator(self)
     }
 }
 
-/// A lazy, pull-based [`EventSource`] over the synthetic workload: the
-/// streaming twin of [`WorkloadGenerator::generate`].
+/// A lazy, pull-based [`EventSource`] over the synthetic workload;
+/// [`WorkloadGenerator::generate`] is this stream, collected.
 ///
 /// Instead of materialising the whole horizon as a `Vec<TraceEvent>`, the
 /// source draws arrivals from the seeded distributions *on demand* and
@@ -563,12 +553,10 @@ impl WorkloadGenerator {
 /// the pool can hold — and independent of the horizon length, which is
 /// what makes multi-million-event runs feasible.
 ///
-/// For the same [`PoolConfig`] (and in particular the same seed) the
-/// emitted stream is **event-for-event identical** to the canonical order
-/// of the materialised trace: both consume the RNG in the same sequence,
-/// and the internal heap pops events in [`TraceEvent::sort_key`] order —
-/// the exact order [`Trace::new`](crate::trace::Trace::new) sorts into.
-/// This is property-tested in `tests/streaming_engine.rs`.
+/// The internal heap pops events in [`TraceEvent::sort_key`] order — the
+/// canonical order [`Trace::new`](crate::trace::Trace::new) sorts into —
+/// so the stream is already canonical (property-tested in
+/// `tests/streaming_engine.rs`).
 #[derive(Debug, Clone)]
 pub struct StreamingWorkload {
     generator: WorkloadGenerator,
@@ -601,9 +589,8 @@ impl StreamingWorkload {
         let mut rng = ChaCha8Rng::seed_from_u64(generator.config.seed);
         let rate = generator.arrival_rate();
         let mut next_id = 0u64;
-        // The standing population is drawn eagerly (exactly as the
-        // materialised generator does, keeping the RNG streams aligned);
-        // it is O(pool size), not O(horizon).
+        // The standing population is drawn eagerly: it is O(pool size),
+        // not O(horizon).
         let standing = generator.standing_population(&mut rng, &mut next_id);
         let mut last_create_time = SimTime::ZERO;
         let mut pending = BinaryHeap::with_capacity(standing.len() + 2);

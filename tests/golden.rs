@@ -90,6 +90,36 @@ fn outage(cell: u32, mode: OutageMode, at: u64, recovery: u64) -> Incident {
     }
 }
 
+/// Two arrival storms and two drift shifts, interleaved in plan order so
+/// the storms sit at plan indices 1 and 3. Times scale with `unit`.
+fn stream_incidents(unit: Duration) -> Vec<Incident> {
+    let at = |units: u64| Duration(unit.0 * units);
+    vec![
+        Incident::DriftShift {
+            at: at(60),
+            lifetime_scale: 2.5,
+        },
+        Incident::ArrivalStorm {
+            at: at(30),
+            duration: at(20),
+            vms: 60,
+            cores: Some(2),
+            lifetime: Some(Duration::from_hours(3)),
+        },
+        Incident::DriftShift {
+            at: at(200),
+            lifetime_scale: 0.4,
+        },
+        Incident::ArrivalStorm {
+            at: at(150),
+            duration: at(30),
+            vms: 40,
+            cores: None,
+            lifetime: None,
+        },
+    ]
+}
+
 fn serve_specs() -> Vec<(&'static str, ExperimentSpec)> {
     let five_min = Duration::from_mins(5);
     let at = ServeConfig::at_rate;
@@ -184,6 +214,16 @@ fn serve_specs() -> Vec<(&'static str, ExperimentSpec)> {
                     at: Duration::from_secs(60),
                     recovery: Some(Duration::from_secs(120)),
                 }],
+            ),
+        ),
+        (
+            "serve/storms_and_drift_shifts",
+            spec(
+                24,
+                five_min,
+                at(20.0),
+                None,
+                stream_incidents(Duration::from_secs(1)),
             ),
         ),
         (
@@ -464,6 +504,17 @@ fn sim_entries() -> Vec<(&'static str, u64)> {
     entries.push((
         "sim/hard_kill_recalibrated_lava",
         fold(result_words(&outage.result)),
+    ));
+
+    let storms = run(
+        sim(Algorithm::Lava, PredictorSpec::Oracle).incidents(IncidentPlan {
+            seed: 17,
+            incidents: stream_incidents(Duration::from_mins(10)),
+        }),
+    );
+    entries.push((
+        "sim/storms_and_drift_shifts_lava",
+        fold(result_words(&storms.result)),
     ));
 
     let least_loaded = |threads| {

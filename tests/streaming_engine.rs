@@ -4,8 +4,9 @@
 //!
 //! The load-bearing guarantees:
 //!
-//! * `StreamingWorkload` emits event-for-event the same stream as the
-//!   materialised `WorkloadGenerator` for the same seed (property test);
+//! * `StreamingWorkload` emits its events already in canonical order:
+//!   `WorkloadGenerator::generate` collects the same stream and sorts it,
+//!   and the two agree event for event (property test);
 //! * the engine (`drive`) fed by a `StreamingWorkload` — last arrival
 //!   unknown until the generator crosses the horizon — produces
 //!   bit-identical scheduler counters, rejections and metric samples to
