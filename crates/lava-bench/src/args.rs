@@ -124,7 +124,7 @@ mod tests {
     fn defaults_without_flags() {
         let args = parse(&[]).unwrap();
         assert_eq!(args, ExperimentArgs::default());
-        // One cell: the single-cluster engine.
+        // One cell: one pool under one scheduler, as in the paper.
         assert_eq!(args.cells, 1);
     }
 

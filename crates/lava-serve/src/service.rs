@@ -14,7 +14,7 @@ use lava_model::adaptive::SwappablePredictor;
 use lava_model::predictor::LifetimePredictor;
 use lava_sched::cluster::Cluster;
 use lava_sched::scheduler::Scheduler;
-use lava_sim::arrivals::{AdmissionPolicy, ArrivalGenerator, ServeConfig};
+use lava_sim::arrivals::{AdmissionPolicy, ArrivalGenerator, ServeConfig, MAX_EPOCHS};
 use lava_sim::chaos::{AdaptationSpec, ChaosArrivals, ChaosController, Incident, IncidentPlan};
 use lava_sim::experiment::{ExperimentSpec, SpecError};
 use lava_sim::fleet::{FleetConfig, Router, SUMMARY_SAMPLE_CAP};
@@ -146,10 +146,6 @@ struct Queued {
     request: PlaceRequest,
     enqueued: Micros,
 }
-
-/// Hard cap on the per-epoch series; later activity is attributed to the
-/// final epoch so a pathological drain can't balloon the report.
-const MAX_EPOCHS: usize = 1 << 20;
 
 impl PlacementService {
     /// Build a service over pre-built cells.

@@ -263,6 +263,12 @@ impl Default for BreakerConfig {
     }
 }
 
+/// Hard cap on the serve report's per-epoch series ([`ServeConfig::epoch`]):
+/// a spec whose horizon holds more epochs does not validate, and activity
+/// past the cap (a drain beyond the horizon) is attributed to the final
+/// epoch.
+pub const MAX_EPOCHS: usize = 1 << 20;
+
 /// Declarative configuration of the serving tier, carried on
 /// `ExperimentSpec` as a serde-defaulted optional field.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -295,7 +301,8 @@ pub struct ServeConfig {
     pub breakers: Option<BreakerConfig>,
     /// Epoch length for the per-epoch latency/goodput series in the serve
     /// report (`None` disables the series). The SLO-recovery metrics of
-    /// the chaos bench are computed over these epochs.
+    /// the chaos bench are computed over these epochs. Must be non-zero
+    /// and split the horizon into at most [`MAX_EPOCHS`] epochs.
     #[serde(default)]
     pub epoch: Option<Micros>,
 }

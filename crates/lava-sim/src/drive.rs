@@ -99,11 +99,11 @@ fn drain_scheduler_events(
 /// [`crate::timeline`]).
 ///
 /// Returns the number of creation events that could not be placed.
-/// [`Experiment::run`](crate::experiment::Experiment::run) drives a
-/// single cluster through this function — a thin
-/// wrapper over `DriveLoop`, which the fleet tier
-/// ([`crate::fleet`]) also uses to step per-cell engines in bounded
-/// epochs.
+/// A thin wrapper over `DriveLoop`, the loop the fleet tier
+/// ([`crate::fleet`]) steps per cell in bounded epochs — and so the loop
+/// every [`Experiment::run`](crate::experiment::Experiment::run) goes
+/// through. Runs that hand over a lazy source and a hand-built
+/// [`Scheduler`] call it directly.
 pub fn drive(
     source: &mut dyn EventSource,
     scheduler: &mut Scheduler,

@@ -9,8 +9,9 @@
 //!   cadence). Specs round-trip through JSON, so an experiment can be
 //!   stored, diffed and replayed bit-identically.
 //! * [`ExperimentBuilder`] — a fluent builder over the spec.
-//! * [`Experiment::run`] — the single entry point: one replay, through
-//!   [`drive`] for a single cluster or [`fleet::run_fleet`] for a fleet.
+//! * [`Experiment::run`] — the single entry point: one replay through
+//!   the fleet engine ([`fleet::run_fleet`]); a spec without a fleet tier
+//!   runs as a 1-cell fleet, the paper's one pool under one scheduler.
 //!   Metric collection is composed from [`SimObserver`]s.
 //!
 //! A study that needs more than one replay is built from those pieces: a
@@ -40,16 +41,14 @@
 
 pub use crate::drive::{drive, DriveTiming};
 
-use crate::arrivals::{ArrivalProcess, ServeConfig};
-use crate::chaos::{AdaptationSpec, ChaosController, ChaosSource, Incident, IncidentPlan};
-use crate::drive::DriveLoop;
+use crate::arrivals::{ArrivalProcess, ServeConfig, MAX_EPOCHS};
+use crate::chaos::{AdaptationSpec, ChaosSource, Incident, IncidentPlan};
 use crate::fleet::{self, FleetChaos, FleetConfig, FleetReport};
 use crate::metrics::SimulationResult;
-use crate::observer::{MetricRecorder, SimObserver};
+use crate::observer::SimObserver;
 use crate::recording::{PredictionRecord, RecordingPredictor};
 use crate::trace::Trace;
 use crate::workload::{PoolConfig, WorkloadGenerator};
-use lava_core::pool::Pool;
 use lava_core::serve::Micros;
 use lava_core::source::EventSource;
 use lava_core::time::Duration;
@@ -59,12 +58,10 @@ use lava_model::gbdt::GbdtConfig;
 use lava_model::predictor::{
     GbdtPredictor, LifetimePredictor, NoisyOraclePredictor, OraclePredictor,
 };
-use lava_sched::cluster::Cluster;
 use lava_sched::la_binary::{LaBinaryConfig, LaBinaryPolicy};
 use lava_sched::lava::{LavaConfig, LavaPolicy};
 use lava_sched::nilas::{NilasConfig, NilasPolicy};
 use lava_sched::policy::{FallbackSpec, PlacementPolicy};
-use lava_sched::scheduler::Scheduler;
 use lava_sched::Algorithm;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -332,8 +329,9 @@ pub struct ExperimentSpec {
     pub cadence: Cadence,
     /// The optional fleet tier: shard the workload into cells behind a
     /// [`RouterSpec`](crate::fleet::RouterSpec). `None` (the default —
-    /// and what pre-fleet spec JSON parses to) runs the single-cluster
-    /// engine; a 1-cell fleet produces bit-identical results to `None`.
+    /// and what pre-fleet spec JSON parses to) runs as
+    /// `FleetConfig::new(1)` and leaves [`ExperimentReport::fleet`] empty;
+    /// its result is bit-identical to an explicit 1-cell fleet.
     #[serde(default)]
     pub fleet: Option<FleetConfig>,
     /// Deterministic fault injection: seeded incidents (cell outages,
@@ -409,8 +407,9 @@ pub enum SpecError {
     /// The fleet layout leaves a cell with zero hosts (too many cells for
     /// the workload's host count, or a zero-host override).
     FleetEmptyCell,
-    /// Prediction recording is not supported on fleet runs (cells record
-    /// in parallel; a shared recorder would not be deterministic).
+    /// Prediction recording is not supported on fleets of more than one
+    /// cell (cells record in parallel; a shared recorder would not be
+    /// deterministic).
     FleetRecordingUnsupported,
     /// An incident has a zero-duration effect (zero-host outage, zero
     /// recovery window, zero-length or empty storm).
@@ -472,6 +471,10 @@ pub enum SpecError {
     /// threshold, zero base backoff, a max backoff below the base, or a
     /// jitter fraction outside `[0, 1)`.
     ServeInvalidBreaker,
+    /// The serving tier's epoch length is zero, or splits the horizon into
+    /// more than [`MAX_EPOCHS`] epochs (each holds a latency histogram, so
+    /// the series would take gigabytes).
+    ServeInvalidEpoch,
 }
 
 impl fmt::Display for SpecError {
@@ -504,7 +507,7 @@ impl fmt::Display for SpecError {
                 write!(f, "fleet layout leaves a cell with zero hosts")
             }
             SpecError::FleetRecordingUnsupported => {
-                write!(f, "prediction recording is not supported on fleet runs")
+                write!(f, "prediction recording needs a 1-cell fleet")
             }
             SpecError::ZeroDurationIncident { index } => {
                 write!(f, "incident {index} has a zero-duration effect")
@@ -560,6 +563,12 @@ impl fmt::Display for SpecError {
             }
             SpecError::ServeInvalidArrival => {
                 write!(f, "serving arrival process has degenerate parameters")
+            }
+            SpecError::ServeInvalidEpoch => {
+                write!(
+                    f,
+                    "serve epoch must be non-zero and split the horizon into at most {MAX_EPOCHS} epochs"
+                )
             }
         }
     }
@@ -627,7 +636,7 @@ impl ExperimentSpec {
             {
                 return Err(SpecError::FleetEmptyCell);
             }
-            if self.record_predictions {
+            if self.record_predictions && fleet.cells > 1 {
                 return Err(SpecError::FleetRecordingUnsupported);
             }
         }
@@ -682,6 +691,13 @@ impl ExperimentSpec {
                 }
             }
             let horizon = Micros::from_duration(self.workload.duration);
+            if let Some(epoch) = serve.epoch {
+                if epoch.as_micros() == 0
+                    || horizon.as_micros() / epoch.as_micros() > MAX_EPOCHS as u64
+                {
+                    return Err(SpecError::ServeInvalidEpoch);
+                }
+            }
             for (index, incident) in self.incidents.incidents.iter().enumerate() {
                 if let Incident::ArrivalStorm { at, duration, .. } = incident {
                     if Micros::from_duration(*at) + Micros::from_duration(*duration) > horizon {
@@ -956,8 +972,10 @@ impl Experiment {
         self.run_once(&mut [], None)
     }
 
-    /// Run the experiment with any fleet tier executing on `pool` instead
-    /// of the process-wide [`crate::workers::WorkerPool::global`]. Results are
+    /// Run the experiment with a multi-worker fleet's cells pinned on
+    /// `pool` instead of the process-wide
+    /// [`crate::workers::WorkerPool::global`] (a run on one worker never
+    /// touches a pool). Results are
     /// bit-identical to [`Experiment::run`] — explicit pools exist so
     /// tests can prove back-to-back runs on a shared pool leak no state
     /// into each other.
@@ -975,100 +993,89 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Panics when the spec has a fleet tier and `extra` is non-empty:
-    /// cells run in parallel, so a shared observer could not see a
-    /// deterministic event order. Fleet runs report through the per-cell
-    /// results on [`ExperimentReport::fleet`] instead.
+    /// Panics when the spec's fleet tier has more than one cell and
+    /// `extra` is non-empty: cells run in parallel, so a shared observer
+    /// could not see a deterministic event order. Multi-cell runs report
+    /// through the per-cell results on [`ExperimentReport::fleet`]
+    /// instead. A spec without a fleet tier, or with a 1-cell one, takes
+    /// any observers.
     pub fn run_with_observers(&self, extra: &mut [&mut dyn SimObserver]) -> ExperimentReport {
         self.run_once(extra, None)
     }
 
+    /// One full replay of the workload through the fleet engine: the
+    /// spec's fleet tier, or a 1-cell fleet when it has none. The pool is
+    /// sharded into cells ([`FleetConfig::build_cells`]), each cell gets
+    /// its own policies ([`phase_policies`]), and [`fleet::run_fleet`]'s
+    /// engine drives them over the experiment's
+    /// [event feed](Experiment::event_source) behind the configured
+    /// router.
     fn run_once(
         &self,
         extra: &mut [&mut dyn SimObserver],
         pool: Option<&crate::workers::WorkerPool>,
     ) -> ExperimentReport {
-        let predictor = self.predictor();
-        let timing = self.spec.cadence.timing();
-        // Fleet cells compose their own metric recorders. Extra observers
-        // cannot observe N cells running in parallel deterministically, so
-        // attaching any is a caller error (loud, not a silent no-op — same
-        // policy as the FleetRecordingUnsupported validation rule).
-        let (result, fleet, predictions) = match &self.spec.fleet {
-            Some(fleet) => {
-                assert!(
-                    extra.is_empty(),
-                    "extra observers are not supported on fleet runs (cells run in parallel); \
-                     use the per-cell results on ExperimentReport::fleet instead"
-                );
-                let report = self.run_fleet(fleet, &predictor, &timing, pool);
-                (report.fleet.clone(), Some(report), Vec::new())
-            }
-            None => {
-                let (result, predictions) = self.run_one(&predictor, &timing, extra);
-                (result, None, predictions)
-            }
-        };
-        ExperimentReport {
-            name: self.spec.name.clone(),
-            result,
-            fleet,
-            predictions,
-        }
-    }
-
-    /// One full replay of the workload through the fleet tier: the
-    /// workload's pool is sharded into cells
-    /// ([`FleetConfig::build_cells`]), each cell gets its own policy
-    /// instance (with the same warm-up deferral contract as the
-    /// single-cluster path), and [`fleet::run_fleet`] drives them over
-    /// the experiment's [event feed](Experiment::event_source) behind the
-    /// configured router.
-    fn run_fleet(
-        &self,
-        fleet_config: &FleetConfig,
-        predictor: &Arc<dyn LifetimePredictor>,
-        timing: &DriveTiming,
-        pool: Option<&crate::workers::WorkerPool>,
-    ) -> FleetReport {
         let spec = &self.spec;
+        let fleet_config = spec.fleet.clone().unwrap_or_else(|| FleetConfig::new(1));
+        let predictor = self.predictor();
+        let timing = spec.cadence.timing();
+        // Recording (1-cell fleets only, see `validate`) wraps the base
+        // predictor; any chaos swap then wraps the recorder.
+        let recorder = spec
+            .record_predictions
+            .then(|| RecordingPredictor::new(predictor.clone()));
+        let base: Arc<dyn LifetimePredictor> = match &recorder {
+            Some(recorder) => recorder.clone(),
+            None => predictor.clone(),
+        };
         // With an incident plan or adaptation knobs, every cell gets its
         // own swappable predictor seam; the cell's policies are built over
         // the same swap so degradations reach placement decisions too. The
-        // router keeps the pristine base predictor (see FleetChaos docs).
+        // router keeps the base predictor (see FleetChaos docs).
         let chaos_active = !spec.incidents.is_empty() || !spec.adaptation.is_empty();
         let chaos = chaos_active.then(|| FleetChaos {
             incidents: spec.incidents.clone(),
             adaptation: spec.adaptation,
             swaps: (0..fleet_config.cells)
-                .map(|_| SwappablePredictor::new(predictor.clone()))
+                .map(|_| SwappablePredictor::new(base.clone()))
                 .collect(),
         });
         let cells = fleet_config.build_cells(&spec.workload, |cell| {
             let cell_predictor: Arc<dyn LifetimePredictor> = match &chaos {
                 Some(chaos) => chaos.swaps[cell.0 as usize].clone(),
-                None => predictor.clone(),
+                None => base.clone(),
             };
-            phase_policies(&spec.policy, cell_predictor, timing)
+            phase_policies(&spec.policy, cell_predictor, &timing)
         });
         let mut source = self.event_source();
-        let outcome = fleet::run_fleet(
+        let outcome = fleet::run_fleet_observed(
             cells,
-            predictor.clone(),
+            base,
             fleet_config.router,
             fleet_config.summary_refresh,
-            timing,
+            &timing,
             source.as_mut(),
             fleet_config.threads,
             chaos.as_ref(),
             pool,
+            extra,
         );
-        FleetReport::from_outcome(
+        let report = FleetReport::from_outcome(
             outcome,
             fleet_config.router,
             &spec.policy.display_name(),
             predictor.name(),
-        )
+        );
+        let (result, fleet) = match spec.fleet {
+            Some(_) => (report.fleet.clone(), Some(report)),
+            None => (report.fleet, None),
+        };
+        ExperimentReport {
+            name: spec.name.clone(),
+            result,
+            fleet,
+            predictions: recorder.map(|r| r.records()).unwrap_or_default(),
+        }
     }
 
     /// The event feed of one run: a fresh
@@ -1083,84 +1090,6 @@ impl Experiment {
         } else {
             replay
         }
-    }
-
-    /// One full replay of the workload on a single cluster, fed by
-    /// [`Experiment::event_source`].
-    fn run_one(
-        &self,
-        predictor: &Arc<dyn LifetimePredictor>,
-        timing: &DriveTiming,
-        extra: &mut [&mut dyn SimObserver],
-    ) -> (SimulationResult, Vec<PredictionRecord>) {
-        let predictor_name = predictor.name().to_string();
-        let (base_predictor, recorder): (
-            Arc<dyn LifetimePredictor>,
-            Option<Arc<RecordingPredictor>>,
-        ) = if self.spec.record_predictions {
-            let rec = RecordingPredictor::new(predictor.clone());
-            (rec.clone(), Some(rec))
-        } else {
-            (predictor.clone(), None)
-        };
-        // Chaos runs interpose the hot-swap seam so the controller can
-        // degrade/restore/recalibrate the live model; incident-free specs
-        // keep the exact pre-incident predictor plumbing (bit-identity).
-        let chaos_active = !self.spec.incidents.is_empty() || !self.spec.adaptation.is_empty();
-        let (run_predictor, swap): (Arc<dyn LifetimePredictor>, Option<Arc<SwappablePredictor>>) =
-            if chaos_active {
-                let swap = SwappablePredictor::new(base_predictor);
-                (swap.clone(), Some(swap))
-            } else {
-                (base_predictor, None)
-            };
-
-        let pool = Pool::with_uniform_hosts(
-            self.spec.workload.pool_id,
-            self.spec.workload.hosts,
-            self.spec.workload.host_spec(),
-        );
-        let cluster = Cluster::new(pool);
-        let (initial, deferred) = phase_policies(&self.spec.policy, run_predictor.clone(), timing);
-        let mut scheduler = Scheduler::new(cluster, initial, run_predictor);
-
-        let mut metrics = if chaos_active {
-            // The accuracy probe repredicts live VMs on the sample grid,
-            // so it is only enabled on chaos runs (extra predictor calls
-            // would perturb recorded-prediction counts otherwise).
-            MetricRecorder::with_accuracy_probe()
-        } else {
-            MetricRecorder::new()
-        };
-        let rejected = {
-            let mut observers: Vec<&mut dyn SimObserver> = Vec::with_capacity(1 + extra.len());
-            observers.push(&mut metrics);
-            for o in extra.iter_mut() {
-                observers.push(&mut **o);
-            }
-            let mut source = self.event_source();
-            let mut driver = DriveLoop::new(&mut scheduler, deferred, timing);
-            if chaos_active {
-                driver.attach_chaos(ChaosController::new(
-                    &self.spec.incidents,
-                    &self.spec.adaptation,
-                    0,
-                    swap,
-                ));
-            }
-            driver.step(source.as_mut(), &mut scheduler, &mut observers, None, false);
-            driver.finish(&mut scheduler, &mut observers)
-        };
-
-        let result = SimulationResult {
-            algorithm: self.spec.policy.display_name(),
-            predictor: predictor_name,
-            series: metrics.into_series(),
-            scheduler_stats: scheduler.stats(),
-            rejected_vms: rejected,
-        };
-        let predictions = recorder.map(|r| r.records()).unwrap_or_default();
-        (result, predictions)
     }
 }
 
@@ -1342,6 +1271,27 @@ mod tests {
             )
             .build();
         assert!(ok.is_ok());
+    }
+
+    #[test]
+    fn serve_epoch_finer_than_the_series_cap_is_rejected() {
+        use crate::arrivals::ServeConfig;
+        // 5 s = 5 000 000 µs: a 4 µs epoch makes 1 250 000 > 2^20 epochs,
+        // a 5 µs epoch 1 000 000.
+        let serve_epoch = |epoch: u64| {
+            ExperimentBuilder::new()
+                .hosts(8)
+                .duration(Duration::from_secs(5))
+                .serve(ServeConfig::at_rate(50.0).with_epoch(Micros(epoch)))
+                .build()
+        };
+        for epoch in [0, 1, 4] {
+            let err = serve_epoch(epoch).unwrap_err();
+            assert_eq!(err, SpecError::ServeInvalidEpoch, "epoch {epoch} µs");
+            assert!(err.to_string().contains(&MAX_EPOCHS.to_string()));
+        }
+        assert!(serve_epoch(5).is_ok());
+        assert!(serve_epoch(1_000_000).is_ok());
     }
 
     #[test]

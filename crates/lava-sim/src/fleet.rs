@@ -72,11 +72,13 @@
 //! loop the coordinator is property-tested against is test-only code in
 //! this module (`tests::reference_fleet`).
 //!
-//! A single-cell fleet degenerates to the plain single-cluster engine:
-//! every router sends everything to cell 0 and the per-cell loop is the
-//! same [`DriveLoop`](crate::experiment::drive) the monolithic path runs,
-//! so a 1-cell fleet run is bit-identical to a plain [`Experiment`]
-//! run of the same spec (enforced by the backward-compat tests).
+//! A single-cell fleet is the paper's setting — one pool under one
+//! scheduler: every router sends everything to cell 0, which runs on the
+//! inline lane. It is also how an [`Experiment`] without a fleet tier
+//! runs, so this module holds the only engine an experiment has. A 1-cell
+//! fleet is bit-identical to the same scheduler replayed through
+//! [`drive`](crate::experiment::drive) (`tests/fleet_tier.rs`), and only
+//! a 1-cell fleet takes extra observers or records predictions.
 //!
 //! [`Experiment`]: crate::experiment::Experiment
 
@@ -254,8 +256,8 @@ impl CellOverride {
 /// routed.
 ///
 /// Absent (`None`) in pre-fleet specs — the field is serde-defaulted, so
-/// existing spec JSON parses unchanged and runs the single-cluster
-/// engine.
+/// existing spec JSON parses unchanged and runs as
+/// `FleetConfig::new(1)`, a one-cell fleet.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// Number of cells the fleet is sharded into (≥ 1). The base
@@ -349,7 +351,7 @@ impl FleetConfig {
     /// Build the runnable cells for a base workload: one [`Pool`] per cell
     /// (pool ids offset from the base pool id) plus the policies supplied
     /// by `make_policies` (returning the evaluated policy and the optional
-    /// warm-up deferred policy, mirroring the single-cluster drive
+    /// warm-up deferred policy, mirroring [`drive`](crate::experiment::drive)'s
     /// contract).
     pub fn build_cells<F>(&self, base: &PoolConfig, mut make_policies: F) -> Vec<FleetCell>
     where
@@ -400,8 +402,8 @@ pub struct FleetCell {
     /// The placement policy in control (during warm-up, the warm-up
     /// policy when `deferred_policy` is set).
     pub policy: Box<dyn PlacementPolicy>,
-    /// Policy to switch to at the warm-up boundary (same contract as the
-    /// single-cluster drive's deferred policy).
+    /// Policy to switch to at the warm-up boundary (same contract as
+    /// [`drive`](crate::experiment::drive)'s deferred policy).
     pub deferred_policy: Option<Box<dyn PlacementPolicy>>,
 }
 
@@ -851,8 +853,8 @@ impl Router {
 /// delivers events in canonical order, and a cell's subsequence of an
 /// ordered stream is ordered). `last_arrival` mirrors the *fleet* source's
 /// knowledge, propagated at each epoch boundary, so every cell's metric
-/// samples stop at the same fleet-wide last arrival — exactly the
-/// single-cluster semantics when the fleet has one cell.
+/// samples stop at the same fleet-wide last arrival — for one cell, the
+/// source's own last arrival, as in [`drive`](crate::experiment::drive).
 struct CellSource {
     queue: VecDeque<TraceEvent>,
     last_arrival: Option<SimTime>,
@@ -916,6 +918,9 @@ impl CellRunner {
                 swap,
             ));
         }
+        // The accuracy probe repredicts live VMs on the sample grid, so it
+        // is only enabled on chaos runs (extra predictor calls would
+        // perturb recorded-prediction counts otherwise).
         let metrics = if chaos.is_some() {
             MetricRecorder::with_accuracy_probe()
         } else {
@@ -949,8 +954,9 @@ impl CellRunner {
     }
 
     /// Process everything due strictly before `limit`; the stream stays
-    /// open (more events may be routed here next epoch).
-    fn step_epoch(&mut self, limit: SimTime) {
+    /// open (more events may be routed here next epoch). `extra` observers
+    /// follow the metric recorder.
+    fn step_epoch(&mut self, limit: SimTime, extra: &mut [&mut dyn SimObserver]) {
         let CellRunner {
             driver,
             source,
@@ -958,12 +964,13 @@ impl CellRunner {
             metrics,
             ..
         } = self;
-        let mut observers: [&mut dyn SimObserver; 1] = [metrics];
-        driver.step(source, scheduler, &mut observers, Some(limit), true);
+        with_observers(metrics, extra, |observers| {
+            driver.step(source, scheduler, observers, Some(limit), true)
+        });
     }
 
     /// The stream is closed: drain everything left and finish the run.
-    fn run_to_completion(&mut self) {
+    fn run_to_completion(&mut self, extra: &mut [&mut dyn SimObserver]) {
         let CellRunner {
             driver,
             source,
@@ -976,9 +983,10 @@ impl CellRunner {
         // the identical time grid, so the host-weighted fleet aggregate
         // never loses an early-finishing (frozen) cell from its weights.
         driver.set_cadence_horizon(source.last_arrival);
-        let mut observers: [&mut dyn SimObserver; 1] = [metrics];
-        driver.step(source, scheduler, &mut observers, None, false);
-        self.rejected_vms = driver.finish(scheduler, &mut observers);
+        self.rejected_vms = with_observers(metrics, extra, |observers| {
+            driver.step(source, scheduler, observers, None, false);
+            driver.finish(scheduler, observers)
+        });
     }
 
     fn into_outcome(self) -> CellOutcome {
@@ -991,6 +999,25 @@ impl CellRunner {
             series: self.metrics.into_series(),
         }
     }
+}
+
+/// Call `f` with a cell's observer list: its metric recorder, then `extra`
+/// in slice order. Only a 1-cell fleet has `extra` observers; the list is
+/// then built once per epoch, never per event.
+fn with_observers<R>(
+    metrics: &mut MetricRecorder,
+    extra: &mut [&mut dyn SimObserver],
+    f: impl FnOnce(&mut [&mut dyn SimObserver]) -> R,
+) -> R {
+    if extra.is_empty() {
+        return f(&mut [metrics]);
+    }
+    let mut observers: Vec<&mut dyn SimObserver> = Vec::with_capacity(1 + extra.len());
+    observers.push(metrics);
+    for observer in extra.iter_mut() {
+        observers.push(&mut **observer);
+    }
+    f(&mut observers)
 }
 
 fn worker_count(threads: usize, cells: usize) -> usize {
@@ -1048,12 +1075,53 @@ pub fn run_fleet(
     chaos: Option<&FleetChaos>,
     pool: Option<&WorkerPool>,
 ) -> FleetOutcome {
+    run_fleet_observed(
+        cells,
+        predictor,
+        router,
+        summary_refresh,
+        timing,
+        source,
+        threads,
+        chaos,
+        pool,
+        &mut [],
+    )
+}
+
+/// [`run_fleet`] with `observers` attached after the cell's metric
+/// recorder, in slice order — the engine behind every
+/// [`Experiment`](crate::experiment::Experiment) run.
+///
+/// # Panics
+///
+/// Panics when `observers` is non-empty and the fleet has more than one
+/// cell: cells run in parallel, so a shared observer could not see a
+/// deterministic event order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_fleet_observed(
+    cells: Vec<FleetCell>,
+    predictor: Arc<dyn LifetimePredictor>,
+    router: RouterSpec,
+    summary_refresh: Duration,
+    timing: &DriveTiming,
+    source: &mut dyn EventSource,
+    threads: usize,
+    chaos: Option<&FleetChaos>,
+    pool: Option<&WorkerPool>,
+    observers: &mut [&mut dyn SimObserver],
+) -> FleetOutcome {
+    assert!(
+        observers.is_empty() || cells.len() == 1,
+        "extra observers need a 1-cell fleet (cells run in parallel); \
+         use the per-cell results on ExperimentReport::fleet instead"
+    );
     let runners = build_runners(cells, &predictor, summary_refresh, timing, chaos);
     let cell_count = runners.len();
     let mut router = Router::new(router, cell_count);
     let workers = worker_count(threads, cell_count);
     let mut lanes = if workers <= 1 {
-        Lanes::inline(runners)
+        Lanes::inline(runners, observers)
     } else {
         Lanes::pooled(
             runners,
@@ -1192,10 +1260,16 @@ enum WorkerReply {
 struct FleetSession(Vec<CellRunner>);
 
 impl FleetSession {
-    /// Apply one message. `Prime` and a `Step` that wants summaries answer
-    /// `Summaries`, the closed `Step` answers `Outcomes` and ends the
-    /// session, any other `Step` answers nothing.
-    fn handle(&mut self, msg: EpochMsg) -> Option<WorkerReply> {
+    /// Apply one message, with `observers` following every owned cell's
+    /// metric recorder (only ever non-empty for a single cell). `Prime`
+    /// and a `Step` that wants summaries answer `Summaries`, the closed
+    /// `Step` answers `Outcomes` and ends the session, any other `Step`
+    /// answers nothing.
+    fn handle(
+        &mut self,
+        msg: EpochMsg,
+        observers: &mut [&mut dyn SimObserver],
+    ) -> Option<WorkerReply> {
         match msg {
             EpochMsg::Prime => Some(WorkerReply::Summaries(self.summaries(SimTime::ZERO))),
             EpochMsg::Step {
@@ -1211,9 +1285,9 @@ impl FleetSession {
                 for runner in self.0.iter_mut() {
                     runner.source.last_arrival = last_arrival;
                     if closed {
-                        runner.run_to_completion();
+                        runner.run_to_completion(observers);
                     } else {
-                        runner.step_epoch(limit);
+                        runner.step_epoch(limit, observers);
                     }
                 }
                 if closed {
@@ -1244,7 +1318,7 @@ fn fleet_session(
 ) {
     let served = catch_unwind(AssertUnwindSafe(|| {
         while let Ok(msg) = epochs.recv() {
-            if let Some(answer) = session.handle(msg) {
+            if let Some(answer) = session.handle(msg, &mut []) {
                 let last = matches!(answer, WorkerReply::Outcomes(_));
                 if reply.send(Ok(answer)).is_err() || last {
                     return;
@@ -1307,11 +1381,13 @@ fn fleet_worker_died(
 
 /// Where a run's sessions live (see the [module docs](self)). Cells are
 /// striped `cell i → lane i % lanes`, local slot `i / lanes`.
-enum Lanes<'p> {
-    /// One session, owned by the coordinator and run on its thread;
-    /// `reply` keeps the answer to the last message until it is read.
+enum Lanes<'p, 'o> {
+    /// One session, owned by the coordinator and run on its thread, with
+    /// the caller's `observers`; `reply` keeps the answer to the last
+    /// message until it is read.
     Inline {
         session: FleetSession,
+        observers: &'p mut [&'o mut dyn SimObserver],
         reply: Option<WorkerReply>,
     },
     /// One session pinned per pool worker, each behind a bounded epoch
@@ -1328,15 +1404,19 @@ enum Lanes<'p> {
     },
 }
 
-impl<'p> Lanes<'p> {
-    fn inline(runners: Vec<CellRunner>) -> Lanes<'p> {
+impl<'p, 'o> Lanes<'p, 'o> {
+    fn inline(
+        runners: Vec<CellRunner>,
+        observers: &'p mut [&'o mut dyn SimObserver],
+    ) -> Lanes<'p, 'o> {
         Lanes::Inline {
             session: FleetSession(runners),
+            observers,
             reply: None,
         }
     }
 
-    fn pooled(runners: Vec<CellRunner>, workers: usize, pool: &'p WorkerPool) -> Lanes<'p> {
+    fn pooled(runners: Vec<CellRunner>, workers: usize, pool: &'p WorkerPool) -> Lanes<'p, 'o> {
         let cell_count = runners.len();
         let _session = pool.session();
         pool.ensure_workers(workers);
@@ -1375,9 +1455,13 @@ impl<'p> Lanes<'p> {
 
     fn send(&mut self, lane: usize, msg: EpochMsg) {
         match self {
-            Lanes::Inline { session, reply } => {
+            Lanes::Inline {
+                session,
+                observers,
+                reply,
+            } => {
                 debug_assert!(reply.is_none(), "the last answer was never read");
-                *reply = session.handle(msg);
+                *reply = session.handle(msg, observers);
             }
             Lanes::Pooled {
                 epochs,
@@ -1845,9 +1929,9 @@ mod tests {
             let run = |runner: &mut CellRunner| {
                 runner.source.last_arrival = last_arrival;
                 if closed {
-                    runner.run_to_completion();
+                    runner.run_to_completion(&mut []);
                 } else {
-                    runner.step_epoch(epoch_end);
+                    runner.step_epoch(epoch_end, &mut []);
                 }
             };
             if threads <= 1 {
@@ -1884,7 +1968,7 @@ mod tests {
     /// Drive one fleet configuration through the chosen executor, building
     /// fresh cells, predictor seams and event source each time (the chaos
     /// swaps and the chaos source are stateful, so comparison runs must not
-    /// share them). Mirrors the wiring `Experiment::run_fleet` does.
+    /// share them). Mirrors the wiring `Experiment::run` does.
     fn run_fleet_engine(
         engine: Engine<'_>,
         base: &PoolConfig,

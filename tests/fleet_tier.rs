@@ -5,9 +5,10 @@
 //! The load-bearing guarantees:
 //!
 //! * pre-fleet `ExperimentSpec` JSON (no `fleet` field) still parses,
-//!   round-trips, and produces a **bit-identical** `SimulationResult` to a
-//!   1-cell fleet run with `RouterSpec::Hash` (and every other router —
-//!   a single-cell fleet degenerates to the plain engine);
+//!   round-trips, and runs as a 1-cell fleet: it, and an explicit 1-cell
+//!   fleet under every router, produce a **bit-identical**
+//!   `SimulationResult` to one hand-built scheduler replayed through
+//!   `drive` — extra observers and recorded predictions included;
 //! * fleet runs are **bit-identical across worker-thread counts** for
 //!   every `RouterSpec`, over randomized heterogeneous fleets (64
 //!   property cases; routing is serial at arrival order, cells only run
@@ -20,13 +21,20 @@
 //!   coordinator-vs-plain-loop property test needs `lava-sim`'s private
 //!   cell engine and lives in `lava-sim/src/fleet.rs`.
 
+use lava::core::pool::Pool;
 use lava::core::source::EventSource;
 use lava::core::time::Duration;
 use lava::model::predictor::{LifetimePredictor, OraclePredictor};
+use lava::sched::cluster::Cluster;
+use lava::sched::scheduler::Scheduler;
 use lava::sched::Algorithm;
 use lava::sim::chaos::DegradedPredictor;
-use lava::sim::experiment::{DriveTiming, Experiment, ExperimentSpec, SpecError};
+use lava::sim::experiment::{drive, DriveTiming, Experiment, ExperimentSpec, SpecError};
 use lava::sim::fleet::{run_fleet, CellOverride, FleetConfig, RouterSpec};
+use lava::sim::metrics::SimulationResult;
+use lava::sim::observer::{MetricRecorder, SimObserver, StrandingProbe};
+use lava::sim::recording::RecordingPredictor;
+use lava::sim::stranding::InflationMix;
 use lava::sim::workload::{PoolConfig, StreamingWorkload, WorkloadGenerator};
 use lava::sim::{
     AdaptationSpec, ExperimentSuite, Incident, IncidentPlan, OutageMode, RecalibrationSpec,
@@ -56,6 +64,55 @@ fn with_fleet(mut spec: ExperimentSpec, fleet: FleetConfig) -> ExperimentSpec {
     spec
 }
 
+/// The drive timing `base_spec` runs with.
+fn base_timing() -> DriveTiming {
+    DriveTiming {
+        warmup: Duration::from_hours(3),
+        warmup_with_baseline: true,
+        tick_interval: Duration::from_mins(30),
+        sample_interval: Duration::from_hours(1),
+        sample_during_warmup: false,
+        defrag_trigger: None,
+    }
+}
+
+/// What `spec` (a `base_spec`) should produce, built by hand: one
+/// scheduler over the whole pool, the baseline deferring to NILAS at the
+/// warm-up boundary, replayed through `drive` with a metric recorder and
+/// then `extra`.
+fn drive_reference(
+    spec: &ExperimentSpec,
+    predictor: Arc<dyn LifetimePredictor>,
+    extra: &mut [&mut dyn SimObserver],
+) -> SimulationResult {
+    let workload = &spec.workload;
+    let pool = Pool::with_uniform_hosts(workload.pool_id, workload.hosts, workload.host_spec());
+    let mut scheduler = Scheduler::new(
+        Cluster::new(pool),
+        Algorithm::Baseline.build_policy(predictor.clone()),
+        predictor.clone(),
+    );
+    let trace = WorkloadGenerator::new(workload.clone()).generate();
+    let mut metrics = MetricRecorder::new();
+    let mut observers: Vec<&mut dyn SimObserver> = vec![&mut metrics];
+    observers.extend(extra.iter_mut().map(|o| &mut **o as &mut dyn SimObserver));
+    let rejected = drive(
+        &mut trace.source(),
+        &mut scheduler,
+        Some(Algorithm::Nilas.build_policy(predictor)),
+        &base_timing(),
+        &mut observers,
+    );
+    drop(observers);
+    SimulationResult {
+        algorithm: "nilas".to_string(),
+        predictor: "oracle".to_string(),
+        series: metrics.into_series(),
+        scheduler_stats: scheduler.stats(),
+        rejected_vms: rejected,
+    }
+}
+
 #[test]
 fn pre_fleet_spec_json_round_trips_and_matches_one_cell_hash_fleet() {
     let spec = base_spec(11, 24, 36);
@@ -72,43 +129,49 @@ fn pre_fleet_spec_json_round_trips_and_matches_one_cell_hash_fleet() {
     let parsed = ExperimentSpec::from_json(&pre_fleet_json).expect("pre-fleet JSON parses");
     assert_eq!(parsed, spec, "pre-fleet JSON must round-trip");
 
-    // The plain single-cluster run and a 1-cell Hash fleet over the same
-    // spec are bit-identical.
+    // The fleet-less spec, a 1-cell Hash fleet over it and one scheduler
+    // replayed through `drive` are bit-identical.
+    let reference = drive_reference(&spec, Arc::new(OraclePredictor::new()), &mut []);
     let plain = Experiment::new(parsed).expect("valid").run();
+    assert_eq!(
+        plain.result, reference,
+        "a fleet-less spec diverged from drive"
+    );
+    assert!(plain.fleet.is_none());
     let fleet_spec = with_fleet(base_spec(11, 24, 36), FleetConfig::new(1).with_threads(1));
     let fleet_run = Experiment::new(fleet_spec).expect("valid").run();
     assert_eq!(
-        plain.result, fleet_run.result,
-        "1-cell fleet diverged from the single-cluster engine"
+        fleet_run.result, reference,
+        "1-cell fleet diverged from the single-scheduler drive"
     );
     let fleet_report = fleet_run.fleet.expect("fleet report attached");
     assert_eq!(fleet_report.cells.len(), 1);
-    assert_eq!(fleet_report.cells[0].result, plain.result);
+    assert_eq!(fleet_report.cells[0].result, reference);
     assert_eq!(fleet_report.router, RouterSpec::Hash);
-    assert!(plain.fleet.is_none());
 }
 
 #[test]
 fn one_cell_fleet_matches_plain_run_for_every_router_and_source_mode() {
-    let plain = Experiment::new(base_spec(7, 16, 30)).expect("valid").run();
+    let predictor: Arc<dyn LifetimePredictor> = Arc::new(OraclePredictor::new());
+    let reference = drive_reference(&base_spec(7, 16, 30), predictor.clone(), &mut []);
+    assert_eq!(
+        Experiment::new(base_spec(7, 16, 30))
+            .expect("valid")
+            .run()
+            .result,
+        reference,
+        "a fleet-less spec diverged from drive"
+    );
     // What `base_spec` runs, spelled out for direct `run_fleet` calls.
     let workload = base_spec(7, 16, 30).workload;
     let trace = WorkloadGenerator::new(workload.clone()).generate();
-    let predictor: Arc<dyn LifetimePredictor> = Arc::new(OraclePredictor::new());
-    let timing = DriveTiming {
-        warmup: Duration::from_hours(3),
-        warmup_with_baseline: true,
-        tick_interval: Duration::from_mins(30),
-        sample_interval: Duration::from_hours(1),
-        sample_during_warmup: false,
-        defrag_trigger: None,
-    };
+    let timing = base_timing();
     for router in RouterSpec::ALL {
         let fleet = FleetConfig::new(1).with_router(router).with_threads(1);
         let spec = with_fleet(base_spec(7, 16, 30), fleet.clone());
         let report = Experiment::new(spec).expect("valid").run();
         assert_eq!(
-            plain.result, report.result,
+            report.result, reference,
             "router {router} diverged on a 1-cell fleet"
         );
 
@@ -142,10 +205,49 @@ fn one_cell_fleet_matches_plain_run_for_every_router_and_source_mode() {
         );
         assert_eq!(
             (&replayed.cells[0].stats, &replayed.cells[0].series),
-            (&plain.result.scheduler_stats, &plain.result.series),
-            "router {router}: the direct run is not the spec's run"
+            (&reference.scheduler_stats, &reference.series),
+            "router {router}: the direct run is not the reference's run"
         );
     }
+}
+
+/// Extra observers and prediction recording ride on a 1-cell fleet: the
+/// fleet-less spec and `fleet: Some(FleetConfig::new(1))` give the same
+/// report, the same observer output and the same recorded predictions as
+/// one scheduler replayed through `drive`.
+#[test]
+fn one_cell_fleet_takes_extra_observers_and_records_predictions() {
+    let mut spec = base_spec(13, 16, 30);
+    spec.record_predictions = true;
+    let run = |spec: ExperimentSpec| {
+        let mut probe = StrandingProbe::new(4, InflationMix::default());
+        let report = Experiment::new(spec)
+            .expect("valid")
+            .run_with_observers(&mut [&mut probe]);
+        (report, probe.measurements(), probe.average())
+    };
+    let (plain, plain_measured, plain_stranding) = run(spec.clone());
+    let (fleet, fleet_measured, fleet_stranding) =
+        run(with_fleet(spec.clone(), FleetConfig::new(1)));
+
+    let recorder = RecordingPredictor::new(Arc::new(OraclePredictor::new()));
+    let mut probe = StrandingProbe::new(4, InflationMix::default());
+    let reference = drive_reference(&spec, recorder.clone(), &mut [&mut probe]);
+    let recorded = recorder.records();
+
+    assert!(probe.measurements() > 0, "the probe never sampled");
+    assert!(!recorded.is_empty(), "nothing was predicted");
+    for (name, report, measured, stranding) in [
+        ("fleet-less", &plain, plain_measured, plain_stranding),
+        ("1-cell fleet", &fleet, fleet_measured, fleet_stranding),
+    ] {
+        assert_eq!(report.result, reference, "{name}: result");
+        assert_eq!(report.predictions, recorded, "{name}: recorded predictions");
+        assert_eq!(measured, probe.measurements(), "{name}: probe samples");
+        assert_eq!(stranding, probe.average(), "{name}: stranding");
+    }
+    assert!(plain.fleet.is_none());
+    assert!(fleet.fleet.is_some());
 }
 
 #[test]
@@ -258,6 +360,10 @@ fn fleet_validation_rejects_degenerate_configs() {
         recording.validate().unwrap_err(),
         SpecError::FleetRecordingUnsupported
     );
+    recording.fleet = Some(FleetConfig::new(1));
+    recording
+        .validate()
+        .expect("a 1-cell fleet records predictions");
 
     // Cold start is supported.
     let mut cold = base_spec(1, 12, 24);
