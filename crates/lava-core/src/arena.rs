@@ -1,4 +1,4 @@
-//! Arena-backed storage for the simulation hot path: a flat vm→value
+//! Arena-backed storage for the simulation hot path: a flat vm→`u32`
 //! table and a slab arena for live VM records.
 //!
 //! The original state layout paid a `BTreeMap` pointer-chase per VM on
@@ -6,16 +6,21 @@
 //! node per insert at scale. This module replaces both with
 //! cache-dense, allocation-amortised structures:
 //!
-//! * [`VmTable`] — a paged dense array indexed directly by [`VmId`] for
-//!   the sequential ids the workload generator produces, with a
-//!   `BTreeMap` spill for sparse synthetic ids (chaos storms use ids
-//!   from `1 << 48`). Lookup on the hot path is two bounds checks and
-//!   two array reads; iteration is id-ordered (dense ascending, then
-//!   spill ascending — every spill id is larger than every dense id).
-//!   Pages are allocated on first touch and freed when their last entry
-//!   is removed, so a multi-month streaming replay — where ids grow
-//!   without bound but the *live* id window does not — holds memory
-//!   proportional to the live window, not the total id space.
+//! * [`VmTable`] — a paged dense array of `u32` indexed directly by
+//!   [`VmId`] for the sequential ids the workload generator produces,
+//!   with a `BTreeMap` spill for sparse synthetic ids (chaos storms use
+//!   ids from `1 << 48`). A slot is 4 bytes: `u32::MAX` marks it empty,
+//!   so no stored value may equal it. Lookup on the hot path is two
+//!   bounds checks and two array reads; iteration is id-ordered (dense
+//!   ascending, then spill ascending — every spill id is larger than
+//!   every dense id). Pages are allocated on first touch and freed when
+//!   their last entry is removed, so a multi-month streaming replay —
+//!   where ids grow without bound but the *live* id window does not —
+//!   holds memory proportional to the live window, not the total id
+//!   space. A fleet cell behind a router that spreads consecutive ids
+//!   over every cell touches every page of the live window, so each of
+//!   its two tables (the arena's slot index and the pool's host index)
+//!   costs 4 bytes per id of that window.
 //! * [`VmArena`] — a slab of `Option<Vm>` slots holding the live [`Vm`]
 //!   records. Slots are recycled through a LIFO free list, so a
 //!   steady-state create/exit churn re-uses the same few cache-warm
@@ -31,62 +36,60 @@ use std::collections::BTreeMap;
 /// `1 << 48` and always spill.
 pub const DENSE_ID_LIMIT: u64 = 1 << 24;
 
-/// Sentinel for "slot is not live" in [`VmArena`]'s position table.
-const NOT_LIVE: u32 = u32::MAX;
+/// The empty marker of a [`VmTable`] slot, and "slot is not live" in
+/// [`VmArena`]'s position table.
+const VACANT: u32 = u32::MAX;
 
 /// Ids per dense page of a [`VmTable`].
 const PAGE_IDS: usize = 4096;
 
+/// `n` as a value a [`VmTable`] can store: `None` if it does not fit in
+/// a `u32` or would alias the empty marker.
+pub(crate) fn table_value(n: usize) -> Option<u32> {
+    u32::try_from(n).ok().filter(|&v| v != VACANT)
+}
+
 /// One dense page: a fixed slab of slots plus its occupancy count (so an
 /// emptied page can be released without scanning it).
 #[derive(Debug, Clone)]
-struct Page<T> {
+struct Page {
     live: u32,
-    slots: Box<[Option<T>]>,
+    slots: Box<[u32]>,
 }
 
-impl<T> Page<T> {
-    fn new() -> Page<T> {
+impl Page {
+    fn new() -> Page {
         Page {
             live: 0,
-            slots: (0..PAGE_IDS).map(|_| None).collect(),
+            slots: vec![VACANT; PAGE_IDS].into_boxed_slice(),
         }
     }
 }
 
-/// A flat map from [`VmId`] to `T`: paged dense array for small ids,
+/// A flat map from [`VmId`] to `u32`: paged dense array for small ids,
 /// ordered spill for sparse ones.
 ///
-/// Dense pages are allocated on first touch and freed when their last
-/// entry leaves (unless covered by [`VmTable::reserve_dense`], which pins
-/// its pages so steady-state churn inside the reservation never touches
-/// the allocator). Logical equality ignores page layout, so two tables
-/// with identical contents compare equal regardless of growth history.
-#[derive(Debug, Clone)]
-pub struct VmTable<T> {
-    pages: Vec<Option<Page<T>>>,
+/// A dense slot is 4 bytes, with `u32::MAX` as its empty marker:
+/// [`VmTable::insert`] panics on that value. Dense pages are allocated on
+/// first touch and freed when their last entry leaves (unless covered by
+/// [`VmTable::reserve_dense`], which pins its pages so steady-state churn
+/// inside the reservation never touches the allocator). Logical equality
+/// ignores page layout, so two tables with identical contents compare
+/// equal regardless of growth history.
+#[derive(Debug, Clone, Default)]
+pub struct VmTable {
+    pages: Vec<Option<Page>>,
     /// Pages below this index are pinned: never freed on empty, so a
     /// reservation guarantees allocation-free churn within its bounds.
     reserved_pages: usize,
-    spill: BTreeMap<u64, T>,
+    spill: BTreeMap<u64, u32>,
     len: usize,
 }
 
-impl<T> Default for VmTable<T> {
-    fn default() -> Self {
-        VmTable::new()
-    }
-}
-
-impl<T> VmTable<T> {
+impl VmTable {
     /// Create an empty table.
-    pub fn new() -> VmTable<T> {
-        VmTable {
-            pages: Vec::new(),
-            reserved_pages: 0,
-            spill: BTreeMap::new(),
-            len: 0,
-        }
+    pub fn new() -> VmTable {
+        VmTable::default()
     }
 
     /// Number of entries.
@@ -120,7 +123,15 @@ impl<T> VmTable<T> {
     }
 
     /// Insert or replace, returning the previous value if any.
-    pub fn insert(&mut self, id: VmId, value: T) -> Option<T> {
+    ///
+    /// # Panics
+    ///
+    /// If `value` is `u32::MAX`, the empty marker.
+    pub fn insert(&mut self, id: VmId, value: u32) -> Option<u32> {
+        assert!(
+            value != VACANT,
+            "VmTable cannot store u32::MAX: it marks an empty slot"
+        );
         if id.0 < DENSE_ID_LIMIT {
             let idx = id.0 as usize;
             let (page_idx, slot_idx) = (idx / PAGE_IDS, idx % PAGE_IDS);
@@ -130,12 +141,14 @@ impl<T> VmTable<T> {
                     .resize_with(target.min(DENSE_ID_LIMIT as usize / PAGE_IDS), || None);
             }
             let page = self.pages[page_idx].get_or_insert_with(Page::new);
-            let prev = page.slots[slot_idx].replace(value);
-            if prev.is_none() {
+            let prev = std::mem::replace(&mut page.slots[slot_idx], value);
+            if prev == VACANT {
                 page.live += 1;
                 self.len += 1;
+                None
+            } else {
+                Some(prev)
             }
-            prev
         } else {
             let prev = self.spill.insert(id.0, value);
             if prev.is_none() {
@@ -147,21 +160,22 @@ impl<T> VmTable<T> {
 
     /// Remove an entry, returning its value. An unpinned page whose last
     /// entry leaves is released, so memory tracks the live id window.
-    pub fn remove(&mut self, id: VmId) -> Option<T> {
+    pub fn remove(&mut self, id: VmId) -> Option<u32> {
         if id.0 < DENSE_ID_LIMIT {
             let idx = id.0 as usize;
             let (page_idx, slot_idx) = (idx / PAGE_IDS, idx % PAGE_IDS);
             let slot = self.pages.get_mut(page_idx)?;
             let page = slot.as_mut()?;
-            let prev = page.slots[slot_idx].take();
-            if prev.is_some() {
-                page.live -= 1;
-                self.len -= 1;
-                if page.live == 0 && page_idx >= self.reserved_pages {
-                    *slot = None;
-                }
+            let prev = std::mem::replace(&mut page.slots[slot_idx], VACANT);
+            if prev == VACANT {
+                return None;
             }
-            prev
+            page.live -= 1;
+            self.len -= 1;
+            if page.live == 0 && page_idx >= self.reserved_pages {
+                *slot = None;
+            }
+            Some(prev)
         } else {
             let prev = self.spill.remove(&id.0);
             if prev.is_some() {
@@ -173,12 +187,13 @@ impl<T> VmTable<T> {
 
     /// Look up an entry.
     #[inline]
-    pub fn get(&self, id: VmId) -> Option<&T> {
+    pub fn get(&self, id: VmId) -> Option<u32> {
         if id.0 < DENSE_ID_LIMIT {
             let idx = id.0 as usize;
-            self.pages.get(idx / PAGE_IDS)?.as_ref()?.slots[idx % PAGE_IDS].as_ref()
+            let value = self.pages.get(idx / PAGE_IDS)?.as_ref()?.slots[idx % PAGE_IDS];
+            (value != VACANT).then_some(value)
         } else {
-            self.spill.get(&id.0)
+            self.spill.get(&id.0).copied()
         }
     }
 
@@ -189,17 +204,19 @@ impl<T> VmTable<T> {
     }
 
     /// Iterate entries in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (VmId, &T)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (VmId, u32)> + '_ {
         self.pages
             .iter()
             .enumerate()
             .filter_map(|(p, page)| page.as_ref().map(|page| (p, page)))
             .flat_map(|(p, page)| {
-                page.slots.iter().enumerate().filter_map(move |(s, v)| {
-                    v.as_ref().map(|v| (VmId((p * PAGE_IDS + s) as u64), v))
-                })
+                page.slots
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != VACANT)
+                    .map(move |(s, &v)| (VmId((p * PAGE_IDS + s) as u64), v))
             })
-            .chain(self.spill.iter().map(|(&k, v)| (VmId(k), v)))
+            .chain(self.spill.iter().map(|(&k, &v)| (VmId(k), v)))
     }
 
     /// Remove all entries. Reserved pages are retained (still pinned);
@@ -209,9 +226,7 @@ impl<T> VmTable<T> {
             if page_idx < self.reserved_pages {
                 if let Some(page) = slot.as_mut() {
                     page.live = 0;
-                    for v in page.slots.iter_mut() {
-                        *v = None;
-                    }
+                    page.slots.fill(VACANT);
                 }
             } else {
                 *slot = None;
@@ -227,7 +242,7 @@ impl<T> VmTable<T> {
     }
 }
 
-impl<T: PartialEq> PartialEq for VmTable<T> {
+impl PartialEq for VmTable {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.iter().eq(other.iter())
     }
@@ -246,7 +261,7 @@ impl<T: PartialEq> PartialEq for VmTable<T> {
 pub struct VmArena {
     slots: Vec<Option<Vm>>,
     free: Vec<u32>,
-    index: VmTable<u32>,
+    index: VmTable,
     live: Vec<u32>,
     pos: Vec<u32>,
 }
@@ -288,7 +303,7 @@ impl VmArena {
     /// the legacy `BTreeMap::insert` overwrite semantics).
     pub fn insert(&mut self, vm: Vm) {
         let id = vm.id();
-        if let Some(&slot) = self.index.get(id) {
+        if let Some(slot) = self.index.get(id) {
             self.slots[slot as usize] = Some(vm);
             return;
         }
@@ -298,13 +313,16 @@ impl VmArena {
                 slot
             }
             None => {
+                let slot = table_value(self.slots.len())
+                    .expect("a VmArena holds fewer than u32::MAX slots");
                 self.slots.push(Some(vm));
-                self.pos.push(NOT_LIVE);
-                (self.slots.len() - 1) as u32
+                self.pos.push(VACANT);
+                slot
             }
         };
         self.index.insert(id, slot);
-        self.pos[slot as usize] = self.live.len() as u32;
+        self.pos[slot as usize] =
+            table_value(self.live.len()).expect("a VmArena has fewer live VMs than slots");
         self.live.push(slot);
     }
 
@@ -317,7 +335,7 @@ impl VmArena {
         if p < self.live.len() {
             self.pos[self.live[p] as usize] = p as u32;
         }
-        self.pos[slot as usize] = NOT_LIVE;
+        self.pos[slot as usize] = VACANT;
         self.free.push(slot);
         vm
     }
@@ -325,7 +343,7 @@ impl VmArena {
     /// Look up a live VM by id.
     #[inline]
     pub fn get(&self, id: VmId) -> Option<&Vm> {
-        let &slot = self.index.get(id)?;
+        let slot = self.index.get(id)?;
         self.slots[slot as usize].as_ref()
     }
 
@@ -339,7 +357,7 @@ impl VmArena {
     pub fn iter(&self) -> impl Iterator<Item = &Vm> + '_ {
         self.index
             .iter()
-            .map(|(_, &slot)| self.slots[slot as usize].as_ref().unwrap())
+            .map(|(_, slot)| self.slots[slot as usize].as_ref().unwrap())
     }
 
     /// Every ⌈n/cap⌉-th live VM in placement order — the O(cap) sampling
@@ -372,15 +390,15 @@ mod tests {
 
     #[test]
     fn table_dense_and_spill_roundtrip() {
-        let mut t: VmTable<u32> = VmTable::new();
+        let mut t = VmTable::new();
         assert!(t.is_empty());
         assert_eq!(t.insert(VmId(3), 30), None);
         assert_eq!(t.insert(VmId(0), 10), None);
         let sparse = VmId(DENSE_ID_LIMIT + 7);
         assert_eq!(t.insert(sparse, 99), None);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.get(VmId(3)), Some(&30));
-        assert_eq!(t.get(sparse), Some(&99));
+        assert_eq!(t.get(VmId(3)), Some(30));
+        assert_eq!(t.get(sparse), Some(99));
         assert_eq!(t.get(VmId(1)), None);
         assert!(t.contains(VmId(0)));
         // Id-ordered iteration: dense first, spill after.
@@ -397,8 +415,8 @@ mod tests {
 
     #[test]
     fn table_equality_ignores_capacity() {
-        let mut a: VmTable<u8> = VmTable::new();
-        let mut b: VmTable<u8> = VmTable::new();
+        let mut a = VmTable::new();
+        let mut b = VmTable::new();
         b.reserve_dense(10_000);
         a.insert(VmId(5), 1);
         b.insert(VmId(5), 1);
@@ -411,7 +429,7 @@ mod tests {
 
     #[test]
     fn table_pages_allocate_on_touch_and_free_on_empty() {
-        let mut t: VmTable<u64> = VmTable::new();
+        let mut t = VmTable::new();
         assert_eq!(t.allocated_pages(), 0);
         // Two ids far apart: only their two pages exist.
         let far = (PAGE_IDS as u64) * 100;
@@ -424,15 +442,26 @@ mod tests {
         // Emptying a page releases it; the other survives.
         t.remove(VmId(far));
         assert_eq!(t.allocated_pages(), 1);
-        assert_eq!(t.get(VmId(1)), Some(&10));
+        assert_eq!(t.get(VmId(1)), Some(10));
         t.remove(VmId(1));
         assert_eq!(t.allocated_pages(), 0);
         assert!(t.is_empty());
     }
 
     #[test]
+    #[should_panic(expected = "VmTable cannot store u32::MAX")]
+    fn table_rejects_the_empty_marker() {
+        let mut t = VmTable::new();
+        // Every other value round-trips, the largest included...
+        t.insert(VmId(1), u32::MAX - 1);
+        assert_eq!(t.get(VmId(1)), Some(u32::MAX - 1));
+        // ...but the marker would read back as an empty slot.
+        t.insert(VmId(2), u32::MAX);
+    }
+
+    #[test]
     fn table_reserved_pages_survive_emptying() {
-        let mut t: VmTable<u64> = VmTable::new();
+        let mut t = VmTable::new();
         t.reserve_dense(2 * PAGE_IDS as u64);
         assert_eq!(t.allocated_pages(), 2);
         t.insert(VmId(0), 1);

@@ -26,7 +26,7 @@
 //! re-indexes the host when dropped. There is deliberately no unguarded
 //! `&mut Host` access.
 
-use crate::arena::VmTable;
+use crate::arena::{table_value, VmTable};
 use crate::host::{Host, HostId, HostLifetimeState, HostSpec};
 use crate::lifetime::LifetimeClass;
 use crate::resources::Resources;
@@ -122,12 +122,9 @@ impl HostIndex {
         }
     }
 
-    /// Index a newly added host, recording its shape.
+    /// Index a newly added host, recording its shape. [`Pool::add_host`]
+    /// keeps host ids below `u32::MAX`.
     fn add(&mut self, host: &Host) {
-        assert!(
-            u32::try_from(host.id().0).is_ok(),
-            "a pool holds fewer than 2^32 hosts"
-        );
         let capacity = host.capacity();
         let shape = match self.shapes.iter().position(|&s| s == capacity) {
             Some(shape) => shape,
@@ -239,10 +236,12 @@ pub struct Pool {
     /// deleted, so every host lookup on the placement hot path is one
     /// bounds-checked index.
     hosts: Vec<Host>,
-    /// Reverse index from VM to host: a flat dense table for the
-    /// sequential ids real workloads use (one array read per lookup),
-    /// with an ordered spill for sparse synthetic ids.
-    vm_index: VmTable<HostId>,
+    /// Reverse index from VM to host, holding `HostId.0` as a `u32` (4
+    /// bytes per slot): a flat dense table for the sequential ids real
+    /// workloads use (one array read per lookup), with an ordered spill
+    /// for sparse synthetic ids. A fleet cell touches every page of the
+    /// live id window, so it pays 4 bytes per id of that window here.
+    vm_index: VmTable,
     /// Secondary candidate indexes, maintained on every mutation.
     index: HostIndex,
     /// Structure-of-arrays mirror of the hot host fields.
@@ -299,8 +298,14 @@ impl Pool {
     }
 
     /// Add a host with the given spec, returning its new id.
+    ///
+    /// # Panics
+    ///
+    /// If the pool already holds `u32::MAX` hosts: the vm → host index
+    /// stores host ids as `u32`.
     pub fn add_host(&mut self, spec: HostSpec) -> HostId {
-        let id = HostId(self.hosts.len() as u64);
+        let raw = table_value(self.hosts.len()).expect("a pool holds fewer than u32::MAX hosts");
+        let id = HostId(u64::from(raw));
         let host = Host::new(id, spec);
         self.index.add(&host);
         self.agg_capacity += host.capacity();
@@ -356,7 +361,7 @@ impl Pool {
     /// Which host a VM is currently placed on.
     #[inline]
     pub fn host_of(&self, vm: VmId) -> Option<HostId> {
-        self.vm_index.get(vm).copied()
+        self.vm_index.get(vm).map(|host| HostId(u64::from(host)))
     }
 
     /// Number of VMs currently placed in the pool.
@@ -370,14 +375,20 @@ impl Pool {
     ///
     /// # Errors
     ///
-    /// Returns the underlying host error, or [`crate::error::CoreError::HostNotFound`]
-    /// if the host id is unknown.
+    /// Returns the underlying host error,
+    /// [`crate::error::CoreError::HostNotFound`] if the host id is unknown,
+    /// or [`crate::error::CoreError::DuplicateVm`] naming the VM's current
+    /// host if the VM is already placed in this pool. Nothing changes on
+    /// error.
     pub fn place_vm(
         &mut self,
         host: HostId,
         vm: VmId,
         request: Resources,
     ) -> Result<(), crate::error::CoreError> {
+        if let Some(existing) = self.host_of(vm) {
+            return Err(crate::error::CoreError::DuplicateVm { host: existing, vm });
+        }
         let record = self
             .hosts
             .get_mut(host.0 as usize)
@@ -389,7 +400,8 @@ impl Pool {
         self.index.update(host, before, after);
         self.agg_free -= before.free;
         self.agg_free += after.free;
-        self.vm_index.insert(vm, host);
+        // `add_host` keeps every host id below `u32::MAX`.
+        self.vm_index.insert(vm, host.0 as u32);
         self.mutation_epoch += 1;
         Ok(())
     }
@@ -405,6 +417,7 @@ impl Pool {
         let host_id = self
             .vm_index
             .remove(vm)
+            .map(|host| HostId(u64::from(host)))
             .ok_or(crate::error::CoreError::VmNotFound { vm })?;
         let record = self
             .hosts
@@ -732,6 +745,31 @@ mod tests {
             p.remove_vm(VmId(1)),
             Err(CoreError::VmNotFound { vm: VmId(1) })
         );
+    }
+
+    #[test]
+    fn placing_a_live_vm_again_is_refused_before_any_change() {
+        let mut p = pool(2);
+        let request = Resources::cores_gib(2, 8);
+        p.place_vm(HostId(0), VmId(1), request).unwrap();
+        for host in [HostId(1), HostId(0)] {
+            assert_eq!(
+                p.place_vm(host, VmId(1), request),
+                Err(CoreError::DuplicateVm {
+                    host: HostId(0),
+                    vm: VmId(1)
+                })
+            );
+        }
+        assert!(p.host(HostId(1)).unwrap().is_empty());
+        assert_eq!(p.vm_count(), 1);
+        assert_eq!(p.total_used(), request);
+        p.validate_index().unwrap();
+        // One remove clears the VM everywhere: no phantom stays behind.
+        assert_eq!(p.remove_vm(VmId(1)), Ok((HostId(0), request)));
+        assert_eq!(p.total_used(), Resources::ZERO);
+        assert_eq!(p.empty_host_count(), 2);
+        p.validate_index().unwrap();
     }
 
     #[test]

@@ -269,6 +269,13 @@ impl ExitCache {
 /// id-ordered, and steady-state create/exit churn re-uses warm slots with
 /// zero heap allocations (see the arena's placement-order live list, which also
 /// backs [`Cluster::sampled_vms`]).
+///
+/// A cluster holds two id-keyed tables, the arena's id → slot index and
+/// the pool's vm → host index, each a [`lava_core::arena::VmTable`] of
+/// 4-byte slots over the pages its ids touch. As one cell of a fleet
+/// whose router spreads consecutive ids over every cell, it touches
+/// every page of the live id window, so it pays 8 bytes per id of that
+/// window, however few of those ids it holds.
 #[derive(Debug)]
 pub struct Cluster {
     pool: Pool,

@@ -161,8 +161,8 @@ fn tripling_the_replay_horizon_leaves_peak_heap_flat() {
         long.events,
         short.events
     );
-    // Measured: 107 690 → 321 350 events, 1 555 416 → 1 672 104 B
-    // (+7.5 %). The bound is 1.25× the 30-day peak; anything held per
+    // Measured: 107 690 → 321 350 events, 691 704 → 742 856 B
+    // (+7.4 %). The bound is 1.25× the 30-day peak; anything held per
     // event or per VM id ever seen would triple instead.
     assert!(
         long.peak_bytes * 4 <= short.peak_bytes * 5,
