@@ -1,10 +1,9 @@
-//! Arena-backed storage for the simulation hot path: a flat vm→`u32`
-//! table and a slab arena for live VM records.
+//! Arena-backed storage for a pool's live VMs: a flat vm → `u32` table
+//! and the slab registry built on it.
 //!
 //! The original state layout paid a `BTreeMap` pointer-chase per VM on
-//! every placement (`Pool::vm_index`, `Cluster::vms`) and re-allocated a
-//! node per insert at scale. This module replaces both with
-//! cache-dense, allocation-amortised structures:
+//! every placement and re-allocated a node per insert at scale. This
+//! module replaces it with one cache-dense, allocation-amortised registry:
 //!
 //! * [`VmTable`] — a paged dense array of `u32` indexed directly by
 //!   [`VmId`] for the sequential ids the workload generator produces,
@@ -18,14 +17,14 @@
 //!   where ids grow without bound but the *live* id window does not —
 //!   holds memory proportional to the live window, not the total id
 //!   space. A fleet cell behind a router that spreads consecutive ids
-//!   over every cell touches every page of the live window, so each of
-//!   its two tables (the arena's slot index and the pool's host index)
-//!   costs 4 bytes per id of that window.
-//! * [`VmArena`] — a slab of `Option<Vm>` slots holding the live [`Vm`]
-//!   records. Slots are recycled through a LIFO free list, so a
-//!   steady-state create/exit churn re-uses the same few cache-warm
-//!   slots and never allocates. Every lookup goes through the id index;
-//!   nothing outside the arena holds a slot number.
+//!   over every cell touches every page of the live window, so its one
+//!   table costs 4 bytes per id of that window.
+//! * [`VmArena`] — the pool's registry: a slab whose slots hold a live
+//!   VM's host and, when it was placed with one, its [`Vm`] record.
+//!   Slots are recycled through a LIFO free list, so a steady-state
+//!   create/exit churn re-uses the same few cache-warm slots and never
+//!   allocates. Every lookup goes through the one id table; nothing
+//!   outside the arena holds a slot number.
 
 use crate::vm::{Vm, VmId};
 use std::collections::BTreeMap;
@@ -34,10 +33,10 @@ use std::collections::BTreeMap;
 /// or above it go to the spill map. Workload-generated ids are
 /// sequential from zero and stay dense; chaos-storm ids start at
 /// `1 << 48` and always spill.
-pub const DENSE_ID_LIMIT: u64 = 1 << 24;
+pub(crate) const DENSE_ID_LIMIT: u64 = 1 << 24;
 
-/// The empty marker of a [`VmTable`] slot, and "slot is not live" in
-/// [`VmArena`]'s position table.
+/// The empty marker of a [`VmTable`] slot, and "none" for a [`VmArena`]
+/// slot's host and record position.
 const VACANT: u32 = u32::MAX;
 
 /// Ids per dense page of a [`VmTable`].
@@ -73,11 +72,9 @@ impl Page {
 /// [`VmTable::insert`] panics on that value. Dense pages are allocated on
 /// first touch and freed when their last entry leaves (unless covered by
 /// [`VmTable::reserve_dense`], which pins its pages so steady-state churn
-/// inside the reservation never touches the allocator). Logical equality
-/// ignores page layout, so two tables with identical contents compare
-/// equal regardless of growth history.
+/// inside the reservation never touches the allocator).
 #[derive(Debug, Clone, Default)]
-pub struct VmTable {
+pub(crate) struct VmTable {
     pages: Vec<Option<Page>>,
     /// Pages below this index are pinned: never freed on empty, so a
     /// reservation guarantees allocation-free churn within its bounds.
@@ -87,21 +84,10 @@ pub struct VmTable {
 }
 
 impl VmTable {
-    /// Create an empty table.
-    pub fn new() -> VmTable {
-        VmTable::default()
-    }
-
     /// Number of entries.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True if the table holds no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Pre-size the dense side to cover ids `0..max_id`: every covering
@@ -109,7 +95,7 @@ impl VmTable {
     /// steady-state churn within the reservation performs zero heap
     /// allocations. Ids beyond [`DENSE_ID_LIMIT`] are clamped (they spill
     /// regardless).
-    pub fn reserve_dense(&mut self, max_id: u64) {
+    pub(crate) fn reserve_dense(&mut self, max_id: u64) {
         let want_pages = (max_id.min(DENSE_ID_LIMIT) as usize).div_ceil(PAGE_IDS);
         if want_pages > self.pages.len() {
             self.pages.resize_with(want_pages, || None);
@@ -122,17 +108,17 @@ impl VmTable {
         self.reserved_pages = self.reserved_pages.max(want_pages);
     }
 
-    /// Insert or replace, returning the previous value if any.
+    /// Insert an entry for an id the table does not hold.
     ///
     /// # Panics
     ///
-    /// If `value` is `u32::MAX`, the empty marker.
-    pub fn insert(&mut self, id: VmId, value: u32) -> Option<u32> {
+    /// If `value` is `u32::MAX`, the empty marker, or `id` has an entry.
+    pub(crate) fn insert(&mut self, id: VmId, value: u32) {
         assert!(
             value != VACANT,
             "VmTable cannot store u32::MAX: it marks an empty slot"
         );
-        if id.0 < DENSE_ID_LIMIT {
+        let prev = if id.0 < DENSE_ID_LIMIT {
             let idx = id.0 as usize;
             let (page_idx, slot_idx) = (idx / PAGE_IDS, idx % PAGE_IDS);
             if page_idx >= self.pages.len() {
@@ -141,26 +127,18 @@ impl VmTable {
                     .resize_with(target.min(DENSE_ID_LIMIT as usize / PAGE_IDS), || None);
             }
             let page = self.pages[page_idx].get_or_insert_with(Page::new);
-            let prev = std::mem::replace(&mut page.slots[slot_idx], value);
-            if prev == VACANT {
-                page.live += 1;
-                self.len += 1;
-                None
-            } else {
-                Some(prev)
-            }
+            page.live += 1;
+            std::mem::replace(&mut page.slots[slot_idx], value)
         } else {
-            let prev = self.spill.insert(id.0, value);
-            if prev.is_none() {
-                self.len += 1;
-            }
-            prev
-        }
+            self.spill.insert(id.0, value).unwrap_or(VACANT)
+        };
+        assert!(prev == VACANT, "{id:?} is already in the VmTable");
+        self.len += 1;
     }
 
     /// Remove an entry, returning its value. An unpinned page whose last
     /// entry leaves is released, so memory tracks the live id window.
-    pub fn remove(&mut self, id: VmId) -> Option<u32> {
+    pub(crate) fn remove(&mut self, id: VmId) -> Option<u32> {
         if id.0 < DENSE_ID_LIMIT {
             let idx = id.0 as usize;
             let (page_idx, slot_idx) = (idx / PAGE_IDS, idx % PAGE_IDS);
@@ -187,7 +165,7 @@ impl VmTable {
 
     /// Look up an entry.
     #[inline]
-    pub fn get(&self, id: VmId) -> Option<u32> {
+    pub(crate) fn get(&self, id: VmId) -> Option<u32> {
         if id.0 < DENSE_ID_LIMIT {
             let idx = id.0 as usize;
             let value = self.pages.get(idx / PAGE_IDS)?.as_ref()?.slots[idx % PAGE_IDS];
@@ -197,14 +175,8 @@ impl VmTable {
         }
     }
 
-    /// Whether the table holds an entry for `id`.
-    #[inline]
-    pub fn contains(&self, id: VmId) -> bool {
-        self.get(id).is_some()
-    }
-
     /// Iterate entries in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (VmId, u32)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (VmId, u32)> + '_ {
         self.pages
             .iter()
             .enumerate()
@@ -218,157 +190,121 @@ impl VmTable {
             })
             .chain(self.spill.iter().map(|(&k, &v)| (VmId(k), v)))
     }
-
-    /// Remove all entries. Reserved pages are retained (still pinned);
-    /// unpinned pages are released.
-    pub fn clear(&mut self) {
-        for (page_idx, slot) in self.pages.iter_mut().enumerate() {
-            if page_idx < self.reserved_pages {
-                if let Some(page) = slot.as_mut() {
-                    page.live = 0;
-                    page.slots.fill(VACANT);
-                }
-            } else {
-                *slot = None;
-            }
-        }
-        self.spill.clear();
-        self.len = 0;
-    }
-
-    /// Number of dense pages currently allocated (diagnostics / tests).
-    pub fn allocated_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.is_some()).count()
-    }
 }
 
-impl PartialEq for VmTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
-    }
-}
-
-/// Slab arena of live [`Vm`] records with id-ordered iteration and O(1)
-/// placement-order sampling.
+/// A pool's registry of live VMs: one [`VmTable`] from id to a slab slot
+/// holding the VM's host and, if it was placed with one, its record.
 ///
 /// Invariants:
-/// * `index` maps every live id to its slot; `iter` walks it in id order.
-/// * `live` holds the live slots in *placement order* (swap-removal on
-///   exit), `pos` is its inverse — both are what
-///   `Cluster::sampled_vms` strides over without any map lookups.
+/// * `index` maps every live id to its slot; iteration walks it in id order.
+/// * `hosts` (`HostId.0`), `records` and `pos` are the slab, by slot; a
+///   free slot holds [`VACANT`], `None` and [`VACANT`].
+/// * `live` holds the slots with a record in *placement order* (swap-removal
+///   on exit); their `pos` is their index there, the others' [`VACANT`]:
+///   [`VmArena::sampled`] strides over it without any map lookup.
 /// * released slots join a LIFO `free` list, so churn re-uses warm slots.
 #[derive(Debug, Clone, Default)]
-pub struct VmArena {
-    slots: Vec<Option<Vm>>,
+pub(crate) struct VmArena {
+    hosts: Vec<u32>,
+    records: Vec<Option<Vm>>,
+    pos: Vec<u32>,
     free: Vec<u32>,
     index: VmTable,
     live: Vec<u32>,
-    pos: Vec<u32>,
 }
 
 impl VmArena {
-    /// Create an empty arena.
-    pub fn new() -> VmArena {
-        VmArena::default()
+    /// Number of live VMs, with or without a record.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
     }
 
-    /// Number of live VMs.
+    /// Number of live VMs that carry a record.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn records(&self) -> usize {
         self.live.len()
-    }
-
-    /// True if no VMs are live.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
     }
 
     /// Pre-size for a workload: dense ids up to `max_id` and `live`
     /// concurrently-running VMs. After this, steady-state churn within
     /// those bounds performs zero heap allocations.
-    pub fn reserve(&mut self, max_id: u64, live: usize) {
+    pub(crate) fn reserve(&mut self, max_id: u64, live: usize) {
         self.index.reserve_dense(max_id);
-        let extra = live.saturating_sub(self.slots.len());
-        self.slots.reserve(extra);
+        let extra = live.saturating_sub(self.records.len());
+        self.hosts.reserve(extra);
+        self.records.reserve(extra);
         self.pos.reserve(extra);
         self.free.reserve(live.saturating_sub(self.free.len()));
         self.live.reserve(live.saturating_sub(self.live.len()));
     }
 
-    /// Insert a VM record.
-    ///
-    /// Inserting an id that is already live replaces the record in its
-    /// existing slot and keeps its placement-order position (mirroring
-    /// the legacy `BTreeMap::insert` overwrite semantics).
-    pub fn insert(&mut self, vm: Vm) {
-        let id = vm.id();
-        if let Some(slot) = self.index.get(id) {
-            self.slots[slot as usize] = Some(vm);
-            return;
+    /// Register a VM that is not live yet (the pool refuses a live id
+    /// before it gets here) on host `host`, with or without its record.
+    pub(crate) fn insert(&mut self, id: VmId, host: u32, record: Option<Vm>) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.hosts.push(VACANT);
+            self.records.push(None);
+            self.pos.push(VACANT);
+            table_value(self.hosts.len() - 1).expect("a VmArena holds fewer than u32::MAX slots")
+        });
+        let s = slot as usize;
+        if record.is_some() {
+            // No more records than slots, so `pos` stays below the marker.
+            self.pos[s] = self.live.len() as u32;
+            self.live.push(slot);
         }
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(vm);
-                slot
-            }
-            None => {
-                let slot = table_value(self.slots.len())
-                    .expect("a VmArena holds fewer than u32::MAX slots");
-                self.slots.push(Some(vm));
-                self.pos.push(VACANT);
-                slot
-            }
-        };
+        self.hosts[s] = host;
+        self.records[s] = record;
         self.index.insert(id, slot);
-        self.pos[slot as usize] =
-            table_value(self.live.len()).expect("a VmArena has fewer live VMs than slots");
-        self.live.push(slot);
     }
 
-    /// Remove a VM record by id, releasing its slot to the free list.
-    pub fn remove(&mut self, id: VmId) -> Option<Vm> {
+    /// Deregister a VM, returning its host and its record (if it had
+    /// one) and releasing its slot to the free list.
+    pub(crate) fn remove(&mut self, id: VmId) -> Option<(u32, Option<Vm>)> {
         let slot = self.index.remove(id)?;
-        let vm = self.slots[slot as usize].take();
-        let p = self.pos[slot as usize] as usize;
-        self.live.swap_remove(p);
-        if p < self.live.len() {
-            self.pos[self.live[p] as usize] = p as u32;
+        let s = slot as usize;
+        let p = std::mem::replace(&mut self.pos[s], VACANT);
+        if p != VACANT {
+            self.live.swap_remove(p as usize);
+            if let Some(&moved) = self.live.get(p as usize) {
+                self.pos[moved as usize] = p;
+            }
         }
-        self.pos[slot as usize] = VACANT;
         self.free.push(slot);
-        vm
+        Some((
+            std::mem::replace(&mut self.hosts[s], VACANT),
+            self.records[s].take(),
+        ))
     }
 
-    /// Look up a live VM by id.
+    /// The host of a live VM and its record, if it has one.
     #[inline]
-    pub fn get(&self, id: VmId) -> Option<&Vm> {
-        let slot = self.index.get(id)?;
-        self.slots[slot as usize].as_ref()
+    pub(crate) fn entry(&self, id: VmId) -> Option<(u32, Option<&Vm>)> {
+        let s = self.index.get(id)? as usize;
+        Some((self.hosts[s], self.records[s].as_ref()))
     }
 
-    /// Whether a VM with this id is live.
-    #[inline]
-    pub fn contains(&self, id: VmId) -> bool {
-        self.index.contains(id)
+    /// Every live VM in ascending id order: its id, host and record.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (VmId, u32, Option<&Vm>)> + '_ {
+        self.index.iter().map(|(id, s)| {
+            (
+                id,
+                self.hosts[s as usize],
+                self.records[s as usize].as_ref(),
+            )
+        })
     }
 
-    /// Iterate live VMs in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = &Vm> + '_ {
-        self.index
-            .iter()
-            .map(|(_, slot)| self.slots[slot as usize].as_ref().unwrap())
-    }
-
-    /// Every ⌈n/cap⌉-th live VM in placement order — the O(cap) sampling
-    /// walk `Scheduler::cell_summary` uses. No map lookups: two array
-    /// reads per sample.
-    pub fn sampled(&self, cap: usize) -> impl Iterator<Item = &Vm> + '_ {
+    /// Every ⌈n/cap⌉-th record in placement order, over the n live VMs
+    /// that carry one — the O(cap) sampling walk `Scheduler::cell_summary`
+    /// uses. No map lookups: two array reads per sample.
+    pub(crate) fn sampled(&self, cap: usize) -> impl Iterator<Item = &Vm> + '_ {
         let step = self.live.len().div_ceil(cap.max(1)).max(1);
         self.live
             .iter()
             .step_by(step)
-            .map(|&slot| self.slots[slot as usize].as_ref().unwrap())
+            .filter_map(|&slot| self.records[slot as usize].as_ref())
     }
 }
 
@@ -378,6 +314,20 @@ mod tests {
     use crate::resources::Resources;
     use crate::time::{Duration, SimTime};
     use crate::vm::VmSpec;
+
+    /// Logical equality: page layout is ignored.
+    impl PartialEq for VmTable {
+        fn eq(&self, other: &Self) -> bool {
+            self.len == other.len && self.iter().eq(other.iter())
+        }
+    }
+
+    impl VmTable {
+        /// Number of dense pages currently allocated.
+        fn allocated_pages(&self) -> usize {
+            self.pages.iter().filter(|p| p.is_some()).count()
+        }
+    }
 
     fn vm(id: u64) -> Vm {
         Vm::new(
@@ -390,33 +340,30 @@ mod tests {
 
     #[test]
     fn table_dense_and_spill_roundtrip() {
-        let mut t = VmTable::new();
-        assert!(t.is_empty());
-        assert_eq!(t.insert(VmId(3), 30), None);
-        assert_eq!(t.insert(VmId(0), 10), None);
+        let mut t = VmTable::default();
+        assert_eq!(t.len(), 0);
+        t.insert(VmId(3), 30);
+        t.insert(VmId(0), 10);
         let sparse = VmId(DENSE_ID_LIMIT + 7);
-        assert_eq!(t.insert(sparse, 99), None);
+        t.insert(sparse, 99);
         assert_eq!(t.len(), 3);
         assert_eq!(t.get(VmId(3)), Some(30));
         assert_eq!(t.get(sparse), Some(99));
         assert_eq!(t.get(VmId(1)), None);
-        assert!(t.contains(VmId(0)));
         // Id-ordered iteration: dense first, spill after.
         let ids: Vec<u64> = t.iter().map(|(id, _)| id.0).collect();
         assert_eq!(ids, vec![0, 3, DENSE_ID_LIMIT + 7]);
-        assert_eq!(t.insert(VmId(3), 31), Some(30));
-        assert_eq!(t.remove(VmId(3)), Some(31));
+        assert_eq!(t.remove(VmId(3)), Some(30));
         assert_eq!(t.remove(VmId(3)), None);
         assert_eq!(t.remove(sparse), Some(99));
         assert_eq!(t.len(), 1);
-        t.clear();
-        assert!(t.is_empty());
+        assert_eq!(t.get(VmId(0)), Some(10));
     }
 
     #[test]
     fn table_equality_ignores_capacity() {
-        let mut a = VmTable::new();
-        let mut b = VmTable::new();
+        let mut a = VmTable::default();
+        let mut b = VmTable::default();
         b.reserve_dense(10_000);
         a.insert(VmId(5), 1);
         b.insert(VmId(5), 1);
@@ -429,7 +376,7 @@ mod tests {
 
     #[test]
     fn table_pages_allocate_on_touch_and_free_on_empty() {
-        let mut t = VmTable::new();
+        let mut t = VmTable::default();
         assert_eq!(t.allocated_pages(), 0);
         // Two ids far apart: only their two pages exist.
         let far = (PAGE_IDS as u64) * 100;
@@ -445,13 +392,13 @@ mod tests {
         assert_eq!(t.get(VmId(1)), Some(10));
         t.remove(VmId(1));
         assert_eq!(t.allocated_pages(), 0);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
     #[should_panic(expected = "VmTable cannot store u32::MAX")]
     fn table_rejects_the_empty_marker() {
-        let mut t = VmTable::new();
+        let mut t = VmTable::default();
         // Every other value round-trips, the largest included...
         t.insert(VmId(1), u32::MAX - 1);
         assert_eq!(t.get(VmId(1)), Some(u32::MAX - 1));
@@ -460,54 +407,71 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "is already in the VmTable")]
+    fn table_refuses_a_second_entry_for_an_id() {
+        let mut t = VmTable::default();
+        t.insert(VmId(DENSE_ID_LIMIT + 1), 1);
+        t.insert(VmId(3), 1);
+        t.insert(VmId(3), 2);
+    }
+
+    #[test]
     fn table_reserved_pages_survive_emptying() {
-        let mut t = VmTable::new();
+        let mut t = VmTable::default();
         t.reserve_dense(2 * PAGE_IDS as u64);
         assert_eq!(t.allocated_pages(), 2);
         t.insert(VmId(0), 1);
         t.remove(VmId(0));
-        // Pinned page stays allocated through an empty cycle...
+        // Pinned page stays allocated through an empty cycle; an
+        // unpinned page does not.
         assert_eq!(t.allocated_pages(), 2);
-        // ...and through clear(); an unpinned page does not.
         t.insert(VmId(3 * PAGE_IDS as u64), 2);
         assert_eq!(t.allocated_pages(), 3);
-        t.clear();
+        t.remove(VmId(3 * PAGE_IDS as u64));
         assert_eq!(t.allocated_pages(), 2);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
+    }
+
+    /// Register `id` on host `id % 4` with its record.
+    fn place(a: &mut VmArena, id: u64) {
+        a.insert(VmId(id), (id % 4) as u32, Some(vm(id)));
+    }
+
+    fn record_id(a: &VmArena, id: u64) -> Option<u64> {
+        a.entry(VmId(id))?.1.map(|v| v.id().0)
     }
 
     #[test]
     fn arena_insert_remove_and_slot_reuse() {
-        let mut a = VmArena::new();
-        a.insert(vm(1));
-        a.insert(vm(2));
+        let mut a = VmArena::default();
+        place(&mut a, 1);
+        place(&mut a, 2);
         assert_eq!(a.len(), 2);
-        assert_eq!(a.get(VmId(1)).unwrap().id(), VmId(1));
-        assert!(a.contains(VmId(2)));
+        assert_eq!(record_id(&a, 1), Some(1));
+        assert_eq!(a.entry(VmId(2)).map(|(host, _)| host), Some(2));
 
-        let out = a.remove(VmId(1)).unwrap();
-        assert_eq!(out.id(), VmId(1));
+        let (host, out) = a.remove(VmId(1)).unwrap();
+        assert_eq!((host, out.unwrap().id()), (1, VmId(1)));
         assert_eq!(a.len(), 1);
-        assert!(a.get(VmId(1)).is_none());
-        assert!(!a.contains(VmId(1)));
+        assert!(a.entry(VmId(1)).is_none());
 
         // The freed slot is re-used (LIFO) for the next insert: the slab
         // does not grow across a remove + insert.
-        let slots = a.slots.len();
-        a.insert(vm(3));
+        let slots = a.records.len();
+        place(&mut a, 3);
         assert_eq!(a.len(), 2);
-        assert_eq!(a.slots.len(), slots);
-        assert!(a.get(VmId(1)).is_none());
-        assert_eq!(a.get(VmId(3)).unwrap().id(), VmId(3));
+        assert_eq!(a.records.len(), slots);
+        assert!(a.entry(VmId(1)).is_none());
+        assert_eq!(record_id(&a, 3), Some(3));
     }
 
     #[test]
     fn arena_iterates_in_id_order_and_samples_in_placement_order() {
-        let mut a = VmArena::new();
+        let mut a = VmArena::default();
         for id in [5u64, 1, 9, 3] {
-            a.insert(vm(id));
+            place(&mut a, id);
         }
-        let ids: Vec<u64> = a.iter().map(|v| v.id().0).collect();
+        let ids: Vec<u64> = a.entries().map(|(id, _, _)| id.0).collect();
         assert_eq!(ids, vec![1, 3, 5, 9]);
         // cap >= n: every VM, in placement order.
         let sampled: Vec<u64> = a.sampled(10).map(|v| v.id().0).collect();
@@ -519,9 +483,9 @@ mod tests {
 
     #[test]
     fn arena_swap_removal_keeps_positions_consistent() {
-        let mut a = VmArena::new();
+        let mut a = VmArena::default();
         for id in 0..6u64 {
-            a.insert(vm(id));
+            place(&mut a, id);
         }
         a.remove(VmId(2)); // last live slot swaps into position 2
         a.remove(VmId(0));
@@ -529,41 +493,46 @@ mod tests {
         assert_eq!(sampled, vec![4, 1, 5, 3]);
         // Every remaining id still resolves.
         for id in [1u64, 3, 4, 5] {
-            assert_eq!(a.get(VmId(id)).unwrap().id(), VmId(id));
+            assert_eq!(record_id(&a, id), Some(id));
         }
         assert_eq!(a.remove(VmId(0)), None);
     }
 
     #[test]
-    fn arena_duplicate_insert_replaces_in_place() {
-        let mut a = VmArena::new();
-        a.insert(vm(1));
-        a.insert(vm(2));
-        let mut replacement = vm(1);
-        replacement.assign_host(crate::host::HostId(9));
-        a.insert(replacement);
-        assert_eq!(a.len(), 2);
-        // Placement order unchanged: id 1 still samples first.
+    fn arena_entries_without_a_record_stay_out_of_the_record_list() {
+        let mut a = VmArena::default();
+        place(&mut a, 1);
+        a.insert(VmId(2), 7, None);
+        place(&mut a, 3);
+        assert_eq!((a.len(), a.records()), (3, 2));
+        assert_eq!(a.entry(VmId(2)), Some((7, None)));
         let sampled: Vec<u64> = a.sampled(usize::MAX).map(|v| v.id().0).collect();
-        assert_eq!(sampled, vec![1, 2]);
-        assert_eq!(a.get(VmId(1)).unwrap().host(), Some(crate::host::HostId(9)));
+        assert_eq!(sampled, vec![1, 3]);
+        // Removing it leaves the record list as it was; its slot comes
+        // back for a VM that has a record.
+        assert_eq!(a.remove(VmId(2)), Some((7, None)));
+        place(&mut a, 4);
+        assert_eq!(a.records.len(), 3);
+        a.remove(VmId(1));
+        let sampled: Vec<u64> = a.sampled(usize::MAX).map(|v| v.id().0).collect();
+        assert_eq!(sampled, vec![4, 3]);
     }
 
     #[test]
     fn arena_reserve_prevents_steady_state_growth() {
-        let mut a = VmArena::new();
+        let mut a = VmArena::default();
         a.reserve(1 << 16, 128);
         for id in 0..128u64 {
-            a.insert(vm(id));
+            place(&mut a, id);
         }
-        let cap = a.slots.capacity();
+        let cap = a.records.capacity();
         for id in 0..1000u64 {
             a.remove(VmId(id % 128));
-            a.insert(vm(128 + id));
+            place(&mut a, 128 + id);
             a.remove(VmId(128 + id));
-            a.insert(vm(id % 128));
+            place(&mut a, id % 128);
         }
-        assert_eq!(a.slots.capacity(), cap);
+        assert_eq!(a.records.capacity(), cap);
         assert_eq!(a.len(), 128);
     }
 }

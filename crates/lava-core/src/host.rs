@@ -200,13 +200,13 @@ impl Host {
         self.used.dominant_fraction_of(&self.capacity())
     }
 
-    /// Place a VM reserving `request` resources.
+    /// Place a VM reserving `request` resources (only the pool does).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InsufficientCapacity`] if the request does not
     /// fit and [`CoreError::DuplicateVm`] if the VM is already present.
-    pub fn place(&mut self, vm: VmId, request: Resources) -> Result<(), CoreError> {
+    pub(crate) fn place(&mut self, vm: VmId, request: Resources) -> Result<(), CoreError> {
         let idx = match self.vm_idx(vm) {
             Ok(_) => return Err(CoreError::DuplicateVm { host: self.id, vm }),
             Err(idx) => idx,
@@ -220,12 +220,12 @@ impl Host {
     }
 
     /// Remove a VM, releasing its reservation. Also drops it from the
-    /// residual set.
+    /// residual set. Only the pool calls this.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::VmNotFound`] if the VM is not on this host.
-    pub fn remove(&mut self, vm: VmId) -> Result<Resources, CoreError> {
+    pub(crate) fn remove(&mut self, vm: VmId) -> Result<Resources, CoreError> {
         let idx = self.vm_idx(vm).map_err(|_| CoreError::VmNotFound { vm })?;
         let (_, request) = self.vms.remove(idx);
         self.used = self.used.saturating_sub(&request);

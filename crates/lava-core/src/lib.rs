@@ -5,13 +5,12 @@
 //!
 //! * [`resources::Resources`] — multi-dimensional resource vectors (CPU,
 //!   memory, SSD) with fit/arithmetic helpers,
-//! * [`arena`] — the flat [`arena::VmTable`] and the
-//!   [`arena::VmArena`] slab backing the simulation hot path,
 //! * [`vm`] — VM specifications and runtime records,
 //! * [`host`] — host specifications, occupancy bookkeeping and the LAVA host
 //!   state machine (empty / open / recycling),
 //! * [`lifetime`] — lifetime classes and the NILAS temporal-cost buckets,
-//! * [`pool`] — a pool (zone/cluster) of hosts,
+//! * [`pool`] — a pool (zone/cluster) of hosts and the one registry of
+//!   the VMs live on them, the simulation hot path,
 //! * [`cell`] — fleet cells: [`cell::CellId`] and the bounded-staleness
 //!   [`cell::CellSummary`] a fleet router consumes,
 //! * [`time`] — the simulated clock,
@@ -43,7 +42,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod arena;
+mod arena;
 pub mod cell;
 pub mod error;
 pub mod events;
@@ -60,7 +59,6 @@ pub mod vm;
 
 /// Convenient glob import of the most commonly used types.
 pub mod prelude {
-    pub use crate::arena::{VmArena, VmTable};
     pub use crate::cell::{CellId, CellSummary};
     pub use crate::error::CoreError;
     pub use crate::events::{TraceEvent, TraceEventKind};

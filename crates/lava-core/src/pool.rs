@@ -21,16 +21,19 @@
 //!   candidate per shape: O(shapes), not O(empty hosts);
 //! * an ordering by free capacity (CPU, then memory, then SSD).
 //!
-//! Mutations flow through [`Pool::place_vm`] / [`Pool::remove_vm`] or
-//! through the [`HostMut`] guard returned by [`Pool::host_mut`], which
-//! re-indexes the host when dropped. There is deliberately no unguarded
-//! `&mut Host` access.
+//! The pool is also the one registry of its live VMs: one id table maps
+//! a live VM to its host and, if placed with one, its [`Vm`] record.
+//! Occupancy changes only through the pool's `place_*` / `remove_*`
+//! methods; everything else about a host through the [`HostMut`] guard
+//! returned by [`Pool::host_mut`], which re-indexes the host when
+//! dropped. There is deliberately no unguarded `&mut Host` access.
 
-use crate::arena::{table_value, VmTable};
+use crate::arena::{table_value, VmArena};
+use crate::error::CoreError;
 use crate::host::{Host, HostId, HostLifetimeState, HostSpec};
 use crate::lifetime::LifetimeClass;
 use crate::resources::Resources;
-use crate::vm::VmId;
+use crate::vm::{Vm, VmId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -85,7 +88,7 @@ fn free_key(free: Resources, id: HostId) -> (u64, u64, u64, HostId) {
 }
 
 /// Incrementally-maintained secondary indexes over the hosts of a pool.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct HostIndex {
     /// `(state, class)` buckets, indexed by [`bucket_slot`].
     buckets: Vec<BTreeSet<HostId>>,
@@ -179,7 +182,7 @@ impl HostIndex {
 /// on every mutation. Pool-wide walks that only need these fields —
 /// metric sampling, capacity profiling, state/class censuses — touch
 /// four dense arrays instead of striding through full [`Host`] records.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 struct HostHot {
     /// Free (unreserved) resources per host.
     free: Vec<Resources>,
@@ -227,8 +230,8 @@ pub struct CapacityProfile<'a> {
     pub vm_count: &'a [u32],
 }
 
-/// A pool of hosts.
-#[derive(Debug, Clone, PartialEq)]
+/// A pool of hosts and the registry of the VMs live on them.
+#[derive(Debug, Clone)]
 pub struct Pool {
     id: PoolId,
     /// Hosts stored densely: `hosts[i].id() == HostId(i)`. Host ids are
@@ -236,20 +239,17 @@ pub struct Pool {
     /// deleted, so every host lookup on the placement hot path is one
     /// bounds-checked index.
     hosts: Vec<Host>,
-    /// Reverse index from VM to host, holding `HostId.0` as a `u32` (4
-    /// bytes per slot): a flat dense table for the sequential ids real
-    /// workloads use (one array read per lookup), with an ordered spill
-    /// for sparse synthetic ids. A fleet cell touches every page of the
-    /// live id window, so it pays 4 bytes per id of that window here.
-    vm_index: VmTable,
+    /// The live-VM registry: one id table of 4-byte slots into a slab of
+    /// host + record slots. A fleet cell touches every page of the live
+    /// id window, so it pays 4 bytes per id of that window here.
+    vms: VmArena,
     /// Secondary candidate indexes, maintained on every mutation.
     index: HostIndex,
     /// Structure-of-arrays mirror of the hot host fields.
     hot: HostHot,
-    /// Incremented on every occupancy-affecting mutation (placements,
-    /// removals, including those made through a [`HostMut`] guard).
-    /// Consumers holding derived state (the cluster's exit-time cache)
-    /// compare epochs to detect mutations that bypassed their event feed.
+    /// Incremented on every placement and removal. Consumers holding
+    /// derived state (the cluster's exit-time cache) compare epochs to
+    /// detect mutations that bypassed their event feed.
     mutation_epoch: u64,
     /// Pool-wide capacity, maintained by [`Pool::add_host`] so
     /// [`Pool::total_capacity`] is O(1).
@@ -266,7 +266,7 @@ impl Pool {
         Pool {
             id,
             hosts: Vec::new(),
-            vm_index: VmTable::new(),
+            vms: VmArena::default(),
             index: HostIndex::new(),
             hot: HostHot::default(),
             mutation_epoch: 0,
@@ -301,8 +301,8 @@ impl Pool {
     ///
     /// # Panics
     ///
-    /// If the pool already holds `u32::MAX` hosts: the vm → host index
-    /// stores host ids as `u32`.
+    /// If the pool already holds `u32::MAX` hosts: the registry stores
+    /// host ids as `u32`.
     pub fn add_host(&mut self, spec: HostSpec) -> HostId {
         let raw = table_value(self.hosts.len()).expect("a pool holds fewer than u32::MAX hosts");
         let id = HostId(u64::from(raw));
@@ -328,8 +328,9 @@ impl Pool {
     }
 
     /// A mutable host by id, behind a guard that re-indexes the host when
-    /// dropped (state, class, occupancy or free-capacity changes all move
-    /// the host between index buckets).
+    /// dropped (state and class changes move the host between index
+    /// buckets). Occupancy changes only through the pool's placement and
+    /// removal methods.
     pub fn host_mut(&mut self, id: HostId) -> Option<HostMut<'_>> {
         let before = key_of(self.hosts.get(id.0 as usize)?);
         Some(HostMut {
@@ -361,84 +362,146 @@ impl Pool {
     /// Which host a VM is currently placed on.
     #[inline]
     pub fn host_of(&self, vm: VmId) -> Option<HostId> {
-        self.vm_index.get(vm).map(|host| HostId(u64::from(host)))
+        self.vms.entry(vm).map(|(host, _)| HostId(u64::from(host)))
     }
 
-    /// Number of VMs currently placed in the pool.
+    /// Number of VMs currently placed in the pool, with or without a record.
     #[inline]
     pub fn vm_count(&self) -> usize {
-        self.vm_index.len()
+        self.vms.len()
     }
 
-    /// Place a VM on a specific host, updating the reverse index and the
-    /// candidate indexes.
+    /// The record of a live VM placed with one.
+    #[inline]
+    pub fn vm(&self, id: VmId) -> Option<&Vm> {
+        self.vms.entry(id)?.1
+    }
+
+    /// The live VM records in id order.
+    pub fn vms(&self) -> impl Iterator<Item = &Vm> + '_ {
+        self.vms.entries().filter_map(|(_, _, record)| record)
+    }
+
+    /// Number of live VM records.
+    #[inline]
+    pub fn record_count(&self) -> usize {
+        self.vms.records()
+    }
+
+    /// Every ⌈n/cap⌉-th of the n live records in placement order (exits
+    /// swap-remove, perturbing but never randomising it): O(cap).
+    pub fn sampled_vms(&self, cap: usize) -> impl Iterator<Item = &Vm> + '_ {
+        self.vms.sampled(cap)
+    }
+
+    /// Place a VM on a specific host: counted, but with no record.
     ///
     /// # Errors
     ///
-    /// Returns the underlying host error,
-    /// [`crate::error::CoreError::HostNotFound`] if the host id is unknown,
-    /// or [`crate::error::CoreError::DuplicateVm`] naming the VM's current
-    /// host if the VM is already placed in this pool. Nothing changes on
-    /// error.
+    /// Returns the underlying host error, [`CoreError::HostNotFound`] if
+    /// the host id is unknown, or [`CoreError::DuplicateVm`] naming the
+    /// VM's current host if the VM is already placed in this pool.
+    /// Nothing changes on error.
     pub fn place_vm(
         &mut self,
         host: HostId,
         vm: VmId,
         request: Resources,
-    ) -> Result<(), crate::error::CoreError> {
+    ) -> Result<(), CoreError> {
+        self.place_entry(host, vm, request, None)
+    }
+
+    /// Place a VM record on a specific host, assigning it the host.
+    ///
+    /// # Errors
+    ///
+    /// As [`Pool::place_vm`]; nothing changes on error.
+    pub fn place_record(&mut self, host: HostId, mut vm: Vm) -> Result<(), CoreError> {
+        vm.assign_host(host);
+        self.place_entry(host, vm.id(), vm.resources(), Some(vm))
+    }
+
+    fn place_entry(
+        &mut self,
+        host: HostId,
+        vm: VmId,
+        request: Resources,
+        record: Option<Vm>,
+    ) -> Result<(), CoreError> {
         if let Some(existing) = self.host_of(vm) {
-            return Err(crate::error::CoreError::DuplicateVm { host: existing, vm });
+            return Err(CoreError::DuplicateVm { host: existing, vm });
         }
-        let record = self
+        let h = self
             .hosts
             .get_mut(host.0 as usize)
-            .ok_or(crate::error::CoreError::HostNotFound { host })?;
-        let before = key_of(record);
-        record.place(vm, request)?;
-        let after = key_of(record);
-        self.hot.sync(host.0 as usize, record);
-        self.index.update(host, before, after);
-        self.agg_free -= before.free;
-        self.agg_free += after.free;
+            .ok_or(CoreError::HostNotFound { host })?;
+        let before = key_of(h);
+        h.place(vm, request)?;
+        self.reindex(host, before);
         // `add_host` keeps every host id below `u32::MAX`.
-        self.vm_index.insert(vm, host.0 as u32);
-        self.mutation_epoch += 1;
+        self.vms.insert(vm, host.0 as u32, record);
         Ok(())
     }
 
     /// Remove a VM from whatever host it is on, returning the host id and
-    /// released resources.
+    /// released resources. Its record, if it had one, leaves with it.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::error::CoreError::VmNotFound`] if the VM is not
-    /// placed anywhere in this pool.
-    pub fn remove_vm(&mut self, vm: VmId) -> Result<(HostId, Resources), crate::error::CoreError> {
-        let host_id = self
-            .vm_index
-            .remove(vm)
-            .map(|host| HostId(u64::from(host)))
-            .ok_or(crate::error::CoreError::VmNotFound { vm })?;
-        let record = self
-            .hosts
-            .get_mut(host_id.0 as usize)
-            .ok_or(crate::error::CoreError::HostNotFound { host: host_id })?;
-        let before = key_of(record);
-        let released = record.remove(vm)?;
-        let after = key_of(record);
-        self.hot.sync(host_id.0 as usize, record);
-        self.index.update(host_id, before, after);
-        self.agg_free -= before.free;
-        self.agg_free += after.free;
-        self.mutation_epoch += 1;
-        Ok((host_id, released))
+    /// Returns [`CoreError::VmNotFound`] if the VM is not placed anywhere
+    /// in this pool. Nothing changes on error.
+    pub fn remove_vm(&mut self, vm: VmId) -> Result<(HostId, Resources), CoreError> {
+        self.remove_entry(vm, false)
+            .map(|(host, released, _)| (host, released))
     }
 
-    /// Pre-size the vm → host table for a workload whose ids stay below
-    /// `max_id`: the covering pages are allocated and pinned up front, so
-    /// steady-state place/remove churn never touches the allocator.
-    pub fn reserve_vm_index(&mut self, max_id: u64) {
-        self.vm_index.reserve_dense(max_id);
+    /// Remove a VM placed with its record, returning the record (its host
+    /// cleared) and the host it was on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::VmNotFound`] if no live VM of this id has a
+    /// record. Nothing changes on error.
+    pub fn remove_record(&mut self, vm: VmId) -> Result<(Vm, HostId), CoreError> {
+        let (host, _, record) = self.remove_entry(vm, true)?;
+        let mut record = record.expect("remove_entry checked for a record");
+        record.clear_host();
+        Ok((record, host))
+    }
+
+    fn remove_entry(
+        &mut self,
+        vm: VmId,
+        with_record: bool,
+    ) -> Result<(HostId, Resources, Option<Vm>), CoreError> {
+        let host = match self.vms.entry(vm) {
+            Some((host, record)) if record.is_some() || !with_record => HostId(u64::from(host)),
+            _ => return Err(CoreError::VmNotFound { vm }),
+        };
+        let h = &mut self.hosts[host.0 as usize];
+        let before = key_of(h);
+        let released = h.remove(vm)?;
+        self.reindex(host, before);
+        let (_, record) = self.vms.remove(vm).expect("looked up above");
+        Ok((host, released, record))
+    }
+
+    /// Fold an occupancy change of `host`, whose index key was `before`,
+    /// into the hot arrays, the candidate indexes and the aggregates.
+    fn reindex(&mut self, host: HostId, before: IndexKey) {
+        let h = &self.hosts[host.0 as usize];
+        let after = key_of(h);
+        self.hot.sync(host.0 as usize, h);
+        self.index.update(host, before, after);
+        self.agg_free = self.agg_free - before.free + after.free;
+        self.mutation_epoch += 1;
+    }
+
+    /// Pre-size the registry for ids below `max_id` and at most `live`
+    /// concurrent VMs: steady-state churn within those bounds then never
+    /// touches the allocator.
+    pub fn reserve_vms(&mut self, max_id: u64, live: usize) {
+        self.vms.reserve(max_id, live);
     }
 
     // --- candidate index queries -----------------------------------------
@@ -493,8 +556,9 @@ impl Pool {
             .filter_map(move |(_, _, _, id)| self.host(*id))
     }
 
-    /// Verify that every index agrees with the authoritative host map.
-    /// Used by tests; O(hosts × log hosts).
+    /// Verify that every index agrees with the authoritative host map,
+    /// and the registry with the hosts' VM lists. Used by tests;
+    /// O(hosts × log hosts + live VMs).
     ///
     /// # Errors
     ///
@@ -559,6 +623,20 @@ impl Pool {
                 return Err(format!("host {} hot arrays out of sync", host.id()));
             }
         }
+        // Each registered VM is on its host, as its record says, and the
+        // hosts hold no VM besides.
+        for (id, host, record) in self.vms.entries() {
+            let host = HostId(u64::from(host));
+            let on_host = self.host(host).is_some_and(|h| h.contains(id));
+            if !on_host || record.is_some_and(|r| r.id() != id || r.host() != Some(host)) {
+                return Err(format!("{id:?} is not on {host} as registered"));
+            }
+        }
+        let on_hosts: usize = self.hosts().map(Host::vm_count).sum();
+        let registered = self.vms.len();
+        if on_hosts != registered {
+            return Err(format!("{registered} registered, {on_hosts} on hosts"));
+        }
         if self.index.by_free.len() != self.hosts.len() {
             return Err("by_free has stale entries".to_string());
         }
@@ -604,7 +682,7 @@ impl Pool {
     }
 
     /// Total free resources across all hosts (O(1), incrementally
-    /// maintained on every placement, removal and [`HostMut`] mutation).
+    /// maintained on every placement and removal).
     pub fn total_free(&self) -> Resources {
         self.agg_free
     }
@@ -654,7 +732,14 @@ impl<'a> Iterator for EmptyLeaders<'a> {
 
 /// Mutable access to one host, keeping the pool's candidate indexes
 /// consistent: when the guard is dropped, any change to the host's state,
-/// class, occupancy or free capacity is folded back into the indexes.
+/// class or availability is folded back into the indexes. Occupancy is
+/// not the guard's to change, so the registry never loses sight of a VM:
+///
+/// ```compile_fail,E0624
+/// # use lava_core::prelude::*;
+/// let mut pool = Pool::with_uniform_hosts(PoolId(0), 1, HostSpec::new(Resources::ZERO));
+/// let _ = pool.host_mut(HostId(0)).unwrap().place(VmId(5), Resources::ZERO);
+/// ```
 pub struct HostMut<'a> {
     pool: &'a mut Pool,
     id: HostId,
@@ -680,23 +765,15 @@ impl DerefMut for HostMut<'_> {
 
 impl Drop for HostMut<'_> {
     fn drop(&mut self) {
-        let idx = self.id.0 as usize;
-        let host = self.pool.hosts.get(idx).expect("guarded host exists");
-        let after = key_of(host);
-        if after.is_empty != self.before.is_empty || after.free != self.before.free {
-            self.pool.mutation_epoch += 1;
-        }
-        self.pool.agg_free -= self.before.free;
-        self.pool.agg_free += after.free;
-        self.pool.hot.sync(idx, &self.pool.hosts[idx]);
-        self.pool.index.update(self.id, self.before, after);
+        let host = &self.pool.hosts[self.id.0 as usize];
+        self.pool.hot.sync(self.id.0 as usize, host);
+        self.pool.index.update(self.id, self.before, key_of(host));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::CoreError;
     use crate::time::SimTime;
     use proptest::prelude::*;
 
@@ -770,6 +847,26 @@ mod tests {
         assert_eq!(p.total_used(), Resources::ZERO);
         assert_eq!(p.empty_host_count(), 2);
         p.validate_index().unwrap();
+    }
+
+    #[test]
+    fn validation_catches_a_host_out_of_step_with_the_registry() {
+        let request = Resources::cores_gib(2, 8);
+        let registry_error = |p: &Pool| p.validate_index().err().filter(|e| e.contains("regist"));
+        // Occupancy changed through the guard, which only the crate can
+        // do: a VM on a host that the registry never saw...
+        let mut p = pool(2);
+        p.host_mut(HostId(0))
+            .unwrap()
+            .place(VmId(5), request)
+            .unwrap();
+        assert!(registry_error(&p).is_some(), "{:?}", p.validate_index());
+        // ...and a registered VM its host no longer holds.
+        let mut p = pool(2);
+        p.place_vm(HostId(1), VmId(5), request).unwrap();
+        p.validate_index().unwrap();
+        p.host_mut(HostId(1)).unwrap().remove(VmId(5)).unwrap();
+        assert!(registry_error(&p).is_some(), "{:?}", p.validate_index());
     }
 
     #[test]

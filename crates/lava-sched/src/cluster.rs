@@ -1,4 +1,5 @@
-//! Cluster state: a pool of hosts plus the registry of live VM records.
+//! Cluster state: a pool of hosts, whose registry holds the live VM
+//! records, plus the host exit-time cache.
 //!
 //! The scheduler algorithms need both views: the hosts (occupancy, LAVA
 //! state) and the VM records (uptime, initial predictions) so that they can
@@ -39,7 +40,6 @@
 //! not O(every full host).
 
 use crate::policy::CacheCounters;
-use lava_core::arena::VmArena;
 use lava_core::error::CoreError;
 use lava_core::host::{Host, HostId, HostSpec};
 use lava_core::pool::{HostMut, Pool, PoolId};
@@ -262,24 +262,18 @@ impl ExitCache {
     }
 }
 
-/// A pool of hosts together with the live VM records.
+/// A pool of hosts, whose registry holds the live VM records, plus the
+/// host exit-time cache.
 ///
-/// VM records live in a slab arena ([`VmArena`]) with LIFO slot reuse:
-/// lookups are one flat-table read plus one slot read, iteration is
-/// id-ordered, and steady-state create/exit churn re-uses warm slots with
-/// zero heap allocations (see the arena's placement-order live list, which also
-/// backs [`Cluster::sampled_vms`]).
-///
-/// A cluster holds two id-keyed tables, the arena's id → slot index and
-/// the pool's vm → host index, each a [`lava_core::arena::VmTable`] of
-/// 4-byte slots over the pages its ids touch. As one cell of a fleet
-/// whose router spreads consecutive ids over every cell, it touches
-/// every page of the live id window, so it pays 8 bytes per id of that
-/// window, however few of those ids it holds.
+/// The registry's one id table (4-byte slots over the pages its ids
+/// touch) is the cluster's only VM-keyed table. As one cell of a fleet
+/// whose router spreads consecutive ids over every cell, it touches every
+/// page of the live id window, so it pays 4 bytes per id of that window,
+/// however few of those ids it holds. Lookups are one table read plus one
+/// slot read; create/exit churn re-uses warm slots without allocating.
 #[derive(Debug)]
 pub struct Cluster {
     pool: Pool,
-    vms: VmArena,
     exit_cache: Mutex<ExitCache>,
 }
 
@@ -287,7 +281,6 @@ impl Clone for Cluster {
     fn clone(&self) -> Cluster {
         Cluster {
             pool: self.pool.clone(),
-            vms: self.vms.clone(),
             exit_cache: Mutex::new(self.exit_cache.lock().clone()),
         }
     }
@@ -300,7 +293,6 @@ impl Cluster {
         exit_cache.reserve_hosts(pool.host_count());
         Cluster {
             pool,
-            vms: VmArena::new(),
             exit_cache: Mutex::new(exit_cache),
         }
     }
@@ -326,27 +318,25 @@ impl Cluster {
 
     /// A live VM record by id.
     pub fn vm(&self, id: VmId) -> Option<&Vm> {
-        self.vms.get(id)
+        self.pool.vm(id)
     }
 
     /// Iterator over the live VM records in id order.
     pub fn vms(&self) -> impl Iterator<Item = &Vm> + '_ {
-        self.vms.iter()
+        self.pool.vms()
     }
 
-    /// Number of live VMs.
+    /// Number of live VM records.
     pub fn vm_count(&self) -> usize {
-        self.vms.len()
+        self.pool.record_count()
     }
 
-    /// Pre-size the VM arena for a workload whose ids stay below
-    /// `max_id` with at most `live` concurrent VMs: steady-state
-    /// create/exit churn within those bounds then never grows the arena
-    /// (the zero-allocation drive contract the counting-allocator tests
+    /// Pre-size the pool's registry for ids below `max_id` and at most
+    /// `live` concurrent VMs: steady-state churn within those bounds then
+    /// never allocates (the drive contract the counting-allocator tests
     /// pin down).
     pub fn reserve_vm_capacity(&mut self, max_id: u64, live: usize) {
-        self.vms.reserve(max_id, live);
-        self.pool.reserve_vm_index(max_id);
+        self.pool.reserve_vms(max_id, live);
         self.exit_cache
             .get_mut()
             .reserve_hosts(self.pool.host_count());
@@ -357,7 +347,7 @@ impl Cluster {
     /// never randomising the order). O(cap) regardless of the live-VM
     /// count — this is what keeps fleet `CellSummary` extraction bounded.
     pub fn sampled_vms(&self, cap: usize) -> impl Iterator<Item = &Vm> + '_ {
-        self.vms.sampled(cap)
+        self.pool.sampled_vms(cap)
     }
 
     /// A host by id.
@@ -376,15 +366,13 @@ impl Cluster {
         self.pool.hosts()
     }
 
-    /// Place a VM record on a host, registering it in the VM index.
+    /// Place a VM record on a host, registering it in the pool.
     ///
     /// # Errors
     ///
-    /// Propagates host capacity and duplicate errors.
-    pub fn place(&mut self, mut vm: Vm, host: HostId) -> Result<(), CoreError> {
-        self.pool.place_vm(host, vm.id(), vm.resources())?;
-        vm.assign_host(host);
-        self.vms.insert(vm);
+    /// Propagates host capacity and duplicate errors; nothing changes then.
+    pub fn place(&mut self, vm: Vm, host: HostId) -> Result<(), CoreError> {
+        self.pool.place_record(host, vm)?;
         let cache = self.exit_cache.get_mut();
         cache.mark_placement(host);
         // Advance by exactly the one pool mutation made above: setting to
@@ -399,11 +387,10 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::VmNotFound`] if the VM is not live.
+    /// Returns [`CoreError::VmNotFound`] if no live VM of this id has a
+    /// record (a bypass placement has none); nothing changes then.
     pub fn remove(&mut self, vm: VmId) -> Result<(Vm, HostId), CoreError> {
-        let (host, _) = self.pool.remove_vm(vm)?;
-        let mut record = self.vms.remove(vm).ok_or(CoreError::VmNotFound { vm })?;
-        record.clear_host();
+        let (record, host) = self.pool.remove_record(vm)?;
         let cache = self.exit_cache.get_mut();
         if self.pool.host(host).is_none_or(|h| h.is_empty()) {
             cache.forget(host);
@@ -699,6 +686,30 @@ mod tests {
         assert_eq!(record.host(), None);
         assert_eq!(c.vm_count(), 0);
         assert!(c.host(HostId(0)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn removing_a_vm_without_a_record_fails_and_changes_nothing() {
+        let mut c = cluster();
+        let request = Resources::cores_gib(2, 8);
+        c.pool_mut().place_vm(HostId(1), VmId(9), request).unwrap();
+        assert_eq!(
+            c.remove(VmId(9)),
+            Err(CoreError::VmNotFound { vm: VmId(9) })
+        );
+        assert_eq!(c.pool().host_of(VmId(9)), Some(HostId(1)));
+        assert_eq!(c.pool().vm_count(), 1);
+        assert_eq!(c.pool().total_used(), request);
+        c.pool().validate_index().unwrap();
+        // A record that leaves through the pool leaves for good: its
+        // slot, re-used by VM 9, does not bring it back.
+        c.place(vm(1, 5), HostId(0)).unwrap();
+        c.pool_mut().remove_vm(VmId(9)).unwrap();
+        c.pool_mut().remove_vm(VmId(1)).unwrap();
+        c.pool_mut().place_vm(HostId(2), VmId(9), request).unwrap();
+        assert!(c.vm(VmId(1)).is_none() && c.vm(VmId(9)).is_none());
+        assert_eq!((c.vm_count(), c.vms().count()), (0, 0));
+        c.pool().validate_index().unwrap();
     }
 
     #[test]
@@ -1117,8 +1128,8 @@ mod tests {
         use proptest::prelude::*;
         use std::sync::Arc;
 
-        /// First id of the VMs placed straight into the pool, which the
-        /// arena never hears of.
+        /// First id of the VMs placed straight into the pool, which carry
+        /// no record.
         const BYPASS_ID_BASE: u64 = 1 << 20;
 
         proptest! {
@@ -1236,7 +1247,7 @@ mod tests {
 
         #[test]
         fn pass_matches_after_a_pool_bypass() {
-            // A VM the pool holds but the arena does not (placed behind the
+            // A VM the pool holds without a record (placed behind the
             // cluster's back) is counted but never handed to the predictor:
             // the per-host hand-out notes must not slip because of it.
             let mut c = cluster();

@@ -117,15 +117,21 @@ pub fn avoid_empty_host_score(host: &Host) -> f64 {
 mod tests {
     use super::*;
     use lava_core::host::{HostId, HostSpec};
+    use lava_core::pool::{Pool, PoolId};
     use lava_core::vm::VmId;
 
     fn host_with_used(used_cores: u64, used_mem_gib: u64) -> Host {
-        let mut h = Host::new(HostId(0), HostSpec::new(Resources::cores_gib(32, 128)));
+        let spec = HostSpec::new(Resources::cores_gib(32, 128));
+        let mut pool = Pool::with_uniform_hosts(PoolId(0), 1, spec);
         if used_cores > 0 || used_mem_gib > 0 {
-            h.place(VmId(1), Resources::cores_gib(used_cores, used_mem_gib))
-                .unwrap();
+            pool.place_vm(
+                HostId(0),
+                VmId(1),
+                Resources::cores_gib(used_cores, used_mem_gib),
+            )
+            .unwrap();
         }
-        h
+        pool.host(HostId(0)).unwrap().clone()
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! Four bytes per VM id: what one fleet cell's id indexes cost.
+//! Four bytes per VM id: what one fleet cell's id index costs.
 //!
 //! A fleet router spreads consecutive VM ids over every cell, so a cell
-//! of a 16-cell fleet holds every 16th id, and its dense id tables touch
-//! every page of the covered id range. Each slot of a [`VmTable`] is a
-//! bare `u32`, so both the table itself and the vm → host index of a
-//! [`Pool`] must cost at most 4 bytes per covered id (plus one small
-//! header per page). A counting global allocator tracks live heap bytes
-//! and their high-water mark, so the check is a deterministic byte count.
+//! of a 16-cell fleet holds every 16th id, and its dense id table touches
+//! every page of the covered id range. A cell keeps one live-VM registry,
+//! whose id table slots are bare `u32`s, so a [`Cluster`] must cost at
+//! most 4 bytes per covered id (plus one small header per page) more than
+//! the same cluster holding the same VMs under consecutive ids. A counting
+//! global allocator tracks live heap bytes and their high-water mark, so
+//! the check is a deterministic byte count.
 //!
 //! One `#[test]` in this file: the allocator is process-global, so a
 //! parallel test would pollute the high-water mark.
 
-use lava_core::arena::VmTable;
-use lava_core::host::{Host, HostId, HostSpec};
-use lava_core::pool::{Pool, PoolId};
+use lava_core::host::{HostId, HostSpec};
 use lava_core::resources::Resources;
-use lava_core::vm::VmId;
+use lava_core::time::{Duration, SimTime};
+use lava_core::vm::{Vm, VmId, VmSpec};
+use lava_sched::cluster::Cluster;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -77,18 +78,14 @@ unsafe impl GlobalAlloc for LiveHeap {
 static GLOBAL: LiveHeap = LiveHeap;
 
 /// The id range one cell's share spans.
-const COVERED: usize = 1 << 20;
+const COVERED: u64 = 1 << 20;
 /// Cells of the fleet: the cell holds every `CELLS`-th id.
-const CELLS: usize = 16;
+const CELLS: u64 = 16;
 /// Hosts of the cell's pool.
 const HOSTS: usize = 16;
 /// Budget for the page vector: one header per 4096-id page, with room
 /// for its doubling growth.
-const PAGE_VECTOR_BYTES: usize = (COVERED / 4096) * 64;
-
-fn cell_ids() -> impl Iterator<Item = VmId> {
-    (0..COVERED as u64).step_by(CELLS).map(VmId)
-}
+const PAGE_VECTOR_BYTES: usize = (COVERED as usize / 4096) * 64;
 
 /// Run `f`, returning what it returns and its peak live heap above the
 /// heap live when it started.
@@ -99,62 +96,50 @@ fn peak_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (out, PEAK.load(Ordering::Relaxed) - start)
 }
 
-#[test]
-fn a_cell_pays_four_bytes_per_covered_id_in_each_index() {
-    // Measured: the table peaks at 4 200 448 B and the pool's index at
-    // 4 200 552 B, against a budget of 4 210 688 B.
-    let budget = 4 * COVERED + PAGE_VECTOR_BYTES;
-
-    let (table, table_peak) = peak_of(|| {
-        let mut table = VmTable::new();
-        for (i, id) in cell_ids().enumerate() {
-            table.insert(id, i as u32);
-        }
-        table
-    });
-    assert_eq!(table.len(), COVERED / CELLS);
-    assert_eq!(table.allocated_pages(), COVERED / 4096);
-    drop(table);
-    assert!(
-        table_peak <= budget,
-        "a VmTable holding every {CELLS}th id of {COVERED} peaked at {table_peak} B \
-         (> {budget} B: more than 4 B per covered id)"
-    );
-
-    // The pool's peak over its empty baseline, less what the same
-    // placements cost on bare hosts (each host's own VM list), is its
-    // vm -> host index.
+/// A cell of `HOSTS` hosts holding one record per id of `ids`, the i-th
+/// on host `i % HOSTS`.
+fn cell_holding(ids: impl Iterator<Item = u64>) -> Cluster {
     let spec = HostSpec::new(Resources::cores_gib(64, 256));
-    let request = Resources {
+    let request = VmSpec::builder(Resources {
         cpu_milli: 1,
         memory_mib: 1,
         ssd_gib: 0,
-    };
-    let mut pool = Pool::with_uniform_hosts(PoolId(0), HOSTS, spec);
-    let ((), pool_peak) = peak_of(|| {
-        for (i, id) in cell_ids().enumerate() {
-            pool.place_vm(HostId((i % HOSTS) as u64), id, request)
-                .expect("the hosts have room");
-        }
-    });
-    assert_eq!(pool.vm_count(), COVERED / CELLS);
-    drop(pool);
-    let mut hosts: Vec<Host> = (0..HOSTS as u64)
-        .map(|h| Host::new(HostId(h), spec))
-        .collect();
-    let ((), host_peak) = peak_of(|| {
-        for (i, id) in cell_ids().enumerate() {
-            hosts[i % HOSTS]
-                .place(id, request)
-                .expect("the hosts have room");
-        }
-    });
-    drop(hosts);
-    let index_peak = pool_peak.saturating_sub(host_peak);
+    })
+    .build();
+    let mut cell = Cluster::with_uniform_hosts(HOSTS, spec);
+    for (i, id) in ids.enumerate() {
+        let vm = Vm::new(
+            VmId(id),
+            request.clone(),
+            SimTime::ZERO,
+            Duration::from_hours(1),
+        );
+        cell.place(vm, HostId((i % HOSTS) as u64))
+            .expect("the hosts have room");
+    }
+    cell
+}
+
+#[test]
+fn a_cell_pays_four_bytes_per_covered_id_in_its_one_index() {
+    // Measured: 3 937 920 B above the packed cell, against a budget of
+    // 4 210 688 B; a cell with two id tables paid 7 875 840 B.
+    let budget = 4 * COVERED as usize + PAGE_VECTOR_BYTES;
+    let records = (COVERED / CELLS) as usize;
+
+    let (spread, spread_peak) = peak_of(|| cell_holding((0..COVERED).step_by(CELLS as usize)));
+    assert_eq!(spread.vm_count(), records);
+    drop(spread);
+    let (packed, packed_peak) = peak_of(|| cell_holding(0..COVERED / CELLS));
+    assert_eq!(packed.vm_count(), records);
+    drop(packed);
+
+    // The same records on the same hosts: only the id pages differ.
+    let index_peak = spread_peak.saturating_sub(packed_peak);
     assert!(
         index_peak <= budget,
-        "a pool holding every {CELLS}th id of {COVERED} peaked {pool_peak} B over its \
-         empty baseline, {index_peak} B above its hosts' VM lists \
+        "a cell holding every {CELLS}th id of {COVERED} peaked at {spread_peak} B, \
+         {index_peak} B above the same cell holding ids 0..{records} \
          (> {budget} B: more than 4 B per covered id)"
     );
 }

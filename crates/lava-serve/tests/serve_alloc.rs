@@ -5,7 +5,7 @@
 //! route (hash) → `Scheduler::schedule_costed` → SoA state mutation →
 //! internal release scheduling → latency histogram. After
 //! [`PlacementService::reserve_vm_capacity`] pre-sizes the per-cell
-//! arenas and the early offers grow every queue/heap to steady capacity,
+//! registries and the early offers grow every queue/heap to steady capacity,
 //! a window of hundreds of offer-decide-release cycles must not touch
 //! the allocator at all.
 //!

@@ -3,13 +3,14 @@
 //! The paper measures resource stranding by taking a representative mix of
 //! VMs and simulating scheduling as many of them as possible until capacity
 //! is exhausted; whatever free resources remain cannot fit any more VMs and
-//! are therefore *stranded*. We reproduce that pipeline: clone the pool,
-//! greedily pack VMs drawn from the representative mix (best fit), and
-//! report the leftover CPU and memory fractions.
+//! are therefore *stranded*. We reproduce that pipeline on a copy of each
+//! host's free capacity: greedily pack VMs drawn from the representative
+//! mix (best fit), and report the leftover CPU and memory fractions.
 
 use lava_core::pool::Pool;
 use lava_core::resources::{ResourceKind, Resources};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// The outcome of an inflation simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,10 +65,10 @@ impl InflationMix {
 /// Run the inflation simulation against a snapshot of the pool and report
 /// stranded resources.
 ///
-/// The pool itself is not modified: packing happens on a clone.
+/// The pool itself is not modified: packing happens on a copy of each
+/// host's free capacity.
 pub fn measure_stranding(pool: &Pool, mix: &InflationMix) -> StrandingReport {
-    let mut scratch = pool.clone();
-    let capacity = scratch.total_capacity();
+    let capacity = pool.total_capacity();
     let sequence = mix.sequence();
     if sequence.is_empty() {
         return StrandingReport {
@@ -76,26 +77,27 @@ pub fn measure_stranding(pool: &Pool, mix: &InflationMix) -> StrandingReport {
             vms_packed: 0,
         };
     }
+    // Free and total capacity of each host open to scheduling, in id order.
+    let mut hosts: Vec<(Resources, Resources)> = pool
+        .hosts()
+        .filter(|h| !h.is_unavailable())
+        .map(|h| (h.free(), h.capacity()))
+        .collect();
+    let mut total_free = pool.total_free();
     let mut packed = 0usize;
-    let mut next_vm_id = 1_000_000_000u64;
     loop {
         let mut placed_any = false;
         for shape in &sequence {
-            // Best-fit placement of this synthetic VM.
-            let target = scratch
-                .hosts()
-                .filter(|h| h.can_fit(*shape))
-                .min_by(|a, b| {
-                    let fa = a.free().saturating_sub(shape).normalized_sum(&a.capacity());
-                    let fb = b.free().saturating_sub(shape).normalized_sum(&b.capacity());
-                    fa.partial_cmp(&fb).unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|h| h.id());
-            if let Some(host) = target {
-                scratch
-                    .place_vm(host, lava_core::vm::VmId(next_vm_id), *shape)
-                    .expect("feasibility was checked");
-                next_vm_id += 1;
+            // Best-fit placement of this synthetic VM: the first host the
+            // shape leaves least free.
+            let left = |h: &(Resources, Resources)| h.0.saturating_sub(shape).normalized_sum(&h.1);
+            let target = hosts
+                .iter_mut()
+                .filter(|(free, _)| free.fits(shape))
+                .min_by(|a, b| left(a).partial_cmp(&left(b)).unwrap_or(Ordering::Equal));
+            if let Some((free, _)) = target {
+                *free -= *shape;
+                total_free -= *shape;
                 packed += 1;
                 placed_any = true;
             }
@@ -104,14 +106,13 @@ pub fn measure_stranding(pool: &Pool, mix: &InflationMix) -> StrandingReport {
             break;
         }
     }
-    let free = scratch.total_free();
     StrandingReport {
         stranded_cpu_fraction: fraction(
-            free.get(ResourceKind::Cpu),
+            total_free.get(ResourceKind::Cpu),
             capacity.get(ResourceKind::Cpu),
         ),
         stranded_memory_fraction: fraction(
-            free.get(ResourceKind::Memory),
+            total_free.get(ResourceKind::Memory),
             capacity.get(ResourceKind::Memory),
         ),
         vms_packed: packed,

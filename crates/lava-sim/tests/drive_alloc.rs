@@ -3,9 +3,9 @@
 //! A counting global allocator wraps the system allocator; an observer
 //! snapshots the allocation count between two placement milestones deep
 //! inside a [`lava_sim::experiment::drive`] run. Everything that grows —
-//! the timeline heap, the scheduler's event log scratch, the arena slabs,
-//! the paged vm → host table — must have reached steady capacity by the
-//! window's start (the arena is pre-sized with
+//! the timeline heap, the scheduler's event log scratch, the pool's
+//! registry slab and its paged id table — must have reached steady
+//! capacity by the window's start (the registry is pre-sized with
 //! `Cluster::reserve_vm_capacity`), so the count must not move at all
 //! inside the window: the event hot path (pull event → route through the
 //! policy → mutate SoA state → dispatch observers) is allocation-free.

@@ -161,9 +161,10 @@ fn tripling_the_replay_horizon_leaves_peak_heap_flat() {
         long.events,
         short.events
     );
-    // Measured: 107 690 → 321 350 events, 691 704 → 742 856 B
-    // (+7.4 %). The bound is 1.25× the 30-day peak; anything held per
-    // event or per VM id ever seen would triple instead.
+    // Measured: 107 690 → 321 350 events, 482 424 → 516 040 B
+    // (+7.0 %; 691 704 → 742 856 B with two id tables per cell). The
+    // bound is 1.25× the 30-day peak; anything held per event or per VM
+    // id ever seen would triple instead.
     assert!(
         long.peak_bytes * 4 <= short.peak_bytes * 5,
         "peak live heap grew from {} B to {} B across 30 -> 90 days: \
