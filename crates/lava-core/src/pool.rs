@@ -14,12 +14,16 @@
 //!
 //! * hosts bucketed by `(HostLifetimeState, Option<LifetimeClass>)`, so a
 //!   scheduler can walk exactly the preference level it needs;
-//! * the set of occupied hosts, and the set of empty hosts grouped by
-//!   capacity shape (also powering O(1) [`Pool::empty_host_count`]). An
-//!   empty host's free capacity is its capacity, so empty hosts of one
-//!   shape score alike and [`Pool::empty_leaders`] hands a scheduler one
-//!   candidate per shape: O(shapes), not O(empty hosts);
+//! * the set of empty hosts grouped by capacity shape (also powering
+//!   O(1) [`Pool::empty_host_count`]). An empty host's free capacity is
+//!   its capacity, so empty hosts of one shape score alike and
+//!   [`Pool::empty_leaders`] hands a scheduler one candidate per shape:
+//!   O(shapes), not O(empty hosts);
 //! * an ordering by free capacity (CPU, then memory, then SSD).
+//!
+//! Three aggregates ride along — total capacity, total free capacity and
+//! the capacity of the empty hosts — so the pool-wide bin-packing metrics
+//! are O(1).
 //!
 //! The pool is also the one registry of its live VMs: one id table maps
 //! a live VM to its host and, if placed with one, its [`Vm`] record.
@@ -92,8 +96,6 @@ fn free_key(free: Resources, id: HostId) -> (u64, u64, u64, HostId) {
 struct HostIndex {
     /// `(state, class)` buckets, indexed by [`bucket_slot`].
     buckets: Vec<BTreeSet<HostId>>,
-    /// Hosts with at least one VM.
-    occupied: BTreeSet<HostId>,
     /// Hosts with no VMs, keyed `(shape, id)`: grouped by capacity shape,
     /// in id order within a shape. The id is narrowed to `u32` (see
     /// [`HostIndex::add`]) so the key is no larger than a bare [`HostId`].
@@ -105,6 +107,8 @@ struct HostIndex {
     shape_of: Vec<u32>,
     /// Hosts ordered by ascending free capacity (CPU, memory, SSD, id).
     by_free: BTreeSet<(u64, u64, u64, HostId)>,
+    /// Total capacity of the hosts in `empty`.
+    empty_capacity: Resources,
 }
 
 impl Default for HostIndex {
@@ -117,11 +121,11 @@ impl HostIndex {
     fn new() -> HostIndex {
         HostIndex {
             buckets: vec![BTreeSet::new(); BUCKET_COUNT],
-            occupied: BTreeSet::new(),
             empty: BTreeSet::new(),
             shapes: Vec::new(),
             shape_of: Vec::new(),
             by_free: BTreeSet::new(),
+            empty_capacity: Resources::ZERO,
         }
     }
 
@@ -141,8 +145,7 @@ impl HostIndex {
         self.buckets[key.bucket].insert(id);
         if key.is_empty {
             self.empty.insert(self.empty_key(id));
-        } else {
-            self.occupied.insert(id);
+            self.empty_capacity += capacity;
         }
         self.by_free.insert(free_key(key.free, id));
     }
@@ -162,12 +165,13 @@ impl HostIndex {
         }
         if before.is_empty != after.is_empty {
             let empty_key = self.empty_key(id);
+            let capacity = self.shapes[empty_key.0 as usize];
             if before.is_empty {
                 self.empty.remove(&empty_key);
-                self.occupied.insert(id);
+                self.empty_capacity -= capacity;
             } else {
-                self.occupied.remove(&id);
                 self.empty.insert(empty_key);
+                self.empty_capacity += capacity;
             }
         }
         if before.free != after.free {
@@ -175,59 +179,6 @@ impl HostIndex {
             self.by_free.insert(free_key(after.free, id));
         }
     }
-}
-
-/// Hot per-host fields mirrored into contiguous parallel arrays
-/// (structure-of-arrays), maintained in lock-step with the host records
-/// on every mutation. Pool-wide walks that only need these fields —
-/// metric sampling, capacity profiling, state/class censuses — touch
-/// four dense arrays instead of striding through full [`Host`] records.
-#[derive(Debug, Clone, Default)]
-struct HostHot {
-    /// Free (unreserved) resources per host.
-    free: Vec<Resources>,
-    /// LAVA lifetime state per host.
-    state: Vec<HostLifetimeState>,
-    /// LAVA lifetime class per host.
-    class: Vec<Option<LifetimeClass>>,
-    /// Number of VMs per host.
-    vm_count: Vec<u32>,
-}
-
-impl HostHot {
-    fn push(&mut self, host: &Host) {
-        self.free.push(host.free());
-        self.state.push(host.lifetime_state());
-        self.class.push(host.lifetime_class());
-        self.vm_count.push(host.vm_count() as u32);
-    }
-
-    fn sync(&mut self, idx: usize, host: &Host) {
-        self.free[idx] = host.free();
-        self.state[idx] = host.lifetime_state();
-        self.class[idx] = host.lifetime_class();
-        self.vm_count[idx] = host.vm_count() as u32;
-    }
-}
-
-/// A read-only view over the pool's structure-of-arrays hot fields: the
-/// cache-dense way to walk per-host capacity state. All slices but
-/// `shapes` are indexed by `HostId.0` and have length
-/// [`Pool::host_count`].
-#[derive(Debug, Clone, Copy)]
-pub struct CapacityProfile<'a> {
-    /// Free resources per host.
-    pub free: &'a [Resources],
-    /// Capacity shape per host: its total capacity is `shapes[shape]`.
-    pub shape: &'a [u32],
-    /// The pool's distinct host capacities, in order of first appearance.
-    pub shapes: &'a [Resources],
-    /// Lifetime state per host.
-    pub state: &'a [HostLifetimeState],
-    /// Lifetime class per host.
-    pub class: &'a [Option<LifetimeClass>],
-    /// VM count per host.
-    pub vm_count: &'a [u32],
 }
 
 /// A pool of hosts and the registry of the VMs live on them.
@@ -245,8 +196,6 @@ pub struct Pool {
     vms: VmArena,
     /// Secondary candidate indexes, maintained on every mutation.
     index: HostIndex,
-    /// Structure-of-arrays mirror of the hot host fields.
-    hot: HostHot,
     /// Incremented on every placement and removal. Consumers holding
     /// derived state (the cluster's exit-time cache) compare epochs to
     /// detect mutations that bypassed their event feed.
@@ -268,7 +217,6 @@ impl Pool {
             hosts: Vec::new(),
             vms: VmArena::default(),
             index: HostIndex::new(),
-            hot: HostHot::default(),
             mutation_epoch: 0,
             agg_capacity: Resources::ZERO,
             agg_free: Resources::ZERO,
@@ -310,7 +258,6 @@ impl Pool {
         self.index.add(&host);
         self.agg_capacity += host.capacity();
         self.agg_free += host.free();
-        self.hot.push(&host);
         self.hosts.push(host);
         id
     }
@@ -343,20 +290,6 @@ impl Pool {
     /// Iterator over all hosts in deterministic (id) order.
     pub fn hosts(&self) -> impl Iterator<Item = &Host> + '_ {
         self.hosts.iter()
-    }
-
-    /// The structure-of-arrays view of the hot host fields (free,
-    /// capacity shape, state, class, VM count), indexed by `HostId.0` —
-    /// the cache-dense input for pool-wide capacity walks.
-    pub fn capacity_profile(&self) -> CapacityProfile<'_> {
-        CapacityProfile {
-            free: &self.hot.free,
-            shape: &self.index.shape_of,
-            shapes: &self.index.shapes,
-            state: &self.hot.state,
-            class: &self.hot.class,
-            vm_count: &self.hot.vm_count,
-        }
     }
 
     /// Which host a VM is currently placed on.
@@ -411,13 +344,12 @@ impl Pool {
         self.place_entry(host, vm, request, None)
     }
 
-    /// Place a VM record on a specific host, assigning it the host.
+    /// Place a VM record on a specific host.
     ///
     /// # Errors
     ///
     /// As [`Pool::place_vm`]; nothing changes on error.
-    pub fn place_record(&mut self, host: HostId, mut vm: Vm) -> Result<(), CoreError> {
-        vm.assign_host(host);
+    pub fn place_record(&mut self, host: HostId, vm: Vm) -> Result<(), CoreError> {
         self.place_entry(host, vm.id(), vm.resources(), Some(vm))
     }
 
@@ -455,8 +387,8 @@ impl Pool {
             .map(|(host, released, _)| (host, released))
     }
 
-    /// Remove a VM placed with its record, returning the record (its host
-    /// cleared) and the host it was on.
+    /// Remove a VM placed with its record, returning the record and the
+    /// host it was on.
     ///
     /// # Errors
     ///
@@ -464,9 +396,7 @@ impl Pool {
     /// record. Nothing changes on error.
     pub fn remove_record(&mut self, vm: VmId) -> Result<(Vm, HostId), CoreError> {
         let (host, _, record) = self.remove_entry(vm, true)?;
-        let mut record = record.expect("remove_entry checked for a record");
-        record.clear_host();
-        Ok((record, host))
+        Ok((record.expect("remove_entry checked for a record"), host))
     }
 
     fn remove_entry(
@@ -487,11 +417,9 @@ impl Pool {
     }
 
     /// Fold an occupancy change of `host`, whose index key was `before`,
-    /// into the hot arrays, the candidate indexes and the aggregates.
+    /// into the candidate indexes and the aggregates.
     fn reindex(&mut self, host: HostId, before: IndexKey) {
-        let h = &self.hosts[host.0 as usize];
-        let after = key_of(h);
-        self.hot.sync(host.0 as usize, h);
+        let after = key_of(&self.hosts[host.0 as usize]);
         self.index.update(host, before, after);
         self.agg_free = self.agg_free - before.free + after.free;
         self.mutation_epoch += 1;
@@ -514,14 +442,6 @@ impl Pool {
         class: Option<LifetimeClass>,
     ) -> impl Iterator<Item = &Host> + '_ {
         self.index.buckets[bucket_slot(state, class)]
-            .iter()
-            .filter_map(move |id| self.host(*id))
-    }
-
-    /// Hosts with at least one VM, in id order.
-    pub fn occupied_hosts(&self) -> impl Iterator<Item = &Host> + '_ {
-        self.index
-            .occupied
             .iter()
             .filter_map(move |id| self.host(*id))
     }
@@ -606,29 +526,19 @@ impl Pool {
                     host.id()
                 ));
             }
-            let in_empty = self.index.empty.contains(&self.index.empty_key(host.id()));
-            let in_occupied = self.index.occupied.contains(&host.id());
-            if key.is_empty != in_empty || key.is_empty == in_occupied {
-                return Err(format!("host {} occupancy sets inconsistent", host.id()));
+            if key.is_empty != self.index.empty.contains(&self.index.empty_key(host.id())) {
+                return Err(format!("host {} empty set inconsistent", host.id()));
             }
             if !self.index.by_free.contains(&free_key(key.free, host.id())) {
                 return Err(format!("host {} missing from by_free", host.id()));
             }
-            let idx = host.id().0 as usize;
-            if self.hot.free[idx] != host.free()
-                || self.hot.state[idx] != host.lifetime_state()
-                || self.hot.class[idx] != host.lifetime_class()
-                || self.hot.vm_count[idx] != host.vm_count() as u32
-            {
-                return Err(format!("host {} hot arrays out of sync", host.id()));
-            }
         }
-        // Each registered VM is on its host, as its record says, and the
-        // hosts hold no VM besides.
+        // Each registered VM is on its host, and the hosts hold no VM
+        // besides.
         for (id, host, record) in self.vms.entries() {
             let host = HostId(u64::from(host));
             let on_host = self.host(host).is_some_and(|h| h.contains(id));
-            if !on_host || record.is_some_and(|r| r.id() != id || r.host() != Some(host)) {
+            if !on_host || record.is_some_and(|r| r.id() != id) {
                 return Err(format!("{id:?} is not on {host} as registered"));
             }
         }
@@ -640,16 +550,22 @@ impl Pool {
         if self.index.by_free.len() != self.hosts.len() {
             return Err("by_free has stale entries".to_string());
         }
-        if self.hot.free.len() != self.hosts.len() {
-            return Err("hot arrays have the wrong length".to_string());
-        }
         let scan_capacity: Resources = self.hosts().map(|h| h.capacity()).sum();
         let scan_free: Resources = self.hosts().map(|h| h.free()).sum();
-        if scan_capacity != self.agg_capacity || scan_free != self.agg_free {
+        let scan_empty: Resources = self
+            .hosts()
+            .filter(|h| h.is_empty())
+            .map(|h| h.capacity())
+            .sum();
+        if scan_capacity != self.agg_capacity
+            || scan_free != self.agg_free
+            || scan_empty != self.index.empty_capacity
+        {
             return Err(format!(
                 "aggregates drifted: capacity {:?} vs scan {scan_capacity:?}, \
-                 free {:?} vs scan {scan_free:?}",
-                self.agg_capacity, self.agg_free
+                 free {:?} vs scan {scan_free:?}, \
+                 empty capacity {:?} vs scan {scan_empty:?}",
+                self.agg_capacity, self.agg_free, self.index.empty_capacity
             ));
         }
         Ok(())
@@ -685,6 +601,13 @@ impl Pool {
     /// maintained on every placement and removal).
     pub fn total_free(&self) -> Resources {
         self.agg_free
+    }
+
+    /// Total capacity of the empty hosts (O(1), maintained as hosts flip
+    /// between empty and occupied). An empty host reserves nothing, so
+    /// this is also the free capacity on empty hosts.
+    pub fn empty_capacity(&self) -> Resources {
+        self.index.empty_capacity
     }
 }
 
@@ -765,9 +688,8 @@ impl DerefMut for HostMut<'_> {
 
 impl Drop for HostMut<'_> {
     fn drop(&mut self) {
-        let host = &self.pool.hosts[self.id.0 as usize];
-        self.pool.hot.sync(self.id.0 as usize, host);
-        self.pool.index.update(self.id, self.before, key_of(host));
+        let after = key_of(&self.pool.hosts[self.id.0 as usize]);
+        self.pool.index.update(self.id, self.before, after);
     }
 }
 
@@ -966,8 +888,7 @@ mod tests {
         let mut p = mixed_pool(6);
         p.place_vm(HostId(0), VmId(1), Resources::cores_gib(4, 16))
             .unwrap();
-        let occupied: Vec<HostId> = p.occupied_hosts().map(|h| h.id()).collect();
-        assert_eq!(occupied, vec![HostId(0)]);
+        assert_eq!(p.empty_capacity(), Resources::cores_gib(144, 832));
         let small = Resources::cores_gib(4, 16);
         // One leader per shape, in shape order: A, B, C.
         assert_eq!(

@@ -6,9 +6,9 @@
 //! provisioning model, priority and admission policy. A [`Vm`] is the
 //! runtime record the scheduler keeps: the spec plus creation time, the
 //! ground-truth lifetime from the trace (used only by oracles and for
-//! evaluation) and the host assignment.
+//! evaluation) and the scheduling-time prediction. Which host a live VM
+//! is on is the pool registry's to say (`Pool::host_of`).
 
-use crate::host::HostId;
 use crate::resources::Resources;
 use crate::time::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -261,8 +261,6 @@ pub struct Vm {
     actual_lifetime: Duration,
     /// The remaining-lifetime prediction made when the VM was scheduled.
     initial_prediction: Option<Duration>,
-    /// Current host assignment, if scheduled.
-    host: Option<HostId>,
 }
 
 impl Vm {
@@ -275,7 +273,6 @@ impl Vm {
             created_at,
             actual_lifetime,
             initial_prediction: None,
-            host: None,
         }
     }
 
@@ -351,22 +348,6 @@ impl Vm {
             self.initial_prediction = Some(prediction);
         }
     }
-
-    /// The host this VM is currently placed on, if any.
-    #[inline]
-    pub fn host(&self) -> Option<HostId> {
-        self.host
-    }
-
-    /// Record a (re)placement onto a host.
-    pub fn assign_host(&mut self, host: HostId) {
-        self.host = Some(host);
-    }
-
-    /// Clear the host assignment (the VM exited).
-    pub fn clear_host(&mut self) {
-        self.host = None;
-    }
 }
 
 #[cfg(test)]
@@ -428,16 +409,6 @@ mod tests {
             Some(Duration::from_hours(2))
         );
         assert_eq!(vm.initial_prediction_at(SimTime(1)), None);
-    }
-
-    #[test]
-    fn host_assignment_roundtrip() {
-        let mut vm = Vm::new(VmId(1), spec(), SimTime::ZERO, Duration::from_hours(1));
-        assert_eq!(vm.host(), None);
-        vm.assign_host(HostId(9));
-        assert_eq!(vm.host(), Some(HostId(9)));
-        vm.clear_host();
-        assert_eq!(vm.host(), None);
     }
 
     #[test]

@@ -186,7 +186,8 @@ impl ExitCache {
         }
         self.parked.clear();
         self.pending.clear();
-        self.pending.extend(pool.occupied_hosts().map(Host::id));
+        self.pending
+            .extend(pool.hosts().filter(|h| !h.is_empty()).map(Host::id));
         self.synced_epoch = pool.mutation_epoch();
     }
 
@@ -680,10 +681,11 @@ mod tests {
         let mut c = cluster();
         c.place(vm(1, 5), HostId(0)).unwrap();
         assert_eq!(c.vm_count(), 1);
-        assert_eq!(c.vm(VmId(1)).unwrap().host(), Some(HostId(0)));
+        assert_eq!(c.pool().host_of(VmId(1)), Some(HostId(0)));
         let (record, host) = c.remove(VmId(1)).unwrap();
         assert_eq!(host, HostId(0));
-        assert_eq!(record.host(), None);
+        assert_eq!(record.id(), VmId(1));
+        assert_eq!(c.pool().host_of(VmId(1)), None);
         assert_eq!(c.vm_count(), 0);
         assert!(c.host(HostId(0)).unwrap().is_empty());
     }
@@ -925,7 +927,7 @@ mod tests {
                     cache.mark_hard(id);
                     dirty.insert(id);
                 }
-                for h in self.pool.occupied_hosts() {
+                for h in self.pool.hosts().filter(|h| !h.is_empty()) {
                     if !cache.entries.contains_key(&h.id()) {
                         dirty.insert(h.id());
                     }
@@ -1210,7 +1212,7 @@ mod tests {
                             let host = HostId(pick as u64 % 12);
                             let on_host: Vec<VmId> = c
                                 .vms()
-                                .filter(|v| v.host() == Some(host))
+                                .filter(|v| c.pool().host_of(v.id()) == Some(host))
                                 .map(|v| v.id())
                                 .collect();
                             for victim in on_host {

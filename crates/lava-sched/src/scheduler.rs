@@ -22,7 +22,8 @@ use std::sync::Arc;
 pub struct SchedulerStats {
     /// VMs successfully placed.
     pub placed: u64,
-    /// VM placement requests that found no feasible host.
+    /// VM placement requests left unplaced: no feasible host, or the
+    /// chosen host refused the VM.
     pub failed: u64,
     /// VM exits processed.
     pub exited: u64,
@@ -45,41 +46,6 @@ pub struct DecisionCost {
     pub hosts: usize,
     /// Live VMs in the cluster at decision time.
     pub live_vms: usize,
-}
-
-/// One scheduler action, emitted on the scheduler's event stream when event
-/// logging is enabled (see [`Scheduler::enable_event_log`]).
-///
-/// The stream is how external observers (the `lava-sim` experiment loop's
-/// `SimObserver`s) learn about placements, rejections and exits without
-/// the scheduler knowing anything about metric collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerEvent {
-    /// A VM was placed on a host.
-    Placed {
-        /// The placed VM.
-        vm: VmId,
-        /// The chosen host.
-        host: HostId,
-        /// When the placement happened.
-        at: SimTime,
-    },
-    /// A VM placement request found no feasible host.
-    Rejected {
-        /// The VM that could not be placed.
-        vm: VmId,
-        /// When the request was rejected.
-        at: SimTime,
-    },
-    /// A VM exited from a host.
-    Exited {
-        /// The VM that exited.
-        vm: VmId,
-        /// The host it was on.
-        host: HostId,
-        /// When the exit was processed.
-        at: SimTime,
-    },
 }
 
 /// A bounded window of observed misprediction residuals: for each VM exit
@@ -156,10 +122,6 @@ pub struct Scheduler {
     policy: Box<dyn PlacementPolicy>,
     predictor: Arc<dyn LifetimePredictor>,
     stats: SchedulerStats,
-    /// Event stream buffer; populated only while event logging is enabled
-    /// so the hot path stays allocation-free by default.
-    events: Vec<SchedulerEvent>,
-    log_events: bool,
     /// Misprediction observations from exited VMs.
     model_health: ModelHealth,
 }
@@ -179,31 +141,7 @@ impl Scheduler {
             policy,
             predictor,
             stats: SchedulerStats::default(),
-            events: Vec::new(),
-            log_events: false,
             model_health: ModelHealth::default(),
-        }
-    }
-
-    /// Start recording [`SchedulerEvent`]s. Events accumulate until drained
-    /// with [`Scheduler::swap_events`]; logging is off by default so plain
-    /// scheduling pays no bookkeeping cost.
-    pub fn enable_event_log(&mut self) {
-        self.log_events = true;
-    }
-
-    /// Drain the recorded events by swapping them into `buffer` (which must
-    /// be empty). Callers that drain once per trace event reuse one scratch
-    /// buffer this way, keeping the replay loop allocation-free in steady
-    /// state.
-    pub fn swap_events(&mut self, buffer: &mut Vec<SchedulerEvent>) {
-        debug_assert!(buffer.is_empty(), "swap_events expects a drained buffer");
-        std::mem::swap(&mut self.events, buffer);
-    }
-
-    fn record(&mut self, event: SchedulerEvent) {
-        if self.log_events {
-            self.events.push(event);
         }
     }
 
@@ -293,25 +231,24 @@ impl Scheduler {
     /// # Errors
     ///
     /// Returns [`ScheduleError::NoFeasibleHost`] if no host can fit the VM,
-    /// or a wrapped bookkeeping error.
+    /// or [`ScheduleError::Core`] if the chosen host refuses it. Either way
+    /// the request counts in [`SchedulerStats::failed`] and nothing else
+    /// changes.
     pub fn schedule(&mut self, mut vm: Vm, now: SimTime) -> Result<HostId, ScheduleError> {
         let prediction = self.predictor.predict_remaining(&vm, now);
         vm.set_initial_prediction(prediction);
         let vm_id = vm.id();
         let Some(host) = self.policy.choose_host(&self.cluster, &vm, now, None) else {
             self.stats.failed += 1;
-            self.record(SchedulerEvent::Rejected { vm: vm_id, at: now });
             return Err(ScheduleError::NoFeasibleHost { vm: vm_id });
         };
-        self.cluster.place(vm, host)?;
+        if let Err(refused) = self.cluster.place(vm, host) {
+            self.stats.failed += 1;
+            return Err(ScheduleError::Core(refused));
+        }
         self.policy
             .on_vm_placed(&mut self.cluster, vm_id, host, now);
         self.stats.placed += 1;
-        self.record(SchedulerEvent::Placed {
-            vm: vm_id,
-            host,
-            at: now,
-        });
         Ok(host)
     }
 
@@ -361,7 +298,6 @@ impl Scheduler {
         }
         self.policy.on_vm_exited(&mut self.cluster, host, now);
         self.stats.exited += 1;
-        self.record(SchedulerEvent::Exited { vm, host, at: now });
         Ok(host)
     }
 
@@ -447,52 +383,6 @@ mod tests {
     fn exit_unknown_vm_errors() {
         let mut s = scheduler(Box::new(WasteMinimizationPolicy::new()));
         assert!(s.exit(VmId(5), SimTime::ZERO).is_err());
-    }
-
-    #[test]
-    fn event_log_records_lifecycle_when_enabled() {
-        let mut s = scheduler(Box::new(WasteMinimizationPolicy::new()));
-        let mut events = Vec::new();
-        // Disabled by default: nothing is recorded.
-        s.schedule(vm(1, 5), SimTime::ZERO).unwrap();
-        s.swap_events(&mut events);
-        assert!(events.is_empty());
-
-        s.enable_event_log();
-        let host = s.schedule(vm(2, 5), SimTime::ZERO).unwrap();
-        let exit_at = SimTime::ZERO + Duration::from_hours(5);
-        s.exit(VmId(2), exit_at).unwrap();
-        let huge = Vm::new(
-            VmId(3),
-            VmSpec::builder(Resources::cores_gib(128, 512)).build(),
-            SimTime::ZERO,
-            Duration::from_hours(1),
-        );
-        let _ = s.schedule(huge, exit_at);
-        s.swap_events(&mut events);
-        assert_eq!(
-            events,
-            vec![
-                SchedulerEvent::Placed {
-                    vm: VmId(2),
-                    host,
-                    at: SimTime::ZERO
-                },
-                SchedulerEvent::Exited {
-                    vm: VmId(2),
-                    host,
-                    at: exit_at
-                },
-                SchedulerEvent::Rejected {
-                    vm: VmId(3),
-                    at: exit_at
-                },
-            ]
-        );
-        // Draining resets the buffer.
-        events.clear();
-        s.swap_events(&mut events);
-        assert!(events.is_empty());
     }
 
     #[test]

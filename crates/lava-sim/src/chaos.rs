@@ -824,7 +824,15 @@ impl ChaosController {
 
     /// Execute the start of incident `index` (a no-op for indices that do
     /// not apply to this cell — the timeline only carries applicable ones).
-    pub fn start(&mut self, index: u32, scheduler: &mut Scheduler, now: SimTime) {
+    /// Returns the VMs a hard-kill outage exited, with the hosts they were
+    /// on, in id order.
+    pub fn start(
+        &mut self,
+        index: u32,
+        scheduler: &mut Scheduler,
+        now: SimTime,
+    ) -> Vec<(VmId, HostId)> {
+        let mut exited = Vec::new();
         match self.incidents.get(index as usize) {
             Some(Incident::CellOutage { hosts, mode, .. }) => {
                 let mut ids: Vec<HostId> = scheduler.cluster().hosts().map(|h| h.id()).collect();
@@ -844,7 +852,9 @@ impl ChaosController {
                         .collect();
                     victims.sort();
                     for vm in victims {
-                        let _ = scheduler.exit(vm, now);
+                        if let Ok(host) = scheduler.exit(vm, now) {
+                            exited.push((vm, host));
+                        }
                     }
                 }
                 self.outage_hosts.insert(index, ids);
@@ -856,6 +866,7 @@ impl ChaosController {
             }
             _ => {}
         }
+        exited
     }
 
     /// Execute the recovery of incident `index`.

@@ -2,8 +2,11 @@
 //! event source against one scheduler, merging source events with the
 //! tick/sample cadences, defragmentation triggers, incident actions and
 //! the warm-up policy switch on one [`Timeline`], and fans everything out
-//! to the observers. [`DriveLoop`] is the same loop in resumable form, so
-//! the fleet tier can step cells in bounded epochs.
+//! to the observers. Placements, rejections and exits reach the observers
+//! straight from what `Scheduler::schedule` / `Scheduler::exit` return;
+//! the exit of a VM whose create was rejected finds nothing to remove and
+//! reaches no observer. [`DriveLoop`] is the same loop in resumable form,
+//! so the fleet tier can step cells in bounded epochs.
 
 use crate::chaos::ChaosController;
 use crate::observer::{ObserverContext, SimObserver};
@@ -11,10 +14,9 @@ use crate::timeline::{Timeline, TimelineAction, TimelineItem};
 use lava_core::events::TraceEventKind;
 use lava_core::source::EventSource;
 use lava_core::time::{Duration, SimTime};
-use lava_core::vm::{Vm, VmId};
+use lava_core::vm::Vm;
 use lava_sched::policy::PlacementPolicy;
-use lava_sched::scheduler::{Scheduler, SchedulerEvent};
-use std::collections::BTreeSet;
+use lava_sched::scheduler::Scheduler;
 
 /// Timing parameters of one [`drive`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,34 +58,6 @@ fn dispatch<F>(
     }
 }
 
-/// Fan the scheduler's event stream out to the observers; the scratch
-/// buffer is swapped (not taken) so the steady-state loop performs no
-/// per-event allocation.
-fn drain_scheduler_events(
-    scheduler: &mut Scheduler,
-    scratch: &mut Vec<SchedulerEvent>,
-    observers: &mut [&mut dyn SimObserver],
-) {
-    scheduler.swap_events(scratch);
-    for sched_event in scratch.drain(..) {
-        match sched_event {
-            SchedulerEvent::Placed { vm, host, at } => {
-                dispatch(scheduler, at, observers, |o, ctx| {
-                    o.on_placed(ctx, vm, host)
-                });
-            }
-            SchedulerEvent::Rejected { vm, at } => {
-                dispatch(scheduler, at, observers, |o, ctx| o.on_rejected(ctx, vm));
-            }
-            SchedulerEvent::Exited { vm, host, at } => {
-                dispatch(scheduler, at, observers, |o, ctx| {
-                    o.on_exited(ctx, vm, host)
-                });
-            }
-        }
-    }
-}
-
 /// The unified, streaming event loop: pull events from `source`, merge
 /// them with the tick/sample cadences, defragmentation triggers and the
 /// warm-up policy switch on one [`Timeline`], and fan everything out to
@@ -111,7 +85,7 @@ pub fn drive(
     timing: &DriveTiming,
     observers: &mut [&mut dyn SimObserver],
 ) -> u64 {
-    let mut driver = DriveLoop::new(scheduler, deferred_policy, timing);
+    let mut driver = DriveLoop::new(deferred_policy, timing);
     driver.step(source, scheduler, observers, None, false);
     driver.finish(scheduler, observers)
 }
@@ -120,7 +94,7 @@ pub fn drive(
 ///
 /// [`drive`] runs a loop to completion over one source; the fleet tier
 /// needs the *same* loop but stepped in bounded time slices, so the loop
-/// state (timeline, rejected set, source cursor, deferred policy) lives in
+/// state (timeline, rejection count, source cursor, deferred policy) lives in
 /// this struct and [`DriveLoop::step`] processes items due before a limit.
 /// A full run is `new` → `step(.., None, false)` → `finish`, which is
 /// exactly what [`drive`] does; a fleet cell interleaves
@@ -130,9 +104,7 @@ pub(crate) struct DriveLoop {
     timing: DriveTiming,
     timeline: Timeline,
     deferred_policy: Option<Box<dyn PlacementPolicy>>,
-    rejected: BTreeSet<VmId>,
     rejected_count: u64,
-    event_scratch: Vec<SchedulerEvent>,
     cursor_buffered: bool,
     source_exhausted: bool,
     last_event_time: Option<SimTime>,
@@ -147,15 +119,12 @@ pub(crate) struct DriveLoop {
 }
 
 impl DriveLoop {
-    /// Set up the loop: enable the scheduler's event log and schedule the
-    /// initial cadence entries (tick, sample, defrag trigger, policy
-    /// switch).
+    /// Set up the loop: schedule the initial cadence entries (tick,
+    /// sample, defrag trigger, policy switch).
     pub(crate) fn new(
-        scheduler: &mut Scheduler,
         deferred_policy: Option<Box<dyn PlacementPolicy>>,
         timing: &DriveTiming,
     ) -> DriveLoop {
-        scheduler.enable_event_log();
         let warmup_end = SimTime::ZERO + timing.warmup;
         let sample_start = if timing.sample_during_warmup {
             SimTime::ZERO
@@ -176,9 +145,7 @@ impl DriveLoop {
             timing: *timing,
             timeline,
             deferred_policy,
-            rejected: BTreeSet::new(),
             rejected_count: 0,
-            event_scratch: Vec::new(),
             cursor_buffered: false,
             source_exhausted: false,
             last_event_time: None,
@@ -265,9 +232,13 @@ impl DriveLoop {
                 }
                 TimelineItem::Action(TimelineAction::IncidentStart(index), at) => {
                     if let Some(chaos) = &mut self.chaos {
-                        chaos.start(index, scheduler, at);
-                        // Hard-kill outages exit VMs; surface those events.
-                        drain_scheduler_events(scheduler, &mut self.event_scratch, observers);
+                        // Observers hear of a hard-kill outage's exits once
+                        // all of its victims are gone.
+                        for (vm, host) in chaos.start(index, scheduler, at) {
+                            dispatch(scheduler, at, observers, |o, ctx| {
+                                o.on_exited(ctx, vm, host)
+                            });
+                        }
                     }
                 }
                 TimelineItem::Action(TimelineAction::IncidentEnd(index), _) => {
@@ -320,35 +291,44 @@ impl DriveLoop {
                 }
                 TimelineItem::Event(event) => {
                     self.cursor_buffered = false;
+                    let (at, vm) = (event.time, event.kind.vm());
                     match &event.kind {
-                        TraceEventKind::Create { vm, spec, lifetime } => {
-                            let record = Vm::new(*vm, spec.clone(), event.time, *lifetime);
-                            if scheduler.schedule(record, event.time).is_err() {
-                                self.rejected.insert(*vm);
-                                self.rejected_count += 1;
+                        TraceEventKind::Create { spec, lifetime, .. } => {
+                            let record = Vm::new(vm, spec.clone(), at, *lifetime);
+                            match scheduler.schedule(record, at) {
+                                Ok(host) => dispatch(scheduler, at, observers, |o, ctx| {
+                                    o.on_placed(ctx, vm, host)
+                                }),
+                                Err(_) => {
+                                    self.rejected_count += 1;
+                                    dispatch(scheduler, at, observers, |o, ctx| {
+                                        o.on_rejected(ctx, vm)
+                                    });
+                                }
                             }
                         }
-                        TraceEventKind::Exit { vm } => {
-                            if !self.rejected.remove(vm) {
-                                // Ignore exits of VMs that were never placed.
-                                let _ = scheduler.exit(*vm, event.time);
+                        // The exit of a VM that was never placed (its create
+                        // was rejected) finds nothing and changes nothing.
+                        TraceEventKind::Exit { .. } => {
+                            if let Ok(host) = scheduler.exit(vm, at) {
+                                dispatch(scheduler, at, observers, |o, ctx| {
+                                    o.on_exited(ctx, vm, host)
+                                });
                             }
                         }
                     }
-                    drain_scheduler_events(scheduler, &mut self.event_scratch, observers);
                 }
             }
         }
     }
 
-    /// Final drain and `on_finish` dispatch; returns the number of
-    /// creation events that could not be placed.
+    /// The `on_finish` dispatch; returns the number of creation events
+    /// that could not be placed.
     pub(crate) fn finish(
         &mut self,
-        scheduler: &mut Scheduler,
+        scheduler: &Scheduler,
         observers: &mut [&mut dyn SimObserver],
     ) -> u64 {
-        drain_scheduler_events(scheduler, &mut self.event_scratch, observers);
         dispatch(
             scheduler,
             self.last_event_time.unwrap_or(SimTime::ZERO),

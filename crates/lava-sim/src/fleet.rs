@@ -908,8 +908,8 @@ impl CellRunner {
             Some(s) => s.clone(),
             None => predictor,
         };
-        let mut scheduler = Scheduler::new(Cluster::new(cell.pool), cell.policy, cell_predictor);
-        let mut driver = DriveLoop::new(&mut scheduler, cell.deferred_policy, timing);
+        let scheduler = Scheduler::new(Cluster::new(cell.pool), cell.policy, cell_predictor);
+        let mut driver = DriveLoop::new(cell.deferred_policy, timing);
         if let Some(chaos) = chaos {
             driver.attach_chaos(ChaosController::new(
                 &chaos.incidents,

@@ -13,7 +13,7 @@
 //! plus the scheduler's counters.
 
 use lava_core::pool::Pool;
-use lava_core::resources::ResourceKind;
+use lava_core::resources::{ResourceKind, Resources};
 use lava_core::time::SimTime;
 use lava_sched::scheduler::SchedulerStats;
 use serde::{Deserialize, Serialize};
@@ -43,42 +43,22 @@ pub struct MetricSample {
     pub mean_abs_log10_error: f64,
 }
 
-/// Compute a metric snapshot for a pool.
-///
-/// The per-host walk reads the pool's structure-of-arrays
-/// [`capacity profile`](Pool::capacity_profile) — three contiguous
-/// arrays — instead of striding through full host records, so the
-/// per-sample cost is a cache-dense linear scan even at 100k+ hosts.
+/// Compute a metric snapshot for a pool: O(1), from the pool's
+/// aggregates. An empty host reserves nothing, so the free CPU on empty
+/// hosts is their capacity and every reserved core sits on a non-empty
+/// host; the sums are exact, so each ratio is the one a walk over the
+/// hosts would give.
 pub fn sample_pool(pool: &Pool, time: SimTime) -> MetricSample {
-    let mut empty_free_cpu = 0u64;
-    let mut total_free_cpu = 0u64;
-    let mut nonempty_alloc_cpu = 0u64;
-    let mut nonempty_total_cpu = 0u64;
-    let profile = pool.capacity_profile();
-    for ((free, &shape), vm_count) in profile
-        .free
-        .iter()
-        .zip(profile.shape.iter())
-        .zip(profile.vm_count.iter())
-    {
-        let free_cpu = free.get(ResourceKind::Cpu);
-        total_free_cpu += free_cpu;
-        if *vm_count == 0 {
-            empty_free_cpu += free_cpu;
-        } else {
-            let capacity_cpu = profile.shapes[shape as usize].get(ResourceKind::Cpu);
-            nonempty_alloc_cpu += capacity_cpu - free_cpu;
-            nonempty_total_cpu += capacity_cpu;
-        }
-    }
+    let cpu = |r: Resources| r.get(ResourceKind::Cpu);
     let capacity = pool.total_capacity();
     let used = pool.total_used();
+    let empty_cpu = cpu(pool.empty_capacity());
     MetricSample {
         time,
         empty_host_fraction: pool.empty_host_fraction(),
-        empty_to_free_ratio: ratio(empty_free_cpu, total_free_cpu),
-        packing_density: ratio(nonempty_alloc_cpu, nonempty_total_cpu),
-        cpu_utilization: ratio(used.get(ResourceKind::Cpu), capacity.get(ResourceKind::Cpu)),
+        empty_to_free_ratio: ratio(empty_cpu, cpu(pool.total_free())),
+        packing_density: ratio(cpu(used), cpu(capacity) - empty_cpu),
+        cpu_utilization: ratio(cpu(used), cpu(capacity)),
         memory_utilization: ratio(
             used.get(ResourceKind::Memory),
             capacity.get(ResourceKind::Memory),
@@ -233,26 +213,18 @@ impl SimulationResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lava_core::host::HostSpec;
+    use lava_core::host::{HostId, HostSpec};
     use lava_core::pool::PoolId;
-    use lava_core::resources::Resources;
     use lava_core::vm::VmId;
+    use proptest::prelude::*;
 
     fn pool_with_occupancy() -> Pool {
         let mut pool =
             Pool::with_uniform_hosts(PoolId(0), 4, HostSpec::new(Resources::cores_gib(32, 128)));
-        pool.place_vm(
-            lava_core::host::HostId(0),
-            VmId(1),
-            Resources::cores_gib(16, 64),
-        )
-        .unwrap();
-        pool.place_vm(
-            lava_core::host::HostId(1),
-            VmId(2),
-            Resources::cores_gib(32, 128),
-        )
-        .unwrap();
+        pool.place_vm(HostId(0), VmId(1), Resources::cores_gib(16, 64))
+            .unwrap();
+        pool.place_vm(HostId(1), VmId(2), Resources::cores_gib(32, 128))
+            .unwrap();
         pool
     }
 
@@ -298,6 +270,93 @@ mod tests {
         assert!(series.mean_packing_density() > 0.0);
         assert!(series.mean_empty_to_free() > 0.0);
         assert!(series.mean_cpu_utilization() > 0.0);
+    }
+
+    /// [`sample_pool`] by walking every host: the reference its O(1)
+    /// sums must match.
+    fn walked_sample(pool: &Pool, time: SimTime) -> MetricSample {
+        let cpu = |r: Resources| r.get(ResourceKind::Cpu);
+        let (mut empty_free, mut free, mut alloc, mut total) = (0, 0, 0, 0);
+        for host in pool.hosts() {
+            free += cpu(host.free());
+            if host.vm_count() == 0 {
+                empty_free += cpu(host.free());
+            } else {
+                alloc += cpu(host.capacity()) - cpu(host.free());
+                total += cpu(host.capacity());
+            }
+        }
+        let capacity: Resources = pool.hosts().map(|h| h.capacity()).sum();
+        let used: Resources = pool.hosts().map(|h| h.used()).sum();
+        let empty = pool.hosts().filter(|h| h.is_empty()).count();
+        MetricSample {
+            time,
+            empty_host_fraction: empty as f64 / pool.host_count() as f64,
+            empty_to_free_ratio: ratio(empty_free, free),
+            packing_density: ratio(alloc, total),
+            cpu_utilization: ratio(cpu(used), cpu(capacity)),
+            memory_utilization: ratio(
+                used.get(ResourceKind::Memory),
+                capacity.get(ResourceKind::Memory),
+            ),
+            live_vms: pool.hosts().map(|h| h.vm_count()).sum(),
+            mean_abs_log10_error: 0.0,
+        }
+    }
+
+    /// Every field of a sample, floats as their bits.
+    fn bits(s: &MetricSample) -> [u64; 8] {
+        [
+            s.time.as_secs(),
+            s.empty_host_fraction.to_bits(),
+            s.empty_to_free_ratio.to_bits(),
+            s.packing_density.to_bits(),
+            s.cpu_utilization.to_bits(),
+            s.memory_utilization.to_bits(),
+            s.live_vms as u64,
+            s.mean_abs_log10_error.to_bits(),
+        ]
+    }
+
+    proptest! {
+        /// The O(1) sample matches a walk over the hosts bit for bit under
+        /// place / remove / availability churn on a pool of two shapes.
+        #[test]
+        fn prop_sample_matches_a_host_walk(
+            ops in proptest::collection::vec((0u64..8, 0u64..24, 1u64..20, 0u8..4), 1..150)
+        ) {
+            let mut pool = Pool::new(PoolId(0));
+            for i in 0..8 {
+                let cores = if i % 3 == 0 { 16 } else { 48 };
+                pool.add_host(HostSpec::new(Resources::cores_gib(cores, cores * 4)));
+            }
+            for (step, (host, vm, cores, action)) in ops.into_iter().enumerate() {
+                let (host, vm) = (HostId(host), VmId(vm));
+                let request = Resources::cores_gib(cores, cores * 2);
+                match action {
+                    0 | 1 => {
+                        if pool.host_of(vm).is_some() {
+                            pool.remove_vm(vm).unwrap();
+                        } else if pool.host(host).is_some_and(|h| h.can_fit(request)) {
+                            pool.place_vm(host, vm, request).unwrap();
+                        }
+                    }
+                    2 => {
+                        if pool.host_of(vm).is_some() {
+                            pool.remove_vm(vm).unwrap();
+                        }
+                    }
+                    _ => {
+                        let mut h = pool.host_mut(host).unwrap();
+                        let withheld = h.is_unavailable();
+                        h.set_unavailable(!withheld);
+                    }
+                }
+                let at = SimTime(step as u64);
+                prop_assert_eq!(bits(&sample_pool(&pool, at)), bits(&walked_sample(&pool, at)));
+            }
+            prop_assert!(pool.validate_index().is_ok(), "{:?}", pool.validate_index());
+        }
     }
 
     #[test]

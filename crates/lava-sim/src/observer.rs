@@ -2,9 +2,9 @@
 //!
 //! The experiment loop ([`crate::experiment::drive`]) owns the event-driven
 //! replay; everything that *measures* a run is an observer implementing
-//! [`SimObserver`]. Observers receive the scheduler's event stream
-//! (placements, rejections, exits — see
-//! [`lava_sched::scheduler::SchedulerEvent`]) plus the loop's own cadence
+//! [`SimObserver`]. Observers hear what the scheduler did (placements,
+//! rejections, exits — the loop dispatches them from the results of
+//! `Scheduler::schedule` / `Scheduler::exit`) plus the loop's own cadence
 //! hooks (ticks, periodic samples, warm-up end, finish), so metric
 //! collection is *composed into* a run instead of hard-coded in the
 //! simulator.

@@ -3,12 +3,12 @@
 //! A counting global allocator wraps the system allocator; an observer
 //! snapshots the allocation count between two placement milestones deep
 //! inside a [`lava_sim::experiment::drive`] run. Everything that grows —
-//! the timeline heap, the scheduler's event log scratch, the pool's
-//! registry slab and its paged id table — must have reached steady
-//! capacity by the window's start (the registry is pre-sized with
-//! `Cluster::reserve_vm_capacity`), so the count must not move at all
-//! inside the window: the event hot path (pull event → route through the
-//! policy → mutate SoA state → dispatch observers) is allocation-free.
+//! the timeline heap, the pool's registry slab and its paged id table —
+//! must have reached steady capacity by the window's start (the registry
+//! is pre-sized with `Cluster::reserve_vm_capacity`), so the count must
+//! not move at all inside the window: the event hot path (pull event →
+//! route through the policy → mutate pool state → dispatch observers) is
+//! allocation-free.
 //!
 //! The scenario is sized to keep every `BTreeMap`/`BTreeSet` on the hot
 //! path within a single root node (≤ 11 entries — hosts and concurrently
@@ -137,7 +137,7 @@ fn allocations_per_window(policy: Box<dyn PlacementPolicy>) -> Vec<u64> {
     // One arrival every 10 minutes, each living 50 minutes: five VMs live
     // in steady state — never zero (the exit-cache root node survives),
     // never above 11 (no node splits), and far below the 6 × 16-core
-    // capacity (no rejections, whose bookkeeping would allocate).
+    // capacity, so every VM is placed.
     let gap = Duration::from_mins(10);
     let lifetime = Duration::from_mins(50);
     let spec = VmSpec::builder(Resources::cores_gib(2, 8)).build();
