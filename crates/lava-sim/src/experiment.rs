@@ -382,8 +382,16 @@ pub enum SpecError {
     ZeroHosts,
     /// The workload duration (experiment horizon) is zero.
     ZeroHorizon,
-    /// The workload has no VM categories.
+    /// The workload has no VM categories, or their arrival weights do not
+    /// sum to a positive, finite number (no category could be drawn).
     EmptyWorkloadMix,
+    /// A VM category has no shapes, no lifetime modes, or lifetime-mode
+    /// weights that do not sum to a positive, finite number: the generator
+    /// could not draw a VM from it.
+    EmptyCategory {
+        /// The category's `category_id`.
+        category_id: u32,
+    },
     /// The tick interval is zero.
     ZeroTickInterval,
     /// The sample interval is zero.
@@ -483,7 +491,16 @@ impl fmt::Display for SpecError {
             SpecError::ZeroHosts => write!(f, "workload must have at least one host"),
             SpecError::ZeroHorizon => write!(f, "workload duration (horizon) must be non-zero"),
             SpecError::EmptyWorkloadMix => {
-                write!(f, "workload must have at least one VM category")
+                write!(
+                    f,
+                    "workload must have at least one VM category of positive weight"
+                )
+            }
+            SpecError::EmptyCategory { category_id } => {
+                write!(
+                    f,
+                    "VM category {category_id} needs a shape and lifetime modes of positive weight"
+                )
             }
             SpecError::ZeroTickInterval => write!(f, "tick interval must be non-zero"),
             SpecError::ZeroSampleInterval => write!(f, "sample interval must be non-zero"),
@@ -591,8 +608,17 @@ impl ExperimentSpec {
         if self.workload.duration.is_zero() {
             return Err(SpecError::ZeroHorizon);
         }
-        if self.workload.categories.is_empty() {
+        let positive = |total: f64| total > 0.0 && total.is_finite();
+        let categories = &self.workload.categories;
+        if !positive(categories.iter().map(|c| c.arrival_weight).sum()) {
             return Err(SpecError::EmptyWorkloadMix);
+        }
+        if let Some(c) = categories.iter().find(|c| {
+            c.shapes.is_empty() || !positive(c.lifetime_modes.iter().map(|m| m.weight).sum())
+        }) {
+            return Err(SpecError::EmptyCategory {
+                category_id: c.category_id,
+            });
         }
         if self.cadence.tick_interval.is_zero() {
             return Err(SpecError::ZeroTickInterval);

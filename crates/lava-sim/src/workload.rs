@@ -19,7 +19,7 @@
 //! steady-state utilisation.
 
 use crate::trace::Trace;
-use lava_core::events::{TraceEvent, TraceEventKind};
+use lava_core::events::TraceEvent;
 use lava_core::host::HostSpec;
 use lava_core::pool::PoolId;
 use lava_core::resources::Resources;
@@ -313,12 +313,28 @@ impl PoolConfig {
 #[derive(Debug, Clone)]
 pub struct WorkloadGenerator {
     config: PoolConfig,
+    /// Sum of the categories' arrival weights, summed once: every arrival
+    /// draws against it.
+    arrival_weight: f64,
+    /// Per category (in config order), the sum of its lifetime-mode
+    /// weights.
+    mode_weights: Vec<f64>,
 }
 
 impl WorkloadGenerator {
     /// Create a generator for a pool configuration.
     pub fn new(config: PoolConfig) -> WorkloadGenerator {
-        WorkloadGenerator { config }
+        let arrival_weight = config.categories.iter().map(|c| c.arrival_weight).sum();
+        let mode_weights = config
+            .categories
+            .iter()
+            .map(|c| c.lifetime_modes.iter().map(|m| m.weight).sum())
+            .collect();
+        WorkloadGenerator {
+            config,
+            arrival_weight,
+            mode_weights,
+        }
     }
 
     /// The configuration being generated.
@@ -329,17 +345,11 @@ impl WorkloadGenerator {
     /// The Poisson arrival rate (VMs per second) that achieves the target
     /// utilisation in steady state.
     pub fn arrival_rate(&self) -> f64 {
-        let total_weight: f64 = self
-            .config
-            .categories
-            .iter()
-            .map(|c| c.arrival_weight)
-            .sum();
         let mean_core_seconds: f64 = self
             .config
             .categories
             .iter()
-            .map(|c| c.arrival_weight / total_weight * c.mean_core_seconds())
+            .map(|c| c.arrival_weight / self.arrival_weight * c.mean_core_seconds())
             .sum();
         let target_cores =
             self.config.total_cpu_milli() as f64 / 1000.0 * self.config.target_utilization;
@@ -350,36 +360,24 @@ impl WorkloadGenerator {
         }
     }
 
-    fn sample_category<'a>(&'a self, rng: &mut ChaCha8Rng) -> &'a VmCategory {
-        let total: f64 = self
-            .config
-            .categories
-            .iter()
-            .map(|c| c.arrival_weight)
-            .sum();
-        let mut draw = rng.gen_range(0.0..total);
-        for c in &self.config.categories {
+    /// Draw a category by arrival weight; returns its index in the config.
+    fn sample_category(&self, rng: &mut ChaCha8Rng) -> usize {
+        let mut draw = rng.gen_range(0.0..self.arrival_weight);
+        for (i, c) in self.config.categories.iter().enumerate() {
             if draw < c.arrival_weight {
-                return c;
+                return i;
             }
             draw -= c.arrival_weight;
         }
-        self.config
-            .categories
-            .last()
-            .expect("pool config has at least one category")
+        self.config.categories.len() - 1
     }
 
-    fn sample_lifetime(
-        &self,
-        category: &VmCategory,
-        at: SimTime,
-        rng: &mut ChaCha8Rng,
-    ) -> Duration {
-        let total: f64 = category.lifetime_modes.iter().map(|m| m.weight).sum();
-        let mut draw = rng.gen_range(0.0..total);
-        let mut mode = category.lifetime_modes[0];
-        for m in &category.lifetime_modes {
+    /// Draw a lifetime from category `category`'s mixture at time `at`.
+    fn sample_lifetime(&self, category: usize, at: SimTime, rng: &mut ChaCha8Rng) -> Duration {
+        let modes = &self.config.categories[category].lifetime_modes;
+        let mut draw = rng.gen_range(0.0..self.mode_weights[category]);
+        let mut mode = modes[0];
+        for m in modes {
             if draw < m.weight {
                 mode = *m;
                 break;
@@ -431,7 +429,7 @@ impl WorkloadGenerator {
     pub fn sample_request_vm(&self, at: SimTime, rng: &mut ChaCha8Rng) -> (VmSpec, Duration) {
         let category = self.sample_category(rng);
         let lifetime = self.sample_lifetime(category, at, rng);
-        let spec = self.sample_spec(category, rng);
+        let spec = self.sample_spec(&self.config.categories[category], rng);
         (spec, lifetime)
     }
 
@@ -443,19 +441,18 @@ impl WorkloadGenerator {
     /// uniform age). They appear as creations in the first minutes of the
     /// trace, which is exactly the left-censored state the paper's warm-up
     /// phase reconstructs (Appendix F).
-    fn standing_population(&self, rng: &mut ChaCha8Rng, next_id: &mut u64) -> Vec<TraceEvent> {
+    ///
+    /// Returns the creates, in draw order, and each VM's exit key.
+    fn standing_population(
+        &self,
+        rng: &mut ChaCha8Rng,
+        next_id: &mut u64,
+    ) -> (Vec<TraceEvent>, Vec<Reverse<(SimTime, VmId)>>) {
         let rate = self.arrival_rate();
-        let total_weight: f64 = self
-            .config
-            .categories
-            .iter()
-            .map(|c| c.arrival_weight)
-            .sum();
-        let mut events = Vec::new();
-        for category in &self.config.categories {
-            let cat_rate = rate * category.arrival_weight / total_weight;
+        let (mut creates, mut exits) = (Vec::new(), Vec::new());
+        for (category, &mode_weight) in self.config.categories.iter().zip(&self.mode_weights) {
+            let cat_rate = rate * category.arrival_weight / self.arrival_weight;
             // Mean lifetime of the category's mixture, in seconds.
-            let mode_weight: f64 = category.lifetime_modes.iter().map(|m| m.weight).sum();
             let mean_lifetime: f64 = category
                 .lifetime_modes
                 .iter()
@@ -469,11 +466,18 @@ impl WorkloadGenerator {
             // Poisson sample of the standing count (normal approximation for
             // large means keeps this cheap and deterministic enough).
             let count = sample_poisson(expected_standing, rng);
+            let biased: Vec<f64> = category
+                .lifetime_modes
+                .iter()
+                .map(length_biased_weight)
+                .collect();
+            let biased_total: f64 = biased.iter().sum();
             for _ in 0..count {
                 // Length-biased mode choice, then length-biased log-normal
                 // lifetime (log-normal with mean shifted by s²), then a
                 // uniform age.
-                let mode = pick_length_biased_mode(category, rng);
+                let mode =
+                    pick_length_biased_mode(&category.lifetime_modes, &biased, biased_total, rng);
                 let s = mode.sigma_log10 * std::f64::consts::LN_10;
                 let u1: f64 = rng.gen_range(1e-12..1.0);
                 let u2: f64 = rng.gen_range(0.0..1.0);
@@ -489,17 +493,17 @@ impl WorkloadGenerator {
                 let vm = VmId(*next_id);
                 *next_id += 1;
                 let remaining = Duration::from_secs_f64(remaining);
-                events.push(TraceEvent::create(at, vm, spec, remaining));
-                events.push(TraceEvent::exit(at + remaining, vm));
+                creates.push(TraceEvent::create(at, vm, spec, remaining));
+                exits.push(Reverse((at + remaining, vm)));
             }
         }
-        events
+        (creates, exits)
     }
 
     /// Advance the Poisson arrival process by one arrival: draw the
     /// exponential inter-arrival gap and, if the clock stays inside the
     /// horizon, the arrival's category, lifetime and spec. Returns the
-    /// `(create, exit)` event pair, or `None` once the clock crosses the
+    /// create and the VM's exit key, or `None` once the clock crosses the
     /// horizon (after which no further RNG draws are made).
     fn next_arrival(
         &self,
@@ -507,7 +511,7 @@ impl WorkloadGenerator {
         clock: &mut f64,
         rate: f64,
         next_id: &mut u64,
-    ) -> Option<(TraceEvent, TraceEvent)> {
+    ) -> Option<(TraceEvent, (SimTime, VmId))> {
         let horizon = self.config.duration.as_secs() as f64;
         // Exponential inter-arrival times.
         let u: f64 = rng.gen_range(1e-12..1.0);
@@ -516,14 +520,14 @@ impl WorkloadGenerator {
             return None;
         }
         let at = SimTime(*clock as u64);
-        let category = self.sample_category(rng).clone();
-        let lifetime = self.sample_lifetime(&category, at, rng);
-        let spec = self.sample_spec(&category, rng);
+        let category = self.sample_category(rng);
+        let lifetime = self.sample_lifetime(category, at, rng);
+        let spec = self.sample_spec(&self.config.categories[category], rng);
         let vm = VmId(*next_id);
         *next_id += 1;
         Some((
             TraceEvent::create(at, vm, spec, lifetime),
-            TraceEvent::exit(at + lifetime, vm),
+            (at + lifetime, vm),
         ))
     }
 
@@ -547,16 +551,20 @@ impl WorkloadGenerator {
 ///
 /// Instead of materialising the whole horizon as a `Vec<TraceEvent>`, the
 /// source draws arrivals from the seeded distributions *on demand* and
-/// keeps only what it cannot know yet: the exit events of VMs that have
-/// been created but not yet retired, plus one look-ahead arrival. Memory
-/// is therefore O(pending VMs) — proportional to the standing population
-/// the pool can hold — and independent of the horizon length, which is
-/// what makes multi-million-event runs feasible.
+/// keeps only what it cannot know yet: the exits of VMs that have been
+/// created but not yet retired, the standing population's creates not yet
+/// replayed, and one look-ahead arrival. Memory is therefore O(pending
+/// VMs) — proportional to the standing population the pool can hold — and
+/// independent of the horizon length, which is what makes
+/// multi-million-event runs feasible.
 ///
-/// The internal heap pops events in [`TraceEvent::sort_key`] order — the
-/// canonical order [`Trace::new`](crate::trace::Trace::new) sorts into —
-/// so the stream is already canonical (property-tested in
-/// `tests/streaming_engine.rs`).
+/// The three parts are merged by [`TraceEvent::sort_key`] — the canonical
+/// order [`Trace::new`](crate::trace::Trace::new) sorts into — so the
+/// stream is already canonical. Pending exits are 16-byte `(time, vm)`
+/// keys in a heap, materialised as events only when emitted; the standing
+/// creates are one run sorted once at construction; and at most one
+/// arrival create is pending at a time. The stream itself is pinned by
+/// digest in `tests/streaming_engine.rs`.
 #[derive(Debug, Clone)]
 pub struct StreamingWorkload {
     generator: WorkloadGenerator,
@@ -565,18 +573,33 @@ pub struct StreamingWorkload {
     /// Arrival-process clock, in (fractional) seconds.
     clock: f64,
     next_id: u64,
-    /// Buffered future events: pending exits of live VMs, the staggered
-    /// standing-population events not yet replayed, and the look-ahead
-    /// arrival. Pops in `sort_key` order.
-    pending: BinaryHeap<Reverse<TraceEvent>>,
+    /// Exits of every VM created so far and not yet emitted, as
+    /// `(time, vm)` keys; pops in `sort_key` order among exits.
+    exits: BinaryHeap<Reverse<(SimTime, VmId)>>,
+    /// The standing population's creates not yet emitted, sorted by
+    /// descending `sort_key`: the next one is last.
+    standing: Vec<TraceEvent>,
+    /// The look-ahead arrival's create, until it is emitted.
+    arrival: Option<TraceEvent>,
+    /// The next event, taken out of the parts above by `peek`; counts as
+    /// pending until `next_event` returns it.
+    head: Option<TraceEvent>,
     /// Sort key of the most recently generated create. Every event the
     /// generator has *not* produced yet sorts strictly after it (arrival
     /// times are non-decreasing, ids increase, and lifetimes are ≥ 30 s),
-    /// so heap entries at or below this frontier are safe to emit.
+    /// so buffered events at or below this frontier are safe to emit.
     frontier: Option<(SimTime, u8, VmId)>,
     arrivals_done: bool,
     last_create_time: SimTime,
     max_pending: usize,
+}
+
+/// Which buffered part holds the next event.
+#[derive(Clone, Copy)]
+enum Part {
+    Exit,
+    Standing,
+    Arrival,
 }
 
 impl StreamingWorkload {
@@ -591,23 +614,22 @@ impl StreamingWorkload {
         let mut next_id = 0u64;
         // The standing population is drawn eagerly: it is O(pool size),
         // not O(horizon).
-        let standing = generator.standing_population(&mut rng, &mut next_id);
-        let mut last_create_time = SimTime::ZERO;
-        let mut pending = BinaryHeap::with_capacity(standing.len() + 2);
-        for event in standing {
-            if matches!(event.kind, TraceEventKind::Create { .. }) {
-                last_create_time = last_create_time.max(event.time);
-            }
-            pending.push(Reverse(event));
-        }
-        let max_pending = pending.len();
+        let (mut standing, exits) = generator.standing_population(&mut rng, &mut next_id);
+        // Keys are unique (one create per VM id), so the unstable sort is
+        // deterministic.
+        standing.sort_unstable_by_key(|event| Reverse(event.sort_key()));
+        let last_create_time = standing.first().map_or(SimTime::ZERO, |event| event.time);
+        let max_pending = standing.len() + exits.len();
         StreamingWorkload {
             generator,
             rng,
             rate,
             clock: 0.0,
             next_id,
-            pending,
+            exits: BinaryHeap::from(exits),
+            standing,
+            arrival: None,
+            head: None,
             frontier: None,
             arrivals_done: false,
             last_create_time,
@@ -632,43 +654,80 @@ impl StreamingWorkload {
         let generator = &self.generator;
         match generator.next_arrival(&mut self.rng, &mut self.clock, self.rate, &mut self.next_id) {
             Some((create, exit)) => {
+                debug_assert!(
+                    self.arrival.is_none(),
+                    "an arrival is drawn only after the previous one is emitted"
+                );
                 self.frontier = Some(create.sort_key());
                 self.last_create_time = self.last_create_time.max(create.time);
-                self.pending.push(Reverse(exit));
-                self.pending.push(Reverse(create));
-                self.max_pending = self.max_pending.max(self.pending.len());
+                self.exits.push(Reverse(exit));
+                self.arrival = Some(create);
+                self.max_pending = self.max_pending.max(self.pending_len());
             }
             None => self.arrivals_done = true,
         }
     }
 
-    /// Generate arrivals until the heap's minimum is safe to emit: every
-    /// not-yet-generated event sorts strictly after the frontier, so the
-    /// minimum may only be released once it is at or below it (or the
-    /// arrival process has crossed the horizon).
-    fn refill(&mut self) {
-        while !self.arrivals_done {
-            let safe = match (self.pending.peek(), self.frontier) {
-                (Some(Reverse(min)), Some(frontier)) => min.sort_key() <= frontier,
-                _ => false,
-            };
-            if safe {
-                break;
+    /// The smallest buffered sort key (`head` aside) and the part holding
+    /// it. At equal times an exit sorts before a create.
+    fn next_part(&self) -> Option<((SimTime, u8, VmId), Part)> {
+        let create = match (self.standing.last(), &self.arrival) {
+            (Some(s), Some(a)) if a.sort_key() < s.sort_key() => Some((a, Part::Arrival)),
+            (Some(s), _) => Some((s, Part::Standing)),
+            (None, a) => a.as_ref().map(|a| (a, Part::Arrival)),
+        };
+        match (self.exits.peek(), create) {
+            (Some(&Reverse((time, vm))), c) if c.is_none_or(|(c, _)| time <= c.time) => {
+                Some((TraceEvent::exit(time, vm).sort_key(), Part::Exit))
+            }
+            (_, c) => c.map(|(c, part)| (c.sort_key(), part)),
+        }
+    }
+
+    /// Generate arrivals until the buffered minimum is safe to emit, then
+    /// return the part holding it. Every not-yet-generated event sorts
+    /// strictly after the frontier, so the minimum may only be released
+    /// once it is at or below it (or the arrival process has crossed the
+    /// horizon). While the look-ahead arrival is pending the minimum is at
+    /// or below it, so at most one arrival create is ever pending.
+    fn refill(&mut self) -> Option<Part> {
+        loop {
+            let next = self.next_part();
+            if self.arrivals_done {
+                return next.map(|(_, part)| part);
+            }
+            if let (Some((min, part)), Some(frontier)) = (next, self.frontier) {
+                if min <= frontier {
+                    return Some(part);
+                }
             }
             self.generate_one_arrival();
+        }
+    }
+
+    /// Take the next event out of the buffered parts.
+    fn pop_next(&mut self) -> Option<TraceEvent> {
+        match self.refill()? {
+            Part::Exit => self
+                .exits
+                .pop()
+                .map(|Reverse((time, vm))| TraceEvent::exit(time, vm)),
+            Part::Standing => self.standing.pop(),
+            Part::Arrival => self.arrival.take(),
         }
     }
 }
 
 impl EventSource for StreamingWorkload {
     fn next_event(&mut self) -> Option<TraceEvent> {
-        self.refill();
-        self.pending.pop().map(|Reverse(event)| event)
+        self.head.take().or_else(|| self.pop_next())
     }
 
     fn peek(&mut self) -> Option<&TraceEvent> {
-        self.refill();
-        self.pending.peek().map(|Reverse(event)| event)
+        if self.head.is_none() {
+            self.head = self.pop_next();
+        }
+        self.head.as_ref()
     }
 
     fn last_arrival_time(&mut self) -> Option<SimTime> {
@@ -680,7 +739,10 @@ impl EventSource for StreamingWorkload {
     }
 
     fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.exits.len()
+            + self.standing.len()
+            + usize::from(self.arrival.is_some())
+            + usize::from(self.head.is_some())
     }
 }
 
@@ -709,24 +771,31 @@ fn sample_poisson(mean: f64, rng: &mut ChaCha8Rng) -> u64 {
     }
 }
 
-/// Pick a lifetime mode with probability proportional to `weight × mean`
-/// (length-biased across modes, as required for the standing population).
-fn pick_length_biased_mode(category: &VmCategory, rng: &mut ChaCha8Rng) -> LifetimeMode {
-    let biased_weight = |m: &LifetimeMode| {
-        let s = m.sigma_log10 * std::f64::consts::LN_10;
-        m.weight * m.median_hours * (s * s / 2.0).exp()
-    };
-    let total: f64 = category.lifetime_modes.iter().map(biased_weight).sum();
+/// A lifetime mode's weight biased by its mean length: `weight × mean`,
+/// up to the common factor 3600.
+fn length_biased_weight(m: &LifetimeMode) -> f64 {
+    let s = m.sigma_log10 * std::f64::consts::LN_10;
+    m.weight * m.median_hours * (s * s / 2.0).exp()
+}
+
+/// Pick one of `modes` with probability proportional to `weight × mean`
+/// (length-biased across modes, as required for the standing population);
+/// `biased` holds each mode's [`length_biased_weight`] and `total` their
+/// sum.
+fn pick_length_biased_mode(
+    modes: &[LifetimeMode],
+    biased: &[f64],
+    total: f64,
+    rng: &mut ChaCha8Rng,
+) -> LifetimeMode {
     let mut draw = rng.gen_range(0.0..total.max(1e-12));
-    for m in &category.lifetime_modes {
-        let w = biased_weight(m);
+    for (m, &w) in modes.iter().zip(biased) {
         if draw < w {
             return *m;
         }
         draw -= w;
     }
-    *category
-        .lifetime_modes
+    *modes
         .last()
         .expect("category has at least one lifetime mode")
 }

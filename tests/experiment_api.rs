@@ -125,6 +125,43 @@ fn validation_rejects_degenerate_specs() {
     assert_eq!(Experiment::new(parsed).unwrap_err(), SpecError::ZeroHosts);
 }
 
+/// A spec that validates always finishes: a category the generator
+/// cannot draw a VM from (no shapes, no lifetime modes, or modes of zero
+/// total weight) is a typed error naming it, not a panic in the generator.
+#[test]
+fn a_category_the_generator_cannot_draw_from_is_rejected() {
+    let run = |edit: &dyn Fn(&mut PoolConfig)| {
+        let mut workload = tiny_spec(1).workload;
+        edit(&mut workload);
+        Experiment::builder().workload(workload).run().map(|_| ())
+    };
+    let second = PoolConfig::default().categories[1].category_id;
+    let cases: [&dyn Fn(&mut PoolConfig); 3] = [
+        &|w| w.categories[1].shapes.clear(),
+        &|w| w.categories[1].lifetime_modes.clear(),
+        &|w| {
+            for m in &mut w.categories[1].lifetime_modes {
+                m.weight = 0.0;
+            }
+        },
+    ];
+    for edit in cases {
+        assert_eq!(
+            run(edit).unwrap_err(),
+            SpecError::EmptyCategory {
+                category_id: second
+            }
+        );
+    }
+    let no_weight = |w: &mut PoolConfig| {
+        for c in &mut w.categories {
+            c.arrival_weight = 0.0;
+        }
+    };
+    assert_eq!(run(&no_weight).unwrap_err(), SpecError::EmptyWorkloadMix);
+    assert!(run(&|_| ()).is_ok());
+}
+
 #[test]
 fn two_observers_see_identical_event_streams() {
     let experiment = Experiment::new(tiny_spec(11)).expect("valid spec");

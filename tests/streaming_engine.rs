@@ -6,7 +6,16 @@
 //!
 //! * `StreamingWorkload` emits its events already in canonical order:
 //!   `WorkloadGenerator::generate` collects the same stream and sorts it,
-//!   and the two agree event for event (property test);
+//!   and the two agree event for event (property test). Being the same
+//!   stream, `generate` moves with any change to the generator, so this
+//!   shows only that the stream is sorted;
+//! * the stream itself is pinned: every field of every event, the buffer's
+//!   high-water mark and the last arrival fold to recorded digests on five
+//!   pool shapes, so a change to the RNG draw order or to when an arrival
+//!   is drawn fails here;
+//! * interleaving `peek` with `next_event` (as `drive` and the fleet's
+//!   epoch drain do, once per event) changes neither the stream nor
+//!   `pending_len` (property test);
 //! * the engine (`drive`) fed by a `StreamingWorkload` — last arrival
 //!   unknown until the generator crosses the horizon — produces
 //!   bit-identical scheduler counters, rejections and metric samples to
@@ -20,6 +29,7 @@
 //! * an `ExperimentSuite` is bit-identical per arm regardless of thread
 //!   count.
 
+use lava::core::hash::mix64;
 use lava::core::prelude::*;
 use lava::model::predictor::OraclePredictor;
 use lava::sched::cluster::Cluster;
@@ -102,6 +112,49 @@ proptest! {
         );
     }
 
+    /// `drive` and the fleet's epoch drain call `peek` once per event:
+    /// peeking must not change the stream or the buffer's accounting.
+    #[test]
+    fn peek_and_next_event_interleave(
+        seed in 0u64..100_000,
+        hosts in 4usize..32,
+        hours in 6u64..48,
+        fill in 0.0f64..1.0,
+        pattern in proptest::collection::vec(0u8..3, 1..48),
+    ) {
+        let config = PoolConfig {
+            initial_fill_fraction: fill,
+            ..config(seed, hosts, hours, 0.75)
+        };
+        let mut plain = StreamingWorkload::new(config.clone());
+        let mut peeked = StreamingWorkload::new(config);
+        // Per step: 0 = no peek, 1 = one peek, 2 = two peeks.
+        for (step, &peeks) in pattern.iter().cycle().enumerate() {
+            let mut seen = None;
+            for _ in 0..peeks {
+                seen = Some((peeked.peek().cloned(), peeked.pending_len()));
+            }
+            let expected = plain.next_event();
+            let got = peeked.next_event();
+            if let Some((seen, pending)) = seen {
+                prop_assert_eq!(&seen, &got, "peek disagreed with next_event at step {}", step);
+                // A peeked event stays pending until it is taken.
+                prop_assert_eq!(
+                    pending,
+                    plain.pending_len() + usize::from(expected.is_some()),
+                    "pending after peek at step {}", step
+                );
+            }
+            prop_assert_eq!(&got, &expected, "streams diverged at step {}", step);
+            prop_assert_eq!(peeked.pending_len(), plain.pending_len(), "pending at step {}", step);
+            if expected.is_none() {
+                break;
+            }
+        }
+        prop_assert_eq!(peeked.max_pending_len(), plain.max_pending_len());
+        prop_assert_eq!(peeked.last_arrival_time(), plain.last_arrival_time());
+    }
+
     #[test]
     fn streaming_experiment_is_bit_identical_to_materialized(
         seed in 0u64..100_000,
@@ -129,6 +182,118 @@ proptest! {
             algorithm
         );
     }
+}
+
+/// Every field of every event `config`'s stream emits, folded into one
+/// word, with the event count, the buffer's high-water mark and the last
+/// arrival.
+fn stream_pin(config: PoolConfig) -> (u64, u64, usize, Option<SimTime>) {
+    fn fold(acc: &mut u64, words: &[u64]) {
+        for &x in words {
+            *acc = mix64(*acc ^ mix64(x));
+        }
+    }
+    let mut source = StreamingWorkload::new(config);
+    let (mut digest, mut events) = (0u64, 0u64);
+    while let Some(event) = source.next_event() {
+        events += 1;
+        match &event.kind {
+            TraceEventKind::Create { vm, spec, lifetime } => {
+                let r = spec.resources();
+                fold(
+                    &mut digest,
+                    &[
+                        1,
+                        event.time.0,
+                        vm.0,
+                        lifetime.0,
+                        r.cpu_milli,
+                        r.memory_mib,
+                        r.ssd_gib,
+                        spec.family() as u64,
+                        u64::from(spec.zone()),
+                        u64::from(spec.category()),
+                        u64::from(spec.metadata_id()),
+                        u64::from(spec.has_ssd()),
+                        spec.provisioning() as u64,
+                        spec.priority() as u64,
+                        u64::from(spec.admission_bypass()),
+                    ],
+                );
+            }
+            TraceEventKind::Exit { vm } => fold(&mut digest, &[0, event.time.0, vm.0]),
+        }
+    }
+    (
+        digest,
+        events,
+        source.max_pending_len(),
+        source.last_arrival_time(),
+    )
+}
+
+/// The generated stream itself, pinned: its RNG draw order, the point at
+/// which each arrival is drawn (which sets the buffer's high-water mark)
+/// and every field it emits. `streaming_source_emits_the_materialized_stream`
+/// compares the stream with `generate()`, which collects the same stream,
+/// so only a recorded digest catches a change to the generator. A change
+/// meant to move the stream re-records `pinned` from the failure message.
+#[test]
+fn the_generated_stream_is_pinned() {
+    let pools = [
+        // The repo benchmark's engine-replay shape at 1/40 of its hosts.
+        PoolConfig {
+            hosts: 500,
+            duration: Duration::from_hours(24),
+            initial_fill_fraction: 0.6,
+            seed: 11,
+            ..PoolConfig::default()
+        },
+        // A pool born empty: no standing population at all.
+        PoolConfig {
+            hosts: 120,
+            duration: Duration::from_days(2),
+            initial_fill_fraction: 0.0,
+            seed: 3,
+            ..PoolConfig::default()
+        },
+        // The whole steady-state population standing at t = 0.
+        PoolConfig {
+            hosts: 120,
+            duration: Duration::from_days(2),
+            initial_fill_fraction: 1.0,
+            seed: 4,
+            ..PoolConfig::default()
+        },
+        // Lifetimes drifting 40 % per week over two weeks.
+        PoolConfig {
+            hosts: 48,
+            duration: Duration::from_days(14),
+            weekly_drift: 1.4,
+            seed: 5,
+            ..PoolConfig::default()
+        },
+        // The 7-day history `train_gbdt_predictor` trains on.
+        PoolConfig {
+            hosts: 64,
+            duration: Duration::from_days(7),
+            initial_fill_fraction: 0.5,
+            seed: 0x1a7a + 0x5eed,
+            ..PoolConfig::default()
+        },
+    ];
+    let pinned: [(u64, u64, usize, Option<SimTime>); 5] = [
+        (13204965885315534473, 17632, 2516, Some(SimTime(86398))),
+        (1035349360473904600, 7006, 282, Some(SimTime(172799))),
+        (1230471790165561073, 7922, 962, Some(SimTime(172677))),
+        (1456138119399663200, 20392, 328, Some(SimTime(1209597))),
+        (16331151894837179867, 13552, 270, Some(SimTime(604450))),
+    ];
+    let actual: Vec<_> = pools.into_iter().map(stream_pin).collect();
+    assert_eq!(
+        actual, pinned,
+        "(digest, events, max pending, last arrival)"
+    );
 }
 
 #[test]
