@@ -64,7 +64,7 @@ pub mod prelude {
     pub use crate::events::{TraceEvent, TraceEventKind};
     pub use crate::host::{Host, HostId, HostLifetimeState, HostSpec};
     pub use crate::latency::LatencyHistogram;
-    pub use crate::lifetime::{LifetimeClass, TemporalCostBuckets};
+    pub use crate::lifetime::{temporal_cost, LifetimeClass};
     pub use crate::pool::{Pool, PoolId};
     pub use crate::resources::Resources;
     pub use crate::serve::{Micros, PlaceOutcome, PlaceRequest, Rejected, RequestId};

@@ -105,88 +105,42 @@ impl fmt::Display for LifetimeClass {
     }
 }
 
-/// NILAS temporal-cost bucket boundaries (§4.2).
+/// NILAS temporal-cost bucket edges (§4.2), the paper's production
+/// values: {0m, 30m, 60m, 90m, 2h, 3h, 4h, 6h, 12h, 24h, 168h}.
 ///
-/// `ΔT` values are quantised into the index of the first boundary that is
-/// **greater than** the value; the paper's example (`ΔT = 70 min → cost 2`)
-/// fixes the convention: the boundaries are the left edges of the buckets
-/// `[0, 30m) [30m, 60m) [60m, 90m) ...` and the cost is the index of the
-/// bucket containing `ΔT`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TemporalCostBuckets {
-    /// Left edges of the buckets, strictly increasing and starting at zero.
-    boundaries: Vec<Duration>,
-}
+/// They are the left edges of the buckets `[0, 30m) [30m, 60m) [60m, 90m)
+/// ...`; the paper's example (`ΔT = 70 min → cost 2`) fixes the
+/// convention.
+pub const TEMPORAL_COST_EDGES: [Duration; 11] = [
+    Duration::ZERO,
+    Duration::from_mins(30),
+    Duration::from_mins(60),
+    Duration::from_mins(90),
+    Duration::from_hours(2),
+    Duration::from_hours(3),
+    Duration::from_hours(4),
+    Duration::from_hours(6),
+    Duration::from_hours(12),
+    Duration::from_hours(24),
+    Duration::from_hours(168),
+];
 
-impl Default for TemporalCostBuckets {
-    /// The production bucket boundaries from the paper:
-    /// {0m, 30m, 60m, 90m, 2h, 3h, 4h, 6h, 12h, 24h, 168h}.
-    fn default() -> Self {
-        TemporalCostBuckets::new(vec![
-            Duration::ZERO,
-            Duration::from_mins(30),
-            Duration::from_mins(60),
-            Duration::from_mins(90),
-            Duration::from_hours(2),
-            Duration::from_hours(3),
-            Duration::from_hours(4),
-            Duration::from_hours(6),
-            Duration::from_hours(12),
-            Duration::from_hours(24),
-            Duration::from_hours(168),
-        ])
-        .expect("default boundaries are valid")
-    }
-}
-
-impl TemporalCostBuckets {
-    /// Create bucket boundaries from left edges.
-    ///
-    /// Returns `None` if the edges are empty, do not start at zero, or are
-    /// not strictly increasing.
-    pub fn new(boundaries: Vec<Duration>) -> Option<TemporalCostBuckets> {
-        if boundaries.first() != Some(&Duration::ZERO) {
-            return None;
-        }
-        if boundaries.windows(2).any(|w| w[0] >= w[1]) {
-            return None;
-        }
-        Some(TemporalCostBuckets { boundaries })
-    }
-
-    /// Number of buckets.
-    pub fn len(&self) -> usize {
-        self.boundaries.len()
-    }
-
-    /// True if there are no buckets (cannot happen for values built with
-    /// [`TemporalCostBuckets::new`]).
-    pub fn is_empty(&self) -> bool {
-        self.boundaries.is_empty()
-    }
-
-    /// The temporal cost of a `ΔT` value: the index of the bucket containing
-    /// it. Values past the last boundary land in the last bucket.
-    ///
-    /// ```
-    /// use lava_core::lifetime::TemporalCostBuckets;
-    /// use lava_core::time::Duration;
-    ///
-    /// let buckets = TemporalCostBuckets::default();
-    /// assert_eq!(buckets.cost(Duration::ZERO), 0);
-    /// assert_eq!(buckets.cost(Duration::from_mins(70)), 2);
-    /// assert_eq!(buckets.cost(Duration::from_hours(200)), 10);
-    /// ```
-    pub fn cost(&self, delta: Duration) -> usize {
-        match self.boundaries.binary_search(&delta) {
-            Ok(idx) => idx,
-            Err(insert) => insert.saturating_sub(1),
-        }
-    }
-
-    /// The left edges of the buckets.
-    pub fn boundaries(&self) -> &[Duration] {
-        &self.boundaries
+/// The temporal cost of a `ΔT` value: the index of the
+/// [`TEMPORAL_COST_EDGES`] bucket containing it. Values past the last edge
+/// land in the last bucket.
+///
+/// ```
+/// use lava_core::lifetime::temporal_cost;
+/// use lava_core::time::Duration;
+///
+/// assert_eq!(temporal_cost(Duration::ZERO), 0);
+/// assert_eq!(temporal_cost(Duration::from_mins(70)), 2);
+/// assert_eq!(temporal_cost(Duration::from_hours(200)), 10);
+/// ```
+pub fn temporal_cost(delta: Duration) -> usize {
+    match TEMPORAL_COST_EDGES.binary_search(&delta) {
+        Ok(idx) => idx,
+        Err(insert) => insert.saturating_sub(1),
     }
 }
 
@@ -242,23 +196,12 @@ mod tests {
 
     #[test]
     fn paper_example_temporal_cost() {
-        let buckets = TemporalCostBuckets::default();
         // ΔT = 70 minutes → bucket index 2 (paper §4.2).
-        assert_eq!(buckets.cost(Duration::from_mins(70)), 2);
-        // Exact boundary values land in their own bucket.
-        assert_eq!(buckets.cost(Duration::from_mins(30)), 1);
-        assert_eq!(buckets.cost(Duration::from_hours(168)), 10);
-        assert_eq!(buckets.len(), 11);
-        assert!(!buckets.is_empty());
-    }
-
-    #[test]
-    fn invalid_boundaries_rejected() {
-        assert!(TemporalCostBuckets::new(vec![]).is_none());
-        assert!(TemporalCostBuckets::new(vec![Duration::from_mins(5)]).is_none());
-        assert!(
-            TemporalCostBuckets::new(vec![Duration::ZERO, Duration(10), Duration(10)]).is_none()
-        );
+        assert_eq!(temporal_cost(Duration::from_mins(70)), 2);
+        // Exact edge values land in their own bucket.
+        assert_eq!(temporal_cost(Duration::from_mins(30)), 1);
+        assert_eq!(temporal_cost(Duration::from_hours(168)), 10);
+        assert!(TEMPORAL_COST_EDGES.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -269,9 +212,8 @@ mod tests {
     proptest! {
         #[test]
         fn prop_cost_is_monotone(a in 0u64..10_000_000, b in 0u64..10_000_000) {
-            let buckets = TemporalCostBuckets::default();
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(buckets.cost(Duration(lo)) <= buckets.cost(Duration(hi)));
+            prop_assert!(temporal_cost(Duration(lo)) <= temporal_cost(Duration(hi)));
         }
 
         #[test]

@@ -62,19 +62,19 @@ impl Duration {
 
     /// Construct from whole seconds.
     #[inline]
-    pub fn from_secs(secs: u64) -> Duration {
+    pub const fn from_secs(secs: u64) -> Duration {
         Duration(secs)
     }
 
     /// Construct from whole minutes.
     #[inline]
-    pub fn from_mins(mins: u64) -> Duration {
+    pub const fn from_mins(mins: u64) -> Duration {
         Duration(mins * 60)
     }
 
     /// Construct from whole hours.
     #[inline]
-    pub fn from_hours(hours: u64) -> Duration {
+    pub const fn from_hours(hours: u64) -> Duration {
         Duration(hours * 3600)
     }
 

@@ -47,8 +47,7 @@ use lava_core::resources::Resources;
 use lava_core::time::{Duration, SimTime};
 use lava_core::vm::{Vm, VmId};
 use lava_model::predictor::LifetimePredictor;
-use parking_lot::{Mutex, MutexGuard};
-use std::cell::Cell;
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One cached host exit time.
@@ -272,17 +271,21 @@ impl ExitCache {
 /// page of the live id window, so it pays 4 bytes per id of that window,
 /// however few of those ids it holds. Lookups are one table read plus one
 /// slot read; create/exit churn re-uses warm slots without allocating.
+///
+/// The exit cache sits in a `RefCell`, because a decision refreshes it
+/// through `&Cluster`. A cluster moves between threads but is never shared
+/// by two, so it is `Send` and not `Sync`.
 #[derive(Debug)]
 pub struct Cluster {
     pool: Pool,
-    exit_cache: Mutex<ExitCache>,
+    exit_cache: RefCell<ExitCache>,
 }
 
 impl Clone for Cluster {
     fn clone(&self) -> Cluster {
         Cluster {
             pool: self.pool.clone(),
-            exit_cache: Mutex::new(self.exit_cache.lock().clone()),
+            exit_cache: RefCell::new(self.exit_cache.borrow().clone()),
         }
     }
 }
@@ -294,7 +297,7 @@ impl Cluster {
         exit_cache.reserve_hosts(pool.host_count());
         Cluster {
             pool,
-            exit_cache: Mutex::new(exit_cache),
+            exit_cache: RefCell::new(exit_cache),
         }
     }
 
@@ -445,11 +448,11 @@ impl Cluster {
 
     // --- exit-time cache operations --------------------------------------
 
-    /// Lock the exit cache for a read-mostly scan. Callers should run
+    /// Borrow the exit cache for a read-only scan. Callers should run
     /// [`Cluster::refresh_exit_entries`] first so every occupied host has a
     /// valid entry.
-    pub(crate) fn exit_cache_lock(&self) -> MutexGuard<'_, ExitCache> {
-        self.exit_cache.lock()
+    pub(crate) fn exit_cache(&self) -> Ref<'_, ExitCache> {
+        self.exit_cache.borrow()
     }
 
     /// Bring the cache up to date at `now` for a placement of `request`:
@@ -491,7 +494,7 @@ impl Cluster {
         request: Resources,
         counters: &mut CacheCounters,
     ) {
-        let mut guard = self.exit_cache.lock();
+        let mut guard = self.exit_cache.borrow_mut();
         let cache = &mut *guard;
         // 1. Bypass detection: if the pool's occupancy changed without the
         //    cluster seeing it (mutations through `pool_mut`), no entry can
@@ -808,7 +811,7 @@ mod tests {
             Resources::ZERO,
             &mut counters,
         );
-        let cache = c.exit_cache_lock();
+        let cache = c.exit_cache();
         let order: Vec<HostId> = cache.by_exit.iter().rev().map(|&(_, id)| id).collect();
         assert_eq!(order, vec![HostId(3), HostId(0), HostId(1)]);
         assert_eq!(counters.misses, 3);
@@ -842,7 +845,7 @@ mod tests {
             Resources::ZERO,
             &mut counters,
         );
-        let cache = c.exit_cache_lock();
+        let cache = c.exit_cache();
         assert!(cache.valid_exit(HostId(2), SimTime::ZERO).is_some());
     }
 
@@ -879,7 +882,7 @@ mod tests {
             Resources::ZERO,
             &mut counters,
         );
-        let cache = c.exit_cache_lock();
+        let cache = c.exit_cache();
         assert!(
             cache.valid_exit(HostId(0), SimTime::ZERO).is_none(),
             "stale entry for the emptied host must be flushed"
@@ -907,7 +910,7 @@ mod tests {
             request: Resources,
             counters: &mut CacheCounters,
         ) -> BTreeSet<HostId> {
-            let mut cache = self.exit_cache.lock();
+            let mut cache = self.exit_cache.borrow_mut();
             let mut dirty = cache.dirty_set();
             let recompute = |cache: &mut ExitCache, counters: &mut CacheCounters, h: &Host| {
                 counters.misses += 1;
@@ -965,7 +968,7 @@ mod tests {
         /// The entries, both orderings and the epoch of the exit cache,
         /// for comparing two clusters.
         fn exit_cache_view(&self) -> String {
-            let cache = self.exit_cache.lock();
+            let cache = self.exit_cache.borrow();
             assert!(
                 cache.scratch.hosts.is_empty()
                     && cache.scratch.exits.is_empty()
@@ -982,7 +985,7 @@ mod tests {
         /// [`ExitCache::dirty_set`]); every parking key must be the
         /// host's free CPU.
         fn dirty_hosts(&self) -> BTreeSet<HostId> {
-            let cache = self.exit_cache.lock();
+            let cache = self.exit_cache.borrow();
             assert_eq!(cache.synced_epoch, self.pool.mutation_epoch());
             for &(cpu, id) in &cache.parked {
                 assert_eq!(cpu, self.pool.host(id).unwrap().free().cpu_milli, "{id}");
@@ -1047,21 +1050,21 @@ mod tests {
     /// Notes every VM the wrapped predictor is handed, in hand-out order.
     struct HandOuts<'p> {
         inner: &'p dyn LifetimePredictor,
-        seen: Mutex<Vec<VmId>>,
+        seen: std::sync::Mutex<Vec<VmId>>,
     }
 
     impl<'p> HandOuts<'p> {
         fn of(inner: &'p dyn LifetimePredictor) -> HandOuts<'p> {
             HandOuts {
                 inner,
-                seen: Mutex::new(Vec::new()),
+                seen: std::sync::Mutex::new(Vec::new()),
             }
         }
     }
 
     impl LifetimePredictor for HandOuts<'_> {
         fn predict_remaining(&self, vm: &Vm, now: SimTime) -> Duration {
-            self.seen.lock().push(vm.id());
+            self.seen.lock().unwrap().push(vm.id());
             self.inner.predict_remaining(vm, now)
         }
         fn name(&self) -> &'static str {
@@ -1073,7 +1076,7 @@ mod tests {
             now: SimTime,
             sink: &mut dyn FnMut(&'a Vm, Duration),
         ) {
-            let mut noted = vms.inspect(|vm| self.seen.lock().push(vm.id()));
+            let mut noted = vms.inspect(|vm| self.seen.lock().unwrap().push(vm.id()));
             self.inner.predict_remaining_batch(&mut noted, now, sink);
         }
     }
@@ -1099,7 +1102,7 @@ mod tests {
             request,
             &mut expected,
         );
-        let expected_handed = spec.seen.into_inner();
+        let expected_handed = spec.seen.into_inner().unwrap();
         let predictors: [&dyn LifetimePredictor; 2] = [&OraclePredictor, &PullAheadOracle];
         for predictor in predictors {
             let context = format!(
@@ -1119,7 +1122,11 @@ mod tests {
                 "{context}"
             );
             assert_eq!(real.dirty_hosts(), expected_dirty, "{context}");
-            assert_eq!(noted.seen.into_inner(), expected_handed, "{context}");
+            assert_eq!(
+                noted.seen.into_inner().unwrap(),
+                expected_handed,
+                "{context}"
+            );
         }
     }
 
@@ -1273,7 +1280,7 @@ mod tests {
             assert_eq!(counters.predictions, 4, "three records and the bypass VM");
             assert_eq!(counters.examined, 2);
             assert_eq!(
-                c.exit_cache_lock().valid_exit(HostId(0), SimTime::ZERO),
+                c.exit_cache().valid_exit(HostId(0), SimTime::ZERO),
                 Some(SimTime::ZERO + Duration::from_hours(20))
             );
         }
@@ -1333,11 +1340,11 @@ mod tests {
                 Duration::from_mins(30),
             );
             let expired = {
-                let cache = c.exit_cache_lock();
+                let cache = c.exit_cache();
                 cache.by_expiry.iter().take_while(|e| e.0 < now).count() as u64
             };
             // Since the last pass: one placement and at most one exit.
-            let changed = c.exit_cache_lock().pending.len() as u64;
+            let changed = c.exit_cache().pending.len() as u64;
             assert!(changed <= 2, "step {i}: {changed} hosts changed");
             let before = policy.stats().refresh_examined;
             let host = policy.choose_host(&c, &v, now, None).expect("room");
@@ -1357,7 +1364,7 @@ mod tests {
         }
         // Each full host was looked at when its first entry expired, and
         // has sat parked under zero free CPU since.
-        assert_eq!(c.exit_cache_lock().parked.len() as u64, FULL);
+        assert_eq!(c.exit_cache().parked.len() as u64, FULL);
         assert!(total <= FULL + 200 * (2 + ROOMY), "{total} hosts looked at");
 
         // A request for more CPU than any host has free looks at the host
@@ -1366,7 +1373,7 @@ mod tests {
         // asks for.
         let huge = Resources::cores_gib(64, 256);
         pass(&c, now, huge);
-        let parked = c.exit_cache_lock().parked.len() as u64;
+        let parked = c.exit_cache().parked.len() as u64;
         assert!(parked >= FULL);
         assert_eq!(pass(&c, now, huge), CacheCounters::default());
         let memory_only = pass(&c, now, Resources::cores_gib(0, 256));
@@ -1392,9 +1399,8 @@ mod tests {
         let now = SimTime::ZERO;
         let first = pass(&c, now, request);
         assert_eq!((first.examined, first.misses), (3, 1));
-        let parked = |c: &Cluster| -> Vec<(u64, HostId)> {
-            c.exit_cache_lock().parked.iter().copied().collect()
-        };
+        let parked =
+            |c: &Cluster| -> Vec<(u64, HostId)> { c.exit_cache().parked.iter().copied().collect() };
         assert_eq!(parked(&c), [(0, HostId(1)), (28_000, HostId(0))]);
 
         // Host 0 has the CPU, so it is looked at again and stays; host 1
@@ -1418,21 +1424,21 @@ mod tests {
         // A parked host that empties leaves the index and the cache.
         c.remove(VmId(2)).unwrap();
         assert_eq!(parked(&c), [(28_000, HostId(0))]);
-        assert!(c.exit_cache_lock().dirty_set().contains(&HostId(0)));
-        assert!(!c.exit_cache_lock().dirty_set().contains(&HostId(1)));
+        assert!(c.exit_cache().dirty_set().contains(&HostId(0)));
+        assert!(!c.exit_cache().dirty_set().contains(&HostId(1)));
 
         // A change behind the cluster's back unparks whatever is left.
         c.pool_mut().remove_vm(VmId(1)).unwrap();
         let flushed = pass(&c, now, request);
         assert_eq!((flushed.examined, flushed.misses), (1, 1));
         assert!(parked(&c).is_empty());
-        assert!(c.exit_cache_lock().dirty_set().is_empty());
-        assert!(c.exit_cache_lock().valid_exit(HostId(0), now).is_none());
+        assert!(c.exit_cache().dirty_set().is_empty());
+        assert!(c.exit_cache().valid_exit(HostId(0), now).is_none());
     }
 
     #[test]
     fn parking_keys_are_sized_to_the_pool() {
-        let keys = |c: &Cluster| c.exit_cache_lock().parked_cpu.len();
+        let keys = |c: &Cluster| c.exit_cache().parked_cpu.len();
         let mut c = cluster();
         assert_eq!(keys(&c), 4);
         // A host added through `pool_mut` gets its key when it is first
@@ -1442,7 +1448,7 @@ mod tests {
         c.place(vm(1, 5), added).unwrap();
         pass(&c, SimTime::ZERO, Resources::cores_gib(64, 256));
         assert_eq!(keys(&c), 5);
-        assert_eq!(c.exit_cache_lock().dirty_set(), BTreeSet::from([added]));
+        assert_eq!(c.exit_cache().dirty_set(), BTreeSet::from([added]));
         c.pool_mut().add_host(spec);
         c.reserve_vm_capacity(16, 4);
         assert_eq!(keys(&c), 6);
@@ -1450,7 +1456,7 @@ mod tests {
         c.invalidate_exit(HostId(u64::MAX));
         pass(&c, SimTime::ZERO, Resources::ZERO);
         assert_eq!(keys(&c), 6);
-        assert!(c.exit_cache_lock().dirty_set().is_empty());
+        assert!(c.exit_cache().dirty_set().is_empty());
     }
 
     #[test]
@@ -1487,7 +1493,7 @@ mod tests {
             &mut counters,
         );
         assert_eq!(counters.misses, misses_before, "hint avoided a recompute");
-        let cache = c.exit_cache_lock();
+        let cache = c.exit_cache();
         assert_eq!(
             cache.valid_exit(HostId(0), SimTime::ZERO),
             Some(SimTime::ZERO + Duration::from_hours(20))
@@ -1520,7 +1526,7 @@ mod tests {
             Resources::ZERO,
             &mut counters,
         );
-        let cache = c.exit_cache_lock();
+        let cache = c.exit_cache();
         assert_eq!(
             cache.valid_exit(HostId(0), SimTime::ZERO),
             Some(SimTime::ZERO + Duration::from_hours(5))

@@ -24,84 +24,81 @@
 //! (closest class first), then open hosts of the same class, then any
 //! non-empty host, then empty hosts — ties broken by NILAS.
 //!
-//! The scan walks those preference levels directly through the pool's
-//! `(state, class)` buckets and occupancy sets, and returns at the **first
-//! level containing a feasible host** — on a large pool a placement usually
-//! touches a handful of hosts instead of all of them. The last level
-//! scores one empty host per capacity shape, through the pool's
-//! shape-grouped empty index ([`NilasStats::empty_examined`] counts them).
+//! A decision is NILAS's candidate walk (see [`crate::nilas`]) with the
+//! class levels placed in front: each is a scan of one of the pool's
+//! `(state, class)` buckets, and the walk returns at the **first level
+//! containing a feasible host**. The last two levels are NILAS's own: the
+//! occupied hosts in exit order, then one empty host per capacity shape
+//! ([`NilasStats::empty_examined`] counts them). On a large pool a
+//! placement usually touches a handful of hosts instead of all of them.
 //! The score-everything enumeration it must agree with is the oracle of
 //! `tests/scan_parity.rs`.
 
 use crate::cluster::Cluster;
-use crate::nilas::{consider, Candidate, NilasConfig, NilasPolicy, NilasStats};
+use crate::nilas::{NilasConfig, NilasPolicy, NilasStats};
 use crate::policy::PlacementPolicy;
-use crate::scoring::waste_minimization_score;
-use lava_core::host::{Host, HostId, HostLifetimeState};
+use lava_core::host::{HostId, HostLifetimeState};
 use lava_core::lifetime::LifetimeClass;
 use lava_core::time::{Duration, SimTime};
 use lava_core::vm::{Vm, VmId};
 use lava_model::predictor::LifetimePredictor;
 use std::sync::Arc;
 
-/// Configuration for [`LavaPolicy`].
-#[derive(Debug, Clone)]
-pub struct LavaConfig {
-    /// Utilisation (CPU or memory) at which an *open* host transitions to
-    /// *recycling* (paper: 90 %).
-    pub recycling_threshold: f64,
-    /// Slack multiplier applied to the class upper bound when setting host
-    /// deadlines (paper: 1.1×).
-    pub deadline_slack: f64,
-    /// Configuration of the embedded NILAS tie-breaker.
-    pub nilas: NilasConfig,
+/// Utilisation (CPU or memory) at which an *open* host transitions to
+/// *recycling* (paper: 90 %).
+const RECYCLING_THRESHOLD: f64 = 0.9;
+
+/// Slack multiplier applied to the class upper bound when setting host
+/// deadlines (paper: 1.1×).
+const DEADLINE_SLACK: f64 = 1.1;
+
+/// The deadline of a host of `class` (re)classified at `now`.
+fn deadline_for(class: LifetimeClass, now: SimTime) -> SimTime {
+    let horizon = class.upper_bound().as_secs() as f64 * DEADLINE_SLACK;
+    now + Duration::from_secs_f64(horizon)
 }
 
-impl Default for LavaConfig {
-    fn default() -> Self {
-        LavaConfig {
-            recycling_threshold: 0.9,
-            deadline_slack: 1.1,
-            nilas: NilasConfig::default(),
-        }
-    }
+/// Algorithm 3's class levels for a VM of class `vm_class`, most
+/// preferred first: recycling hosts of each strictly higher class,
+/// closest class first (each distance is its own sub-rank), then open
+/// hosts of the VM's own class.
+fn class_levels(
+    vm_class: LifetimeClass,
+) -> impl Iterator<Item = (HostLifetimeState, LifetimeClass)> {
+    ((vm_class.index() + 1)..=4)
+        .map(|idx| {
+            let class = LifetimeClass::from_index_clamped(idx as i32);
+            (HostLifetimeState::Recycling, class)
+        })
+        .chain(std::iter::once((HostLifetimeState::Open, vm_class)))
 }
 
 /// The LAVA placement policy.
 pub struct LavaPolicy {
-    predictor: Arc<dyn LifetimePredictor>,
-    config: LavaConfig,
-    /// NILAS is used as the tie-breaker within each preference level
-    /// (Algorithm 3's final line).
+    /// The NILAS tie-breaker within each preference level (Algorithm 3's
+    /// final line). It also holds the predictor, the configuration and
+    /// whether the fallback has degraded the policy.
     nilas: NilasPolicy,
     /// Number of deadline-expiry (class-up) corrections applied.
     deadline_corrections: u64,
     /// Number of class-down steps applied after residual VMs exited.
     class_downgrades: u64,
-    /// Whether the policy is currently degraded to best-fit because the
-    /// measured misprediction error crossed the fallback threshold (the
-    /// embedded NILAS tie-breaker mirrors this flag, zeroing its temporal
-    /// cost term).
-    degraded: bool,
 }
 
 impl LavaPolicy {
-    /// Create the policy.
-    pub fn new(predictor: Arc<dyn LifetimePredictor>, config: LavaConfig) -> LavaPolicy {
-        let nilas = NilasPolicy::new(predictor.clone(), config.nilas.clone());
+    /// Create the policy around the configuration of its NILAS
+    /// tie-breaker.
+    pub fn new(predictor: Arc<dyn LifetimePredictor>, config: NilasConfig) -> LavaPolicy {
         LavaPolicy {
-            predictor,
-            config,
-            nilas,
+            nilas: NilasPolicy::new(predictor, config),
             deadline_corrections: 0,
             class_downgrades: 0,
-            degraded: false,
         }
     }
 
     /// Create the policy with default configuration.
     pub fn with_defaults(predictor: Arc<dyn LifetimePredictor>) -> LavaPolicy {
-        LavaPolicy::new(predictor, LavaConfig::default())
+        LavaPolicy::new(predictor, NilasConfig::default())
     }
 
     /// Prediction/cache counters of the embedded NILAS tie-breaker.
@@ -121,12 +118,7 @@ impl LavaPolicy {
 
     /// Whether the policy is currently degraded to the best-fit regime.
     pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// The lifetime class LAVA assigns to a VM request at `now`.
-    pub fn vm_class(&self, vm: &Vm, now: SimTime) -> LifetimeClass {
-        LifetimeClass::from_lifetime(self.predictor.predict_remaining(vm, now))
+        self.nilas.is_degraded()
     }
 
     /// The remaining lifetime of the VM being placed: the prediction the
@@ -135,12 +127,7 @@ impl LavaPolicy {
     /// scheduler).
     fn vm_remaining(&self, vm: &Vm, now: SimTime) -> Duration {
         vm.initial_prediction_at(now)
-            .unwrap_or_else(|| self.predictor.predict_remaining(vm, now))
-    }
-
-    fn deadline_for(&self, class: LifetimeClass, now: SimTime) -> SimTime {
-        let horizon = class.upper_bound().as_secs() as f64 * self.config.deadline_slack;
-        now + Duration::from_secs_f64(horizon)
+            .unwrap_or_else(|| self.nilas.predictor().predict_remaining(vm, now))
     }
 }
 
@@ -149,9 +136,8 @@ impl PlacementPolicy for LavaPolicy {
         "lava"
     }
 
-    /// Walk Algorithm 3's preference levels through the pool's candidate
-    /// indexes and return at the first level that contains a feasible
-    /// host.
+    /// Walk Algorithm 3's preference levels and return at the first level
+    /// that contains a feasible host.
     fn choose_host(
         &mut self,
         cluster: &Cluster,
@@ -161,130 +147,31 @@ impl PlacementPolicy for LavaPolicy {
     ) -> Option<HostId> {
         let vm_remaining = self.vm_remaining(vm, now);
         let vm_class = LifetimeClass::from_lifetime(vm_remaining);
-        let vm_exit = now + vm_remaining;
-        let request = vm.resources();
-
-        self.nilas.refresh_cache(cluster, now, request);
-        let cache = cluster.exit_cache_lock();
-        let buckets = self.nilas.buckets();
-        let degraded = self.degraded;
-        let mut hits = 0u64;
-
-        // Score the candidates of one preference level; within a level the
-        // ordering is (temporal cost, waste, id), the tail of Algorithm 3's
-        // lexicographic score.
-        let mut best_of = |hosts: &mut dyn Iterator<Item = &Host>| -> Option<HostId> {
-            let mut best: Option<Candidate> = None;
-            for host in hosts {
-                if Some(host.id()) == exclude || !host.can_fit(request) {
-                    continue;
-                }
-                let host_exit = if host.is_empty() {
-                    now
-                } else {
-                    cache.exit_or_now(host.id(), now)
-                };
-                if cache.cached_before(host.id(), now) {
-                    hits += 1;
-                }
-                consider(
-                    &mut best,
-                    Candidate {
-                        cost: if degraded {
-                            0
-                        } else {
-                            buckets.cost(vm_exit.saturating_since(host_exit))
-                        },
-                        waste: waste_minimization_score(host, request),
-                        id: host.id(),
-                    },
-                );
-            }
-            best.map(|b| b.id)
-        };
-
-        let pool = cluster.pool();
-        // Separate counter: `best_of` above holds the borrow on `hits`.
-        let mut level2_hits = 0u64;
-        let mut empty_examined = 0u64;
-        let winner = 'levels: {
-            // While degraded the class-based levels 0/1 are suppressed:
-            // every occupied host ranks 2 and every empty host 3 (the only
-            // lifetime-agnostic distinction), so with the temporal cost
-            // also zeroed the score collapses to occupied-first waste
-            // minimisation.
-            if !degraded {
-                // Level 0: recycling hosts of a strictly higher class,
-                // closest class first. Each distance is its own sub-rank,
-                // so the first non-empty feasible distance decides.
-                for idx in (vm_class.index() + 1)..=4 {
-                    let class = LifetimeClass::from_index_clamped(idx as i32);
-                    if let Some(id) = best_of(
-                        &mut pool.hosts_in_state_class(HostLifetimeState::Recycling, Some(class)),
-                    ) {
-                        break 'levels Some(id);
-                    }
-                }
-                // Level 1: open hosts of the same class.
-                if let Some(id) =
-                    best_of(&mut pool.hosts_in_state_class(HostLifetimeState::Open, Some(vm_class)))
-                {
-                    break 'levels Some(id);
+        let mut walk = self
+            .nilas
+            .walk(cluster, now + vm_remaining, vm.resources(), now, exclude);
+        // While degraded the class levels are suppressed: every occupied
+        // host ranks with every other and every empty host after them (the
+        // only lifetime-agnostic distinction), so with the temporal cost
+        // also zeroed the ranking collapses to occupied-first waste
+        // minimisation.
+        if !self.nilas.is_degraded() {
+            let pool = cluster.pool();
+            for (state, class) in class_levels(vm_class) {
+                walk.scan(pool.hosts_in_state_class(state, Some(class)));
+                if walk.found() {
+                    return self.nilas.finish(walk);
                 }
             }
-            // Level 2: any occupied host. Feasible hosts matching level
-            // 0/1 would have been returned above, so every feasible host
-            // here ranks 2. The level's
-            // ordering is (temporal cost, waste, id) — the same as NILAS's
-            // core scan — so instead of scoring all occupied hosts, walk
-            // them latest-exiting first through the cache's exit order and
-            // stop at the first cost bucket that cannot win.
-            let mut best: Option<Candidate> = None;
-            for &(exit, id) in cache.by_exit.iter().rev() {
-                let cost = if degraded {
-                    0
-                } else {
-                    buckets.cost(vm_exit.saturating_since(exit))
-                };
-                if let Some(current) = &best {
-                    if cost > current.cost {
-                        break;
-                    }
-                }
-                if Some(id) == exclude {
-                    continue;
-                }
-                let Some(host) = pool.host(id) else { continue };
-                if !host.can_fit(request) {
-                    continue;
-                }
-                if cache.cached_before(id, now) {
-                    level2_hits += 1;
-                }
-                consider(
-                    &mut best,
-                    Candidate {
-                        cost,
-                        waste: waste_minimization_score(host, request),
-                        id,
-                    },
-                );
-            }
-            if let Some(found) = best {
-                break 'levels Some(found.id);
-            }
-            // Level 3: empty hosts, the last resort. They all exit now
-            // and have their capacity free, so only the leader of each
-            // capacity shape can win.
-            let mut leaders = pool.empty_leaders(request, exclude);
-            let found = best_of(&mut leaders);
-            empty_examined = leaders.examined();
-            found
-        };
-        drop(cache);
-        self.nilas
-            .add_walk_counts(hits + level2_hits, empty_examined);
-        winner
+        }
+        // Any occupied host: a feasible host of the class levels would
+        // have been returned above, so every one left ranks the same and
+        // the level's order is NILAS's. Empty hosts are the last resort.
+        walk.occupied();
+        if !walk.found() {
+            walk.empty();
+        }
+        self.nilas.finish(walk)
     }
 
     fn on_vm_placed(&mut self, cluster: &mut Cluster, vm: VmId, host_id: HostId, now: SimTime) {
@@ -296,13 +183,12 @@ impl PlacementPolicy for LavaPolicy {
             .map(|record| {
                 let remaining = record
                     .initial_prediction()
-                    .unwrap_or_else(|| self.predictor.predict_remaining(record, now));
+                    .unwrap_or_else(|| self.nilas.predictor().predict_remaining(record, now));
                 LifetimeClass::from_lifetime(remaining)
             })
             .unwrap_or(LifetimeClass::Lc1);
 
-        let recycling_threshold = self.config.recycling_threshold;
-        let deadline_same = self.deadline_for(vm_class, now);
+        let deadline_same = deadline_for(vm_class, now);
         let Some(mut host) = cluster.host_mut(host_id) else {
             return;
         };
@@ -317,7 +203,7 @@ impl PlacementPolicy for LavaPolicy {
                 if host.lifetime_class() == Some(vm_class) {
                     host.mark_residual(vm);
                 }
-                if host.utilization() >= recycling_threshold {
+                if host.utilization() >= RECYCLING_THRESHOLD {
                     host.start_recycling();
                 }
             }
@@ -344,7 +230,7 @@ impl PlacementPolicy for LavaPolicy {
                 .lifetime_class()
                 .map(LifetimeClass::step_down)
                 .unwrap_or(LifetimeClass::Lc1);
-            let deadline = self.deadline_for(new_class, now);
+            let deadline = deadline_for(new_class, now);
             host.step_class_down(deadline);
             self.class_downgrades += 1;
         }
@@ -364,7 +250,7 @@ impl PlacementPolicy for LavaPolicy {
                 .and_then(|h| h.lifetime_class())
                 .map(LifetimeClass::step_up)
                 .unwrap_or(LifetimeClass::Lc4);
-            let deadline = self.deadline_for(new_class, now);
+            let deadline = deadline_for(new_class, now);
             if let Some(mut host) = cluster.host_mut(id) {
                 host.step_class_up(deadline);
                 self.deadline_corrections += 1;
@@ -373,12 +259,7 @@ impl PlacementPolicy for LavaPolicy {
     }
 
     fn on_model_health(&mut self, error: f64, samples: usize) {
-        if let Some(spec) = self.config.nilas.fallback {
-            self.degraded = spec.should_degrade(error, samples, self.degraded);
-            // Mirror the decision into the embedded tie-breaker so its
-            // temporal cost term degrades in lock-step.
-            self.nilas.set_degraded(self.degraded);
-        }
+        self.nilas.on_model_health(error, samples);
     }
 }
 
@@ -413,7 +294,7 @@ mod tests {
 
     /// Helper mimicking the scheduler: predict, place, notify.
     fn schedule(p: &mut LavaPolicy, c: &mut Cluster, mut v: Vm, now: SimTime) -> HostId {
-        let pred = p.predictor.predict_remaining(&v, now);
+        let pred = p.nilas.predictor().predict_remaining(&v, now);
         v.set_initial_prediction(pred);
         let host = p.choose_host(c, &v, now, None).expect("feasible host");
         let id = v.id();
@@ -603,15 +484,12 @@ mod tests {
     #[test]
     fn degraded_lava_ignores_lifetime_classes() {
         use crate::policy::FallbackSpec;
-        let fallback_config = LavaConfig {
-            nilas: NilasConfig {
-                fallback: Some(FallbackSpec {
-                    threshold: 0.5,
-                    min_samples: 1,
-                }),
-                ..NilasConfig::default()
-            },
-            ..LavaConfig::default()
+        let fallback_config = NilasConfig {
+            fallback: Some(FallbackSpec {
+                threshold: 0.5,
+                min_samples: 1,
+            }),
+            ..NilasConfig::default()
         };
         let mut c = cluster(3);
         let mut p = LavaPolicy::new(Arc::new(OraclePredictor::new()), fallback_config);

@@ -1,12 +1,13 @@
-//! NILAS: Non-Invasive Lifetime-Aware Scheduling (§4.2).
+//! NILAS: Non-Invasive Lifetime-Aware Scheduling (§4.2), and the candidate
+//! walk it shares with LAVA.
 //!
 //! For every candidate host, NILAS repredicts the remaining lifetime of all
 //! VMs currently on it, takes the maximum as the host's expected exit time,
 //! and computes the temporal cost
-//! `ΔT = max(vm_predicted_exit − host_exit, 0)` quantised into the bucket
-//! boundaries of [`TemporalCostBuckets`]. The temporal cost sits one level
-//! above the bin-packing score in the lexicographic scoring function, so it
-//! only decides among hosts that are otherwise equivalent — hence
+//! `ΔT = max(vm_predicted_exit − host_exit, 0)` quantised by
+//! [`temporal_cost`]. The temporal cost sits one level above the
+//! bin-packing score in the lexicographic scoring function, so it only
+//! decides among hosts that are otherwise equivalent — hence
 //! *non-invasive*.
 //!
 //! Because repredicting every VM on every host can become a bottleneck in
@@ -15,32 +16,47 @@
 //! placement/removal events, raised incrementally on placement,
 //! and refreshed when their interval or their own exit time passes.
 //!
-//! The candidate scan exploits that the temporal cost is monotone in the
-//! host exit time: hosts are visited from latest-exiting to earliest via
-//! the cache's exit-time order and the scan stops as soon as the cost
-//! bucket can no longer match the best candidate, instead of scoring all
-//! hosts. Empty hosts (exit time = now, free = capacity) tie on everything
-//! but id within a capacity shape, so the empty tail scores one leader per
-//! shape from the pool's shape-grouped empty index: O(shapes), counted in
-//! [`NilasStats::empty_examined`]. The brute-force scoring of every
-//! feasible host it must agree with is the oracle of `tests/scan_parity.rs`.
+//! # The candidate walk
+//!
+//! One decision of either lifetime-aware policy is one `Walk`: the
+//! decision's fixed inputs, the best `(temporal cost, waste, id)`
+//! candidate so far and the walk's counters. It has one per-host body
+//! (feasibility, the cache-hit count and the temporal cost, zero while
+//! degraded) and three ways to feed it:
+//!
+//! * `Walk::occupied` visits hosts from latest-exiting to earliest through
+//!   the cache's exit-time order and stops as soon as the cost bucket can
+//!   no longer match the best candidate (the cost is monotone in the host
+//!   exit time), instead of scoring all hosts;
+//! * `Walk::empty` scores the empty hosts, which exit now with their whole
+//!   capacity free and so tie on everything but id within a capacity
+//!   shape: one leader per shape from the pool's shape-grouped empty
+//!   index, O(shapes), counted in [`NilasStats::empty_examined`];
+//! * `Walk::scan` offers every host of an unordered set, one of the pool's
+//!   `(state, class)` buckets.
+//!
+//! NILAS is `occupied`, then `empty` when the empty hosts' cost can still
+//! win. LAVA ([`crate::lava`]) puts its class levels in front as scans.
+//! The brute-force scoring of every feasible host both must agree with is
+//! the oracle of `tests/scan_parity.rs`.
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, ExitCache};
 use crate::policy::{CacheCounters, FallbackSpec, PlacementPolicy};
 use crate::scoring::waste_minimization_score;
-use lava_core::host::HostId;
-use lava_core::lifetime::TemporalCostBuckets;
+use lava_core::host::{Host, HostId};
+use lava_core::lifetime::temporal_cost;
+use lava_core::pool::Pool;
 use lava_core::resources::Resources;
 use lava_core::time::{Duration, SimTime};
 use lava_core::vm::Vm;
 use lava_model::predictor::LifetimePredictor;
+use std::cell::Ref;
 use std::sync::Arc;
 
-/// Configuration for [`NilasPolicy`].
+/// Configuration for [`NilasPolicy`] (and the NILAS tie-breaker inside
+/// [`crate::lava::LavaPolicy`]).
 #[derive(Debug, Clone)]
 pub struct NilasConfig {
-    /// Temporal-cost bucket boundaries (defaults to the paper's).
-    pub buckets: TemporalCostBuckets,
     /// How long a cached host exit time stays valid when nothing changes on
     /// the host. [`Duration::ZERO`] is "no cache": an entry is valid only at
     /// the instant it was computed, so every later decision repredicts.
@@ -60,7 +76,6 @@ pub struct NilasConfig {
 impl Default for NilasConfig {
     fn default() -> Self {
         NilasConfig {
-            buckets: TemporalCostBuckets::default(),
             cache_refresh: Duration::from_mins(1),
             repredict: true,
             fallback: None,
@@ -99,42 +114,137 @@ impl NilasStats {
 }
 
 /// A candidate under consideration: `(temporal cost, waste, id)`, compared
-/// with the same semantics as the lexicographic [`crate::scoring::ScoreVector`] (NaN is
-/// worst, lowest id wins ties).
+/// with the same semantics as the lexicographic
+/// [`crate::scoring::ScoreVector`] (NaN is worst, lowest id wins ties).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Candidate {
-    pub(crate) cost: usize,
-    pub(crate) waste: f64,
-    pub(crate) id: HostId,
+struct Candidate {
+    cost: usize,
+    waste: f64,
+    id: HostId,
 }
 
 impl Candidate {
-    pub(crate) fn better_than(&self, other: &Candidate) -> bool {
-        if self.cost != other.cost {
-            return self.cost < other.cost;
-        }
-        let a = if self.waste.is_nan() {
-            f64::INFINITY
-        } else {
-            self.waste
+    fn better_than(&self, other: &Candidate) -> bool {
+        let key = |c: &Candidate| {
+            let waste = if c.waste.is_nan() {
+                f64::INFINITY
+            } else {
+                c.waste
+            };
+            (c.cost, waste, c.id)
         };
-        let b = if other.waste.is_nan() {
-            f64::INFINITY
-        } else {
-            other.waste
-        };
-        if a != b {
-            return a < b;
-        }
-        self.id < other.id
+        key(self) < key(other)
     }
 }
 
-/// Replace `best` if `candidate` wins.
-pub(crate) fn consider(best: &mut Option<Candidate>, candidate: Candidate) {
-    match best {
-        Some(current) if !candidate.better_than(current) => {}
-        _ => *best = Some(candidate),
+/// One placement decision's candidate walk (see the module docs): what
+/// is fixed for the decision, the best candidate so far and the counters
+/// [`NilasPolicy::finish`] credits.
+pub(crate) struct Walk<'a> {
+    pool: &'a Pool,
+    /// Held for the whole decision, after the refresh pass.
+    cache: Ref<'a, ExitCache>,
+    vm_exit: SimTime,
+    request: Resources,
+    now: SimTime,
+    exclude: Option<HostId>,
+    degraded: bool,
+    best: Option<Candidate>,
+    hits: u64,
+    empty_examined: u64,
+}
+
+impl Walk<'_> {
+    /// Whether some host has been accepted.
+    pub(crate) fn found(&self) -> bool {
+        self.best.is_some()
+    }
+
+    /// The temporal cost of a host that exits at `host_exit` — zero while
+    /// degraded, so the ranking collapses to pure waste minimisation.
+    fn cost(&self, host_exit: SimTime) -> usize {
+        if self.degraded {
+            0
+        } else {
+            temporal_cost(self.vm_exit.saturating_since(host_exit))
+        }
+    }
+
+    fn consider(&mut self, host: &Host, cost: usize) {
+        let candidate = Candidate {
+            cost,
+            waste: waste_minimization_score(host, self.request),
+            id: host.id(),
+        };
+        if self.best.is_none_or(|best| candidate.better_than(&best)) {
+            self.best = Some(candidate);
+        }
+    }
+
+    /// The per-host body: skip `host` if it is excluded or cannot fit the
+    /// request, else count its cache hit and consider it at temporal cost
+    /// `cost`. A `None` cost is worked out here, after the feasibility
+    /// check so that a skipped host costs no cache lookup: from exit `now`
+    /// for an empty host, from its cached exit otherwise.
+    fn offer(&mut self, host: &Host, cost: Option<usize>) {
+        let id = host.id();
+        if Some(id) == self.exclude || !host.can_fit(self.request) {
+            return;
+        }
+        let cost = cost.unwrap_or_else(|| {
+            let exit = if host.is_empty() {
+                self.now
+            } else {
+                self.cache.exit_or_now(id, self.now)
+            };
+            self.cost(exit)
+        });
+        if self.cache.cached_before(id, self.now) {
+            self.hits += 1;
+        }
+        self.consider(host, cost);
+    }
+
+    /// Offer every host of an unordered candidate set.
+    pub(crate) fn scan<'h>(&mut self, hosts: impl Iterator<Item = &'h Host>) {
+        for host in hosts {
+            self.offer(host, None);
+        }
+    }
+
+    /// Offer the occupied hosts latest-exiting first, through the cache's
+    /// exit order, up to the first cost bucket that cannot beat the best
+    /// candidate.
+    pub(crate) fn occupied(&mut self) {
+        let cache = Ref::clone(&self.cache);
+        let pool = self.pool;
+        for &(exit, id) in cache.by_exit.iter().rev() {
+            let cost = self.cost(exit);
+            if self.best.is_some_and(|best| cost > best.cost) {
+                // Exits are descending, so costs are non-decreasing:
+                // nothing further can win.
+                break;
+            }
+            if let Some(host) = pool.host(id) {
+                self.offer(host, Some(cost));
+            }
+        }
+    }
+
+    /// Consider the empty hosts, unless the best candidate is already
+    /// cheaper than their temporal cost. They all share exit `now` and
+    /// have their capacity free, so only the leader of each capacity
+    /// shape can win.
+    pub(crate) fn empty(&mut self) {
+        let cost = self.cost(self.now);
+        if self.best.is_some_and(|best| cost > best.cost) {
+            return;
+        }
+        let mut leaders = self.pool.empty_leaders(self.request, self.exclude);
+        for host in leaders.by_ref() {
+            self.consider(host, cost);
+        }
+        self.empty_examined += leaders.examined();
     }
 }
 
@@ -169,33 +279,14 @@ impl NilasPolicy {
         self.stats
     }
 
-    /// The configured temporal-cost buckets.
-    pub fn buckets(&self) -> &TemporalCostBuckets {
-        &self.config.buckets
-    }
-
     /// Whether the policy is currently degraded to the best-fit regime.
     pub fn is_degraded(&self) -> bool {
         self.degraded
     }
 
-    /// Force the degraded state (used by LAVA, which owns the fallback
-    /// decision for its embedded tie-breaker).
-    pub(crate) fn set_degraded(&mut self, degraded: bool) {
-        self.degraded = degraded;
-    }
-
-    /// The quantised temporal cost between a VM exit and a host exit —
-    /// zero while degraded, so the lexicographic score collapses to pure
-    /// waste minimisation.
-    fn quantised_cost(&self, vm_exit: SimTime, host_exit: SimTime) -> usize {
-        if self.degraded {
-            0
-        } else {
-            self.config
-                .buckets
-                .cost(vm_exit.saturating_since(host_exit))
-        }
+    /// The lifetime predictor the policy repredicts with.
+    pub(crate) fn predictor(&self) -> &dyn LifetimePredictor {
+        self.predictor.as_ref()
     }
 
     /// `vm`'s predicted remaining lifetime at `now`. The scheduler predicts
@@ -240,16 +331,9 @@ impl NilasPolicy {
         }
     }
 
-    /// Credit the cache hits and empty hosts examined by an embedding
-    /// policy's candidate walk.
-    pub(crate) fn add_walk_counts(&mut self, cache_hits: u64, empty_examined: u64) {
-        self.stats.cache_hits += cache_hits;
-        self.stats.empty_examined += empty_examined;
-    }
-
     /// Bring the cluster exit cache up to date for a placement of
     /// `request` and absorb the counters.
-    pub(crate) fn refresh_cache(&mut self, cluster: &Cluster, now: SimTime, request: Resources) {
+    fn refresh_cache(&mut self, cluster: &Cluster, now: SimTime, request: Resources) {
         let mut counters = CacheCounters::default();
         cluster.refresh_exit_entries(
             self.predictor.as_ref(),
@@ -261,6 +345,39 @@ impl NilasPolicy {
         );
         self.stats.absorb(counters);
     }
+
+    /// Start the candidate walk of one decision for a VM of `request` that
+    /// is predicted to exit at `vm_exit`: refresh the exit cache, then hold
+    /// it for the walk.
+    pub(crate) fn walk<'a>(
+        &mut self,
+        cluster: &'a Cluster,
+        vm_exit: SimTime,
+        request: Resources,
+        now: SimTime,
+        exclude: Option<HostId>,
+    ) -> Walk<'a> {
+        self.refresh_cache(cluster, now, request);
+        Walk {
+            pool: cluster.pool(),
+            cache: cluster.exit_cache(),
+            vm_exit,
+            request,
+            now,
+            exclude,
+            degraded: self.degraded,
+            best: None,
+            hits: 0,
+            empty_examined: 0,
+        }
+    }
+
+    /// End a walk: credit its counters and return its winner.
+    pub(crate) fn finish(&mut self, walk: Walk<'_>) -> Option<HostId> {
+        self.stats.cache_hits += walk.hits;
+        self.stats.empty_examined += walk.empty_examined;
+        walk.best.map(|best| best.id)
+    }
 }
 
 impl PlacementPolicy for NilasPolicy {
@@ -268,9 +385,8 @@ impl PlacementPolicy for NilasPolicy {
         "nilas"
     }
 
-    /// Walk occupied hosts in descending cached-exit order, stopping at the
-    /// first cost bucket that cannot beat the best candidate, then consider
-    /// empty hosts through the occupancy index.
+    /// The occupied hosts in descending cached-exit order, then the empty
+    /// hosts if their cost can still win.
     fn choose_host(
         &mut self,
         cluster: &Cluster,
@@ -279,62 +395,10 @@ impl PlacementPolicy for NilasPolicy {
         exclude: Option<HostId>,
     ) -> Option<HostId> {
         let vm_exit = self.vm_exit_time(vm, now);
-        let request = vm.resources();
-        self.refresh_cache(cluster, now, request);
-        let mut hits = 0u64;
-        let mut best: Option<Candidate> = None;
-        {
-            let cache = cluster.exit_cache_lock();
-            for &(exit, id) in cache.by_exit.iter().rev() {
-                let cost = self.quantised_cost(vm_exit, exit);
-                if let Some(current) = &best {
-                    if cost > current.cost {
-                        // Exits are descending, so costs are non-decreasing:
-                        // nothing further can win.
-                        break;
-                    }
-                }
-                if Some(id) == exclude {
-                    continue;
-                }
-                let Some(host) = cluster.host(id) else {
-                    continue;
-                };
-                if !host.can_fit(request) {
-                    continue;
-                }
-                if cache.cached_before(id, now) {
-                    hits += 1;
-                }
-                consider(
-                    &mut best,
-                    Candidate {
-                        cost,
-                        waste: waste_minimization_score(host, request),
-                        id,
-                    },
-                );
-            }
-        }
-        // Empty hosts all share exit == now, so only the leader of each
-        // capacity shape can win.
-        let empty_cost = self.quantised_cost(vm_exit, now);
-        if best.as_ref().is_none_or(|b| empty_cost <= b.cost) {
-            let mut leaders = cluster.pool().empty_leaders(request, exclude);
-            for host in leaders.by_ref() {
-                consider(
-                    &mut best,
-                    Candidate {
-                        cost: empty_cost,
-                        waste: waste_minimization_score(host, request),
-                        id: host.id(),
-                    },
-                );
-            }
-            self.stats.empty_examined += leaders.examined();
-        }
-        self.stats.cache_hits += hits;
-        best.map(|b| b.id)
+        let mut walk = self.walk(cluster, vm_exit, vm.resources(), now, exclude);
+        walk.occupied();
+        walk.empty();
+        self.finish(walk)
     }
 
     fn on_vm_placed(
@@ -463,7 +527,7 @@ mod tests {
     }
 
     fn cached_exit(c: &Cluster, host: HostId, now: SimTime) -> SimTime {
-        c.exit_cache_lock().exit_or_now(host, now)
+        c.exit_cache().exit_or_now(host, now)
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub trait PlacementPolicy: Send {
     /// Choose a host for `vm` among the feasible hosts of `cluster`,
     /// excluding `exclude`. Returns `None` if no feasible host exists.
     /// (Every shipped caller passes `None`; `exclude` stays because
-    /// `bench/` implements this method, until ROADMAP item (f).)
+    /// `bench/` implements this method, until ROADMAP unfreeze item (e).)
     fn choose_host(
         &mut self,
         cluster: &Cluster,

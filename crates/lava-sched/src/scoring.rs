@@ -7,17 +7,20 @@
 //! compared lexicographically) and the shared bin-packing score dimensions.
 //!
 //! [`ScoreVector`] is a fixed-capacity inline value: scoring a candidate
-//! host performs no heap allocation, which matters because the placement
-//! hot path scores up to one candidate per host per decision.
+//! host performs no heap allocation, which matters because the baseline
+//! and LA-Binary policies score every feasible host per decision. NILAS
+//! and LAVA rank hosts on their candidate walk with the narrower
+//! `(temporal cost, waste, id)` triple of `crate::nilas`, reaching the
+//! class levels through the pool's indexes instead of a score dimension.
 
 use lava_core::host::Host;
 use lava_core::resources::Resources;
 use std::cmp::Ordering;
 
-/// Maximum number of lexicographic dimensions a score can carry. LAVA uses
-/// four (rank, sub-rank, temporal cost, waste); the headroom is for
-/// experiments layering extra dimensions.
-pub const MAX_SCORE_DIMS: usize = 6;
+/// Maximum number of lexicographic dimensions a score can carry: four, the
+/// most any scorer builds (the brute-force reading of LAVA's Algorithm 3
+/// in `tests/scan_parity.rs`: level, class distance, temporal cost, waste).
+pub const MAX_SCORE_DIMS: usize = 4;
 
 /// A lexicographic score: earlier entries dominate later ones, and lower is
 /// better in every dimension. Stored inline (no heap allocation).

@@ -59,7 +59,7 @@ use lava_model::predictor::{
     GbdtPredictor, LifetimePredictor, NoisyOraclePredictor, OraclePredictor,
 };
 use lava_sched::la_binary::{LaBinaryConfig, LaBinaryPolicy};
-use lava_sched::lava::{LavaConfig, LavaPolicy};
+use lava_sched::lava::LavaPolicy;
 use lava_sched::nilas::{NilasConfig, NilasPolicy};
 use lava_sched::policy::{FallbackSpec, PlacementPolicy};
 use lava_sched::Algorithm;
@@ -220,15 +220,13 @@ impl PolicySpec {
     }
 
     fn nilas_config(&self) -> NilasConfig {
-        let defaults = NilasConfig::default();
         NilasConfig {
             cache_refresh: match self.cache {
-                CachePolicy::Default => defaults.cache_refresh,
+                CachePolicy::Default => NilasConfig::default().cache_refresh,
                 CachePolicy::RefreshSecs(secs) => Duration::from_secs(secs),
             },
             repredict: self.repredict,
             fallback: self.fallback,
-            ..defaults
         }
     }
 
@@ -241,13 +239,7 @@ impl PolicySpec {
                 Box::new(LaBinaryPolicy::new(predictor, LaBinaryConfig::default()))
             }
             Algorithm::Nilas => Box::new(NilasPolicy::new(predictor, self.nilas_config())),
-            Algorithm::Lava => Box::new(LavaPolicy::new(
-                predictor,
-                LavaConfig {
-                    nilas: self.nilas_config(),
-                    ..LavaConfig::default()
-                },
-            )),
+            Algorithm::Lava => Box::new(LavaPolicy::new(predictor, self.nilas_config())),
         }
     }
 }

@@ -15,9 +15,10 @@
 //! each new instant, for any predictor; and at the default interval for
 //! the oracle predictor, whose answer for a live VM does not move between
 //! refreshes. A second set of tests bounds the `NilasStats`
-//! prediction/cache counters by what the brute force would have spent. A
-//! third counts the calls that reach the predictor: one batch per refresh
-//! pass, one prediction per arriving VM. (The state-level oracle for the
+//! prediction/cache counters by what the brute force would have spent,
+//! and pins their values on a fixed workload. A third counts the calls
+//! that reach the predictor: one batch per refresh pass, one prediction
+//! per arriving VM. (The state-level oracle for the
 //! batched refresh pass — identical cache entries, orderings and dirty set
 //! to a host-by-host recompute — needs the cache's private fields and
 //! lives in `lava-sched`'s `cluster.rs`.)
@@ -27,7 +28,7 @@ use lava::model::dataset::DatasetBuilder;
 use lava::model::gbdt::GbdtConfig;
 use lava::model::predictor::{GbdtPredictor, LifetimePredictor, OraclePredictor};
 use lava::sched::cluster::Cluster;
-use lava::sched::lava::{LavaConfig, LavaPolicy};
+use lava::sched::lava::LavaPolicy;
 use lava::sched::nilas::{NilasConfig, NilasPolicy, NilasStats};
 use lava::sched::policy::{FallbackSpec, PlacementPolicy};
 use lava::sched::scheduler::Scheduler;
@@ -89,11 +90,7 @@ impl Subject {
         Subject::Nilas(NilasPolicy::new(predictor, config))
     }
 
-    fn lava(predictor: Arc<dyn LifetimePredictor>, nilas: NilasConfig) -> Subject {
-        let config = LavaConfig {
-            nilas,
-            ..LavaConfig::default()
-        };
+    fn lava(predictor: Arc<dyn LifetimePredictor>, config: NilasConfig) -> Subject {
         Subject::Lava(LavaPolicy::new(predictor, config))
     }
 
@@ -143,7 +140,6 @@ fn brute_force(
     exclude: Option<HostId>,
 ) -> BruteForce {
     let degraded = subject.is_degraded();
-    let buckets = TemporalCostBuckets::default();
     let request = vm.resources();
     let remaining = predictor.predict_remaining(vm, now);
     let vm_class = LifetimeClass::from_lifetime(remaining);
@@ -166,7 +162,7 @@ fn brute_force(
         let cost = if degraded {
             0
         } else {
-            buckets.cost(vm_exit.saturating_since(host_exit))
+            temporal_cost(vm_exit.saturating_since(host_exit))
         };
         let tail = [cost as f64, waste_minimization_score(host, request)];
         let score = match subject {
@@ -430,6 +426,173 @@ fn nilas_stats_not_inflated_by_indexed_scan() {
     // The cache and the incremental-hint machinery must actually be doing
     // work, not just disabled.
     assert!(stats.cache_hits > 0, "{stats:?}: never hit the cache");
+}
+
+/// The fixed workload of [`nilas_stats_not_inflated_by_indexed_scan`] on a
+/// [`Grid`] pool, `step` apart, with the scheduler's other hooks: every
+/// fourth step also reports a model health, bad on every other report,
+/// and every step ticks. Returns the subject's counters and, for LAVA, its
+/// `(class_downgrades, deadline_corrections)`.
+fn pinned_run(
+    mut subject: Subject,
+    grid: Grid,
+    step: Duration,
+) -> (NilasStats, Option<(u64, u64)>) {
+    let mut c = grid.cluster();
+    let mut now = SimTime::ZERO;
+    for i in 0..120u64 {
+        now += step;
+        let mut v = vm(i, 1 + (i % 50), 1 + (i % 6), now);
+        v.set_initial_prediction(OraclePredictor.predict_remaining(&v, now));
+        if let Some(host) = subject.policy().choose_host(&c, &v, now, None) {
+            let id = v.id();
+            c.place(v, host).unwrap();
+            subject.policy().on_vm_placed(&mut c, id, host, now);
+        }
+        if i % 4 == 3 {
+            let victim = VmId(i - 3);
+            if c.vm(victim).is_some() {
+                let (_, host) = c.remove(victim).unwrap();
+                subject.policy().on_vm_exited(&mut c, host, now);
+            }
+            let error = if i % 8 == 3 { 0.9 } else { 0.1 };
+            subject.policy().on_model_health(error, 8);
+        }
+        subject.policy().on_tick(&mut c, now);
+    }
+    let lava = match &subject {
+        Subject::Nilas(_) => None,
+        Subject::Lava(p) => Some((p.class_downgrades(), p.deadline_corrections())),
+    };
+    (subject.stats(), lava)
+}
+
+/// The counters of [`pinned_run`], as literal values. The tests above only
+/// bound them, and the benchmark's `policy.exit_cache_hit_ratio` is read
+/// from them. At 20 s between arrivals the cache serves most lookups; at
+/// 1 h every entry has expired by the next decision, and LAVA hosts
+/// outlive their deadlines. Only the fallback subject ever degrades.
+#[test]
+fn walk_counters_are_pinned() {
+    let nilas: fn() -> Subject = || Subject::nilas(oracle(), NilasConfig::default());
+    let lava: fn() -> Subject = || Subject::lava(oracle(), NilasConfig::default());
+    let fallback: fn() -> Subject = || Subject::lava(oracle(), with_fallback());
+    // (subject, pool, seconds between arrivals, [predictions, cache_hits,
+    // cache_misses, refresh_examined, empty_examined], LAVA's
+    // (class_downgrades, deadline_corrections))
+    let pins = [
+        (
+            "nilas",
+            nilas,
+            Grid::Uniform,
+            20,
+            [392, 81, 61, 87, 13],
+            None,
+        ),
+        (
+            "nilas",
+            nilas,
+            Grid::Uniform,
+            3600,
+            [1028, 0, 183, 230, 16],
+            None,
+        ),
+        (
+            "nilas",
+            nilas,
+            Grid::Mixed,
+            20,
+            [398, 77, 97, 181, 26],
+            None,
+        ),
+        (
+            "nilas",
+            nilas,
+            Grid::Mixed,
+            3600,
+            [1289, 0, 283, 408, 33],
+            None,
+        ),
+        (
+            "lava",
+            lava,
+            Grid::Uniform,
+            20,
+            [404, 81, 63, 91, 11],
+            Some((0, 0)),
+        ),
+        (
+            "lava",
+            lava,
+            Grid::Uniform,
+            3600,
+            [1058, 0, 186, 232, 11],
+            Some((0, 3)),
+        ),
+        (
+            "lava",
+            lava,
+            Grid::Mixed,
+            20,
+            [467, 85, 114, 211, 26],
+            Some((0, 0)),
+        ),
+        (
+            "lava",
+            lava,
+            Grid::Mixed,
+            3600,
+            [1264, 0, 253, 363, 26],
+            Some((0, 4)),
+        ),
+        (
+            "fallback",
+            fallback,
+            Grid::Uniform,
+            20,
+            [415, 91, 64, 95, 11],
+            Some((0, 0)),
+        ),
+        (
+            "fallback",
+            fallback,
+            Grid::Uniform,
+            3600,
+            [898, 0, 169, 219, 11],
+            Some((0, 3)),
+        ),
+        (
+            "fallback",
+            fallback,
+            Grid::Mixed,
+            20,
+            [407, 91, 65, 122, 29],
+            Some((0, 0)),
+        ),
+        (
+            "fallback",
+            fallback,
+            Grid::Mixed,
+            3600,
+            [836, 0, 164, 235, 29],
+            Some((0, 4)),
+        ),
+    ];
+    for (name, make, grid, secs, counters, lava) in pins {
+        let [predictions, cache_hits, cache_misses, refresh_examined, empty_examined] = counters;
+        let expected = NilasStats {
+            predictions,
+            cache_hits,
+            cache_misses,
+            refresh_examined,
+            empty_examined,
+        };
+        assert_eq!(
+            pinned_run(make(), grid, Duration::from_secs(secs)),
+            (expected, lava),
+            "{name} on the {grid:?} pool, {secs} s apart"
+        );
+    }
 }
 
 /// One decision for a fresh `cores`-core VM at time zero, checked against
