@@ -987,18 +987,7 @@ impl Experiment {
 
     /// Run the experiment with the built-in observers only.
     pub fn run(&self) -> ExperimentReport {
-        self.run_once(&mut [], None)
-    }
-
-    /// Run the experiment with a multi-worker fleet's cells pinned on
-    /// `pool` instead of the process-wide
-    /// [`crate::workers::WorkerPool::global`] (a run on one worker never
-    /// touches a pool). Results are
-    /// bit-identical to [`Experiment::run`] — explicit pools exist so
-    /// tests can prove back-to-back runs on a shared pool leak no state
-    /// into each other.
-    pub fn run_on(&self, pool: &crate::workers::WorkerPool) -> ExperimentReport {
-        self.run_once(&mut [], Some(pool))
+        self.run_once(&mut [])
     }
 
     /// Run the experiment with additional observers attached after the
@@ -1018,7 +1007,7 @@ impl Experiment {
     /// instead. A spec without a fleet tier, or with a 1-cell one, takes
     /// any observers.
     pub fn run_with_observers(&self, extra: &mut [&mut dyn SimObserver]) -> ExperimentReport {
-        self.run_once(extra, None)
+        self.run_once(extra)
     }
 
     /// One full replay of the workload through the fleet engine: the
@@ -1028,11 +1017,7 @@ impl Experiment {
     /// engine drives them over the experiment's
     /// [event feed](Experiment::event_source) behind the configured
     /// router.
-    fn run_once(
-        &self,
-        extra: &mut [&mut dyn SimObserver],
-        pool: Option<&crate::workers::WorkerPool>,
-    ) -> ExperimentReport {
+    fn run_once(&self, extra: &mut [&mut dyn SimObserver]) -> ExperimentReport {
         let spec = &self.spec;
         let fleet_config = spec.fleet.clone().unwrap_or_else(|| FleetConfig::new(1));
         let predictor = self.predictor();
@@ -1075,7 +1060,6 @@ impl Experiment {
             source.as_mut(),
             fleet_config.threads,
             chaos.as_ref(),
-            pool,
             extra,
         );
         let report = FleetReport::from_outcome(

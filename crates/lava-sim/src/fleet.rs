@@ -36,7 +36,7 @@
 //! admission tier tracks its own in-flight placements against a stale
 //! capacity feed.
 //!
-//! # Deterministic parallelism: one coordinator, pooled or inline lanes
+//! # Deterministic parallelism: one coordinator, scoped or inline lanes
 //!
 //! Cells are independent *given the routing decisions*, and routing
 //! decisions are made serially, in arrival order, on the coordinating
@@ -53,17 +53,21 @@
 //! the whole run, and drains the source for epoch *k+1* right after
 //! handing out epoch *k*. What differs is only where the sessions live:
 //!
-//! * **Pooled lanes** — two or more workers: one session is pinned per
-//!   worker of the persistent [`WorkerPool`](crate::workers) (cell state
-//!   never moves between threads mid-run) and fed over a bounded channel,
-//!   so the drain of epoch *k+1* — and, for routers that never read
-//!   summaries, its routing and dispatch too — overlaps the workers
-//!   stepping epoch *k*. The run holds the pool's session lock, so
-//!   concurrent fleet runs (fleet arms of a parallel suite) take turns.
-//!   A session that panics sends its payload back as its last reply.
+//! * **Scoped lanes** — two or more workers: [`run_fleet`] spawns one
+//!   thread per lane inside one `std::thread::scope` that lives exactly
+//!   as long as the run. Each lane thread owns its session (cell state
+//!   never moves between threads mid-run) and is fed over a bounded
+//!   channel, so the drain of epoch *k+1* — and, for routers that never
+//!   read summaries, its routing and dispatch too — overlaps the lanes
+//!   stepping epoch *k*. Concurrent fleet runs (fleet arms of a parallel
+//!   suite) each have their own lanes and run side by side. A lane that
+//!   panics closes its channels; the coordinator joins it and raises a
+//!   [`FleetWorkerError`]. A coordinator that panics drops the lanes'
+//!   channels as it unwinds, so every lane exits and the scope re-raises
+//!   the coordinator's own payload.
 //! * **The inline lane** — one worker or one cell: a single session
 //!   owned by the coordinator answers each message synchronously on the
-//!   calling thread. No channel, no session lock, no thread.
+//!   calling thread. No channel and no thread.
 //!
 //! Summary-driven routers route epoch *k+1* only after the barrier
 //! delivers the summaries extracted at its start. Either way every lane
@@ -86,7 +90,6 @@ use crate::chaos::{AdaptationSpec, ChaosController, IncidentPlan};
 use crate::drive::{DriveLoop, DriveTiming};
 use crate::metrics::{MetricSample, MetricSeries, SimulationResult};
 use crate::observer::{MetricRecorder, SimObserver};
-use crate::workers::{panic_message, WorkerPool, PIPELINE_DEPTH};
 use crate::workload::PoolConfig;
 use lava_core::cell::{CellId, CellSummary};
 use lava_core::events::{TraceEvent, TraceEventKind};
@@ -106,10 +109,10 @@ use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::convert::Infallible;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
-use std::sync::{mpsc, Arc, MutexGuard};
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 /// Maximum number of live VMs repredicted per cell when extracting a
@@ -690,21 +693,16 @@ impl Router {
             return 0;
         }
         match &event.kind {
-            TraceEventKind::Exit { vm } => match self.spec {
-                // Stateless except for repinned VMs: a failover placement
-                // ([`Router::repin`]) left a pin so its release follows it
-                // to the cell that actually holds it, not the hash target.
-                RouterSpec::Hash => self
-                    .vm_cell
-                    .remove(vm)
-                    .map(|c| c as usize)
-                    .unwrap_or_else(|| (mix64(vm.0) % self.cells as u64) as usize),
-                _ => self
-                    .vm_cell
-                    .remove(vm)
-                    .map(|c| c as usize)
-                    .expect("exit routed for a VM the router never placed"),
-            },
+            // An exit follows its VM's pin: every create a stateful router
+            // placed, and every failover placement ([`Router::repin`]).
+            // Without a pin (any hash-routed VM, or an exit no create
+            // named) it goes to the VM's hash cell; for an unmatched exit
+            // that cell's scheduler then finds nothing to remove.
+            TraceEventKind::Exit { vm } => self
+                .vm_cell
+                .remove(vm)
+                .map(|c| c as usize)
+                .unwrap_or_else(|| (mix64(vm.0) % self.cells as u64) as usize),
             TraceEventKind::Create { vm, spec, lifetime } => {
                 let cell = match self.spec {
                     RouterSpec::Hash => (mix64(vm.0) % self.cells as u64) as usize,
@@ -1020,15 +1018,19 @@ fn with_observers<R>(
     f(&mut observers)
 }
 
-fn worker_count(threads: usize, cells: usize) -> usize {
+/// How many threads `jobs` independent jobs run on: `threads`, or one per
+/// available CPU when it is 0, clamped to `1..=jobs`. Fleet lanes (jobs =
+/// cells) and [`ExperimentSuite`](crate::suite::ExperimentSuite) arms
+/// share it.
+pub(crate) fn worker_count(threads: usize, jobs: usize) -> usize {
     let requested = if threads == 0 {
-        std::thread::available_parallelism()
+        thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     } else {
         threads
     };
-    requested.clamp(1, cells.max(1))
+    requested.clamp(1, jobs.max(1))
 }
 
 /// Drive a whole fleet over one event source.
@@ -1046,13 +1048,13 @@ fn worker_count(threads: usize, cells: usize) -> usize {
 ///
 /// There is one coordinator loop; `threads` (0 = one per CPU, capped at
 /// the cell count) only decides where the cells' sessions live. With two
-/// or more workers they are pinned on the persistent [`WorkerPool`]
-/// (`pool`, or the process-wide [`WorkerPool::global`] when `None`) and
-/// the drain of the next epoch — for summary-free routers its routing
-/// too — overlaps execution of the current one. With one worker or one
-/// cell a single session runs inline on the calling thread and `pool` is
-/// never touched. See the [module docs](self). Outcomes are bit-identical
-/// on every lane and at any thread count.
+/// or more lanes each session runs on a thread this call spawns inside
+/// one `std::thread::scope` and joins before it returns, and the drain of
+/// the next epoch — for summary-free routers its routing too — overlaps
+/// execution of the current one. With one lane or one cell a single
+/// session runs inline on the calling thread. See the [module
+/// docs](self). Outcomes are bit-identical on every lane and at any
+/// thread count.
 ///
 /// Once the source is exhausted the cells run to completion and the
 /// per-cell outcomes are returned in cell order.
@@ -1063,6 +1065,18 @@ fn worker_count(threads: usize, cells: usize) -> usize {
 /// [`FleetChaos::swaps`] as the scheduler predictor; incident actions
 /// are ordinary timeline items inside each cell's deterministic drive
 /// loop, so the bit-identity guarantee is unchanged.
+///
+/// `_pool` is ignored. Its type is uninhabited, so the only argument a
+/// caller can pass is `None`; it keeps existing nine-argument calls
+/// compiling.
+///
+/// # Panics
+///
+/// A panic inside a lane thread aborts the run with a
+/// [`FleetWorkerError`] payload naming the lane, its cells and the
+/// original message. A panic on the coordinator (router or predictor) or
+/// on the inline lane unwinds with its own payload once every lane
+/// thread has exited.
 #[allow(clippy::too_many_arguments)]
 pub fn run_fleet(
     cells: Vec<FleetCell>,
@@ -1073,7 +1087,7 @@ pub fn run_fleet(
     source: &mut dyn EventSource,
     threads: usize,
     chaos: Option<&FleetChaos>,
-    pool: Option<&WorkerPool>,
+    _pool: Option<&Infallible>,
 ) -> FleetOutcome {
     run_fleet_observed(
         cells,
@@ -1084,7 +1098,6 @@ pub fn run_fleet(
         source,
         threads,
         chaos,
-        pool,
         &mut [],
     )
 }
@@ -1108,7 +1121,6 @@ pub(crate) fn run_fleet_observed(
     source: &mut dyn EventSource,
     threads: usize,
     chaos: Option<&FleetChaos>,
-    pool: Option<&WorkerPool>,
     observers: &mut [&mut dyn SimObserver],
 ) -> FleetOutcome {
     assert!(
@@ -1117,20 +1129,33 @@ pub(crate) fn run_fleet_observed(
          use the per-cell results on ExperimentReport::fleet instead"
     );
     let runners = build_runners(cells, &predictor, summary_refresh, timing, chaos);
-    let cell_count = runners.len();
-    let mut router = Router::new(router, cell_count);
-    let workers = worker_count(threads, cell_count);
-    let mut lanes = if workers <= 1 {
-        Lanes::inline(runners, observers)
-    } else {
-        Lanes::pooled(
-            runners,
-            workers,
-            pool.unwrap_or_else(|| WorkerPool::global()),
-        )
-    };
-    let lane_count = lanes.len();
+    let router = Router::new(router, runners.len());
+    let lanes = worker_count(threads, runners.len());
+    let predictor = predictor.as_ref();
+    if lanes <= 1 {
+        let lanes = Lanes::inline(runners, observers);
+        return coordinate(lanes, router, predictor, summary_refresh, source);
+    }
+    // The lanes' channels live in `coordinate`'s frame: if the router or
+    // the predictor panics, unwinding drops them, every lane sees a closed
+    // channel and exits, and the scope re-raises the coordinator's panic.
+    thread::scope(|scope| {
+        let lanes = Lanes::threaded(scope, runners, lanes);
+        coordinate(lanes, router, predictor, summary_refresh, source)
+    })
+}
 
+/// The one epoch loop (see the [module docs](self)): route each epoch's
+/// events serially, hand every lane its batch, and drain the next epoch
+/// while the lanes step this one.
+fn coordinate(
+    mut lanes: Lanes<'_, '_, '_>,
+    mut router: Router,
+    predictor: &dyn LifetimePredictor,
+    summary_refresh: Duration,
+    source: &mut dyn EventSource,
+) -> FleetOutcome {
+    let lane_count = lanes.len();
     let needs_summaries = router.needs_summaries();
     if needs_summaries {
         for lane in 0..lane_count {
@@ -1141,7 +1166,7 @@ pub(crate) fn run_fleet_observed(
     let mut epoch_end = SimTime::ZERO + summary_refresh;
     let (mut closed, mut last_arrival) = drain_epoch(source, epoch_end, &mut pending);
     if needs_summaries {
-        // Barrier zero: the untouched cells' summaries (on pooled lanes
+        // Barrier zero: the untouched cells' summaries (on lane threads
         // extracted while the drain above ran).
         router.refresh(lanes.summaries());
     }
@@ -1150,7 +1175,7 @@ pub(crate) fn run_fleet_observed(
     loop {
         // Route this epoch's events serially, in arrival order.
         for event in pending.drain(..) {
-            let cell = router.route(&event, predictor.as_ref());
+            let cell = router.route(&event, predictor);
             batches[cell % lane_count].push(((cell / lane_count) as u32, event));
         }
         let want_summaries = needs_summaries && !closed;
@@ -1167,7 +1192,7 @@ pub(crate) fn run_fleet_observed(
         if closed {
             break;
         }
-        // Drain the next epoch while pooled lanes step this one. For
+        // Drain the next epoch while lane threads step this one. For
         // summary-free routers there is no barrier at all — the loop runs
         // ahead until the bounded epoch channels push back.
         let next_end = epoch_end + summary_refresh;
@@ -1255,8 +1280,8 @@ enum WorkerReply {
 }
 
 /// The cells one lane owns for the entire run, in local-slot order, and
-/// the one handler of the epoch protocol: a pooled lane calls it from its
-/// pinned job, the inline lane from the coordinator itself.
+/// the one handler of the epoch protocol: a lane thread calls it from
+/// [`serve_lane`], the inline lane from the coordinator itself.
 struct FleetSession(Vec<CellRunner>);
 
 impl FleetSession {
@@ -1307,44 +1332,38 @@ impl FleetSession {
     }
 }
 
-/// The long-lived job a pooled lane pins to its worker: answers epoch
-/// messages until the closed epoch. A panic anywhere in here is caught and
-/// sent back as the session's last reply, so the coordinator can name what
-/// died.
-fn fleet_session(
+/// A lane thread's whole life: answer epoch messages until the closed
+/// epoch, or until the coordinator hangs up. A panic in here unwinds the
+/// thread and closes both its channels; the coordinator then joins the
+/// thread for its payload.
+fn serve_lane(
     mut session: FleetSession,
     epochs: mpsc::Receiver<EpochMsg>,
-    reply: mpsc::Sender<thread::Result<WorkerReply>>,
+    reply: mpsc::Sender<WorkerReply>,
 ) {
-    let served = catch_unwind(AssertUnwindSafe(|| {
-        while let Ok(msg) = epochs.recv() {
-            if let Some(answer) = session.handle(msg, &mut []) {
-                let last = matches!(answer, WorkerReply::Outcomes(_));
-                if reply.send(Ok(answer)).is_err() || last {
-                    return;
-                }
+    while let Ok(msg) = epochs.recv() {
+        if let Some(answer) = session.handle(msg, &mut []) {
+            let last = matches!(answer, WorkerReply::Outcomes(_));
+            if reply.send(answer).is_err() || last {
+                return;
             }
         }
-    }));
-    if let Err(payload) = served {
-        let _ = reply.send(Err(payload));
     }
 }
 
-/// A cell-owning fleet session worker died mid-run (its pinned job
-/// panicked). Raised by the coordinator via `std::panic::panic_any` in
-/// place of the bare "fleet worker died" channel hang-up, so the failure
-/// names **which** worker died, **which** cells it owned (their state is
-/// lost), and the original panic message. Pooled lanes only: a panic on
-/// the inline lane is already on the caller's thread and unwinds through
-/// [`run_fleet`] with its own payload.
+/// A fleet lane thread died mid-run (its session panicked). Raised by the
+/// coordinator via `std::panic::panic_any` in place of the bare channel
+/// hang-up, so the failure names **which** lane died, **which** cells it
+/// owned (their state is lost), and the original panic message. Lane
+/// threads only: a panic on the inline lane is already on the caller's
+/// thread and unwinds through [`run_fleet`] with its own payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetWorkerError {
-    /// Pool worker index whose session job died.
+    /// Index of the lane whose thread died.
     pub worker: usize,
-    /// Global indices of the cells the dead worker owned.
+    /// Global indices of the cells the dead lane owned.
     pub cells: Vec<usize>,
-    /// The swallowed panic payload, stringified when possible.
+    /// The lane's panic payload, stringified when possible.
     pub panic: String,
 }
 
@@ -1360,28 +1379,28 @@ impl fmt::Display for FleetWorkerError {
 
 impl std::error::Error for FleetWorkerError {}
 
-/// Abort the run with a [`FleetWorkerError`] for worker `worker`, whose
-/// session sent back `payload` (`None`: its channel closed without one).
-fn fleet_worker_died(
-    worker: usize,
-    payload: Option<Box<dyn Any + Send>>,
-    cell_count: usize,
-    workers: usize,
-) -> ! {
-    let panic = payload
-        .map(|payload| panic_message(payload.as_ref()))
-        .unwrap_or_else(|| "worker channel closed without a captured panic".to_string());
-    let cells = (0..cell_count).filter(|c| c % workers == worker).collect();
-    std::panic::panic_any(FleetWorkerError {
-        worker,
-        cells,
-        panic,
-    });
+/// Render a captured panic payload as a message: the `&str` / `String`
+/// payloads `panic!` produces, or a placeholder for exotic `panic_any`
+/// payloads.
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
+
+/// How many epochs the coordinator may run ahead of a lane thread: the
+/// bound of each lane's epoch channel. Depth 2 lets routing of the next
+/// epoch overlap execution of the current one while keeping queued-event
+/// memory bounded: O(cells + one epoch's events) however fast routing is.
+const PIPELINE_DEPTH: usize = 2;
 
 /// Where a run's sessions live (see the [module docs](self)). Cells are
 /// striped `cell i → lane i % lanes`, local slot `i / lanes`.
-enum Lanes<'p, 'o> {
+enum Lanes<'scope, 'p, 'o> {
     /// One session, owned by the coordinator and run on its thread, with
     /// the caller's `observers`; `reply` keeps the answer to the last
     /// message until it is read.
@@ -1390,25 +1409,21 @@ enum Lanes<'p, 'o> {
         observers: &'p mut [&'o mut dyn SimObserver],
         reply: Option<WorkerReply>,
     },
-    /// One session pinned per pool worker, each behind a bounded epoch
-    /// channel and a reply channel.
-    Pooled {
+    /// One scoped thread per lane, each owning its session behind a
+    /// bounded epoch channel and a reply channel.
+    Threaded {
         epochs: Vec<mpsc::SyncSender<EpochMsg>>,
-        replies: Vec<mpsc::Receiver<thread::Result<WorkerReply>>>,
+        replies: Vec<mpsc::Receiver<WorkerReply>>,
+        threads: Vec<thread::ScopedJoinHandle<'scope, ()>>,
         cell_count: usize,
-        /// Two concurrent fleet runs pinning sessions onto overlapping
-        /// workers would deadlock on each other's bounded channels: one
-        /// run at a time. Last field, so it is released only after the
-        /// channels above have closed.
-        _session: MutexGuard<'p, ()>,
     },
 }
 
-impl<'p, 'o> Lanes<'p, 'o> {
+impl<'scope, 'p, 'o> Lanes<'scope, 'p, 'o> {
     fn inline(
         runners: Vec<CellRunner>,
         observers: &'p mut [&'o mut dyn SimObserver],
-    ) -> Lanes<'p, 'o> {
+    ) -> Lanes<'scope, 'p, 'o> {
         Lanes::Inline {
             session: FleetSession(runners),
             observers,
@@ -1416,40 +1431,41 @@ impl<'p, 'o> Lanes<'p, 'o> {
         }
     }
 
-    fn pooled(runners: Vec<CellRunner>, workers: usize, pool: &'p WorkerPool) -> Lanes<'p, 'o> {
+    /// Stripe `runners` over `lanes` threads spawned on `scope`.
+    fn threaded(
+        scope: &'scope thread::Scope<'scope, '_>,
+        runners: Vec<CellRunner>,
+        lanes: usize,
+    ) -> Lanes<'scope, 'p, 'o> {
         let cell_count = runners.len();
-        let _session = pool.session();
-        pool.ensure_workers(workers);
-        // Push order gives the slot map: cell i lands at slot i / workers.
-        let mut owned: Vec<Vec<CellRunner>> = (0..workers).map(|_| Vec::new()).collect();
+        // Push order gives the slot map: cell i lands at slot i / lanes.
+        let mut owned: Vec<Vec<CellRunner>> = (0..lanes).map(|_| Vec::new()).collect();
         for (i, runner) in runners.into_iter().enumerate() {
-            owned[i % workers].push(runner);
+            owned[i % lanes].push(runner);
         }
-        let mut epochs = Vec::with_capacity(workers);
-        let mut replies = Vec::with_capacity(workers);
-        for (worker, owned) in owned.into_iter().enumerate() {
-            let (epoch_tx, epoch_rx) = mpsc::sync_channel::<EpochMsg>(PIPELINE_DEPTH);
+        let mut epochs = Vec::with_capacity(lanes);
+        let mut replies = Vec::with_capacity(lanes);
+        let mut threads = Vec::with_capacity(lanes);
+        for owned in owned {
+            let (epoch_tx, epoch_rx) = mpsc::sync_channel(PIPELINE_DEPTH);
             let (reply_tx, reply_rx) = mpsc::channel();
             epochs.push(epoch_tx);
             replies.push(reply_rx);
             let session = FleetSession(owned);
-            pool.submit_pinned(
-                worker,
-                Box::new(move || fleet_session(session, epoch_rx, reply_tx)),
-            );
+            threads.push(scope.spawn(move || serve_lane(session, epoch_rx, reply_tx)));
         }
-        Lanes::Pooled {
+        Lanes::Threaded {
             epochs,
             replies,
+            threads,
             cell_count,
-            _session,
         }
     }
 
     fn len(&self) -> usize {
         match self {
             Lanes::Inline { .. } => 1,
-            Lanes::Pooled { epochs, .. } => epochs.len(),
+            Lanes::Threaded { epochs, .. } => epochs.len(),
         }
     }
 
@@ -1463,16 +1479,9 @@ impl<'p, 'o> Lanes<'p, 'o> {
                 debug_assert!(reply.is_none(), "the last answer was never read");
                 *reply = session.handle(msg, observers);
             }
-            Lanes::Pooled {
-                epochs,
-                replies,
-                cell_count,
-                ..
-            } => {
+            Lanes::Threaded { epochs, .. } => {
                 if epochs[lane].send(msg).is_err() {
-                    // The session is gone; its last reply says why.
-                    let payload = replies[lane].iter().find_map(Result::err);
-                    fleet_worker_died(lane, payload, *cell_count, epochs.len());
+                    self.lane_died(lane);
                 }
             }
         }
@@ -1481,18 +1490,36 @@ impl<'p, 'o> Lanes<'p, 'o> {
     fn recv(&mut self, lane: usize) -> WorkerReply {
         match self {
             Lanes::Inline { reply, .. } => reply.take().expect("the inline lane answered"),
-            Lanes::Pooled {
-                replies,
-                cell_count,
-                ..
-            } => match replies[lane].recv() {
-                Ok(Ok(answer)) => answer,
-                Ok(Err(payload)) => {
-                    fleet_worker_died(lane, Some(payload), *cell_count, replies.len())
-                }
-                Err(_) => fleet_worker_died(lane, None, *cell_count, replies.len()),
+            Lanes::Threaded { replies, .. } => match replies[lane].recv() {
+                Ok(answer) => answer,
+                Err(_) => self.lane_died(lane),
             },
         }
+    }
+
+    /// Lane `lane`'s channel closed mid-run, so its thread is gone: join
+    /// it for the panic payload and abort the run with a
+    /// [`FleetWorkerError`].
+    fn lane_died(&mut self, lane: usize) -> ! {
+        let Lanes::Threaded {
+            threads,
+            cell_count,
+            ..
+        } = self
+        else {
+            unreachable!("the inline lane has no channel to close");
+        };
+        let lanes = threads.len();
+        let panic = match threads.swap_remove(lane).join() {
+            Err(payload) => panic_message(payload.as_ref()),
+            Ok(()) => "lane thread exited without a panic".to_string(),
+        };
+        let cells = (0..*cell_count).filter(|c| c % lanes == lane).collect();
+        std::panic::panic_any(FleetWorkerError {
+            worker: lane,
+            cells,
+            panic,
+        });
     }
 
     /// One reply from every lane, as [`WorkerReply::Summaries`], in cell
@@ -1533,6 +1560,7 @@ mod tests {
     use lava_sched::Algorithm;
     use proptest::prelude::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
     fn base_pool(hosts: usize) -> PoolConfig {
         PoolConfig {
@@ -1644,8 +1672,8 @@ mod tests {
     }
 
     /// A 4-cell round-robin fleet over 8 hosts whose cell 1 runs an
-    /// [`ExplodingPolicy`] with the given fuse, run at `threads` workers
-    /// on a pool of its own; returns the payload the run unwound with.
+    /// [`ExplodingPolicy`] with the given fuse, run at `threads` workers;
+    /// returns the payload the run unwound with.
     fn exploding_fleet_payload(fuse: usize, threads: usize) -> Box<dyn std::any::Any + Send> {
         let config = FleetConfig::new(4)
             .with_router(RouterSpec::RoundRobin)
@@ -1659,7 +1687,6 @@ mod tests {
             };
             (policy, None)
         });
-        let pool = WorkerPool::new(2);
         let mut source = StreamingWorkload::new(base);
         catch_unwind(AssertUnwindSafe(|| {
             run_fleet(
@@ -1671,7 +1698,7 @@ mod tests {
                 &mut source,
                 config.threads,
                 None,
-                Some(&pool),
+                None,
             )
         }))
         .expect_err("a panicking cell must abort the run")
@@ -1679,9 +1706,9 @@ mod tests {
 
     #[test]
     fn dead_session_worker_reports_structured_error() {
-        // Cells 1 and 3 stripe onto worker 1 of a 2-worker pool; the
-        // round-robin router sends cell 1 traffic immediately, killing
-        // that worker's session mid-run.
+        // Cells 1 and 3 stripe onto lane 1 of 2; the round-robin router
+        // sends cell 1 traffic immediately, killing that lane's thread
+        // mid-run.
         let err = exploding_fleet_payload(0, 2)
             .downcast::<FleetWorkerError>()
             .expect("the abort payload is the structured error");
@@ -1709,6 +1736,76 @@ mod tests {
         );
         let message = panic_message(payload.as_ref());
         assert!(message.contains("policy exploded"), "payload: {message}");
+    }
+
+    /// The oracle until its fuse runs out, then a panic — a router-side
+    /// model blowing up on the coordinator.
+    struct ExplodingPredictor {
+        calls: AtomicUsize,
+        fuse: usize,
+    }
+
+    impl LifetimePredictor for ExplodingPredictor {
+        fn predict_remaining(&self, vm: &Vm, now: SimTime) -> Duration {
+            let call = self.calls.fetch_add(1, AtomicOrdering::Relaxed);
+            assert!(call < self.fuse, "router predictor exploded on call {call}");
+            OraclePredictor::new().predict_remaining(vm, now)
+        }
+        fn name(&self) -> &'static str {
+            "exploding"
+        }
+    }
+
+    #[test]
+    fn coordinator_panic_with_live_lanes_unwinds_with_its_own_payload() {
+        // The cells predict through oracle swaps (the chaos seam), so only
+        // the router calls the exploding predictor: on the coordinator,
+        // mid-run, while both lane threads hold cells. The run must not
+        // hang on them, and must not blame a lane.
+        let config = FleetConfig::new(4)
+            .with_router(RouterSpec::LifetimeAware)
+            .with_threads(2);
+        let base = base_pool(16);
+        let oracle: Arc<dyn LifetimePredictor> = Arc::new(OraclePredictor::new());
+        let chaos = FleetChaos {
+            incidents: IncidentPlan::default(),
+            adaptation: AdaptationSpec::default(),
+            swaps: (0..config.cells)
+                .map(|_| SwappablePredictor::new(oracle.clone()))
+                .collect(),
+        };
+        let cells = config.build_cells(&base, |id| {
+            let swap = chaos.swaps[id.0 as usize].clone();
+            (Algorithm::Nilas.build_policy(swap), None)
+        });
+        let predictor = Arc::new(ExplodingPredictor {
+            calls: AtomicUsize::new(0),
+            fuse: 200,
+        });
+        let mut source = StreamingWorkload::new(base);
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            run_fleet(
+                cells,
+                predictor,
+                config.router,
+                config.summary_refresh,
+                &test_timing(Duration::from_mins(5)),
+                &mut source,
+                config.threads,
+                Some(&chaos),
+                None,
+            )
+        }))
+        .expect_err("the router's panic must abort the run");
+        assert!(
+            !payload.is::<FleetWorkerError>(),
+            "no lane died: the coordinator's own payload comes out"
+        );
+        let message = panic_message(payload.as_ref());
+        assert!(
+            message.contains("router predictor exploded on call 200"),
+            "payload: {message}"
+        );
     }
 
     #[test]
@@ -1955,14 +2052,11 @@ mod tests {
     }
 
     /// Which fleet executor to drive in [`run_fleet_engine`].
-    enum Engine<'p> {
+    enum Engine {
         /// [`reference_fleet`].
         Reference { threads: usize },
-        /// [`run_fleet`]; `None` uses the process-global pool.
-        Coordinator {
-            threads: usize,
-            pool: Option<&'p WorkerPool>,
-        },
+        /// [`run_fleet`].
+        Coordinator { threads: usize },
     }
 
     /// Drive one fleet configuration through the chosen executor, building
@@ -1970,7 +2064,7 @@ mod tests {
     /// swaps and the chaos source are stateful, so comparison runs must not
     /// share them). Mirrors the wiring `Experiment::run` does.
     fn run_fleet_engine(
-        engine: Engine<'_>,
+        engine: Engine,
         base: &PoolConfig,
         fleet: &FleetConfig,
         incidents: &IncidentPlan,
@@ -2009,7 +2103,7 @@ mod tests {
                 threads,
                 chaos.as_ref(),
             ),
-            Engine::Coordinator { threads, pool } => run_fleet(
+            Engine::Coordinator { threads } => run_fleet(
                 cells,
                 predictor,
                 fleet.router,
@@ -2018,7 +2112,7 @@ mod tests {
                 source.as_mut(),
                 threads,
                 chaos.as_ref(),
-                pool,
+                None,
             ),
         }
     }
@@ -2028,12 +2122,11 @@ mod tests {
         /// *directly* (no experiment plumbing): on randomized
         /// heterogeneous fleets with a cell outage, a predictor
         /// degradation and the recalibrator all active, [`run_fleet`] on
-        /// the inline lane (1 thread) and on pooled lanes ({2, per-CPU}
-        /// threads, process-global pool and an explicit caller pool) must
-        /// produce the same bits as the reference loop, itself run
-        /// serially and on scoped threads.
+        /// the inline lane (1 thread) and on threaded lanes ({2, per-CPU}
+        /// threads) must produce the same bits as the reference loop,
+        /// itself run serially and on per-epoch scoped threads.
         #[test]
-        fn pooled_engine_matches_scoped_reference_loop(
+        fn threaded_engine_matches_scoped_reference_loop(
             seed in 0u64..100_000,
             cells in 2usize..5,
             hosts in 16usize..26,
@@ -2083,16 +2176,11 @@ mod tests {
                 Engine::Reference { threads: 2 },
                 &base, &fleet, &incidents, adaptation, algorithm,
             );
-            let own_pool = WorkerPool::new(2);
             let contenders = [
                 ("serial reference", Engine::Reference { threads: 1 }),
-                ("coordinator at 1 thread", Engine::Coordinator { threads: 1, pool: None }),
-                ("global pool at 2 threads", Engine::Coordinator { threads: 2, pool: None }),
-                (
-                    "explicit pool at 2 threads",
-                    Engine::Coordinator { threads: 2, pool: Some(&own_pool) },
-                ),
-                ("global pool at per-CPU threads", Engine::Coordinator { threads: 0, pool: None }),
+                ("coordinator at 1 thread", Engine::Coordinator { threads: 1 }),
+                ("lanes at 2 threads", Engine::Coordinator { threads: 2 }),
+                ("lanes at per-CPU threads", Engine::Coordinator { threads: 0 }),
             ];
             for (label, engine) in contenders {
                 let outcome = run_fleet_engine(

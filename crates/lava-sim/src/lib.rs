@@ -15,7 +15,7 @@
 //! * [`fleet`] — **the fleet tier**: multi-cell clusters behind a
 //!   pluggable, lifetime-aware [`fleet::RouterSpec`] consuming
 //!   bounded-staleness cell summaries, with deterministic parallel cell
-//!   execution ([`fleet::run_fleet`]),
+//!   execution on lane threads scoped to the run ([`fleet::run_fleet`]),
 //! * [`chaos`] — **deterministic fault injection and adaptation**: the
 //!   spec's [`chaos::IncidentPlan`] (cell outages, predictor
 //!   degradations, drift shifts, arrival storms) executed by
@@ -28,10 +28,6 @@
 //! * [`suite`] — [`suite::ExperimentSuite`], parallel multi-arm sweeps,
 //!   A/B splits and pre/post arm pairs on scoped threads, with
 //!   bit-identical per-arm results,
-//! * [`workers`] — the persistent [`workers::WorkerPool`] the fleet tier's
-//!   pooled lanes execute on: long-lived threads with per-worker pinned
-//!   mailboxes (cell-owning fleet sessions), grown on demand and shared
-//!   process-wide,
 //! * [`observer`] — the [`SimObserver`] trait, the [`ObserverContext`]
 //!   every hook reads, and the provided observers measurement is
 //!   composed from ([`observer::MetricRecorder`],
@@ -93,7 +89,6 @@ pub mod suite;
 pub mod timeline;
 pub mod trace;
 pub mod validation;
-pub mod workers;
 pub mod workload;
 
 pub use arrivals::{AdmissionPolicy, ArrivalGenerator, ArrivalProcess, ServeConfig, ServiceModel};
@@ -108,5 +103,4 @@ pub use fleet::{
 pub use observer::{ObserverContext, SimObserver};
 pub use suite::ExperimentSuite;
 pub use trace::TraceSource;
-pub use workers::WorkerPool;
 pub use workload::StreamingWorkload;

@@ -20,8 +20,10 @@
 //! * **Scheduling** — each thread takes the next arm index from a shared
 //!   counter, so a long arm does not hold up the remaining work. An arm
 //!   that starts a fleet run is an ordinary caller of
-//!   [`run_fleet`](crate::fleet::run_fleet): concurrent fleet arms take
-//!   turns on the worker pool's pooled lanes ([`crate::fleet`]).
+//!   [`run_fleet`](crate::fleet::run_fleet), which spawns that run's own
+//!   lane threads ([`crate::fleet`]): concurrent fleet arms run side by
+//!   side, on at most suite threads × min(fleet threads, cells) lane
+//!   threads.
 //!
 //! ```
 //! use lava_core::time::Duration;
@@ -48,7 +50,7 @@
 //! ```
 
 use crate::experiment::{Experiment, ExperimentReport, ExperimentSpec, SpecError};
-use parking_lot::Mutex;
+use crate::fleet::worker_count;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -123,24 +125,11 @@ impl ExperimentSuite {
         self.experiments.is_empty()
     }
 
-    fn worker_count(&self) -> usize {
-        let auto = || {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        let requested = if self.threads == 0 {
-            auto()
-        } else {
-            self.threads
-        };
-        requested.clamp(1, self.experiments.len().max(1))
-    }
-
     /// Run every arm and return the reports in arm order.
     ///
     /// With one worker this is a plain serial loop; with more, scoped
-    /// threads take arm indices from a shared counter until none are left.
+    /// threads take arm indices from a shared counter until none are left
+    /// and hand their `(arm, report)` pairs back when joined.
     /// Either way each report is bit-identical to a serial
     /// [`Experiment::run`] of that arm.
     ///
@@ -149,43 +138,42 @@ impl ExperimentSuite {
     /// Re-raises the first panicking arm's payload once every thread has
     /// finished; the other arms still run to completion first.
     pub fn run(&self) -> Vec<ExperimentReport> {
-        let workers = self.worker_count();
+        let workers = worker_count(self.threads, self.experiments.len());
         if workers <= 1 {
             return self.experiments.iter().map(Experiment::run).collect();
         }
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<ExperimentReport>>> =
-            self.experiments.iter().map(|_| Mutex::new(None)).collect();
-        let first_panic = std::thread::scope(|scope| {
+        let mut done = Vec::with_capacity(self.experiments.len());
+        let mut first_panic = None;
+        std::thread::scope(|scope| {
             let threads: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
-                        let mut panic = None;
+                        let (mut done, mut panic) = (Vec::new(), None);
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             let Some(arm) = self.experiments.get(i) else {
-                                return panic;
+                                return (done, panic);
                             };
                             match catch_unwind(AssertUnwindSafe(|| arm.run())) {
-                                Ok(report) => *slots[i].lock() = Some(report),
+                                Ok(report) => done.push((i, report)),
                                 Err(payload) => panic = panic.or(Some(payload)),
                             }
                         }
                     })
                 })
                 .collect();
-            threads
-                .into_iter()
-                .filter_map(|thread| thread.join().expect("arm panics are caught"))
-                .next()
+            for thread in threads {
+                let (arms, panic) = thread.join().expect("arm panics are caught");
+                done.extend(arms);
+                first_panic = first_panic.take().or(panic);
+            }
         });
         if let Some(payload) = first_panic {
             resume_unwind(payload);
         }
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every arm was run"))
-            .collect()
+        done.sort_unstable_by_key(|(i, _)| *i);
+        done.into_iter().map(|(_, report)| report).collect()
     }
 }
 
@@ -266,7 +254,7 @@ mod tests {
     fn auto_thread_count_is_bounded_by_arms() {
         let suite =
             ExperimentSuite::from_specs([arm_spec(1, Algorithm::Baseline)]).expect("valid specs");
-        assert_eq!(suite.worker_count(), 1);
+        assert_eq!(worker_count(suite.threads, suite.len()), 1);
         let reports = suite.run();
         assert_eq!(reports.len(), 1);
     }
@@ -309,25 +297,16 @@ mod tests {
 
     #[test]
     fn a_panicking_arm_reraises_after_the_other_arms_finish() {
-        use crate::fleet::{FleetConfig, RouterSpec};
         use crate::trace::Trace;
-        use lava_core::events::TraceEvent;
-        use lava_core::time::SimTime;
-        use lava_core::vm::VmId;
 
-        // A round-robin router panics on an exit for a VM it never placed.
+        // A learned predictor cannot train on a workload with no VMs: the
+        // GBDT trainer panics on the empty dataset.
         let mut doomed = arm_spec(9, Algorithm::Baseline);
-        doomed.fleet = Some(
-            FleetConfig::new(2)
-                .with_router(RouterSpec::RoundRobin)
-                .with_threads(1),
-        );
+        doomed.workload.target_utilization = 0.0;
+        doomed.workload.initial_fill_fraction = 0.0;
+        doomed.predictor = PredictorSpec::Learned;
         let doomed = Experiment::new(doomed).expect("valid spec");
         let pool = doomed.spec().workload.pool_id;
-        assert!(doomed.set_trace(Trace::new(
-            pool,
-            vec![TraceEvent::exit(SimTime::ZERO, VmId(1))]
-        )));
         let mut suite = ExperimentSuite::new().with_threads(2);
         suite.push(doomed);
         for seed in [2, 3, 4] {
@@ -338,8 +317,8 @@ mod tests {
 
         let result = catch_unwind(AssertUnwindSafe(|| suite.run()));
         let payload = result.expect_err("the arm's panic propagates");
-        assert!(crate::workers::panic_message(payload.as_ref())
-            .contains("exit routed for a VM the router never placed"));
+        assert!(crate::fleet::panic_message(payload.as_ref())
+            .contains("cannot train on an empty dataset"));
         // Every other arm was still run (each generated its own trace, so
         // the cell refuses an injection) before the panic was re-raised.
         for arm in &suite.experiments()[1..] {

@@ -15,15 +15,17 @@
 //!   in parallel between summary-refresh barriers);
 //! * the fleet-wide aggregate is consistent with the per-cell results
 //!   (counters sum, every arrival is routed exactly once);
-//! * a fleet started from a suite arm (the coordinator's inline lane)
-//!   reports what the same spec reports at top level (pooled lanes), and
-//!   a reused pool leaks no state between back-to-back runs. The
+//! * a fleet started from an arm of a parallel suite reports what the
+//!   same spec reports at top level, back-to-back runs leak no state
+//!   into each other, and an exit no create named changes nothing. The
 //!   coordinator-vs-plain-loop property test needs `lava-sim`'s private
 //!   cell engine and lives in `lava-sim/src/fleet.rs`.
 
+use lava::core::events::TraceEvent;
 use lava::core::pool::Pool;
 use lava::core::source::EventSource;
-use lava::core::time::Duration;
+use lava::core::time::{Duration, SimTime};
+use lava::core::vm::VmId;
 use lava::model::predictor::{LifetimePredictor, OraclePredictor};
 use lava::sched::cluster::Cluster;
 use lava::sched::scheduler::Scheduler;
@@ -35,10 +37,10 @@ use lava::sim::metrics::SimulationResult;
 use lava::sim::observer::{MetricRecorder, SimObserver, StrandingProbe};
 use lava::sim::recording::RecordingPredictor;
 use lava::sim::stranding::InflationMix;
+use lava::sim::trace::Trace;
 use lava::sim::workload::{PoolConfig, StreamingWorkload, WorkloadGenerator};
 use lava::sim::{
     AdaptationSpec, ExperimentSuite, Incident, IncidentPlan, OutageMode, RecalibrationSpec,
-    WorkerPool,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -372,14 +374,11 @@ fn fleet_validation_rejects_degenerate_configs() {
     cold.validate().expect("cold-start fleet is valid");
 }
 
-/// A long-lived pool must not leak fleet-session state between runs:
-/// back-to-back [`Experiment::run_on`] calls against one explicit
-/// [`WorkerPool`] — interleaved with a *different* fleet spec on the
-/// same pool — are bit-identical to each other and to a pool-detached
-/// [`Experiment::run`].
+/// A fleet run must not leak state into the next one: back-to-back
+/// multi-lane [`Experiment::run`] calls, interleaved with a *different*
+/// fleet spec, are bit-identical to each other.
 #[test]
-fn pool_reuse_leaks_no_state_between_runs() {
-    let pool = WorkerPool::new(2);
+fn back_to_back_fleet_runs_are_bit_identical() {
     let fleet = |router| {
         FleetConfig::new(3)
             .with_router(router)
@@ -398,27 +397,50 @@ fn pool_reuse_leaks_no_state_between_runs() {
     ))
     .expect("valid spec");
 
-    let first = exp.run_on(&pool);
-    let interleaved = other.run_on(&pool);
-    let second = exp.run_on(&pool);
+    let first = exp.run();
+    let interleaved = other.run();
+    let second = exp.run();
 
-    assert_eq!(first, second, "a reused pool changed a fleet run's result");
-    assert_eq!(
-        first,
-        exp.run(),
-        "an explicit pool diverged from the default-pool run"
-    );
+    assert_eq!(first, second, "an earlier run changed a fleet run's result");
     assert_eq!(
         interleaved,
-        other.run_on(&pool),
-        "a reused pool changed the interleaved spec's result"
+        other.run(),
+        "an earlier run changed the interleaved spec's result"
     );
 }
 
-/// Fleets started from the arms of a parallel suite run concurrently on
-/// pooled lanes, taking turns on the pool's session lock. Each report must
-/// be the one the same spec gives at top level — summary-free and
-/// summary-driven router, with and without incidents in flight.
+/// An exit for a VM no create named (a truncated or spliced trace) is
+/// ignored under every router: the exit goes to the VM's pinned cell, or
+/// else to its hash cell, whose scheduler finds nothing to remove. The
+/// report equals the clean trace's report.
+#[test]
+fn an_unmatched_exit_changes_nothing_under_every_router() {
+    for router in RouterSpec::ALL {
+        let spec = with_fleet(
+            base_spec(23, 16, 24),
+            FleetConfig::new(2).with_router(router).with_threads(1),
+        );
+        let clean = Experiment::new(spec.clone()).expect("valid spec");
+        let trace = clean.trace();
+        let last_id = trace.events().iter().map(|e| e.kind.vm().0).max();
+        let stray = VmId(last_id.expect("a non-empty trace") + 1);
+        let mut events = trace.events().to_vec();
+        let at = SimTime::ZERO + Duration::from_hours(5);
+        events.push(TraceEvent::exit(at, stray));
+        let injected = Experiment::new(spec).expect("valid spec");
+        assert!(injected.set_trace(Trace::new(trace.pool(), events)));
+        assert_eq!(
+            injected.run(),
+            clean.run(),
+            "router {router}: an unmatched exit changed the report"
+        );
+    }
+}
+
+/// Fleets started from the arms of a parallel suite run side by side,
+/// each on its own lane threads. Each report must be the one the same
+/// spec gives at top level — summary-free and summary-driven router, with
+/// and without incidents in flight.
 #[test]
 fn fleet_arm_of_a_parallel_suite_matches_its_top_level_run() {
     for router in [RouterSpec::RoundRobin, RouterSpec::LifetimeAware] {
