@@ -91,8 +91,14 @@ pub(crate) struct ExitCache {
     parked_cpu: Vec<u64>,
     /// The pool mutation epoch this cache last synchronized with. A
     /// mismatch at refresh time means occupancy changed behind the
-    /// cluster's event feed (via `pool_mut`), and the cache flushes.
+    /// cluster's event feed (via `pool_mut`, or before the cache was
+    /// live), and the cache flushes.
     synced_epoch: u64,
+    /// Whether the cluster's event feed keeps the cache up: false until
+    /// the first refresh pass reads it. Until then `place` / `remove`
+    /// and the policy hints leave it alone, and that first pass builds
+    /// it from the pool through the epoch flush.
+    live: bool,
     /// Buffers of the refresh pass, kept here so that a pass allocates
     /// nothing once they have grown to the pool's working size.
     scratch: RefreshScratch,
@@ -378,11 +384,13 @@ impl Cluster {
     pub fn place(&mut self, vm: Vm, host: HostId) -> Result<(), CoreError> {
         self.pool.place_record(host, vm)?;
         let cache = self.exit_cache.get_mut();
-        cache.mark_placement(host);
-        // Advance by exactly the one pool mutation made above: setting to
-        // the pool's epoch outright would absorb (and mask) any bypass
-        // mutations made through pool_mut since the last refresh.
-        cache.synced_epoch += 1;
+        if cache.live {
+            cache.mark_placement(host);
+            // Advance by exactly the one pool mutation made above: setting
+            // to the pool's epoch outright would absorb (and mask) any
+            // bypass mutations made through pool_mut since the last refresh.
+            cache.synced_epoch += 1;
+        }
         Ok(())
     }
 
@@ -396,12 +404,14 @@ impl Cluster {
     pub fn remove(&mut self, vm: VmId) -> Result<(Vm, HostId), CoreError> {
         let (record, host) = self.pool.remove_record(vm)?;
         let cache = self.exit_cache.get_mut();
-        if self.pool.host(host).is_none_or(|h| h.is_empty()) {
-            cache.forget(host);
-        } else {
-            cache.mark_hard(host);
+        if cache.live {
+            if self.pool.host(host).is_none_or(|h| h.is_empty()) {
+                cache.forget(host);
+            } else {
+                cache.mark_hard(host);
+            }
+            cache.synced_epoch += 1;
         }
-        cache.synced_epoch += 1;
         Ok((record, host))
     }
 
@@ -499,10 +509,13 @@ impl Cluster {
         // 1. Bypass detection: if the pool's occupancy changed without the
         //    cluster seeing it (mutations through `pool_mut`), no entry can
         //    be trusted — flush everything and rebuild lazily. The epoch
-        //    comparison is O(1) and never fires for cluster-routed events.
+        //    comparison is O(1) and never fires for cluster-routed events
+        //    once the cache is live; the first pass over an occupied pool
+        //    builds the cache this way.
         if cache.synced_epoch != self.pool.mutation_epoch() {
             cache.flush(&self.pool);
         }
+        cache.live = true;
         // 2. Parked hosts with the CPU for this request; the ones it fits
         //    on altogether leave the index once the range borrow ends.
         for &(_, id) in cache.parked.range((request.cpu_milli, HostId(0))..) {
@@ -609,7 +622,8 @@ impl Cluster {
     /// host's cached exit time with the placed VM's predicted exit instead
     /// of repredicting every VM on the host. Only heals an entry whose sole
     /// pending event is that single placement; in every other situation the
-    /// entry stays dirty and the next refresh pass recomputes it.
+    /// entry stays dirty and the next refresh pass recomputes it. A cache
+    /// no pass has read yet ignores the hint.
     pub(crate) fn apply_exit_hint(
         &mut self,
         host: HostId,
@@ -617,6 +631,10 @@ impl Cluster {
         now: SimTime,
         refresh: Duration,
     ) {
+        let cache = self.exit_cache.get_mut();
+        if !cache.live {
+            return;
+        }
         let Some(h) = self.pool.host(host) else {
             return;
         };
@@ -624,7 +642,6 @@ impl Cluster {
             return;
         }
         let single_vm = h.vm_count() == 1;
-        let cache = self.exit_cache.get_mut();
         match cache.entries.get(&host) {
             Some(e) if !e.hard_dirty && e.pending_places == 1 && !e.clean => {
                 let exit = e.exit.max(vm_exit);
@@ -654,8 +671,12 @@ impl Cluster {
     }
 
     /// Invalidate the cached exit time of one host (recompute on next use).
+    /// A cache no pass has read yet has nothing to invalidate.
     pub(crate) fn invalidate_exit(&mut self, host: HostId) {
-        self.exit_cache.get_mut().mark_hard(host);
+        let cache = self.exit_cache.get_mut();
+        if cache.live {
+            cache.mark_hard(host);
+        }
     }
 }
 
@@ -937,6 +958,7 @@ mod tests {
                 }
                 cache.synced_epoch = self.pool.mutation_epoch();
             }
+            cache.live = true;
             let mut cursor = HostId(0);
             while let Some(&id) = dirty.range(cursor..).next() {
                 cursor = HostId(id.0 + 1);
@@ -965,8 +987,8 @@ mod tests {
             dirty
         }
 
-        /// The entries, both orderings and the epoch of the exit cache,
-        /// for comparing two clusters.
+        /// The entries, both orderings, the epoch and the liveness of the
+        /// exit cache, for comparing two clusters.
         fn exit_cache_view(&self) -> String {
             let cache = self.exit_cache.borrow();
             assert!(
@@ -976,8 +998,8 @@ mod tests {
                 "refresh scratch must be empty between passes"
             );
             format!(
-                "{:?} {:?} {:?} {}",
-                cache.entries, cache.by_exit, cache.by_expiry, cache.synced_epoch
+                "{:?} {:?} {:?} {} {}",
+                cache.entries, cache.by_exit, cache.by_expiry, cache.synced_epoch, cache.live
             )
         }
 
@@ -1153,8 +1175,13 @@ mod tests {
             /// order: for requests that fit everywhere, somewhere and
             /// nowhere, short of CPU or only of memory, with and without
             /// repredictions, whichever way the predictor drains a batch.
+            ///
+            /// The ops start after a random-length warm-up of best-fit
+            /// placements and exits that no pass reads, as a baseline
+            /// warm-up leaves the cluster for NILAS or LAVA.
             #[test]
             fn pass_matches_per_host_recompute_of_one_dirty_set(
+                warmup in proptest::collection::vec((0u8..3, 1u64..16, 1u64..8), 0..40),
                 ops in proptest::collection::vec((0u8..9, 0u64..600, 1u64..16, 1u64..8), 1..60),
             ) {
                 let refresh = Duration::from_mins(1);
@@ -1164,6 +1191,10 @@ mod tests {
                 let mut now = SimTime::ZERO;
                 let mut next_id = 0u64;
                 let mut bypassed: Vec<VmId> = Vec::new();
+                for (action, hours, cores) in warmup {
+                    drive_best_fit(&mut c, action, next_id, hours, cores, now);
+                    next_id += 1;
+                }
                 for (action, delay, hours, cores) in ops {
                     now += Duration::from_secs(delay);
                     let pick = hours as usize * 7 + cores as usize;
@@ -1284,6 +1315,71 @@ mod tests {
                 Some(SimTime::ZERO + Duration::from_hours(20))
             );
         }
+
+        #[test]
+        fn a_cache_no_pass_reads_is_never_fed_and_its_first_pass_builds_it() {
+            let mut c =
+                Cluster::with_uniform_hosts(12, HostSpec::new(Resources::cores_gib(32, 128)));
+            let mut now = SimTime::ZERO;
+            // Forty placements, then churn that keeps about forty VMs.
+            for i in 0..300u64 {
+                now += Duration::from_mins(7);
+                let action = if i < 40 || i % 2 == 0 { 0 } else { 2 };
+                drive_best_fit(&mut c, action, i, 1 + i % 15, 1 + i % 7, now);
+            }
+            {
+                let cache = c.exit_cache();
+                assert!(!cache.live);
+                assert!(cache.entries.is_empty(), "{:?}", cache.entries);
+                assert!(cache.pending.is_empty(), "{:?}", cache.pending);
+                assert!(cache.parked.is_empty(), "{:?}", cache.parked);
+                assert_eq!(cache.dirty_set(), BTreeSet::new());
+            }
+            let occupied: Vec<HostId> = c.hosts().filter(|h| !h.is_empty()).map(Host::id).collect();
+            assert!(
+                (2..12).contains(&occupied.len()),
+                "{} occupied hosts",
+                occupied.len()
+            );
+            let refresh = Duration::from_mins(1);
+            for request in [Resources::ZERO, Resources::cores_gib(16, 64)] {
+                for repredict in [true, false] {
+                    assert_pass_matches_oracle(&c, now, refresh, repredict, request);
+                }
+            }
+            let first = pass(&c, now, Resources::ZERO);
+            assert_eq!(first.examined, occupied.len() as u64);
+            assert_eq!(first.misses, occupied.len() as u64);
+            let cache = c.exit_cache();
+            assert!(cache.live);
+            let covered: Vec<HostId> = cache.entries.keys().copied().collect();
+            assert_eq!(covered, occupied);
+        }
+    }
+
+    /// One step of a best-fit run that never refreshes the exit cache:
+    /// actions 0 and 1 place a VM of `cores` cores and `hours²` hours,
+    /// any other removes a live VM picked by `hours`.
+    fn drive_best_fit(c: &mut Cluster, action: u8, id: u64, hours: u64, cores: u64, now: SimTime) {
+        use crate::baseline::BestFitPolicy;
+        use crate::policy::PlacementPolicy;
+
+        if action < 2 {
+            let v = Vm::new(
+                VmId(id),
+                VmSpec::builder(Resources::cores_gib(cores, cores * 4)).build(),
+                now,
+                Duration::from_hours(hours * hours),
+            );
+            if let Some(host) = BestFitPolicy::new().choose_host(c, &v, now, None) {
+                c.place(v, host).unwrap();
+            }
+        } else {
+            let live: Vec<VmId> = c.vms().map(|v| v.id()).collect();
+            if !live.is_empty() {
+                c.remove(live[hours as usize % live.len()]).unwrap();
+            }
+        }
     }
 
     /// One refresh pass with default settings; returns its counters.
@@ -1321,6 +1417,9 @@ mod tests {
                 Duration::from_hours(1000),
             )
         };
+        // One pass makes the cache live, so the placement hints below
+        // install each resident host's entry as they would in a run.
+        pass(&c, SimTime::ZERO, Resources::ZERO);
         for h in 0..FULL + ROOMY {
             let cores = if h < FULL { 32 } else { 16 };
             c.place(resident(h, cores), HostId(h)).unwrap();

@@ -390,6 +390,12 @@ pub enum SpecError {
     ZeroSampleInterval,
     /// The noisy-oracle accuracy is above 100 %.
     AccuracyOutOfRange,
+    /// The learned predictor is asked for over a workload whose target
+    /// utilisation is not a positive, finite number: its arrival rate,
+    /// and with it the standing population, is then zero (or
+    /// meaningless), so the historical trace the GBDT trains on holds no
+    /// VM.
+    LearnedWithoutTrainingData,
     /// The defragmentation trigger interval is zero (the trigger would
     /// reschedule itself at the same instant forever).
     ZeroDefragInterval,
@@ -496,6 +502,10 @@ impl fmt::Display for SpecError {
             }
             SpecError::ZeroTickInterval => write!(f, "tick interval must be non-zero"),
             SpecError::ZeroSampleInterval => write!(f, "sample interval must be non-zero"),
+            SpecError::LearnedWithoutTrainingData => write!(
+                f,
+                "a learned predictor needs a workload with a positive, finite target utilization to train on"
+            ),
             SpecError::AccuracyOutOfRange => {
                 write!(f, "noisy-oracle accuracy must be at most 100 %")
             }
@@ -618,10 +628,14 @@ impl ExperimentSpec {
         if self.cadence.sample_interval.is_zero() {
             return Err(SpecError::ZeroSampleInterval);
         }
-        if let PredictorSpec::Noisy { accuracy_pct, .. } = self.predictor {
-            if accuracy_pct > 100 {
+        match self.predictor {
+            PredictorSpec::Noisy { accuracy_pct, .. } if accuracy_pct > 100 => {
                 return Err(SpecError::AccuracyOutOfRange);
             }
+            PredictorSpec::Learned if !positive(self.workload.target_utilization) => {
+                return Err(SpecError::LearnedWithoutTrainingData);
+            }
+            _ => {}
         }
         if self.cadence.defrag_trigger.is_some_and(|d| d.is_zero()) {
             return Err(SpecError::ZeroDefragInterval);
@@ -959,6 +973,14 @@ impl Experiment {
         self.trace_cache.set(Arc::new(trace)).is_ok()
     }
 
+    /// Inject a predictor into the experiment's predictor cell, as
+    /// [`Experiment::set_trace`] does a trace: `false`, and no change, if
+    /// the cell was already populated.
+    #[cfg(test)]
+    pub(crate) fn set_predictor(&self, predictor: Arc<dyn LifetimePredictor>) -> bool {
+        self.predictor_cache.set(predictor).is_ok()
+    }
+
     /// The experiment's predictor (built — and for the learned spec,
     /// trained — at most once per shared cache cell).
     pub fn predictor(&self) -> Arc<dyn LifetimePredictor> {
@@ -1194,6 +1216,37 @@ mod tests {
         spec.workload.categories.clear();
         assert_eq!(spec.validate().unwrap_err(), SpecError::EmptyWorkloadMix);
         assert!(!SpecError::ZeroHosts.to_string().is_empty());
+    }
+
+    #[test]
+    fn a_learned_predictor_over_a_workload_without_vms_is_refused() {
+        // No arrivals and no standing population: the trainer would get
+        // an empty dataset.
+        let mut spec = ExperimentSpec::default();
+        spec.workload.target_utilization = 0.0;
+        spec.workload.initial_fill_fraction = 0.0;
+        assert_eq!(spec.validate(), Ok(()), "any other predictor runs it");
+        spec.predictor = PredictorSpec::Learned;
+        assert_eq!(
+            Experiment::new(spec.clone()).unwrap_err(),
+            SpecError::LearnedWithoutTrainingData
+        );
+        // A standing population needs arrivals too: the fill is a share
+        // of the steady state the arrival rate sets.
+        spec.workload.initial_fill_fraction = 0.85;
+        assert_eq!(
+            spec.validate().unwrap_err(),
+            SpecError::LearnedWithoutTrainingData
+        );
+        for degenerate in [-0.5, f64::NAN, f64::INFINITY] {
+            spec.workload.target_utilization = degenerate;
+            assert_eq!(
+                spec.validate().unwrap_err(),
+                SpecError::LearnedWithoutTrainingData
+            );
+        }
+        spec.workload.target_utilization = 0.75;
+        assert_eq!(spec.validate(), Ok(()));
     }
 
     #[test]

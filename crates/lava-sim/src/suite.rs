@@ -298,14 +298,23 @@ mod tests {
     #[test]
     fn a_panicking_arm_reraises_after_the_other_arms_finish() {
         use crate::trace::Trace;
+        use lava_core::time::SimTime;
+        use lava_core::vm::Vm;
+        use lava_model::predictor::LifetimePredictor;
 
-        // A learned predictor cannot train on a workload with no VMs: the
-        // GBDT trainer panics on the empty dataset.
-        let mut doomed = arm_spec(9, Algorithm::Baseline);
-        doomed.workload.target_utilization = 0.0;
-        doomed.workload.initial_fill_fraction = 0.0;
-        doomed.predictor = PredictorSpec::Learned;
-        let doomed = Experiment::new(doomed).expect("valid spec");
+        /// Panics on the first VM it is asked about.
+        struct Doomed;
+        impl LifetimePredictor for Doomed {
+            fn predict_remaining(&self, _vm: &Vm, _now: SimTime) -> Duration {
+                panic!("the doomed arm's predictor gives up");
+            }
+            fn name(&self) -> &'static str {
+                "doomed"
+            }
+        }
+
+        let doomed = Experiment::new(arm_spec(9, Algorithm::Baseline)).expect("valid spec");
+        assert!(doomed.set_predictor(std::sync::Arc::new(Doomed)));
         let pool = doomed.spec().workload.pool_id;
         let mut suite = ExperimentSuite::new().with_threads(2);
         suite.push(doomed);
@@ -318,7 +327,7 @@ mod tests {
         let result = catch_unwind(AssertUnwindSafe(|| suite.run()));
         let payload = result.expect_err("the arm's panic propagates");
         assert!(crate::fleet::panic_message(payload.as_ref())
-            .contains("cannot train on an empty dataset"));
+            .contains("the doomed arm's predictor gives up"));
         // Every other arm was still run (each generated its own trace, so
         // the cell refuses an injection) before the panic was re-raised.
         for arm in &suite.experiments()[1..] {
