@@ -7,6 +7,10 @@
 //! the exit of a VM whose create was rejected finds nothing to remove and
 //! reaches no observer. [`DriveLoop`] is the same loop in resumable form,
 //! so the fleet tier can step cells in bounded epochs.
+//!
+//! Policy ticks and metric samples stop at the source's last arrival, so
+//! a run's cadence work follows its arrival window, not its latest exit;
+//! [`drive`] says why that changes no placement.
 
 use crate::chaos::ChaosController;
 use crate::observer::{ObserverContext, SimObserver};
@@ -26,7 +30,10 @@ pub struct DriveTiming {
     /// Whether warm-up placements use the lifetime-agnostic baseline (the
     /// caller swaps in the evaluated policy via `deferred_policy`).
     pub warmup_with_baseline: bool,
-    /// Interval between policy ticks.
+    /// Interval between policy ticks. Ticks fire at time zero and every
+    /// interval after it up to the source's last arrival, and no further
+    /// (see [`drive`](crate::experiment::drive)): a run ticks
+    /// `⌊last arrival / interval⌋ + 1` times however late its last exit.
     pub tick_interval: Duration,
     /// Interval between metric samples.
     pub sample_interval: Duration,
@@ -58,6 +65,18 @@ fn dispatch<F>(
     }
 }
 
+/// Whether a cadence entry due at `at` falls inside the source's arrival
+/// window, i.e. no later than its last arrival. When the source cannot
+/// know its final arrival yet (`None`), at least one more create is
+/// coming — necessarily at a time ≥ `at` (the stream is ordered and
+/// everything before `at` has already been delivered), so `at` is inside
+/// the window.
+fn in_arrival_window(source: &mut dyn EventSource, at: SimTime) -> bool {
+    source
+        .last_arrival_time()
+        .is_none_or(|last_arrival| at <= last_arrival)
+}
+
 /// The unified, streaming event loop: pull events from `source`, merge
 /// them with the tick/sample cadences, defragmentation triggers and the
 /// warm-up policy switch on one [`Timeline`], and fan everything out to
@@ -67,10 +86,15 @@ fn dispatch<F>(
 /// source cursor), so total memory is the source's pending buffer plus a
 /// handful of cadence entries — O(pending VMs) with a streaming source.
 /// Cadence entries fire only up to the time of the source's last event;
-/// metric samples additionally stop at the source's last arrival. The
-/// tiebreak at equal timestamps is the timeline's documented order
-/// (policy switch, defrag triggers, exits, creates, ticks, samples — see
-/// [`crate::timeline`]).
+/// policy ticks and metric samples stop earlier, at the source's last
+/// arrival. For samples that is the definition of the measured window.
+/// For ticks it changes no decision: a tick (LAVA's deadline check,
+/// Fig. 5c) changes only a LAVA host's class, state, deadline and
+/// residual set; only LAVA's own host choice reads them, and no placement
+/// happens after the last arrival (incidents never schedule, and the
+/// serving tier never ticks). The tiebreak at equal timestamps is the
+/// timeline's documented order (policy switch, defrag triggers, exits,
+/// creates, ticks, samples — see [`crate::timeline`]).
 ///
 /// Returns the number of creation events that could not be placed.
 /// A thin wrapper over `DriveLoop`, the loop the fleet tier
@@ -266,24 +290,18 @@ impl DriveLoop {
                     self.timeline
                         .schedule(TimelineAction::DefragTrigger, at + interval);
                 }
+                // Ticks stop at the last arrival: a tick only steers later
+                // placements (see `drive`).
                 TimelineItem::Action(TimelineAction::Tick, at) => {
-                    scheduler.tick(at);
-                    dispatch(scheduler, at, observers, |o, ctx| o.on_tick(ctx));
-                    self.timeline
-                        .schedule(TimelineAction::Tick, at + self.timing.tick_interval);
+                    if in_arrival_window(source, at) {
+                        scheduler.tick(at);
+                        dispatch(scheduler, at, observers, |o, ctx| o.on_tick(ctx));
+                        self.timeline
+                            .schedule(TimelineAction::Tick, at + self.timing.tick_interval);
+                    }
                 }
                 TimelineItem::Action(TimelineAction::Sample, at) => {
-                    // Samples stop at the last arrival. When the source
-                    // cannot know its final arrival yet (`None`), at least
-                    // one more create is coming — necessarily at a time ≥
-                    // this sample (the stream is ordered and everything
-                    // before this sample has already been delivered), so
-                    // the sample is inside the arrival window.
-                    let in_window = match source.last_arrival_time() {
-                        Some(last_arrival) => at <= last_arrival,
-                        None => true,
-                    };
-                    if in_window {
+                    if in_arrival_window(source, at) {
                         dispatch(scheduler, at, observers, |o, ctx| o.on_sample(ctx));
                         self.timeline
                             .schedule(TimelineAction::Sample, at + self.timing.sample_interval);

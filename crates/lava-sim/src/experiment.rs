@@ -366,6 +366,17 @@ impl Default for ExperimentSpec {
     }
 }
 
+/// Whether `hosts` hosts of `cores` cores and `memory_gib` GiB hold more
+/// milli-cores or MiB than a `u64` counts.
+fn capacity_overflows(hosts: usize, cores: u64, memory_gib: u64) -> bool {
+    let total = |per_host: u64, unit: u64| {
+        per_host
+            .checked_mul(unit)
+            .and_then(|per_host| per_host.checked_mul(hosts as u64))
+    };
+    total(cores, 1000).is_none() || total(memory_gib, 1024).is_none()
+}
+
 /// Validation errors for [`ExperimentSpec`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -396,6 +407,19 @@ pub enum SpecError {
     /// meaningless), so the historical trace the GBDT trains on holds no
     /// VM.
     LearnedWithoutTrainingData,
+    /// The workload's target utilisation is NaN or outside `[0, 1]`.
+    InvalidTargetUtilization,
+    /// The workload's weekly lifetime drift is non-finite, zero or
+    /// negative (it multiplies lifetime medians).
+    InvalidWeeklyDrift,
+    /// A host shape's total capacity overflows `u64`:
+    /// `host_cores * 1000 * hosts` milli-cores or
+    /// `host_memory_gib * 1024 * hosts` MiB.
+    HostShapeOverflow {
+        /// The fleet cell whose override sets the shape; `None` for the
+        /// workload's own shape.
+        cell: Option<u32>,
+    },
     /// The defragmentation trigger interval is zero (the trigger would
     /// reschedule itself at the same instant forever).
     ZeroDefragInterval,
@@ -508,6 +532,21 @@ impl fmt::Display for SpecError {
             ),
             SpecError::AccuracyOutOfRange => {
                 write!(f, "noisy-oracle accuracy must be at most 100 %")
+            }
+            SpecError::InvalidTargetUtilization => {
+                write!(f, "target utilization must be a number in [0, 1]")
+            }
+            SpecError::InvalidWeeklyDrift => {
+                write!(f, "weekly drift must be a positive, finite multiplier")
+            }
+            SpecError::HostShapeOverflow { cell: None } => {
+                write!(f, "the workload's host shape times its host count overflows u64")
+            }
+            SpecError::HostShapeOverflow { cell: Some(cell) } => {
+                write!(
+                    f,
+                    "cell {cell}'s override host shape times its host count overflows u64"
+                )
             }
             SpecError::ZeroDefragInterval => {
                 write!(f, "defrag trigger interval must be non-zero")
@@ -637,6 +676,20 @@ impl ExperimentSpec {
             }
             _ => {}
         }
+        let workload = &self.workload;
+        if !(0.0..=1.0).contains(&workload.target_utilization) {
+            return Err(SpecError::InvalidTargetUtilization);
+        }
+        if !workload.weekly_drift.is_finite() || workload.weekly_drift <= 0.0 {
+            return Err(SpecError::InvalidWeeklyDrift);
+        }
+        if capacity_overflows(
+            workload.hosts,
+            workload.host_cores,
+            workload.host_memory_gib,
+        ) {
+            return Err(SpecError::HostShapeOverflow { cell: None });
+        }
         if self.cadence.defrag_trigger.is_some_and(|d| d.is_zero()) {
             return Err(SpecError::ZeroDefragInterval);
         }
@@ -660,6 +713,14 @@ impl ExperimentSpec {
                 .any(|o| o.cell as usize >= fleet.cells)
             {
                 return Err(SpecError::FleetOverrideOutOfRange);
+            }
+            // Before `cell_layout` multiplies the shapes out.
+            if let Some(o) = fleet.overrides.iter().find(|o| {
+                let (hosts, cores, memory_gib, _) =
+                    fleet.cell_shape(&self.workload, o.cell as usize);
+                capacity_overflows(hosts, cores, memory_gib)
+            }) {
+                return Err(SpecError::HostShapeOverflow { cell: Some(o.cell) });
             }
             if fleet
                 .cell_layout(&self.workload)
@@ -1137,6 +1198,7 @@ fn phase_policies(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::CellOverride;
     use lava_core::time::SimTime;
 
     fn tiny_builder() -> ExperimentBuilder {
@@ -1246,6 +1308,74 @@ mod tests {
             );
         }
         spec.workload.target_utilization = 0.75;
+        assert_eq!(spec.validate(), Ok(()));
+    }
+
+    #[test]
+    fn a_target_utilization_outside_the_unit_interval_is_refused() {
+        let mut spec = ExperimentSpec::default();
+        for degenerate in [-0.5, 1.5, 50.0, f64::NAN, f64::INFINITY] {
+            spec.workload.target_utilization = degenerate;
+            assert_eq!(
+                spec.validate().unwrap_err(),
+                SpecError::InvalidTargetUtilization
+            );
+        }
+        for bound in [0.0, 1.0] {
+            spec.workload.target_utilization = bound;
+            assert_eq!(spec.validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn a_non_positive_or_non_finite_weekly_drift_is_refused() {
+        let mut spec = ExperimentSpec::default();
+        for degenerate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            spec.workload.weekly_drift = degenerate;
+            assert_eq!(spec.validate().unwrap_err(), SpecError::InvalidWeeklyDrift);
+        }
+        spec.workload.weekly_drift = 0.5;
+        assert_eq!(spec.validate(), Ok(()));
+    }
+
+    #[test]
+    fn a_host_shape_whose_capacity_overflows_is_refused() {
+        let overflow = |spec: &ExperimentSpec| spec.validate().unwrap_err();
+        let mut spec = ExperimentSpec::default();
+        spec.workload.host_cores = u64::MAX;
+        assert_eq!(overflow(&spec), SpecError::HostShapeOverflow { cell: None });
+        // Per host it fits; over the pool's hosts it does not.
+        spec.workload.host_cores = u64::MAX / 1000;
+        spec.workload.hosts = 2;
+        assert_eq!(overflow(&spec), SpecError::HostShapeOverflow { cell: None });
+        spec.workload.host_cores = 64;
+        spec.workload.host_memory_gib = u64::MAX / 1024 + 1;
+        spec.workload.hosts = 1;
+        assert_eq!(overflow(&spec), SpecError::HostShapeOverflow { cell: None });
+        spec.workload = PoolConfig::default();
+        assert_eq!(spec.validate(), Ok(()));
+
+        // A fleet override's shape is checked too, over its host count.
+        let shaped = |cores, memory_gib| {
+            FleetConfig::new(2)
+                .with_override(CellOverride::new(1).with_host_shape(cores, memory_gib))
+        };
+        spec.fleet = Some(shaped(u64::MAX, 256));
+        let err = overflow(&spec);
+        assert_eq!(err, SpecError::HostShapeOverflow { cell: Some(1) });
+        assert!(err.to_string().contains("cell 1"));
+        spec.fleet = Some(shaped(64, u64::MAX / 1024 + 1));
+        assert_eq!(
+            overflow(&spec),
+            SpecError::HostShapeOverflow { cell: Some(1) }
+        );
+        let many = CellOverride::new(1).with_hosts(usize::MAX / 2);
+        spec.fleet = Some(shaped(64, 256).with_override(many));
+        assert_eq!(
+            overflow(&spec),
+            SpecError::HostShapeOverflow { cell: Some(1) }
+        );
+        spec.fleet = Some(shaped(96, 384));
         assert_eq!(spec.validate(), Ok(()));
     }
 

@@ -76,6 +76,22 @@
 //! loop the coordinator is property-tested against is test-only code in
 //! this module (`tests::reference_fleet`).
 //!
+//! The loop's work follows the events, not the span they cover:
+//!
+//! * **No empty epochs.** When the source's next event lies past the
+//!   next epoch, the current step runs on to the start of the epoch that
+//!   holds it, by whole `summary_refresh` steps. The cells process the
+//!   same timeline items in the same order as if stepped epoch by epoch,
+//!   and the jump stays on the refresh grid, so every summary is taken at
+//!   the instant the plain loop takes it.
+//! * **No summaries once nothing can arrive.** The summaries taken at a
+//!   barrier route only the next epoch's creates (an exit follows its
+//!   VM's pin), so a barrier past the source's last arrival takes none.
+//!
+//! A run whose exits stretch far past its arrivals therefore costs about
+//! what its events cost: the drive loop's ticks and samples stop at the
+//! last arrival too ([`drive`](crate::experiment::drive)).
+//!
 //! A single-cell fleet is the paper's setting — one pool under one
 //! scheduler: every router sends everything to cell 0, which runs on the
 //! inline lane. It is also how an [`Experiment`] without a fleet tier
@@ -327,28 +343,36 @@ impl FleetConfig {
     pub fn cell_layout(&self, base: &PoolConfig) -> Vec<(CellId, usize, HostSpec)> {
         (0..self.cells)
             .map(|i| {
-                let mut hosts = base.hosts / self.cells + usize::from(i < base.hosts % self.cells);
-                let mut cores = base.host_cores;
-                let mut memory_gib = base.host_memory_gib;
-                let mut ssd_gib = base.host_ssd_gib;
-                for o in self.overrides.iter().filter(|o| o.cell as usize == i) {
-                    if let Some(h) = o.hosts {
-                        hosts = h;
-                    }
-                    if let Some(c) = o.host_cores {
-                        cores = c;
-                    }
-                    if let Some(m) = o.host_memory_gib {
-                        memory_gib = m;
-                    }
-                    if let Some(s) = o.host_ssd_gib {
-                        ssd_gib = s;
-                    }
-                }
+                let (hosts, cores, memory_gib, ssd_gib) = self.cell_shape(base, i);
                 let spec = HostSpec::new(Resources::new(cores * 1000, memory_gib * 1024, ssd_gib));
                 (CellId(i as u32), hosts, spec)
             })
             .collect()
+    }
+
+    /// Cell `i`'s host count and host shape `(cores, memory GiB, SSD GiB)`
+    /// before any unit conversion: its even share of `base.hosts` and
+    /// `base`'s shape, with the cell's overrides applied in order.
+    pub(crate) fn cell_shape(&self, base: &PoolConfig, i: usize) -> (usize, u64, u64, u64) {
+        let mut hosts = base.hosts / self.cells + usize::from(i < base.hosts % self.cells);
+        let mut cores = base.host_cores;
+        let mut memory_gib = base.host_memory_gib;
+        let mut ssd_gib = base.host_ssd_gib;
+        for o in self.overrides.iter().filter(|o| o.cell as usize == i) {
+            if let Some(h) = o.hosts {
+                hosts = h;
+            }
+            if let Some(c) = o.host_cores {
+                cores = c;
+            }
+            if let Some(m) = o.host_memory_gib {
+                memory_gib = m;
+            }
+            if let Some(s) = o.host_ssd_gib {
+                ssd_gib = s;
+            }
+        }
+        (hosts, cores, memory_gib, ssd_gib)
     }
 
     /// Build the runnable cells for a base workload: one [`Pool`] per cell
@@ -1046,6 +1070,10 @@ pub(crate) fn worker_count(threads: usize, jobs: usize) -> usize {
 /// 3. **run** — step every cell's engine to the epoch end (the epoch
 ///    boundary is the barrier).
 ///
+/// An epoch that would route nothing is folded into the step before it,
+/// and no summary is taken past the source's last arrival (see the
+/// [module docs](self)); neither changes a route.
+///
 /// There is one coordinator loop; `threads` (0 = one per CPU, capped at
 /// the cell count) only decides where the cells' sessions live. With two
 /// or more lanes each session runs on a thread this call spawns inside
@@ -1178,7 +1206,16 @@ fn coordinate(
             let cell = router.route(&event, predictor);
             batches[cell % lane_count].push(((cell / lane_count) as u32, event));
         }
-        let want_summaries = needs_summaries && !closed;
+        // Epochs that would route nothing are not stepped one by one: this
+        // step runs on to the start of the epoch that holds the source's
+        // next event, still on the refresh grid.
+        if let Some(next) = source.peek().map(|event| event.time) {
+            epoch_end = epoch_holding(epoch_end, summary_refresh, next);
+        }
+        // The summaries taken at `epoch_end` route only the next epoch's
+        // creates, so none are taken once no create can come.
+        let want_summaries =
+            needs_summaries && !closed && last_arrival.is_none_or(|t| t >= epoch_end);
         for (lane, batch) in batches.iter_mut().enumerate() {
             let step = EpochMsg::Step {
                 batch: std::mem::take(batch),
@@ -1197,7 +1234,7 @@ fn coordinate(
         // ahead until the bounded epoch channels push back.
         let next_end = epoch_end + summary_refresh;
         (closed, last_arrival) = drain_epoch(source, next_end, &mut pending);
-        if needs_summaries {
+        if want_summaries {
             // Barrier: the summaries extracted at this epoch's limit are
             // the next epoch's refresh.
             router.refresh(lanes.summaries());
@@ -1237,15 +1274,29 @@ fn build_runners(
         .collect()
 }
 
-/// Pull every source event due before `until` into `pending`; returns
-/// whether the source is exhausted and its last arrival, read in that
-/// order once per epoch.
+/// The end of the last refresh-grid epoch that ends at or before `next`:
+/// `epoch_end` plus as many whole `refresh` steps as fit in front of
+/// `next` (none when `next` lies in the epoch after `epoch_end`). The
+/// epoch that starts there holds `next`. Never past `next`, so it cannot
+/// overflow.
+fn epoch_holding(epoch_end: SimTime, refresh: Duration, next: SimTime) -> SimTime {
+    let gap = next.saturating_since(epoch_end).as_secs();
+    SimTime(epoch_end.as_secs() + gap / refresh.as_secs() * refresh.as_secs())
+}
+
+/// Pull every source event due before `until` into `pending` (every event
+/// left when `until` is `SimTime(u64::MAX)`, where the grid saturates);
+/// returns whether the source is exhausted and its last arrival, read in
+/// that order once per epoch.
 fn drain_epoch(
     source: &mut dyn EventSource,
     until: SimTime,
     pending: &mut Vec<TraceEvent>,
 ) -> (bool, Option<SimTime>) {
-    while source.peek().is_some_and(|event| event.time < until) {
+    while source
+        .peek()
+        .is_some_and(|event| event.time < until || until == SimTime(u64::MAX))
+    {
         pending.push(source.next_event().expect("peeked non-empty"));
     }
     (source.peek().is_none(), source.last_arrival_time())
@@ -1552,7 +1603,7 @@ impl<'scope, 'p, 'o> Lanes<'scope, 'p, 'o> {
 mod tests {
     use super::*;
     use crate::chaos::{ChaosSource, DegradedPredictor, Incident, OutageMode, RecalibrationSpec};
-    use crate::workload::StreamingWorkload;
+    use crate::workload::{StreamingWorkload, WorkloadGenerator};
     use lava_core::host::HostId;
     use lava_core::vm::VmSpec;
     use lava_model::predictor::OraclePredictor;
@@ -1560,7 +1611,7 @@ mod tests {
     use lava_sched::Algorithm;
     use proptest::prelude::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 
     fn base_pool(hosts: usize) -> PoolConfig {
         PoolConfig {
@@ -2117,6 +2168,80 @@ mod tests {
         }
     }
 
+    /// The oracle, remembering the latest `now` it was asked at.
+    #[derive(Default)]
+    struct LatestAsk(AtomicU64);
+
+    impl LifetimePredictor for LatestAsk {
+        fn predict_remaining(&self, vm: &Vm, now: SimTime) -> Duration {
+            self.0.fetch_max(now.as_secs(), AtomicOrdering::Relaxed);
+            OraclePredictor::new().predict_remaining(vm, now)
+        }
+        fn name(&self) -> &'static str {
+            "oracle"
+        }
+    }
+
+    #[test]
+    fn no_summary_is_taken_once_nothing_can_arrive() {
+        // Under the baseline only placements (at creation) and cell
+        // summaries ask the predictor anything. The exits run on for
+        // weeks past the last arrival, through which the plain loop
+        // keeps taking a summary per epoch; the coordinator takes none,
+        // and routes the same.
+        let base = PoolConfig {
+            hosts: 24,
+            duration: Duration::from_hours(18),
+            ..PoolConfig::small(5)
+        };
+        let trace = WorkloadGenerator::new(base.clone()).generate();
+        let last_arrival = trace.last_arrival_time();
+        let last_exit = trace.events().last().expect("a non-empty trace").time;
+        assert!(last_exit > last_arrival + Duration::from_days(7));
+        let fleet = FleetConfig::new(3).with_router(RouterSpec::LeastLoaded);
+        let run = |predictor: Arc<dyn LifetimePredictor>, engine: Engine| {
+            let cells = fleet.build_cells(&base, |_| {
+                (Algorithm::Baseline.build_policy(predictor.clone()), None)
+            });
+            let (timing, mut source) = (test_timing(Duration::from_mins(5)), trace.source());
+            let refresh = fleet.summary_refresh;
+            match engine {
+                Engine::Reference { threads } => reference_fleet(
+                    cells,
+                    predictor,
+                    fleet.router,
+                    refresh,
+                    &timing,
+                    &mut source,
+                    threads,
+                    None,
+                ),
+                Engine::Coordinator { threads } => run_fleet(
+                    cells,
+                    predictor,
+                    fleet.router,
+                    refresh,
+                    &timing,
+                    &mut source,
+                    threads,
+                    None,
+                    None,
+                ),
+            }
+        };
+        let reference = run(
+            Arc::new(OraclePredictor::new()),
+            Engine::Reference { threads: 1 },
+        );
+        for threads in [1, 2] {
+            let asks = Arc::new(LatestAsk::default());
+            let outcome = run(asks.clone(), Engine::Coordinator { threads });
+            let latest = SimTime(asks.0.load(AtomicOrdering::Relaxed));
+            assert_eq!(latest, last_arrival, "{threads} thread(s)");
+            assert_eq!(outcome, reference, "{threads} thread(s)");
+        }
+    }
+
     proptest! {
         /// The coordinator against the plain loop it replaced, compared
         /// *directly* (no experiment plumbing): on randomized
@@ -2124,7 +2249,13 @@ mod tests {
         /// degradation and the recalibrator all active, [`run_fleet`] on
         /// the inline lane (1 thread) and on threaded lanes ({2, per-CPU}
         /// threads) must produce the same bits as the reference loop,
-        /// itself run serially and on per-epoch scoped threads.
+        /// itself run serially and on per-epoch scoped threads. A quarter
+        /// of the cases arrive sparsely (utilisation 0.1) and stretch
+        /// lifetimes by a 2–20× drift shift. That leaves runs of empty
+        /// epochs inside the arrival window, across which incidents still
+        /// change the cells, and a long tail past the last arrival. The
+        /// coordinator skips the empty epochs and takes no summaries in
+        /// the tail; the reference loop steps and summarises every epoch.
         #[test]
         fn threaded_engine_matches_scoped_reference_loop(
             seed in 0u64..100_000,
@@ -2138,17 +2269,21 @@ mod tests {
             let router = RouterSpec::ALL[seed as usize % RouterSpec::ALL.len()];
             let algorithm = if seed % 2 == 0 { Algorithm::Baseline } else { Algorithm::Nilas };
             let outage_at = 3 + seed % 6;
-            let base = PoolConfig {
+            let drift_scale = (seed / 10 % 4 == 1).then_some(2.0 + (seed / 40 % 19) as f64);
+            let mut base = PoolConfig {
                 hosts,
                 duration: Duration::from_hours(18),
                 ..PoolConfig::small(seed)
             };
+            if drift_scale.is_some() {
+                base.target_utilization = 0.1;
+            }
             let fleet = FleetConfig::new(cells)
                 .with_router(router)
                 .with_summary_refresh(Duration::from_mins(refresh_mins))
                 .with_override(CellOverride::new(0).with_hosts(hetero_hosts))
                 .with_override(CellOverride::new(cells as u32 - 1).with_host_shape(96, 384));
-            let incidents = IncidentPlan {
+            let mut incidents = IncidentPlan {
                 seed,
                 incidents: vec![
                     Incident::CellOutage {
@@ -2165,6 +2300,12 @@ mod tests {
                     },
                 ],
             };
+            if let Some(lifetime_scale) = drift_scale {
+                incidents.incidents.push(Incident::DriftShift {
+                    at: Duration::from_hours(outage_at + 2),
+                    lifetime_scale,
+                });
+            }
             let adaptation = AdaptationSpec {
                 recalibration: Some(RecalibrationSpec {
                     cadence: Duration::from_hours(2),

@@ -12,10 +12,12 @@ use lava_model::predictor::OraclePredictor;
 use lava_sched::cluster::Cluster;
 use lava_sched::policy::PlacementPolicy;
 use lava_sched::scheduler::Scheduler;
+use lava_sched::Algorithm;
 use lava_sim::chaos::{Incident, IncidentPlan, OutageMode};
 use lava_sim::experiment::{drive, DriveTiming, Experiment, ExperimentSpec};
 use lava_sim::observer::{ObserverContext, SimObserver};
 use lava_sim::trace::Trace;
+use lava_sim::workload::{PoolConfig, WorkloadGenerator};
 use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,4 +186,64 @@ fn a_placement_the_host_refuses_is_a_rejection_everywhere() {
         .host(HostId(0))
         .unwrap()
         .is_empty());
+}
+
+/// Counts policy ticks and keeps the latest tick time.
+#[derive(Default)]
+struct Ticks {
+    count: u64,
+    latest: SimTime,
+}
+
+impl SimObserver for Ticks {
+    fn on_tick(&mut self, ctx: &ObserverContext<'_>) {
+        self.count += 1;
+        self.latest = self.latest.max(ctx.now);
+    }
+}
+
+#[test]
+fn ticks_stop_at_the_last_arrival() {
+    // A LAVA replay of one day of arrivals whose exits run on for weeks:
+    // it ticks once per interval from time zero to its last arrival, and
+    // never after it, while its exits are still replayed to the last.
+    let config = PoolConfig {
+        hosts: 24,
+        duration: Duration::from_days(1),
+        ..PoolConfig::small(3)
+    };
+    let trace = WorkloadGenerator::new(config.clone()).generate();
+    let last_arrival = trace.last_arrival_time();
+    let last_exit = trace.events().last().expect("a non-empty trace").time;
+    assert!(last_exit > last_arrival + Duration::from_days(14));
+
+    let predictor = Arc::new(OraclePredictor::new());
+    let pool = Pool::with_uniform_hosts(config.pool_id, config.hosts, config.host_spec());
+    let policy = Algorithm::Lava.build_policy(predictor.clone());
+    let mut scheduler = Scheduler::new(Cluster::new(pool), policy, predictor);
+    let timing = DriveTiming {
+        warmup: Duration::ZERO,
+        warmup_with_baseline: false,
+        tick_interval: Duration::from_mins(5),
+        sample_interval: Duration::from_hours(1),
+        sample_during_warmup: false,
+        defrag_trigger: None,
+    };
+    let mut ticks = Ticks::default();
+    let unplaced = drive(
+        &mut trace.source(),
+        &mut scheduler,
+        None,
+        &timing,
+        &mut [&mut ticks],
+    );
+
+    assert!(ticks.latest <= last_arrival);
+    assert_eq!(
+        ticks.count,
+        last_arrival.as_secs() / timing.tick_interval.as_secs() + 1
+    );
+    let stats = scheduler.stats();
+    assert_eq!(stats.placed + unplaced, trace.vm_count() as u64);
+    assert_eq!(stats.exited, stats.placed);
 }
